@@ -27,17 +27,16 @@ from .decompose import (Reduction, atom_bounds, combined, external_additivity,
                         upper_expectation)
 from .errors import (CapabilityError, ConvergenceError, CredalError,
                      HypothesisError, InputError, ModelError)
-from .fileio import (Query, dump_network, load_network, load_network_document,
-                     load_query, network_document, parse_query,
-                     validate_document)
+from .fileio import (Query, ValidationReport, dump_network, load_network,
+                     load_network_document, load_query, network_document,
+                     parse_query, validate_document)
 from .graph import (Dag, ad_separated, ad_separated_closed, closure,
                     d_separated, is_closed, path_blocked, relations,
                     set_relations)
-from .lp import (GlobalPolytope, LinearProgram, LpSolution, build_global_lp,
-                 enumerate_joint_extreme_points, lower_expectation_lp,
-                 solve_global, upper_expectation_lp)
-from .network import (CredalNetwork, Event, Factor, ValidationReport,
-                      joint_states, restrict_factor, sub_network, validate)
+from .lp import (GlobalPolytope, enumerate_joint_extreme_points,
+                 lower_expectation_lp, upper_expectation_lp)
+from .network import (CredalNetwork, Event, Factor, joint_states,
+                      restrict_factor, sub_network)
 from .oracle import (BayesianSelection, complete_extension_lower,
                      complete_extension_upper, irr_extreme_conditional)
 from .queries import run_query

@@ -280,16 +280,11 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
         return local_q.lower_expectation(g)
 
     ev = conditioning.rho_callable(rho_fn, f_min, f_max, f_min)
-    if rule == "natural":
-        if not conditioning.lower_prob_positive(ev):
-            return f_min  # not recoverable from rho; vacuous bound
-        return conditioning.natural_conditional(ev, tolerance).value
-
-    # regular rule: gate on the non-descendants' upper probability
-    nd = dag.sorted_nodes(set(dag.nodes) - {q} - set(desc))
-    _, gate = _local_products(net, nd, x_E)
-    if gate > conditioning.TOL_SIGN:
-        if not conditioning.lower_prob_positive(ev):
-            return f_min
-        return conditioning.natural_conditional(ev, tolerance).value
-    return conditioning.regular_conditional(ev, tolerance).value
+    gate = False
+    if rule == "regular":
+        # gate on the non-descendants' upper probability
+        nd = dag.sorted_nodes(set(dag.nodes) - {q} - set(desc))
+        gate = _local_products(net, nd, x_E)[1] > conditioning.TOL_SIGN
+    return conditioning.condition(ev, rule, tolerance,
+                                  rest_upper_positive=gate,
+                                  vacuous_on_zero_lower=True).value

@@ -2,6 +2,9 @@
 
 Subcommands: ``validate``, ``infer``, ``adsep``, ``vertices``, ``trace``.
 Output is line-oriented, one key=value pair per line, stable across runs.
+``validate`` lists every issue of a network file; ``infer --lp-dump``
+also writes the global program of the query's gamble, in the text form
+of :meth:`credalnet.lp.GlobalPolytope.dump`.
 Exit codes: 0 success, 2 validation error, 3 capability error,
 4 hypothesis error.
 """
@@ -51,9 +54,9 @@ def _cmd_infer(args) -> int:
     net = fileio.load_network(args.net)
     query = fileio.load_query(net, args.query)
     if args.lp_dump:
-        program = lp.build_global_lp(net, query.target)
+        text = lp.GlobalPolytope(net).dump(query.target)
         with open(args.lp_dump, "w", encoding="utf-8") as fh:
-            fh.write(program.dump())
+            fh.write(text)
     result = queries.run_query(net, query)
     _emit(sorted(result.items()))
     return 0

@@ -162,14 +162,45 @@ def regular_conditional(evaluator: RhoEvaluator,
         f"bisection did not converge in {MAX_ITERATIONS} iterations")
 
 
+def condition(evaluator: RhoEvaluator, rule: str,
+              tolerance: float = DEFAULT_TOLERANCE, *,
+              rest_upper_positive: bool = False,
+              vacuous_on_zero_lower: bool = False) -> BracketResult:
+    """The conditional lower expectation under ``rule``, from rho.
+
+    The natural rule takes the unique root; with zero lower probability
+    it raises :class:`HypothesisError`, or returns the vacuous bound when
+    ``vacuous_on_zero_lower`` is set.  The regular rule takes the unique
+    root, or the vacuous bound, when ``rest_upper_positive`` says that
+    the rest of the network gives the evidence positive upper
+    probability (the gate of a reduced query), and is
+    :func:`regular_conditional` otherwise."""
+    if rule not in ("natural", "regular"):
+        raise InputError(f"unknown rule {rule!r}")
+    if rule == "regular" and not rest_upper_positive:
+        return regular_conditional(evaluator, tolerance)
+    try:
+        return natural_conditional(evaluator, tolerance)
+    except HypothesisError:
+        if rule == "natural" and not vacuous_on_zero_lower:
+            raise
+        return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
+                             0, 0.0)
+
+
 # -- evaluator builders -----------------------------------------------------
 
 def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
-    fv = lp.factor_vector(net, f)
-    mask = lp.event_mask(net, B)
-    if not mask.any():
+    """min of f over B, over the joint states of the two scopes only."""
+    scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
+    f_at = [scope.index(s) for s in f.scope]
+    b_at = [scope.index(s) for s in B.scope]
+    values = [f.table[tuple(t[i] for i in f_at)]
+              for t in net.joint_tuples(scope)
+              if tuple(t[i] for i in b_at) in B.states]
+    if not values:
         raise InputError("conditioning event is empty")
-    return float(fv[mask].min())
+    return float(min(values))
 
 
 def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
@@ -268,10 +299,8 @@ def reduce_then_condition(net: CredalNetwork, f: Factor,
         raise InputError("conditioning event is empty")
 
     if not given.cylinder:
-        ev = rho_evaluator(net, f, given, method="lp")
-        if rule == "natural":
-            return natural_conditional(ev, tolerance)
-        return regular_conditional(ev, tolerance)
+        return condition(rho_evaluator(net, f, given, method="lp"), rule,
+                         tolerance)
 
     assignment = given.assignment()
     K, rel = _grow_closed_for(net, f.scope, assignment)
@@ -291,20 +320,13 @@ def reduce_then_condition(net: CredalNetwork, f: Factor,
         value = decompose.lower_expectation(sub, f, method=method, trace=trace)
         return BracketResult(value, "local-fallback", 0, 0.0)
 
-    B_sub = sub.cylinder(inside)
-    ev = rho_evaluator(sub, f, B_sub,
+    ev = rho_evaluator(sub, f, sub.cylinder(inside),
                        method="lp" if sub.joint_count() <= 4096 else method)
-    if rule == "natural":
-        return natural_conditional(ev, tolerance)
-
     # regular rule: the sub-network case depends on the upper probability
     # the non-descendants give to their share of the evidence
-    if _rest_upper_positive(net, rel, pa_assignment, outside):
-        try:
-            return natural_conditional(ev, tolerance)
-        except HypothesisError:
-            return BracketResult(ev.vacuous_value, "vacuous-fallback", 0, 0.0)
-    return regular_conditional(ev, tolerance)
+    return condition(ev, rule, tolerance, rest_upper_positive=(
+        rule == "regular"
+        and _rest_upper_positive(net, rel, pa_assignment, outside)))
 
 
 def _rest_upper_positive(net: CredalNetwork, rel, pa_assignment: Mapping,

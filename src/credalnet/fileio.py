@@ -24,20 +24,24 @@ Query document::
 The target may also be {"indicator": {"scope": [...], "states": [[...]]}}
 and the conditioning event an explicit joint-state list with the same
 shape.  ``rule`` is natural, regular or unconditional.
+
+Network documents are read in a single pass that both records every
+defect (:func:`validate_document`) and collects the parsed local sets
+that :func:`load_network_document` hands to :class:`CredalNetwork`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
 from .credal import CredalSet, LinearConstraint
-from .errors import InputError
+from .errors import InputError, ModelError
 from .graph import Dag
-from .network import CredalNetwork, Event, Factor, ValidationReport
+from .network import CredalNetwork, Event, Factor
 
 
 def parse_number(v) -> float:
@@ -62,23 +66,39 @@ def _fmt(x: float) -> str:
 
 # -- network documents -------------------------------------------------------
 
-def validate_document(doc) -> ValidationReport:
-    """Structural validation of a raw network document; reports every
-    violation instead of stopping at the first."""
+@dataclass
+class ValidationReport:
+    issues: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
+
+    def add(self, msg: str) -> None:
+        self.issues.append(msg)
+
+    def __str__(self) -> str:
+        return "ok" if self.ok else "\n".join(self.issues)
+
+
+def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
+    """One pass over a raw network document.  Returns every violation
+    found (instead of stopping at the first) and, when there is none,
+    the DAG, the state spaces and the parsed local sets of the network;
+    each local set is parsed once."""
     report = ValidationReport()
     if not isinstance(doc, Mapping):
         report.add("document is not a JSON object")
-        return report
+        return report, None
 
     nodes = doc.get("nodes")
-    names: list[str] = []
     spaces: dict[str, tuple] = {}
     if not isinstance(nodes, list) or not nodes:
         report.add("missing or empty 'nodes' list")
     else:
         for entry in nodes:
             if not isinstance(entry, Mapping) or "name" not in entry \
-                    or "states" not in entry:
+                    or not isinstance(entry.get("states"), (list, tuple)):
                 report.add(f"malformed node entry {entry!r}")
                 continue
             name = str(entry["name"])
@@ -87,11 +107,14 @@ def validate_document(doc) -> ValidationReport:
                 report.add(f"duplicate node {name!r}")
             if not states or len(set(states)) != len(states):
                 report.add(f"bad state list for node {name!r}")
-            names.append(name)
             spaces[name] = states
 
-    edges = []
-    for e in doc.get("edges", []):
+    edge_entries = doc.get("edges", [])
+    if not isinstance(edge_entries, (list, tuple)):
+        report.add("'edges' is not a list")
+        return report, None
+    edges: dict[tuple, None] = {}             # insertion-ordered set
+    for e in edge_entries:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             report.add(f"malformed edge {e!r}")
             continue
@@ -105,36 +128,26 @@ def validate_document(doc) -> ValidationReport:
         if (a, b) in edges:
             report.add(f"duplicate edge ({a!r}, {b!r})")
             continue
-        edges.append((a, b))
-
-    # acyclicity on the raw edge list
-    parents = {s: [] for s in spaces}
-    for a, b in edges:
-        parents[b].append(a)
-    seen_order = []
-    pending = dict((s, len(parents[s])) for s in spaces)
-    queue = [s for s in names if pending.get(s) == 0]
-    while queue:
-        s = queue.pop()
-        seen_order.append(s)
-        for a, b in edges:
-            if a == s:
-                pending[b] -= 1
-                if pending[b] == 0:
-                    queue.append(b)
-    if len(seen_order) != len(spaces):
+        edges[(a, b)] = None
+    try:
+        # nodes and edges are clean by now: only a cycle can be left
+        dag = Dag(spaces, edges)
+    except InputError:
         report.add("acyclicity violated")
-        return report
+        return report, None
 
     # local models: coverage and parse
-    parent_list = {s: [a for a in names if (a, s) in set(edges)] for s in spaces}
-    needed = set()
-    for s in names:
-        for cfg in product(*(spaces[p] for p in parent_list[s])):
-            needed.add((s, cfg))
+    local_entries = doc.get("locals", [])
+    if not isinstance(local_entries, (list, tuple)):
+        report.add("'locals' is not a list")
+        return report, None
+    needed = {(s, cfg) for s in dag.nodes
+              for cfg in product(*(spaces[p] for p in dag.parents(s)))}
     seen = set()
-    for entry in doc.get("locals", []):
-        if not isinstance(entry, Mapping) or "node" not in entry:
+    locals_ = {}
+    for entry in local_entries:
+        if not isinstance(entry, Mapping) or "node" not in entry \
+                or not isinstance(entry.get("given", {}), Mapping):
             report.add(f"malformed local entry {entry!r}")
             continue
         s = str(entry["node"])
@@ -143,7 +156,7 @@ def validate_document(doc) -> ValidationReport:
             continue
         given = entry.get("given", {})
         try:
-            cfg = tuple(str(given[p]) for p in parent_list[s])
+            cfg = tuple(str(given[p]) for p in dag.parents(s))
         except KeyError as e:
             report.add(f"local model for {s!r} misses parent value {e}")
             continue
@@ -156,17 +169,32 @@ def validate_document(doc) -> ValidationReport:
             report.add(f"local model for impossible configuration {key!r}")
             continue
         try:
-            _parse_local(entry, spaces[s])
-        except InputError as e:
+            locals_[key] = _parse_local(entry, spaces[s])
+        except (InputError, ModelError) as e:
             report.add(f"invalid local model for {key!r}: {e}")
     for key in sorted(needed - seen):
         report.add(f"missing local model for node {key[0]!r} given {key[1]!r}")
-    return report
+    return report, ((dag, spaces, locals_) if report.ok else None)
+
+
+def validate_document(doc) -> ValidationReport:
+    """Structural validation of a raw network document; reports every
+    violation instead of stopping at the first."""
+    return _read_network(doc)[0]
+
+
+def _objects(entry: Mapping, key: str):
+    """``entry[key]`` checked to be a list of JSON objects, or None."""
+    value = entry.get(key)
+    if value is not None and not (isinstance(value, (list, tuple)) and
+                                  all(isinstance(v, Mapping) for v in value)):
+        raise InputError(f"{key!r} must be a list of objects")
+    return value
 
 
 def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
-    vertices = entry.get("vertices")
-    constraints = entry.get("constraints")
+    vertices = _objects(entry, "vertices")
+    constraints = _objects(entry, "constraints")
     verts = None
     if vertices is not None:
         verts = [{s: parse_number(v[s]) for s in states}
@@ -176,7 +204,7 @@ def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
     if constraints is not None:
         cons = []
         for c in constraints:
-            if "alpha" not in c or "beta" not in c:
+            if not isinstance(c.get("alpha"), Mapping) or "beta" not in c:
                 raise InputError(f"constraint needs alpha and beta: {c!r}")
             alpha = {s: parse_number(c["alpha"][s]) for s in states
                      if s in c["alpha"]}
@@ -192,21 +220,11 @@ def _bad_vertex(v, states):
 
 
 def load_network_document(doc) -> CredalNetwork:
-    report = validate_document(doc)
-    if not report.ok:
+    """The network of a raw document, validated and built in one pass."""
+    report, parts = _read_network(doc)
+    if parts is None:
         raise InputError("invalid network document:\n" + str(report))
-    names = [str(e["name"]) for e in doc["nodes"]]
-    spaces = {str(e["name"]): tuple(str(x) for x in e["states"])
-              for e in doc["nodes"]}
-    edges = [(str(a), str(b)) for a, b in doc.get("edges", [])]
-    dag = Dag(names, edges)
-    locals_ = {}
-    for entry in doc.get("locals", []):
-        s = str(entry["node"])
-        given = entry.get("given", {})
-        cfg = tuple(str(given[p]) for p in dag.parents(s))
-        locals_[(s, cfg)] = _parse_local(entry, spaces[s])
-    return CredalNetwork(dag, spaces, locals_)
+    return CredalNetwork(*parts)
 
 
 def load_network(path: str) -> CredalNetwork:

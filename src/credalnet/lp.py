@@ -8,19 +8,20 @@ carries the row::
 
     sum_{z_s} sum_{z_D(s)} P(z_s, z_D(s), x) * gamma(z_s)  >=  0
 
-plus the single normalisation equality.  Explicit non-negativity rows
-are redundant but can be requested for cross-checking.  Minimising a
-gamble's coefficient vector over this polytope gives its tight lower
-expectation; enumerating the polytope's vertices supports repeated
-queries and the brute-force conditional oracle.
+plus the single normalisation equality.  :class:`GlobalPolytope` is the
+one builder of these rows: it caches them for many objectives, solves,
+enumerates vertices and writes the program in text form.  Explicit
+non-negativity rows are redundant but can be requested for
+cross-checking.  Minimising a gamble's coefficient vector over this
+polytope gives its tight lower expectation; enumerating the polytope's
+vertices supports repeated queries and the brute-force conditional
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class JointIndex:
     def __init__(self, net: CredalNetwork):
         self.nodes = net.dag.nodes
         self.sizes = np.array([net.size(s) for s in self.nodes])
-        self.total = int(np.prod(self.sizes)) if len(self.sizes) else 1
+        self.total = net.joint_count()
         strides = np.ones(len(self.nodes), dtype=np.int64)
         for i in range(len(self.nodes) - 2, -1, -1):
             strides[i] = strides[i + 1] * self.sizes[i + 1]
@@ -64,38 +65,6 @@ class JointIndex:
             idx = idx * self.sizes[self._pos[s]] + self.digits(s)
             count *= int(self.sizes[self._pos[s]])
         return idx, count
-
-
-@dataclass
-class LinearProgram:
-    """Dense minimisation program over the joint-state unknowns."""
-
-    variables: tuple[tuple, ...]          # joint states, lexicographic
-    objective: np.ndarray
-    eq_rows: np.ndarray                   # here: the single normalisation row
-    eq_rhs: np.ndarray
-    ineq_rows: np.ndarray                 # rows r with  r @ P >= rhs
-    ineq_rhs: np.ndarray
-    row_labels: tuple[str, ...]
-
-    def dump(self) -> str:
-        """Line-oriented text form, deterministic ordering."""
-        lines = ["vars " + " ".join(",".join(v) for v in self.variables)]
-        lines.append("min " + " ".join(repr(float(c)) for c in self.objective))
-        for row, rhs in zip(self.eq_rows, self.eq_rhs):
-            lines.append("eq " + " ".join(repr(float(a)) for a in row)
-                         + " = " + repr(float(rhs)))
-        for label, row, rhs in zip(self.row_labels, self.ineq_rows, self.ineq_rhs):
-            lines.append(f"ge {label} " + " ".join(repr(float(a)) for a in row)
-                         + " >= " + repr(float(rhs)))
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
-class LpSolution:
-    optimum: float
-    argmin: dict
-    status: str
 
 
 def _objective_from_factor(net: CredalNetwork, idx: JointIndex,
@@ -158,57 +127,25 @@ def _constraint_rows(net: CredalNetwork, idx: JointIndex):
     return rows, labels
 
 
-def build_global_lp(net: CredalNetwork, f: Factor,
-                    include_nonnegativity: bool = False) -> LinearProgram:
-    """Assemble the global program for minimising the expectation of f."""
-    idx = JointIndex(net)
-    if idx.total > MAX_LP_VARIABLES:
-        raise CapabilityError("global program exceeds the variable bound")
-    c = _objective_from_factor(net, idx, f)
-    rows, labels = _constraint_rows(net, idx)
-    if include_nonnegativity:
-        for j in range(idx.total):
-            row = np.zeros(idx.total)
-            row[j] = 1.0
-            rows.append(row)
-            labels.append(f"nonneg|{j}")
-    if len(rows) > MAX_LP_ROWS:
-        raise CapabilityError("global program exceeds the row bound")
-    return LinearProgram(
-        variables=tuple(net.joint_tuples()),
-        objective=c,
-        eq_rows=np.ones((1, idx.total)),
-        eq_rhs=np.ones(1),
-        ineq_rows=np.array(rows) if rows else np.zeros((0, idx.total)),
-        ineq_rhs=np.zeros(len(rows)),
-        row_labels=tuple(labels),
-    )
-
-
-def solve_lp(lp: LinearProgram, *, exact: bool = False) -> LpSolution:
-    res = simplex.solve(lp.objective, A_eq=lp.eq_rows, b_eq=lp.eq_rhs,
-                        A_ub=lp.ineq_rows, b_ub=lp.ineq_rhs, exact=exact)
-    if res.status != "optimal":
-        return LpSolution(float("nan"), {}, res.status)
-    x = res.x if not exact else np.array([float(v) for v in res.x])
-    argmin = dict(zip(lp.variables, x))
-    opt = res.objective if exact else float(res.objective)
-    return LpSolution(opt, argmin, "optimal")
-
-
 class GlobalPolytope:
     """The constraint system of a network, cached so that many objectives
-    (e.g. the evaluations of a bracketing run) reuse one build."""
+    (e.g. the evaluations of a bracketing run) reuse one build.
+
+    ``include_nonnegativity`` appends the redundant rows ``P(z) >= 0``,
+    one per joint state, for cross-checking the program without them.
+    """
 
     def __init__(self, net: CredalNetwork, include_nonnegativity: bool = False):
         self.net = net
-        self.idx = JointIndex(net)
-        if self.idx.total > MAX_LP_VARIABLES:
+        if net.joint_count() > MAX_LP_VARIABLES:
             raise CapabilityError("global program exceeds the variable bound")
+        self.idx = JointIndex(net)
         rows, labels = _constraint_rows(net, self.idx)
         if include_nonnegativity:
             rows = rows + [row for row in np.eye(self.idx.total)]
             labels = labels + [f"nonneg|{j}" for j in range(self.idx.total)]
+            if len(rows) > MAX_LP_ROWS:
+                raise CapabilityError("global program exceeds the row bound")
         self.rows = np.array(rows) if rows else np.zeros((0, self.idx.total))
         self.labels = tuple(labels)
         self._eq = np.ones((1, self.idx.total))
@@ -226,6 +163,20 @@ class GlobalPolytope:
     def objective_of(self, f: Factor) -> np.ndarray:
         return _objective_from_factor(self.net, self.idx, f)
 
+    def dump(self, f: Factor) -> str:
+        """The program minimising the expectation of ``f``, in
+        line-oriented text form with a deterministic ordering."""
+        def nums(values) -> str:
+            return " ".join(repr(float(v)) for v in values)
+
+        lines = ["vars " + " ".join(",".join(t)
+                                    for t in self.net.joint_tuples())]
+        lines.append("min " + nums(self.objective_of(f)))
+        lines.append("eq " + nums(self._eq[0]) + " = 1.0")
+        for label, row in zip(self.labels, self.rows):
+            lines.append(f"ge {label} " + nums(row) + " >= 0.0")
+        return "\n".join(lines) + "\n"
+
     def extreme_points(self) -> np.ndarray:
         if self.idx.total > MAX_ENUMERATION_STATES:
             raise CapabilityError(
@@ -237,7 +188,8 @@ class GlobalPolytope:
 def lower_expectation_lp(net: CredalNetwork, f: Factor, *,
                          include_nonnegativity: bool = False,
                          exact: bool = False) -> float:
-    """Tight lower expectation of ``f`` via the global program."""
+    """Tight lower expectation of ``f`` via the global program (see
+    :class:`GlobalPolytope` for ``include_nonnegativity``)."""
     gp = GlobalPolytope(net, include_nonnegativity)
     value, _ = gp.minimize(gp.objective_of(f), exact=exact)
     return value if exact else float(value)
@@ -245,14 +197,6 @@ def lower_expectation_lp(net: CredalNetwork, f: Factor, *,
 
 def upper_expectation_lp(net: CredalNetwork, f: Factor, **kw) -> float:
     return -lower_expectation_lp(net, -f, **kw)
-
-
-def solve_global(net: CredalNetwork, f: Factor, *,
-                 include_nonnegativity: bool = False,
-                 exact: bool = False) -> LpSolution:
-    """Like :func:`lower_expectation_lp` but returning the argmin as well."""
-    lp = build_global_lp(net, f, include_nonnegativity)
-    return solve_lp(lp, exact=exact)
 
 
 def enumerate_joint_extreme_points(net: CredalNetwork) -> list[MassFunction]:

@@ -8,14 +8,14 @@ order; factor tables are total (one entry per joint state of the scope).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .credal import CredalSet
-from .errors import CapabilityError, InputError, ModelError
+from .errors import CapabilityError, InputError
 from .graph import Dag, set_relations
 
 #: Joint-state enumeration refuses to run above this many states.
@@ -281,46 +281,3 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
                 for p in outer_parents)
             locals_[(s, cfg)] = net.local(s, full_cfg)
     return CredalNetwork(sub_dag, spaces, locals_)
-
-
-@dataclass
-class ValidationReport:
-    issues: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def add(self, msg: str) -> None:
-        self.issues.append(msg)
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "\n".join(self.issues)
-
-
-def validate(net: CredalNetwork) -> ValidationReport:
-    """Report-style re-check of the network invariants.
-
-    A constructed ``CredalNetwork`` already passed the structural checks;
-    this re-verifies local-model coverage and per-set sanity and reports
-    every violation instead of raising.  Raw (unparsed) documents are
-    validated by :func:`credalnet.fileio.validate_document`, which also
-    covers graph defects such as cycles.
-    """
-    report = ValidationReport()
-    for s in net.dag.nodes:
-        for cfg in net.parent_configs(s):
-            key = (s, cfg)
-            if key not in net.locals:
-                report.add(f"missing local model for node {s!r} given {cfg!r}")
-                continue
-            m = net.locals[key]
-            if m.states != net.states(s):
-                report.add(f"state-space mismatch in local model {key!r}")
-    for (s, cfg) in net.locals:
-        if s not in net.state_spaces:
-            report.add(f"local model for undeclared node {s!r}")
-        elif tuple(cfg) not in set(net.parent_configs(s)):
-            report.add(f"local model for impossible parent configuration "
-                       f"{cfg!r} of node {s!r}")
-    return report

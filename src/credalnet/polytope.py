@@ -39,6 +39,11 @@ _MAX_PAIR_WORK = 2e9
 
 _PAIR_CHUNK = 4096
 
+#: Element budget of one chunk of pairwise point differences, and the
+#: number of fresh vertices deduplicated together.
+_DIST_CHUNK = 2 ** 20
+_DEDUP_BLOCK = 1024
+
 
 def _adjacent_pairs(T: np.ndarray, pos: np.ndarray, neg: np.ndarray):
     """Indices (i, j) of adjacent generator pairs across the cut.
@@ -67,6 +72,35 @@ def _adjacent_pairs(T: np.ndarray, pos: np.ndarray, neg: np.ndarray):
         out_i.append(pi[keep])
         out_j.append(pj[keep])
     return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _near(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(len(X), len(Y)) mask of point pairs closer than the dedup radius
+    in max-norm, computed in row chunks of bounded size."""
+    out = np.zeros((len(X), len(Y)), dtype=bool)
+    if not len(Y):
+        return out
+    step = max(1, _DIST_CHUNK // (len(Y) * X.shape[1]))
+    for lo in range(0, len(X), step):
+        diff = np.abs(X[lo:lo + step, None, :] - Y[None, :, :])
+        out[lo:lo + step] = diff.max(axis=2) < DEDUP_RADIUS
+    return out
+
+
+def _fresh_vertices(W: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The points of W, in order, that are not near a kept vertex nor
+    near an earlier point already taken (greedy keep-in-order pass)."""
+    taken = W[:0]
+    for lo in range(0, len(W), _DEDUP_BLOCK):
+        block = W[lo:lo + _DEDUP_BLOCK]
+        block = block[~(_near(block, kept).any(axis=1)
+                        | _near(block, taken).any(axis=1))]
+        earlier = np.tril(_near(block, block), -1)
+        keep = ~earlier.any(axis=1)
+        for i in np.flatnonzero(~keep):
+            keep[i] = not (earlier[i] & keep).any()
+        taken = np.vstack([taken, block[keep]])
+    return taken
 
 
 def cut_simplex(n: int, rows: np.ndarray) -> np.ndarray:
@@ -112,17 +146,8 @@ def cut_simplex(n: int, rows: np.ndarray) -> np.ndarray:
         if len(W):
             # drop near-duplicates among the fresh vertices and against
             # the kept ones, then recompute incidence against all rows
-            kept_verts = V[keep]
-            uniq = []
-            for w in W:
-                if kept_verts.size and \
-                        np.min(np.max(np.abs(kept_verts - w), axis=1)) < DEDUP_RADIUS:
-                    continue
-                if any(np.max(np.abs(u - w)) < DEDUP_RADIUS for u in uniq):
-                    continue
-                uniq.append(w)
-            if uniq:
-                U = np.array(uniq)
+            U = _fresh_vertices(W, V[keep])
+            if len(U):
                 V_new.append(U)
                 T_new.append(np.abs(U @ A[:n + r + 1].T) <= _TIGHT_TOL)
         V = np.vstack(V_new)

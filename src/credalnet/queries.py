@@ -5,7 +5,7 @@ through the same machinery)."""
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable
 
 from . import chains, conditioning, decompose, lp
 from .errors import HypothesisError, InputError
@@ -13,30 +13,19 @@ from .fileio import Query
 from .network import CredalNetwork, Event, Factor
 
 
-def _bracket(net: CredalNetwork, f: Factor, given: Event, rule: str,
-             tolerance: float, engine: str) -> conditioning.BracketResult:
-    ev = conditioning.rho_evaluator(net, f, given, method=engine)
-    if rule == "natural":
-        return conditioning.natural_conditional(ev, tolerance)
-    return conditioning.regular_conditional(ev, tolerance)
-
-
-def _chain_bracket(net, f: Factor, given: Event, rule: str, tolerance: float):
+def _chain_evaluator(net: CredalNetwork, f: Factor, given: Event):
     order = chains.chain_order(net)
     if given.cylinder and given.scope == (order[-1],) and \
             f.scope in ((order[0],), ()):
         (x_n,) = next(iter(given.states))
         fn = lambda mu: chains.chain_reverse_rho(net, f, x_n, mu)
-        ev = conditioning.rho_callable(fn, f.min(), f.max(), f.min())
-        if rule == "natural":
-            return conditioning.natural_conditional(ev, tolerance)
-        return conditioning.regular_conditional(ev, tolerance)
+        return conditioning.rho_callable(fn, f.min(), f.max(), f.min())
     raise HypothesisError(
         "chain dispatch needs a gamble on the first node conditioned on "
         "the value of the last one")
 
 
-def _hmm_bracket(net, f: Factor, given: Event, rule: str, tolerance: float):
+def _hmm_evaluator(net: CredalNetwork, f: Factor, given: Event):
     if not given.cylinder:
         raise HypothesisError(
             "hidden-state dispatch needs an instantiated observation event")
@@ -46,10 +35,44 @@ def _hmm_bracket(net, f: Factor, given: Event, rule: str, tolerance: float):
             "hidden-state dispatch needs a gamble on the final state node")
     observations = given.assignment()
     fn = lambda mu: chains.hmm_forward_rho(spec, f, observations, mu)
-    ev = conditioning.rho_callable(fn, f.min(), f.max(), f.min())
-    if rule == "natural":
-        return conditioning.natural_conditional(ev, tolerance)
-    return conditioning.regular_conditional(ev, tolerance)
+    return conditioning.rho_callable(fn, f.min(), f.max(), f.min())
+
+
+def _unconditional_bound(net: CredalNetwork, q: Query,
+                         trace: list | None) -> Callable[[Factor], float]:
+    """The lower expectation of a gamble by the query's method."""
+    if q.method == "lp":
+        return lambda f: lp.lower_expectation_lp(net, f)
+    if q.method in ("auto", "decompose"):
+        return lambda f: decompose.lower_expectation(net, f, trace=trace)
+    if q.method == "chain":
+        return lambda f: chains.chain_forward(net, f)
+    if q.method == "hmm":
+        raise HypothesisError(
+            "hidden-state dispatch requires a conditional query")
+    raise InputError(f"unknown method {q.method!r}")
+
+
+def _lp_evaluator(net: CredalNetwork, f: Factor, given: Event):
+    return conditioning.rho_evaluator(net, f, given, method="lp")
+
+
+_EVALUATORS = {"lp": _lp_evaluator, "chain": _chain_evaluator,
+               "hmm": _hmm_evaluator}
+
+
+def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
+                       ) -> Callable[[Factor], conditioning.BracketResult]:
+    """The conditional lower expectation of a gamble given the query's
+    event, by the query's method and rule."""
+    if q.method in ("auto", "decompose"):
+        return lambda f: conditioning.reduce_then_condition(
+            net, f, q.given, q.rule, tolerance=q.tolerance, trace=trace)
+    if q.method not in _EVALUATORS:
+        raise InputError(f"unknown method {q.method!r}")
+    evaluator = _EVALUATORS[q.method]
+    return lambda f: conditioning.condition(evaluator(net, f, q.given),
+                                            q.rule, q.tolerance)
 
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
@@ -57,40 +80,15 @@ def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":
-        if q.method == "lp":
-            lower = lp.lower_expectation_lp(net, q.target)
-            upper = -lp.lower_expectation_lp(net, -q.target)
-        elif q.method in ("auto", "decompose"):
-            lower = decompose.lower_expectation(net, q.target, trace=trace)
-            upper = -decompose.lower_expectation(net, -q.target, trace=trace)
-        elif q.method == "chain":
-            lower = chains.chain_forward(net, q.target)
-            upper = -chains.chain_forward(net, -q.target)
-        elif q.method == "hmm":
-            raise HypothesisError(
-                "hidden-state dispatch requires a conditional query")
+        bound = _unconditional_bound(net, q, trace)
+        lower = bound(q.target)
+        upper = -bound(-q.target)
         out.update(lower=lower, upper=upper, kind="exact", iterations=0)
         return out
 
-    if q.method == "lp":
-        res_low = _bracket(net, q.target, q.given, q.rule, q.tolerance, "lp")
-        res_up = _bracket(net, -q.target, q.given, q.rule, q.tolerance, "lp")
-    elif q.method in ("auto", "decompose"):
-        res_low = conditioning.reduce_then_condition(
-            net, q.target, q.given, q.rule, tolerance=q.tolerance,
-            trace=trace)
-        res_up = conditioning.reduce_then_condition(
-            net, -q.target, q.given, q.rule, tolerance=q.tolerance,
-            trace=trace)
-    elif q.method == "chain":
-        res_low = _chain_bracket(net, q.target, q.given, q.rule, q.tolerance)
-        res_up = _chain_bracket(net, -q.target, q.given, q.rule, q.tolerance)
-    elif q.method == "hmm":
-        res_low = _hmm_bracket(net, q.target, q.given, q.rule, q.tolerance)
-        res_up = _hmm_bracket(net, -q.target, q.given, q.rule, q.tolerance)
-    else:
-        raise InputError(f"unknown method {q.method!r}")
-
+    bound = _conditional_bound(net, q, trace)
+    res_low = bound(q.target)
+    res_up = bound(-q.target)
     out.update(lower=res_low.value, upper=-res_up.value,
                kind=res_low.kind, iterations=res_low.iterations,
                bracket_width=res_low.width, upper_kind=res_up.kind,

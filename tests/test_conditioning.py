@@ -11,12 +11,16 @@ from credalnet.conditioning import (lower_prob_positive, natural_conditional,
                                     regular_conditional, rho, rho_evaluator,
                                     upper_prob_positive)
 from credalnet.credal import CredalSet, binary_interval, singleton
-from credalnet.errors import HypothesisError, ModelError
+from credalnet.errors import (CapabilityError, HypothesisError, InputError,
+                              ModelError)
+from credalnet.fileio import Query
 from credalnet.graph import Dag
 from credalnet.network import Factor
+from credalnet.queries import run_query
 
 from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
-                     precise_locals, random_binary_net, random_factor)
+                     precise_locals, random_binary_net, random_chain_net,
+                     random_factor)
 
 TOL = 1e-9
 
@@ -291,3 +295,61 @@ class TestLocalModelPreservation:
             res = reduce_then_condition(net, f, net.cylinder(assignment),
                                         "regular", tolerance=1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
+
+
+class TestConditionDispatch:
+    def test_rules(self, rng):
+        net = random_binary_net(rng, 3, edge_p=0.5)
+        f = random_factor(rng, net, ["1"])
+        B = net.cylinder({"3": "1"})
+        for rule, bracket in (("natural", natural_conditional),
+                              ("regular", regular_conditional)):
+            got = conditioning.condition(rho_evaluator(net, f, B), rule, 1e-10)
+            expect = bracket(rho_evaluator(net, f, B), 1e-10)
+            assert (got.value, got.kind) == (expect.value, expect.kind)
+        with pytest.raises(InputError):
+            conditioning.condition(rho_evaluator(net, f, B), "unconditional")
+
+    def test_zero_lower_probability(self, rng):
+        net = make_net_with_zero_lower(rng)
+        f = random_factor(rng, net, ["b"])
+        B = net.cylinder({"a": "0"})
+        with pytest.raises(HypothesisError):
+            conditioning.condition(rho_evaluator(net, f, B), "natural")
+        res = conditioning.condition(rho_evaluator(net, f, B), "natural",
+                                     vacuous_on_zero_lower=True)
+        assert res.kind == "vacuous-fallback"
+        assert res.value == f.min()
+        # gated regular rule: the vacuous bound instead of the rightmost root
+        gated = conditioning.condition(rho_evaluator(net, f, B), "regular",
+                                       rest_upper_positive=True)
+        assert (gated.value, gated.kind) == (res.value, res.kind)
+        plain = conditioning.condition(rho_evaluator(net, f, B), "regular")
+        assert plain.kind == "rightmost-root"
+
+
+class TestVacuousBound:
+    def test_equals_brute_force(self, rng):
+        for _ in range(6):
+            net = random_binary_net(rng, 4, edge_p=0.5)
+            f = random_factor(rng, net, ["2", "4"])
+            B = net.event(["1", "4"], [("0", "1"), ("1", "0"), ("1", "1")])
+            mask = lp.event_mask(net, B)
+            expect = float(lp.factor_vector(net, f)[mask].min())
+            assert conditioning._vacuous_bound(net, f, B) == expect
+            constant = Factor.constant(0.5)
+            assert conditioning._vacuous_bound(net, constant, B) == 0.5
+
+    def test_long_chain_stops_at_the_lp_bound(self, rng):
+        # the vacuous bound is taken over the query's two nodes, so the
+        # query fails on the global program's variable bound, not by
+        # asking for memory over all 2^n joint states; at 100 nodes that
+        # count does not fit in an int64
+        for n in (50, 100):
+            net = random_chain_net(rng, n)
+            f = random_factor(rng, net, ["1"])
+            B = net.cylinder({str(n): "1"})
+            assert conditioning._vacuous_bound(net, f, B) == f.min()
+            query = Query(f, B, "natural", "auto", 1e-9)
+            with pytest.raises(CapabilityError, match="variable bound"):
+                run_query(net, query)

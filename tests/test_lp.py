@@ -5,7 +5,7 @@ expectation operator."""
 import numpy as np
 import pytest
 
-from credalnet import lp
+from credalnet import lp, polytope
 from credalnet.credal import MassFunction, singleton, vacuous
 from credalnet.errors import CapabilityError
 from credalnet.graph import Dag
@@ -23,9 +23,9 @@ def agreement_factor(net):
 
 class TestWorkedExample:
     def test_constraint_count(self, two_coins):
-        prog = lp.build_global_lp(two_coins, agreement_factor(two_coins))
-        assert len(prog.ineq_rows) == 8
-        assert len(prog.eq_rows) == 1
+        gp = lp.GlobalPolytope(two_coins)
+        assert len(gp.rows) == 8
+        assert gp.dump(agreement_factor(two_coins)).count("\neq ") == 1
 
     def test_agreement_lower_probability(self, two_coins):
         value = lp.lower_expectation_lp(two_coins, agreement_factor(two_coins))
@@ -45,15 +45,14 @@ class TestWorkedExample:
         assert np.min(np.max(np.abs(V - target), axis=1)) < TOL
 
     def test_argmin_is_mass_function(self, two_coins):
-        sol = lp.solve_global(two_coins, agreement_factor(two_coins))
-        assert sol.status == "optimal"
-        MassFunction(tuple(sol.argmin), tuple(sol.argmin.values()))
+        gp = lp.GlobalPolytope(two_coins)
+        _, x = gp.minimize(gp.objective_of(agreement_factor(two_coins)))
+        MassFunction(tuple(two_coins.joint_tuples()), tuple(x))
 
     def test_dump_deterministic(self, two_coins):
-        prog = lp.build_global_lp(two_coins, agreement_factor(two_coins))
-        text = prog.dump()
-        assert text == lp.build_global_lp(
-            two_coins, agreement_factor(two_coins)).dump()
+        f = agreement_factor(two_coins)
+        text = lp.GlobalPolytope(two_coins).dump(f)
+        assert text == lp.GlobalPolytope(two_coins).dump(f)
         assert text.startswith("vars h,h h,t t,h t,t\nmin 1.0 0.0 0.0 1.0\n")
         assert text.count("\nge ") == 8
 
@@ -104,8 +103,8 @@ class TestNonNegativityRedundancy:
         for n in (2, 3, 4):
             net = random_binary_net(rng, n)
             f = random_factor(rng, net, net.dag.nodes)
-            sol = lp.solve_global(net, f)
-            probs = np.array(list(sol.argmin.values()))
+            gp = lp.GlobalPolytope(net)
+            _, probs = gp.minimize(gp.objective_of(f))
             assert probs.min() >= -1e-7
             assert abs(probs.sum() - 1.0) < 1e-7
 
@@ -128,6 +127,36 @@ class TestVertexEnumerationAgainstLp:
         net = CredalNetwork(dag, {str(i): ("0", "1") for i in range(7)}, locs)
         with pytest.raises(CapabilityError):
             lp.enumerate_joint_extreme_points(net)
+
+
+def greedy_dedup(W, kept):
+    """Reference for the vectorised dedup: one point at a time, dropped
+    when it is near a kept vertex or an earlier taken point."""
+    taken = []
+    for w in W:
+        if len(kept) and np.min(np.max(np.abs(kept - w), axis=1)) \
+                < polytope.DEDUP_RADIUS:
+            continue
+        if any(np.max(np.abs(u - w)) < polytope.DEDUP_RADIUS for u in taken):
+            continue
+        taken.append(w)
+    return np.array(taken).reshape(-1, W.shape[1])
+
+
+class TestVertexDedup:
+    def test_matches_greedy_reference(self, rng, monkeypatch):
+        # clusters of near-duplicates (some closer than the radius, some
+        # not) spread over several blocks
+        monkeypatch.setattr(polytope, "_DEDUP_BLOCK", 7)
+        for _ in range(20):
+            centres = rng.uniform(0, 1, size=(6, 4))
+            W = centres[rng.integers(0, 6, size=40)] + \
+                rng.uniform(-1.5e-6, 1.5e-6, size=(40, 4))
+            kept = W[[0, 9]] + rng.uniform(-3e-7, 3e-7, size=(2, 4))
+            for k in (kept, kept[:0]):
+                expect = greedy_dedup(W, k)
+                got = polytope._fresh_vertices(W, k)
+                assert np.array_equal(got, expect)
 
 
 class TestCoherence:

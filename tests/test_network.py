@@ -1,4 +1,4 @@
-"""Network assembly, sub-networks, factors, events and validation."""
+"""Network assembly, sub-networks, factors and events."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from credalnet.credal import binary_interval, singleton, vacuous
 from credalnet.errors import CapabilityError, InputError
 from credalnet.graph import Dag
 from credalnet.network import (CredalNetwork, Factor, joint_states,
-                               restrict_factor, sub_network, validate)
+                               restrict_factor, sub_network)
 
 from helpers import binary_net, fig_dag, interval_locals, random_factor
 
@@ -38,23 +38,6 @@ class TestConstruction:
         with pytest.raises(InputError):
             CredalNetwork(dag, {"a": ("0", "1")},
                           {("a", ()): m, ("a", ("0",)): m})
-
-
-class TestValidateReport:
-    def test_well_formed(self, two_coins):
-        assert validate(two_coins).ok
-
-    def test_report_lists_missing(self, two_coins):
-        broken = dict(two_coins.locals)
-        del broken[("2", ())]
-        # bypass the constructor checks to exercise the report path
-        net = object.__new__(CredalNetwork)
-        net.dag = two_coins.dag
-        net.state_spaces = two_coins.state_spaces
-        net.locals = broken
-        report = validate(net)
-        assert not report.ok
-        assert any("missing local model" in x for x in report.issues)
 
 
 class TestJointStates:
