@@ -1,4 +1,4 @@
-"""Conditional and updated lower expectations via root bracketing.
+"""Conditional and updated lower expectations via root finding.
 
 Everything is driven by one scalar function of mu: the unconditional
 lower expectation of ``1_B * (f - mu)``.  It is concave and
@@ -10,6 +10,16 @@ even the upper probability vanishes it is identically zero and carries
 no information (the vacuous bound ``min f over B`` is returned,
 flagged).  Sign tests at ``min f - 1`` and ``max f + 1`` decide which
 case applies.
+
+On the global program an evaluation also yields a minimising model p,
+and the roots are found by Dinkelbach steps, mu <- E_p[f 1_B] / P_p(B):
+Newton's method on the piecewise-linear rho, whose slope at mu is
+-P_p(B), which takes a handful of evaluations.  The unique root stops on
+a certified bracket whose width is reported; the rightmost root stops
+where rho is no longer clearly negative.  Bisection remains for the
+evaluators without a minimiser (the chain and hidden-state recursions,
+the reduction planner and :func:`rho_from_vertices`) and for a step that
+rounding keeps from decreasing mu.
 """
 
 from __future__ import annotations
@@ -48,7 +58,12 @@ class RhoEvaluator:
     ``1_B * (f - mu)``, together with the cached range of f and the
     vacuous fallback value (min of f over B).
 
-    Evaluations are recorded and opportunistically checked for
+    When ``minimiser`` is set, ``fn`` returns ``(rho, E_p[f 1_B],
+    P_p(B))`` at a minimising model ``p``, and the brackets take
+    Dinkelbach steps; otherwise it returns rho alone and they bisect.
+
+    Evaluations are recorded, and an abscissa seen before is not
+    evaluated again.  They are opportunistically checked for
     monotonicity: the function must be non-increasing in mu, so a
     violation beyond tolerance exposes a broken engine.
     """
@@ -57,11 +72,21 @@ class RhoEvaluator:
     f_min: float
     f_max: float
     vacuous_value: float
+    minimiser: bool = False
     _mus: list = field(default_factory=list, repr=False)
     _vals: list = field(default_factory=list, repr=False)
+    _seen: dict = field(default_factory=dict, repr=False)
 
     def rho(self, mu: float) -> float:
-        value = float(self.fn(mu))
+        if mu in self._seen:
+            return self._seen[mu][0]
+        step = None
+        if self.minimiser:
+            value, fb, pb = map(float, self.fn(mu))
+            if pb > 0.0:
+                step = fb / pb
+        else:
+            value = float(self.fn(mu))
         i = bisect.bisect_left(self._mus, mu)
         if i > 0 and value > self._vals[i - 1] + 1e-7:
             raise ModelError("rho engine is not non-increasing in mu")
@@ -69,7 +94,15 @@ class RhoEvaluator:
             raise ModelError("rho engine is not non-increasing in mu")
         self._mus.insert(i, mu)
         self._vals.insert(i, value)
+        self._seen[mu] = (value, step)
         return value
+
+    def recorded(self, mu: float) -> tuple[float, float | None]:
+        """rho at an evaluated ``mu``, and the Dinkelbach step from it:
+        E_p[f 1_B] / P_p(B) at its minimiser p, which is at least the
+        root.  The step is ``None`` without a minimiser or when P_p(B) is
+        zero."""
+        return self._seen[mu]
 
 
 def rho(evaluator: RhoEvaluator, mu: float) -> float:
@@ -98,10 +131,44 @@ def natural_conditional(evaluator: RhoEvaluator,
         raise HypothesisError(
             "conditioning event has zero lower probability; the "
             "natural-extension conditional is not computable from rho")
+    return _unique_root(evaluator, tolerance)
+
+
+def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
+    """The root of rho, given rho(min f - 1) > 0 (evaluated).
+
+    With a minimiser: Dinkelbach steps, from the one at min f - 1.  rho
+    falls at a rate of at least the lower probability of B, which is at
+    least ``slope`` = rho(min f - 1) / (max f - min f + 1).  So a step mu
+    with rho(mu) <= 0 puts the root in [mu + rho(mu) / slope, mu], and
+    one that rounding put left of the root, rho(mu) > 0, puts it in [mu,
+    step(mu)].  The steps stop once that bracket is within ``tolerance``.
+    A step that fails to decrease mu hands the bracket to bisection,
+    which evaluators without a minimiser run from the start."""
     lo, hi = evaluator.f_min, evaluator.f_max
     if hi - lo <= tolerance:
         return BracketResult(lo, "unique-root", 0, hi - lo)
-    for it in range(1, MAX_ITERATIONS + 1):
+    it = 0
+    if evaluator.minimiser:
+        mu = evaluator.f_min - 1.0
+        r, step = evaluator.recorded(mu)
+        slope = r / (evaluator.f_max - mu)
+        while step is not None and it < MAX_ITERATIONS:
+            mu = min(max(step, lo), hi)
+            it += 1
+            evaluator.rho(mu)
+            r, step = evaluator.recorded(mu)
+            if r > 0.0:
+                lo = mu
+                if step is not None:
+                    hi = max(mu, min(hi, step))
+            else:
+                lo, hi = max(lo, mu + r / slope), mu
+            if hi - lo <= tolerance:
+                return BracketResult(mu, "unique-root", it, hi - lo)
+            if step is not None and step >= mu:
+                break
+    for it in range(it + 1, MAX_ITERATIONS + 1):
         mid = 0.5 * (lo + hi)
         r = evaluator.rho(mid)
         if r > 0.0:
@@ -122,23 +189,48 @@ def regular_conditional(evaluator: RhoEvaluator,
 
     Positive lower probability: same unique root as the natural
     conditional.  Zero lower but positive upper probability: the
-    rightmost root of rho, found by a bisection that treats a barely
-    negative evaluation as "right of the root" only after confirming the
-    sign at a widened abscissa (rho may decrease very slowly there).
-    Zero upper probability: every model is discarded by the update; the
-    value falls back to the vacuous bound and is flagged."""
+    rightmost root of rho (see :func:`_rightmost_root`).  Zero upper
+    probability: every model is discarded by the update; the value falls
+    back to the vacuous bound and is flagged."""
     if lower_prob_positive(evaluator):
-        return natural_conditional(evaluator, tolerance)
+        return _unique_root(evaluator, tolerance)
     if not upper_prob_positive(evaluator):
         return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
                              0, 0.0)
+    return _rightmost_root(evaluator, tolerance)
+
+
+def _rightmost_root(evaluator: RhoEvaluator, tolerance: float
+                    ) -> BracketResult:
+    """The rightmost root of rho, given rho(max f + 1) < 0 (evaluated).
+
+    Dinkelbach steps, when the evaluator has a minimiser, from the one
+    at max f + 1: they decrease towards the root from the right, and stop
+    at the first mu with rho(mu) >= -TOL_SIGN; the reported width is the
+    step left from there.  Otherwise, or when a step fails to decrease
+    mu, a bisection treats a barely negative evaluation as "right of the
+    root" only after confirming the sign at a widened abscissa (rho may
+    decrease very slowly there)."""
     lo, hi = evaluator.f_min, evaluator.f_max
+    it = 0
+    if evaluator.minimiser:
+        mu = evaluator.f_max + 1.0
+        _, step = evaluator.recorded(mu)
+        while step is not None and step < mu and it < MAX_ITERATIONS:
+            mu = min(max(step, lo), hi)
+            it += 1
+            evaluator.rho(mu)
+            r, step = evaluator.recorded(mu)
+            if r >= -TOL_SIGN:
+                width = 0.0 if step is None else max(0.0, mu - step)
+                return BracketResult(mu, "rightmost-root", it, width)
+            hi = mu
     if evaluator.rho(hi) >= -TOL_SIGN:
-        return BracketResult(hi, "rightmost-root", 0, 0.0)
+        return BracketResult(hi, "rightmost-root", it, 0.0)
     if hi - lo <= tolerance:
-        return BracketResult(lo, "rightmost-root", 0, hi - lo)
-    step = max(4.0 * tolerance, 1e-9 * (evaluator.f_max - evaluator.f_min))
-    for it in range(1, MAX_ITERATIONS + 1):
+        return BracketResult(lo, "rightmost-root", it, hi - lo)
+    widen = max(4.0 * tolerance, 1e-9 * (evaluator.f_max - evaluator.f_min))
+    for it in range(it + 1, MAX_ITERATIONS + 1):
         mid = 0.5 * (lo + hi)
         r = evaluator.rho(mid)
         if r >= 0.0:
@@ -151,7 +243,7 @@ def regular_conditional(evaluator: RhoEvaluator,
             # Only a clearly negative re-evaluation slightly beyond mid
             # certifies "right of the root"; otherwise round towards the
             # left, which can only overestimate by a bounded sliver.
-            probe = min(mid + step, 0.5 * (mid + hi))
+            probe = min(mid + widen, 0.5 * (mid + hi))
             if evaluator.rho(probe) < -TOL_SIGN:
                 hi = probe
             else:
@@ -216,10 +308,12 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
         ib = lp.event_mask(net, B).astype(float)
         ibf = ib * fb
 
-        def fn(mu: float) -> float:
-            value, _ = gp.minimize(ibf - mu * ib)
-            return float(value)
-    elif method == "planner":
+        def fn(mu: float) -> tuple[float, float, float]:
+            value, x = gp.minimize(ibf - mu * ib)
+            return value, ibf @ x, ib @ x
+
+        return RhoEvaluator(fn, f.min(), f.max(), vac, minimiser=True)
+    if method == "planner":
         scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
         ind = net.indicator(B)
 
@@ -229,9 +323,9 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
                 ctx = dict(zip(scope, t))
                 table[t] = ind.value(ctx) * (f.value(ctx) - mu)
             return decompose.lower_expectation(net, Factor(scope, table))
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return RhoEvaluator(fn, f.min(), f.max(), vac)
+
+        return RhoEvaluator(fn, f.min(), f.max(), vac)
+    raise InputError(f"unknown method {method!r}")
 
 
 def rho_from_vertices(vertices: np.ndarray, fv: np.ndarray, mask: np.ndarray,

@@ -281,8 +281,21 @@ class Query:
     tolerance: float
 
 
+def _json_object(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be an object, not {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 def _parse_scoped_states(net: CredalNetwork, obj, what: str):
-    scope = [str(s) for s in obj.get("scope", [])]
+    obj = _json_object(obj, what)
+    scope = [str(s) for s in _json_list(obj.get("scope", []), f"{what} scope")]
     net.dag.check_subset(scope)
     scope_t = net.dag.sorted_nodes(scope)
     states = obj.get("states")
@@ -300,13 +313,14 @@ def _parse_scoped_states(net: CredalNetwork, obj, what: str):
 def parse_query(net: CredalNetwork, doc) -> Query:
     if not isinstance(doc, Mapping) or "target" not in doc:
         raise InputError("query document needs a 'target'")
-    target = doc["target"]
+    target = _json_object(doc["target"], "query 'target'")
     if "indicator" in target:
         scope_t, tuples = _parse_scoped_states(net, target["indicator"],
                                                "indicator target")
         factor = net.indicator(net.event(scope_t, tuples))
     elif "table" in target:
-        scope = [str(s) for s in target.get("scope", [])]
+        scope = [str(s) for s in _json_list(target.get("scope", []),
+                                            "target scope")]
         net.dag.check_subset(scope)
         scope_t = net.dag.sorted_nodes(scope)
         table = target["table"]
@@ -316,10 +330,15 @@ def parse_query(net: CredalNetwork, doc) -> Query:
             entries = {(str(k),): parse_number(v) for k, v in table.items()}
         else:
             entries = {}
-            for row in table:
-                by_node = dict(zip(scope, map(str, row["states"])))
+            for row in _json_list(table, "target table"):
+                row = _json_object(row, "table row")
+                states = row.get("states")
+                if not isinstance(states, list) or len(states) != len(scope):
+                    raise InputError(
+                        f"bad joint state {states!r} for scope {scope}")
+                by_node = dict(zip(scope, map(str, states)))
                 entries[tuple(by_node[s] for s in scope_t)] = \
-                    parse_number(row["value"])
+                    parse_number(row.get("value"))
         factor = net.factor(scope_t, entries)
     else:
         raise InputError("target needs 'table' or 'indicator'")
@@ -335,9 +354,10 @@ def parse_query(net: CredalNetwork, doc) -> Query:
     given_doc = doc.get("given")
     given = None
     if given_doc is not None:
+        given_doc = _json_object(given_doc, "query 'given'")
         if "assignment" in given_doc:
-            assignment = {str(k): str(v)
-                          for k, v in given_doc["assignment"].items()}
+            assignment = {str(k): str(v) for k, v in _json_object(
+                given_doc["assignment"], "'assignment'").items()}
             if not assignment:
                 raise InputError("empty conditioning assignment")
             given = net.cylinder(assignment)

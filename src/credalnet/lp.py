@@ -9,8 +9,9 @@ carries the row::
     sum_{z_s} sum_{z_D(s)} P(z_s, z_D(s), x) * gamma(z_s)  >=  0
 
 plus the single normalisation equality.  :class:`GlobalPolytope` is the
-one builder of these rows: it caches them for many objectives, solves,
-enumerates vertices and writes the program in text form.  Explicit
+one builder of these rows: it caches them, with the simplex phase 1 over
+them, for many objectives, solves, enumerates vertices and writes the
+program in text form.  Explicit
 non-negativity rows are redundant but can be requested for
 cross-checking.  Minimising a gamble's coefficient vector over this
 polytope gives its tight lower expectation; enumerating the polytope's
@@ -20,6 +21,7 @@ oracle.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from typing import Iterable
 
@@ -131,6 +133,11 @@ class GlobalPolytope:
     """The constraint system of a network, cached so that many objectives
     (e.g. the evaluations of a bracketing run) reuse one build.
 
+    The first float :meth:`minimize` runs the simplex phase 1, which does
+    not depend on the objective, and keeps its feasible tableau on the
+    object; every float :meth:`minimize` then runs phase 2 alone, from a
+    copy of it.  The tableau lives as long as the object, like the rows.
+
     ``include_nonnegativity`` appends the redundant rows ``P(z) >= 0``,
     one per joint state, for cross-checking the program without them.
     """
@@ -150,10 +157,22 @@ class GlobalPolytope:
         self.labels = tuple(labels)
         self._eq = np.ones((1, self.idx.total))
 
+    def _constraints(self) -> tuple:
+        return self._eq, [1.0], self.rows, np.zeros(len(self.rows))
+
+    @cached_property
+    def _feasible(self) -> simplex.FeasibleTableau | None:
+        return simplex.phase1(self.idx.total, *self._constraints())
+
     def minimize(self, c: np.ndarray, *, exact: bool = False):
-        res = simplex.solve(c, A_eq=self._eq, b_eq=[1.0],
-                            A_ub=self.rows, b_ub=np.zeros(len(self.rows)),
-                            exact=exact)
+        """Minimum of ``c @ p`` over the program and a minimiser ``p``;
+        ``exact=True`` solves both phases in rational arithmetic."""
+        if exact:
+            res = simplex.solve(c, *self._constraints(), exact=True)
+        elif self._feasible is None:
+            res = simplex.SimplexResult("infeasible", None, None)
+        else:
+            res = simplex.phase2(self._feasible, c)
         if res.status != "optimal":
             raise ModelError(
                 f"global program ended with status {res.status}; "

@@ -6,6 +6,14 @@ after a stall, which guarantees termination on degenerate problems.  The
 problems handled here are desk scale (a few thousand rows at most), so a
 dense tableau is both the simplest and the fastest option.
 
+Phase 1 does not read the objective, so it is solved once per
+constraint system: :func:`phase1` returns the feasible tableau and
+:func:`phase2` re-optimises a copy of it for one objective.
+:func:`solve` runs the two in turn; a caller that minimises many
+objectives over the same constraints (the global program of
+:class:`credalnet.lp.GlobalPolytope`) keeps the feasible tableau and
+runs only phase 2 for each.
+
 The solver accepts free variables (split internally into a difference of
 non-negatives) because the global polytope of a credal network is posed
 without explicit non-negativity rows.
@@ -18,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import CapabilityError, ConvergenceError
 
 #: Feasibility tolerance used across the library (phase-1 residual and
 #: constraint slack checks).
@@ -32,12 +40,33 @@ _STALL_LIMIT = 50
 
 _MAX_ITER = 50_000
 
+#: Bound on the phase-1 tableau, (rows + 1) x (columns + rows + 1) float64
+#: entries.  Each pivot subtracts an outer product as large as the
+#: tableau, so phase 1 holds about twice this at its peak, besides the
+#: constraint rows themselves: 256 MiB keeps a solve under 1 GiB.  A
+#: pivot then sweeps 2^25 entries (about 0.2 s on a 2-CPU VM) and a solve
+#: takes about as many pivots as there are rows, so larger programs
+#: would not finish in desk time either.
+MAX_TABLEAU_BYTES = 2 ** 28
+
 
 @dataclass
 class SimplexResult:
     status: str                 # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None        # primal solution in the caller's variables
     objective: float | Fraction | None
+
+
+@dataclass
+class FeasibleTableau:
+    """The end of phase 1: a tableau whose basis is feasible for the
+    constraints, with the artificial columns removed."""
+    T: np.ndarray               # rows, then a zero cost row; rhs last
+    basis: list                 # basic column of each row
+    n: int                      # number of the caller's variables
+    nonneg: bool
+    exact: bool
+    constraints: tuple          # (A_eq, b_eq, A_ub, b_ub) as given
 
 
 def _to_fraction_array(a) -> np.ndarray:
@@ -120,25 +149,20 @@ def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol) -> str:
     raise ConvergenceError("simplex iteration limit exceeded")
 
 
-def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
-          nonneg: bool = False, exact: bool = False) -> SimplexResult:
-    """Minimize ``c @ x`` subject to ``A_eq x = b_eq`` and ``A_ub x >= b_ub``.
-
-    Variables are free unless ``nonneg`` is set.  With ``exact=True`` all
-    data is converted to ``Fraction`` and the pivoting is performed in
-    exact rational arithmetic (slow; adjudication use only).
-    """
-    originals = (c, A_eq, b_eq, A_ub, b_ub)
+def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
+           nonneg: bool = False, exact: bool = False) -> FeasibleTableau | None:
+    """Phase 1 for ``A_eq x = b_eq``, ``A_ub x >= b_ub`` over ``n``
+    variables: a feasible tableau and basis, or ``None`` when the system
+    is infeasible.  The objective plays no part, so one phase 1 serves
+    every objective over the same constraints (see :func:`phase2`)."""
+    constraints = (A_eq, b_eq, A_ub, b_ub)
     conv = _to_fraction_array if exact else (
         lambda a: np.asarray(a, dtype=float))
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     tol = Fraction(0) if exact else _TOL_PIVOT
 
-    c = conv(c)
-    n = c.shape[0]
     rows = []
-    rhs = []
     n_surplus = 0
     if A_eq is not None and len(A_eq):
         A_eq = conv(A_eq)
@@ -153,15 +177,21 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
             rows.append(("ub", A_ub[i], b_ub[i]))
     m = len(rows)
 
-    # Standard-form columns: x (split in two when free), then surpluses.
+    # Standard-form columns: x (split in two when free), then surpluses,
+    # then one artificial per row, then the rhs.
     n_var = n if nonneg else 2 * n
     ncols = n_var + n_surplus
+    size = (m + 1) * (ncols + m + 1) * 8
+    if size > MAX_TABLEAU_BYTES:
+        raise CapabilityError(
+            f"simplex tableau of {size / 2**20:.0f} MiB exceeds the "
+            f"{MAX_TABLEAU_BYTES // 2**20} MiB bound")
     dtype = object if exact else float
-    A = np.zeros((m, ncols), dtype=dtype)
-    b = np.zeros(m, dtype=dtype)
+    T = np.zeros((m + 1, ncols + m + 1), dtype=dtype)
     if exact:
-        A[:, :] = zero
-        b[:] = zero
+        T[:, :] = zero
+    A = T[:m, :ncols]
+    b = T[:m, -1]
     si = 0
     for i, (kind, arow, bi) in enumerate(rows):
         if nonneg:
@@ -180,13 +210,8 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
             A[i] = -A[i]
             b[i] = -b[i]
 
-    T = np.zeros((m + 1, ncols + m + 1), dtype=dtype)
-    if exact:
-        T[:, :] = zero
-    T[:m, :ncols] = A
     T[:m, ncols:ncols + m] = np.eye(m, dtype=dtype) if not exact else \
         _to_fraction_array(np.eye(m))
-    T[:m, -1] = b
     # phase-1 cost: sum of artificials, expressed over the current basis
     T[-1, :ncols] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
@@ -194,7 +219,7 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
 
     status = _run_simplex(T, basis, ncols, tol)
     if status != "optimal" or T[-1, -1] < -(zero + (0 if exact else TOL_FEAS)):
-        return SimplexResult("infeasible", None, None)
+        return None
 
     # Drive lingering artificials out of the basis where possible.
     for i in range(m):
@@ -206,37 +231,69 @@ def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
                     break
         # else: redundant row, harmless to keep with its artificial at zero
 
-    # Phase 2: rebuild the cost row, forbidding artificial columns.
-    T[-1, :] = zero
-    if nonneg:
-        T[-1, :n] = c
-    else:
-        T[-1, :n] = c
+    # Slice off the artificial columns: none may re-enter in phase 2.  An
+    # artificial left on a redundant row keeps its index, which is >= ncols.
+    F = np.empty((m + 1, ncols + 1), dtype=dtype)
+    F[:, :ncols] = T[:, :ncols]
+    F[:, -1] = T[:, -1]
+    F[-1, :] = zero
+    return FeasibleTableau(F, basis, n, nonneg, exact, constraints)
+
+
+def phase2(tableau: FeasibleTableau, c) -> SimplexResult:
+    """Minimize ``c @ x`` from a feasible tableau of :func:`phase1`,
+    which is left unchanged."""
+    exact, nonneg, n = tableau.exact, tableau.nonneg, tableau.n
+    c = _to_fraction_array(c) if exact else np.asarray(c, dtype=float)
+    zero = Fraction(0) if exact else 0.0
+    tol = Fraction(0) if exact else _TOL_PIVOT
+    T = tableau.T.copy()
+    basis = list(tableau.basis)
+    m = T.shape[0] - 1
+    ncols = T.shape[1] - 1
+
+    # Price in c over the feasible basis.
+    T[-1, :n] = c
+    if not nonneg:
         T[-1, n:2 * n] = -c
     for i in range(m):
         if basis[i] < ncols and (T[-1, basis[i]] > tol or T[-1, basis[i]] < -tol):
             T[-1] -= T[-1, basis[i]] * T[i]
-    T[:, ncols:ncols + m] = zero  # mask artificials so they cannot re-enter
 
     status = _run_simplex(T, basis, ncols, tol)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
 
-    xs = np.zeros(ncols, dtype=dtype)
+    xs = np.zeros(ncols, dtype=T.dtype)
     if exact:
         xs[:] = zero
     for i in range(m):
         if basis[i] < ncols:
             xs[basis[i]] = T[i, -1]
     x = xs[:n] if nonneg else xs[:n] - xs[n:2 * n]
-    if not exact and not _residuals_ok(x, originals, nonneg):
+    if not exact and not _residuals_ok(x, tableau.constraints, nonneg):
         # the float tableau degraded (tiny pivots); redo in exact arithmetic
-        return _solve_exact_as_float(originals, nonneg)
+        return _solve_exact_as_float(c, tableau.constraints, nonneg)
     return SimplexResult("optimal", x, c @ x)
 
 
-def _residuals_ok(x, originals, nonneg: bool) -> bool:
-    _, A_eq, b_eq, A_ub, b_ub = originals
+def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
+          nonneg: bool = False, exact: bool = False) -> SimplexResult:
+    """Minimize ``c @ x`` subject to ``A_eq x = b_eq`` and ``A_ub x >= b_ub``.
+
+    Variables are free unless ``nonneg`` is set.  With ``exact=True`` all
+    data is converted to ``Fraction`` and the pivoting is performed in
+    exact rational arithmetic (slow; adjudication use only).
+    """
+    tableau = phase1(len(c), A_eq, b_eq, A_ub, b_ub, nonneg=nonneg,
+                     exact=exact)
+    if tableau is None:
+        return SimplexResult("infeasible", None, None)
+    return phase2(tableau, c)
+
+
+def _residuals_ok(x, constraints, nonneg: bool) -> bool:
+    A_eq, b_eq, A_ub, b_ub = constraints
     if nonneg and np.asarray(x, dtype=float).min() < -TOL_FEAS:
         return False
     if A_eq is not None and len(A_eq):
@@ -250,9 +307,8 @@ def _residuals_ok(x, originals, nonneg: bool) -> bool:
     return True
 
 
-def _solve_exact_as_float(originals, nonneg: bool) -> SimplexResult:
-    c, A_eq, b_eq, A_ub, b_ub = originals
-    res = solve(c, A_eq, b_eq, A_ub, b_ub, nonneg=nonneg, exact=True)
+def _solve_exact_as_float(c, constraints, nonneg: bool) -> SimplexResult:
+    res = solve(c, *constraints, nonneg=nonneg, exact=True)
     if res.status != "optimal":
         return res
     x = np.array([float(v) for v in res.x])

@@ -82,3 +82,17 @@ def test_lp_dump_matches_committed_text(capsys, tmp_path, net, query, dump):
     assert code == 0
     with open(data(dump), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("query", [
+    {"target": 5},
+    {"target": {"scope": ["1"], "table": [["h", 1.0], ["t", 0.0]]}},
+    {"target": {"scope": ["1"], "table": {"h": 1.0, "t": 0.0}},
+     "given": {"assignment": 3}, "rule": "natural"},
+])
+def test_malformed_query_is_not_a_crash(capsys, tmp_path, query):
+    broken = tmp_path / "query.json"
+    broken.write_text(json.dumps(query), encoding="utf-8")
+    code, _, err = run(capsys, "infer", data("two_coins.json"), str(broken))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error=")

@@ -209,6 +209,85 @@ class TestRhoShape:
             assert (vals[1:-1] >= mid - TOL).all()
 
 
+def counted(ev):
+    """``ev`` with its engine wrapped: the abscissas it is called at are
+    appended to the returned list."""
+    calls = []
+    fn = ev.fn
+
+    def wrapped(mu):
+        calls.append(mu)
+        return fn(mu)
+
+    ev.fn = wrapped
+    return ev, calls
+
+
+def bisection_twin(ev):
+    """The same LP rho behind an evaluator without a minimiser."""
+    return conditioning.rho_callable(lambda mu: ev.fn(mu)[0], ev.f_min,
+                                     ev.f_max, ev.vacuous_value)
+
+
+def vacuous_net():
+    dag = Dag(["a", "b"], [("a", "b")])
+    locals_ = {("a", ()): singleton(("0", "1"), (1.0, 0.0))}
+    for cfg in (("0",), ("1",)):
+        locals_[("b", cfg)] = binary_interval(("0", "1"), 0.3, 0.7)
+    return binary_net(dag, locals_)
+
+
+def conditional_cases(rng):
+    """(net, f, B) on random 2-4-node nets, on nets whose evidence has
+    zero lower but positive upper probability, and on an impossible
+    event."""
+    for _ in range(12):
+        net = random_binary_net(rng, int(rng.integers(2, 5)), edge_p=0.5)
+        nodes = net.dag.nodes
+        f = random_factor(rng, net, [nodes[0]])
+        yield net, f, net.cylinder({nodes[-1]: str(rng.integers(0, 2))})
+    for _ in range(4):
+        net = make_net_with_zero_lower(rng)
+        yield net, random_factor(rng, net, ["b"]), net.cylinder({"a": "0"})
+    net = vacuous_net()
+    yield net, random_factor(rng, net, ["b"]), net.cylinder({"a": "1"})
+
+
+class TestDinkelbachSteps:
+    TOL = 1e-10
+
+    def test_equal_bisection_on_the_same_lp(self, rng):
+        kinds = set()
+        for net, f, B in conditional_cases(rng):
+            for bracket in (natural_conditional, regular_conditional):
+                ev, calls = counted(rho_evaluator(net, f, B, method="lp"))
+                assert ev.minimiser
+                twin = bisection_twin(rho_evaluator(net, f, B, method="lp"))
+                try:
+                    expect = bracket(twin, self.TOL)
+                except HypothesisError:
+                    with pytest.raises(HypothesisError):
+                        bracket(ev, self.TOL)
+                    continue
+                got = bracket(ev, self.TOL)
+                kinds.add(got.kind)
+                assert got.kind == expect.kind
+                assert got.value == pytest.approx(expect.value, abs=1e-9)
+                # each abscissa is solved once, a handful of times per bound
+                assert len(calls) == len(set(calls)) <= 8
+                assert got.width <= self.TOL
+        assert kinds == {"unique-root", "rightmost-root", "vacuous-fallback"}
+
+    def test_each_abscissa_evaluated_once(self, rng):
+        net = random_binary_net(rng, 3, edge_p=0.5)
+        f = random_factor(rng, net, ["1"])
+        ev, calls = counted(rho_evaluator(net, f, net.cylinder({"3": "0"})))
+        first = rho(ev, 0.25)
+        assert rho(ev, 0.25) == first
+        assert lower_prob_positive(ev) == lower_prob_positive(ev)
+        assert calls == [0.25, f.min() - 1.0]
+
+
 class TestReduceThenCondition:
     def test_parent_cylinder_reduces_without_bracketing(self, rng):
         dag = Dag(["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],

@@ -189,3 +189,52 @@ class TestLoadNetworkDocument:
         text = fileio.dump_network(net)
         again = fileio.load_network_document(json.loads(text))
         assert fileio.dump_network(again) == text
+
+
+#: a well-formed conditional query on two_coins.json
+QUERY = {"target": {"scope": ["1"],
+                    "table": [{"states": ["h"], "value": 1.0},
+                              {"states": ["t"], "value": 0.0}]},
+         "given": {"assignment": {"2": "h"}},
+         "rule": "natural", "method": "lp"}
+
+
+def malformed(path, value):
+    """QUERY with the entry at ``path`` (a key sequence) set to ``value``."""
+    doc = copy.deepcopy(QUERY)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    return doc
+
+
+class TestParseQuery:
+    @pytest.fixture()
+    def net(self):
+        return fileio.load_network_document(read("two_coins.json"))
+
+    def test_well_formed(self, net):
+        q = fileio.parse_query(net, QUERY)
+        assert q.target.table == {("h",): 1.0, ("t",): 0.0}
+        assert q.given.assignment() == {"2": "h"}
+
+    @pytest.mark.parametrize("path, value", [
+        (("target",), 5),
+        (("target",), ["table"]),
+        (("target", "scope"), 7),
+        (("target", "table"), 3),
+        (("target", "table", 0), ["h", 1.0]),
+        (("target", "table", 1), "t"),
+        (("target", "table", 0, "states"), "h"),
+        (("target", "table", 0, "states"), ["h", "t"]),
+        (("target", "table", 0, "value"), None),
+        (("given",), 4),
+        (("given", "assignment"), 3),
+        (("given", "assignment"), ["2", "h"]),
+        (("target",), {"indicator": 1}),
+        (("target",), {"indicator": {"scope": 1, "states": [["h"]]}}),
+    ])
+    def test_malformed_raises_input_error(self, net, path, value):
+        with pytest.raises(InputError):
+            fileio.parse_query(net, malformed(path, value))

@@ -5,9 +5,9 @@ expectation operator."""
 import numpy as np
 import pytest
 
-from credalnet import lp, polytope
+from credalnet import lp, polytope, simplex
 from credalnet.credal import MassFunction, singleton, vacuous
-from credalnet.errors import CapabilityError
+from credalnet.errors import CapabilityError, ConvergenceError, ModelError
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork
 
@@ -186,3 +186,54 @@ class TestCoherence:
                 # superadditivity
                 both = float(gp.minimize(fv + gv)[0])
                 assert both >= low + float(gp.minimize(gv)[0]) - TOL
+
+
+class TestCachedPhaseOne:
+    def test_minimize_equals_solve(self, rng, monkeypatch):
+        # one phase 1 per program, then phase 2 from a copy of its
+        # tableau: the very (value, x) of a fresh two-phase solve.  The
+        # float simplex stalls on some 5-node programs with the
+        # non-negativity rows; a lowered iteration limit makes both paths
+        # give up early there, and they must both give up.
+        monkeypatch.setattr(simplex, "_MAX_ITER", 2000)
+
+        def outcome(solve):
+            try:
+                return solve()
+            except ConvergenceError:
+                return None
+
+        objectives = 0
+        for n in (2, 3, 4, 5):
+            for nonneg_rows in (False, True):
+                net = random_binary_net(rng, n, 0.5)
+                gp = lp.GlobalPolytope(net, nonneg_rows)
+                for _ in range(3):
+                    c = rng.normal(size=gp.idx.total)
+                    cached = outcome(lambda: gp.minimize(c))
+                    fresh = outcome(lambda: simplex.solve(
+                        c, A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
+                        A_ub=gp.rows, b_ub=np.zeros(len(gp.rows))))
+                    if cached is None or fresh is None:
+                        assert cached is fresh is None
+                        continue
+                    assert cached[0] == fresh.objective
+                    assert np.array_equal(cached[1], fresh.x)
+                    objectives += 1
+        assert objectives >= 20
+
+    def test_exact_minimize_is_a_full_solve(self, two_coins):
+        from fractions import Fraction
+        gp = lp.GlobalPolytope(two_coins)
+        c = gp.objective_of(agreement_factor(two_coins))
+        assert gp.minimize(c, exact=True)[0] == Fraction(1, 4)
+        assert "_feasible" not in vars(gp)
+        assert gp.minimize(c)[0] == pytest.approx(0.25, abs=TOL)
+        assert "_feasible" in vars(gp)
+
+    def test_infeasible_program(self, two_coins):
+        gp = lp.GlobalPolytope(two_coins)
+        gp.rows = np.vstack([gp.rows, -np.ones((1, gp.idx.total))])
+        for _ in range(2):
+            with pytest.raises(ModelError, match="infeasible"):
+                gp.minimize(np.zeros(gp.idx.total))

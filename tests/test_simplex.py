@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from credalnet import simplex
+from credalnet.errors import CapabilityError
 
 
 class TestBasics:
@@ -99,3 +100,57 @@ class TestExactMode:
             assert res_q.status == "optimal"
             assert float(res_q.objective) == pytest.approx(res_f.objective,
                                                            abs=1e-12)
+
+
+class TestPhases:
+    def test_phase2_reuses_one_phase1(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            A = rng.normal(size=(n + 2, n))
+            # rows that hold, with some slack, at a point of the simplex
+            b = A @ rng.dirichlet(np.ones(n)) - rng.uniform(0, 1, size=n + 2)
+            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b,
+                                     nonneg=True)
+            saved = tableau.T.copy()
+            for _ in range(3):
+                c = rng.normal(size=n)
+                res = simplex.phase2(tableau, c)
+                fresh = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
+                                      A_ub=A, b_ub=b, nonneg=True)
+                assert res.status == fresh.status == "optimal"
+                assert np.array_equal(res.x, fresh.x)
+            assert np.array_equal(tableau.T, saved)
+            # no artificial column is kept
+            assert tableau.T.shape == (n + 4, n + (n + 2) + 1)
+
+    def test_phase1_infeasible(self):
+        assert simplex.phase1(1, A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0],
+                              nonneg=True) is None
+
+
+class TestTableauBound:
+    def test_raises_before_allocating(self, monkeypatch):
+        # 3 rows over 2 free variables, 2 of them with a surplus column:
+        # 4 x (4 + 2 + 3 + 1) entries
+        args = dict(A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                    A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[0.0, 0.0])
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 10 * 8)
+        assert simplex.solve([1.0, 2.0], **args).status == "optimal"
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 10 * 8 - 1)
+        with pytest.raises(CapabilityError, match="tableau"):
+            simplex.solve([1.0, 2.0], **args)
+        with pytest.raises(CapabilityError, match="tableau"):
+            simplex.solve([1.0, 2.0], exact=True, **args)
+
+    def test_global_program(self, monkeypatch, two_coins):
+        from credalnet import lp
+        from credalnet.fileio import Query
+        from credalnet.queries import run_query
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 2 ** 10)
+        f = two_coins.factor_from_values(["1"], [1.0, 0.0])
+        with pytest.raises(CapabilityError, match="tableau"):
+            lp.lower_expectation_lp(two_coins, f)
+        query = Query(f, two_coins.cylinder({"2": "h"}), "natural", "lp",
+                      1e-9)
+        with pytest.raises(CapabilityError, match="tableau"):
+            run_query(two_coins, query)
