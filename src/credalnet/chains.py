@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import conditioning
+from . import conditioning, decompose
 from .errors import HypothesisError, InputError
-from .network import CredalNetwork, Factor
+from .network import CredalNetwork, Factor, sub_network
 
 __all__ = [
     "TransferOperator", "chain_order", "chain_forward", "chain_reverse_rho",
@@ -72,9 +72,7 @@ def _gamble_on(net: CredalNetwork, node: str, h) -> list[float]:
     if isinstance(h, Factor):
         if h.scope not in ((node,), ()):
             raise InputError(f"factor must be scoped to node {node!r}")
-        if h.scope == ():
-            return [h.table[()]] * net.size(node)
-        return [h.table[(x,)] for x in net.states(node)]
+        return net.aligned(h, (node,)).tolist()
     values = list(map(float, h))
     if len(values) != net.size(node):
         raise InputError("gamble has the wrong number of values")
@@ -214,18 +212,6 @@ def infer_hmm_spec(net: CredalNetwork, obs_nodes) -> HmmSpec:
     return HmmSpec(net, states, obs_sorted, order)
 
 
-def _local_products(net: CredalNetwork, nodes, assignment: Mapping[str, str]):
-    """Product of local lower and of local upper probabilities of the
-    assigned states over the given nodes."""
-    low, high = 1.0, 1.0
-    for s in nodes:
-        cfg = net.parent_config(s, assignment)
-        local = net.local(s, cfg)
-        low *= local.lower_probability({assignment[s]})
-        high *= local.upper_probability({assignment[s]})
-    return low, high
-
-
 def complete_evidence_lower(net: CredalNetwork, q: str,
                             x_E: Mapping[str, str], f,
                             rule: str = "natural", *,
@@ -266,9 +252,9 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
 
     prod_low, prod_high = [], []
     for x in states_q:
-        ctx = dict(x_E)
-        ctx[q] = x
-        low, high = _local_products(net, desc, ctx)
+        ctx = {**x_E, q: x}
+        low, high = decompose.atom_bounds(
+            sub_network(net, desc, ctx), {s: ctx[s] for s in desc})
         prod_low.append(low)
         prod_high.append(high)
 
@@ -284,7 +270,9 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
     if rule == "regular":
         # gate on the non-descendants' upper probability
         nd = dag.sorted_nodes(set(dag.nodes) - {q} - set(desc))
-        gate = _local_products(net, nd, x_E)[1] > conditioning.TOL_SIGN
+        gate = not nd or decompose.atom_bounds(
+            sub_network(net, nd, {}), {s: x_E[s] for s in nd}
+        )[1] > conditioning.TOL_SIGN
     return conditioning.condition(ev, rule, tolerance,
                                   rest_upper_positive=gate,
                                   vacuous_on_zero_lower=True).value

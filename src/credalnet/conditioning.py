@@ -285,14 +285,10 @@ def condition(evaluator: RhoEvaluator, rule: str,
 def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
     """min of f over B, over the joint states of the two scopes only."""
     scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
-    f_at = [scope.index(s) for s in f.scope]
-    b_at = [scope.index(s) for s in B.scope]
-    values = [f.table[tuple(t[i] for i in f_at)]
-              for t in net.joint_tuples(scope)
-              if tuple(t[i] for i in b_at) in B.states]
-    if not values:
+    values = net.aligned(f, scope)[net.aligned(net.indicator(B), scope) > 0.0]
+    if not values.size:
         raise InputError("conditioning event is empty")
-    return float(min(values))
+    return float(values.min())
 
 
 def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
@@ -304,7 +300,7 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
     vac = _vacuous_bound(net, f, B)
     if method in ("lp", "auto"):
         gp = lp.GlobalPolytope(net)
-        fb = gp.objective_of(f)
+        fb = lp.factor_vector(net, f)
         ib = lp.event_mask(net, B).astype(float)
         ibf = ib * fb
 
@@ -315,14 +311,12 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
         return RhoEvaluator(fn, f.min(), f.max(), vac, minimiser=True)
     if method == "planner":
         scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
-        ind = net.indicator(B)
+        fa = net.aligned(f, scope)
+        ind = net.aligned(net.indicator(B), scope)
 
         def fn(mu: float) -> float:
-            table = {}
-            for t in net.joint_tuples(scope):
-                ctx = dict(zip(scope, t))
-                table[t] = ind.value(ctx) * (f.value(ctx) - mu)
-            return decompose.lower_expectation(net, Factor(scope, table))
+            return decompose.lower_expectation(
+                net, Factor(scope, ind * (fa - mu)))
 
         return RhoEvaluator(fn, f.min(), f.max(), vac)
     raise InputError(f"unknown method {method!r}")

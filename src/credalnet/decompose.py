@@ -15,13 +15,13 @@ to fall back silently, because falling back is its documented job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping
 
 from . import lp
 from .errors import HypothesisError, InputError
 from .graph import closure, is_closed, set_relations
-from .network import CredalNetwork, Event, Factor, restrict_factor, sub_network
+from .network import (CredalNetwork, Event, Factor, joint_states,
+                      restrict_factor, sub_network)
 
 
 @dataclass
@@ -76,20 +76,19 @@ def _inner_values(net: CredalNetwork, S, f: Factor, method: str,
     single = len(Sf) == 1
     (s_only,) = tuple(Sf) if single else (None,)
 
-    table = {}
-    for t in net.joint_tuples(scope):
-        ctx = dict(zip(scope, t))
-        inner_f = restrict_factor(f, ctx)
+    values = []
+    for ctx in joint_states(net, scope):
+        inner_f = restrict_factor(net, f, ctx)
         if single:
             # one node: the sub-network value is the local lower expectation
             cfg = net.parent_config(s_only, ctx)
-            gamble = [inner_f.value({s_only: x}) for x in net.states(s_only)]
-            table[t] = net.local(s_only, cfg).lower_expectation(gamble)
+            values.append(net.local(s_only, cfg).lower_expectation(
+                net.aligned(inner_f, (s_only,))))
         else:
             sub = sub_network(net, Sf, ctx)
-            table[t] = lower_expectation(sub, inner_f, method=method,
-                                         trace=trace)
-    return Factor(scope, table)
+            values.append(lower_expectation(sub, inner_f, method=method,
+                                            trace=trace))
+    return net.factor_from_values(scope, values)
 
 
 def lower_expectation(net: CredalNetwork, f: Factor, *, method: str = "auto",
@@ -102,7 +101,7 @@ def lower_expectation(net: CredalNetwork, f: Factor, *, method: str = "auto",
     """
     _scope_in(net, f, net.dag.nodes)
     if not f.scope:
-        return f.table[()]
+        return float(f.values)
     if method == "lp":
         if trace is not None:
             trace.append(Reduction("lp", {"nodes": net.dag.nodes}))
@@ -114,10 +113,9 @@ def lower_expectation(net: CredalNetwork, f: Factor, *, method: str = "auto",
     # the local lower expectation.
     if len(net.dag.nodes) == 1:
         (s,) = net.dag.nodes
-        gamble = [f.table[(x,)] for x in net.states(s)]
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
-        return net.local(s, ()).lower_expectation(gamble)
+        return net.local(s, ()).lower_expectation(f.values)
 
     # Step 1: drop everything outside the ancestral closure of the scope
     # (a closed set with no external parents; marginalisation applies).
@@ -219,14 +217,10 @@ def _cofactor_on_neighbourhood(net, rel, parent_assignment, g: Factor | None):
     pa_nodes = net.dag.sorted_nodes(rel.parents)
     scope = net.dag.sorted_nodes(
         set(g.scope if g is not None else ()) | set(pa_nodes))
-    table = {}
-    for t in net.joint_tuples(scope):
-        ctx = dict(zip(scope, t))
-        ind = all(ctx[p] == parent_assignment[p] for p in pa_nodes)
-        gv = g.value(ctx) if g is not None and g.scope else \
-            (g.table[()] if g is not None else 1.0)
-        table[t] = gv * ind
-    return Factor(scope, table)
+    ind = net.aligned(net.indicator(net.cylinder(
+        {p: parent_assignment[p] for p in pa_nodes})), scope)
+    gv = 1.0 if g is None else net.aligned(g, scope)
+    return Factor(scope, gv * ind)
 
 
 def factorise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
@@ -278,7 +272,7 @@ def external_additivity(net: CredalNetwork, K, f: Factor, h: Factor, *,
         b = lower_expectation(sub_network(net, rel.non_parent_non_descendants,
                                           {}), h, method=method, trace=trace)
     else:
-        b = h.table[()]
+        b = float(h.values)
     if trace is not None:
         trace.append(Reduction("additivity", {"K": tuple(sorted(Kf))},
                                sub_results=[a, b]))
@@ -303,20 +297,11 @@ def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
 
     sub = sub_network(net, Kf, parent_assignment)
     a = lower_expectation(sub, f, method=method, trace=trace)
-    pa_nodes = net.dag.sorted_nodes(rel.parents)
+    co = _cofactor_on_neighbourhood(net, rel, parent_assignment, g)
     scope = net.dag.sorted_nodes(
-        set(h.scope if h is not None else ())
-        | set(g.scope if g is not None else ()) | set(pa_nodes))
-    table = {}
-    for t in net.joint_tuples(scope):
-        ctx = dict(zip(scope, t))
-        hv = (h.value(ctx) if h is not None and h.scope else
-              (h.table[()] if h is not None else 0.0))
-        gv = (g.value(ctx) if g is not None and g.scope else
-              (g.table[()] if g is not None else 1.0))
-        ind = all(ctx[p] == parent_assignment[p] for p in pa_nodes)
-        table[t] = hv + gv * ind * a
-    assembled = Factor(scope, table)
+        set(h.scope if h is not None else ()) | set(co.scope))
+    hv = 0.0 if h is None else net.aligned(h, scope)
+    assembled = Factor(scope, hv + net.aligned(co, scope) * a)
     nsub = sub_network(net, rel.non_descendants, {})
     if trace is not None:
         trace.append(Reduction("factorisation", {

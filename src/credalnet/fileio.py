@@ -3,7 +3,8 @@
 Both are restricted JSON documents with a canonical field order, so a
 parse/serialize round trip is byte-stable.  Probabilities and bounds may
 be written as JSON numbers, decimal strings, or exact fractions "a/b";
-fixtures prefer fractions to avoid decimal-representation drift.
+fixtures prefer fractions to avoid decimal-representation drift.  Every
+number must be finite.
 
 Network document::
 
@@ -23,7 +24,9 @@ Query document::
 
 The target may also be {"indicator": {"scope": [...], "states": [[...]]}}
 and the conditioning event an explicit joint-state list with the same
-shape.  ``rule`` is natural, regular or unconditional.
+shape.  ``rule`` is natural, regular or unconditional, and the tolerance
+must be positive.  A table names every joint state of its scope and no
+other; a list-style table names each one once.
 
 Network documents are read in a single pass that both records every
 defect (:func:`validate_document`) and collects the parsed local sets
@@ -33,6 +36,7 @@ that :func:`load_network_document` hands to :class:`CredalNetwork`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -45,19 +49,17 @@ from .network import CredalNetwork, Event, Factor
 
 
 def parse_number(v) -> float:
-    """JSON number, decimal string, or exact fraction 'a/b'."""
-    if isinstance(v, bool):
+    """JSON number, decimal string, or exact fraction 'a/b'; it must be
+    finite."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise InputError(f"not a number: {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
-        try:
-            if "/" in v:
-                return float(Fraction(v))
-            return float(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"cannot parse number {v!r}: {e}") from None
-    raise InputError(f"not a number: {v!r}")
+    try:
+        x = float(Fraction(v)) if isinstance(v, str) and "/" in v else float(v)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise InputError(f"cannot parse number {v!r}: {e}") from None
+    if not math.isfinite(x):
+        raise InputError(f"not a finite number: {v!r}")
+    return x
 
 
 def _fmt(x: float) -> str:
@@ -337,8 +339,10 @@ def parse_query(net: CredalNetwork, doc) -> Query:
                     raise InputError(
                         f"bad joint state {states!r} for scope {scope}")
                 by_node = dict(zip(scope, map(str, states)))
-                entries[tuple(by_node[s] for s in scope_t)] = \
-                    parse_number(row.get("value"))
+                key = tuple(by_node[s] for s in scope_t)
+                if key in entries:
+                    raise InputError(f"target table repeats state {states!r}")
+                entries[key] = parse_number(row.get("value"))
         factor = net.factor(scope_t, entries)
     else:
         raise InputError("target needs 'table' or 'indicator'")
@@ -350,6 +354,8 @@ def parse_query(net: CredalNetwork, doc) -> Query:
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
     tolerance = parse_number(doc.get("tolerance", 1e-9))
+    if tolerance <= 0.0:
+        raise InputError(f"tolerance must be positive, not {tolerance!r}")
 
     given_doc = doc.get("given")
     given = None

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import polytope, simplex
 from .credal import MassFunction
-from .errors import CapabilityError, InputError, ModelError
+from .errors import CapabilityError, ModelError
 from .network import CredalNetwork, Event, Factor
 
 MAX_LP_VARIABLES = 2 ** 16
@@ -69,35 +69,16 @@ class JointIndex:
         return idx, count
 
 
-def _objective_from_factor(net: CredalNetwork, idx: JointIndex,
-                           f: Factor) -> np.ndarray:
-    unknown = set(f.scope) - set(net.dag.nodes)
-    if unknown:
-        raise InputError(f"factor scope outside the network: {sorted(unknown)}")
-    scope = net.dag.sorted_nodes(f.scope)
-    if scope != f.scope:
-        raise InputError("factor scope must follow declaration order")
-    values = np.array([f.table[t] for t in net.joint_tuples(scope)])
-    cfg, _ = idx.config_index(scope)
-    return values[cfg]
-
-
 def factor_vector(net: CredalNetwork, f: Factor) -> np.ndarray:
-    """The factor's value at every joint state (cylindrical extension),
-    aligned with the lexicographic joint-state order."""
-    return _objective_from_factor(net, JointIndex(net), f)
+    """The factor's value at every joint state of the network (its
+    cylindrical extension), in the lexicographic joint-state order.  The
+    scope must lie in the network and follow declaration order."""
+    return net.aligned(f, net.dag.nodes).ravel()
 
 
 def event_mask(net: CredalNetwork, event: Event) -> np.ndarray:
     """Boolean membership of every joint state in the event."""
-    idx = JointIndex(net)
-    scope = net.dag.sorted_nodes(event.scope)
-    if scope != event.scope:
-        raise InputError("event scope must follow declaration order")
-    tuples = net.joint_tuples(scope)
-    member = np.array([t in event.states for t in tuples])
-    cfg, _ = idx.config_index(scope)
-    return member[cfg]
+    return factor_vector(net, net.indicator(event)) > 0.0
 
 
 def _constraint_rows(net: CredalNetwork, idx: JointIndex):
@@ -179,9 +160,6 @@ class GlobalPolytope:
                 "the local models are inconsistent or the build is invalid")
         return res.objective, res.x
 
-    def objective_of(self, f: Factor) -> np.ndarray:
-        return _objective_from_factor(self.net, self.idx, f)
-
     def dump(self, f: Factor) -> str:
         """The program minimising the expectation of ``f``, in
         line-oriented text form with a deterministic ordering."""
@@ -190,7 +168,7 @@ class GlobalPolytope:
 
         lines = ["vars " + " ".join(",".join(t)
                                     for t in self.net.joint_tuples())]
-        lines.append("min " + nums(self.objective_of(f)))
+        lines.append("min " + nums(factor_vector(self.net, f)))
         lines.append("eq " + nums(self._eq[0]) + " = 1.0")
         for label, row in zip(self.labels, self.rows):
             lines.append(f"ge {label} " + nums(row) + " >= 0.0")
@@ -210,7 +188,7 @@ def lower_expectation_lp(net: CredalNetwork, f: Factor, *,
     """Tight lower expectation of ``f`` via the global program (see
     :class:`GlobalPolytope` for ``include_nonnegativity``)."""
     gp = GlobalPolytope(net, include_nonnegativity)
-    value, _ = gp.minimize(gp.objective_of(f), exact=exact)
+    value, _ = gp.minimize(factor_vector(net, f), exact=exact)
     return value if exact else float(value)
 
 

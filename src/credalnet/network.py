@@ -3,7 +3,10 @@ per node and parent configuration.
 
 Assignments of states to nodes are plain ``dict[str, str]`` mappings.
 Factors and events carry an explicit scope, kept in node-declaration
-order; factor tables are total (one entry per joint state of the scope).
+order.  A factor's values are one array with an axis per scope node;
+:meth:`CredalNetwork.aligned` broadcasts it to any wider scope, so
+multiplying by an indicator, adding co-factors and plugging in values
+(:func:`restrict_factor`) are array operations.
 """
 
 from __future__ import annotations
@@ -22,43 +25,41 @@ from .graph import Dag, set_relations
 MAX_JOINT_STATES = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factor:
-    """A real-valued function on the joint states of a node subset."""
+    """A real-valued function on the joint states of a node subset.
+
+    ``values`` is a read-only float array with one axis per scope node,
+    in scope order, and each axis in its node's state order; a constant
+    has an empty scope and a 0-d array.  The array is not compared by
+    value, so factors have identity equality."""
 
     scope: tuple[str, ...]
-    table: Mapping[tuple, float]
+    values: np.ndarray
 
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope):
             raise InputError("factor scope contains duplicates")
-
-    def value(self, assignment: Mapping[str, str]) -> float:
-        """Evaluate at any assignment covering the scope."""
-        try:
-            key = tuple(assignment[s] for s in self.scope)
-        except KeyError as e:
-            raise InputError(f"assignment misses node {e}") from None
-        return self.table[key]
+        # a view, so that the read-only flag leaves the caller's array be
+        values = np.asarray(self.values, dtype=float).view()
+        if values.ndim != len(self.scope):
+            raise InputError(f"factor values have {values.ndim} axes for a "
+                             f"scope of {len(self.scope)} nodes")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __neg__(self) -> "Factor":
-        return Factor(self.scope, {k: -v for k, v in self.table.items()})
-
-    def shifted(self, c: float) -> "Factor":
-        return Factor(self.scope, {k: v + c for k, v in self.table.items()})
-
-    def scaled(self, lam: float) -> "Factor":
-        return Factor(self.scope, {k: lam * v for k, v in self.table.items()})
+        return Factor(self.scope, -self.values)
 
     def min(self) -> float:
-        return min(self.table.values())
+        return float(self.values.min())
 
     def max(self) -> float:
-        return max(self.table.values())
+        return float(self.values.max())
 
     @classmethod
     def constant(cls, c: float) -> "Factor":
-        return cls((), {(): float(c)})
+        return cls((), np.array(float(c)))
 
 
 @dataclass(frozen=True)
@@ -202,42 +203,82 @@ class CredalNetwork:
                      cylinder=all(e.cylinder for e in events) and len(combos) <= 1)
 
     def factor(self, scope: Iterable[str], table: Mapping[tuple, float]) -> Factor:
+        """Factor from a table keyed by joint-state tuples of the scope,
+        in declaration order; every joint state needs an entry, and no
+        other key is allowed."""
         scope = self.dag.sorted_nodes(scope)
         full = self.joint_tuples(scope)
         missing = [t for t in full if t not in table]
         if missing:
             raise InputError(f"factor table misses {len(missing)} entries")
-        return Factor(scope, {t: float(table[t]) for t in full})
+        if len(table) != len(full):
+            raise InputError(f"factor table has {len(table) - len(full)} "
+                             "entries outside the joint states of its scope")
+        return Factor(scope, np.array([float(table[t]) for t in full])
+                      .reshape(self.shape(scope)))
 
     def factor_from_values(self, scope: Iterable[str], values) -> Factor:
         """Factor from values listed in lexicographic joint-state order."""
         scope = self.dag.sorted_nodes(scope)
-        full = self.joint_tuples(scope)
-        values = list(values)
-        if len(values) != len(full):
+        values = np.asarray(values, dtype=float)
+        if values.size != self.joint_count(scope):
             raise InputError("wrong number of factor values")
-        return Factor(scope, dict(zip(full, map(float, values))))
+        return Factor(scope, values.reshape(self.shape(scope)))
 
     def indicator(self, event: Event) -> Factor:
-        table = {t: (1.0 if t in event.states else 0.0)
-                 for t in self.joint_tuples(event.scope)}
-        return Factor(event.scope, table)
+        values = np.zeros(self.shape(event.scope))
+        for t in event.states:
+            values[tuple(map(self.state_index, event.scope, t))] = 1.0
+        return Factor(event.scope, values)
+
+    def shape(self, scope: Iterable[str]) -> tuple[int, ...]:
+        """The state counts of the nodes of ``scope``, in its order."""
+        return tuple(self.size(s) for s in scope)
+
+    def state_index(self, s: str, x: str) -> int:
+        """Position of state ``x`` in the state space of node ``s``."""
+        try:
+            return self.states(s).index(x)
+        except ValueError:
+            raise InputError(f"unknown state {x!r} of node {s!r}") from None
+
+    def aligned(self, f: Factor, scope: Sequence[str]) -> np.ndarray:
+        """The values of ``f`` at every joint state of ``scope``, a
+        superset of ``f.scope``: one axis per node of ``scope``, a
+        read-only broadcast of ``f.values``.
+
+        ``f.scope`` must appear in ``scope`` in the same relative order,
+        and ``f.values`` must have the state counts of its scope;
+        otherwise the reshape would silently transpose or misread
+        axes."""
+        rest = iter(scope)
+        if not all(s in rest for s in f.scope):
+            raise InputError(f"factor scope {f.scope} is not a subset of "
+                             f"{tuple(scope)} in declaration order")
+        if f.values.shape != self.shape(f.scope):
+            raise InputError(f"factor values of shape {f.values.shape} do "
+                             f"not match the state counts of {f.scope}")
+        shape = self.shape(scope)
+        values = f.values.reshape(
+            [n if s in f.scope else 1 for s, n in zip(scope, shape)])
+        return values if values.shape == shape else \
+            np.broadcast_to(values, shape)
 
 
-def restrict_factor(f: Factor, assignment: Mapping[str, str]) -> Factor:
+def restrict_factor(net: CredalNetwork, f: Factor,
+                    assignment: Mapping[str, str]) -> Factor:
     """Plug fixed values into a factor: the scope shrinks by the assigned
-    nodes, values are read off at the assigned states.  Nodes in the
-    assignment that are outside the scope are ignored."""
-    plugged = [s for s in f.scope if s in assignment]
-    if not plugged:
+    nodes, and the values are a view of ``f.values`` at the assigned
+    states.  Nodes in the assignment that are outside the scope are
+    ignored; a state outside its node's space raises
+    :class:`InputError`."""
+    if not any(s in assignment for s in f.scope):
         return f
-    keep = tuple(s for s in f.scope if s not in assignment)
-    keep_idx = [f.scope.index(s) for s in keep]
-    table: dict[tuple, float] = {}
-    for key, v in f.table.items():
-        if all(key[f.scope.index(s)] == assignment[s] for s in plugged):
-            table[tuple(key[i] for i in keep_idx)] = v
-    return Factor(keep, table)
+    index = tuple(net.state_index(s, assignment[s]) if s in assignment
+                  else slice(None) for s in f.scope)
+    # the trailing Ellipsis keeps a full plug-in a 0-d view, not a scalar
+    return Factor(tuple(s for s in f.scope if s not in assignment),
+                  f.values[index + (Ellipsis,)])
 
 
 def joint_states(net: CredalNetwork, S: Iterable[str]) -> list[dict]:

@@ -104,28 +104,18 @@ def product_factor(net: CredalNetwork, parent_assignment: dict,
                    f: Factor, g: Factor | None = None) -> Factor:
     """The global gamble  g(X_NN) * 1{X_P = parent assignment} * f(X_K)
     assembled explicitly, for cross-checking factorisation results."""
-    pa_nodes = net.dag.sorted_nodes(parent_assignment.keys())
     scope = net.dag.sorted_nodes(
-        set(f.scope) | set(g.scope if g is not None else ()) | set(pa_nodes))
-    table = {}
-    for t in net.joint_tuples(scope):
-        ctx = dict(zip(scope, t))
-        ind = all(ctx[p] == parent_assignment[p] for p in pa_nodes)
-        gv = 1.0 if g is None else (g.value(ctx) if g.scope else g.table[()])
-        table[t] = gv * ind * (f.value(ctx) if f.scope else f.table[()])
-    return Factor(scope, table)
+        set(f.scope) | set(g.scope if g is not None else ())
+        | set(parent_assignment))
+    ind = net.aligned(net.indicator(net.cylinder(parent_assignment)), scope)
+    gv = 1.0 if g is None else net.aligned(g, scope)
+    return Factor(scope, gv * ind * net.aligned(f, scope))
 
 
 def sum_factor(net: CredalNetwork, f: Factor, h: Factor) -> Factor:
     """The global gamble  h + f  over the union scope."""
     scope = net.dag.sorted_nodes(set(f.scope) | set(h.scope))
-    table = {}
-    for t in net.joint_tuples(scope):
-        ctx = dict(zip(scope, t))
-        fv = f.value(ctx) if f.scope else f.table[()]
-        hv = h.value(ctx) if h.scope else h.table[()]
-        table[t] = fv + hv
-    return Factor(scope, table)
+    return Factor(scope, net.aligned(f, scope) + net.aligned(h, scope))
 
 
 def combined_factor(net: CredalNetwork, parent_assignment: dict, f: Factor,

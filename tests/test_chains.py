@@ -62,9 +62,8 @@ class TestChainForward:
         dag = Dag(["1"], [])
         net = binary_net(dag, interval_locals(dag, rng))
         h = random_factor(rng, net, ["1"])
-        gamble = [h.table[(x,)] for x in net.states("1")]
         assert chain_forward(net, h) == pytest.approx(
-            net.local("1", ()).lower_expectation(gamble), abs=TOL)
+            net.local("1", ()).lower_expectation(h.values), abs=TOL)
 
     def test_matches_lp(self, rng):
         for _ in range(4):
@@ -110,11 +109,8 @@ class TestChainReverseRho:
             for mu in (-0.7, 0.1, 1.3):
                 ind = net.indicator(net.cylinder({"3": x_n}))
                 scope = ("1", "3")
-                table = {}
-                for t in net.joint_tuples(scope):
-                    ctx = dict(zip(scope, t))
-                    table[t] = ind.value(ctx) * (h.value(ctx) - mu)
-                assembled = Factor(scope, table)
+                assembled = Factor(scope, net.aligned(ind, scope) * (
+                    net.aligned(h, scope) - mu))
                 assert chain_reverse_rho(net, h, x_n, mu) == pytest.approx(
                     lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
@@ -164,9 +160,8 @@ class TestHmm:
         net, states, obs = random_hmm_net(rng, 2)
         spec = infer_hmm_spec(net, obs)
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        one = Factor((), {(): 1.0})
-        low = hmm_forward_rho(spec, one, x, 0.0)
-        high = -hmm_forward_rho(spec, Factor((), {(): -1.0}), x, 0.0)
+        low = hmm_forward_rho(spec, Factor.constant(1.0), x, 0.0)
+        high = -hmm_forward_rho(spec, Factor.constant(-1.0), x, 0.0)
         ind = net.indicator(net.cylinder(x))
         assert low == pytest.approx(
             lp.lower_expectation_lp(net, ind), abs=1e-7)
@@ -182,11 +177,8 @@ class TestHmm:
         ind = net.indicator(net.cylinder(x))
         for mu in (-0.4, 0.2, 0.9):
             scope = net.dag.sorted_nodes(set(obs) | {states[-1]})
-            table = {}
-            for t in net.joint_tuples(scope):
-                ctx = dict(zip(scope, t))
-                table[t] = ind.value(ctx) * (f.value(ctx) - mu)
-            assembled = Factor(scope, table)
+            assembled = Factor(scope, net.aligned(ind, scope) * (
+                net.aligned(f, scope) - mu))
             assert hmm_forward_rho(spec, f, x, mu) == pytest.approx(
                 lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
@@ -228,9 +220,8 @@ class TestCompleteEvidence:
         q = leaves[-1]
         x_E = {s: str(rng.integers(0, 2)) for s in net.dag.nodes if s != q}
         f = random_factor(rng, net, [q])
-        gamble = [f.table[(x,)] for x in net.states(q)]
         expect = net.local(q, net.parent_config(q, x_E)).lower_expectation(
-            gamble)
+            f.values)
         for rule in ("natural", "regular"):
             assert complete_evidence_lower(net, q, x_E, f, rule) == \
                 pytest.approx(expect, abs=TOL)

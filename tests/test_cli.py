@@ -96,3 +96,22 @@ def test_malformed_query_is_not_a_crash(capsys, tmp_path, query):
     code, _, err = run(capsys, "infer", data("two_coins.json"), str(broken))
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error=")
+
+
+#: a natural-rule conditional query on two_coins.json, by the global program
+CONDITIONAL = {"target": {"scope": ["1"], "table": {"h": 1.0, "t": 0.0}},
+               "given": {"assignment": {"2": "h"}},
+               "rule": "natural", "method": "lp"}
+
+
+@pytest.mark.parametrize("change", [
+    {"tolerance": 0}, {"tolerance": -1}, {"tolerance": "nan"},
+    {"target": {"scope": ["1"], "table": {"h": "nan", "t": 0.0}}},
+    {"target": {"scope": ["1"], "table": {"h": "1e400", "t": 0.0}}},
+])
+def test_non_finite_or_non_positive_query_numbers(capsys, tmp_path, change):
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({**CONDITIONAL, **change}), encoding="utf-8")
+    code, _, err = run(capsys, "infer", data("two_coins.json"), str(path))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error=")

@@ -369,8 +369,7 @@ class TestLocalModelPreservation:
             assignment = {u: str(rng.integers(0, 2)) for u in nd}
             f = random_factor(rng, net, [s])
             cfg = net.parent_config(s, assignment)
-            gamble = [f.table[(x,)] for x in net.states(s)]
-            expect = net.local(s, cfg).lower_expectation(gamble)
+            expect = net.local(s, cfg).lower_expectation(f.values)
             res = reduce_then_condition(net, f, net.cylinder(assignment),
                                         "regular", tolerance=1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)

@@ -153,7 +153,7 @@ class TestIterated:
 class TestFactorise:
     def test_zero_inner_value_annihilates(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.0)  # disconnected
-        f = Factor(("1",), {("0",): 0.0, ("1",): 0.0})
+        f = net.factor_from_values(["1"], [0.0, 0.0])
         g = random_factor(rng, net, ["2", "3"], low=0.0, high=2.0)
         assert factorise(net, {"1"}, {}, f, g) == pytest.approx(0.0, abs=TOL)
 
@@ -188,7 +188,7 @@ class TestFactorise:
     def test_rejects_negative_cofactor(self, rng):
         net = random_binary_net(rng, 2, edge_p=0.0)
         f = random_factor(rng, net, ["1"])
-        g = Factor(("2",), {("0",): -0.5, ("1",): 1.0})
+        g = net.factor_from_values(["2"], [-0.5, 1.0])
         with pytest.raises(HypothesisError):
             factorise(net, {"1"}, {}, f, g)
 
@@ -199,10 +199,8 @@ class TestExternalAdditivity:
         f = random_factor(rng, net, ["1"])
         h = random_factor(rng, net, ["2"])
         value = external_additivity(net, {"1"}, f, h)
-        local1 = net.local("1", ()).lower_expectation(
-            [f.table[(x,)] for x in net.states("1")])
-        local2 = net.local("2", ()).lower_expectation(
-            [h.table[(x,)] for x in net.states("2")])
+        local1 = net.local("1", ()).lower_expectation(f.values)
+        local2 = net.local("2", ()).lower_expectation(h.values)
         assert value == pytest.approx(local1 + local2, abs=TOL)
         assembled = sum_factor(net, f, h)
         assert value == pytest.approx(
@@ -214,13 +212,13 @@ class TestExternalAdditivity:
         if not sets:
             pytest.skip("no parentless closed set sampled")
         K, rel = sets[0]
-        f = Factor((), {(): 0.0})
+        f = Factor.constant(0.0)
         h = (random_factor(rng, net, list(rel.non_parent_non_descendants))
-             if rel.non_parent_non_descendants else Factor((), {(): 1.5}))
+             if rel.non_parent_non_descendants else Factor.constant(1.5))
         value = external_additivity(net, K, f, h)
         expect = (lower_expectation(
             sub_network(net, rel.non_parent_non_descendants, {}), h)
-            if rel.non_parent_non_descendants else h.table[()])
+            if rel.non_parent_non_descendants else float(h.values))
         assert value == pytest.approx(expect, abs=TOL)
 
     def test_three_disconnected_vs_lp(self, rng):

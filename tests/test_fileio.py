@@ -216,7 +216,8 @@ class TestParseQuery:
 
     def test_well_formed(self, net):
         q = fileio.parse_query(net, QUERY)
-        assert q.target.table == {("h",): 1.0, ("t",): 0.0}
+        assert q.target.scope == ("1",)
+        assert q.target.values.tolist() == [1.0, 0.0]
         assert q.given.assignment() == {"2": "h"}
 
     @pytest.mark.parametrize("path, value", [
@@ -238,3 +239,78 @@ class TestParseQuery:
     def test_malformed_raises_input_error(self, net, path, value):
         with pytest.raises(InputError):
             fileio.parse_query(net, malformed(path, value))
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("text", [
+        "nan", "inf", "-inf", "1e400", float("nan"), float("inf"),
+        pytest.param(10 ** 400, id="int-1e400"),
+        pytest.param("1" + "0" * 400 + "/3", id="fraction-1e400")])
+    def test_non_finite_is_rejected(self, text):
+        with pytest.raises(InputError):
+            fileio.parse_number(text)
+
+    @pytest.mark.parametrize("text, value", [("1/4", 0.25), ("-2.5", -2.5),
+                                             (3, 3.0), (1e300, 1e300)])
+    def test_finite_is_read(self, text, value):
+        assert fileio.parse_number(text) == value
+
+    def test_nan_vertex_is_an_issue(self):
+        doc = read("two_coins.json")
+        doc["locals"][0]["vertices"][0] = {"h": "nan", "t": "nan"}
+        only_issue(doc, "not a finite number")
+
+
+class TestQueryNumbers:
+    @pytest.fixture()
+    def net(self):
+        return fileio.load_network_document(read("two_coins.json"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_table_value(self, net, value):
+        with pytest.raises(InputError, match="finite"):
+            fileio.parse_query(
+                net, malformed(("target", "table", 0, "value"), value))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_mapping_table_value(self, net, value):
+        doc = malformed(("target", "table"), {"h": value, "t": 0})
+        with pytest.raises(InputError, match="finite"):
+            fileio.parse_query(net, doc)
+
+    @pytest.mark.parametrize("tolerance", [0, -1, "nan", 0.0])
+    def test_tolerance_must_be_positive(self, net, tolerance):
+        doc = dict(QUERY, tolerance=tolerance)
+        with pytest.raises(InputError):
+            fileio.parse_query(net, doc)
+
+    def test_positive_tolerance_is_kept(self, net):
+        assert fileio.parse_query(net, dict(QUERY, tolerance="1/1000")
+                                  ).tolerance == 0.001
+
+
+class TestTableStates:
+    @pytest.fixture()
+    def net(self):
+        return fileio.load_network_document(read("two_coins.json"))
+
+    def test_unknown_state_in_mapping_table(self, net):
+        doc = malformed(("target", "table"), {"h": 1, "t": 0, "x": 5})
+        with pytest.raises(InputError, match="outside"):
+            fileio.parse_query(net, doc)
+
+    def test_unknown_state_in_list_table(self, net):
+        doc = malformed(("target", "table"),
+                        [{"states": ["h"], "value": 1.0},
+                         {"states": ["t"], "value": 0.0},
+                         {"states": ["x"], "value": 5.0}])
+        with pytest.raises(InputError, match="outside"):
+            fileio.parse_query(net, doc)
+
+    def test_repeated_state_in_list_table(self, net):
+        doc = malformed(("target", "table"),
+                        [{"states": ["h"], "value": 1.0},
+                         {"states": ["h"], "value": 2.0},
+                         {"states": ["t"], "value": 0.0}])
+        with pytest.raises(InputError, match="repeats"):
+            fileio.parse_query(net, doc)

@@ -46,7 +46,8 @@ class TestWorkedExample:
 
     def test_argmin_is_mass_function(self, two_coins):
         gp = lp.GlobalPolytope(two_coins)
-        _, x = gp.minimize(gp.objective_of(agreement_factor(two_coins)))
+        _, x = gp.minimize(lp.factor_vector(
+            two_coins, agreement_factor(two_coins)))
         MassFunction(tuple(two_coins.joint_tuples()), tuple(x))
 
     def test_dump_deterministic(self, two_coins):
@@ -104,7 +105,7 @@ class TestNonNegativityRedundancy:
             net = random_binary_net(rng, n)
             f = random_factor(rng, net, net.dag.nodes)
             gp = lp.GlobalPolytope(net)
-            _, probs = gp.minimize(gp.objective_of(f))
+            _, probs = gp.minimize(lp.factor_vector(net, f))
             assert probs.min() >= -1e-7
             assert abs(probs.sum() - 1.0) < 1e-7
 
@@ -168,7 +169,7 @@ class TestCoherence:
             for _ in range(4):
                 f = random_factor(rng, net, scope)
                 g = random_factor(rng, net, scope)
-                fv, gv = gp.objective_of(f), gp.objective_of(g)
+                fv, gv = lp.factor_vector(net, f), lp.factor_vector(net, g)
                 low = float(gp.minimize(fv)[0])
                 # bounds
                 assert f.min() - TOL <= low <= f.max() + TOL
@@ -225,7 +226,7 @@ class TestCachedPhaseOne:
     def test_exact_minimize_is_a_full_solve(self, two_coins):
         from fractions import Fraction
         gp = lp.GlobalPolytope(two_coins)
-        c = gp.objective_of(agreement_factor(two_coins))
+        c = lp.factor_vector(two_coins, agreement_factor(two_coins))
         assert gp.minimize(c, exact=True)[0] == Fraction(1, 4)
         assert "_feasible" not in vars(gp)
         assert gp.minimize(c)[0] == pytest.approx(0.25, abs=TOL)
