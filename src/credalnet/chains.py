@@ -3,16 +3,20 @@ complete-evidence queries.
 
 A chain query composes transfer operators backwards: the operator of
 node k maps a gamble on X_k to the gamble on X_{k-1} whose value at each
-predecessor state is the local lower expectation.  Reverse conditioning
-and observation-weighted recursions evaluate the bracketing function of
-the conditioning module in one backward sweep instead of solving a
-global program per abscissa.
+predecessor state is the local lower expectation, one
+:meth:`~credalnet.network.CredalNetwork.local_lower` contraction per
+step.  Reverse conditioning and observation-weighted recursions evaluate
+the bracketing function of the conditioning module in one backward sweep
+instead of solving a global program per abscissa; their envelopes are
+arrays over the parents of the next node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import conditioning, decompose
 from .errors import HypothesisError, InputError
@@ -47,7 +51,8 @@ def chain_order(net: CredalNetwork) -> tuple[str, ...]:
 
 class TransferOperator:
     """Backward map of a chain step: a gamble on the node's states becomes
-    the gamble of local lower expectations, one per predecessor state.
+    the gamble of local lower expectations, one per predecessor state,
+    as an array; one :meth:`CredalNetwork.local_lower` call.
 
     Monotone, constant-additive and positively homogeneous, like every
     lower expectation."""
@@ -57,24 +62,24 @@ class TransferOperator:
         if len(parents) != 1:
             raise HypothesisError(f"node {node!r} does not have exactly "
                                   "one parent")
+        self.net = net
         self.node = node
         self.parent = parents[0]
-        self._locals = [net.local(node, (x,)) for x in net.states(self.parent)]
 
-    def __call__(self, g: Sequence[float]) -> list[float]:
-        return [m.lower_expectation(g) for m in self._locals]
+    def __call__(self, g: Sequence[float]) -> np.ndarray:
+        return self.net.local_lower(self.node, g)
 
-    def upper(self, g: Sequence[float]) -> list[float]:
-        return [-m.lower_expectation([-v for v in g]) for m in self._locals]
+    def upper(self, g: Sequence[float]) -> np.ndarray:
+        return -self.net.local_lower(self.node, -np.asarray(g, dtype=float))
 
 
-def _gamble_on(net: CredalNetwork, node: str, h) -> list[float]:
+def _gamble_on(net: CredalNetwork, node: str, h) -> np.ndarray:
     if isinstance(h, Factor):
         if h.scope not in ((node,), ()):
             raise InputError(f"factor must be scoped to node {node!r}")
-        return net.aligned(h, (node,)).tolist()
-    values = list(map(float, h))
-    if len(values) != net.size(node):
+        return net.aligned(h, (node,))
+    values = np.asarray(h, dtype=float)
+    if values.shape != (net.size(node),):
         raise InputError("gamble has the wrong number of values")
     return values
 
@@ -86,7 +91,7 @@ def chain_forward(net: CredalNetwork, h) -> float:
     g = _gamble_on(net, order[-1], h)
     for k in range(len(order) - 1, 0, -1):
         g = TransferOperator(net, order[k])(g)
-    return net.local(order[0], ()).lower_expectation(g)
+    return float(net.local_lower(order[0], g))
 
 
 def chain_reverse_rho(net: CredalNetwork, h, x_n: str, mu: float) -> float:
@@ -102,14 +107,12 @@ def chain_reverse_rho(net: CredalNetwork, h, x_n: str, mu: float) -> float:
     hv = _gamble_on(net, first, h)
     if x_n not in net.states(last):
         raise InputError(f"unknown state {x_n!r} of node {last!r}")
-    lo_env = [1.0 if x == x_n else 0.0 for x in net.states(last)]
-    hi_env = list(lo_env)
+    lo_env = hi_env = np.array([x == x_n for x in net.states(last)], float)
     for k in range(len(order) - 1, 0, -1):
         op = TransferOperator(net, order[k])
         lo_env, hi_env = op(lo_env), op.upper(hi_env)
-    g = [lo_env[i] * (hv[i] - mu) if hv[i] >= mu else hi_env[i] * (hv[i] - mu)
-         for i in range(net.size(first))]
-    return net.local(first, ()).lower_expectation(g)
+    g = np.where(hv >= mu, lo_env, hi_env) * (hv - mu)
+    return float(net.local_lower(first, g))
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,6 @@ class HmmSpec:
             raise HypothesisError("network edges do not match the declared "
                                   "hidden-state shape")
 
-    def parents_of_state(self, k: int) -> tuple[str, ...]:
-        """Parents of state node k (0-based), in declaration order."""
-        return self.net.dag.parents(self.state_nodes[k])
-
 
 def hmm_forward_rho(spec: HmmSpec, f, observations: Mapping[str, str],
                     mu: float = 0.0) -> float:
@@ -161,33 +160,22 @@ def hmm_forward_rho(spec: HmmSpec, f, observations: Mapping[str, str],
             raise InputError(f"unknown state {observations[o]!r} of {o!r}")
     n = len(o_nodes)
 
+    # h is an array over the parents of the next state node, in
+    # declaration order
     last = s_nodes[n]
-    fv = _gamble_on(net, last, f)
-    f_mu = [v - mu for v in fv]
-    # h maps each configuration of parents(last state) to a value
-    h = {cfg: net.local(last, cfg).lower_expectation(f_mu)
-         for cfg in net.parent_configs(last)}
-
+    h = net.local_lower(last, _gamble_on(net, last, f) - mu)
     for k in range(n - 1, -1, -1):
         sk, ok = s_nodes[k], o_nodes[k]
-        x_ok = observations[ok]
-        h_next = {}
-        for cfg in net.parent_configs(sk):
-            gamble = []
-            for x in net.states(sk):
-                nxt_cfg = tuple(
-                    {**dict(zip(spec.parents_of_state(k), cfg)), sk: x}[p]
-                    for p in spec.parents_of_state(k + 1))
-                hv = h[nxt_cfg]
-                obs = net.local(ok, (x,))
-                if hv >= 0:
-                    weight = obs.lower_probability({x_ok})
-                else:
-                    weight = obs.upper_probability({x_ok})
-                gamble.append(hv * weight)
-            h_next[cfg] = net.local(sk, cfg).lower_expectation(gamble)
-        h = h_next
-    return h[()]
+        seen = np.array([x == observations[ok] for x in net.states(ok)], float)
+        low, high = net.local_lower(ok, seen), -net.local_lower(ok, -seen)
+        nxt = net.dag.parents(s_nodes[k + 1])
+        g = np.moveaxis(h, nxt.index(sk), -1)
+        g = g * np.where(g >= 0, low, high)
+        # the envelope depends on the parents of s_k that s_{k+1} shares
+        h = net.local_lower(sk, g.reshape(
+            [net.size(p) if p in nxt else 1 for p in net.dag.parents(sk)]
+            + [net.size(sk)]))
+    return float(h)
 
 
 def infer_hmm_spec(net: CredalNetwork, obs_nodes) -> HmmSpec:
@@ -241,29 +229,23 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
         if x_E[s] not in net.states(s):
             raise InputError(f"unknown state {x_E[s]!r} of node {s!r}")
     fv = _gamble_on(net, q, f)
-    cfg_q = net.parent_config(q, x_E)
+    local_q = net.local(q, net.parent_config(q, x_E))
 
     if not dag.children(q):
-        return net.local(q, cfg_q).lower_expectation(fv)
+        return local_q.lower_expectation(fv)
 
     desc = dag.sorted_nodes(dag.descendants(q))
-    f_min, f_max = min(fv), max(fv)
-    states_q = net.states(q)
-
-    prod_low, prod_high = [], []
-    for x in states_q:
+    f_min, f_max = float(fv.min()), float(fv.max())
+    bounds = []
+    for x in net.states(q):
         ctx = {**x_E, q: x}
-        low, high = decompose.atom_bounds(
-            sub_network(net, desc, ctx), {s: ctx[s] for s in desc})
-        prod_low.append(low)
-        prod_high.append(high)
-
-    local_q = net.local(q, cfg_q)
+        bounds.append(decompose.atom_bounds(
+            sub_network(net, desc, ctx), {s: ctx[s] for s in desc}))
+    prod_low, prod_high = np.array(bounds).T
 
     def rho_fn(mu: float) -> float:
-        g = [(fv[i] - mu) * (prod_low[i] if fv[i] >= mu else prod_high[i])
-             for i in range(len(states_q))]
-        return local_q.lower_expectation(g)
+        return local_q.lower_expectation(
+            (fv - mu) * np.where(fv >= mu, prod_low, prod_high))
 
     ev = conditioning.rho_callable(rho_fn, f_min, f_max, f_min)
     gate = False

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation error, 3 capability error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import decompose, fileio, graph, lp, queries
@@ -34,13 +33,7 @@ def _emit(pairs) -> None:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.net, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            print(f"error=cannot parse {args.net}: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-    report = fileio.validate_document(doc)
+    report = fileio.validate_document(fileio.read_json(args.net))
     if report.ok:
         _emit([("valid", True), ("issues", 0)])
         return 0

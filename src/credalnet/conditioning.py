@@ -17,9 +17,9 @@ Newton's method on the piecewise-linear rho, whose slope at mu is
 -P_p(B), which takes a handful of evaluations.  The unique root stops on
 a certified bracket whose width is reported; the rightmost root stops
 where rho is no longer clearly negative.  Bisection remains for the
-evaluators without a minimiser (the chain and hidden-state recursions,
-the reduction planner and :func:`rho_from_vertices`) and for a step that
-rounding keeps from decreasing mu.
+evaluators without a minimiser (the chain, hidden-state and
+complete-evidence recursions) and for a step that rounding keeps from
+decreasing mu.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
-
-import numpy as np
 
 from . import decompose, lp
 from .errors import ConvergenceError, HypothesisError, InputError, ModelError
@@ -291,53 +289,22 @@ def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
     return float(values.min())
 
 
-def rho_evaluator(net: CredalNetwork, f: Factor, B: Event, *,
-                  method: str = "auto") -> RhoEvaluator:
-    """Evaluator backed by the global program (constraints cached across
-    evaluations) or by the reduction planner."""
+def rho_evaluator(net: CredalNetwork, f: Factor, B: Event) -> RhoEvaluator:
+    """Evaluator backed by the global program, its constraints cached
+    across evaluations."""
     if B.empty:
         raise InputError("conditioning event is empty")
     vac = _vacuous_bound(net, f, B)
-    if method in ("lp", "auto"):
-        gp = lp.GlobalPolytope(net)
-        fb = lp.factor_vector(net, f)
-        ib = lp.event_mask(net, B).astype(float)
-        ibf = ib * fb
+    gp = lp.GlobalPolytope(net)
+    fb = lp.factor_vector(net, f)
+    ib = lp.event_mask(net, B).astype(float)
+    ibf = ib * fb
 
-        def fn(mu: float) -> tuple[float, float, float]:
-            value, x = gp.minimize(ibf - mu * ib)
-            return value, ibf @ x, ib @ x
+    def fn(mu: float) -> tuple[float, float, float]:
+        value, x = gp.minimize(ibf - mu * ib)
+        return value, ibf @ x, ib @ x
 
-        return RhoEvaluator(fn, f.min(), f.max(), vac, minimiser=True)
-    if method == "planner":
-        scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
-        fa = net.aligned(f, scope)
-        ind = net.aligned(net.indicator(B), scope)
-
-        def fn(mu: float) -> float:
-            return decompose.lower_expectation(
-                net, Factor(scope, ind * (fa - mu)))
-
-        return RhoEvaluator(fn, f.min(), f.max(), vac)
-    raise InputError(f"unknown method {method!r}")
-
-
-def rho_from_vertices(vertices: np.ndarray, fv: np.ndarray, mask: np.ndarray,
-                      f_min: float, f_max: float) -> RhoEvaluator:
-    """Evaluator over pre-enumerated joint extreme points: rho(mu) is the
-    minimum over vertices of two cached dot products."""
-    V = np.asarray(vertices, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise InputError("conditioning event is empty")
-    a = V[:, mask] @ fv[mask]
-    b = V[:, mask].sum(axis=1)
-    vac = float(fv[mask].min())
-
-    def fn(mu: float) -> float:
-        return float(np.min(a - mu * b))
-
-    return RhoEvaluator(fn, f_min, f_max, vac)
+    return RhoEvaluator(fn, f.min(), f.max(), vac, minimiser=True)
 
 
 def rho_callable(fn: Callable[[float], float], f_min: float, f_max: float,
@@ -387,8 +354,7 @@ def reduce_then_condition(net: CredalNetwork, f: Factor,
         raise InputError("conditioning event is empty")
 
     if not given.cylinder:
-        return condition(rho_evaluator(net, f, given, method="lp"), rule,
-                         tolerance)
+        return condition(rho_evaluator(net, f, given), rule, tolerance)
 
     assignment = given.assignment()
     K, rel = _grow_closed_for(net, f.scope, assignment)
@@ -408,8 +374,7 @@ def reduce_then_condition(net: CredalNetwork, f: Factor,
         value = decompose.lower_expectation(sub, f, method=method, trace=trace)
         return BracketResult(value, "local-fallback", 0, 0.0)
 
-    ev = rho_evaluator(sub, f, sub.cylinder(inside),
-                       method="lp" if sub.joint_count() <= 4096 else method)
+    ev = rho_evaluator(sub, f, sub.cylinder(inside))
     # regular rule: the sub-network case depends on the upper probability
     # the non-descendants give to their share of the evidence
     return condition(ev, rule, tolerance, rest_upper_positive=(
@@ -432,6 +397,5 @@ def _rest_upper_positive(net: CredalNetwork, rel, pa_assignment: Mapping,
         return high > TOL_SIGN
     if not evidence:
         return True
-    ev = rho_evaluator(nsub, Factor.constant(1.0), nsub.cylinder(evidence),
-                       method="lp")
+    ev = rho_evaluator(nsub, Factor.constant(1.0), nsub.cylinder(evidence))
     return upper_prob_positive(ev)

@@ -238,21 +238,15 @@ class CredalSet:
     def n_states(self) -> int:
         return len(self.states)
 
-    def lower_expectation(self, f, *, route: str = "auto",
-                          exact: bool = False) -> float:
+    def lower_expectation(self, f, *, exact: bool = False) -> float:
         """Tight lower bound on the expectation of the gamble ``f``.
 
-        Uses the vertex list when one is available (minimum of finitely
-        many dot products) and an LP over the constraint representation
-        otherwise; ``route`` forces one of the two.
+        The minimum of finitely many dot products when the set has a
+        vertex list, and an LP over the homogeneous constraints
+        otherwise; ``exact`` computes in ``Fraction`` arithmetic.
         """
         fv = _as_values(self.states, f)
-        if route not in ("auto", "vertices", "lp"):
-            raise InputError(f"unknown route {route!r}")
-        use_vertices = self._V is not None if route == "auto" else route == "vertices"
-        if use_vertices:
-            if self._V is None:
-                raise InputError("no vertex representation available")
+        if self._V is not None:
             if exact:
                 exps = [sum(Fraction(p) * Fraction(x) for p, x in zip(v, fv))
                         for v in self._V]

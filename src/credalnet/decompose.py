@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from . import lp
 from .errors import HypothesisError, InputError
 from .graph import closure, is_closed, set_relations
@@ -73,21 +75,23 @@ def _inner_values(net: CredalNetwork, S, f: Factor, method: str,
     Sf = frozenset(S)
     rel = set_relations(net.dag, Sf)
     scope = net.dag.sorted_nodes((set(f.scope) - Sf) | rel.parents)
-    single = len(Sf) == 1
-    (s_only,) = tuple(Sf) if single else (None,)
+    if len(Sf) == 1:
+        # one node: the sub-network values are its local lower
+        # expectations, in one call on f with the non-parents leading,
+        # then the parents, then s
+        (s,) = Sf
+        parents = net.dag.parents(s)
+        order = [x for x in scope if x not in parents] + list(parents) + [s]
+        full = net.dag.sorted_nodes(set(scope) | Sf)
+        values = net.local_lower(s, np.transpose(
+            net.aligned(f, full), [full.index(x) for x in order]))
+        return Factor(scope, np.transpose(
+            values, [order.index(x) for x in scope]))
 
-    values = []
-    for ctx in joint_states(net, scope):
-        inner_f = restrict_factor(net, f, ctx)
-        if single:
-            # one node: the sub-network value is the local lower expectation
-            cfg = net.parent_config(s_only, ctx)
-            values.append(net.local(s_only, cfg).lower_expectation(
-                net.aligned(inner_f, (s_only,))))
-        else:
-            sub = sub_network(net, Sf, ctx)
-            values.append(lower_expectation(sub, inner_f, method=method,
-                                            trace=trace))
+    values = [lower_expectation(sub_network(net, Sf, ctx),
+                                restrict_factor(net, f, ctx),
+                                method=method, trace=trace)
+              for ctx in joint_states(net, scope)]
     return net.factor_from_values(scope, values)
 
 
@@ -173,6 +177,8 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
     if B_NNK is not None and not set(B_NNK.scope) <= rel.non_parent_non_descendants:
         raise InputError("B_NNK must be an event over the non-parent "
                          "non-descendants of K")
+    if method not in ("lp", "auto"):
+        raise InputError(f"unknown method {method!r}")
 
     sub = sub_network(net, Kf, parent_assignment)
     if trace is not None:
@@ -183,7 +189,7 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
     if B_K is None or not B_K.scope:
         return lower_expectation(sub, f, method=method, trace=trace)
     from . import conditioning
-    ev = conditioning.rho_evaluator(sub, f, B_K, method=method)
+    ev = conditioning.rho_evaluator(sub, f, B_K)
     return conditioning.natural_conditional(ev, tolerance=tolerance).value
 
 

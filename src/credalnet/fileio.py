@@ -4,7 +4,7 @@ Both are restricted JSON documents with a canonical field order, so a
 parse/serialize round trip is byte-stable.  Probabilities and bounds may
 be written as JSON numbers, decimal strings, or exact fractions "a/b";
 fixtures prefer fractions to avoid decimal-representation drift.  Every
-number must be finite.
+number must be finite, and no JSON object may repeat a key.
 
 Network document::
 
@@ -229,13 +229,27 @@ def load_network_document(doc) -> CredalNetwork:
     return CredalNetwork(*parts)
 
 
-def load_network(path: str) -> CredalNetwork:
+def _unique_keys(pairs: list) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
+def read_json(path: str):
+    """The JSON document in the file ``path``.  A syntax error or a key
+    repeated within one object raises :class:`InputError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, InputError) as e:
             raise InputError(f"cannot parse {path}: {e}") from None
-    return load_network_document(doc)
+
+
+def load_network(path: str) -> CredalNetwork:
+    return load_network_document(read_json(path))
 
 
 def network_document(net: CredalNetwork) -> dict:
@@ -382,9 +396,4 @@ def parse_query(net: CredalNetwork, doc) -> Query:
 
 
 def load_query(net: CredalNetwork, path: str) -> Query:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"cannot parse {path}: {e}") from None
-    return parse_query(net, doc)
+    return parse_query(net, read_json(path))

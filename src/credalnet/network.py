@@ -6,7 +6,9 @@ Factors and events carry an explicit scope, kept in node-declaration
 order.  A factor's values are one array with an axis per scope node;
 :meth:`CredalNetwork.aligned` broadcasts it to any wider scope, so
 multiplying by an indicator, adding co-factors and plugging in values
-(:func:`restrict_factor`) are array operations.
+(:func:`restrict_factor`) are array operations.  The local lower
+expectations of a gamble on a node, one per parent configuration, come
+from :meth:`CredalNetwork.local_lower` in one call.
 """
 
 from __future__ import annotations
@@ -122,6 +124,7 @@ class CredalNetwork:
             if dag.parents(s) else 1 for s in dag.nodes)
         if len(self.locals) != expected:
             raise InputError("spurious local-model entries")
+        self._stacks: dict[str, np.ndarray] = {}   # see _local_stack
 
     # -- lookup -------------------------------------------------------------
 
@@ -151,6 +154,51 @@ class CredalNetwork:
             raise InputError(f"no local model for {key}")
         return self.locals[key]
 
+    def local_lower(self, s: str, g) -> np.ndarray:
+        """The lower expectation of the gamble ``g`` on ``s`` under the
+        local set of every parent configuration of ``s``.
+
+        ``g`` has one axis per parent of ``s``, in ``dag.parents(s)``
+        order, then one per state of ``s``; a leading parent axis may be
+        missing or of length 1, where ``g`` does not depend on that
+        parent.  Axes before the parent axes are kept in the result,
+        followed by one axis per parent.  When every local set of ``s``
+        has a vertex list this is one contraction with the stacked
+        vertices; otherwise each set answers on its own, by its LP.  At a
+        one-vertex set among larger ones, the padded rows may round the
+        last bit unlike that set's own ``lower_expectation`` (a dot)."""
+        g = np.asarray(g, dtype=float)
+        if g.ndim == 0 or g.shape[-1] != self.size(s):
+            raise InputError(f"a gamble on {s!r} needs a last axis of "
+                             f"{self.size(s)} values, not shape {g.shape}")
+        stack = self._local_stack(s)
+        if stack.dtype != object:
+            return (stack @ g[..., None])[..., 0].min(-1)
+        shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
+        rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
+        return np.array([m.lower_expectation(row) for m, row in zip(
+            np.broadcast_to(stack, shape).flat, rows)]).reshape(shape)
+
+    def _local_stack(self, s: str) -> np.ndarray:
+        """The local sets of ``s`` in an object array over its parent
+        configurations; or, when all have a vertex list, their vertices
+        in a float array with axes (parents..., vertex, state), where a
+        set with fewer vertices repeats its first one, which leaves every
+        minimum unchanged.  Built on first use and kept."""
+        if s not in self._stacks:
+            sets = [self.local(s, cfg) for cfg in self.parent_configs(s)]
+            shape = self.shape(self.dag.parents(s))
+            if all(m.vertices is not None for m in sets):
+                k = max(len(m._V) for m in sets)
+                stack = np.array([np.vstack([m._V, m._V[[0] * (k - len(m._V))]])
+                                  for m in sets])
+                shape += stack.shape[1:]
+            else:
+                stack = np.empty(len(sets), dtype=object)
+                stack[:] = sets
+            self._stacks[s] = stack.reshape(shape)
+        return self._stacks[s]
+
     def joint_count(self, S: Iterable[str] | None = None) -> int:
         nodes = self.dag.nodes if S is None else self.dag.sorted_nodes(S)
         count = 1
@@ -169,6 +217,7 @@ class CredalNetwork:
 
     def cylinder(self, assignment: Mapping[str, str]) -> Event:
         """The event "X_T equals this assignment"."""
+        self.dag.check_subset(assignment)
         scope = self.dag.sorted_nodes(assignment.keys())
         for s in scope:
             if assignment[s] not in self.state_spaces[s]:

@@ -54,7 +54,7 @@ def _unconditional_bound(net: CredalNetwork, q: Query,
 
 
 def _lp_evaluator(net: CredalNetwork, f: Factor, given: Event):
-    return conditioning.rho_evaluator(net, f, given, method="lp")
+    return conditioning.rho_evaluator(net, f, given)
 
 
 _EVALUATORS = {"lp": _lp_evaluator, "chain": _chain_evaluator,

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from credalnet.credal import CredalSet
+from credalnet.credal import CredalSet, vertices_to_constraints
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor
 
@@ -81,6 +81,27 @@ def random_hmm_net(rng: np.random.Generator, n_obs: int, order: int = 1,
                    **kw) -> tuple[CredalNetwork, tuple, tuple]:
     dag, states, obs = hmm_dag(n_obs, order)
     return binary_net(dag, interval_locals(dag, rng, **kw)), states, obs
+
+
+def redeclared(net: CredalNetwork, nodes) -> CredalNetwork:
+    """The same network with its nodes declared in the order ``nodes``;
+    each local set is re-keyed to the new order of its node's parents."""
+    dag = Dag(nodes, net.dag.edges)
+    locals_ = {}
+    for s in dag.nodes:
+        for cfg in product(*(net.states(p) for p in dag.parents(s))):
+            given = dict(zip(dag.parents(s), cfg))
+            locals_[(s, cfg)] = net.local(s, net.parent_config(s, given))
+    return CredalNetwork(dag, net.state_spaces, locals_)
+
+
+def constraint_twin(net: CredalNetwork) -> CredalNetwork:
+    """The same network with every non-singleton local set given by its
+    facet constraints instead of its vertices."""
+    locals_ = {key: m if len(m.vertices) == 1 else
+               CredalSet(m.states, constraints=vertices_to_constraints(m))
+               for key, m in net.locals.items()}
+    return CredalNetwork(net.dag, net.state_spaces, locals_)
 
 
 def precise_locals(dag: Dag, rng: np.random.Generator) -> dict:

@@ -13,9 +13,10 @@ from credalnet.errors import HypothesisError
 from credalnet.graph import Dag
 from credalnet.network import Factor, sub_network
 
-from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
-                     precise_locals, random_binary_net, random_chain_net,
-                     random_factor, random_hmm_net)
+from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
+                     interval_locals, precise_locals, random_binary_net,
+                     random_chain_net, random_factor, random_hmm_net,
+                     redeclared)
 
 TOL = 1e-9
 
@@ -192,9 +193,54 @@ class TestHmm:
         ev = conditioning.rho_callable(fn, f.min(), f.max(), f.min())
         res = conditioning.natural_conditional(ev, tolerance=1e-10)
         direct = conditioning.natural_conditional(
-            conditioning.rho_evaluator(net, f, net.cylinder(x), method="lp"),
+            conditioning.rho_evaluator(net, f, net.cylinder(x)),
             tolerance=1e-10)
         assert res.value == pytest.approx(direct.value, abs=1e-6)
+
+
+class TestShuffledAndConstraintForm:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_hmm_in_any_declaration_order(self, rng, order):
+        net, states, obs = random_hmm_net(rng, 4, order=order)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        spec = infer_hmm_spec(net, obs)
+        for _ in range(4):
+            nodes = list(net.dag.nodes)
+            rng.shuffle(nodes)
+            shuffled = redeclared(net, nodes)
+            twin = infer_hmm_spec(shuffled, obs)
+            assert twin.state_nodes == states
+            for mu in (-0.6, 0.0, 0.4):
+                assert hmm_forward_rho(twin, f, x, mu) == \
+                    hmm_forward_rho(spec, f, x, mu)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_hmm_on_constraint_form_twin(self, rng, order):
+        net, states, obs = random_hmm_net(rng, 3, order=order)
+        twin = constraint_twin(net)
+        assert all(m.vertices is None for m in twin.locals.values())
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        for mu in (-0.6, 0.0, 0.4):
+            assert hmm_forward_rho(infer_hmm_spec(twin, obs), f, x, mu) == \
+                pytest.approx(hmm_forward_rho(infer_hmm_spec(net, obs),
+                                              f, x, mu), abs=1e-12)
+
+    def test_chains_on_constraint_form_twin(self, rng):
+        dag = chain_dag(6)
+        locals_ = interval_locals(dag, rng)
+        locals_[("3", ("1",))] = singleton(("0", "1"), (0.3, 0.7))
+        net = binary_net(dag, locals_)
+        twin = constraint_twin(net)
+        for _ in range(3):
+            h = random_factor(rng, net, ["6"])
+            assert chain_forward(twin, h) == pytest.approx(
+                chain_forward(net, h), abs=1e-12)
+            h = random_factor(rng, net, ["1"])
+            for mu in (-0.7, 0.1, 1.3):
+                assert chain_reverse_rho(twin, h, "0", mu) == pytest.approx(
+                    chain_reverse_rho(net, h, "0", mu), abs=1e-12)
 
 
 def diamond_net(rng):
@@ -259,7 +305,6 @@ class TestCompleteEvidence:
             x_E = {"1": "0", "3": "1"}
             got = complete_evidence_lower(net, "2", x_E, f, "natural",
                                           tolerance=1e-10)
-            ev = conditioning.rho_evaluator(net, f, net.cylinder(x_E),
-                                            method="lp")
+            ev = conditioning.rho_evaluator(net, f, net.cylinder(x_E))
             expect = conditioning.natural_conditional(ev, tolerance=1e-10)
             assert got == pytest.approx(expect.value, abs=1e-6)

@@ -115,3 +115,38 @@ def test_non_finite_or_non_positive_query_numbers(capsys, tmp_path, change):
     code, _, err = run(capsys, "infer", data("two_coins.json"), str(path))
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error=")
+
+
+def test_repeated_key_in_query_file(capsys, tmp_path):
+    path = tmp_path / "query.json"
+    path.write_text('{"target": {"scope": ["1"], "table": {"h": 1, "h": 5, '
+                    '"t": 0}}, "rule": "unconditional", "method": "lp"}',
+                    encoding="utf-8")
+    code, pairs, err = run(capsys, "infer", data("two_coins.json"), str(path))
+    assert code == cli.EXIT_VALIDATION and not pairs
+    assert "repeated key 'h'" in err
+
+
+def test_repeated_key_in_network_file(capsys, tmp_path):
+    with open(data("two_coins.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    vertex = '{"h": "1/4", "t": "3/4"}'
+    assert vertex in text
+    path = tmp_path / "net.json"
+    path.write_text(text.replace(vertex, '{"h": "1/4", "t": "3/4", '
+                                         '"h": "3/4"}', 1), encoding="utf-8")
+    for argv in (("validate", str(path)),
+                 ("infer", str(path), data("agreement_query.json"))):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_VALIDATION
+        assert "repeated key 'h'" in err
+
+
+def test_unknown_conditioning_node(capsys, tmp_path):
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({**CONDITIONAL,
+                                "given": {"assignment": {"zz": "h"}}}),
+                    encoding="utf-8")
+    code, _, err = run(capsys, "infer", data("two_coins.json"), str(path))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error=") and "'zz'" in err

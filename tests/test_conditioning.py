@@ -260,9 +260,9 @@ class TestDinkelbachSteps:
         kinds = set()
         for net, f, B in conditional_cases(rng):
             for bracket in (natural_conditional, regular_conditional):
-                ev, calls = counted(rho_evaluator(net, f, B, method="lp"))
+                ev, calls = counted(rho_evaluator(net, f, B))
                 assert ev.minimiser
-                twin = bisection_twin(rho_evaluator(net, f, B, method="lp"))
+                twin = bisection_twin(rho_evaluator(net, f, B))
                 try:
                     expect = bracket(twin, self.TOL)
                 except HypothesisError:
@@ -328,7 +328,7 @@ class TestReduceThenCondition:
                                             tolerance=1e-10)
             except HypothesisError:
                 continue
-            ev = rho_evaluator(net, f, given, method="lp")
+            ev = rho_evaluator(net, f, given)
             direct = natural_conditional(ev, tolerance=1e-10)
             assert red.value == pytest.approx(direct.value, abs=1e-6)
             hits += 1
@@ -341,7 +341,7 @@ class TestReduceThenCondition:
             given = net.cylinder({"4": str(rng.integers(0, 2))})
             red = reduce_then_condition(net, f, given, "regular",
                                         tolerance=1e-10)
-            ev = rho_evaluator(net, f, given, method="lp")
+            ev = rho_evaluator(net, f, given)
             direct = regular_conditional(ev, tolerance=1e-10)
             assert red.value == pytest.approx(direct.value, abs=1e-6)
 

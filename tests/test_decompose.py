@@ -11,14 +11,15 @@ from credalnet import decompose, lp
 from credalnet.decompose import (atom_bounds, combined, external_additivity,
                                  factorise, iterated_lower_expectation,
                                  lower_expectation, marginalise, trace_lines)
-from credalnet.errors import HypothesisError
+from credalnet.errors import HypothesisError, InputError
 from credalnet.graph import closure, is_closed, set_relations
-from credalnet.network import Factor, sub_network
+from credalnet.network import (Factor, joint_states, restrict_factor,
+                               sub_network)
 
 from helpers import (binary_net, chain_dag, combined_factor, fig_dag,
                      interval_locals, precise_locals, product_factor,
                      random_binary_net, random_chain_net, random_factor,
-                     sum_factor)
+                     redeclared, sum_factor)
 
 TOL = 1e-9
 
@@ -97,7 +98,7 @@ class TestMarginalise:
             assignment = {p: str(rng.integers(0, 2)) for p in rel.parents}
             f = random_factor(rng, net, list(K))
             value = marginalise(net, K, assignment, f)
-            ev = rho_evaluator(net, f, net.cylinder(assignment), method="lp")
+            ev = rho_evaluator(net, f, net.cylinder(assignment))
             bracketed = natural_conditional(ev, tolerance=1e-10).value
             assert value == pytest.approx(bracketed, abs=1e-7)
             hits += 1
@@ -115,6 +116,15 @@ class TestMarginalise:
         f = random_factor(rng, net, ["1", "3"])
         with pytest.raises(HypothesisError):
             marginalise(net, {"1", "3"}, {}, f)
+
+    @pytest.mark.parametrize("B_K", [None, {"2": "0"}])
+    def test_rejects_unknown_method(self, rng, B_K):
+        dag = chain_dag(3)
+        net = binary_net(dag, interval_locals(dag, rng))
+        f = random_factor(rng, net, ["2", "3"])
+        with pytest.raises(InputError):
+            marginalise(net, {"2", "3"}, {"1": "0"}, f,
+                        B_K and net.cylinder(B_K), method="planner")
 
 
 class TestIterated:
@@ -148,6 +158,32 @@ class TestIterated:
         f = random_factor(rng, net, net.dag.nodes)
         with pytest.raises(HypothesisError):
             iterated_lower_expectation(net, {"2"}, f)
+
+    def test_one_node_inner_values_equal_sub_network_path(self, rng):
+        # local lower expectations in one call, against one sub-network
+        # per state of the scope, in any declaration order
+        checked = 0
+        while checked < 12:
+            base = random_binary_net(rng, 5, edge_p=0.6)
+            nodes = list(base.dag.nodes)
+            rng.shuffle(nodes)
+            net = redeclared(base, nodes)
+            s = nodes[int(rng.integers(0, 5))]
+            parents = set(net.dag.parents(s))
+            others = [x for x in nodes if x != s and x not in parents]
+            if not parents or not others:
+                continue
+            scope = {s, *rng.choice(others, size=min(2, len(others)),
+                                    replace=False),
+                     *rng.choice(sorted(parents), size=1)}
+            f = random_factor(rng, net, scope)
+            inner = decompose._inner_values(net, {s}, f, "auto", None)
+            assert set(inner.scope) == (set(f.scope) - {s}) | parents
+            expect = [lower_expectation(sub_network(net, {s}, ctx),
+                                        restrict_factor(net, f, ctx))
+                      for ctx in joint_states(net, inner.scope)]
+            assert inner.values.ravel().tolist() == expect
+            checked += 1
 
 
 class TestFactorise:

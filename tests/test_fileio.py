@@ -240,6 +240,19 @@ class TestParseQuery:
         with pytest.raises(InputError):
             fileio.parse_query(net, malformed(path, value))
 
+    def test_unknown_conditioning_node(self, net):
+        with pytest.raises(InputError, match="unknown node 'zz'"):
+            fileio.parse_query(net, malformed(("given", "assignment"),
+                                              {"zz": "h"}))
+
+    def test_repeated_key_in_a_file(self, net, tmp_path):
+        path = tmp_path / "query.json"
+        path.write_text('{"target": {"scope": ["1"], '
+                        '"table": {"h": 1, "h": 5, "t": 0}}}',
+                        encoding="utf-8")
+        with pytest.raises(InputError, match="repeated key 'h'"):
+            fileio.load_query(net, str(path))
+
 
 class TestNumbers:
     @pytest.mark.parametrize("text", [

@@ -1,11 +1,13 @@
 """Local credal sets: expectations, dual representations, conversions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalnet import polytope
+from credalnet import polytope, simplex
 from credalnet.credal import (CredalSet, MassFunction, binary_interval,
                               constraints_to_vertices,
                               local_lower_expectation, singleton,
@@ -14,6 +16,16 @@ from credalnet.credal import (CredalSet, MassFunction, binary_interval,
 from credalnet.errors import InputError, ModelError
 
 TOL = 1e-9
+
+
+def lp_lower(m: CredalSet, f) -> float:
+    """The local LP over the homogeneous constraints of ``m``, whatever
+    representation it was given in."""
+    n = m.n_states
+    res = simplex.solve(np.asarray(f, dtype=float), A_eq=np.ones((1, n)),
+                        b_eq=[1.0], A_ub=m._H, b_ub=np.zeros(len(m._H)))
+    assert res.status == "optimal"
+    return float(res.objective)
 
 
 class TestMassFunction:
@@ -71,15 +83,14 @@ class TestLowerExpectation:
             except InputError:
                 continue  # a sampled point fell inside the hull
             f = rng.normal(size=3)
-            via_vertices = m.lower_expectation(f, route="vertices")
-            via_lp = m.lower_expectation(f, route="lp")
-            assert via_vertices == pytest.approx(via_lp, abs=TOL)
+            assert m.lower_expectation(f) == pytest.approx(
+                lp_lower(m, f), abs=TOL)
 
     def test_exact_mode(self):
-        m = binary_interval(("h", "t"), 0.25, 0.75)
-        from fractions import Fraction
-        assert m.lower_expectation([1.0, 0.0], route="lp", exact=True) \
-            == Fraction(1, 4)
+        # a constraint-form set: the exact LP path
+        m = CredalSet(("h", "t"), constraints=[({"h": 1.0, "t": 0.0}, 0.5)])
+        assert m.vertices is None
+        assert m.lower_expectation([1.0, 0.0], exact=True) == Fraction(1, 2)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ModelError):
@@ -204,7 +215,7 @@ class TestConversions:
                 assert polytope.in_hull(v, V)
             f = rng.normal(size=3)
             assert m.lower_expectation(f) == pytest.approx(
-                back.lower_expectation(f, route="lp"), abs=1e-7)
+                lp_lower(back, f), abs=1e-7)
 
     def test_singleton_round_trip(self):
         m = singleton(("a", "b", "c"), (0.2, 0.5, 0.3))

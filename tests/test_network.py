@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from credalnet import lp
-from credalnet.credal import binary_interval, singleton, vacuous
+from credalnet.credal import (CredalSet, binary_interval, singleton, vacuous,
+                              vertices_to_constraints)
 from credalnet.errors import CapabilityError, InputError
 from credalnet.graph import Dag
 from credalnet.network import (CredalNetwork, Factor, joint_states,
@@ -31,6 +32,106 @@ def mixed_net():
     for cfg in product(spaces["a"], spaces["b"]):
         locals_[("c", cfg)] = vacuous(spaces["c"])
     return CredalNetwork(dag, spaces, locals_)
+
+
+def ragged_net(rng, counts=(1, 2, 3)):
+    """a -> c <- b with 2, 3 and 3 states; the local sets of c have
+    ``counts`` vertices in turn, over the parent configurations."""
+    dag = Dag(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    spaces = {"a": ("0", "1"), "b": ("x", "y", "z"), "c": ("p", "q", "r")}
+    locals_ = {("a", ()): binary_interval(("0", "1"), 0.2, 0.8),
+               ("b", ()): vacuous(("x", "y", "z"))}
+    for i, cfg in enumerate(product(spaces["a"], spaces["b"])):
+        locals_[("c", cfg)] = CredalSet(spaces["c"], vertices=rng.dirichlet(
+            [1.0] * 3, size=counts[i % len(counts)]))
+    return CredalNetwork(dag, spaces, locals_)
+
+
+def local_loop(net, s, g):
+    """The reference of :meth:`CredalNetwork.local_lower`: one local
+    lower expectation per parent configuration (and leading index)."""
+    parents = net.shape(net.dag.parents(s))
+    shape = np.broadcast_shapes(g.shape[:-1], parents)
+    g = np.broadcast_to(g, shape + g.shape[-1:])
+    configs = list(net.parent_configs(s))
+    out = np.empty(shape)
+    for idx in np.ndindex(shape):
+        cfg = configs[np.ravel_multi_index(idx[len(shape) - len(parents):],
+                                           parents)]
+        out[idx] = net.local(s, cfg).lower_expectation(g[idx])
+    return out
+
+
+class TestLocalLower:
+    @pytest.mark.parametrize("shape", [
+        (2, 3, 3),        # every parent
+        (3, 3),           # the leading parent missing
+        (3,),             # no parent axis
+        (1, 3, 3),        # a length-1 parent axis
+        (2, 1, 3),
+        (4, 2, 3, 3),     # an extra leading axis
+        (4, 5, 1, 1, 3),
+    ])
+    def test_against_loop(self, rng, shape):
+        net = ragged_net(rng)
+        g = rng.normal(size=shape)
+        got = net.local_lower("c", g)
+        assert got.shape == np.broadcast_shapes(shape[:-1], (2, 3))
+        # a padded one-vertex set may round its last bit differently:
+        # numpy takes a dot product for a one-row matrix, gemv otherwise
+        assert np.allclose(got, local_loop(net, "c", g), atol=1e-15, rtol=0)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3,), (4, 2, 1, 3)])
+    @pytest.mark.parametrize("counts", [(1,), (3,), (2, 3)])
+    def test_bit_equal_to_loop(self, rng, shape, counts):
+        # no one-vertex set among larger ones: every value is the loop's
+        net = ragged_net(rng, counts)
+        g = rng.normal(size=shape)
+        assert np.array_equal(net.local_lower("c", g),
+                              local_loop(net, "c", g))
+
+    def test_ragged_vertex_counts_are_padded(self, rng):
+        net = ragged_net(rng)
+        assert {len(m.vertices) for (s, _), m in net.locals.items()
+                if s == "c"} == {1, 2, 3}
+        net.local_lower("c", np.zeros(3))
+        assert net._stacks["c"].shape == (2, 3, 3, 3)
+
+    def test_root_node(self, rng):
+        net = ragged_net(rng)
+        g = rng.normal(size=2)
+        assert float(net.local_lower("a", g)) == \
+            net.local("a", ()).lower_expectation(g)
+
+    def test_constraint_form_sets(self, rng):
+        net = ragged_net(rng)
+        locals_ = dict(net.locals)
+        for key in [("c", ("0", "y")), ("c", ("1", "z"))]:
+            m = locals_[key]
+            locals_[key] = CredalSet(m.states,
+                                     constraints=vertices_to_constraints(m))
+        twin = CredalNetwork(net.dag, net.state_spaces, locals_)
+        assert twin._local_stack("c").dtype == object
+        for shape in [(2, 3, 3), (3,), (1, 3, 3), (4, 2, 1, 3)]:
+            g = rng.normal(size=shape)
+            got = twin.local_lower("c", g)
+            assert np.array_equal(got, local_loop(twin, "c", g))
+            assert np.allclose(got, net.local_lower("c", g), atol=1e-12,
+                               rtol=0)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3, 4), ()])
+    def test_wrong_last_axis(self, rng, shape):
+        net = ragged_net(rng)
+        with pytest.raises(InputError):
+            net.local_lower("c", np.zeros(shape))
+
+    def test_sub_network_builds_its_own(self, fig_net):
+        fig_net.local_lower("7", np.array([1.0, 0.0]))
+        sub = sub_network(fig_net, {"7"}, {"4": "0", "5": "1"})
+        got = sub.local_lower("7", np.array([1.0, 0.0]))
+        assert sub._stacks["7"].shape == (2, 2)
+        assert float(got) == fig_net.local_lower(
+            "7", np.array([1.0, 0.0]))[0, 1]
 
 
 class TestConstruction:
@@ -284,6 +385,10 @@ class TestEvents:
         e = two_coins.cylinder({"2": "h"})
         assert e.cylinder and e.scope == ("2",)
         assert e.assignment() == {"2": "h"}
+
+    def test_cylinder_on_unknown_node(self, two_coins):
+        with pytest.raises(InputError, match="unknown node 'zz'"):
+            two_coins.cylinder({"zz": "h"})
 
     def test_event_product(self, two_coins):
         a = two_coins.event(["1"], [("h",), ("t",)])
