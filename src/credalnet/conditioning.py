@@ -289,13 +289,16 @@ def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
     return float(values.min())
 
 
-def rho_evaluator(net: CredalNetwork, f: Factor, B: Event) -> RhoEvaluator:
+def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
+                  gp: lp.GlobalPolytope | None = None) -> RhoEvaluator:
     """Evaluator backed by the global program, its constraints cached
-    across evaluations."""
+    across evaluations; ``gp`` is the network's program, when the caller
+    has built it already."""
     if B.empty:
         raise InputError("conditioning event is empty")
     vac = _vacuous_bound(net, f, B)
-    gp = lp.GlobalPolytope(net)
+    if gp is None:
+        gp = lp.GlobalPolytope(net)
     fb = lp.factor_vector(net, f)
     ib = lp.event_mask(net, B).astype(float)
     ibf = ib * fb

@@ -6,14 +6,16 @@ points, as a list of linear constraints ``alpha @ p >= beta``, or both.
 On construction the set is normalised to a list of *homogeneous*
 constraints ``gamma @ p >= 0`` (valid on the ``sum p = 1`` hyperplane,
 with ``gamma = alpha - beta``); per-state non-negativity rows are added
-unless an LP certifies that they are already implied.  All query
-operations are pure, so instances are freely shareable.
+unless an LP certifies that they are already implied.  Each set also
+keeps one of its members, from which the global program starts.  All
+query operations are pure, so instances are freely shareable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -128,8 +130,8 @@ class CredalSet:
         self._H = (np.array([h.gamma for h in self.homogeneous], dtype=float)
                    if self.homogeneous else np.zeros((0, n)))
 
-        if self._V is None and not self._feasible():
-            raise ModelError("credal set is empty")
+        if self._V is None:
+            self.member = self._feasible_point()
         if self._V is not None and self.constraints is not None:
             self._check_mutual_membership()
         if self._V is not None:
@@ -199,11 +201,13 @@ class CredalSet:
                             A_ub=G, b_ub=np.zeros(len(G)))
         return res.status == "optimal" and res.objective >= -TOL_FEAS
 
-    def _feasible(self) -> bool:
+    def _feasible_point(self) -> np.ndarray:
         n = len(self.states)
         res = simplex.solve(np.zeros(n), A_eq=np.ones((1, n)), b_eq=[1.0],
                             A_ub=self._H, b_ub=np.zeros(len(self._H)))
-        return res.status == "optimal"
+        if res.status != "optimal":
+            raise ModelError("credal set is empty")
+        return res.x
 
     def _check_mutual_membership(self):
         slack = self._V @ self._H.T
@@ -233,6 +237,13 @@ class CredalSet:
                     f"vertex {i} lies in the convex hull of the others")
 
     # -- queries ------------------------------------------------------------
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """One mass function of the set, as an array over the states: the
+        first vertex, or, for a set given by constraints only, the point
+        of the feasibility LP solved at construction."""
+        return self._V[0]
 
     @property
     def n_states(self) -> int:

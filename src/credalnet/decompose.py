@@ -139,7 +139,7 @@ def lower_expectation(net: CredalNetwork, f: Factor, *, method: str = "auto",
         T = frozenset(net.dag.nodes) - S
         if not T:
             continue
-        if all(S <= net.dag.descendants(t) for t in T):
+        if all(T <= net.dag.ancestors(s) for s in S):
             if trace is not None:
                 trace.append(Reduction("iterated", {"S": tuple(sorted(S))}))
             inner = _inner_values(net, S, f, method, trace)

@@ -17,6 +17,11 @@ cross-checking.  Minimising a gamble's coefficient vector over this
 polytope gives its tight lower expectation; enumerating the polytope's
 vertices supports repeated queries and the brute-force conditional
 oracle.
+
+The Bayesian network that takes one member of every local set lies in
+the strong extension, which the program contains.  Its joint mass
+function is the known feasible point from which the float simplex
+starts, so that phase 1 is a single pivot.
 """
 
 from __future__ import annotations
@@ -110,6 +115,19 @@ def _constraint_rows(net: CredalNetwork, idx: JointIndex):
     return rows, labels
 
 
+def _product_model(net: CredalNetwork, idx: JointIndex) -> np.ndarray:
+    """The joint mass function of the Bayesian network that takes the
+    kept member of every local set (:attr:`CredalSet.member`): a point of
+    the strong extension, and so of the global program."""
+    x = np.ones(idx.total)
+    for s in net.dag.nodes:
+        members = np.array([net.local(s, cfg).member
+                            for cfg in net.parent_configs(s)])
+        cfg, _ = idx.config_index(net.dag.parents(s))
+        x *= members[cfg, idx.digits(s)]
+    return x
+
+
 class GlobalPolytope:
     """The constraint system of a network, cached so that many objectives
     (e.g. the evaluations of a bracketing run) reuse one build.
@@ -118,6 +136,13 @@ class GlobalPolytope:
     not depend on the objective, and keeps its feasible tableau on the
     object; every float :meth:`minimize` then runs phase 2 alone, from a
     copy of it.  The tableau lives as long as the object, like the rows.
+    The float program is posed over non-negative variables, which the
+    rows imply, and phase 1 starts from the product model of the local
+    sets' members: the surplus of every row and that model's column make
+    up the basis after one pivot.  A product model that violates the
+    rows means they are not this network's program, which is reported
+    as infeasible.  ``exact=True`` solves the program as posed, over
+    free variables, with both phases in rational arithmetic.
 
     ``include_nonnegativity`` appends the redundant rows ``P(z) >= 0``,
     one per joint state, for cross-checking the program without them.
@@ -143,7 +168,11 @@ class GlobalPolytope:
 
     @cached_property
     def _feasible(self) -> simplex.FeasibleTableau | None:
-        return simplex.phase1(self.idx.total, *self._constraints())
+        start = _product_model(self.net, self.idx)
+        if len(self.rows) and (self.rows @ start).min() < -simplex.TOL_FEAS:
+            return None     # the rows are not this network's program
+        return simplex.phase1(self.idx.total, *self._constraints(),
+                              nonneg=True, start=start)
 
     def minimize(self, c: np.ndarray, *, exact: bool = False):
         """Minimum of ``c @ p`` over the program and a minimiser ``p``;

@@ -42,7 +42,8 @@ def _unconditional_bound(net: CredalNetwork, q: Query,
                          trace: list | None) -> Callable[[Factor], float]:
     """The lower expectation of a gamble by the query's method."""
     if q.method == "lp":
-        return lambda f: lp.lower_expectation_lp(net, f)
+        gp = lp.GlobalPolytope(net)
+        return lambda f: float(gp.minimize(lp.factor_vector(net, f))[0])
     if q.method in ("auto", "decompose"):
         return lambda f: decompose.lower_expectation(net, f, trace=trace)
     if q.method == "chain":
@@ -53,12 +54,7 @@ def _unconditional_bound(net: CredalNetwork, q: Query,
     raise InputError(f"unknown method {q.method!r}")
 
 
-def _lp_evaluator(net: CredalNetwork, f: Factor, given: Event):
-    return conditioning.rho_evaluator(net, f, given)
-
-
-_EVALUATORS = {"lp": _lp_evaluator, "chain": _chain_evaluator,
-               "hmm": _hmm_evaluator}
+_EVALUATORS = {"chain": _chain_evaluator, "hmm": _hmm_evaluator}
 
 
 def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
@@ -68,15 +64,20 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
     if q.method in ("auto", "decompose"):
         return lambda f: conditioning.reduce_then_condition(
             net, f, q.given, q.rule, tolerance=q.tolerance, trace=trace)
-    if q.method not in _EVALUATORS:
+    if q.method == "lp":
+        gp = lp.GlobalPolytope(net)
+        evaluator = lambda f: conditioning.rho_evaluator(net, f, q.given, gp)
+    elif q.method in _EVALUATORS:
+        evaluator = lambda f: _EVALUATORS[q.method](net, f, q.given)
+    else:
         raise InputError(f"unknown method {q.method!r}")
-    evaluator = _EVALUATORS[q.method]
-    return lambda f: conditioning.condition(evaluator(net, f, q.given),
-                                            q.rule, q.tolerance)
+    return lambda f: conditioning.condition(evaluator(f), q.rule, q.tolerance)
 
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
-    """Evaluate one query; returns a flat result mapping for reporting."""
+    """Evaluate one query; returns a flat result mapping for reporting.
+    With ``method="lp"`` the lower and the upper bound share one build of
+    the global program, and its phase 1."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

@@ -2,9 +2,10 @@
 
 Two-phase tableau simplex over either float64 or exact ``Fraction``
 arithmetic.  Pivoting uses Dantzig's rule and falls back to Bland's rule
-after a stall, which guarantees termination on degenerate problems.  The
-problems handled here are desk scale (a few thousand rows at most), so a
-dense tableau is both the simplest and the fastest option.
+after a stall, which guarantees termination on degenerate problems; the
+float ratio test is Harris's, which prefers large pivots.  The problems
+handled here are desk scale (a few thousand rows at most), so a dense
+tableau is both the simplest and the fastest option.
 
 Phase 1 does not read the objective, so it is solved once per
 constraint system: :func:`phase1` returns the feasible tableau and
@@ -14,9 +15,18 @@ objectives over the same constraints (the global program of
 :class:`credalnet.lp.GlobalPolytope`) keeps the feasible tableau and
 runs only phase 2 for each.
 
+Phase 1 starts every ``>=`` row with a right-hand side of at most zero
+on its surplus, and adds an artificial column only to the other rows.
+A caller that knows a feasible point hands it over as ``start``: one
+column, the constraint matrix times that point, then enters the basis
+on an artificial row in one pivot.  The global program has one such
+row, its normalisation, and a known point, the Bayesian network built
+from one member of each local set, so its phase 1 is that one pivot.
+
 The solver accepts free variables (split internally into a difference of
 non-negatives) because the global polytope of a credal network is posed
-without explicit non-negativity rows.
+without explicit non-negativity rows; its float program is solved over
+non-negative variables, which those rows imply.
 """
 
 from __future__ import annotations
@@ -35,18 +45,25 @@ TOL_FEAS = 1e-7
 #: Pivot/reduced-cost tolerance of the float kernel.
 _TOL_PIVOT = 1e-10
 
+#: How far below zero the ratio test lets a basic value go, so that it
+#: can pick a larger pivot (Harris's ratio test).
+_TOL_HARRIS = 1e-9
+
 #: Iterations of no objective progress before switching to Bland's rule.
 _STALL_LIMIT = 50
 
 _MAX_ITER = 50_000
 
-#: Bound on the phase-1 tableau, (rows + 1) x (columns + rows + 1) float64
-#: entries.  Each pivot subtracts an outer product as large as the
-#: tableau, so phase 1 holds about twice this at its peak, besides the
-#: constraint rows themselves: 256 MiB keeps a solve under 1 GiB.  A
-#: pivot then sweeps 2^25 entries (about 0.2 s on a 2-CPU VM) and a solve
-#: takes about as many pivots as there are rows, so larger programs
-#: would not finish in desk time either.
+#: Bound on the phase-1 tableau, (rows + 1) x (columns + artificials + 1)
+#: float64 entries, where the columns are the variables (two per free
+#: one), the surpluses and the start column, and only the rows that do
+#: not start on their surplus have an artificial.  Each pivot subtracts
+#: an outer product as large as the tableau, so phase 1 holds about
+#: twice this at its peak, besides the constraint rows themselves:
+#: 256 MiB keeps a solve under 1 GiB.  A pivot then sweeps 2^25 entries
+#: (about 0.2 s on a 2-CPU VM) and a solve takes about as many pivots as
+#: there are rows, so larger programs would not finish in desk time
+#: either.
 MAX_TABLEAU_BYTES = 2 ** 28
 
 
@@ -60,13 +77,15 @@ class SimplexResult:
 @dataclass
 class FeasibleTableau:
     """The end of phase 1: a tableau whose basis is feasible for the
-    constraints, with the artificial columns removed."""
+    constraints, with the artificial columns removed and the start
+    column, if any, last."""
     T: np.ndarray               # rows, then a zero cost row; rhs last
     basis: list                 # basic column of each row
     n: int                      # number of the caller's variables
     nonneg: bool
     exact: bool
     constraints: tuple          # (A_eq, b_eq, A_ub, b_ub) as given
+    start: np.ndarray | None    # the start point, whose column is last
 
 
 def _to_fraction_array(a) -> np.ndarray:
@@ -93,49 +112,43 @@ def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol) -> str:
     """Minimize the cost row T[-1] in place.  Columns [0, ncols) may enter.
     Returns "optimal" or "unbounded".
 
-    Dantzig pivoting with a largest-pivot tie-break in the ratio test;
-    switches to Bland's rule when the objective stalls (degeneracy), which
-    guarantees termination.  The cost-row rhs holds the negated objective,
+    Dantzig pivoting, switching to Bland's rule when the objective stalls
+    (degeneracy), which guarantees termination.  The ratio test is
+    Harris's: the longest step that keeps every basic value above
+    ``-_TOL_HARRIS``, then, among the rows that block within it, the
+    largest pivot (Bland: the lowest basic column), so that rounding
+    never forces a pivot on a tiny entry.  In exact arithmetic it is the
+    plain minimum ratio.  The cost-row rhs holds the negated objective,
     so progress means it increases."""
+    harris = 0 if tol == 0 else _TOL_HARRIS
     stall = 0
     best = T[-1, -1]
     bland = False
     for _ in range(_MAX_ITER):
         cost = T[-1, :ncols]
         if not bland:
-            col = int(np.argmin(cost))
+            col = int(cost.argmin())
             if cost[col] >= -tol:
                 return "optimal"
         else:
-            col = -1
-            for j in range(ncols):
-                if cost[j] < -tol:
-                    col = j
-                    break
-            if col < 0:
+            entering = (cost < -tol).nonzero()[0]
+            if not len(entering):
                 return "optimal"
+            col = int(entering[0])
 
-        pivots = T[:-1, col]
-        best_ratio = None
-        for i in range(T.shape[0] - 1):
-            if pivots[i] > tol:
-                r = T[i, -1] / pivots[i]
-                if best_ratio is None or r < best_ratio:
-                    best_ratio = r
-        if best_ratio is None:
+        rows = (T[:-1, col] > tol).nonzero()[0]
+        if not len(rows):
             return "unbounded"
-        window = best_ratio + (0 if tol == 0 else 1e-9 * (1.0 + abs(best_ratio)))
-        row = -1
-        for i in range(T.shape[0] - 1):
-            if pivots[i] > tol and T[i, -1] / pivots[i] <= window:
-                if row < 0:
-                    row = i
-                elif bland:
-                    if basis[i] < basis[row]:
-                        row = i
-                elif pivots[i] > pivots[row]:
-                    row = i
-
+        a = T[rows, col]
+        rhs = np.maximum(T[rows, -1], 0)
+        step = ((rhs + harris) / a).min()
+        blocking = rows[rhs <= step * a]
+        if bland:
+            row = int(blocking[np.argmin([basis[i] for i in blocking])])
+        else:
+            row = int(blocking[T[blocking, col].argmax()])
+        if T[row, -1] < 0:
+            T[row, -1] = 0      # a basic value rounded below zero
         _pivot(T, row, col)
         basis[row] = col
 
@@ -150,72 +163,87 @@ def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol) -> str:
 
 
 def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
-           nonneg: bool = False, exact: bool = False) -> FeasibleTableau | None:
+           nonneg: bool = False, exact: bool = False,
+           start=None) -> FeasibleTableau | None:
     """Phase 1 for ``A_eq x = b_eq``, ``A_ub x >= b_ub`` over ``n``
     variables: a feasible tableau and basis, or ``None`` when the system
     is infeasible.  The objective plays no part, so one phase 1 serves
-    every objective over the same constraints (see :func:`phase2`)."""
+    every objective over the same constraints (see :func:`phase2`).
+
+    A ``>=`` row whose right-hand side is at most zero is negated, so
+    that its surplus starts in the basis; only the other rows get an
+    artificial column.  ``start``, a point that satisfies the
+    constraints (to ``TOL_FEAS`` in float arithmetic), adds one
+    non-negative column, the constraint matrix times ``start``, and one
+    pivot moves it into the basis on an artificial row; with a single
+    artificial row, as on the global program, phase 1 is then done.  A
+    start point needs non-negative variables: with free ones, the start
+    column and the split variables would form a line of zero cost."""
+    if start is not None and not nonneg:
+        raise ValueError("a start point needs non-negative variables")
     constraints = (A_eq, b_eq, A_ub, b_ub)
     conv = _to_fraction_array if exact else (
         lambda a: np.asarray(a, dtype=float))
+    start = None if start is None else conv(start)
+    dtype = object if exact else float
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     tol = Fraction(0) if exact else _TOL_PIVOT
 
-    rows = []
-    n_surplus = 0
-    if A_eq is not None and len(A_eq):
-        A_eq = conv(A_eq)
-        b_eq = conv(b_eq)
-        for i in range(A_eq.shape[0]):
-            rows.append(("eq", A_eq[i], b_eq[i]))
-    if A_ub is not None and len(A_ub):
-        A_ub = conv(A_ub)
-        b_ub = conv(b_ub)
-        n_surplus = A_ub.shape[0]
-        for i in range(A_ub.shape[0]):
-            rows.append(("ub", A_ub[i], b_ub[i]))
-    m = len(rows)
+    def block(A, b):
+        if A is None or not len(A):
+            return np.zeros((0, n), dtype=dtype), np.zeros(0, dtype=dtype)
+        return conv(A).reshape(-1, n), conv(b).reshape(-1)
 
-    # Standard-form columns: x (split in two when free), then surpluses,
-    # then one artificial per row, then the rhs.
+    A_eq, b_eq = block(A_eq, b_eq)
+    A_ub, b_ub = block(A_ub, b_ub)
+    m_eq, n_surplus = len(b_eq), len(b_ub)
+    m = m_eq + n_surplus
+    on_surplus = np.zeros(m, dtype=bool)
+    on_surplus[m_eq:] = b_ub <= zero
+    art = (~on_surplus).nonzero()[0]
+
+    # Standard-form columns: x (split in two when free), the surpluses,
+    # the start column, one artificial per row of ``art``, the rhs.
     n_var = n if nonneg else 2 * n
-    ncols = n_var + n_surplus
-    size = (m + 1) * (ncols + m + 1) * 8
+    col_start = n_var + n_surplus
+    ncols = col_start + (start is not None)
+    size = (m + 1) * (ncols + len(art) + 1) * 8
     if size > MAX_TABLEAU_BYTES:
         raise CapabilityError(
             f"simplex tableau of {size / 2**20:.0f} MiB exceeds the "
             f"{MAX_TABLEAU_BYTES // 2**20} MiB bound")
-    dtype = object if exact else float
-    T = np.zeros((m + 1, ncols + m + 1), dtype=dtype)
+    T = np.zeros((m + 1, ncols + len(art) + 1), dtype=dtype)
     if exact:
         T[:, :] = zero
-    A = T[:m, :ncols]
-    b = T[:m, -1]
-    si = 0
-    for i, (kind, arow, bi) in enumerate(rows):
-        if nonneg:
-            A[i, :n] = arow
-        else:
-            A[i, :n] = arow
-            A[i, n:2 * n] = -arow
-        if kind == "ub":
-            A[i, n_var + si] = -one
-            si += 1
-        b[i] = bi
-
-    # Phase 1: flip rows to make rhs non-negative, add artificials.
-    for i in range(m):
-        if b[i] < zero:
-            A[i] = -A[i]
-            b[i] = -b[i]
-
-    T[:m, ncols:ncols + m] = np.eye(m, dtype=dtype) if not exact else \
-        _to_fraction_array(np.eye(m))
+    T[:m_eq, :n] = A_eq
+    T[m_eq:m, :n] = A_ub
+    if not nonneg:
+        T[:m, n:n_var] = -T[:m, :n]
+    T[np.arange(m_eq, m), np.arange(n_var, col_start)] = -one
+    if start is not None:
+        T[:m, col_start] = T[:m, :n] @ start
+    T[:m_eq, -1] = b_eq
+    T[m_eq:m, -1] = b_ub
+    # Negate the surplus-basis rows, and flip the others to rhs >= 0, in
+    # place: a copy would be as large as the tableau.
+    T[:m] *= np.where(on_surplus | (T[:m, -1] < zero), -1, 1)[:, None]
+    T[art, ncols + np.arange(len(art))] = one
+    basis = [n_var + i - m_eq for i in range(m)]
+    for k, i in enumerate(art):
+        basis[i] = ncols + k
     # phase-1 cost: sum of artificials, expressed over the current basis
-    T[-1, :ncols] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    basis = [ncols + i for i in range(m)]
+    T[-1, :ncols] = -T[art, :ncols].sum(axis=0)
+    T[-1, -1] = -T[art, -1].sum()
+
+    if start is not None:
+        # the ratio test over the artificial rows keeps every row
+        # feasible, because start satisfies them all
+        rows = art[T[art, col_start] > tol]
+        if len(rows):
+            row = rows[np.argmin(T[rows, -1] / T[rows, col_start])]
+            _pivot(T, row, col_start)
+            basis[row] = col_start
 
     status = _run_simplex(T, basis, ncols, tol)
     if status != "optimal" or T[-1, -1] < -(zero + (0 if exact else TOL_FEAS)):
@@ -237,12 +265,17 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     F[:, :ncols] = T[:, :ncols]
     F[:, -1] = T[:, -1]
     F[-1, :] = zero
-    return FeasibleTableau(F, basis, n, nonneg, exact, constraints)
+    return FeasibleTableau(F, basis, n, nonneg, exact, constraints, start)
 
 
 def phase2(tableau: FeasibleTableau, c) -> SimplexResult:
     """Minimize ``c @ x`` from a feasible tableau of :func:`phase1`,
-    which is left unchanged."""
+    which is left unchanged.
+
+    A start column is priced at ``c @ start``, and the minimiser is
+    ``x' + t * start``, where ``x'`` holds the values of the caller's
+    columns and ``t`` that of the start column.  The residual check and
+    the exact fallback run against the constraints as given."""
     exact, nonneg, n = tableau.exact, tableau.nonneg, tableau.n
     c = _to_fraction_array(c) if exact else np.asarray(c, dtype=float)
     zero = Fraction(0) if exact else 0.0
@@ -256,6 +289,8 @@ def phase2(tableau: FeasibleTableau, c) -> SimplexResult:
     T[-1, :n] = c
     if not nonneg:
         T[-1, n:2 * n] = -c
+    if tableau.start is not None:
+        T[-1, ncols - 1] = c @ tableau.start
     for i in range(m):
         if basis[i] < ncols and (T[-1, basis[i]] > tol or T[-1, basis[i]] < -tol):
             T[-1] -= T[-1, basis[i]] * T[i]
@@ -271,6 +306,8 @@ def phase2(tableau: FeasibleTableau, c) -> SimplexResult:
         if basis[i] < ncols:
             xs[basis[i]] = T[i, -1]
     x = xs[:n] if nonneg else xs[:n] - xs[n:2 * n]
+    if tableau.start is not None:
+        x = x + xs[ncols - 1] * tableau.start
     if not exact and not _residuals_ok(x, tableau.constraints, nonneg):
         # the float tableau degraded (tiny pivots); redo in exact arithmetic
         return _solve_exact_as_float(c, tableau.constraints, nonneg)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from credalnet import cli, fileio, queries
+from credalnet import cli, fileio, lp, queries
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -72,6 +72,19 @@ def test_infer_prints_run_query(capsys, net, query):
     assert float(pairs["lower"]) == expected["lower"]
     assert float(pairs["upper"]) == expected["upper"]
     assert pairs["kind"] == expected["kind"]
+
+
+@pytest.mark.parametrize("net, query", [case[:2] for case in CASES])
+def test_one_global_program_per_lp_query(capsys, monkeypatch, net, query):
+    # the lower and the upper bound share one build
+    built = []
+    init = lp.GlobalPolytope.__init__
+    monkeypatch.setattr(lp.GlobalPolytope, "__init__",
+                        lambda gp, *a, **kw: built.append(gp) or
+                        init(gp, *a, **kw))
+    code, _, _ = run(capsys, "infer", data(net), data(query))
+    assert code == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("net, query, dump", CASES)

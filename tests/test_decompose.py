@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from credalnet import decompose, lp
+from credalnet.chains import chain_forward
 from credalnet.decompose import (atom_bounds, combined, external_additivity,
                                  factorise, iterated_lower_expectation,
                                  lower_expectation, marginalise, trace_lines)
 from credalnet.errors import HypothesisError, InputError
-from credalnet.graph import closure, is_closed, set_relations
+from credalnet.graph import Dag, closure, is_closed, set_relations
 from credalnet.network import (Factor, joint_states, restrict_factor,
                                sub_network)
 
@@ -57,6 +58,19 @@ class TestPlanner:
                 auto = lower_expectation(net, f)
                 direct = lower_expectation(net, f, method="lp")
                 assert auto == pytest.approx(direct, abs=1e-7)
+
+    def test_long_chain_peels_in_linear_graph_work(self, rng, monkeypatch):
+        # each peel tests the final segment by the ancestors of its
+        # members, not by the descendants of every remaining node
+        L = 200
+        net = random_chain_net(rng, L)
+        f = random_factor(rng, net, [str(L)])
+        reach = Dag._reach
+        calls = []
+        monkeypatch.setattr(Dag, "_reach", lambda dag, *a:
+                            calls.append(1) or reach(dag, *a))
+        assert lower_expectation(net, f) == chain_forward(net, f)
+        assert len(calls) <= 4 * L
 
     def test_trace_records_steps(self, rng):
         net = random_chain_net(rng, 4)

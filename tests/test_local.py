@@ -179,6 +179,19 @@ class TestHomogeneous:
                 satisfied = (H @ q).min() >= -1e-7
                 assert inside == satisfied
 
+    def test_member(self, rng):
+        # the first vertex, or the feasibility LP's point of a set given
+        # by constraints only; either way inside the set
+        for _ in range(10):
+            pts = np.array([rng.dirichlet([2, 2, 2]) for _ in range(3)])
+            try:
+                m = CredalSet(("a", "b", "c"), vertices=pts)
+            except InputError:
+                continue
+            assert np.array_equal(m.member, pts[0])
+            twin = CredalSet(m.states, constraints=vertices_to_constraints(m))
+            assert twin.contains(twin.member)
+
 
 class TestConversions:
     def test_simplex_round_trip(self):

@@ -123,6 +123,41 @@ class TestPhases:
             # no artificial column is kept
             assert tableau.T.shape == (n + 4, n + (n + 2) + 1)
 
+    def test_start_point(self, rng, monkeypatch):
+        pivots = []
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot",
+                            lambda T, i, j: pivots.append(j) or pivot(T, i, j))
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            p = rng.dirichlet(np.ones(n))
+            A = rng.normal(size=(n + 2, n))
+            A -= np.outer(A @ p, np.ones(n))   # homogeneous rows, A @ p = 0
+            A[0] += rng.uniform(0, 1)          # one with slack at p
+            b = np.zeros(n + 2)
+            pivots.clear()
+            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b,
+                                     nonneg=True, start=p)
+            # every row but the equality starts on its surplus, so one
+            # pivot brings in the start column, the last column
+            assert pivots == [n + (n + 2)]
+            assert tableau.T.shape == (n + 4, n + (n + 2) + 1 + 1)
+            for _ in range(3):
+                c = rng.normal(size=n)
+                res = simplex.phase2(tableau, c)
+                fresh = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
+                                      A_ub=A, b_ub=b, nonneg=True)
+                assert res.status == fresh.status == "optimal"
+                assert res.objective == pytest.approx(fresh.objective,
+                                                      abs=1e-12)
+                assert res.objective == pytest.approx(c @ res.x, abs=1e-12)
+                assert res.x.min() >= -simplex.TOL_FEAS
+                assert (A @ res.x).min() >= -simplex.TOL_FEAS
+
+    def test_start_point_needs_nonnegative_variables(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            simplex.phase1(2, [[1.0, 1.0]], [1.0], start=[0.5, 0.5])
+
     def test_phase1_infeasible(self):
         assert simplex.phase1(1, A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0],
                               nonneg=True) is None
@@ -130,13 +165,14 @@ class TestPhases:
 
 class TestTableauBound:
     def test_raises_before_allocating(self, monkeypatch):
-        # 3 rows over 2 free variables, 2 of them with a surplus column:
-        # 4 x (4 + 2 + 3 + 1) entries
+        # 3 rows over 2 free variables, 2 of them with a surplus column
+        # that starts in the basis, so only the equality gets an
+        # artificial column: 4 x (4 + 2 + 1 + 1) entries
         args = dict(A_eq=[[1.0, 1.0]], b_eq=[1.0],
                     A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[0.0, 0.0])
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 10 * 8)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 8 * 8)
         assert simplex.solve([1.0, 2.0], **args).status == "optimal"
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 10 * 8 - 1)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 8 * 8 - 1)
         with pytest.raises(CapabilityError, match="tableau"):
             simplex.solve([1.0, 2.0], **args)
         with pytest.raises(CapabilityError, match="tableau"):
