@@ -335,54 +335,82 @@ def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
         K = closure(net.dag, K | need)
 
 
-def reduce_then_condition(net: CredalNetwork, f: Factor,
-                          given: Event | None, rule: str = "natural", *,
-                          tolerance: float = DEFAULT_TOLERANCE,
-                          method: str = "auto",
-                          trace: list | None = None) -> BracketResult:
-    """Shrink a conditional query to a sub-network before bracketing.
+@dataclass(frozen=True)
+class ReducedQuery:
+    """A conditional query moved to the sub-network ``net``, shared by
+    every gamble on one scope: the evidence left inside it (``None``:
+    none, and both rules reduce to the unconditional value), its global
+    program, the regular rule's gate (see :func:`condition`) and the
+    marginalisation step, which the trace of every bound repeats."""
 
-    For cylinder conditioning events the query is moved to the smallest
-    consistent closed node set; under the regular rule the sub-network
-    case is selected by the positivity of the upper probability that the
-    rest of the network gives to its share of the evidence.  Non-cylinder
-    events fall back to direct bracketing on the full network.
-    """
+    net: CredalNetwork
+    given: Event | None
+    program: lp.GlobalPolytope | None = None
+    rest_upper_positive: bool = False
+    record: decompose.Reduction | None = None
+
+
+def reduce_query(net: CredalNetwork, scope, given: Event | None,
+                 rule: str = "natural") -> ReducedQuery:
+    """Move a conditional query on a gamble over ``scope`` to the
+    smallest consistent closed node set, for a cylinder conditioning
+    event; under the regular rule the sub-network case is selected by
+    the positivity of the upper probability that the rest of the network
+    gives to its share of the evidence."""
     if rule not in ("natural", "regular"):
         raise InputError(f"unknown rule {rule!r}")
     if given is None or not given.scope:
-        value = decompose.lower_expectation(net, f, method=method, trace=trace)
-        return BracketResult(value, "local-fallback", 0, 0.0)
+        return ReducedQuery(net, None)
     if given.empty:
         raise InputError("conditioning event is empty")
-
     if not given.cylinder:
-        return condition(rho_evaluator(net, f, given), rule, tolerance)
+        return ReducedQuery(net, given, lp.GlobalPolytope(net))
 
     assignment = given.assignment()
-    K, rel = _grow_closed_for(net, f.scope, assignment)
+    K, rel = _grow_closed_for(net, scope, assignment)
     pa_assignment = {p: assignment[p] for p in rel.parents}
     inside = {s: assignment[s] for s in assignment if s in K}
     outside = {s: assignment[s] for s in assignment
                if s in rel.non_parent_non_descendants}
     sub = sub_network(net, K, pa_assignment)
-    if trace is not None:
-        trace.append(decompose.Reduction("marginalisation", {
-            "K": tuple(sorted(K)), "rule": rule,
-            "parents": tuple(sorted(pa_assignment.items()))}))
-
+    record = decompose.Reduction("marginalisation", {
+        "K": tuple(sorted(K)), "rule": rule,
+        "parents": tuple(sorted(pa_assignment.items()))})
     if not inside:
         # trivial sub-network conditioning event: both updating rules
         # reduce to the unconditional sub-network value
-        value = decompose.lower_expectation(sub, f, method=method, trace=trace)
-        return BracketResult(value, "local-fallback", 0, 0.0)
-
-    ev = rho_evaluator(sub, f, sub.cylinder(inside))
+        return ReducedQuery(sub, None, record=record)
+    program = lp.GlobalPolytope(sub)
     # regular rule: the sub-network case depends on the upper probability
     # the non-descendants give to their share of the evidence
-    return condition(ev, rule, tolerance, rest_upper_positive=(
-        rule == "regular"
-        and _rest_upper_positive(net, rel, pa_assignment, outside)))
+    gate = rule == "regular" and _rest_upper_positive(
+        net, rel, pa_assignment, outside)
+    return ReducedQuery(sub, sub.cylinder(inside), program, gate, record)
+
+
+def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
+                      tolerance: float = DEFAULT_TOLERANCE,
+                      trace: list | None = None) -> BracketResult:
+    """The conditional lower expectation of ``f`` under ``rule`` on a
+    reduced query: by the planner when no evidence is left
+    (``local-fallback``), else a bracket on the query's program."""
+    if trace is not None and reduced.record is not None:
+        trace.append(reduced.record)
+    if reduced.given is None:
+        value = decompose.lower_expectation(reduced.net, f, trace=trace)
+        return BracketResult(value, "local-fallback", 0, 0.0)
+    ev = rho_evaluator(reduced.net, f, reduced.given, reduced.program)
+    return condition(ev, rule, tolerance,
+                     rest_upper_positive=reduced.rest_upper_positive)
+
+
+def reduce_then_condition(net: CredalNetwork, f: Factor,
+                          given: Event | None, rule: str = "natural", *,
+                          tolerance: float = DEFAULT_TOLERANCE,
+                          trace: list | None = None) -> BracketResult:
+    """:func:`reduce_query`, then :func:`condition_reduced`."""
+    return condition_reduced(reduce_query(net, f.scope, given, rule), f,
+                             rule, tolerance, trace)
 
 
 def _rest_upper_positive(net: CredalNetwork, rel, pa_assignment: Mapping,

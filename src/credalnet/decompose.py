@@ -3,11 +3,13 @@ expectation by smaller ones, each step certified by an exact equality
 (marginalisation to a sub-network, the law of iterated lower expectation,
 sign-split factorisation, external additivity, or the atom product).
 
-``lower_expectation`` is the greedy planner: it removes nodes outside the
-ancestral closure of the query, peels final segments while the iterated
-law applies, and hands the irreducible core to the linear program.  Each
-step appends a :class:`Reduction` record to the optional trace for
-auditing.  Hypothesis failures in the explicitly invoked operations raise
+``lower_expectation`` is the greedy planner, one loop over the given
+network: it marginalises to the ancestral closure of the query, peels
+final segments while the iterated law applies, and hands the irreducible
+core to the linear program (:func:`credalnet.lp.lower_expectation_lp`
+solves the whole program with no planning).  Each step appends a
+:class:`Reduction` record to the optional trace for auditing.
+Hypothesis failures in the explicitly invoked operations raise
 :class:`~credalnet.errors.HypothesisError`; only the planner is allowed
 to fall back silently, because falling back is its documented job.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import lp
 from .errors import HypothesisError, InputError
-from .graph import closure, is_closed, set_relations
+from .graph import is_closed, set_relations
 from .network import (CredalNetwork, Event, Factor, joint_states,
                       restrict_factor, sub_network)
 
@@ -63,18 +65,20 @@ def _require_closed(net: CredalNetwork, K) -> frozenset:
     return Kf
 
 
-def _inner_values(net: CredalNetwork, S, f: Factor, method: str,
-                  trace: list | None):
+def _inner_values(net: CredalNetwork, S, f: Factor,
+                  trace: list | None) -> Factor:
     """The iterated law's inner factor: for each state of the relevant
     outside nodes, the lower expectation of f over the S-sub-network with
-    its external parents instantiated.
+    its external parents instantiated.  A single node answers with its
+    local sets on ``net`` itself; several nodes build one sub-network
+    per state.
 
     The factor is materialised only over (f.scope \\ S) union parents(S),
     which the full inner factor factors through.
     """
     Sf = frozenset(S)
-    rel = set_relations(net.dag, Sf)
-    scope = net.dag.sorted_nodes((set(f.scope) - Sf) | rel.parents)
+    parents = frozenset(p for s in Sf for p in net.dag.parents(s)) - Sf
+    scope = net.dag.sorted_nodes((set(f.scope) - Sf) | parents)
     if len(Sf) == 1:
         # one node: the sub-network values are its local lower
         # expectations, in one call on f with the non-parents leading,
@@ -89,66 +93,59 @@ def _inner_values(net: CredalNetwork, S, f: Factor, method: str,
             values, [order.index(x) for x in scope]))
 
     values = [lower_expectation(sub_network(net, Sf, ctx),
-                                restrict_factor(net, f, ctx),
-                                method=method, trace=trace)
+                                restrict_factor(net, f, ctx), trace=trace)
               for ctx in joint_states(net, scope)]
     return net.factor_from_values(scope, values)
 
 
-def lower_expectation(net: CredalNetwork, f: Factor, *, method: str = "auto",
+def lower_expectation(net: CredalNetwork, f: Factor, *,
                       trace: list | None = None) -> float:
-    """Unconditional tight lower expectation of ``f``.
-
-    ``method='lp'`` solves the global program directly; ``method='auto'``
-    runs the greedy reduction planner first and only hands the remaining
-    core to the program.
-    """
+    """Unconditional tight lower expectation of ``f`` by the planner.
+    By marginalisation an ancestral node set keeps its own local models,
+    so a sub-network is built only for the core that no peel reduces."""
     _scope_in(net, f, net.dag.nodes)
     if not f.scope:
         return float(f.values)
-    if method == "lp":
+    dag = net.dag
+    # Step 1: drop everything outside the ancestral closure A of the scope
+    # (a closed set with no external parents; marginalisation applies).
+    # It runs once: after a peel, the new scope holds the parents of the
+    # peeled sinks, and its ancestral closure is the rest of A.
+    A = set(f.scope) | dag.ancestors_of_set(f.scope)
+    if len(A) < len(dag.nodes) and trace is not None:
+        trace.append(Reduction("marginalisation",
+                               {"K": tuple(sorted(A)), "parents": ()}))
+    # Step 2: peel the sinks S of A by the law of iterated lower
+    # expectation while the rest of A precedes each of them.  In an
+    # ancestral set with a single sink, every other node is an ancestor
+    # of that sink, so it peels with no reachability test.
+    live = {s: sum(c in A for c in dag.children(s)) for s in A}
+    sinks = [s for s in A if not live[s]]
+    while len(A) > len(sinks):
+        S = frozenset(sinks)
+        if len(S) > 1 and not all(A - S <= dag.ancestors(s) for s in S):
+            break
         if trace is not None:
-            trace.append(Reduction("lp", {"nodes": net.dag.nodes}))
-        return lp.lower_expectation_lp(net, f)
-    if method != "auto":
-        raise InputError(f"unknown method {method!r}")
+            trace.append(Reduction("iterated", {"S": tuple(sorted(S))}))
+        f = _inner_values(net, S, f, trace)
+        A -= S
+        sinks = []
+        for s in S:
+            for p in dag.parents(s):
+                live[p] -= 1
+                if not live[p]:
+                    sinks.append(p)
 
-    # Base case: a single node is its own sub-network, and the value is
-    # the local lower expectation.
-    if len(net.dag.nodes) == 1:
-        (s,) = net.dag.nodes
+    if len(A) == 1:
+        # a single node of an ancestral set is a root
+        (s,) = A
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
         return net.local(s, ()).lower_expectation(f.values)
-
-    # Step 1: drop everything outside the ancestral closure of the scope
-    # (a closed set with no external parents; marginalisation applies).
-    anc = frozenset(f.scope) | net.dag.ancestors_of_set(f.scope)
-    if anc != frozenset(net.dag.nodes):
-        if trace is not None:
-            trace.append(Reduction("marginalisation",
-                                   {"K": tuple(sorted(anc)), "parents": ()}))
-        return lower_expectation(sub_network(net, anc, {}), f,
-                                 method=method, trace=trace)
-
-    # Step 2: peel a final segment S (all other nodes strictly precede
-    # every member) by the law of iterated lower expectation.
-    sinks = [s for s in net.dag.nodes if not net.dag.children(s)]
-    candidates = [frozenset(sinks)] + [frozenset([s]) for s in sinks]
-    for S in candidates:
-        T = frozenset(net.dag.nodes) - S
-        if not T:
-            continue
-        if all(T <= net.dag.ancestors(s) for s in S):
-            if trace is not None:
-                trace.append(Reduction("iterated", {"S": tuple(sorted(S))}))
-            inner = _inner_values(net, S, f, method, trace)
-            return lower_expectation(sub_network(net, T, {}), inner,
-                                     method=method, trace=trace)
-
+    core = net if len(A) == len(dag.nodes) else sub_network(net, A, {})
     if trace is not None:
-        trace.append(Reduction("lp", {"nodes": net.dag.nodes}))
-    return lp.lower_expectation_lp(net, f)
+        trace.append(Reduction("lp", {"nodes": core.dag.nodes}))
+    return lp.lower_expectation_lp(core, f)
 
 
 def upper_expectation(net: CredalNetwork, f: Factor, **kw) -> float:
@@ -157,8 +154,8 @@ def upper_expectation(net: CredalNetwork, f: Factor, **kw) -> float:
 
 def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
                 f: Factor, B_K: Event | None = None,
-                B_NNK: Event | None = None, *, method: str = "auto",
-                tolerance: float = 1e-9, trace: list | None = None) -> float:
+                B_NNK: Event | None = None, *, tolerance: float = 1e-9,
+                trace: list | None = None) -> float:
     """Conditional-to-sub-network reduction for a closed K.
 
     Returns the lower expectation of ``f`` given ``B_K`` in the
@@ -177,8 +174,6 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
     if B_NNK is not None and not set(B_NNK.scope) <= rel.non_parent_non_descendants:
         raise InputError("B_NNK must be an event over the non-parent "
                          "non-descendants of K")
-    if method not in ("lp", "auto"):
-        raise InputError(f"unknown method {method!r}")
 
     sub = sub_network(net, Kf, parent_assignment)
     if trace is not None:
@@ -187,14 +182,13 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
             "parents": tuple(sorted((p, parent_assignment[p])
                                     for p in rel.parents))}))
     if B_K is None or not B_K.scope:
-        return lower_expectation(sub, f, method=method, trace=trace)
+        return lower_expectation(sub, f, trace=trace)
     from . import conditioning
     ev = conditioning.rho_evaluator(sub, f, B_K)
     return conditioning.natural_conditional(ev, tolerance=tolerance).value
 
 
 def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
-                               method: str = "auto",
                                trace: list | None = None) -> float:
     """Law of iterated lower expectation for a final segment S: every node
     outside S must strictly precede every node of S."""
@@ -203,18 +197,19 @@ def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
     Sf = frozenset(S)
     T = frozenset(net.dag.nodes) - Sf
     if not Sf:
-        return lower_expectation(net, f, method=method, trace=trace)
-    for t in T:
-        if not Sf <= net.dag.descendants(t):
+        return lower_expectation(net, f, trace=trace)
+    for s in net.dag.sorted_nodes(Sf):
+        late = T - net.dag.ancestors(s)
+        if late:
             raise HypothesisError(
-                f"node {t!r} does not precede all of {sorted(Sf)}")
+                f"node {net.dag.sorted_nodes(late)[0]!r} does not precede "
+                f"all of {sorted(Sf)}")
     if trace is not None:
         trace.append(Reduction("iterated", {"S": tuple(sorted(Sf))}))
     if not T:
-        return lower_expectation(net, f, method=method, trace=trace)
-    inner = _inner_values(net, Sf, f, method, trace)
-    return lower_expectation(sub_network(net, T, {}), inner,
-                             method=method, trace=trace)
+        return lower_expectation(net, f, trace=trace)
+    inner = _inner_values(net, Sf, f, trace)
+    return lower_expectation(sub_network(net, T, {}), inner, trace=trace)
 
 
 def _cofactor_on_neighbourhood(net, rel, parent_assignment, g: Factor | None):
@@ -230,7 +225,7 @@ def _cofactor_on_neighbourhood(net, rel, parent_assignment, g: Factor | None):
 
 
 def factorise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
-              f: Factor, g: Factor | None = None, *, method: str = "auto",
+              f: Factor, g: Factor | None = None, *,
               trace: list | None = None) -> float:
     """Sign-split product rule:  the lower expectation of
     ``g * 1{parents of K} * f``  equals the sub-network value of f times
@@ -246,14 +241,14 @@ def factorise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
             raise HypothesisError("co-factor g must be non-negative")
 
     sub = sub_network(net, Kf, parent_assignment)
-    a = lower_expectation(sub, f, method=method, trace=trace)
+    a = lower_expectation(sub, f, trace=trace)
     nsub = sub_network(net, rel.non_descendants, {})
     co = _cofactor_on_neighbourhood(net, rel, parent_assignment, g)
     if a >= 0:
-        b = lower_expectation(nsub, co, method=method, trace=trace)
+        b = lower_expectation(nsub, co, trace=trace)
         case = "lower"
     else:
-        b = -lower_expectation(nsub, -co, method=method, trace=trace)
+        b = -lower_expectation(nsub, -co, trace=trace)
         case = "upper"
     if trace is not None:
         trace.append(Reduction("factorisation", {
@@ -263,7 +258,7 @@ def factorise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
 
 
 def external_additivity(net: CredalNetwork, K, f: Factor, h: Factor, *,
-                        method: str = "auto", trace: list | None = None) -> float:
+                        trace: list | None = None) -> float:
     """Additive split for a closed, parentless K:  the lower expectation
     of ``h + f`` is the sum of the two sub-network lower expectations."""
     Kf = _require_closed(net, K)
@@ -272,11 +267,10 @@ def external_additivity(net: CredalNetwork, K, f: Factor, h: Factor, *,
         raise HypothesisError(f"K has external parents {sorted(rel.parents)}")
     _scope_in(net, f, Kf)
     _scope_in(net, h, rel.non_parent_non_descendants)
-    a = lower_expectation(sub_network(net, Kf, {}), f, method=method,
-                          trace=trace)
+    a = lower_expectation(sub_network(net, Kf, {}), f, trace=trace)
     if h.scope:
         b = lower_expectation(sub_network(net, rel.non_parent_non_descendants,
-                                          {}), h, method=method, trace=trace)
+                                          {}), h, trace=trace)
     else:
         b = float(h.values)
     if trace is not None:
@@ -287,7 +281,7 @@ def external_additivity(net: CredalNetwork, K, f: Factor, h: Factor, *,
 
 def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
              f: Factor, h: Factor | None = None, g: Factor | None = None, *,
-             method: str = "auto", trace: list | None = None) -> float:
+             trace: list | None = None) -> float:
     """The general split:  in  ``h(X_N(K)) + g(X_NN(K)) * 1{parents} * f(X_K)``
     the inner factor f may be replaced by the scalar sub-network value,
     leaving a lower expectation over the non-descendants of K."""
@@ -302,7 +296,7 @@ def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
             raise HypothesisError("co-factor g must be non-negative")
 
     sub = sub_network(net, Kf, parent_assignment)
-    a = lower_expectation(sub, f, method=method, trace=trace)
+    a = lower_expectation(sub, f, trace=trace)
     co = _cofactor_on_neighbourhood(net, rel, parent_assignment, g)
     scope = net.dag.sorted_nodes(
         set(h.scope if h is not None else ()) | set(co.scope))
@@ -312,7 +306,7 @@ def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
     if trace is not None:
         trace.append(Reduction("factorisation", {
             "K": tuple(sorted(Kf)), "combined": True}, sub_results=[a]))
-    return lower_expectation(nsub, assembled, method=method, trace=trace)
+    return lower_expectation(nsub, assembled, trace=trace)
 
 
 def atom_bounds(net: CredalNetwork, assignment: Mapping[str, str], *,

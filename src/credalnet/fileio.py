@@ -162,6 +162,10 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
         except KeyError as e:
             report.add(f"local model for {s!r} misses parent value {e}")
             continue
+        extra = set(given) - set(dag.parents(s))
+        if extra:
+            report.add(f"local model for {s!r} is given non-parents "
+                       f"{sorted(extra)}")
         key = (s, cfg)
         if key in seen:
             report.add(f"duplicate local model for {key!r}")
@@ -199,26 +203,24 @@ def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
     constraints = _objects(entry, "constraints")
     verts = None
     if vertices is not None:
-        verts = [{s: parse_number(v[s]) for s in states}
-                 if all(s in v for s in states) else _bad_vertex(v, states)
-                 for v in vertices]
+        for v in vertices:
+            if set(v) != set(states):
+                raise InputError(f"vertex {v!r} does not name exactly the "
+                                 f"states {states}")
+        verts = [{s: parse_number(v[s]) for s in states} for v in vertices]
     cons = None
     if constraints is not None:
         cons = []
         for c in constraints:
             if not isinstance(c.get("alpha"), Mapping) or "beta" not in c:
                 raise InputError(f"constraint needs alpha and beta: {c!r}")
-            alpha = {s: parse_number(c["alpha"][s]) for s in states
-                     if s in c["alpha"]}
-            if set(alpha) != set(states):
-                raise InputError(f"constraint alpha must cover {states}")
+            if set(c["alpha"]) != set(states):
+                raise InputError(f"constraint alpha must name exactly the "
+                                 f"states {states}")
+            alpha = {s: parse_number(c["alpha"][s]) for s in states}
             cons.append(LinearConstraint.from_mapping(states, alpha,
                                                       parse_number(c["beta"])))
     return CredalSet(states, vertices=verts, constraints=cons)
-
-
-def _bad_vertex(v, states):
-    raise InputError(f"vertex {v!r} does not cover states {states}")
 
 
 def load_network_document(doc) -> CredalNetwork:

@@ -62,22 +62,25 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
     """The conditional lower expectation of a gamble given the query's
     event, by the query's method and rule."""
     if q.method in ("auto", "decompose"):
-        return lambda f: conditioning.reduce_then_condition(
-            net, f, q.given, q.rule, tolerance=q.tolerance, trace=trace)
-    if q.method == "lp":
-        gp = lp.GlobalPolytope(net)
-        evaluator = lambda f: conditioning.rho_evaluator(net, f, q.given, gp)
+        reduced = conditioning.reduce_query(net, q.target.scope, q.given,
+                                            q.rule)
+    elif q.method == "lp":
+        reduced = conditioning.ReducedQuery(net, q.given,
+                                            lp.GlobalPolytope(net))
     elif q.method in _EVALUATORS:
-        evaluator = lambda f: _EVALUATORS[q.method](net, f, q.given)
+        evaluator = _EVALUATORS[q.method]
+        return lambda f: conditioning.condition(
+            evaluator(net, f, q.given), q.rule, q.tolerance)
     else:
         raise InputError(f"unknown method {q.method!r}")
-    return lambda f: conditioning.condition(evaluator(f), q.rule, q.tolerance)
+    return lambda f: conditioning.condition_reduced(reduced, f, q.rule,
+                                                    q.tolerance, trace)
 
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     """Evaluate one query; returns a flat result mapping for reporting.
-    With ``method="lp"`` the lower and the upper bound share one build of
-    the global program, and its phase 1."""
+    The lower and the upper bound share the ``auto`` reduction and one
+    build of the global program, and its phase 1."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

@@ -87,6 +87,42 @@ def test_one_global_program_per_lp_query(capsys, monkeypatch, net, query):
     assert len(built) == 1
 
 
+def test_one_global_program_per_reduced_auto_query(capsys, monkeypatch,
+                                                   tmp_path):
+    # the evidence on c is left inside K = {b, c}, which is smaller than
+    # the network: the lower and the upper bound share its one program
+    path = tmp_path / "query.json"
+    query = {"target": {"scope": ["b"], "table": {"0": 2, "1": "-1/2"}},
+             "given": {"assignment": {"a": "0", "c": "1"}},
+             "rule": "natural", "method": "auto"}
+    path.write_text(json.dumps(query), encoding="utf-8")
+    built = []
+    init = lp.GlobalPolytope.__init__
+    monkeypatch.setattr(lp.GlobalPolytope, "__init__",
+                        lambda gp, *a, **kw: built.append(gp) or
+                        init(gp, *a, **kw))
+    code, pairs, _ = run(capsys, "trace", data("chain3.json"), str(path))
+    assert code == 0
+    assert len(built) == 1 and built[0].net.dag.nodes == ("b", "c")
+    assert pairs["kind"] == pairs["upper_kind"] == "unique-root"
+    path.write_text(json.dumps({**query, "method": "lp"}), encoding="utf-8")
+    _, direct, _ = run(capsys, "infer", data("chain3.json"), str(path))
+    for key in ("lower", "upper"):
+        assert float(pairs[key]) == pytest.approx(float(direct[key]),
+                                                  abs=1e-7)
+
+
+def test_trace_matches_committed_text(capsys):
+    # an auto conditional query whose reduced gamble peels one node: the
+    # whole audit log of both bounds, and the bounds, are pinned
+    code = cli.main(["trace", data("chain3.json"),
+                     data("chain3_auto_query.json")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    with open(data("chain3_auto_query.trace"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("net, query, dump", CASES)
 def test_lp_dump_matches_committed_text(capsys, tmp_path, net, query, dump):
     out = tmp_path / "program.lp"
@@ -163,3 +199,18 @@ def test_unknown_conditioning_node(capsys, tmp_path):
     code, _, err = run(capsys, "infer", data("two_coins.json"), str(path))
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error=") and "'zz'" in err
+
+
+def test_unknown_state_in_a_vertex(capsys, tmp_path):
+    with open(data("two_coins.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["locals"][0]["vertices"][0]["x"] = "5"
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, pairs, _ = run(capsys, "validate", str(path))
+    assert code == cli.EXIT_VALIDATION and pairs["issues"] == "1"
+    assert pairs["issue0"].startswith("invalid local model for ('1', ())")
+    code, _, err = run(capsys, "infer", str(path),
+                       data("agreement_query.json"))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error=invalid network document")

@@ -12,7 +12,7 @@ from credalnet.chains import chain_forward
 from credalnet.decompose import (atom_bounds, combined, external_additivity,
                                  factorise, iterated_lower_expectation,
                                  lower_expectation, marginalise, trace_lines)
-from credalnet.errors import HypothesisError, InputError
+from credalnet.errors import HypothesisError
 from credalnet.graph import Dag, closure, is_closed, set_relations
 from credalnet.network import (Factor, joint_states, restrict_factor,
                                sub_network)
@@ -56,12 +56,12 @@ class TestPlanner:
                                         replace=False))
                 f = random_factor(rng, net, scope)
                 auto = lower_expectation(net, f)
-                direct = lower_expectation(net, f, method="lp")
+                direct = lp.lower_expectation_lp(net, f)
                 assert auto == pytest.approx(direct, abs=1e-7)
 
     def test_long_chain_peels_in_linear_graph_work(self, rng, monkeypatch):
-        # each peel tests the final segment by the ancestors of its
-        # members, not by the descendants of every remaining node
+        # a single sink peels with no reachability test, and the chain is
+        # never rebuilt as a sub-network
         L = 200
         net = random_chain_net(rng, L)
         f = random_factor(rng, net, [str(L)])
@@ -70,7 +70,21 @@ class TestPlanner:
         monkeypatch.setattr(Dag, "_reach", lambda dag, *a:
                             calls.append(1) or reach(dag, *a))
         assert lower_expectation(net, f) == chain_forward(net, f)
-        assert len(calls) <= 4 * L
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("L", [1000, 10000])
+    def test_chain_longer_than_the_recursion_limit(self, rng, monkeypatch, L):
+        # the local sets cycle through those of a random 50-node chain, so
+        # that building 2L sets does not dominate the test
+        pool = list(interval_locals(chain_dag(50), rng).values())
+        dag = chain_dag(L)
+        keys = [("1", ())] + [(s, (x,)) for s in dag.nodes[1:]
+                              for x in ("0", "1")]
+        net = binary_net(dag, {key: pool[i % len(pool)]
+                               for i, key in enumerate(keys)})
+        f = random_factor(rng, net, [str(L)])
+        monkeypatch.setattr(decompose, "sub_network", None)
+        assert lower_expectation(net, f) == chain_forward(net, f)
 
     def test_trace_records_steps(self, rng):
         net = random_chain_net(rng, 4)
@@ -131,15 +145,6 @@ class TestMarginalise:
         with pytest.raises(HypothesisError):
             marginalise(net, {"1", "3"}, {}, f)
 
-    @pytest.mark.parametrize("B_K", [None, {"2": "0"}])
-    def test_rejects_unknown_method(self, rng, B_K):
-        dag = chain_dag(3)
-        net = binary_net(dag, interval_locals(dag, rng))
-        f = random_factor(rng, net, ["2", "3"])
-        with pytest.raises(InputError):
-            marginalise(net, {"2", "3"}, {"1": "0"}, f,
-                        B_K and net.cylinder(B_K), method="planner")
-
 
 class TestIterated:
     def test_reverse_tree_example(self, rng):
@@ -173,6 +178,24 @@ class TestIterated:
         with pytest.raises(HypothesisError):
             iterated_lower_expectation(net, {"2"}, f)
 
+    def test_long_chain_suffix_in_bounded_graph_work(self, rng, monkeypatch):
+        # the precondition reaches from the members of S, not from every
+        # node outside it
+        L = 2000
+        net = random_chain_net(rng, L)
+        f = random_factor(rng, net, [str(L)])
+        reach = Dag._reach
+        calls = []
+        monkeypatch.setattr(Dag, "_reach", lambda dag, *a:
+                            calls.append(1) or reach(dag, *a))
+        S = {str(L - 1), str(L)}
+        assert iterated_lower_expectation(net, S, f) == chain_forward(net, f)
+        assert len(calls) <= 10
+        calls.clear()
+        with pytest.raises(HypothesisError, match="node '2' does not precede"):
+            iterated_lower_expectation(net, {"1", str(L)}, f)
+        assert len(calls) <= 2
+
     def test_one_node_inner_values_equal_sub_network_path(self, rng):
         # local lower expectations in one call, against one sub-network
         # per state of the scope, in any declaration order
@@ -191,7 +214,7 @@ class TestIterated:
                                     replace=False),
                      *rng.choice(sorted(parents), size=1)}
             f = random_factor(rng, net, scope)
-            inner = decompose._inner_values(net, {s}, f, "auto", None)
+            inner = decompose._inner_values(net, {s}, f, None)
             assert set(inner.scope) == (set(f.scope) - {s}) | parents
             expect = [lower_expectation(sub_network(net, {s}, ctx),
                                         restrict_factor(net, f, ctx))

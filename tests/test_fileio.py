@@ -133,6 +133,20 @@ class TestValidateDocument:
         chain3["locals"][0]["vertices"] = [{"0": "1/5", "1": "4/5"}]
         only_issue(chain3, "invalid local model for ('b', ('0',))")
 
+    @pytest.mark.parametrize("change, text", [
+        (lambda doc: doc["locals"][0].update(given={"2": "h", "zz": "q"}),
+         "local model for '1' is given non-parents ['2', 'zz']"),
+        (lambda doc: doc["locals"][0]["vertices"][0].update(x="5"),
+         "invalid local model for ('1', ())"),
+        (lambda doc: doc["locals"][1].update(vertices=None, constraints=[
+            {"alpha": {"h": "1", "t": "0", "q": "1"}, "beta": "1/4"}]),
+         "invalid local model for ('2', ())"),
+    ], ids=["given-non-parent", "vertex-extra-state", "alpha-extra-state"])
+    def test_unknown_names_are_issues(self, change, text):
+        doc = read("two_coins.json")
+        change(doc)
+        only_issue(doc, text)
+
     def test_missing_local_model(self, chain3):
         del chain3["locals"][3]
         only_issue(chain3, "missing local model for node 'c' given ('0',)")
