@@ -13,8 +13,8 @@ from .chains import (HmmSpec, TransferOperator, chain_forward,
                      hmm_forward_rho, infer_hmm_spec)
 from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
                            natural_conditional, reduce_then_condition,
-                           regular_conditional, rho, rho_callable,
-                           rho_evaluator, upper_prob_positive)
+                           regular_conditional, rho, rho_evaluator,
+                           upper_prob_positive)
 from .credal import (CredalSet, HomogeneousConstraint, LinearConstraint,
                      MassFunction, binary_interval, constraints_to_vertices,
                      local_lower_expectation, local_lower_probability,

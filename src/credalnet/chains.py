@@ -8,7 +8,9 @@ predecessor state is the local lower expectation, one
 step.  Reverse conditioning and observation-weighted recursions evaluate
 the bracketing function of the conditioning module in one backward sweep
 instead of solving a global program per abscissa; their envelopes are
-arrays over the parents of the next node.
+arrays over the parents of the next node.  Like the global program, a
+sweep also gives the probability of the event under a model attaining
+the function (:meth:`~credalnet.network.CredalNetwork.local_argmin`).
 """
 
 from __future__ import annotations
@@ -94,14 +96,18 @@ def chain_forward(net: CredalNetwork, h) -> float:
     return float(net.local_lower(order[0], g))
 
 
-def chain_reverse_rho(net: CredalNetwork, h, x_n: str, mu: float) -> float:
+def chain_reverse_rho(net: CredalNetwork, h, x_n: str, mu: float
+                      ) -> tuple[float, float, float]:
     """Bracketing function for conditioning the first chain node on the
-    value of the last one: the lower expectation of
+    value of the last one: the lower expectation rho of
     ``1{X_last = x_n} * (h(X_first) - mu)`` in one backward sweep.
 
     Two indicator envelopes propagate backwards (one under the lower and
     one under the upper transfer); at the front they weight the positive
-    and negative parts of ``h - mu``."""
+    and negative parts of ``h - mu``.  The weights are probabilities of
+    ``X_last = x_n`` at attaining models, so their mean under the first
+    node's attaining mass function is P(B) at a model attaining rho.
+    Returns ``(rho, rho + mu * P, P)``."""
     order = chain_order(net)
     first, last = order[0], order[-1]
     hv = _gamble_on(net, first, h)
@@ -111,8 +117,11 @@ def chain_reverse_rho(net: CredalNetwork, h, x_n: str, mu: float) -> float:
     for k in range(len(order) - 1, 0, -1):
         op = TransferOperator(net, order[k])
         lo_env, hi_env = op(lo_env), op.upper(hi_env)
-    g = np.where(hv >= mu, lo_env, hi_env) * (hv - mu)
-    return float(net.local_lower(first, g))
+    w = np.where(hv >= mu, lo_env, hi_env)
+    g = w * (hv - mu)
+    value = float(net.local_lower(first, g))
+    prob = float(net.local_argmin(first, g) @ w)
+    return value, value + mu * prob, prob
 
 
 @dataclass(frozen=True)
@@ -142,15 +151,17 @@ class HmmSpec:
 
 
 def hmm_forward_rho(spec: HmmSpec, f, observations: Mapping[str, str],
-                    mu: float = 0.0) -> float:
+                    mu: float = 0.0) -> tuple[float, float, float]:
     """Bracketing function of the filtering query: the lower expectation
-    of ``1{observations} * (f(X_last_state) - mu)``.
+    rho of ``1{observations} * (f(X_last_state) - mu)``.
 
     Backward sweep: start from the local lower expectations of ``f - mu``
     at the final state node, then alternate the sign-split observation
     weighting (lower or upper probability of the observed symbol) with
-    the transition's local lower expectation.  Linear in the number of
-    time steps."""
+    the transition's local lower expectation; P, the probability of the
+    later observations at the attaining model, takes the same weights and
+    attaining mass functions.  Linear in the number of time steps.
+    Returns ``(rho, rho + mu * P, P)``."""
     net = spec.net
     s_nodes, o_nodes = spec.state_nodes, spec.obs_nodes
     if set(observations) != set(o_nodes):
@@ -164,18 +175,22 @@ def hmm_forward_rho(spec: HmmSpec, f, observations: Mapping[str, str],
     # declaration order
     last = s_nodes[n]
     h = net.local_lower(last, _gamble_on(net, last, f) - mu)
+    prob = np.ones(h.shape)
     for k in range(n - 1, -1, -1):
         sk, ok = s_nodes[k], o_nodes[k]
         seen = np.array([x == observations[ok] for x in net.states(ok)], float)
         low, high = net.local_lower(ok, seen), -net.local_lower(ok, -seen)
         nxt = net.dag.parents(s_nodes[k + 1])
         g = np.moveaxis(h, nxt.index(sk), -1)
-        g = g * np.where(g >= 0, low, high)
+        w = np.where(g >= 0, low, high)
         # the envelope depends on the parents of s_k that s_{k+1} shares
-        h = net.local_lower(sk, g.reshape(
-            [net.size(p) if p in nxt else 1 for p in net.dag.parents(sk)]
-            + [net.size(sk)]))
-    return float(h)
+        shape = [net.size(p) if p in nxt else 1
+                 for p in net.dag.parents(sk)] + [net.size(sk)]
+        g = (g * w).reshape(shape)
+        prob = (np.moveaxis(prob, nxt.index(sk), -1) * w).reshape(shape)
+        h = net.local_lower(sk, g)
+        prob = (net.local_argmin(sk, g) * prob).sum(-1)
+    return float(h), float(h + mu * prob), float(prob)
 
 
 def infer_hmm_spec(net: CredalNetwork, obs_nodes) -> HmmSpec:
@@ -243,11 +258,14 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
             sub_network(net, desc, ctx), {s: ctx[s] for s in desc}))
     prod_low, prod_high = np.array(bounds).T
 
-    def rho_fn(mu: float) -> float:
-        return local_q.lower_expectation(
-            (fv - mu) * np.where(fv >= mu, prod_low, prod_high))
+    def rho_fn(mu: float) -> tuple[float, float, float]:
+        w = np.where(fv >= mu, prod_low, prod_high)
+        g = (fv - mu) * w
+        value = local_q.lower_expectation(g)
+        prob = float(local_q.argmin(g) @ w)
+        return value, value + mu * prob, prob
 
-    ev = conditioning.rho_callable(rho_fn, f_min, f_max, f_min)
+    ev = conditioning.RhoEvaluator(rho_fn, f_min, f_max, f_min)
     gate = False
     if rule == "regular":
         # gate on the non-descendants' upper probability

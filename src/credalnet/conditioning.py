@@ -11,15 +11,12 @@ no information (the vacuous bound ``min f over B`` is returned,
 flagged).  Sign tests at ``min f - 1`` and ``max f + 1`` decide which
 case applies.
 
-On the global program an evaluation also yields a minimising model p,
-and the roots are found by Dinkelbach steps, mu <- E_p[f 1_B] / P_p(B):
-Newton's method on the piecewise-linear rho, whose slope at mu is
--P_p(B), which takes a handful of evaluations.  The unique root stops on
-a certified bracket whose width is reported; the rightmost root stops
-where rho is no longer clearly negative.  Bisection remains for the
-evaluators without a minimiser (the chain, hidden-state and
-complete-evidence recursions) and for a step that rounding keeps from
-decreasing mu.
+Every engine (the global program and the chain, hidden-state and
+complete-evidence sweeps) also reports E_p[f 1_B] and P_p(B) at a model p
+attaining rho(mu), so the roots are found by Dinkelbach steps, mu <-
+E_p[f 1_B] / P_p(B): Newton's method on the piecewise-linear rho, whose
+slope at mu is -P_p(B).  Bisection remains only for a step that rounding
+keeps from decreasing mu.
 """
 
 from __future__ import annotations
@@ -54,11 +51,9 @@ class BracketResult:
 class RhoEvaluator:
     """Handle to any engine that evaluates mu -> lower expectation of
     ``1_B * (f - mu)``, together with the cached range of f and the
-    vacuous fallback value (min of f over B).
-
-    When ``minimiser`` is set, ``fn`` returns ``(rho, E_p[f 1_B],
-    P_p(B))`` at a minimising model ``p``, and the brackets take
-    Dinkelbach steps; otherwise it returns rho alone and they bisect.
+    vacuous fallback value (min of f over B).  ``fn`` returns ``(rho,
+    E_p[f 1_B], P_p(B))`` at a model ``p`` that attains rho, from which
+    the brackets take Dinkelbach steps.
 
     Evaluations are recorded, and an abscissa seen before is not
     evaluated again.  They are opportunistically checked for
@@ -66,11 +61,10 @@ class RhoEvaluator:
     violation beyond tolerance exposes a broken engine.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[float], tuple[float, float, float]]
     f_min: float
     f_max: float
     vacuous_value: float
-    minimiser: bool = False
     _mus: list = field(default_factory=list, repr=False)
     _vals: list = field(default_factory=list, repr=False)
     _seen: dict = field(default_factory=dict, repr=False)
@@ -78,13 +72,8 @@ class RhoEvaluator:
     def rho(self, mu: float) -> float:
         if mu in self._seen:
             return self._seen[mu][0]
-        step = None
-        if self.minimiser:
-            value, fb, pb = map(float, self.fn(mu))
-            if pb > 0.0:
-                step = fb / pb
-        else:
-            value = float(self.fn(mu))
+        value, fb, pb = map(float, self.fn(mu))
+        step = fb / pb if pb > 0.0 else None
         i = bisect.bisect_left(self._mus, mu)
         if i > 0 and value > self._vals[i - 1] + 1e-7:
             raise ModelError("rho engine is not non-increasing in mu")
@@ -97,9 +86,8 @@ class RhoEvaluator:
 
     def recorded(self, mu: float) -> tuple[float, float | None]:
         """rho at an evaluated ``mu``, and the Dinkelbach step from it:
-        E_p[f 1_B] / P_p(B) at its minimiser p, which is at least the
-        root.  The step is ``None`` without a minimiser or when P_p(B) is
-        zero."""
+        E_p[f 1_B] / P_p(B) at its attaining model p, which is at least
+        the root.  The step is ``None`` when P_p(B) is zero."""
         return self._seen[mu]
 
 
@@ -135,50 +123,35 @@ def natural_conditional(evaluator: RhoEvaluator,
 def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
     """The root of rho, given rho(min f - 1) > 0 (evaluated).
 
-    With a minimiser: Dinkelbach steps, from the one at min f - 1.  rho
-    falls at a rate of at least the lower probability of B, which is at
-    least ``slope`` = rho(min f - 1) / (max f - min f + 1).  So a step mu
-    with rho(mu) <= 0 puts the root in [mu + rho(mu) / slope, mu], and
-    one that rounding put left of the root, rho(mu) > 0, puts it in [mu,
-    step(mu)].  The steps stop once that bracket is within ``tolerance``.
-    A step that fails to decrease mu hands the bracket to bisection,
-    which evaluators without a minimiser run from the start."""
+    Dinkelbach steps, from the one at min f - 1.  rho falls at a rate of
+    at least the lower probability of B, which is at least ``slope`` =
+    rho(min f - 1) / (max f - min f + 1).  So a step mu with rho(mu) <= 0
+    puts the root in [mu + rho(mu) / slope, mu], and one that rounding
+    put left of the root, rho(mu) > 0, puts it in [mu, step(mu)].  The
+    steps stop once that bracket is within ``tolerance``.  Where rounding
+    keeps a step from decreasing mu, the bracket is bisected instead."""
     lo, hi = evaluator.f_min, evaluator.f_max
     if hi - lo <= tolerance:
         return BracketResult(lo, "unique-root", 0, hi - lo)
-    it = 0
-    if evaluator.minimiser:
-        mu = evaluator.f_min - 1.0
+    mu = evaluator.f_min - 1.0
+    r, step = evaluator.recorded(mu)
+    slope = r / (evaluator.f_max - mu)
+    for it in range(1, MAX_ITERATIONS + 1):
+        if step is None or (it > 1 and step >= mu):
+            step = 0.5 * (lo + hi)
+        mu = min(max(step, lo), hi)
+        evaluator.rho(mu)
         r, step = evaluator.recorded(mu)
-        slope = r / (evaluator.f_max - mu)
-        while step is not None and it < MAX_ITERATIONS:
-            mu = min(max(step, lo), hi)
-            it += 1
-            evaluator.rho(mu)
-            r, step = evaluator.recorded(mu)
-            if r > 0.0:
-                lo = mu
-                if step is not None:
-                    hi = max(mu, min(hi, step))
-            else:
-                lo, hi = max(lo, mu + r / slope), mu
-            if hi - lo <= tolerance:
-                return BracketResult(mu, "unique-root", it, hi - lo)
-            if step is not None and step >= mu:
-                break
-    for it in range(it + 1, MAX_ITERATIONS + 1):
-        mid = 0.5 * (lo + hi)
-        r = evaluator.rho(mid)
         if r > 0.0:
-            lo = mid
-        elif r < 0.0:
-            hi = mid
+            lo = mu
+            if step is not None:
+                hi = max(mu, min(hi, step))
         else:
-            lo = hi = mid
+            lo, hi = max(lo, mu + r / slope), mu
         if hi - lo <= tolerance:
-            return BracketResult(0.5 * (lo + hi), "unique-root", it, hi - lo)
+            return BracketResult(mu, "unique-root", it, hi - lo)
     raise ConvergenceError(
-        f"bisection did not converge in {MAX_ITERATIONS} iterations")
+        f"the root was not bracketed in {MAX_ITERATIONS} iterations")
 
 
 def regular_conditional(evaluator: RhoEvaluator,
@@ -195,61 +168,25 @@ def regular_conditional(evaluator: RhoEvaluator,
     if not upper_prob_positive(evaluator):
         return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
                              0, 0.0)
-    return _rightmost_root(evaluator, tolerance)
+    return _rightmost_root(evaluator)
 
 
-def _rightmost_root(evaluator: RhoEvaluator, tolerance: float
-                    ) -> BracketResult:
-    """The rightmost root of rho, given rho(max f + 1) < 0 (evaluated).
-
-    Dinkelbach steps, when the evaluator has a minimiser, from the one
-    at max f + 1: they decrease towards the root from the right, and stop
-    at the first mu with rho(mu) >= -TOL_SIGN; the reported width is the
-    step left from there.  Otherwise, or when a step fails to decrease
-    mu, a bisection treats a barely negative evaluation as "right of the
-    root" only after confirming the sign at a widened abscissa (rho may
-    decrease very slowly there)."""
-    lo, hi = evaluator.f_min, evaluator.f_max
-    it = 0
-    if evaluator.minimiser:
-        mu = evaluator.f_max + 1.0
-        _, step = evaluator.recorded(mu)
-        while step is not None and step < mu and it < MAX_ITERATIONS:
-            mu = min(max(step, lo), hi)
-            it += 1
-            evaluator.rho(mu)
-            r, step = evaluator.recorded(mu)
-            if r >= -TOL_SIGN:
-                width = 0.0 if step is None else max(0.0, mu - step)
-                return BracketResult(mu, "rightmost-root", it, width)
-            hi = mu
-    if evaluator.rho(hi) >= -TOL_SIGN:
-        return BracketResult(hi, "rightmost-root", it, 0.0)
-    if hi - lo <= tolerance:
-        return BracketResult(lo, "rightmost-root", it, hi - lo)
-    widen = max(4.0 * tolerance, 1e-9 * (evaluator.f_max - evaluator.f_min))
-    for it in range(it + 1, MAX_ITERATIONS + 1):
-        mid = 0.5 * (lo + hi)
-        r = evaluator.rho(mid)
-        if r >= 0.0:
-            lo = mid
-        elif r < -TOL_SIGN:
-            hi = mid
-        else:
-            # r is in [-tol_sign, 0): it may be a true zero polluted by
-            # noise, or the genuinely slow decrease right of the root.
-            # Only a clearly negative re-evaluation slightly beyond mid
-            # certifies "right of the root"; otherwise round towards the
-            # left, which can only overestimate by a bounded sliver.
-            probe = min(mid + widen, 0.5 * (mid + hi))
-            if evaluator.rho(probe) < -TOL_SIGN:
-                hi = probe
-            else:
-                lo = probe
-        if hi - lo <= tolerance:
-            return BracketResult(lo, "rightmost-root", it, hi - lo)
+def _rightmost_root(evaluator: RhoEvaluator) -> BracketResult:
+    """The rightmost root of rho, given rho(max f + 1) < -TOL_SIGN
+    (evaluated): Dinkelbach steps from there down to the first mu with
+    rho(mu) >= -TOL_SIGN, as rho(min f) is; the reported width is the
+    step left from there.  While rho(mu) < -TOL_SIGN, P_p(B) > 0 and the
+    step is left of mu."""
+    hi, step = evaluator.f_max, evaluator.recorded(evaluator.f_max + 1.0)[1]
+    for it in range(1, MAX_ITERATIONS + 1):
+        mu = hi = min(max(step, evaluator.f_min), hi)
+        evaluator.rho(mu)
+        r, step = evaluator.recorded(mu)
+        if r >= -TOL_SIGN:
+            width = 0.0 if step is None else max(0.0, mu - step)
+            return BracketResult(mu, "rightmost-root", it, width)
     raise ConvergenceError(
-        f"bisection did not converge in {MAX_ITERATIONS} iterations")
+        f"Dinkelbach steps did not converge in {MAX_ITERATIONS} iterations")
 
 
 def condition(evaluator: RhoEvaluator, rule: str,
@@ -307,14 +244,7 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
         value, x = gp.minimize(ibf - mu * ib)
         return value, ibf @ x, ib @ x
 
-    return RhoEvaluator(fn, f.min(), f.max(), vac, minimiser=True)
-
-
-def rho_callable(fn: Callable[[float], float], f_min: float, f_max: float,
-                 vacuous_value: float) -> RhoEvaluator:
-    """Evaluator around any specialised recursion (chains, observation
-    models, complete-evidence products)."""
-    return RhoEvaluator(fn, f_min, f_max, vacuous_value)
+    return RhoEvaluator(fn, f.min(), f.max(), vac)
 
 
 # -- structural reduction before bracketing ---------------------------------

@@ -263,13 +263,25 @@ class CredalSet:
                         for v in self._V]
                 return min(exps)
             return float(np.min(self._V @ fv))
+        res = self._local_lp(fv, exact)
+        return res.objective if exact else float(res.objective)
+
+    def argmin(self, f) -> np.ndarray:
+        """A mass function of the set (an array over the states) at which
+        ``f`` attains its lower expectation: a vertex, or the local LP's."""
+        fv = _as_values(self.states, f)
+        if self._V is not None:
+            return self._V[np.argmin(self._V @ fv)]
+        return self._local_lp(fv).x
+
+    def _local_lp(self, fv: np.ndarray, exact: bool = False):
         res = simplex.solve(
             fv if not exact else [Fraction(x) for x in fv],
             A_eq=np.ones((1, self.n_states)), b_eq=[1.0],
             A_ub=self._H, b_ub=np.zeros(len(self._H)), exact=exact)
         if res.status != "optimal":
             raise ModelError(f"local LP ended with status {res.status}")
-        return res.objective if exact else float(res.objective)
+        return res
 
     def upper_expectation(self, f, **kw) -> float:
         fv = _as_values(self.states, f)

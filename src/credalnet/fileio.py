@@ -83,6 +83,16 @@ class ValidationReport:
         return "ok" if self.ok else "\n".join(self.issues)
 
 
+def _check_keys(obj: Mapping, allowed: tuple, what: str,
+                report: ValidationReport | None = None) -> None:
+    """Report the keys of ``obj`` outside ``allowed``, or raise on them."""
+    extra = obj.keys() - allowed
+    if extra:
+        if report is None:
+            raise InputError(f"unknown keys {sorted(extra)} in {what}")
+        report.add(f"unknown keys {sorted(extra)} in {what}")
+
+
 def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
     """One pass over a raw network document.  Returns every violation
     found (instead of stopping at the first) and, when there is none,
@@ -92,6 +102,8 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
     if not isinstance(doc, Mapping):
         report.add("document is not a JSON object")
         return report, None
+    _check_keys(doc, ("nodes", "edges", "locals"), "the network document",
+                report)
 
     nodes = doc.get("nodes")
     spaces: dict[str, tuple] = {}
@@ -104,6 +116,7 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
                 report.add(f"malformed node entry {entry!r}")
                 continue
             name = str(entry["name"])
+            _check_keys(entry, ("name", "states"), f"node {name!r}", report)
             states = tuple(str(x) for x in entry["states"])
             if name in spaces:
                 report.add(f"duplicate node {name!r}")
@@ -153,6 +166,8 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
             report.add(f"malformed local entry {entry!r}")
             continue
         s = str(entry["node"])
+        _check_keys(entry, ("node", "given", "vertices", "constraints"),
+                    f"a local entry of node {s!r}", report)
         if s not in spaces:
             report.add(f"local model for undeclared node {s!r}")
             continue
@@ -214,6 +229,7 @@ def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
         for c in constraints:
             if not isinstance(c.get("alpha"), Mapping) or "beta" not in c:
                 raise InputError(f"constraint needs alpha and beta: {c!r}")
+            _check_keys(c, ("alpha", "beta"), "a constraint")
             if set(c["alpha"]) != set(states):
                 raise InputError(f"constraint alpha must name exactly the "
                                  f"states {states}")
@@ -313,6 +329,7 @@ def _json_list(value, what: str) -> list:
 
 def _parse_scoped_states(net: CredalNetwork, obj, what: str):
     obj = _json_object(obj, what)
+    _check_keys(obj, ("scope", "states"), what)
     scope = [str(s) for s in _json_list(obj.get("scope", []), f"{what} scope")]
     net.dag.check_subset(scope)
     scope_t = net.dag.sorted_nodes(scope)
@@ -331,7 +348,10 @@ def _parse_scoped_states(net: CredalNetwork, obj, what: str):
 def parse_query(net: CredalNetwork, doc) -> Query:
     if not isinstance(doc, Mapping) or "target" not in doc:
         raise InputError("query document needs a 'target'")
+    _check_keys(doc, ("target", "given", "rule", "method", "tolerance"),
+                "the query")
     target = _json_object(doc["target"], "query 'target'")
+    _check_keys(target, ("scope", "table", "indicator"), "query 'target'")
     if "indicator" in target:
         scope_t, tuples = _parse_scoped_states(net, target["indicator"],
                                                "indicator target")
@@ -350,6 +370,7 @@ def parse_query(net: CredalNetwork, doc) -> Query:
             entries = {}
             for row in _json_list(table, "target table"):
                 row = _json_object(row, "table row")
+                _check_keys(row, ("states", "value"), "a table row")
                 states = row.get("states")
                 if not isinstance(states, list) or len(states) != len(scope):
                     raise InputError(
@@ -378,6 +399,7 @@ def parse_query(net: CredalNetwork, doc) -> Query:
     if given_doc is not None:
         given_doc = _json_object(given_doc, "query 'given'")
         if "assignment" in given_doc:
+            _check_keys(given_doc, ("assignment",), "query 'given'")
             assignment = {str(k): str(v) for k, v in _json_object(
                 given_doc["assignment"], "'assignment'").items()}
             if not assignment:

@@ -179,6 +179,24 @@ class CredalNetwork:
         return np.array([m.lower_expectation(row) for m, row in zip(
             np.broadcast_to(stack, shape).flat, rows)]).reshape(shape)
 
+    def local_argmin(self, s: str, g) -> np.ndarray:
+        """A mass function on ``s`` (a last axis) attaining each value of
+        :meth:`local_lower`: a row of the stacked vertices, or the local LP's
+        solution for a set with constraints only (:meth:`CredalSet.argmin`)."""
+        g = np.asarray(g, dtype=float)
+        if g.ndim == 0 or g.shape[-1] != self.size(s):
+            raise InputError(f"a gamble on {s!r} needs a last axis of "
+                             f"{self.size(s)} values, not shape {g.shape}")
+        stack = self._local_stack(s)
+        if stack.dtype != object:
+            best = (stack @ g[..., None])[..., 0].argmin(-1)[..., None, None]
+            stack = np.broadcast_to(stack, best.shape[:-2] + stack.shape[-2:])
+            return np.take_along_axis(stack, best, -2)[..., 0, :]
+        shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
+        rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
+        return np.array([m.argmin(row) for m, row in zip(
+            np.broadcast_to(stack, shape).flat, rows)]).reshape(*shape, -1)
+
     def _local_stack(self, s: str) -> np.ndarray:
         """The local sets of ``s`` in an object array over its parent
         configurations; or, when all have a vertex list, their vertices

@@ -13,19 +13,18 @@ from .fileio import Query
 from .network import CredalNetwork, Event, Factor
 
 
-def _chain_evaluator(net: CredalNetwork, f: Factor, given: Event):
+def _chain_sweep(net: CredalNetwork, f: Factor, given: Event):
     order = chains.chain_order(net)
     if given.cylinder and given.scope == (order[-1],) and \
             f.scope in ((order[0],), ()):
         (x_n,) = next(iter(given.states))
-        fn = lambda mu: chains.chain_reverse_rho(net, f, x_n, mu)
-        return conditioning.rho_callable(fn, f.min(), f.max(), f.min())
+        return lambda mu: chains.chain_reverse_rho(net, f, x_n, mu)
     raise HypothesisError(
         "chain dispatch needs a gamble on the first node conditioned on "
         "the value of the last one")
 
 
-def _hmm_evaluator(net: CredalNetwork, f: Factor, given: Event):
+def _hmm_sweep(net: CredalNetwork, f: Factor, given: Event):
     if not given.cylinder:
         raise HypothesisError(
             "hidden-state dispatch needs an instantiated observation event")
@@ -34,8 +33,7 @@ def _hmm_evaluator(net: CredalNetwork, f: Factor, given: Event):
         raise HypothesisError(
             "hidden-state dispatch needs a gamble on the final state node")
     observations = given.assignment()
-    fn = lambda mu: chains.hmm_forward_rho(spec, f, observations, mu)
-    return conditioning.rho_callable(fn, f.min(), f.max(), f.min())
+    return lambda mu: chains.hmm_forward_rho(spec, f, observations, mu)
 
 
 def _unconditional_bound(net: CredalNetwork, q: Query,
@@ -54,7 +52,7 @@ def _unconditional_bound(net: CredalNetwork, q: Query,
     raise InputError(f"unknown method {q.method!r}")
 
 
-_EVALUATORS = {"chain": _chain_evaluator, "hmm": _hmm_evaluator}
+_SWEEPS = {"chain": _chain_sweep, "hmm": _hmm_sweep}
 
 
 def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
@@ -67,10 +65,11 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
     elif q.method == "lp":
         reduced = conditioning.ReducedQuery(net, q.given,
                                             lp.GlobalPolytope(net))
-    elif q.method in _EVALUATORS:
-        evaluator = _EVALUATORS[q.method]
-        return lambda f: conditioning.condition(
-            evaluator(net, f, q.given), q.rule, q.tolerance)
+    elif q.method in _SWEEPS:
+        sweep = _SWEEPS[q.method]
+        return lambda f: conditioning.condition(conditioning.RhoEvaluator(
+            sweep(net, f, q.given), f.min(), f.max(), f.min()), q.rule,
+            q.tolerance)
     else:
         raise InputError(f"unknown method {q.method!r}")
     return lambda f: conditioning.condition_reduced(reduced, f, q.rule,

@@ -96,9 +96,9 @@ class TestChainReverseRho:
         # at mu exactly equal to a gamble value both branches give zero
         net = random_chain_net(rng, 3)
         h = net.factor_from_values(["1"], [1.0, 0.0])
-        left = chain_reverse_rho(net, h, "0", 1.0 - 1e-12)
-        right = chain_reverse_rho(net, h, "0", 1.0 + 1e-12)
-        at = chain_reverse_rho(net, h, "0", 1.0)
+        left = chain_reverse_rho(net, h, "0", 1.0 - 1e-12)[0]
+        right = chain_reverse_rho(net, h, "0", 1.0 + 1e-12)[0]
+        at = chain_reverse_rho(net, h, "0", 1.0)[0]
         assert left == pytest.approx(at, abs=1e-9)
         assert right == pytest.approx(at, abs=1e-9)
 
@@ -112,7 +112,7 @@ class TestChainReverseRho:
                 scope = ("1", "3")
                 assembled = Factor(scope, net.aligned(ind, scope) * (
                     net.aligned(h, scope) - mu))
-                assert chain_reverse_rho(net, h, x_n, mu) == pytest.approx(
+                assert chain_reverse_rho(net, h, x_n, mu)[0] == pytest.approx(
                     lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
     def test_precise_chain_bayes(self, rng):
@@ -125,7 +125,7 @@ class TestChainReverseRho:
         fv = lp.factor_vector(net, h)
         bayes = float(joint[mask] @ fv[mask]) / float(joint[mask].sum())
         fn = lambda mu: chain_reverse_rho(net, h, "0", mu)
-        ev = conditioning.rho_callable(fn, h.min(), h.max(), h.min())
+        ev = conditioning.RhoEvaluator(fn, h.min(), h.max(), h.min())
         res = conditioning.natural_conditional(ev, tolerance=1e-10)
         assert res.value == pytest.approx(bayes, abs=1e-8)
 
@@ -140,7 +140,7 @@ class TestChainReverseRho:
             if expect is None:
                 continue
             fn = lambda mu: chain_reverse_rho(net, h, x_n, mu)
-            ev = conditioning.rho_callable(fn, h.min(), h.max(), h.min())
+            ev = conditioning.RhoEvaluator(fn, h.min(), h.max(), h.min())
             res = conditioning.regular_conditional(ev, tolerance=1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
             hits += 1
@@ -161,8 +161,8 @@ class TestHmm:
         net, states, obs = random_hmm_net(rng, 2)
         spec = infer_hmm_spec(net, obs)
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        low = hmm_forward_rho(spec, Factor.constant(1.0), x, 0.0)
-        high = -hmm_forward_rho(spec, Factor.constant(-1.0), x, 0.0)
+        low = hmm_forward_rho(spec, Factor.constant(1.0), x, 0.0)[0]
+        high = -hmm_forward_rho(spec, Factor.constant(-1.0), x, 0.0)[0]
         ind = net.indicator(net.cylinder(x))
         assert low == pytest.approx(
             lp.lower_expectation_lp(net, ind), abs=1e-7)
@@ -180,7 +180,7 @@ class TestHmm:
             scope = net.dag.sorted_nodes(set(obs) | {states[-1]})
             assembled = Factor(scope, net.aligned(ind, scope) * (
                 net.aligned(f, scope) - mu))
-            assert hmm_forward_rho(spec, f, x, mu) == pytest.approx(
+            assert hmm_forward_rho(spec, f, x, mu)[0] == pytest.approx(
                 lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
     def test_filtering_query(self, rng):
@@ -190,7 +190,7 @@ class TestHmm:
         f = random_factor(rng, net, [states[-1]])
         x = {o: "0" for o in obs}
         fn = lambda mu: hmm_forward_rho(spec, f, x, mu)
-        ev = conditioning.rho_callable(fn, f.min(), f.max(), f.min())
+        ev = conditioning.RhoEvaluator(fn, f.min(), f.max(), f.min())
         res = conditioning.natural_conditional(ev, tolerance=1e-10)
         direct = conditioning.natural_conditional(
             conditioning.rho_evaluator(net, f, net.cylinder(x)),
@@ -212,8 +212,8 @@ class TestShuffledAndConstraintForm:
             twin = infer_hmm_spec(shuffled, obs)
             assert twin.state_nodes == states
             for mu in (-0.6, 0.0, 0.4):
-                assert hmm_forward_rho(twin, f, x, mu) == \
-                    hmm_forward_rho(spec, f, x, mu)
+                assert hmm_forward_rho(twin, f, x, mu)[0] == \
+                    hmm_forward_rho(spec, f, x, mu)[0]
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_hmm_on_constraint_form_twin(self, rng, order):
@@ -223,9 +223,9 @@ class TestShuffledAndConstraintForm:
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
         for mu in (-0.6, 0.0, 0.4):
-            assert hmm_forward_rho(infer_hmm_spec(twin, obs), f, x, mu) == \
-                pytest.approx(hmm_forward_rho(infer_hmm_spec(net, obs),
-                                              f, x, mu), abs=1e-12)
+            assert hmm_forward_rho(infer_hmm_spec(twin, obs), f, x, mu)[0] \
+                == pytest.approx(hmm_forward_rho(infer_hmm_spec(net, obs),
+                                                 f, x, mu)[0], abs=1e-12)
 
     def test_chains_on_constraint_form_twin(self, rng):
         dag = chain_dag(6)
@@ -239,8 +239,9 @@ class TestShuffledAndConstraintForm:
                 chain_forward(net, h), abs=1e-12)
             h = random_factor(rng, net, ["1"])
             for mu in (-0.7, 0.1, 1.3):
-                assert chain_reverse_rho(twin, h, "0", mu) == pytest.approx(
-                    chain_reverse_rho(net, h, "0", mu), abs=1e-12)
+                assert chain_reverse_rho(twin, h, "0", mu)[0] == \
+                    pytest.approx(chain_reverse_rho(net, h, "0", mu)[0],
+                                  abs=1e-12)
 
 
 def diamond_net(rng):
@@ -280,7 +281,17 @@ class TestCompleteEvidence:
             assert complete_evidence_lower(net, "1", x_E, f, rule) == \
                 pytest.approx(0.8, abs=1e-8)
 
-    def test_diamond_against_oracle(self, rng):
+    def test_diamond_against_oracle(self, rng, monkeypatch):
+        # each net's extreme points are enumerated once, for both rules
+        points = {}
+        enumerate_points = oracle.enumerate_joint_extreme_points
+
+        def memoised(net):
+            if net not in points:
+                points[net] = enumerate_points(net)
+            return points[net]
+
+        monkeypatch.setattr(oracle, "enumerate_joint_extreme_points", memoised)
         hits = 0
         for _ in range(4):
             net = diamond_net(rng)
@@ -297,6 +308,7 @@ class TestCompleteEvidence:
                 assert got == pytest.approx(expect, abs=1e-6)
                 hits += 1
         assert hits >= 4
+        assert len(points) == 4
 
     def test_interior_node_against_bracketing(self, rng):
         for _ in range(3):
@@ -308,3 +320,129 @@ class TestCompleteEvidence:
             ev = conditioning.rho_evaluator(net, f, net.cylinder(x_E))
             expect = conditioning.natural_conditional(ev, tolerance=1e-10)
             assert got == pytest.approx(expect.value, abs=1e-6)
+
+
+#: Engine calls (sweeps) per bound, sign tests included.
+MAX_ENGINE_CALLS = 10
+
+
+def sweep_bound(fn, g, rule):
+    """The conditional lower expectation of ``g`` from the sweep ``fn``
+    (None when the natural rule raises), and the number of sweeps."""
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return fn(mu)
+
+    ev = conditioning.RhoEvaluator(counted, g.min(), g.max(), g.min())
+    try:
+        return conditioning.condition(ev, rule, 1e-10), len(calls)
+    except HypothesisError:
+        return None, len(calls)
+
+
+def lp_bound(net, g, B, rule):
+    try:
+        return conditioning.condition(conditioning.rho_evaluator(net, g, B),
+                                      rule, 1e-10)
+    except HypothesisError:
+        return None
+
+
+def assert_same_bound(got, expect):
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert got.kind == expect.kind
+        assert got.value == pytest.approx(expect.value, abs=1e-6)
+
+
+class TestDinkelbachSweeps:
+    """The sweeps report P(B) at a model attaining rho, so every bound
+    takes a few Dinkelbach steps, on vertex and constraint-form sets."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 11])
+    def test_chain_reverse_bounds(self, rng, n):
+        kinds = set()
+        for trial in range(4):
+            dag = chain_dag(n)
+            locals_ = interval_locals(dag, rng)
+            if trial % 2:
+                # X_n = 0 gets zero lower probability: the natural rule
+                # raises, the regular one takes the rightmost root
+                for cfg, top in ((("0",), 0.6), (("1",), 0.3)):
+                    locals_[(str(n), cfg)] = CredalSet(
+                        ("0", "1"), vertices=[(0.0, 1.0), (top, 1 - top)])
+            net = binary_net(dag, locals_)
+            twin = constraint_twin(net)
+            h = random_factor(rng, net, ["1"])
+            B = net.cylinder({str(n): "0"})
+            for g in (h, -h):
+                for rule in ("natural", "regular"):
+                    got, calls = sweep_bound(
+                        lambda mu: chain_reverse_rho(net, g, "0", mu), g, rule)
+                    assert calls <= MAX_ENGINE_CALLS
+                    on_twin, calls = sweep_bound(
+                        lambda mu: chain_reverse_rho(twin, g, "0", mu), g,
+                        rule)
+                    assert calls <= MAX_ENGINE_CALLS
+                    assert_same_bound(on_twin, got)
+                    if n <= 5:
+                        assert_same_bound(got, lp_bound(net, g, B, rule))
+                    kinds.add(None if got is None else got.kind)
+        assert kinds == {"unique-root", "rightmost-root", None}
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("horizon", [2, 4, 6])
+    def test_hmm_bounds(self, rng, order, horizon):
+        for _ in range(2):
+            net, states, obs = random_hmm_net(rng, horizon, order=order)
+            twin = constraint_twin(net)
+            f = random_factor(rng, net, [states[-1]])
+            x = {o: str(rng.integers(0, 2)) for o in obs}
+            for g in (f, -f):
+                for rule in ("natural", "regular"):
+                    results = []
+                    for model in (net, twin):
+                        spec = infer_hmm_spec(model, obs)
+                        got, calls = sweep_bound(
+                            lambda mu: hmm_forward_rho(spec, g, x, mu), g,
+                            rule)
+                        assert calls <= MAX_ENGINE_CALLS
+                        results.append(got)
+                    assert_same_bound(results[1], results[0])
+                    if horizon == 2:
+                        assert_same_bound(results[0], lp_bound(
+                            net, g, net.cylinder(x), rule))
+
+    def test_complete_evidence_bounds(self, rng, monkeypatch):
+        calls = []
+        rho = conditioning.RhoEvaluator.rho
+
+        def counted(self, mu):
+            if mu not in self._seen:
+                calls.append(mu)
+            return rho(self, mu)
+
+        monkeypatch.setattr(conditioning.RhoEvaluator, "rho", counted)
+        hits = 0
+        for _ in range(6):
+            net = random_binary_net(rng, 4, edge_p=0.6)
+            inner = [s for s in net.dag.nodes if net.dag.children(s)]
+            if not inner:
+                continue
+            q = inner[int(rng.integers(0, len(inner)))]
+            x_E = {s: str(rng.integers(0, 2)) for s in net.dag.nodes if s != q}
+            f = random_factor(rng, net, [q])
+            twin = constraint_twin(net)
+            for g in (f, -f):
+                expect = lp_bound(net, g, net.cylinder(x_E), "natural")
+                for rule in ("natural", "regular"):
+                    for model in (net, twin):
+                        del calls[:]
+                        got = complete_evidence_lower(model, q, x_E, g, rule,
+                                                      tolerance=1e-10)
+                        assert len(calls) <= MAX_ENGINE_CALLS
+                        assert got == pytest.approx(expect.value, abs=1e-6)
+            hits += 1
+        assert hits >= 4

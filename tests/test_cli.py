@@ -214,3 +214,28 @@ def test_unknown_state_in_a_vertex(capsys, tmp_path):
                        data("agreement_query.json"))
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error=invalid network document")
+
+
+def test_chain_query_matches_lp_in_few_steps(capsys):
+    # the chain sweep reports P(B) at its attaining model, so the root
+    # finder takes Dinkelbach steps, as on the global program
+    code, chain, _ = run(capsys, "infer", data("chain3.json"),
+                         data("chain3_chain_query.json"))
+    assert code == 0 and chain["method"] == "chain"
+    _, exact, _ = run(capsys, "infer", data("chain3.json"),
+                      data("chain3_query.json"))
+    for key in ("lower", "upper"):
+        assert float(chain[key]) == pytest.approx(float(exact[key]),
+                                                  abs=1e-9)
+    assert int(chain["iterations"]) <= 3
+    assert int(chain["upper_iterations"]) <= 3
+
+
+def test_unknown_query_key(capsys, tmp_path):
+    path = tmp_path / "query.json"
+    doc = {**CONDITIONAL, "methd": "chain"}
+    del doc["method"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "infer", data("two_coins.json"), str(path))
+    assert code == cli.EXIT_VALIDATION
+    assert err.startswith("error=") and "unknown keys ['methd']" in err

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from credalnet import conditioning, lp, oracle
-from credalnet.conditioning import (lower_prob_positive, natural_conditional,
+from credalnet.conditioning import (BracketResult, lower_prob_positive,
+                                    natural_conditional,
                                     reduce_then_condition,
                                     regular_conditional, rho, rho_evaluator,
                                     upper_prob_positive)
 from credalnet.credal import CredalSet, binary_interval, singleton
-from credalnet.errors import (CapabilityError, HypothesisError, InputError,
-                              ModelError)
+from credalnet.errors import (CapabilityError, ConvergenceError,
+                              HypothesisError, InputError, ModelError)
 from credalnet.fileio import Query
 from credalnet.graph import Dag
 from credalnet.network import Factor
@@ -62,7 +63,8 @@ class TestRho:
             assert rho(ev, mu) == pytest.approx(pB * (cond - mu), abs=1e-7)
 
     def test_monotonicity_guard(self):
-        bad = conditioning.rho_callable(lambda mu: mu, 0.0, 1.0, 0.0)
+        bad = conditioning.RhoEvaluator(lambda mu: (mu, 0.0, 0.0), 0.0, 1.0,
+                                        0.0)
         bad.rho(0.0)
         with pytest.raises(ModelError):
             bad.rho(1.0)
@@ -223,10 +225,24 @@ def counted(ev):
     return ev, calls
 
 
-def bisection_twin(ev):
-    """The same LP rho behind an evaluator without a minimiser."""
-    return conditioning.rho_callable(lambda mu: ev.fn(mu)[0], ev.f_min,
-                                     ev.f_max, ev.vacuous_value)
+def bisected(bracket, ev, tol):
+    """What ``bracket`` (natural_conditional or regular_conditional)
+    answers on ``ev``, by plain bisection on rho: the unique root, or the
+    rightmost mu where rho is not below -TOL_SIGN."""
+    if lower_prob_positive(ev):
+        kind, left_of_root = "unique-root", lambda r: r > 0.0
+    elif bracket is natural_conditional:
+        raise HypothesisError("zero lower probability")
+    elif not upper_prob_positive(ev):
+        return BracketResult(ev.vacuous_value, "vacuous-fallback", 0, 0.0)
+    else:
+        kind = "rightmost-root"
+        left_of_root = lambda r: r >= -conditioning.TOL_SIGN
+    lo, hi = ev.f_min, ev.f_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if left_of_root(rho(ev, mid)) else (lo, mid)
+    return BracketResult(0.5 * (lo + hi), kind, 0, hi - lo)
 
 
 def vacuous_net():
@@ -261,10 +277,9 @@ class TestDinkelbachSteps:
         for net, f, B in conditional_cases(rng):
             for bracket in (natural_conditional, regular_conditional):
                 ev, calls = counted(rho_evaluator(net, f, B))
-                assert ev.minimiser
-                twin = bisection_twin(rho_evaluator(net, f, B))
                 try:
-                    expect = bracket(twin, self.TOL)
+                    expect = bisected(bracket, rho_evaluator(net, f, B),
+                                      self.TOL)
                 except HypothesisError:
                     with pytest.raises(HypothesisError):
                         bracket(ev, self.TOL)
@@ -277,6 +292,32 @@ class TestDinkelbachSteps:
                 assert len(calls) == len(set(calls)) <= 8
                 assert got.width <= self.TOL
         assert kinds == {"unique-root", "rightmost-root", "vacuous-fallback"}
+
+    def test_bisects_where_a_step_does_not_lower_mu(self):
+        # rho(mu) = 0.3 - mu; the first step lands on 0.8, and from mu = 0
+        # on the engine reports P_p(B) = 0, as rounding may, so no further
+        # step is known
+        def fn(mu):
+            if mu < 0.0:
+                prob = 1.3 / 1.8
+                return 0.3 - mu, 0.8 * prob, prob
+            return 0.3 - mu, 0.0, 0.0
+
+        res = natural_conditional(conditioning.RhoEvaluator(fn, 0.0, 1.0,
+                                                            0.0), 1e-10)
+        assert res.kind == "unique-root"
+        assert res.value == pytest.approx(0.3, abs=1e-9)
+        assert res.iterations > 5
+
+    def test_rightmost_root_raises_where_steps_stall(self):
+        # rho stays clearly negative right of 0.5 while the engine's steps
+        # do not move left: an explicit error, not a wrong bound
+        def fn(mu):
+            return (0.0, 0.0, 0.0) if mu <= 0.5 else (-1.0, mu, 1.0)
+
+        ev = conditioning.RhoEvaluator(fn, 0.0, 1.0, 0.0)
+        with pytest.raises(ConvergenceError):
+            regular_conditional(ev)
 
     def test_each_abscissa_evaluated_once(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.5)

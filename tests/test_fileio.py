@@ -147,6 +147,24 @@ class TestValidateDocument:
         change(doc)
         only_issue(doc, text)
 
+    @pytest.mark.parametrize("change, text", [
+        (lambda doc: doc.update(node=[]),
+         "unknown keys ['node'] in the network document"),
+        (lambda doc: doc["nodes"][0].update(state=["h"]),
+         "unknown keys ['state'] in node '1'"),
+        (lambda doc: doc["locals"][0].update(constraint=[
+            {"alpha": {"h": "1", "t": "0"}, "beta": "9/10"}]),
+         "unknown keys ['constraint'] in a local entry of node '1'"),
+        (lambda doc: doc["locals"][1].update(vertices=None, constraints=[
+            {"alpha": {"h": "1", "t": "0"}, "beta": "1/4", "q": "1"}]),
+         "invalid local model for ('2', ()): unknown keys ['q'] in a "
+         "constraint"),
+    ], ids=["document", "node", "local", "constraint"])
+    def test_unknown_keys_are_issues(self, change, text):
+        doc = read("two_coins.json")
+        change(doc)
+        only_issue(doc, text)
+
     def test_missing_local_model(self, chain3):
         del chain3["locals"][3]
         only_issue(chain3, "missing local model for node 'c' given ('0',)")
@@ -253,6 +271,43 @@ class TestParseQuery:
     def test_malformed_raises_input_error(self, net, path, value):
         with pytest.raises(InputError):
             fileio.parse_query(net, malformed(path, value))
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "methd"),
+        ((), "tolerence"),
+        (("target",), "scopes"),
+        (("target", "table", 0), "val"),
+        (("given",), "states"),
+    ])
+    def test_unknown_key_raises_input_error(self, net, path, key):
+        doc = copy.deepcopy(QUERY)
+        holder = doc
+        for part in path:
+            holder = holder[part]
+        holder[key] = "x"
+        with pytest.raises(InputError, match=f"unknown keys \\['{key}'\\]"):
+            fileio.parse_query(net, doc)
+
+    def test_unknown_key_of_an_event_raises_input_error(self, net):
+        target = {"indicator": {"scope": ["1"], "states": [["h"]], "x": 1}}
+        with pytest.raises(InputError, match=r"unknown keys \['x'\]"):
+            fileio.parse_query(net, malformed(("target",), target))
+        given = {"scope": ["2"], "states": [["h"]], "assignment": {}}
+        doc = malformed(("given",), given)
+        del doc["given"]["assignment"]
+        doc["given"]["y"] = 1
+        with pytest.raises(InputError, match=r"unknown keys \['y'\]"):
+            fileio.parse_query(net, doc)
+
+    def test_committed_documents_use_known_keys(self, net):
+        for name in os.listdir(DATA):
+            if name.endswith(".json") and "query" not in name:
+                assert fileio.validate_document(read(name)).ok, name
+        fileio.parse_query(net, read("agreement_query.json"))
+        chain3 = fileio.load_network_document(read("chain3.json"))
+        for name in os.listdir(DATA):
+            if name.startswith("chain3_") and name.endswith(".json"):
+                fileio.parse_query(chain3, read(name))
 
     def test_unknown_conditioning_node(self, net):
         with pytest.raises(InputError, match="unknown node 'zz'"):

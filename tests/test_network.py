@@ -134,6 +134,54 @@ class TestLocalLower:
             "7", np.array([1.0, 0.0]))[0, 1]
 
 
+def assert_attains(net, s, g):
+    """``local_argmin`` gives, for every value of ``local_lower``, a
+    member of that parent configuration's set whose expectation of ``g``
+    is that value."""
+    low = net.local_lower(s, g)
+    p = net.local_argmin(s, g)
+    assert p.shape == low.shape + (net.size(s),)
+    assert np.allclose((p * g).sum(-1), low, atol=1e-12, rtol=0)
+    parents = net.shape(net.dag.parents(s))
+    configs = list(net.parent_configs(s))
+    for idx in np.ndindex(low.shape):
+        cfg = configs[np.ravel_multi_index(idx[len(idx) - len(parents):],
+                                           parents)]
+        assert net.local(s, cfg).contains(p[idx])
+
+
+class TestLocalArgmin:
+    SHAPES = [(2, 3, 3), (3, 3), (3,), (1, 3, 3), (2, 1, 3), (4, 2, 3, 3),
+              (4, 5, 1, 1, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ragged_vertex_stack(self, rng, shape):
+        assert_attains(ragged_net(rng), "c", rng.normal(size=shape))
+
+    @pytest.mark.parametrize("counts", [(1,), (3,)])
+    def test_vertex_stack(self, rng, counts):
+        net = ragged_net(rng, counts)
+        for shape in self.SHAPES:
+            assert_attains(net, "c", rng.normal(size=shape))
+        assert_attains(mixed_net(), "c", rng.normal(size=(2, 3, 4)))
+        assert_attains(net, "a", rng.normal(size=2))
+
+    def test_constraint_form_sets(self, rng):
+        net = ragged_net(rng)
+        locals_ = {key: CredalSet(m.states,
+                                  constraints=vertices_to_constraints(m))
+                   if key[0] == "c" and len(m.vertices) > 1 else m
+                   for key, m in net.locals.items()}
+        twin = CredalNetwork(net.dag, net.state_spaces, locals_)
+        assert twin._local_stack("c").dtype == object
+        for shape in self.SHAPES:
+            assert_attains(twin, "c", rng.normal(size=shape))
+
+    def test_wrong_last_axis(self, rng):
+        with pytest.raises(InputError):
+            ragged_net(rng).local_argmin("c", np.zeros(2))
+
+
 class TestConstruction:
     def test_missing_local_model(self):
         dag = Dag(["a", "b"], [("a", "b")])
