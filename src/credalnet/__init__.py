@@ -8,9 +8,10 @@ hidden-state models, root bracketing for conditioning, and brute-force
 oracles for verification.
 """
 
-from .chains import (HmmSpec, TransferOperator, chain_forward,
-                     chain_reverse_rho, complete_evidence_lower,
-                     hmm_forward_rho, infer_hmm_spec)
+from .chains import (HmmSpec, HmmStep, ReversePlan, TransferOperator,
+                     chain_forward, chain_reverse_rho,
+                     complete_evidence_lower, hmm_forward_rho, hmm_plan,
+                     infer_hmm_spec, reverse_plan)
 from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
                            natural_conditional, reduce_then_condition,
                            regular_conditional, rho, rho_evaluator,

@@ -5,30 +5,45 @@ A chain query composes transfer operators backwards: the operator of
 node k maps a gamble on X_k to the gamble on X_{k-1} whose value at each
 predecessor state is the local lower expectation, one
 :meth:`~credalnet.network.CredalNetwork.local_lower` contraction per
-step.  Reverse conditioning and observation-weighted recursions evaluate
-the bracketing function of the conditioning module in one backward sweep
-instead of solving a global program per abscissa; their envelopes are
-arrays over the parents of the next node.  Like the global program, a
-sweep also gives the probability of the event under a model attaining
-the function (:meth:`~credalnet.network.CredalNetwork.local_argmin`).
+step.
+
+Reverse conditioning and observation-weighted recursions evaluate the
+bracketing function rho of the conditioning module in one backward sweep
+instead of solving a global program per abscissa.  Each splits into a
+per-query *plan* and a per-mu *evaluation*.  The plan holds what depends
+neither on the gamble nor on mu, so the lower and the upper bound of a
+query share it: for a reverse chain the two indicator envelopes
+(:func:`reverse_plan`, one backward pass), for a hidden-state model the
+lower and upper probability of every observed symbol and the axis order
+and local stack of every step (:func:`hmm_plan`).  :func:`chain_reverse_rho` and
+:func:`hmm_forward_rho` build rho for one gamble from a plan; an
+evaluation is then one front contraction on a chain, and one
+weight/multiply/contract step per time step on a hidden-state model.
+Like the global program, an evaluation also gives the probability of
+the event under a model attaining rho, from the attaining local mass
+functions
+(:meth:`~credalnet.network.CredalNetwork.local_lower_argmin`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import conditioning, decompose
 from .errors import HypothesisError, InputError
-from .network import CredalNetwork, Factor, sub_network
+from .network import CredalNetwork, Factor, lower_argmin, sub_network
 
 __all__ = [
-    "TransferOperator", "chain_order", "chain_forward", "chain_reverse_rho",
-    "HmmSpec", "infer_hmm_spec", "hmm_forward_rho",
-    "complete_evidence_lower",
+    "TransferOperator", "chain_order", "chain_forward", "ReversePlan",
+    "reverse_plan", "chain_reverse_rho", "HmmSpec", "infer_hmm_spec",
+    "HmmStep", "hmm_plan", "hmm_forward_rho", "complete_evidence_lower",
 ]
+
+#: rho at one mu: ``(rho, E_p[f 1_B], P_p(B))`` at a model p attaining it.
+Rho = Callable[[float], tuple[float, float, float]]
 
 
 def chain_order(net: CredalNetwork) -> tuple[str, ...]:
@@ -96,32 +111,52 @@ def chain_forward(net: CredalNetwork, h) -> float:
     return float(net.local_lower(order[0], g))
 
 
-def chain_reverse_rho(net: CredalNetwork, h, x_n: str, mu: float
-                      ) -> tuple[float, float, float]:
-    """Bracketing function for conditioning the first chain node on the
-    value of the last one: the lower expectation rho of
-    ``1{X_last = x_n} * (h(X_first) - mu)`` in one backward sweep.
+@dataclass(frozen=True, eq=False)
+class ReversePlan:
+    """The part of :func:`chain_reverse_rho` that depends neither on the
+    gamble nor on mu: the first chain node, and the lower and upper
+    probability of ``X_last = x_n`` given each of its states, under the
+    lower (``lo_env``) and the upper (``hi_env``) transfer."""
 
-    Two indicator envelopes propagate backwards (one under the lower and
-    one under the upper transfer); at the front they weight the positive
-    and negative parts of ``h - mu``.  The weights are probabilities of
-    ``X_last = x_n`` at attaining models, so their mean under the first
-    node's attaining mass function is P(B) at a model attaining rho.
-    Returns ``(rho, rho + mu * P, P)``."""
+    first: str
+    lo_env: np.ndarray
+    hi_env: np.ndarray
+
+
+def reverse_plan(net: CredalNetwork, x_n: str) -> ReversePlan:
+    """The two indicator envelopes of ``X_last = x_n``, in one backward
+    pass of the transfer operators."""
     order = chain_order(net)
-    first, last = order[0], order[-1]
-    hv = _gamble_on(net, first, h)
+    last = order[-1]
     if x_n not in net.states(last):
         raise InputError(f"unknown state {x_n!r} of node {last!r}")
     lo_env = hi_env = np.array([x == x_n for x in net.states(last)], float)
     for k in range(len(order) - 1, 0, -1):
         op = TransferOperator(net, order[k])
         lo_env, hi_env = op(lo_env), op.upper(hi_env)
-    w = np.where(hv >= mu, lo_env, hi_env)
-    g = w * (hv - mu)
-    value = float(net.local_lower(first, g))
-    prob = float(net.local_argmin(first, g) @ w)
-    return value, value + mu * prob, prob
+    return ReversePlan(order[0], lo_env, hi_env)
+
+
+def chain_reverse_rho(net: CredalNetwork, h, plan: ReversePlan) -> Rho:
+    """Bracketing function for conditioning the first chain node on the
+    value of the last one: rho(mu) is the lower expectation of
+    ``1{X_last = x_n} * (h(X_first) - mu)``.
+
+    The plan's envelopes weight the positive and the negative part of
+    ``h - mu``, so an evaluation is one contraction at the first node.
+    The weights are probabilities of ``X_last = x_n`` at attaining
+    models, so their mean under the first node's attaining mass
+    function is P(B) at a model attaining rho.  rho(mu) returns
+    ``(rho, rho + mu * P, P)``."""
+    hv = _gamble_on(net, plan.first, h)
+
+    def rho(mu: float) -> tuple[float, float, float]:
+        w = np.where(hv >= mu, plan.lo_env, plan.hi_env)
+        value, mass = net.local_lower_argmin(plan.first, w * (hv - mu))
+        value, prob = float(value), float(mass @ w)
+        return value, value + mu * prob, prob
+
+    return rho
 
 
 @dataclass(frozen=True)
@@ -150,18 +185,29 @@ class HmmSpec:
                                   "hidden-state shape")
 
 
-def hmm_forward_rho(spec: HmmSpec, f, observations: Mapping[str, str],
-                    mu: float = 0.0) -> tuple[float, float, float]:
-    """Bracketing function of the filtering query: the lower expectation
-    rho of ``1{observations} * (f(X_last_state) - mu)``.
+@dataclass(frozen=True, eq=False)
+class HmmStep:
+    """One time step of :func:`hmm_forward_rho`, from the envelope over
+    the parents of the next state node to one over the parents of a
+    state node: ``axes`` moves the axis of the state node last,
+    ``shape`` is the reshape onto its parents (length 1 where the next
+    node does not share a parent) and its states, ``low`` and ``high``
+    are the lower and upper probability of the observed symbol given
+    each of its states, and ``stack`` is its local stack
+    (:meth:`CredalNetwork.local_stack`)."""
 
-    Backward sweep: start from the local lower expectations of ``f - mu``
-    at the final state node, then alternate the sign-split observation
-    weighting (lower or upper probability of the observed symbol) with
-    the transition's local lower expectation; P, the probability of the
-    later observations at the attaining model, takes the same weights and
-    attaining mass functions.  Linear in the number of time steps.
-    Returns ``(rho, rho + mu * P, P)``."""
+    stack: np.ndarray
+    axes: tuple[int, ...]
+    shape: tuple[int, ...]
+    low: np.ndarray
+    high: np.ndarray
+
+
+def hmm_plan(spec: HmmSpec, observations: Mapping[str, str]
+             ) -> tuple[HmmStep, ...]:
+    """The part of :func:`hmm_forward_rho` that depends neither on the
+    gamble nor on mu: its steps, from the last observation to the first;
+    two local lower expectations per observation node."""
     net = spec.net
     s_nodes, o_nodes = spec.state_nodes, spec.obs_nodes
     if set(observations) != set(o_nodes):
@@ -169,28 +215,51 @@ def hmm_forward_rho(spec: HmmSpec, f, observations: Mapping[str, str],
     for o in o_nodes:
         if observations[o] not in net.states(o):
             raise InputError(f"unknown state {observations[o]!r} of {o!r}")
-    n = len(o_nodes)
-
-    # h is an array over the parents of the next state node, in
-    # declaration order
-    last = s_nodes[n]
-    h = net.local_lower(last, _gamble_on(net, last, f) - mu)
-    prob = np.ones(h.shape)
-    for k in range(n - 1, -1, -1):
+    steps = []
+    for k in range(len(o_nodes) - 1, -1, -1):
         sk, ok = s_nodes[k], o_nodes[k]
         seen = np.array([x == observations[ok] for x in net.states(ok)], float)
-        low, high = net.local_lower(ok, seen), -net.local_lower(ok, -seen)
         nxt = net.dag.parents(s_nodes[k + 1])
-        g = np.moveaxis(h, nxt.index(sk), -1)
-        w = np.where(g >= 0, low, high)
+        i = nxt.index(sk)
+        axes = tuple(j for j in range(len(nxt)) if j != i) + (i,)
         # the envelope depends on the parents of s_k that s_{k+1} shares
-        shape = [net.size(p) if p in nxt else 1
-                 for p in net.dag.parents(sk)] + [net.size(sk)]
-        g = (g * w).reshape(shape)
-        prob = (np.moveaxis(prob, nxt.index(sk), -1) * w).reshape(shape)
-        h = net.local_lower(sk, g)
-        prob = (net.local_argmin(sk, g) * prob).sum(-1)
-    return float(h), float(h + mu * prob), float(prob)
+        shape = tuple(net.size(p) if p in nxt else 1
+                      for p in net.dag.parents(sk)) + (net.size(sk),)
+        steps.append(HmmStep(net.local_stack(sk), axes, shape,
+                             net.local_lower(ok, seen),
+                             -net.local_lower(ok, -seen)))
+    return tuple(steps)
+
+
+def hmm_forward_rho(spec: HmmSpec, f, plan: tuple[HmmStep, ...]) -> Rho:
+    """Bracketing function of the filtering query: rho(mu) is the lower
+    expectation of ``1{observations} * (f(X_last_state) - mu)``.
+
+    Backward sweep: start from the local lower expectations of ``f - mu``
+    at the final state node, then alternate the sign-split observation
+    weighting (the plan's lower or upper probability of the observed
+    symbol) with the transition's local lower expectation; P, the
+    probability of the later observations at the attaining model, takes
+    the same weights and attaining mass functions.  Linear in the number
+    of time steps.  rho(mu) returns ``(rho, rho + mu * P, P)``."""
+    net = spec.net
+    last = spec.state_nodes[-1]
+    fv = _gamble_on(net, last, f)
+    ones = np.ones(net.shape(net.dag.parents(last)))
+
+    def rho(mu: float) -> tuple[float, float, float]:
+        # h is an array over the parents of the next state node, in
+        # declaration order
+        h, prob = net.local_lower(last, fv - mu), ones
+        for step in plan:
+            g = h.transpose(step.axes)
+            w = np.where(g >= 0, step.low, step.high)
+            prob = (prob.transpose(step.axes) * w).reshape(step.shape)
+            h, mass = lower_argmin(step.stack, (g * w).reshape(step.shape))
+            prob = (mass * prob).sum(-1)
+        return float(h), float(h + mu * prob), float(prob)
+
+    return rho
 
 
 def infer_hmm_spec(net: CredalNetwork, obs_nodes) -> HmmSpec:
@@ -261,8 +330,8 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
     def rho_fn(mu: float) -> tuple[float, float, float]:
         w = np.where(fv >= mu, prod_low, prod_high)
         g = (fv - mu) * w
-        value = local_q.lower_expectation(g)
-        prob = float(local_q.argmin(g) @ w)
+        value, mass = local_q.lower_argmin(g)
+        prob = float(mass @ w)
         return value, value + mu * prob, prob
 
     ev = conditioning.RhoEvaluator(rho_fn, f_min, f_max, f_min)

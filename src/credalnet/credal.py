@@ -266,13 +266,17 @@ class CredalSet:
         res = self._local_lp(fv, exact)
         return res.objective if exact else float(res.objective)
 
-    def argmin(self, f) -> np.ndarray:
-        """A mass function of the set (an array over the states) at which
-        ``f`` attains its lower expectation: a vertex, or the local LP's."""
+    def lower_argmin(self, f) -> tuple[float, np.ndarray]:
+        """:meth:`lower_expectation` and a mass function of the set (an
+        array over the states) attaining it, from one computation: a
+        vertex, or the local LP's solution."""
         fv = _as_values(self.states, f)
         if self._V is not None:
-            return self._V[np.argmin(self._V @ fv)]
-        return self._local_lp(fv).x
+            values = self._V @ fv
+            best = np.argmin(values)
+            return float(values[best]), self._V[best]
+        res = self._local_lp(fv)
+        return float(res.objective), res.x
 
     def _local_lp(self, fv: np.ndarray, exact: bool = False):
         res = simplex.solve(

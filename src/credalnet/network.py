@@ -14,6 +14,7 @@ from :meth:`CredalNetwork.local_lower` in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -124,7 +125,7 @@ class CredalNetwork:
             if dag.parents(s) else 1 for s in dag.nodes)
         if len(self.locals) != expected:
             raise InputError("spurious local-model entries")
-        self._stacks: dict[str, np.ndarray] = {}   # see _local_stack
+        self._stacks: dict[str, np.ndarray] = {}   # see local_stack
 
     # -- lookup -------------------------------------------------------------
 
@@ -167,37 +168,25 @@ class CredalNetwork:
         vertices; otherwise each set answers on its own, by its LP.  At a
         one-vertex set among larger ones, the padded rows may round the
         last bit unlike that set's own ``lower_expectation`` (a dot)."""
-        g = np.asarray(g, dtype=float)
-        if g.ndim == 0 or g.shape[-1] != self.size(s):
-            raise InputError(f"a gamble on {s!r} needs a last axis of "
-                             f"{self.size(s)} values, not shape {g.shape}")
-        stack = self._local_stack(s)
+        g, stack = self._checked_gamble(s, g), self.local_stack(s)
         if stack.dtype != object:
             return (stack @ g[..., None])[..., 0].min(-1)
-        shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
-        rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
-        return np.array([m.lower_expectation(row) for m, row in zip(
-            np.broadcast_to(stack, shape).flat, rows)]).reshape(shape)
+        shape, values = _per_set(stack, g, CredalSet.lower_expectation)
+        return np.array(values).reshape(shape)
 
-    def local_argmin(self, s: str, g) -> np.ndarray:
-        """A mass function on ``s`` (a last axis) attaining each value of
-        :meth:`local_lower`: a row of the stacked vertices, or the local LP's
-        solution for a set with constraints only (:meth:`CredalSet.argmin`)."""
+    def local_lower_argmin(self, s: str, g) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`local_lower` and a mass function attaining each of its
+        values, from one contraction (:func:`lower_argmin`)."""
+        return lower_argmin(self.local_stack(s), self._checked_gamble(s, g))
+
+    def _checked_gamble(self, s: str, g) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         if g.ndim == 0 or g.shape[-1] != self.size(s):
             raise InputError(f"a gamble on {s!r} needs a last axis of "
                              f"{self.size(s)} values, not shape {g.shape}")
-        stack = self._local_stack(s)
-        if stack.dtype != object:
-            best = (stack @ g[..., None])[..., 0].argmin(-1)[..., None, None]
-            stack = np.broadcast_to(stack, best.shape[:-2] + stack.shape[-2:])
-            return np.take_along_axis(stack, best, -2)[..., 0, :]
-        shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
-        rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
-        return np.array([m.argmin(row) for m, row in zip(
-            np.broadcast_to(stack, shape).flat, rows)]).reshape(*shape, -1)
+        return g
 
-    def _local_stack(self, s: str) -> np.ndarray:
+    def local_stack(self, s: str) -> np.ndarray:
         """The local sets of ``s`` in an object array over its parent
         configurations; or, when all have a vertex list, their vertices
         in a float array with axes (parents..., vertex, state), where a
@@ -330,6 +319,44 @@ class CredalNetwork:
             [n if s in f.scope else 1 for s, n in zip(scope, shape)])
         return values if values.shape == shape else \
             np.broadcast_to(values, shape)
+
+
+def lower_argmin(stack: np.ndarray, g: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The local lower expectations of the gamble ``g`` under a
+    :meth:`CredalNetwork.local_stack`, shaped as by
+    :meth:`CredalNetwork.local_lower` (whose checks of ``g`` it leaves
+    out), and a mass function attaining each of them, with a last axis
+    over the states: the minimising row of the stacked vertices, from
+    the one contraction that gives the values, or, for a set with
+    constraints only, its local LP's solution
+    (:meth:`CredalSet.lower_argmin`)."""
+    if stack.dtype != object:
+        values = (stack @ g[..., None])[..., 0]
+        # a one-hot row per minimum picks its vertex exactly
+        pick = _one_hot(values.shape[-1])[values.argmin(-1), None]
+        return values.min(-1), (pick @ stack)[..., 0, :]
+    shape, pairs = _per_set(stack, g, CredalSet.lower_argmin)
+    values, masses = zip(*pairs)
+    return (np.array(values).reshape(shape),
+            np.array(masses).reshape(*shape, -1))
+
+
+@cache
+def _one_hot(k: int) -> np.ndarray:
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+def _per_set(stack: np.ndarray, g: np.ndarray, query) -> tuple:
+    """The broadcast shape of the gamble's leading axes and an object
+    stack, and ``query(set, row)`` for the local set and gamble row at
+    each of its indices, in a flat list."""
+    shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
+    rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
+    return shape, [query(m, row) for m, row in zip(
+        np.broadcast_to(stack, shape).flat, rows)]
 
 
 def restrict_factor(net: CredalNetwork, f: Factor,

@@ -10,30 +10,33 @@ from typing import Callable
 from . import chains, conditioning, decompose, lp
 from .errors import HypothesisError, InputError
 from .fileio import Query
-from .network import CredalNetwork, Event, Factor
+from .network import CredalNetwork, Factor
 
 
-def _chain_sweep(net: CredalNetwork, f: Factor, given: Event):
+def _chain_sweep(net: CredalNetwork, q: Query):
+    """rho for a gamble of the query, from one plan for both bounds."""
     order = chains.chain_order(net)
-    if given.cylinder and given.scope == (order[-1],) and \
-            f.scope in ((order[0],), ()):
-        (x_n,) = next(iter(given.states))
-        return lambda mu: chains.chain_reverse_rho(net, f, x_n, mu)
+    if q.given.cylinder and q.given.scope == (order[-1],) and \
+            q.target.scope in ((order[0],), ()):
+        (x_n,) = next(iter(q.given.states))
+        plan = chains.reverse_plan(net, x_n)
+        return lambda f: chains.chain_reverse_rho(net, f, plan)
     raise HypothesisError(
         "chain dispatch needs a gamble on the first node conditioned on "
         "the value of the last one")
 
 
-def _hmm_sweep(net: CredalNetwork, f: Factor, given: Event):
-    if not given.cylinder:
+def _hmm_sweep(net: CredalNetwork, q: Query):
+    """rho for a gamble of the query, from one plan for both bounds."""
+    if not q.given.cylinder:
         raise HypothesisError(
             "hidden-state dispatch needs an instantiated observation event")
-    spec = chains.infer_hmm_spec(net, given.scope)
-    if f.scope not in ((spec.state_nodes[-1],), ()):
+    spec = chains.infer_hmm_spec(net, q.given.scope)
+    if q.target.scope not in ((spec.state_nodes[-1],), ()):
         raise HypothesisError(
             "hidden-state dispatch needs a gamble on the final state node")
-    observations = given.assignment()
-    return lambda mu: chains.hmm_forward_rho(spec, f, observations, mu)
+    plan = chains.hmm_plan(spec, q.given.assignment())
+    return lambda f: chains.hmm_forward_rho(spec, f, plan)
 
 
 def _unconditional_bound(net: CredalNetwork, q: Query,
@@ -66,10 +69,9 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
         reduced = conditioning.ReducedQuery(net, q.given,
                                             lp.GlobalPolytope(net))
     elif q.method in _SWEEPS:
-        sweep = _SWEEPS[q.method]
+        sweep = _SWEEPS[q.method](net, q)
         return lambda f: conditioning.condition(conditioning.RhoEvaluator(
-            sweep(net, f, q.given), f.min(), f.max(), f.min()), q.rule,
-            q.tolerance)
+            sweep(f), f.min(), f.max(), f.min()), q.rule, q.tolerance)
     else:
         raise InputError(f"unknown method {q.method!r}")
     return lambda f: conditioning.condition_reduced(reduced, f, q.rule,
@@ -78,8 +80,9 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     """Evaluate one query; returns a flat result mapping for reporting.
-    The lower and the upper bound share the ``auto`` reduction and one
-    build of the global program, and its phase 1."""
+    The lower and the upper bound share the ``auto`` reduction, one
+    build of the global program and its phase 1, and the plan of a
+    chain or hidden-state sweep."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 
+from credalnet.chains import HmmSpec, chain_order
 from credalnet.credal import CredalSet, vertices_to_constraints
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor
@@ -160,3 +161,78 @@ def bayes_joint(net: CredalNetwork) -> np.ndarray:
             (vertex,) = m.vertices
             out[j] *= vertex[ctx[s]]
     return out
+
+
+# -- per-mu reference sweeps -----------------------------------------------
+#
+# The chain-reverse and hidden-state rho with nothing kept between two
+# values of mu: every envelope and observation bound is recomputed, and
+# the attaining mass functions are picked by index from the stacked
+# vertices.  The engine's plan/evaluation split must agree bit for bit.
+
+def reference_argmin(net: CredalNetwork, s: str, g) -> np.ndarray:
+    """A mass function on ``s`` attaining each value of
+    ``net.local_lower(s, g)``: the minimising row of the stacked
+    vertices, or the local LP's solution for a set with constraints
+    only."""
+    g = np.asarray(g, dtype=float)
+    stack = net.local_stack(s)
+    if stack.dtype != object:
+        best = (stack @ g[..., None])[..., 0].argmin(-1)[..., None, None]
+        stack = np.broadcast_to(stack, best.shape[:-2] + stack.shape[-2:])
+        return np.take_along_axis(stack, best, -2)[..., 0, :]
+    shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
+    rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
+    return np.array([m.lower_argmin(row)[1] for m, row in zip(
+        np.broadcast_to(stack, shape).flat, rows)]).reshape(*shape, -1)
+
+
+def reference_reverse_rho(net: CredalNetwork, h: Factor, x_n: str,
+                          mu: float) -> tuple[float, float, float]:
+    """``chain_reverse_rho`` at one mu, both envelopes recomputed."""
+    order = chain_order(net)
+    first, last = order[0], order[-1]
+    hv = net.aligned(h, (first,))
+    lo_env = hi_env = np.array([x == x_n for x in net.states(last)], float)
+    for k in range(len(order) - 1, 0, -1):
+        lo_env = net.local_lower(order[k], lo_env)
+        hi_env = -net.local_lower(order[k], -hi_env)
+    w = np.where(hv >= mu, lo_env, hi_env)
+    g = w * (hv - mu)
+    value = float(net.local_lower(first, g))
+    prob = float(reference_argmin(net, first, g) @ w)
+    return value, value + mu * prob, prob
+
+
+def reference_hmm_rho(spec: HmmSpec, f: Factor, observations: dict,
+                      mu: float) -> tuple[float, float, float]:
+    """``hmm_forward_rho`` at one mu, the observation bounds
+    recomputed at every step."""
+    net = spec.net
+    s_nodes, o_nodes = spec.state_nodes, spec.obs_nodes
+    last = s_nodes[-1]
+    h = net.local_lower(last, net.aligned(f, (last,)) - mu)
+    prob = np.ones(h.shape)
+    for k in range(len(o_nodes) - 1, -1, -1):
+        sk, ok = s_nodes[k], o_nodes[k]
+        seen = np.array([x == observations[ok] for x in net.states(ok)], float)
+        low, high = net.local_lower(ok, seen), -net.local_lower(ok, -seen)
+        nxt = net.dag.parents(s_nodes[k + 1])
+        g = np.moveaxis(h, nxt.index(sk), -1)
+        w = np.where(g >= 0, low, high)
+        shape = [net.size(p) if p in nxt else 1
+                 for p in net.dag.parents(sk)] + [net.size(sk)]
+        g = (g * w).reshape(shape)
+        prob = (np.moveaxis(prob, nxt.index(sk), -1) * w).reshape(shape)
+        h = net.local_lower(sk, g)
+        prob = (reference_argmin(net, sk, g) * prob).sum(-1)
+    return float(h), float(h + mu * prob), float(prob)
+
+
+def kink_grid(values, count: int = 20) -> list[float]:
+    """``count`` evenly spaced values of mu from one below the least to
+    one above the greatest of ``values``, and ``values`` themselves,
+    where rho has its kinks."""
+    values = np.unique(np.asarray(values, dtype=float))
+    grid = np.linspace(values[0] - 1.0, values[-1] + 1.0, count)
+    return sorted({float(x) for x in grid} | {float(x) for x in values})

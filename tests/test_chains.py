@@ -3,22 +3,35 @@
 import numpy as np
 import pytest
 
-from credalnet import chains, conditioning, lp, oracle
+from credalnet import chains, conditioning, lp, oracle, queries
 from credalnet.chains import (TransferOperator, chain_forward, chain_order,
                               chain_reverse_rho, complete_evidence_lower,
-                              hmm_forward_rho, infer_hmm_spec)
+                              hmm_forward_rho, hmm_plan, infer_hmm_spec,
+                              reverse_plan)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.decompose import iterated_lower_expectation, lower_expectation
 from credalnet.errors import HypothesisError
+from credalnet.fileio import Query
 from credalnet.graph import Dag
-from credalnet.network import Factor, sub_network
+from credalnet.network import CredalNetwork, Factor, sub_network
 
 from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
-                     interval_locals, precise_locals, random_binary_net,
-                     random_chain_net, random_factor, random_hmm_net,
-                     redeclared)
+                     interval_locals, kink_grid, precise_locals,
+                     random_binary_net, random_chain_net, random_factor,
+                     random_hmm_net, redeclared, reference_hmm_rho,
+                     reference_reverse_rho)
 
 TOL = 1e-9
+
+
+def reverse_rho(net, h, x_n):
+    """rho of conditioning the first chain node on ``X_last = x_n``."""
+    return chain_reverse_rho(net, h, reverse_plan(net, x_n))
+
+
+def filtering_rho(spec, f, observations):
+    """rho of the filtering query of ``f`` given ``observations``."""
+    return hmm_forward_rho(spec, f, hmm_plan(spec, observations))
 
 
 class TestChainShape:
@@ -96,9 +109,9 @@ class TestChainReverseRho:
         # at mu exactly equal to a gamble value both branches give zero
         net = random_chain_net(rng, 3)
         h = net.factor_from_values(["1"], [1.0, 0.0])
-        left = chain_reverse_rho(net, h, "0", 1.0 - 1e-12)[0]
-        right = chain_reverse_rho(net, h, "0", 1.0 + 1e-12)[0]
-        at = chain_reverse_rho(net, h, "0", 1.0)[0]
+        rho = reverse_rho(net, h, "0")
+        left, right, at = (rho(mu)[0] for mu in (1.0 - 1e-12, 1.0 + 1e-12,
+                                                 1.0))
         assert left == pytest.approx(at, abs=1e-9)
         assert right == pytest.approx(at, abs=1e-9)
 
@@ -112,7 +125,7 @@ class TestChainReverseRho:
                 scope = ("1", "3")
                 assembled = Factor(scope, net.aligned(ind, scope) * (
                     net.aligned(h, scope) - mu))
-                assert chain_reverse_rho(net, h, x_n, mu)[0] == pytest.approx(
+                assert reverse_rho(net, h, x_n)(mu)[0] == pytest.approx(
                     lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
     def test_precise_chain_bayes(self, rng):
@@ -124,7 +137,7 @@ class TestChainReverseRho:
         mask = lp.event_mask(net, B)
         fv = lp.factor_vector(net, h)
         bayes = float(joint[mask] @ fv[mask]) / float(joint[mask].sum())
-        fn = lambda mu: chain_reverse_rho(net, h, "0", mu)
+        fn = reverse_rho(net, h, "0")
         ev = conditioning.RhoEvaluator(fn, h.min(), h.max(), h.min())
         res = conditioning.natural_conditional(ev, tolerance=1e-10)
         assert res.value == pytest.approx(bayes, abs=1e-8)
@@ -139,7 +152,7 @@ class TestChainReverseRho:
                 net, h, net.cylinder({"3": x_n}), "regular")
             if expect is None:
                 continue
-            fn = lambda mu: chain_reverse_rho(net, h, x_n, mu)
+            fn = reverse_rho(net, h, x_n)
             ev = conditioning.RhoEvaluator(fn, h.min(), h.max(), h.min())
             res = conditioning.regular_conditional(ev, tolerance=1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
@@ -161,8 +174,8 @@ class TestHmm:
         net, states, obs = random_hmm_net(rng, 2)
         spec = infer_hmm_spec(net, obs)
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        low = hmm_forward_rho(spec, Factor.constant(1.0), x, 0.0)[0]
-        high = -hmm_forward_rho(spec, Factor.constant(-1.0), x, 0.0)[0]
+        low = filtering_rho(spec, Factor.constant(1.0), x)(0.0)[0]
+        high = -filtering_rho(spec, Factor.constant(-1.0), x)(0.0)[0]
         ind = net.indicator(net.cylinder(x))
         assert low == pytest.approx(
             lp.lower_expectation_lp(net, ind), abs=1e-7)
@@ -180,7 +193,7 @@ class TestHmm:
             scope = net.dag.sorted_nodes(set(obs) | {states[-1]})
             assembled = Factor(scope, net.aligned(ind, scope) * (
                 net.aligned(f, scope) - mu))
-            assert hmm_forward_rho(spec, f, x, mu)[0] == pytest.approx(
+            assert filtering_rho(spec, f, x)(mu)[0] == pytest.approx(
                 lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
     def test_filtering_query(self, rng):
@@ -189,13 +202,33 @@ class TestHmm:
         spec = infer_hmm_spec(net, obs)
         f = random_factor(rng, net, [states[-1]])
         x = {o: "0" for o in obs}
-        fn = lambda mu: hmm_forward_rho(spec, f, x, mu)
+        fn = filtering_rho(spec, f, x)
         ev = conditioning.RhoEvaluator(fn, f.min(), f.max(), f.min())
         res = conditioning.natural_conditional(ev, tolerance=1e-10)
         direct = conditioning.natural_conditional(
             conditioning.rho_evaluator(net, f, net.cylinder(x)),
             tolerance=1e-10)
         assert res.value == pytest.approx(direct.value, abs=1e-6)
+
+
+def ragged_chain(rng, n=6):
+    """A binary chain whose node 3 mixes a one-vertex local set with
+    two-vertex ones, so its stacked vertices are padded."""
+    dag = chain_dag(n)
+    locals_ = interval_locals(dag, rng)
+    locals_[("3", ("1",))] = singleton(("0", "1"), (0.3, 0.7))
+    return binary_net(dag, locals_)
+
+
+def ragged_hmm(rng, n_obs, order):
+    """A hidden-state model whose state node s2 and observation node o1
+    each mix a one-vertex local set with two-vertex ones."""
+    net, states, obs = random_hmm_net(rng, n_obs, order=order)
+    locals_ = dict(net.locals)
+    for s in ("s2", "o1"):
+        cfg = next(net.parent_configs(s))
+        locals_[(s, cfg)] = singleton(("0", "1"), (0.35, 0.65))
+    return CredalNetwork(net.dag, net.state_spaces, locals_), states, obs
 
 
 class TestShuffledAndConstraintForm:
@@ -212,8 +245,8 @@ class TestShuffledAndConstraintForm:
             twin = infer_hmm_spec(shuffled, obs)
             assert twin.state_nodes == states
             for mu in (-0.6, 0.0, 0.4):
-                assert hmm_forward_rho(twin, f, x, mu)[0] == \
-                    hmm_forward_rho(spec, f, x, mu)[0]
+                assert filtering_rho(twin, f, x)(mu)[0] == \
+                    filtering_rho(spec, f, x)(mu)[0]
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_hmm_on_constraint_form_twin(self, rng, order):
@@ -223,15 +256,12 @@ class TestShuffledAndConstraintForm:
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
         for mu in (-0.6, 0.0, 0.4):
-            assert hmm_forward_rho(infer_hmm_spec(twin, obs), f, x, mu)[0] \
-                == pytest.approx(hmm_forward_rho(infer_hmm_spec(net, obs),
-                                                 f, x, mu)[0], abs=1e-12)
+            assert filtering_rho(infer_hmm_spec(twin, obs), f, x)(mu)[0] \
+                == pytest.approx(filtering_rho(infer_hmm_spec(net, obs),
+                                               f, x)(mu)[0], abs=1e-12)
 
     def test_chains_on_constraint_form_twin(self, rng):
-        dag = chain_dag(6)
-        locals_ = interval_locals(dag, rng)
-        locals_[("3", ("1",))] = singleton(("0", "1"), (0.3, 0.7))
-        net = binary_net(dag, locals_)
+        net = ragged_chain(rng)
         twin = constraint_twin(net)
         for _ in range(3):
             h = random_factor(rng, net, ["6"])
@@ -239,9 +269,130 @@ class TestShuffledAndConstraintForm:
                 chain_forward(net, h), abs=1e-12)
             h = random_factor(rng, net, ["1"])
             for mu in (-0.7, 0.1, 1.3):
-                assert chain_reverse_rho(twin, h, "0", mu)[0] == \
-                    pytest.approx(chain_reverse_rho(net, h, "0", mu)[0],
+                assert reverse_rho(twin, h, "0")(mu)[0] == \
+                    pytest.approx(reverse_rho(net, h, "0")(mu)[0],
                                   abs=1e-12)
+
+
+def assert_reverse_matches_reference(net, h, x_n):
+    rho = reverse_rho(net, h, x_n)
+    mus = kink_grid(h.values)
+    assert len(mus) >= 20
+    for mu in mus:
+        assert rho(mu) == reference_reverse_rho(net, h, x_n, mu)
+
+
+def assert_hmm_matches_reference(spec, f, x):
+    rho = filtering_rho(spec, f, x)
+    mus = kink_grid(f.values)
+    assert len(mus) >= 20
+    for mu in mus:
+        assert rho(mu) == reference_hmm_rho(spec, f, x, mu)
+
+
+#: At mu = 0.5 every envelope of the filtering sweep is exactly zero, the
+#: tie of its sign split.
+CONSTANT = Factor.constant(0.5)
+
+
+class TestPlanMatchesPerMuSweep:
+    """The plan and evaluation of a sweep give (rho, E, P) equal, bit for
+    bit, to the sweep that recomputes everything at every mu."""
+
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_random_chains(self, rng, n):
+        for _ in range(3):
+            net = random_chain_net(rng, n)
+            h = random_factor(rng, net, ["1"])
+            for x_n in ("0", "1"):
+                assert_reverse_matches_reference(net, h, x_n)
+                assert_reverse_matches_reference(net, -h, x_n)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_hmm_in_shuffled_declaration_order(self, rng, order):
+        net, states, obs = random_hmm_net(rng, 4, order=order)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        for _ in range(3):
+            nodes = list(net.dag.nodes)
+            rng.shuffle(nodes)
+            spec = infer_hmm_spec(redeclared(net, nodes), obs)
+            for g in (f, -f, CONSTANT):
+                assert_hmm_matches_reference(spec, g, x)
+
+    def test_chain_twins(self, rng):
+        net = ragged_chain(rng)
+        assert net.local_stack("3").shape == (2, 2, 2)
+        twin = constraint_twin(net)
+        for model in (net, twin):
+            h = random_factor(rng, net, ["1"])
+            assert_reverse_matches_reference(model, h, "0")
+            assert_reverse_matches_reference(model, -h, "1")
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_hmm_twins(self, rng, order):
+        net, states, obs = ragged_hmm(rng, 3, order)
+        twin = constraint_twin(net)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        for model in (net, twin):
+            spec = infer_hmm_spec(model, obs)
+            for g in (f, -f, CONSTANT):
+                assert_hmm_matches_reference(spec, g, x)
+
+
+def counted_local_lower(monkeypatch) -> list:
+    """The node of every ``CredalNetwork.local_lower`` call from now on."""
+    nodes = []
+    local_lower = CredalNetwork.local_lower
+    monkeypatch.setattr(CredalNetwork, "local_lower",
+                        lambda net, s, g: nodes.append(s) or
+                        local_lower(net, s, g))
+    return nodes
+
+
+def counted_rho(monkeypatch) -> list:
+    """The abscissa of every new evaluation of rho from now on."""
+    mus = []
+    rho = conditioning.RhoEvaluator.rho
+
+    def counted(self, mu):
+        if mu not in self._seen:
+            mus.append(mu)
+        return rho(self, mu)
+
+    monkeypatch.setattr(conditioning.RhoEvaluator, "rho", counted)
+    return mus
+
+
+class TestOnePlanPerQuery:
+    """The lower and the upper bound of a query share one plan, so the
+    work that does not depend on mu is done once per query, however many
+    evaluations of rho the brackets take."""
+
+    @pytest.mark.parametrize("rule", ["natural", "regular"])
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_reverse_chain_transfers(self, rng, monkeypatch, rule, n):
+        net = random_chain_net(rng, n)
+        h = random_factor(rng, net, ["1"])
+        nodes, mus = counted_local_lower(monkeypatch), counted_rho(monkeypatch)
+        queries.run_query(net, Query(h, net.cylinder({str(n): "0"}), rule,
+                                     "chain", 1e-10))
+        assert len(mus) >= 4
+        # a lower and an upper transfer into every node but the first
+        assert sorted(nodes) == sorted(net.dag.nodes[1:] * 2)
+
+    @pytest.mark.parametrize("rule", ["natural", "regular"])
+    @pytest.mark.parametrize("order, n", [(1, 1), (1, 4), (1, 9), (2, 2),
+                                          (2, 4), (2, 9)])
+    def test_hmm_observation_bounds(self, rng, monkeypatch, rule, order, n):
+        net, states, obs = random_hmm_net(rng, n, order=order)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        nodes, mus = counted_local_lower(monkeypatch), counted_rho(monkeypatch)
+        queries.run_query(net, Query(f, net.cylinder(x), rule, "hmm", 1e-10))
+        assert len(mus) >= 4
+        assert len([s for s in nodes if s in obs]) == 2 * n
 
 
 def diamond_net(rng):
@@ -379,12 +530,11 @@ class TestDinkelbachSweeps:
             B = net.cylinder({str(n): "0"})
             for g in (h, -h):
                 for rule in ("natural", "regular"):
-                    got, calls = sweep_bound(
-                        lambda mu: chain_reverse_rho(net, g, "0", mu), g, rule)
+                    got, calls = sweep_bound(reverse_rho(net, g, "0"), g,
+                                             rule)
                     assert calls <= MAX_ENGINE_CALLS
-                    on_twin, calls = sweep_bound(
-                        lambda mu: chain_reverse_rho(twin, g, "0", mu), g,
-                        rule)
+                    on_twin, calls = sweep_bound(reverse_rho(twin, g, "0"),
+                                                 g, rule)
                     assert calls <= MAX_ENGINE_CALLS
                     assert_same_bound(on_twin, got)
                     if n <= 5:
@@ -405,9 +555,8 @@ class TestDinkelbachSweeps:
                     results = []
                     for model in (net, twin):
                         spec = infer_hmm_spec(model, obs)
-                        got, calls = sweep_bound(
-                            lambda mu: hmm_forward_rho(spec, g, x, mu), g,
-                            rule)
+                        got, calls = sweep_bound(filtering_rho(spec, g, x),
+                                                 g, rule)
                         assert calls <= MAX_ENGINE_CALLS
                         results.append(got)
                     assert_same_bound(results[1], results[0])
@@ -416,15 +565,7 @@ class TestDinkelbachSweeps:
                             net, g, net.cylinder(x), rule))
 
     def test_complete_evidence_bounds(self, rng, monkeypatch):
-        calls = []
-        rho = conditioning.RhoEvaluator.rho
-
-        def counted(self, mu):
-            if mu not in self._seen:
-                calls.append(mu)
-            return rho(self, mu)
-
-        monkeypatch.setattr(conditioning.RhoEvaluator, "rho", counted)
+        calls = counted_rho(monkeypatch)
         hits = 0
         for _ in range(6):
             net = random_binary_net(rng, 4, edge_p=0.6)

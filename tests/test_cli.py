@@ -239,3 +239,18 @@ def test_unknown_query_key(capsys, tmp_path):
     code, _, err = run(capsys, "infer", data("two_coins.json"), str(path))
     assert code == cli.EXIT_VALIDATION
     assert err.startswith("error=") and "unknown keys ['methd']" in err
+
+
+def test_hmm_query_matches_lp(capsys, tmp_path):
+    # the filtering sweep and the global program give the same bounds
+    code, hmm, _ = run(capsys, "infer", data("hmm3.json"),
+                       data("hmm3_query.json"))
+    assert code == 0 and hmm["method"] == "hmm"
+    with open(data("hmm3_query.json"), encoding="utf-8") as fh:
+        query = json.load(fh)
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({**query, "method": "lp"}), encoding="utf-8")
+    code, exact, _ = run(capsys, "infer", data("hmm3.json"), str(path))
+    assert code == 0 and exact["method"] == "lp"
+    for key in ("lower", "upper"):
+        assert float(hmm[key]) == pytest.approx(float(exact[key]), abs=1e-9)

@@ -111,7 +111,7 @@ class TestLocalLower:
             locals_[key] = CredalSet(m.states,
                                      constraints=vertices_to_constraints(m))
         twin = CredalNetwork(net.dag, net.state_spaces, locals_)
-        assert twin._local_stack("c").dtype == object
+        assert twin.local_stack("c").dtype == object
         for shape in [(2, 3, 3), (3,), (1, 3, 3), (4, 2, 1, 3)]:
             g = rng.normal(size=shape)
             got = twin.local_lower("c", g)
@@ -135,11 +135,11 @@ class TestLocalLower:
 
 
 def assert_attains(net, s, g):
-    """``local_argmin`` gives, for every value of ``local_lower``, a
-    member of that parent configuration's set whose expectation of ``g``
-    is that value."""
-    low = net.local_lower(s, g)
-    p = net.local_argmin(s, g)
+    """``local_lower_argmin`` gives the values of ``local_lower`` and, for
+    each, a member of that parent configuration's set whose expectation
+    of ``g`` is that value."""
+    low, p = net.local_lower_argmin(s, g)
+    assert np.array_equal(low, net.local_lower(s, g))
     assert p.shape == low.shape + (net.size(s),)
     assert np.allclose((p * g).sum(-1), low, atol=1e-12, rtol=0)
     parents = net.shape(net.dag.parents(s))
@@ -173,13 +173,13 @@ class TestLocalArgmin:
                    if key[0] == "c" and len(m.vertices) > 1 else m
                    for key, m in net.locals.items()}
         twin = CredalNetwork(net.dag, net.state_spaces, locals_)
-        assert twin._local_stack("c").dtype == object
+        assert twin.local_stack("c").dtype == object
         for shape in self.SHAPES:
             assert_attains(twin, "c", rng.normal(size=shape))
 
     def test_wrong_last_axis(self, rng):
         with pytest.raises(InputError):
-            ragged_net(rng).local_argmin("c", np.zeros(2))
+            ragged_net(rng).local_lower_argmin("c", np.zeros(2))
 
 
 class TestConstruction:
