@@ -6,17 +6,21 @@ points, as a list of linear constraints ``alpha @ p >= beta``, or both.
 On construction the set is normalised to a list of *homogeneous*
 constraints ``gamma @ p >= 0`` (valid on the ``sum p = 1`` hyperplane,
 with ``gamma = alpha - beta``); per-state non-negativity rows are added
-unless an LP certifies that they are already implied.  Each set also
-keeps one of its members, from which the global program starts.  All
-query operations are pure, so instances are freely shareable.
+unless an LP certifies that they are already implied.  The vertices are
+held as one checked float array ``_V`` and the rows as one array ``_H``;
+the ``MassFunction`` and ``HomogeneousConstraint`` tuples are built from
+them on demand.  Each set also keeps one of its members, from which the
+global program starts.  All query operations are pure, so instances are
+freely shareable.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,12 +54,6 @@ class MassFunction:
             raise InputError(f"negative probability in {self.probs}")
         if abs(sum(self.probs) - 1.0) > TOL_FEAS:
             raise InputError(f"probabilities sum to {sum(self.probs)}, not 1")
-
-    @classmethod
-    def from_mapping(cls, states: Sequence[State], values: Mapping[State, float]):
-        if set(values) != set(states):
-            raise InputError("mass function does not cover the state space")
-        return cls(tuple(states), tuple(float(values[s]) for s in states))
 
     def __getitem__(self, state: State) -> float:
         return self.probs[self.states.index(state)]
@@ -108,27 +106,17 @@ class CredalSet:
         self.states: tuple[State, ...] = tuple(states)
         if not self.states or len(set(self.states)) != len(self.states):
             raise InputError("state space must be nonempty without duplicates")
-        n = len(self.states)
 
         if vertices is None and constraints is None:
             raise InputError("credal set needs vertices or constraints")
 
-        self._V: np.ndarray | None = None
-        self.vertices: tuple[MassFunction, ...] | None = None
-        if vertices is not None:
-            verts = [self._coerce_vertex(v) for v in vertices]
-            if not verts:
-                raise ModelError("empty vertex list")
-            self.vertices = tuple(verts)
-            self._V = np.array([v.probs for v in verts], dtype=float)
-
+        self._V: np.ndarray | None = (None if vertices is None
+                                      else self._vertex_array(vertices))
         self.constraints: tuple[LinearConstraint, ...] | None = None
         if constraints is not None:
             self.constraints = tuple(self._coerce_constraint(c) for c in constraints)
 
-        self.homogeneous: tuple[HomogeneousConstraint, ...] = self._derive_homogeneous()
-        self._H = (np.array([h.gamma for h in self.homogeneous], dtype=float)
-                   if self.homogeneous else np.zeros((0, n)))
+        self._H: np.ndarray = self._derive_homogeneous()
 
         if self._V is None:
             self.member = self._feasible_point()
@@ -139,56 +127,72 @@ class CredalSet:
 
     # -- construction helpers ---------------------------------------------
 
-    def _coerce_vertex(self, v) -> MassFunction:
+    def _vertex_array(self, vertices) -> np.ndarray:
+        """The vertices as one (k, n) float array, each row checked to be a
+        mass function; on Python floats, as numpy reductions cost several
+        times more on the few rows of a local set."""
+        if not isinstance(vertices, np.ndarray):
+            vertices = [self._vertex_row(v) for v in vertices]
+        try:
+            V = np.array(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("each vertex must give one number per state") \
+                from None
+        if len(V) == 0:
+            raise ModelError("empty vertex list")
+        if V.ndim != 2 or V.shape[1] != len(self.states):
+            raise InputError("each vertex must give one number per state")
+        for row in V.tolist():
+            # false for a NaN or an infinity too
+            if not (min(row) >= -TOL_FEAS and abs(sum(row) - 1.0) <= TOL_FEAS):
+                if not all(map(math.isfinite, row)):
+                    raise InputError(f"not a finite number in {tuple(row)}")
+                if min(row) < -TOL_FEAS:
+                    raise InputError(f"negative probability in {tuple(row)}")
+                raise InputError(f"probabilities sum to {sum(row)}, not 1")
+        return V
+
+    def _vertex_row(self, v):
         if isinstance(v, MassFunction):
-            if v.states != self.states:
-                raise InputError("vertex state space mismatch")
-            return v
+            v = v.as_dict()
         if isinstance(v, Mapping):
-            return MassFunction.from_mapping(self.states, v)
-        return MassFunction(self.states, tuple(float(x) for x in v))
+            if v.keys() != set(self.states):
+                raise InputError("mass function does not cover the state space")
+            return [v[s] for s in self.states]
+        return v
 
     def _coerce_constraint(self, c) -> LinearConstraint:
-        if isinstance(c, LinearConstraint):
-            if len(c.coeffs) != len(self.states):
-                raise InputError("constraint width mismatch")
-            return c
-        coeffs, bound = c
-        if isinstance(coeffs, Mapping):
-            return LinearConstraint.from_mapping(self.states, coeffs, bound)
-        return LinearConstraint(tuple(float(x) for x in coeffs), float(bound))
+        if not isinstance(c, LinearConstraint):
+            coeffs, bound = c
+            c = (LinearConstraint.from_mapping(self.states, coeffs, bound)
+                 if isinstance(coeffs, Mapping) else
+                 LinearConstraint(tuple(float(x) for x in coeffs), float(bound)))
+        if len(c.coeffs) != len(self.states):
+            raise InputError("constraint width mismatch")
+        return c
 
-    def _derive_homogeneous(self) -> tuple[HomogeneousConstraint, ...]:
+    def _derive_homogeneous(self) -> np.ndarray:
         n = len(self.states)
         if self.constraints is not None:
-            raw = [(np.array(c.coeffs) - c.bound) for c in self.constraints]
+            G = np.array([np.array(c.coeffs) - c.bound
+                          for c in self.constraints]).reshape(-1, n)
         elif n == 2:
             # Binary sets are intervals on p(first state); the two interval
             # rows make the non-negativity rows redundant.
-            lo = float(self._V[:, 0].min())
-            hi = float(self._V[:, 0].max())
-            return (HomogeneousConstraint((1.0 - lo, -lo)),
-                    HomogeneousConstraint((hi - 1.0, hi)))
+            column = self._V[:, 0].tolist()
+            lo, hi = min(column), max(column)
+            return np.array([[1.0 - lo, -lo], [hi - 1.0, hi]])
         else:
-            facets = polytope.facet_constraints(self._V)
-            raw = [alpha - beta for alpha, beta in facets]
+            G = np.array([alpha - beta for alpha, beta in
+                          polytope.facet_constraints(self._V)]).reshape(-1, n)
 
-        out = []
-        for g in raw:
-            g = np.asarray(g, dtype=float)
-            scale = np.abs(g).max()
-            if scale <= 1e-14:
-                continue  # trivial row
-            out.append(HomogeneousConstraint(tuple(float(x) for x in g / scale)))
+        scale = np.abs(G).max(axis=1)
+        keep = scale > 1e-14  # drop trivial rows
+        G = G[keep] / scale[keep, None]
         # Emit explicit non-negativity for every state that is not already
         # implied; correctness over minimality.
-        G = np.array([h.gamma for h in out]) if out else np.zeros((0, n))
-        for i in range(n):
-            if not self._nonneg_implied(G, i):
-                gamma = np.zeros(n)
-                gamma[i] = 1.0
-                out.append(HomogeneousConstraint(tuple(gamma)))
-        return tuple(out)
+        missing = [i for i in range(n) if not self._nonneg_implied(G, i)]
+        return np.vstack([G, np.eye(n)[missing]])
 
     def _nonneg_implied(self, G: np.ndarray, i: int) -> bool:
         """Does ``sum p = 1`` plus the rows of G force ``p_i >= 0``?"""
@@ -225,7 +229,8 @@ class CredalSet:
         if k <= 1:
             return
         if k == 2:
-            if np.max(np.abs(self._V[0] - self._V[1])) <= TOL_FEAS:
+            first, second = self._V.tolist()
+            if max(abs(a - b) for a, b in zip(first, second)) <= TOL_FEAS:
                 raise InputError("duplicate vertices in credal set")
             return
         if k > MAX_CONVERSION_VERTICES:
@@ -237,6 +242,18 @@ class CredalSet:
                     f"vertex {i} lies in the convex hull of the others")
 
     # -- queries ------------------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[MassFunction, ...] | None:
+        """The rows of ``_V`` as mass functions (None without ``_V``)."""
+        return None if self._V is None else tuple(
+            MassFunction(self.states, tuple(row)) for row in self._V.tolist())
+
+    @cached_property
+    def homogeneous(self) -> tuple[HomogeneousConstraint, ...]:
+        """The rows of ``_H``, built on first use."""
+        return tuple(HomogeneousConstraint(tuple(row))
+                     for row in self._H.tolist())
 
     @cached_property
     def member(self) -> np.ndarray:
@@ -315,7 +332,7 @@ class CredalSet:
     def __repr__(self) -> str:
         nv = len(self._V) if self._V is not None else None
         return (f"CredalSet(states={self.states!r}, vertices={nv}, "
-                f"homogeneous={len(self.homogeneous)})")
+                f"homogeneous={len(self._H)})")
 
 
 def vacuous(states: Sequence[State]) -> CredalSet:

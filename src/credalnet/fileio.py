@@ -31,18 +31,21 @@ other; a list-style table names each one once.
 Network documents are read in a single pass that both records every
 defect (:func:`validate_document`) and collects the parsed local sets
 that :func:`load_network_document` hands to :class:`CredalNetwork`.
+A local entry's vertices reach :class:`CredalSet` as one list of rows,
+which it checks and holds as one array; its ``MassFunction`` tuple is
+built only on demand.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
 
-from .credal import CredalSet, LinearConstraint
+from .credal import CredalSet
 from .errors import InputError, ModelError
 from .graph import Dag
 from .network import CredalNetwork, Event, Factor
@@ -60,6 +63,10 @@ def parse_number(v) -> float:
     if not math.isfinite(x):
         raise InputError(f"not a finite number: {v!r}")
     return x
+
+
+#: Up to this many missing local models of a node are listed one a line.
+MAX_LISTED_MISSING = 8
 
 
 def _fmt(x: float) -> str:
@@ -156,9 +163,9 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
     if not isinstance(local_entries, (list, tuple)):
         report.add("'locals' is not a list")
         return report, None
-    needed = {(s, cfg) for s in dag.nodes
-              for cfg in product(*(spaces[p] for p in dag.parents(s)))}
+    parents = {s: dag.parents(s) for s in dag.nodes}
     seen = set()
+    given_count = dict.fromkeys(dag.nodes, 0)
     locals_ = {}
     for entry in local_entries:
         if not isinstance(entry, Mapping) or "node" not in entry \
@@ -173,28 +180,39 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
             continue
         given = entry.get("given", {})
         try:
-            cfg = tuple(str(given[p]) for p in dag.parents(s))
+            cfg = tuple(str(given[p]) for p in parents[s])
         except KeyError as e:
             report.add(f"local model for {s!r} misses parent value {e}")
             continue
-        extra = set(given) - set(dag.parents(s))
-        if extra:
+        if len(given) != len(cfg):
             report.add(f"local model for {s!r} is given non-parents "
-                       f"{sorted(extra)}")
+                       f"{sorted(set(given) - set(parents[s]))}")
         key = (s, cfg)
         if key in seen:
             report.add(f"duplicate local model for {key!r}")
             continue
         seen.add(key)
-        if key not in needed:
+        if not all(x in spaces[p] for p, x in zip(parents[s], cfg)):
             report.add(f"local model for impossible configuration {key!r}")
             continue
+        given_count[s] += 1
         try:
             locals_[key] = _parse_local(entry, spaces[s])
         except (InputError, ModelError) as e:
             report.add(f"invalid local model for {key!r}: {e}")
-    for key in sorted(needed - seen):
-        report.add(f"missing local model for node {key[0]!r} given {key[1]!r}")
+    # count the missing local models before listing any, so that a node
+    # with many parents costs no more than the entries the document gives
+    for s in sorted(dag.nodes):
+        pa_spaces = [spaces[p] for p in parents[s]]
+        needed, given = math.prod(map(len, pa_spaces)), given_count[s]
+        if needed - given > MAX_LISTED_MISSING:
+            report.add(f"node {s!r} needs {needed} local models, the "
+                       f"document gives {given}")
+        elif needed > given:
+            for cfg in sorted(product(*pa_spaces)):
+                if (s, cfg) not in seen:
+                    report.add(f"missing local model for node {s!r} given "
+                               f"{cfg!r}")
     return report, ((dag, spaces, locals_) if report.ok else None)
 
 
@@ -213,30 +231,28 @@ def _objects(entry: Mapping, key: str):
     return value
 
 
+def _row(obj: Mapping, states: tuple, what: str) -> list[float]:
+    """The numbers of ``obj``, which names exactly ``states``, in state
+    order."""
+    if obj.keys() != set(states):
+        raise InputError(f"{what} {obj!r} does not name exactly the states "
+                         f"{states}")
+    return [parse_number(obj[s]) for s in states]
+
+
 def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
     vertices = _objects(entry, "vertices")
     constraints = _objects(entry, "constraints")
-    verts = None
     if vertices is not None:
-        for v in vertices:
-            if set(v) != set(states):
-                raise InputError(f"vertex {v!r} does not name exactly the "
-                                 f"states {states}")
-        verts = [{s: parse_number(v[s]) for s in states} for v in vertices]
-    cons = None
+        vertices = [_row(v, states, "vertex") for v in vertices]
     if constraints is not None:
-        cons = []
         for c in constraints:
             if not isinstance(c.get("alpha"), Mapping) or "beta" not in c:
                 raise InputError(f"constraint needs alpha and beta: {c!r}")
             _check_keys(c, ("alpha", "beta"), "a constraint")
-            if set(c["alpha"]) != set(states):
-                raise InputError(f"constraint alpha must name exactly the "
-                                 f"states {states}")
-            alpha = {s: parse_number(c["alpha"][s]) for s in states}
-            cons.append(LinearConstraint.from_mapping(states, alpha,
-                                                      parse_number(c["beta"])))
-    return CredalSet(states, vertices=verts, constraints=cons)
+        constraints = [(_row(c["alpha"], states, "constraint alpha"),
+                        parse_number(c["beta"])) for c in constraints]
+    return CredalSet(states, vertices=vertices, constraints=constraints)
 
 
 def load_network_document(doc) -> CredalNetwork:
@@ -285,9 +301,9 @@ def network_document(net: CredalNetwork) -> dict:
             m = net.local(s, cfg)
             entry = {"node": s,
                      "given": {p: x for p, x in zip(net.dag.parents(s), cfg)}}
-            if m.vertices is not None:
+            if m._V is not None:
                 entry["vertices"] = [
-                    {x: _fmt(v[x]) for x in m.states} for v in m.vertices]
+                    dict(zip(m.states, map(_fmt, v))) for v in m._V.tolist()]
             else:
                 entry["constraints"] = [
                     {"alpha": {x: _fmt(a) for x, a in zip(m.states, c.coeffs)},

@@ -104,8 +104,7 @@ def _constraint_rows(net: CredalNetwork, idx: JointIndex):
             local = net.local(s, pa_cfg)
             mask = cfg == ci
             zsm = zs[mask]
-            for gi, h in enumerate(local.homogeneous):
-                gamma = np.asarray(h.gamma)
+            for gi, gamma in enumerate(local._H):
                 row = np.zeros(idx.total)
                 row[mask] = gamma[zsm]
                 rows.append(row)

@@ -13,6 +13,7 @@ from :meth:`CredalNetwork.local_lower` in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -112,19 +113,24 @@ class CredalNetwork:
         if extra:
             raise InputError(f"state spaces for undeclared nodes {sorted(extra)}")
 
+        # as many keys as configurations, each one of them: none is
+        # missing, and none is enumerated
         self.locals: dict[tuple, CredalSet] = dict(locals_)
-        for s in dag.nodes:
-            for cfg in self.parent_configs(s):
-                key = (s, cfg)
-                if key not in self.locals:
-                    raise InputError(f"missing local model for {key}")
-                if self.locals[key].states != self.state_spaces[s]:
-                    raise InputError(f"local model state mismatch at {key}")
-        expected = sum(
-            int(np.prod([len(self.state_spaces[p]) for p in dag.parents(s)]))
-            if dag.parents(s) else 1 for s in dag.nodes)
+        parents = {s: dag.parents(s) for s in dag.nodes}
+        expected = sum(math.prod(len(self.state_spaces[p]) for p in pas)
+                       for pas in parents.values())
         if len(self.locals) != expected:
-            raise InputError("spurious local-model entries")
+            raise InputError(f"the network needs {expected} local models, "
+                             f"not {len(self.locals)}")
+        for key, m in self.locals.items():
+            s, cfg = key
+            pas = parents.get(s)
+            if pas is None or type(cfg) is not tuple or len(cfg) != len(pas) \
+                    or not all(x in self.state_spaces[p]
+                               for p, x in zip(pas, cfg)):
+                raise InputError(f"spurious local-model entry {key}")
+            if m.states != self.state_spaces[s]:
+                raise InputError(f"local model state mismatch at {key}")
         self._stacks: dict[str, np.ndarray] = {}   # see local_stack
 
     # -- lookup -------------------------------------------------------------
@@ -195,9 +201,10 @@ class CredalNetwork:
         if s not in self._stacks:
             sets = [self.local(s, cfg) for cfg in self.parent_configs(s)]
             shape = self.shape(self.dag.parents(s))
-            if all(m.vertices is not None for m in sets):
+            if all(m._V is not None for m in sets):
                 k = max(len(m._V) for m in sets)
-                stack = np.array([np.vstack([m._V, m._V[[0] * (k - len(m._V))]])
+                stack = np.array([m._V if len(m._V) == k else
+                                  np.vstack([m._V, m._V[[0] * (k - len(m._V))]])
                                   for m in sets])
                 shape += stack.shape[1:]
             else:

@@ -3,6 +3,7 @@ codes, printed bounds, and the text form of the global program."""
 
 import json
 import os
+import time
 
 import pytest
 
@@ -45,6 +46,17 @@ def test_validate_reports_issues(capsys, tmp_path):
     assert pairs["valid"] == "false" and pairs["issues"] == "2"
     assert pairs["issue0"] == "self-loop on node 'c'"
     assert pairs["issue1"].startswith("missing local model for node 'a'")
+
+
+def test_validate_counts_the_local_models_of_a_wide_node(capsys):
+    # 24 binary parents: the missing local models are counted, not listed
+    start = time.perf_counter()
+    code, pairs, _ = run(capsys, "validate", data("invalid/wide_parents.json"))
+    assert time.perf_counter() - start < 5.0
+    assert code == cli.EXIT_VALIDATION
+    assert pairs["issues"] == "1"
+    assert pairs["issue0"] == ("node 'c' needs 16777216 local models, the "
+                               "document gives 0")
 
 
 @pytest.mark.parametrize("field, value", [("edges", 5), ("locals", 3)])

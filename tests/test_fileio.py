@@ -193,6 +193,95 @@ class TestValidateDocument:
         assert fileio.validate_document(doc).ok
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n_parents", [40, 64])
+    def test_wide_node_is_counted_not_enumerated(self, n_parents):
+        doc = wide_document(n_parents)
+        start = time.perf_counter()
+        only_issue(doc, f"node 'c' needs {2 ** n_parents} local models, "
+                        "the document gives 0")
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_short_node_is_one_line(self, chain3):
+        states = list("0123456789")
+        chain3["nodes"].append({"name": "d", "states": states})
+        chain3["edges"].append(["d", "c"])
+        chain3["locals"].append({"node": "d", "given": {}, "vertices": [
+            {x: "1" if x == "0" else "0" for x in states}]})
+        # c has 20 configurations now, and its two entries miss d
+        assert issues(chain3) == [
+            "local model for 'c' misses parent value 'd'",
+            "local model for 'c' misses parent value 'd'",
+            "node 'c' needs 20 local models, the document gives 0"]
+
+
+def wide_document(n_parents):
+    """Node c with ``n_parents`` binary parents and no local entry."""
+    parents = [f"p{i}" for i in range(n_parents)]
+    interval = [{"0": "1/4", "1": "3/4"}, {"0": "1/2", "1": "1/2"}]
+    return {"nodes": [{"name": s, "states": ["0", "1"]}
+                      for s in parents + ["c"]],
+            "edges": [[p, "c"] for p in parents],
+            "locals": [{"node": p, "given": {}, "vertices": interval}
+                       for p in parents]}
+
+
+def three_state_document(vertices):
+    return {"nodes": [{"name": "x", "states": ["a", "b", "c"]}],
+            "edges": [], "locals": [{"node": "x", "given": {},
+                                     "vertices": vertices}]}
+
+
+class TestInvalidLocalSet:
+    """Each defect of a local set is one issue, ``invalid local model for
+    (node, configuration): <message>``, and loading raises on it."""
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([{"h": "-1/4", "t": "5/4"}], "negative probability in (-0.25, 1.25)"),
+        ([{"h": "1/4", "t": "1/2"}], "probabilities sum to 0.75, not 1"),
+        ([{"h": "1/4", "t": "3/4"}, {"h": "1/4", "t": "3/4"}],
+         "duplicate vertices in credal set"),
+        ([{"h": "nan", "t": "1/2"}], "not a finite number: 'nan'"),
+        ([{"h": float("nan"), "t": 0.5}], "not a finite number: nan"),
+        ([{"h": float("inf"), "t": 0}], "not a finite number: inf"),
+        ([{"h": "1/0", "t": "1"}], "cannot parse number '1/0'"),
+        ([{"h": "1"}], "vertex {'h': '1'} does not name exactly the states "
+                       "('h', 't')"),
+        ([{"h": "1", "t": "0", "x": "0"}], "vertex {'h': '1', 't': '0', "
+                                            "'x': '0'} does not name exactly "
+                                            "the states ('h', 't')"),
+        ([], "empty vertex list"),
+    ], ids=["negative", "sum", "duplicate", "nan-text", "nan", "infinity",
+            "zero-division", "missing-state", "extra-state", "empty"])
+    def test_vertex_defect(self, vertices, message):
+        doc = read("two_coins.json")
+        doc["locals"][1]["vertices"] = vertices
+        only_issue(doc, f"invalid local model for ('2', ()): {message}")
+
+    def test_vertex_inside_the_hull(self):
+        doc = three_state_document([
+            {"a": "1", "b": "0", "c": "0"}, {"a": "0", "b": "1", "c": "0"},
+            {"a": "1/2", "b": "1/2", "c": "0"}])
+        only_issue(doc, "invalid local model for ('x', ()): vertex 2 lies in "
+                        "the convex hull of the others")
+        del doc["locals"][0]["vertices"][2]
+        assert fileio.validate_document(doc).ok
+
+    def test_vertices_conflict_with_constraints(self):
+        doc = read("two_coins.json")
+        doc["locals"][0]["constraints"] = [
+            {"alpha": {"h": "1", "t": "0"}, "beta": "1/2"}]
+        only_issue(doc, "invalid local model for ('1', ()): a vertex violates "
+                        "the given constraints")
+
+    def test_two_bad_sets_are_two_lines(self):
+        doc = read("two_coins.json")
+        doc["locals"][0]["vertices"][0]["h"] = "-1/4"
+        doc["locals"][1]["vertices"] = []
+        assert issues(doc) == [
+            "invalid local model for ('1', ()): negative probability in "
+            "(-0.25, 0.75)",
+            "invalid local model for ('2', ()): empty vertex list"]
+
 
 class TestLoadNetworkDocument:
     def test_parses_each_local_once(self, chain3, monkeypatch):

@@ -42,6 +42,62 @@ class TestMassFunction:
             MassFunction(("a", "b"), (0.3, 0.3))
 
 
+class TestVertexArray:
+    """A vertex list becomes one checked array; each defect is refused
+    with its own message."""
+
+    @pytest.mark.parametrize("vertices, error, message", [
+        ([(-0.25, 1.25)], InputError, r"negative probability in \(-0.25, 1.25\)"),
+        ([(0.25, 0.5)], InputError, "probabilities sum to 0.75, not 1"),
+        ([(0.25, 0.75), (0.25, 0.75)], InputError, "duplicate vertices"),
+        ([(float("nan"), 0.5)], InputError, "not a finite number"),
+        ([(float("inf"), 0.0)], InputError, "not a finite number"),
+        ([(0.25, 0.75, 0.0)], InputError, "one number per state"),
+        ([(0.25, 0.75), (1.0,)], InputError, "one number per state"),
+        ([{"h": 1.0}], InputError, "does not cover the state space"),
+        ([{"h": 1.0, "t": 0.0, "x": 0.0}], InputError,
+         "does not cover the state space"),
+        ([], ModelError, "empty vertex list"),
+        (np.zeros((0, 2)), ModelError, "empty vertex list"),
+    ], ids=["negative", "sum", "duplicate", "nan", "infinity", "wide",
+            "ragged", "missing-state", "extra-state", "empty", "empty-array"])
+    def test_defect(self, vertices, error, message):
+        with pytest.raises(error, match=message):
+            CredalSet(("h", "t"), vertices=vertices)
+
+    def test_vertex_inside_the_hull(self):
+        with pytest.raises(InputError, match="vertex 2 lies in the convex "
+                                             "hull of the others"):
+            CredalSet(("a", "b", "c"), vertices=np.array(
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]))
+
+    def test_vertices_conflict_with_constraints(self):
+        with pytest.raises(InputError, match="a vertex violates"):
+            CredalSet(("h", "t"), vertices=[(0.25, 0.75), (0.75, 0.25)],
+                      constraints=[((1.0, 0.0), 0.5)])
+
+    def test_constraint_width(self):
+        with pytest.raises(InputError, match="constraint width mismatch"):
+            CredalSet(("h", "t"), constraints=[((1.0, 0.0, 0.0, 1.0), 0.5)])
+
+    def test_every_form_gives_the_same_array(self):
+        rows = [(0.25, 0.75), (0.5, 0.5)]
+        forms = [rows, np.array(rows),
+                 [{"t": t, "h": h} for h, t in rows],
+                 [MassFunction(("h", "t"), r) for r in rows]]
+        for form in forms:
+            m = CredalSet(("h", "t"), vertices=form)
+            assert m._V.tolist() == [list(r) for r in rows]
+
+    def test_views_are_built_on_demand(self):
+        m = binary_interval(("h", "t"), 0.25, 0.75)
+        m.lower_expectation([1.0, 0.0])
+        assert "vertices" not in vars(m) and "homogeneous" not in vars(m)
+        assert m.vertices == (MassFunction(("h", "t"), (0.25, 0.75)),
+                              MassFunction(("h", "t"), (0.75, 0.25)))
+        assert m.homogeneous[0].gamma == tuple(m._H[0])
+
+
 class TestLowerExpectation:
     def test_singleton_is_linear(self, rng):
         p = rng.dirichlet([1, 1, 1])

@@ -125,6 +125,21 @@ class TestLocalLower:
         with pytest.raises(InputError):
             net.local_lower("c", np.zeros(shape))
 
+    @pytest.mark.parametrize("counts", [(2,), (1, 2, 3)])
+    def test_stack_pads_with_the_first_vertex(self, rng, counts):
+        net = ragged_net(rng, counts)
+        net.local_lower("c", rng.normal(size=3))
+        stack = net.local_stack("c")
+        k = max(counts)
+        assert stack.shape == (2, 3, k, 3)
+        for m, rows in zip((net.local("c", cfg)
+                            for cfg in net.parent_configs("c")),
+                           stack.reshape(6, k, 3)):
+            padded = np.vstack([m._V] + [m._V[:1]] * (k - len(m._V)))
+            assert rows.tobytes() == padded.tobytes()
+            # the query path reads the arrays, not the tuple views
+            assert "vertices" not in vars(m)
+
     def test_sub_network_builds_its_own(self, fig_net):
         fig_net.local_lower("7", np.array([1.0, 0.0]))
         sub = sub_network(fig_net, {"7"}, {"4": "0", "5": "1"})
@@ -202,6 +217,26 @@ class TestConstruction:
         with pytest.raises(InputError):
             CredalNetwork(dag, {"a": ("0", "1")},
                           {("a", ()): m, ("a", ("0",)): m})
+
+    @pytest.mark.parametrize("key", [("b", ("7",)), ("b", "0"), ("z", ())])
+    def test_key_outside_the_configurations(self, key):
+        # as many keys as configurations, one of them not a configuration
+        dag = Dag(["a", "b"], [("a", "b")])
+        m = binary_interval(("0", "1"), 0.2, 0.8)
+        with pytest.raises(InputError, match="spurious"):
+            CredalNetwork(dag, {"a": ("0", "1"), "b": ("0", "1")},
+                          {("a", ()): m, ("b", ("1",)): m, key: m})
+
+    @pytest.mark.parametrize("n_parents", [40, 64])
+    def test_wide_node_is_counted_not_enumerated(self, n_parents):
+        # 2^64 configurations would wrap a 64-bit count to 0
+        parents = [f"p{i}" for i in range(n_parents)]
+        dag = Dag(parents + ["c"], [(p, "c") for p in parents])
+        m = binary_interval(("0", "1"), 0.2, 0.8)
+        expected = 2 ** n_parents + n_parents
+        with pytest.raises(InputError, match=f"needs {expected} local models"):
+            CredalNetwork(dag, {s: ("0", "1") for s in dag.nodes},
+                          {(p, ()): m for p in parents})
 
 
 class TestJointStates:
