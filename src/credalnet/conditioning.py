@@ -16,7 +16,13 @@ complete-evidence sweeps) also reports E_p[f 1_B] and P_p(B) at a model p
 attaining rho(mu), so the roots are found by Dinkelbach steps, mu <-
 E_p[f 1_B] / P_p(B): Newton's method on the piecewise-linear rho, whose
 slope at mu is -P_p(B).  Bisection remains only for a step that rounding
-keeps from decreasing mu.
+keeps from decreasing mu.  On the global program the objective of one
+step differs from the last only by a multiple of 1_B, so every
+evaluation, of either bound of a query, starts the simplex phase 2 from
+the optimal tableau of the evaluation before it (see
+:class:`credalnet.lp.GlobalPolytope`); a warm optimum that fails the
+residual check is recomputed from the phase-1 tableau, and then in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -229,8 +235,8 @@ def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
 def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
                   gp: lp.GlobalPolytope | None = None) -> RhoEvaluator:
     """Evaluator backed by the global program, its constraints cached
-    across evaluations; ``gp`` is the network's program, when the caller
-    has built it already."""
+    across evaluations, each of which starts phase 2 warm; ``gp`` is the
+    network's program, when the caller has built it already."""
     if B.empty:
         raise InputError("conditioning event is empty")
     vac = _vacuous_bound(net, f, B)
@@ -241,7 +247,7 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
     ibf = ib * fb
 
     def fn(mu: float) -> tuple[float, float, float]:
-        value, x = gp.minimize(ibf - mu * ib)
+        value, x = gp.minimize(ibf - mu * ib, warm=True)
         return value, ibf @ x, ib @ x
 
     return RhoEvaluator(fn, f.min(), f.max(), vac)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Collection, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CapabilityError, InputError
 
@@ -46,11 +47,17 @@ class Dag:
             seen.add((a, b))
         self.edges: frozenset = frozenset(seen)
 
-        self._parents: dict[str, list[str]] = {s: [] for s in self.nodes}
-        self._children: dict[str, list[str]] = {s: [] for s in self.nodes}
+        parents: dict[str, list[str]] = {s: [] for s in self.nodes}
+        children: dict[str, list[str]] = {s: [] for s in self.nodes}
         for a, b in sorted(seen, key=lambda e: (self._index[e[0]], self._index[e[1]])):
-            self._children[a].append(b)
-            self._parents[b].append(a)
+            children[a].append(b)
+            parents[b].append(a)
+        # read-only, so that parents() and children() hand out the stored
+        # tuples themselves
+        self._parents: Mapping[str, tuple[str, ...]] = MappingProxyType(
+            {s: tuple(v) for s, v in parents.items()})
+        self._children: Mapping[str, tuple[str, ...]] = MappingProxyType(
+            {s: tuple(v) for s, v in children.items()})
 
         self._topo = self._toposort()
 
@@ -80,11 +87,11 @@ class Dag:
 
     def parents(self, s: str) -> tuple[str, ...]:
         self._check(s)
-        return tuple(self._parents[s])
+        return self._parents[s]
 
     def children(self, s: str) -> tuple[str, ...]:
         self._check(s)
-        return tuple(self._children[s])
+        return self._children[s]
 
     def topological_order(self) -> tuple[str, ...]:
         return self._topo

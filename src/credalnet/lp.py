@@ -133,8 +133,17 @@ class GlobalPolytope:
 
     The first float :meth:`minimize` runs the simplex phase 1, which does
     not depend on the objective, and keeps its feasible tableau on the
-    object; every float :meth:`minimize` then runs phase 2 alone, from a
-    copy of it.  The tableau lives as long as the object, like the rows.
+    object; every float :meth:`minimize` then runs phase 2 alone.  A
+    plain call starts it from a copy of the phase-1 tableau.  A ``warm``
+    call, as every evaluation of rho makes, starts it from the optimal
+    tableau of the last warm call instead, which it re-prices and pivots
+    in place, and keeps the new optimal tableau for the next: the
+    Dinkelbach steps and sign tests of one bound, and those of the other
+    bound on the same program, change the objective little.  A warm
+    optimum that fails the residual check is dropped, and phase 2 reruns
+    from the phase-1 tableau before the exact fallback (see
+    :func:`credalnet.simplex.phase2`).  Both tableaux live as long as
+    the object, like the rows.
     The float program is posed over non-negative variables, which the
     rows imply, and phase 1 starts from the product model of the local
     sets' members: the surplus of every row and that model's column make
@@ -161,6 +170,7 @@ class GlobalPolytope:
         self.rows = np.array(rows) if rows else np.zeros((0, self.idx.total))
         self.labels = tuple(labels)
         self._eq = np.ones((1, self.idx.total))
+        self._warm: simplex.FeasibleTableau | None = None
 
     def _constraints(self) -> tuple:
         return self._eq, [1.0], self.rows, np.zeros(len(self.rows))
@@ -173,15 +183,21 @@ class GlobalPolytope:
         return simplex.phase1(self.idx.total, *self._constraints(),
                               nonneg=True, start=start)
 
-    def minimize(self, c: np.ndarray, *, exact: bool = False):
+    def minimize(self, c: np.ndarray, *, exact: bool = False,
+                 warm: bool = False):
         """Minimum of ``c @ p`` over the program and a minimiser ``p``;
-        ``exact=True`` solves both phases in rational arithmetic."""
+        ``exact=True`` solves both phases in rational arithmetic.
+        ``warm=True`` starts phase 2 from the optimal tableau of the last
+        warm call, and keeps the new one for the next."""
         if exact:
             res = simplex.solve(c, *self._constraints(), exact=True)
         elif self._feasible is None:
             res = simplex.SimplexResult("infeasible", None, None)
         else:
-            res = simplex.phase2(self._feasible, c)
+            res = simplex.phase2(self._feasible, c,
+                                 self._warm if warm else None)
+            if warm:
+                self._warm = res.tableau
         if res.status != "optimal":
             raise ModelError(
                 f"global program ended with status {res.status}; "

@@ -9,11 +9,18 @@ tableau is both the simplest and the fastest option.
 
 Phase 1 does not read the objective, so it is solved once per
 constraint system: :func:`phase1` returns the feasible tableau and
-:func:`phase2` re-optimises a copy of it for one objective.
-:func:`solve` runs the two in turn; a caller that minimises many
-objectives over the same constraints (the global program of
-:class:`credalnet.lp.GlobalPolytope`) keeps the feasible tableau and
-runs only phase 2 for each.
+:func:`phase2` prices one objective over a basis of it and
+re-optimises.  :func:`solve` runs the two in turn; a caller that
+minimises many objectives over the same constraints (the global program
+of :class:`credalnet.lp.GlobalPolytope`) keeps the feasible tableau and
+runs only phase 2 for each.  Phase 2 starts either from a copy of the
+phase-1 tableau or, warm, from the optimal tableau of an earlier
+phase 2, which it re-prices and pivots in place: the steps of a root
+search change the objective a little at a time, and the last optimal
+basis, feasible for the same rows, is then a few pivots from the next
+optimum.  A warm optimum that fails the residual check is dropped for a
+phase 2 from a copy of the phase-1 tableau, and only an optimum that
+fails it too is redone in exact arithmetic.
 
 Phase 1 starts every ``>=`` row with a right-hand side of at most zero
 on its surplus, and adds an artificial column only to the other rows.
@@ -31,7 +38,7 @@ non-negative variables, which those rows imply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +79,9 @@ class SimplexResult:
     status: str                 # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None        # primal solution in the caller's variables
     objective: float | Fraction | None
+    #: the optimal tableau of a phase 2, a warm start for the next one
+    #: (see :func:`phase2`)
+    tableau: FeasibleTableau | None = None
 
 
 @dataclass
@@ -268,50 +278,70 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     return FeasibleTableau(F, basis, n, nonneg, exact, constraints, start)
 
 
-def phase2(tableau: FeasibleTableau, c) -> SimplexResult:
+def phase2(tableau: FeasibleTableau, c,
+           warm: FeasibleTableau | None = None) -> SimplexResult:
     """Minimize ``c @ x`` from a feasible tableau of :func:`phase1`,
     which is left unchanged.
+
+    ``warm``, the :attr:`SimplexResult.tableau` of an earlier float
+    phase 2 from the same phase-1 tableau, is re-priced for ``c`` and
+    pivoted in place: its basis is feasible for the same rows, so a
+    nearby objective is a few pivots away.  A warm solve that ends
+    anywhere but at an optimum that passes the residual check is
+    dropped, and phase 2 reruns from a copy of ``tableau``; only an
+    optimum that fails the check again goes to exact arithmetic.
 
     A start column is priced at ``c @ start``, and the minimiser is
     ``x' + t * start``, where ``x'`` holds the values of the caller's
     columns and ``t`` that of the start column.  The residual check and
     the exact fallback run against the constraints as given."""
+    c = _to_fraction_array(c) if tableau.exact else np.asarray(c, dtype=float)
+    if warm is not None:
+        res = _optimise(warm, c)
+        if res.status == "optimal" and _residuals_ok(
+                res.x, tableau.constraints, tableau.nonneg):
+            return res
+    res = _optimise(replace(tableau, T=tableau.T.copy(),
+                            basis=list(tableau.basis)), c)
+    if res.status == "optimal" and not tableau.exact and not _residuals_ok(
+            res.x, tableau.constraints, tableau.nonneg):
+        # the float tableau degraded (tiny pivots); redo in exact arithmetic
+        return _solve_exact_as_float(c, tableau.constraints, tableau.nonneg)
+    return res
+
+
+def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
+    """Price ``c`` over the tableau's basis and run the simplex on it, in
+    place."""
     exact, nonneg, n = tableau.exact, tableau.nonneg, tableau.n
-    c = _to_fraction_array(c) if exact else np.asarray(c, dtype=float)
-    zero = Fraction(0) if exact else 0.0
-    tol = Fraction(0) if exact else _TOL_PIVOT
-    T = tableau.T.copy()
-    basis = list(tableau.basis)
+    T, basis = tableau.T, tableau.basis
     m = T.shape[0] - 1
     ncols = T.shape[1] - 1
-
-    # Price in c over the feasible basis.
-    T[-1, :n] = c
+    # The cost row is c over the columns less c_B times the rows.  An
+    # artificial left on a redundant row has an index of ncols or more:
+    # it reads the spare last entry of ``cost``, zero, and writes the
+    # one of ``xs``, which is never read.
+    zero = Fraction(0) if exact else 0.0
+    cost = np.full(ncols + 1, zero, dtype=T.dtype)
+    cost[:n] = c
     if not nonneg:
-        T[-1, n:2 * n] = -c
+        cost[n:2 * n] = -c
     if tableau.start is not None:
-        T[-1, ncols - 1] = c @ tableau.start
-    for i in range(m):
-        if basis[i] < ncols and (T[-1, basis[i]] > tol or T[-1, basis[i]] < -tol):
-            T[-1] -= T[-1, basis[i]] * T[i]
+        cost[ncols - 1] = c @ tableau.start
+    slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
+    T[-1] = cost - cost[slots] @ T[:m]
 
-    status = _run_simplex(T, basis, ncols, tol)
+    status = _run_simplex(T, basis, ncols, zero if exact else _TOL_PIVOT)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
 
-    xs = np.zeros(ncols, dtype=T.dtype)
-    if exact:
-        xs[:] = zero
-    for i in range(m):
-        if basis[i] < ncols:
-            xs[basis[i]] = T[i, -1]
+    xs = np.full(ncols + 1, zero, dtype=T.dtype)
+    slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
+    xs[slots] = T[:m, -1]
     x = xs[:n] if nonneg else xs[:n] - xs[n:2 * n]
     if tableau.start is not None:
         x = x + xs[ncols - 1] * tableau.start
-    if not exact and not _residuals_ok(x, tableau.constraints, nonneg):
-        # the float tableau degraded (tiny pivots); redo in exact arithmetic
-        return _solve_exact_as_float(c, tableau.constraints, nonneg)
-    return SimplexResult("optimal", x, c @ x)
+    return SimplexResult("optimal", x, c @ x, tableau)
 
 
 def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,

@@ -34,6 +34,21 @@ class TestDagConstruction:
         dag = Dag(["c", "a", "b"], [("b", "c"), ("a", "c")])
         assert dag.parents("c") == ("a", "b")
 
+    def test_adjacency_is_stored_once_and_read_only(self):
+        dag = Dag(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        assert dag.parents("b") is dag.parents("b")
+        assert dag.children("a") is dag.children("a")
+        assert isinstance(dag.children("a"), tuple)
+        with pytest.raises(TypeError):
+            dag.children("a")[0] = "c"
+        with pytest.raises(TypeError):
+            dag._parents["c"] = ("b",)
+        with pytest.raises(AttributeError):
+            dag._children["a"].append("a")
+        assert dag.children("a") == ("b", "c")
+        assert dag.parents("c") == ("a",)
+        assert dag.descendants("a") == {"b", "c"}
+
 
 class TestRelations:
     def test_example_graph_node5(self, fig1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from credalnet import lp, polytope, simplex
+from credalnet import conditioning, lp, polytope, simplex
 from credalnet.credal import MassFunction, singleton, vacuous
 from credalnet.errors import CapabilityError, ConvergenceError, ModelError
 from credalnet.graph import Dag
@@ -276,3 +276,133 @@ class TestLargerPrograms:
             expect = highs_minimum(gp, c)
             assert gp.minimize(c)[0] == pytest.approx(
                 expect, abs=1e-9 * max(1.0, abs(expect)))
+
+
+def rho_problem(seed: int, n: int):
+    """A seeded net, a gamble on all its nodes and evidence on its last."""
+    rng = np.random.default_rng(seed)
+    net = random_binary_net(rng, n)
+    f = random_factor(rng, net, net.dag.nodes)
+    return net, f, net.cylinder({net.dag.nodes[-1]: "1"})
+
+
+def rho_orders(f, neg):
+    """(gamble, mu) in the orders of a bracketing run and worse: a grid
+    over f's range up, the grid down, then f and its negation ``neg`` in
+    turn.  Each gamble's grid runs from one below its minimum to one
+    above its maximum."""
+    grid = np.linspace(f.min() - 1.0, f.max() + 1.0, 7)
+    return ([(f, mu) for mu in grid] + [(f, mu) for mu in grid[::-1]]
+            + [(g, s * mu) for mu in grid for g, s in ((f, 1), (neg, -1))])
+
+
+def rho_triple(net, g, B, mu, solve):
+    """(rho, E_p[g 1_B], P_p(B)) at the minimiser p that ``solve``
+    returns."""
+    ib = lp.event_mask(net, B).astype(float)
+    ibg = ib * lp.factor_vector(net, g)
+    value, x = solve(ibg - mu * ib)
+    x = np.asarray(x, dtype=float)
+    return float(value), ibg @ x, ib @ x
+
+
+class TestWarmStart:
+    """rho evaluations on one program start phase 2 from the last
+    optimal tableau; they must give what a phase 2 from the phase-1
+    tableau gives, and what exact arithmetic gives.  Away from a kink of
+    rho, every minimiser has the same E_p[f 1_B] and P_p(B), the slope."""
+
+    @pytest.mark.parametrize("seed,n", [(1, 4), (2, 5), (3, 6), (4, 6)])
+    def test_warm_matches_cold(self, seed, n):
+        net, f, B = rho_problem(seed, n)
+        neg = -f
+        gp = lp.GlobalPolytope(net)
+        evaluators = {id(g): conditioning.rho_evaluator(net, g, B, gp)
+                      for g in (f, neg)}
+
+        def cold(c):
+            res = simplex.phase2(gp._feasible, c)
+            assert res.status == "optimal"
+            return res.objective, res.x
+
+        # exact solves take seconds from 5 nodes on: check the 4-node
+        # program at three abscissae, in every pass that reaches them
+        mid = np.linspace(f.min() - 1.0, f.max() + 1.0, 7)[3]
+        exact_at = {(id(f), f.min() - 1.0), (id(f), mid), (id(neg), -mid)} \
+            if n == 4 else set()
+        exact, checked = {}, 0
+        for g, mu in rho_orders(f, neg):
+            got = tuple(map(float, evaluators[id(g)].fn(mu)))
+            assert got == pytest.approx(rho_triple(net, g, B, mu, cold),
+                                        abs=1e-9)
+            if (id(g), mu) in exact_at:
+                if (id(g), mu) not in exact:
+                    exact[id(g), mu] = rho_triple(
+                        net, g, B, mu, lambda c: gp.minimize(c, exact=True))
+                assert got == pytest.approx(exact[id(g), mu], abs=1e-9)
+                checked += 1
+        assert checked == (7 if n == 4 else 0)
+        assert gp._warm is not None
+
+    def test_no_more_pivots_than_cold(self, monkeypatch):
+        pivots = [0]
+        pivot = simplex._pivot
+
+        def counted(T, i, j):
+            pivots[0] += 1
+            pivot(T, i, j)
+
+        monkeypatch.setattr(simplex, "_pivot", counted)
+        totals = {}
+        for warm in (True, False):
+            pivots[0] = 0
+            for seed, n in [(5, 4), (6, 5), (7, 5), (8, 6), (9, 6)]:
+                net, f, B = rho_problem(seed, n)
+                gp = lp.GlobalPolytope(net)
+                for g, mu in rho_orders(f, -f):
+                    rho_triple(net, g, B, mu,
+                               lambda c: gp.minimize(c, warm=warm))
+            totals[warm] = pivots[0]
+        assert 0 < totals[True] <= totals[False]
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_retry_order(self, monkeypatch, failures):
+        # a warm optimum that fails the residual check is dropped for a
+        # phase 2 from the phase-1 tableau; only when that fails as well
+        # does the solve go to exact arithmetic
+        net, f, B = rho_problem(1, 4)
+        gp = lp.GlobalPolytope(net)
+        ib = lp.event_mask(net, B).astype(float)
+        c = ib * lp.factor_vector(net, f)
+        expect = float(gp.minimize(c - 0.5 * ib, exact=True)[0])
+        gp.minimize(c, warm=True)
+        dropped = gp._warm
+        warm_basis = list(dropped.basis)
+        assert warm_basis != gp._feasible.basis
+
+        starts, exact_calls, verdicts = [], [], [False] * failures
+        optimise, residuals_ok = simplex._optimise, simplex._residuals_ok
+        exact_solve = simplex._solve_exact_as_float
+        monkeypatch.setattr(simplex, "_optimise", lambda t, c: (
+            starts.append(list(t.basis)) or optimise(t, c)))
+        monkeypatch.setattr(simplex, "_residuals_ok", lambda *a: (
+            verdicts.pop(0) if verdicts else residuals_ok(*a)))
+        monkeypatch.setattr(simplex, "_solve_exact_as_float", lambda *a: (
+            exact_calls.append(a) or exact_solve(*a)))
+
+        value, _ = gp.minimize(c - 0.5 * ib, warm=True)
+        assert value == pytest.approx(expect, abs=1e-12)
+        assert starts[:2] == [warm_basis, gp._feasible.basis]
+        assert not verdicts
+        if failures == 1:
+            assert len(starts) == 2 and not exact_calls
+            # the next warm solve starts from the cold optimum
+            assert gp._warm is not None and gp._warm is not dropped
+        else:
+            assert len(exact_calls) == 1
+            # the exact fallback leaves no float tableau to start from
+            assert gp._warm is None
+            del starts[:]
+            gp.minimize(c, warm=True)
+            assert starts == [gp._feasible.basis]
+            assert gp._warm is not None

@@ -44,6 +44,14 @@ class TestBasics:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-0.05)
 
+    def test_no_constraints(self):
+        res = simplex.solve([1.0, 2.0], nonneg=True)
+        assert res.status == "optimal"
+        assert res.objective == 0.0
+        res = simplex.solve([1, 2], nonneg=True, exact=True)
+        assert res.status == "optimal" and res.objective == 0
+        assert simplex.solve([1.0], exact=True).status == "unbounded"
+
     def test_redundant_rows(self):
         res = simplex.solve([1.0, 1.0],
                             A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0],
