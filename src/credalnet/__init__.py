@@ -18,10 +18,8 @@ from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
                            upper_prob_positive)
 from .credal import (CredalSet, HomogeneousConstraint, LinearConstraint,
                      MassFunction, binary_interval, constraints_to_vertices,
-                     local_lower_expectation, local_lower_probability,
-                     local_upper_expectation, local_upper_probability,
-                     singleton, to_homogeneous, vacuous,
-                     vertices_to_constraints)
+                     local_lower_expectation, singleton, to_homogeneous,
+                     vacuous, vertices_to_constraints)
 from .decompose import (Reduction, atom_bounds, combined, external_additivity,
                         factorise, iterated_lower_expectation,
                         lower_expectation, marginalise, trace_lines,
@@ -35,11 +33,11 @@ from .graph import (Dag, ad_separated, ad_separated_closed, closure,
                     d_separated, is_closed, path_blocked, relations,
                     set_relations)
 from .lp import (GlobalPolytope, enumerate_joint_extreme_points,
-                 lower_expectation_lp, upper_expectation_lp)
+                 lower_expectation_lp)
 from .network import (CredalNetwork, Event, Factor, joint_states,
                       restrict_factor, sub_network)
-from .oracle import (BayesianSelection, complete_extension_lower,
-                     complete_extension_upper, irr_extreme_conditional)
+from .oracle import (complete_extension_lower, complete_extension_upper,
+                     irr_extreme_conditional)
 from .queries import run_query
 
 __version__ = "0.1.0"

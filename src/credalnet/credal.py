@@ -4,9 +4,11 @@ A credal set is a nonempty closed convex set of mass functions over one
 node's finite state space.  It can be handed over as a list of extreme
 points, as a list of linear constraints ``alpha @ p >= beta``, or both.
 On construction the set is normalised to a list of *homogeneous*
-constraints ``gamma @ p >= 0`` (valid on the ``sum p = 1`` hyperplane,
-with ``gamma = alpha - beta``); per-state non-negativity rows are added
-unless an LP certifies that they are already implied.  The vertices are
+constraints ``gamma @ p >= 0`` with ``gamma = alpha - beta``, read on
+the probability simplex: the set is the mass functions that satisfy
+them, and every consumer of the rows (the local LP, the global program,
+vertex enumeration, membership) intersects them with the simplex, so
+the rows need not imply ``p >= 0`` themselves.  The vertices are
 held as one checked float array ``_V`` and the rows as one array ``_H``;
 the ``MassFunction`` and ``HomogeneousConstraint`` tuples are built from
 them on demand.  Each set also keeps one of its members, from which the
@@ -79,7 +81,9 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class HomogeneousConstraint:
-    """``sum_x gamma[x] * p(x) >= 0`` on the ``sum p = 1`` hyperplane."""
+    """``sum_x gamma[x] * p(x) >= 0``, read on the probability simplex:
+    it constrains mass functions ``p`` only, and need not imply
+    ``p >= 0``."""
 
     gamma: tuple[float, ...]
 
@@ -177,8 +181,7 @@ class CredalSet:
             G = np.array([np.array(c.coeffs) - c.bound
                           for c in self.constraints]).reshape(-1, n)
         elif n == 2:
-            # Binary sets are intervals on p(first state); the two interval
-            # rows make the non-negativity rows redundant.
+            # Binary sets are intervals on p(first state).
             column = self._V[:, 0].tolist()
             lo, hi = min(column), max(column)
             return np.array([[1.0 - lo, -lo], [hi - 1.0, hi]])
@@ -188,22 +191,7 @@ class CredalSet:
 
         scale = np.abs(G).max(axis=1)
         keep = scale > 1e-14  # drop trivial rows
-        G = G[keep] / scale[keep, None]
-        # Emit explicit non-negativity for every state that is not already
-        # implied; correctness over minimality.
-        missing = [i for i in range(n) if not self._nonneg_implied(G, i)]
-        return np.vstack([G, np.eye(n)[missing]])
-
-    def _nonneg_implied(self, G: np.ndarray, i: int) -> bool:
-        """Does ``sum p = 1`` plus the rows of G force ``p_i >= 0``?"""
-        if self._V is not None and len(self.states) == 2:
-            return True  # interval rows, see _derive_homogeneous
-        n = len(self.states)
-        c = np.zeros(n)
-        c[i] = 1.0
-        res = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
-                            A_ub=G, b_ub=np.zeros(len(G)))
-        return res.status == "optimal" and res.objective >= -TOL_FEAS
+        return G[keep] / scale[keep, None]
 
     def _feasible_point(self) -> np.ndarray:
         n = len(self.states)
@@ -251,7 +239,8 @@ class CredalSet:
 
     @cached_property
     def homogeneous(self) -> tuple[HomogeneousConstraint, ...]:
-        """The rows of ``_H``, built on first use."""
+        """The rows of ``_H``, built on first use: with the probability
+        simplex, they describe the set."""
         return tuple(HomogeneousConstraint(tuple(row))
                      for row in self._H.tolist())
 
@@ -365,20 +354,9 @@ def local_lower_expectation(m: CredalSet, f, **kw) -> float:
     return m.lower_expectation(f, **kw)
 
 
-def local_upper_expectation(m: CredalSet, f, **kw) -> float:
-    return m.upper_expectation(f, **kw)
-
-
-def local_lower_probability(m: CredalSet, A, **kw) -> float:
-    return m.lower_probability(A, **kw)
-
-
-def local_upper_probability(m: CredalSet, A, **kw) -> float:
-    return m.upper_probability(A, **kw)
-
-
 def to_homogeneous(m: CredalSet) -> list[HomogeneousConstraint]:
-    """The homogeneous-constraint representation (derived at load time)."""
+    """The homogeneous-constraint representation (derived at load time),
+    read on the probability simplex."""
     return list(m.homogeneous)
 
 

@@ -8,15 +8,14 @@ carries the row::
 
     sum_{z_s} sum_{z_D(s)} P(z_s, z_D(s), x) * gamma(z_s)  >=  0
 
-plus the single normalisation equality.  :class:`GlobalPolytope` is the
-one builder of these rows: it caches them, with the simplex phase 1 over
-them, for many objectives, solves, enumerates vertices and writes the
-program in text form.  Explicit
-non-negativity rows are redundant but can be requested for
-cross-checking.  Minimising a gamble's coefficient vector over this
-polytope gives its tight lower expectation; enumerating the polytope's
-vertices supports repeated queries and the brute-force conditional
-oracle.
+plus the single normalisation equality, over non-negative unknowns: the
+program ranges over joint mass functions, as the local rows range over
+local ones.  :class:`GlobalPolytope` is the one builder of these rows:
+it caches them, with the simplex phase 1 over them, for many
+objectives, solves, enumerates vertices and writes the program in text
+form.  Minimising a gamble's coefficient vector over this polytope gives
+its tight lower expectation; enumerating the polytope's vertices
+supports repeated queries and the brute-force conditional oracle.
 
 The Bayesian network that takes one member of every local set lies in
 the strong extension, which the program contains.  Its joint mass
@@ -38,7 +37,6 @@ from .errors import CapabilityError, ModelError
 from .network import CredalNetwork, Event, Factor
 
 MAX_LP_VARIABLES = 2 ** 16
-MAX_LP_ROWS = 2 ** 20
 
 #: Desk-scale bound for joint vertex enumeration.
 MAX_ENUMERATION_STATES = 64
@@ -49,19 +47,18 @@ class JointIndex:
     lexicographic in node-declaration order."""
 
     def __init__(self, net: CredalNetwork):
-        self.nodes = net.dag.nodes
-        self.sizes = np.array([net.size(s) for s in self.nodes])
+        self.sizes = np.array([net.size(s) for s in net.dag.nodes])
         self.total = net.joint_count()
-        strides = np.ones(len(self.nodes), dtype=np.int64)
-        for i in range(len(self.nodes) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.sizes[i + 1]
-        self.strides = strides
-        self._pos = {s: i for i, s in enumerate(self.nodes)}
+        self._pos = {s: i for i, s in enumerate(net.dag.nodes)}
+        # the state of every node at every joint state, once: the last
+        # node varies fastest
+        strides = self.total // np.cumprod(self.sizes)
+        self._digits = (np.arange(self.total)[:, None] // strides
+                        % self.sizes).T.copy()
 
     def digits(self, node: str) -> np.ndarray:
         """State index of ``node`` at every joint state."""
-        i = self._pos[node]
-        return (np.arange(self.total) // self.strides[i]) % self.sizes[i]
+        return self._digits[self._pos[node]]
 
     def config_index(self, subset: Iterable[str]) -> tuple[np.ndarray, int]:
         """Config index over ``subset`` at every joint state, and the
@@ -86,32 +83,46 @@ def event_mask(net: CredalNetwork, event: Event) -> np.ndarray:
     return factor_vector(net, net.indicator(event)) > 0.0
 
 
-def _constraint_rows(net: CredalNetwork, idx: JointIndex):
-    """The homogeneous global rows, one per (node, non-descendant state,
-    local gamma), in deterministic order."""
-    rows, labels = [], []
+def _node_rows(net: CredalNetwork):
+    """Per node ``s``: its non-descendants in declaration order, and the
+    rows ``_H`` of its local set at each parent configuration, in
+    :meth:`CredalNetwork.parent_configs` order."""
     for s in net.dag.nodes:
-        nd = net.dag.sorted_nodes(
-            set(net.dag.nodes) - {s} - net.dag.descendants(s))
-        pa = net.dag.parents(s)
-        pa_pos = [nd.index(p) for p in pa]
-        zs = idx.digits(s)
-        cfg, count = idx.config_index(nd)
-        nd_tuples = list(product(*(net.states(u) for u in nd)))
-        assert len(nd_tuples) == count
-        for ci, nd_t in enumerate(nd_tuples):
-            pa_cfg = tuple(nd_t[i] for i in pa_pos)
-            local = net.local(s, pa_cfg)
-            mask = cfg == ci
-            zsm = zs[mask]
-            for gi, gamma in enumerate(local._H):
-                row = np.zeros(idx.total)
-                row[mask] = gamma[zsm]
-                rows.append(row)
-                labels.append(f"{s}|{','.join(nd_t) if nd_t else '-'}|g{gi}")
-        if len(rows) > MAX_LP_ROWS:
-            raise CapabilityError("global program exceeds the row bound")
-    return rows, labels
+        nd = set(net.dag.nodes) - {s} - net.dag.descendants(s)
+        yield s, net.dag.sorted_nodes(nd), [
+            net.local(s, cfg)._H for cfg in net.parent_configs(s)]
+
+
+def _row_count(net: CredalNetwork, blocks: list) -> int:
+    """The number of rows :func:`_constraint_rows` builds from
+    ``blocks`` (of :func:`_node_rows`), counted from the local sets:
+    every parent configuration of ``s`` recurs once per state of the
+    other non-descendants of ``s``."""
+    return sum(net.joint_count(nd) // len(Hs) * sum(map(len, Hs))
+               for _, nd, Hs in blocks)
+
+
+def _constraint_rows(net: CredalNetwork, idx: JointIndex, blocks: list,
+                     count: int):
+    """The ``count`` homogeneous global rows (see :func:`_row_count`).
+    Node by node, every state of the non-descendants of ``s``, in
+    lexicographic order, has one row per row ``gamma`` of the local set
+    at its parent configuration, holding ``gamma(z_s)`` at each joint
+    state that extends it; filled in one pass per parent configuration."""
+    rows, top = np.zeros((count, idx.total)), 0
+    for s, nd, Hs in blocks:
+        cfg, n_cfg = idx.config_index(nd)
+        pa, _ = idx.config_index(net.dag.parents(s))
+        zs, h = idx.digits(s), np.zeros(n_cfg, dtype=np.int64)
+        h[cfg] = np.array([len(H) for H in Hs])[pa]
+        first = top + np.cumsum(h) - h
+        top += int(h.sum())
+        for k, H in enumerate(Hs):
+            on = np.flatnonzero(pa == k)
+            rows[first[cfg[on]] + np.arange(len(H))[:, None], on] = \
+                H[:, zs[on]]
+    assert top == count
+    return rows
 
 
 def _product_model(net: CredalNetwork, idx: JointIndex) -> np.ndarray:
@@ -144,31 +155,32 @@ class GlobalPolytope:
     from the phase-1 tableau before the exact fallback (see
     :func:`credalnet.simplex.phase2`).  Both tableaux live as long as
     the object, like the rows.
-    The float program is posed over non-negative variables, which the
-    rows imply, and phase 1 starts from the product model of the local
-    sets' members: the surplus of every row and that model's column make
-    up the basis after one pivot.  A product model that violates the
-    rows means they are not this network's program, which is reported
-    as infeasible.  ``exact=True`` solves the program as posed, over
-    free variables, with both phases in rational arithmetic.
+    Phase 1 starts from the product model of the local sets' members:
+    the surplus of every row and that model's column make up the basis
+    after one pivot.  A product model that violates the rows means they
+    are not this network's program, which is reported as infeasible.
+    ``exact=True`` solves the same program, from artificial columns,
+    with both phases in rational arithmetic.
 
-    ``include_nonnegativity`` appends the redundant rows ``P(z) >= 0``,
-    one per joint state, for cross-checking the program without them.
+    The rows are counted before they are built: a program whose dense
+    rows alone exceed :data:`credalnet.simplex.MAX_TABLEAU_BYTES` could
+    not be solved, and is refused with :class:`CapabilityError`.
     """
 
-    def __init__(self, net: CredalNetwork, include_nonnegativity: bool = False):
+    def __init__(self, net: CredalNetwork):
         self.net = net
-        if net.joint_count() > MAX_LP_VARIABLES:
+        total = net.joint_count()
+        if total > MAX_LP_VARIABLES:
             raise CapabilityError("global program exceeds the variable bound")
+        blocks = list(_node_rows(net))
+        count = _row_count(net, blocks)
+        size = count * total * 8
+        if size > simplex.MAX_TABLEAU_BYTES:
+            raise CapabilityError(
+                f"global program rows of {size / 2**20:.0f} MiB exceed the "
+                f"{simplex.MAX_TABLEAU_BYTES // 2**20} MiB tableau bound")
         self.idx = JointIndex(net)
-        rows, labels = _constraint_rows(net, self.idx)
-        if include_nonnegativity:
-            rows = rows + [row for row in np.eye(self.idx.total)]
-            labels = labels + [f"nonneg|{j}" for j in range(self.idx.total)]
-            if len(rows) > MAX_LP_ROWS:
-                raise CapabilityError("global program exceeds the row bound")
-        self.rows = np.array(rows) if rows else np.zeros((0, self.idx.total))
-        self.labels = tuple(labels)
+        self.rows = _constraint_rows(net, self.idx, blocks, count)
         self._eq = np.ones((1, self.idx.total))
         self._warm: simplex.FeasibleTableau | None = None
 
@@ -181,7 +193,7 @@ class GlobalPolytope:
         if len(self.rows) and (self.rows @ start).min() < -simplex.TOL_FEAS:
             return None     # the rows are not this network's program
         return simplex.phase1(self.idx.total, *self._constraints(),
-                              nonneg=True, start=start)
+                              start=start)
 
     def minimize(self, c: np.ndarray, *, exact: bool = False,
                  warm: bool = False):
@@ -214,7 +226,15 @@ class GlobalPolytope:
                                     for t in self.net.joint_tuples())]
         lines.append("min " + nums(factor_vector(self.net, f)))
         lines.append("eq " + nums(self._eq[0]) + " = 1.0")
-        for label, row in zip(self.labels, self.rows):
+        labels = []
+        for s, nd, Hs in _node_rows(self.net):
+            pa_pos = [nd.index(p) for p in self.net.dag.parents(s)]
+            h = dict(zip(self.net.parent_configs(s), map(len, Hs)))
+            for nd_t in product(*(self.net.states(u) for u in nd)):
+                name = f"{s}|{','.join(nd_t) if nd_t else '-'}"
+                labels += [f"{name}|g{gi}" for gi in
+                           range(h[tuple(nd_t[i] for i in pa_pos)])]
+        for label, row in zip(labels, self.rows, strict=True):
             lines.append(f"ge {label} " + nums(row) + " >= 0.0")
         return "\n".join(lines) + "\n"
 
@@ -227,17 +247,11 @@ class GlobalPolytope:
 
 
 def lower_expectation_lp(net: CredalNetwork, f: Factor, *,
-                         include_nonnegativity: bool = False,
                          exact: bool = False) -> float:
-    """Tight lower expectation of ``f`` via the global program (see
-    :class:`GlobalPolytope` for ``include_nonnegativity``)."""
-    gp = GlobalPolytope(net, include_nonnegativity)
+    """Tight lower expectation of ``f`` via the global program."""
+    gp = GlobalPolytope(net)
     value, _ = gp.minimize(factor_vector(net, f), exact=exact)
     return value if exact else float(value)
-
-
-def upper_expectation_lp(net: CredalNetwork, f: Factor, **kw) -> float:
-    return -lower_expectation_lp(net, -f, **kw)
 
 
 def enumerate_joint_extreme_points(net: CredalNetwork) -> list[MassFunction]:

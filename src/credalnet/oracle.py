@@ -16,9 +16,7 @@ extreme point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
 
 import numpy as np
 
@@ -32,16 +30,6 @@ MAX_SELECTIONS = 10 ** 6
 #: A vertex "assigns positive probability" to the conditioning event when
 #: its mass exceeds this (guards against enumeration round-off).
 POSITIVE_MASS = 1e-9
-
-
-@dataclass(frozen=True)
-class BayesianSelection:
-    """One extreme point chosen per (node, parent configuration)."""
-
-    choice: tuple  # ((node, parent_config, vertex_index), ...)
-
-    def as_dict(self) -> dict:
-        return {(s, cfg): i for (s, cfg, i) in self.choice}
 
 
 def _vertex_tables(net: CredalNetwork):
@@ -76,8 +64,7 @@ def _vertex_tables(net: CredalNetwork):
     return idx, tables, n_selections
 
 
-def complete_extension_lower(net: CredalNetwork, f: Factor,
-                             return_selection: bool = False):
+def complete_extension_lower(net: CredalNetwork, f: Factor) -> float:
     """Exact lower expectation under element-wise independence, by
     enumerating every combination of local extreme points."""
     idx, tables, _ = _vertex_tables(net)
@@ -86,7 +73,6 @@ def complete_extension_lower(net: CredalNetwork, f: Factor,
     key_list = [(s, cfg) for (s, cfgs, *_rest) in tables for cfg in cfgs]
 
     best = None
-    best_choice = None
     for combo in product(*ranges):
         pick = dict(zip(key_list, combo))
         prob = np.ones(idx.total)
@@ -96,11 +82,6 @@ def complete_extension_lower(net: CredalNetwork, f: Factor,
         value = float(fv @ prob)
         if best is None or value < best:
             best = value
-            best_choice = combo
-    if return_selection:
-        sel = BayesianSelection(tuple(
-            (s, cfg, i) for (s, cfg), i in zip(key_list, best_choice)))
-        return best, sel
     return best
 
 

@@ -225,12 +225,12 @@ def facet_constraints(points: np.ndarray) -> list[tuple[np.ndarray, float]]:
 
 def in_hull(point: np.ndarray, generators: np.ndarray) -> bool:
     """Whether ``point`` is a convex combination of ``generators``
-    (feasibility LP over the combination weights)."""
+    (feasibility LP over the non-negative combination weights)."""
     generators = np.asarray(generators, dtype=float)
     k = generators.shape[0]
     if k == 0:
         return False
     A_eq = np.vstack([generators.T, np.ones((1, k))])
     b_eq = np.concatenate([np.asarray(point, dtype=float), [1.0]])
-    res = simplex.solve(np.zeros(k), A_eq=A_eq, b_eq=b_eq, nonneg=True)
+    res = simplex.solve(np.zeros(k), A_eq=A_eq, b_eq=b_eq)
     return res.status == "optimal"

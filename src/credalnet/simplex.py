@@ -30,10 +30,9 @@ on an artificial row in one pivot.  The global program has one such
 row, its normalisation, and a known point, the Bayesian network built
 from one member of each local set, so its phase 1 is that one pivot.
 
-The solver accepts free variables (split internally into a difference of
-non-negatives) because the global polytope of a credal network is posed
-without explicit non-negativity rows; its float program is solved over
-non-negative variables, which those rows imply.
+Every program is posed over non-negative variables.  The programs of
+this library range over mass functions, so ``x >= 0`` belongs to each
+of them, and no caller states it as rows.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ _STALL_LIMIT = 50
 _MAX_ITER = 50_000
 
 #: Bound on the phase-1 tableau, (rows + 1) x (columns + artificials + 1)
-#: float64 entries, where the columns are the variables (two per free
-#: one), the surpluses and the start column, and only the rows that do
-#: not start on their surplus have an artificial.  Each pivot subtracts
+#: float64 entries, where the columns are the variables, the surpluses
+#: and the start column, and only the rows that do not start on their
+#: surplus have an artificial.  Each pivot subtracts
 #: an outer product as large as the tableau, so phase 1 holds about
 #: twice this at its peak, besides the constraint rows themselves:
 #: 256 MiB keeps a solve under 1 GiB.  A pivot then sweeps 2^25 entries
@@ -92,7 +91,6 @@ class FeasibleTableau:
     T: np.ndarray               # rows, then a zero cost row; rhs last
     basis: list                 # basic column of each row
     n: int                      # number of the caller's variables
-    nonneg: bool
     exact: bool
     constraints: tuple          # (A_eq, b_eq, A_ub, b_ub) as given
     start: np.ndarray | None    # the start point, whose column is last
@@ -173,12 +171,12 @@ def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol) -> str:
 
 
 def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
-           nonneg: bool = False, exact: bool = False,
-           start=None) -> FeasibleTableau | None:
+           exact: bool = False, start=None) -> FeasibleTableau | None:
     """Phase 1 for ``A_eq x = b_eq``, ``A_ub x >= b_ub`` over ``n``
-    variables: a feasible tableau and basis, or ``None`` when the system
-    is infeasible.  The objective plays no part, so one phase 1 serves
-    every objective over the same constraints (see :func:`phase2`).
+    non-negative variables: a feasible tableau and basis, or ``None``
+    when the system is infeasible.  The objective plays no part, so one
+    phase 1 serves every objective over the same constraints (see
+    :func:`phase2`).
 
     A ``>=`` row whose right-hand side is at most zero is negated, so
     that its surplus starts in the basis; only the other rows get an
@@ -186,11 +184,7 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     constraints (to ``TOL_FEAS`` in float arithmetic), adds one
     non-negative column, the constraint matrix times ``start``, and one
     pivot moves it into the basis on an artificial row; with a single
-    artificial row, as on the global program, phase 1 is then done.  A
-    start point needs non-negative variables: with free ones, the start
-    column and the split variables would form a line of zero cost."""
-    if start is not None and not nonneg:
-        raise ValueError("a start point needs non-negative variables")
+    artificial row, as on the global program, phase 1 is then done."""
     constraints = (A_eq, b_eq, A_ub, b_ub)
     conv = _to_fraction_array if exact else (
         lambda a: np.asarray(a, dtype=float))
@@ -213,10 +207,9 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     on_surplus[m_eq:] = b_ub <= zero
     art = (~on_surplus).nonzero()[0]
 
-    # Standard-form columns: x (split in two when free), the surpluses,
-    # the start column, one artificial per row of ``art``, the rhs.
-    n_var = n if nonneg else 2 * n
-    col_start = n_var + n_surplus
+    # Standard-form columns: x, the surpluses, the start column, one
+    # artificial per row of ``art``, the rhs.
+    col_start = n + n_surplus
     ncols = col_start + (start is not None)
     size = (m + 1) * (ncols + len(art) + 1) * 8
     if size > MAX_TABLEAU_BYTES:
@@ -228,9 +221,7 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
         T[:, :] = zero
     T[:m_eq, :n] = A_eq
     T[m_eq:m, :n] = A_ub
-    if not nonneg:
-        T[:m, n:n_var] = -T[:m, :n]
-    T[np.arange(m_eq, m), np.arange(n_var, col_start)] = -one
+    T[np.arange(m_eq, m), np.arange(n, col_start)] = -one
     if start is not None:
         T[:m, col_start] = T[:m, :n] @ start
     T[:m_eq, -1] = b_eq
@@ -239,7 +230,7 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     # place: a copy would be as large as the tableau.
     T[:m] *= np.where(on_surplus | (T[:m, -1] < zero), -1, 1)[:, None]
     T[art, ncols + np.arange(len(art))] = one
-    basis = [n_var + i - m_eq for i in range(m)]
+    basis = [n + i - m_eq for i in range(m)]
     for k, i in enumerate(art):
         basis[i] = ncols + k
     # phase-1 cost: sum of artificials, expressed over the current basis
@@ -275,7 +266,7 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     F[:, :ncols] = T[:, :ncols]
     F[:, -1] = T[:, -1]
     F[-1, :] = zero
-    return FeasibleTableau(F, basis, n, nonneg, exact, constraints, start)
+    return FeasibleTableau(F, basis, n, exact, constraints, start)
 
 
 def phase2(tableau: FeasibleTableau, c,
@@ -298,22 +289,22 @@ def phase2(tableau: FeasibleTableau, c,
     c = _to_fraction_array(c) if tableau.exact else np.asarray(c, dtype=float)
     if warm is not None:
         res = _optimise(warm, c)
-        if res.status == "optimal" and _residuals_ok(
-                res.x, tableau.constraints, tableau.nonneg):
+        if res.status == "optimal" and _residuals_ok(res.x,
+                                                     tableau.constraints):
             return res
     res = _optimise(replace(tableau, T=tableau.T.copy(),
                             basis=list(tableau.basis)), c)
     if res.status == "optimal" and not tableau.exact and not _residuals_ok(
-            res.x, tableau.constraints, tableau.nonneg):
+            res.x, tableau.constraints):
         # the float tableau degraded (tiny pivots); redo in exact arithmetic
-        return _solve_exact_as_float(c, tableau.constraints, tableau.nonneg)
+        return _solve_exact_as_float(c, tableau.constraints)
     return res
 
 
 def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     """Price ``c`` over the tableau's basis and run the simplex on it, in
     place."""
-    exact, nonneg, n = tableau.exact, tableau.nonneg, tableau.n
+    exact, n = tableau.exact, tableau.n
     T, basis = tableau.T, tableau.basis
     m = T.shape[0] - 1
     ncols = T.shape[1] - 1
@@ -324,8 +315,6 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     zero = Fraction(0) if exact else 0.0
     cost = np.full(ncols + 1, zero, dtype=T.dtype)
     cost[:n] = c
-    if not nonneg:
-        cost[n:2 * n] = -c
     if tableau.start is not None:
         cost[ncols - 1] = c @ tableau.start
     slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
@@ -338,30 +327,30 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     xs = np.full(ncols + 1, zero, dtype=T.dtype)
     slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
     xs[slots] = T[:m, -1]
-    x = xs[:n] if nonneg else xs[:n] - xs[n:2 * n]
+    x = xs[:n]
     if tableau.start is not None:
         x = x + xs[ncols - 1] * tableau.start
     return SimplexResult("optimal", x, c @ x, tableau)
 
 
 def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
-          nonneg: bool = False, exact: bool = False) -> SimplexResult:
-    """Minimize ``c @ x`` subject to ``A_eq x = b_eq`` and ``A_ub x >= b_ub``.
+          exact: bool = False) -> SimplexResult:
+    """Minimize ``c @ x`` subject to ``A_eq x = b_eq``, ``A_ub x >= b_ub``
+    and ``x >= 0``.
 
-    Variables are free unless ``nonneg`` is set.  With ``exact=True`` all
-    data is converted to ``Fraction`` and the pivoting is performed in
-    exact rational arithmetic (slow; adjudication use only).
+    With ``exact=True`` all data is converted to ``Fraction`` and the
+    pivoting is performed in exact rational arithmetic (slow;
+    adjudication use only).
     """
-    tableau = phase1(len(c), A_eq, b_eq, A_ub, b_ub, nonneg=nonneg,
-                     exact=exact)
+    tableau = phase1(len(c), A_eq, b_eq, A_ub, b_ub, exact=exact)
     if tableau is None:
         return SimplexResult("infeasible", None, None)
     return phase2(tableau, c)
 
 
-def _residuals_ok(x, constraints, nonneg: bool) -> bool:
+def _residuals_ok(x, constraints) -> bool:
     A_eq, b_eq, A_ub, b_ub = constraints
-    if nonneg and np.asarray(x, dtype=float).min() < -TOL_FEAS:
+    if np.asarray(x, dtype=float).min() < -TOL_FEAS:
         return False
     if A_eq is not None and len(A_eq):
         res = np.asarray(A_eq, dtype=float) @ x - np.asarray(b_eq, dtype=float)
@@ -374,8 +363,8 @@ def _residuals_ok(x, constraints, nonneg: bool) -> bool:
     return True
 
 
-def _solve_exact_as_float(c, constraints, nonneg: bool) -> SimplexResult:
-    res = solve(c, *constraints, nonneg=nonneg, exact=True)
+def _solve_exact_as_float(c, constraints) -> SimplexResult:
+    res = solve(c, *constraints, exact=True)
     if res.status != "optimal":
         return res
     x = np.array([float(v) for v in res.x])

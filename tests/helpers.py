@@ -105,6 +105,37 @@ def constraint_twin(net: CredalNetwork) -> CredalNetwork:
     return CredalNetwork(net.dag, net.state_spaces, locals_)
 
 
+#: Three-state sets whose rows, without the simplex, do not imply
+#: p >= 0: each as its constraints and as its vertices.
+CUT_STATES = ("a", "b", "c")
+CUT_SETS = [
+    # p(a) >= 1/4
+    ([((1.0, 0.0, 0.0), 0.25)],
+     [(1.0, 0.0, 0.0), (0.25, 0.75, 0.0), (0.25, 0.0, 0.75)]),
+    # p(b) >= p(c)
+    ([((0.0, 1.0, -1.0), 0.0)],
+     [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.5, 0.5)]),
+]
+
+
+def simplex_cut_net(as_vertices: bool) -> CredalNetwork:
+    """y <- x -> w, with the leaves y and w three-state and given the
+    sets of :data:`CUT_SETS`, in turn and in reverse, by their
+    constraints or by their vertices; x is a binary interval.  A leaf
+    with sets whose rows imply p >= 0 would make the global rows imply
+    it too, so both leaves have sets whose rows do not."""
+    dag = Dag(["x", "y", "w"], [("x", "y"), ("x", "w")])
+    spaces = {"x": ("0", "1"), "y": CUT_STATES, "w": CUT_STATES}
+    locals_ = {("x", ()): CredalSet(("0", "1"),
+                                    vertices=[(0.3, 0.7), (0.6, 0.4)])}
+    for s, order in (("y", CUT_SETS), ("w", CUT_SETS[::-1])):
+        for x, (cons, verts) in zip(spaces["x"], order):
+            locals_[(s, (x,))] = (CredalSet(CUT_STATES, vertices=verts)
+                                  if as_vertices else
+                                  CredalSet(CUT_STATES, constraints=cons))
+    return CredalNetwork(dag, spaces, locals_)
+
+
 def precise_locals(dag: Dag, rng: np.random.Generator) -> dict:
     """Singleton local sets: an ordinary Bayesian network."""
     locals_ = {}

@@ -15,6 +15,8 @@ from credalnet.credal import (CredalSet, MassFunction, binary_interval,
                               vertices_to_constraints)
 from credalnet.errors import InputError, ModelError
 
+from helpers import CUT_SETS, CUT_STATES
+
 TOL = 1e-9
 
 
@@ -247,6 +249,44 @@ class TestHomogeneous:
             assert np.array_equal(m.member, pts[0])
             twin = CredalSet(m.states, constraints=vertices_to_constraints(m))
             assert twin.contains(twin.member)
+
+
+class TestRowsReadOnTheSimplex:
+    """Sets whose rows admit negative "probabilities" off the simplex
+    answer as their vertex twins do: every query reads the rows on the
+    simplex."""
+
+    @pytest.mark.parametrize("cons, verts", CUT_SETS)
+    def test_rows_do_not_imply_nonnegativity(self, cons, verts):
+        m = CredalSet(CUT_STATES, constraints=cons)
+        off = np.array([-0.5, 2.0, -0.5]) if cons[0][0][0] == 0.0 else \
+            np.array([2.0, -0.5, -0.5])
+        assert off.sum() == 1.0 and (m._H @ off).min() >= 0.0
+        assert not m.contains(off)
+        assert not CredalSet(CUT_STATES, vertices=verts).contains(off)
+
+    @pytest.mark.parametrize("cons, verts", CUT_SETS)
+    def test_queries_match_vertex_twin(self, rng, cons, verts):
+        m = CredalSet(CUT_STATES, constraints=cons)
+        twin = CredalSet(CUT_STATES, vertices=verts)
+        assert twin.contains(m.member)
+        for _ in range(20):
+            f = rng.normal(size=3)
+            low = twin.lower_expectation(f)
+            assert m.lower_expectation(f) == pytest.approx(low, abs=1e-9)
+            assert m.upper_expectation(f) == pytest.approx(
+                twin.upper_expectation(f), abs=1e-9)
+            assert m.lower_expectation(f, exact=True) == pytest.approx(
+                low, abs=1e-12)
+            value, p = m.lower_argmin(f)
+            assert value == pytest.approx(low, abs=1e-9)
+            assert f @ p == pytest.approx(value, abs=1e-9)
+            assert twin.contains(p) and p.min() >= -simplex.TOL_FEAS
+            q = rng.dirichlet(np.ones(3))
+            assert m.contains(q) == twin.contains(q)
+        got = sorted(tuple(np.round(v.probs, 9))
+                     for v in constraints_to_vertices(m))
+        assert got == sorted(tuple(np.round(v, 9)) for v in verts)
 
 
 class TestConversions:

@@ -1,5 +1,5 @@
-"""The global program: worked example values, redundancy of explicit
-non-negativity, vertex enumeration, and coherence of the resulting lower
+"""The global program: worked example values, mass functions as
+minimisers, vertex enumeration, and coherence of the resulting lower
 expectation operator."""
 
 import numpy as np
@@ -13,7 +13,8 @@ from credalnet.graph import Dag
 from credalnet.network import CredalNetwork
 
 from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
-                     precise_locals, random_binary_net, random_factor)
+                     precise_locals, random_binary_net, random_factor,
+                     simplex_cut_net)
 
 TOL = 1e-9
 
@@ -92,14 +93,16 @@ class TestDegenerateNets:
 
 class TestNonNegativityRedundancy:
     def test_optima_agree(self, rng, two_coins):
+        # binary interval rows imply p >= 0: the program over free
+        # variables has the same optima
         nets = [two_coins] + [random_binary_net(rng, n) for n in (2, 3, 3, 4)]
         for net in nets:
+            gp = lp.GlobalPolytope(net)
             for _ in range(3):
                 f = random_factor(rng, net, net.dag.nodes)
-                plain = lp.lower_expectation_lp(net, f)
-                explicit = lp.lower_expectation_lp(net, f,
-                                                   include_nonnegativity=True)
-                assert plain == pytest.approx(explicit, abs=TOL)
+                free = highs_minimum(gp, lp.factor_vector(net, f))
+                assert lp.lower_expectation_lp(net, f) == \
+                    pytest.approx(free, abs=TOL)
 
     def test_argmin_valid_without_nonnegativity_rows(self, rng):
         for n in (2, 3, 4):
@@ -199,9 +202,9 @@ class TestCachedPhaseOne:
         monkeypatch.setattr(simplex, "_MAX_ITER", 2000)
         fresh_checked = 0
         for n in (2, 3, 4, 5):
-            for nonneg_rows in (False, True):
+            for _ in range(2):
                 net = random_binary_net(rng, n, 0.5)
-                gp = lp.GlobalPolytope(net, nonneg_rows)
+                gp = lp.GlobalPolytope(net)
                 for k in range(3):
                     c = rng.normal(size=gp.idx.total)
                     value, x = gp.minimize(c)
@@ -264,18 +267,80 @@ class TestLargerPrograms:
                 assert gp.minimize(c)[0] == pytest.approx(
                     expect, abs=1e-9 * max(1.0, abs(expect)))
 
-    @pytest.mark.parametrize("nonneg_rows", [False, True])
-    def test_five_node_net_that_stalled_phase_one(self, nonneg_rows):
+    def test_five_node_net_that_stalled_phase_one(self):
         # a phase 1 from artificial columns on every row stalled here at
         # the iteration limit, for any objective
         net = random_binary_net(np.random.default_rng(0), 5, 0.5)
-        gp = lp.GlobalPolytope(net, nonneg_rows)
+        gp = lp.GlobalPolytope(net)
         rng = np.random.default_rng(1)
         for _ in range(4):
             c = rng.normal(size=gp.idx.total)
             expect = highs_minimum(gp, c)
             assert gp.minimize(c)[0] == pytest.approx(
                 expect, abs=1e-9 * max(1.0, abs(expect)))
+
+
+class TestRowsReadOnTheSimplex:
+    """A net whose local rows do not imply p >= 0 without the simplex
+    gets the bounds of its vertex twin, from the float path, the exact
+    adjudicator, HiGHS over non-negative variables and the extreme
+    points."""
+
+    def test_bounds_match_vertex_twin(self, rng):
+        net, twin = simplex_cut_net(False), simplex_cut_net(True)
+        gp, gp_twin = lp.GlobalPolytope(net), lp.GlobalPolytope(twin)
+        V = np.array([p.probs for p in lp.enumerate_joint_extreme_points(net)])
+        for k in range(6):
+            f = random_factor(rng, net, net.dag.nodes)
+            c = lp.factor_vector(net, f)
+            expect = float(gp_twin.minimize(c)[0])
+            value, x = gp.minimize(c)
+            assert value == pytest.approx(expect, abs=TOL)
+            assert x.min() >= -simplex.TOL_FEAS
+            assert (V @ c).min() == pytest.approx(expect, abs=1e-7)
+            res = linprog(c, A_ub=-gp.rows, b_ub=np.zeros(len(gp.rows)),
+                          A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
+                          bounds=(0, None), method="highs")
+            assert res.status == 0
+            assert res.fun == pytest.approx(expect, abs=TOL)
+            if k < 2:
+                exact = gp.minimize(c, exact=True)[0]
+                assert float(exact) == pytest.approx(expect, abs=TOL)
+            # the rows alone, over free variables, bound less
+            free = linprog(c, A_ub=-gp.rows, b_ub=np.zeros(len(gp.rows)),
+                           A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
+                           bounds=(None, None), method="highs")
+            assert free.status != 0 or free.fun < expect - 1e-6
+
+
+class TestRowBound:
+    """The global program counts its rows before it builds them."""
+
+    def test_count_matches_build(self, two_coins):
+        nets = [two_coins, simplex_cut_net(False), simplex_cut_net(True)] + [
+            random_binary_net(np.random.default_rng(n), n) for n in (3, 5, 7)]
+        for net in nets:
+            gp = lp.GlobalPolytope(net)
+            f = net.factor_from_values([net.dag.nodes[0]], [0.0, 1.0])
+            count = lp._row_count(net, list(lp._node_rows(net)))
+            assert count == len(gp.rows) == \
+                gp.dump(f).count("\nge ")
+
+    def test_refused_before_rows_are_built(self, monkeypatch, two_coins):
+        def build(*args):
+            raise AssertionError("rows built for a refused program")
+        # 8 rows over 4 joint states
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 8 * 4 * 8)
+        lp.GlobalPolytope(two_coins)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 8 * 4 * 8 - 1)
+        monkeypatch.setattr(lp, "_constraint_rows", build)
+        with pytest.raises(CapabilityError, match="rows of 0 MiB"):
+            lp.GlobalPolytope(two_coins)
+        monkeypatch.undo()
+        monkeypatch.setattr(lp, "_constraint_rows", build)
+        net = random_binary_net(np.random.default_rng(12), 12)
+        with pytest.raises(CapabilityError, match="753 MiB exceed the 256"):
+            lp.GlobalPolytope(net)
 
 
 def rho_problem(seed: int, n: int):

@@ -18,19 +18,21 @@ class TestBasics:
         assert res.objective == pytest.approx(-1.0)
 
     def test_equality_with_free_variables(self):
-        res = simplex.solve([1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
-                            A_ub=[[1.0, 0.0]], b_ub=[0.3])
+        # every variable is non-negative; a caller poses a free one, here
+        # the second, as the difference of two columns
+        res = simplex.solve([1.0, 0.0, 0.0], A_eq=[[1.0, 1.0, -1.0]],
+                            b_eq=[1.0], A_ub=[[1.0, 0.0, 0.0]], b_ub=[0.3])
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.3)
-        assert res.x[0] + res.x[1] == pytest.approx(1.0)
+        assert res.x.min() >= 0.0
+        assert res.x[0] + res.x[1] - res.x[2] == pytest.approx(1.0)
 
     def test_infeasible(self):
-        res = simplex.solve([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0],
-                            nonneg=True)
+        res = simplex.solve([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0])
         assert res.status == "infeasible"
 
     def test_unbounded(self):
-        res = simplex.solve([-1.0], A_ub=[[1.0]], b_ub=[0.0], nonneg=True)
+        res = simplex.solve([-1.0], A_ub=[[1.0]], b_ub=[0.0])
         assert res.status == "unbounded"
 
     def test_degenerate_cycling_guard(self):
@@ -40,22 +42,21 @@ class TestBasics:
             A_ub=[[-0.25, 60.0, 0.04, -9.0],
                   [-0.5, 90.0, 0.02, -3.0],
                   [0.0, 0.0, -1.0, 0.0]],
-            b_ub=[0.0, 0.0, -1.0], nonneg=True)
+            b_ub=[0.0, 0.0, -1.0])
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-0.05)
 
     def test_no_constraints(self):
-        res = simplex.solve([1.0, 2.0], nonneg=True)
+        res = simplex.solve([1.0, 2.0])
         assert res.status == "optimal"
         assert res.objective == 0.0
-        res = simplex.solve([1, 2], nonneg=True, exact=True)
+        res = simplex.solve([1, 2], exact=True)
         assert res.status == "optimal" and res.objective == 0
-        assert simplex.solve([1.0], exact=True).status == "unbounded"
+        assert simplex.solve([-1.0], exact=True).status == "unbounded"
 
     def test_redundant_rows(self):
         res = simplex.solve([1.0, 1.0],
-                            A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0],
-                            nonneg=True)
+                            A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
 
@@ -73,10 +74,10 @@ class TestAgainstEnumeration:
             assert res.objective == pytest.approx(c.min(), abs=1e-9)
 
     def test_random_box_constraints(self, rng):
-        # free variables in [lo, hi] boxes: optimum picks interval ends
+        # variables in [lo, hi] boxes: optimum picks interval ends
         for _ in range(25):
             n = int(rng.integers(1, 5))
-            lo = rng.uniform(-2, 0, size=n)
+            lo = rng.uniform(0, 2, size=n)
             hi = lo + rng.uniform(0.1, 2, size=n)
             c = rng.normal(size=n)
             A = np.vstack([np.eye(n), -np.eye(n)])
@@ -117,14 +118,13 @@ class TestPhases:
             A = rng.normal(size=(n + 2, n))
             # rows that hold, with some slack, at a point of the simplex
             b = A @ rng.dirichlet(np.ones(n)) - rng.uniform(0, 1, size=n + 2)
-            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b,
-                                     nonneg=True)
+            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b)
             saved = tableau.T.copy()
             for _ in range(3):
                 c = rng.normal(size=n)
                 res = simplex.phase2(tableau, c)
                 fresh = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
-                                      A_ub=A, b_ub=b, nonneg=True)
+                                      A_ub=A, b_ub=b)
                 assert res.status == fresh.status == "optimal"
                 assert np.array_equal(res.x, fresh.x)
             assert np.array_equal(tableau.T, saved)
@@ -144,8 +144,7 @@ class TestPhases:
             A[0] += rng.uniform(0, 1)          # one with slack at p
             b = np.zeros(n + 2)
             pivots.clear()
-            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b,
-                                     nonneg=True, start=p)
+            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b, start=p)
             # every row but the equality starts on its surplus, so one
             # pivot brings in the start column, the last column
             assert pivots == [n + (n + 2)]
@@ -154,7 +153,7 @@ class TestPhases:
                 c = rng.normal(size=n)
                 res = simplex.phase2(tableau, c)
                 fresh = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
-                                      A_ub=A, b_ub=b, nonneg=True)
+                                      A_ub=A, b_ub=b)
                 assert res.status == fresh.status == "optimal"
                 assert res.objective == pytest.approx(fresh.objective,
                                                       abs=1e-12)
@@ -162,25 +161,20 @@ class TestPhases:
                 assert res.x.min() >= -simplex.TOL_FEAS
                 assert (A @ res.x).min() >= -simplex.TOL_FEAS
 
-    def test_start_point_needs_nonnegative_variables(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            simplex.phase1(2, [[1.0, 1.0]], [1.0], start=[0.5, 0.5])
-
     def test_phase1_infeasible(self):
-        assert simplex.phase1(1, A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0],
-                              nonneg=True) is None
+        assert simplex.phase1(1, A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0]) is None
 
 
 class TestTableauBound:
     def test_raises_before_allocating(self, monkeypatch):
-        # 3 rows over 2 free variables, 2 of them with a surplus column
-        # that starts in the basis, so only the equality gets an
-        # artificial column: 4 x (4 + 2 + 1 + 1) entries
+        # 3 rows over 2 variables, 2 of them with a surplus column that
+        # starts in the basis, so only the equality gets an artificial
+        # column: 4 x (2 + 2 + 1 + 1) entries
         args = dict(A_eq=[[1.0, 1.0]], b_eq=[1.0],
                     A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[0.0, 0.0])
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 8 * 8)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 6 * 8)
         assert simplex.solve([1.0, 2.0], **args).status == "optimal"
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 8 * 8 - 1)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 6 * 8 - 1)
         with pytest.raises(CapabilityError, match="tableau"):
             simplex.solve([1.0, 2.0], **args)
         with pytest.raises(CapabilityError, match="tableau"):
