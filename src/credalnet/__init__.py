@@ -9,12 +9,11 @@ oracles for verification.
 """
 
 from .chains import (HmmSpec, HmmStep, ReversePlan, TransferOperator,
-                     chain_forward, chain_reverse_rho,
-                     complete_evidence_lower, hmm_forward_rho, hmm_plan,
-                     infer_hmm_spec, reverse_plan)
+                     chain_reverse_rho, complete_evidence_lower,
+                     hmm_forward_rho, hmm_plan, infer_hmm_spec, reverse_plan)
 from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
                            natural_conditional, reduce_then_condition,
-                           regular_conditional, rho, rho_evaluator,
+                           regular_conditional, rho_evaluator,
                            upper_prob_positive)
 from .credal import (CredalSet, HomogeneousConstraint, LinearConstraint,
                      MassFunction, binary_interval, constraints_to_vertices,
@@ -22,8 +21,7 @@ from .credal import (CredalSet, HomogeneousConstraint, LinearConstraint,
                      vacuous, vertices_to_constraints)
 from .decompose import (Reduction, atom_bounds, combined, external_additivity,
                         factorise, iterated_lower_expectation,
-                        lower_expectation, marginalise, trace_lines,
-                        upper_expectation)
+                        lower_expectation, marginalise, trace_lines)
 from .errors import (CapabilityError, ConvergenceError, CredalError,
                      HypothesisError, InputError, ModelError)
 from .fileio import (Query, ValidationReport, dump_network, load_network,

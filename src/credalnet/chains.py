@@ -1,11 +1,11 @@
-"""Linear-time recursions for chains, hidden-state models and
-complete-evidence queries.
+"""Linear-time recursions for conditional queries on chains,
+hidden-state models and complete evidence.
 
-A chain query composes transfer operators backwards: the operator of
-node k maps a gamble on X_k to the gamble on X_{k-1} whose value at each
-predecessor state is the local lower expectation, one
-:meth:`~credalnet.network.CredalNetwork.local_lower` contraction per
-step.
+An unconditional chain query is the planner's
+(:func:`credalnet.decompose.lower_expectation`): its peels compose the
+transfer operators backwards.  The operator of node k
+(:class:`TransferOperator`) maps a gamble on X_k to the gamble on X_{k-1}
+of local lower expectations, one per predecessor state.
 
 Reverse conditioning and observation-weighted recursions evaluate the
 bracketing function rho of the conditioning module in one backward sweep
@@ -28,6 +28,7 @@ functions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -37,10 +38,9 @@ from .errors import HypothesisError, InputError
 from .network import CredalNetwork, Factor, lower_argmin, sub_network
 
 __all__ = [
-    "TransferOperator", "chain_order", "chain_forward", "ReversePlan",
-    "reverse_plan", "chain_reverse_rho", "HmmSpec", "infer_hmm_spec",
-    "HmmStep", "hmm_plan", "hmm_forward_rho", "complete_evidence_lower",
-]
+    "TransferOperator", "chain_order", "ReversePlan", "reverse_plan",
+    "chain_reverse_rho", "HmmSpec", "infer_hmm_spec", "HmmStep", "hmm_plan",
+    "hmm_forward_rho", "complete_evidence_lower"]
 
 #: rho at one mu: ``(rho, E_p[f 1_B], P_p(B))`` at a model p attaining it.
 Rho = Callable[[float], tuple[float, float, float]]
@@ -50,38 +50,28 @@ def chain_order(net: CredalNetwork) -> tuple[str, ...]:
     """The nodes from root to leaf; raises when the DAG is not a simple
     chain."""
     dag = net.dag
-    roots = [s for s in dag.nodes if not dag.parents(s)]
-    if len(dag.edges) != len(dag.nodes) - 1 or len(roots) != 1:
-        raise HypothesisError("network is not a simple chain")
-    order = [roots[0]]
-    while True:
-        ch = dag.children(order[-1])
-        if not ch:
-            break
-        if len(ch) > 1:
-            raise HypothesisError("network is not a simple chain")
-        order.append(ch[0])
-    if len(order) != len(dag.nodes):
-        raise HypothesisError("network is not a simple chain")
-    return tuple(order)
+    order = [s for s in dag.nodes if not dag.parents(s)]
+    if len(order) == 1 and len(dag.edges) == len(dag.nodes) - 1:
+        # every other node has one parent: walk down while nothing forks
+        while len(ch := dag.children(order[-1])) == 1:
+            order.append(ch[0])
+        if len(order) == len(dag.nodes):
+            return tuple(order)
+    raise HypothesisError("network is not a simple chain")
 
 
 class TransferOperator:
     """Backward map of a chain step: a gamble on the node's states becomes
-    the gamble of local lower expectations, one per predecessor state,
-    as an array; one :meth:`CredalNetwork.local_lower` call.
-
-    Monotone, constant-additive and positively homogeneous, like every
-    lower expectation."""
+    the array of local lower expectations, one per predecessor state (one
+    :meth:`CredalNetwork.local_lower` call).  Monotone, constant-additive
+    and positively homogeneous, like every lower expectation."""
 
     def __init__(self, net: CredalNetwork, node: str):
         parents = net.dag.parents(node)
         if len(parents) != 1:
             raise HypothesisError(f"node {node!r} does not have exactly "
                                   "one parent")
-        self.net = net
-        self.node = node
-        self.parent = parents[0]
+        self.net, self.node = net, node
 
     def __call__(self, g: Sequence[float]) -> np.ndarray:
         return self.net.local_lower(self.node, g)
@@ -101,14 +91,21 @@ def _gamble_on(net: CredalNetwork, node: str, h) -> np.ndarray:
     return values
 
 
-def chain_forward(net: CredalNetwork, h) -> float:
-    """Lower expectation of a gamble on the last chain node, by backward
-    composition of the transfer operators; linear in the chain length."""
-    order = chain_order(net)
-    g = _gamble_on(net, order[-1], h)
-    for k in range(len(order) - 1, 0, -1):
-        g = TransferOperator(net, order[k])(g)
-    return float(net.local_lower(order[0], g))
+def _sign_split(argmin: Callable, h: np.ndarray, low: np.ndarray,
+                high: np.ndarray) -> Rho:
+    """rho of a weighted gamble: rho(mu) is the lower expectation of
+    ``w * (h - mu)``, where ``w`` is ``low`` where ``h >= mu`` and
+    ``high`` elsewhere, by ``argmin`` (value and an attaining mass
+    function).  The weights' mean under that mass function is P(B) at a
+    model attaining rho; rho(mu) returns ``(rho, rho + mu * P, P)``."""
+
+    def rho(mu: float) -> tuple[float, float, float]:
+        w = np.where(h >= mu, low, high)
+        value, mass = argmin(w * (h - mu))
+        value, prob = float(value), float(mass @ w)
+        return value, value + mu * prob, prob
+
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +140,11 @@ def chain_reverse_rho(net: CredalNetwork, h, plan: ReversePlan) -> Rho:
     ``1{X_last = x_n} * (h(X_first) - mu)``.
 
     The plan's envelopes weight the positive and the negative part of
-    ``h - mu``, so an evaluation is one contraction at the first node.
-    The weights are probabilities of ``X_last = x_n`` at attaining
-    models, so their mean under the first node's attaining mass
-    function is P(B) at a model attaining rho.  rho(mu) returns
-    ``(rho, rho + mu * P, P)``."""
-    hv = _gamble_on(net, plan.first, h)
-
-    def rho(mu: float) -> tuple[float, float, float]:
-        w = np.where(hv >= mu, plan.lo_env, plan.hi_env)
-        value, mass = net.local_lower_argmin(plan.first, w * (hv - mu))
-        value, prob = float(value), float(mass @ w)
-        return value, value + mu * prob, prob
-
-    return rho
+    ``h - mu`` (:func:`_sign_split`), so an evaluation is one
+    contraction at the first node."""
+    return _sign_split(partial(net.local_lower_argmin, plan.first),
+                       _gamble_on(net, plan.first, h), plan.lo_env,
+                       plan.hi_env)
 
 
 @dataclass(frozen=True)
@@ -320,21 +308,14 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
 
     desc = dag.sorted_nodes(dag.descendants(q))
     f_min, f_max = float(fv.min()), float(fv.max())
-    bounds = []
-    for x in net.states(q):
-        ctx = {**x_E, q: x}
-        bounds.append(decompose.atom_bounds(
-            sub_network(net, desc, ctx), {s: ctx[s] for s in desc}))
-    prod_low, prod_high = np.array(bounds).T
+    atom = {s: x_E[s] for s in desc}
+    prod_low, prod_high = np.array([decompose.atom_bounds(
+        sub_network(net, desc, {**x_E, q: x}), atom)
+        for x in net.states(q)]).T
 
-    def rho_fn(mu: float) -> tuple[float, float, float]:
-        w = np.where(fv >= mu, prod_low, prod_high)
-        g = (fv - mu) * w
-        value, mass = local_q.lower_argmin(g)
-        prob = float(mass @ w)
-        return value, value + mu * prob, prob
-
-    ev = conditioning.RhoEvaluator(rho_fn, f_min, f_max, f_min)
+    ev = conditioning.RhoEvaluator(
+        _sign_split(local_q.lower_argmin, fv, prod_low, prod_high),
+        f_min, f_max, f_min)
     gate = False
     if rule == "regular":
         # gate on the non-descendants' upper probability

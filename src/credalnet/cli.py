@@ -5,22 +5,28 @@ Output is line-oriented, one key=value pair per line, stable across runs.
 ``validate`` lists every issue of a network file; ``infer --lp-dump``
 also writes the global program of the query's gamble, in the text form
 of :meth:`credalnet.lp.GlobalPolytope.dump`.
-Exit codes: 0 success, 2 validation error, 3 capability error,
-4 hypothesis error.
+Exit codes: 0 success, 1 convergence failure or a reader that closed
+standard output (a broken pipe, which prints nothing), 2 validation
+error, 3 capability error, 4 hypothesis error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import decompose, fileio, graph, lp, queries
-from .errors import (CapabilityError, ConvergenceError, CredalError,
-                     HypothesisError, InputError, ModelError)
+from .errors import (CapabilityError, CredalError, HypothesisError,
+                     InputError, ModelError)
 
 EXIT_VALIDATION = 2
 EXIT_CAPABILITY = 3
 EXIT_HYPOTHESIS = 4
+#: the exit code of each kind of error; any other exits with 1
+EXIT_CODES = (((InputError, ModelError, OSError), EXIT_VALIDATION),
+              (CapabilityError, EXIT_CAPABILITY),
+              (HypothesisError, EXIT_HYPOTHESIS))
 
 
 def _emit(pairs) -> None:
@@ -136,22 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, ModelError) as e:
-        print(f"error={e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CapabilityError as e:
-        print(f"error={e}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except HypothesisError as e:
-        print(f"error={e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (ConvergenceError, CredalError) as e:
-        print(f"error={e}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # print nothing more: the flush at exit writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as e:
+    except (CredalError, OSError) as e:
         print(f"error={e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next((c for kind, c in EXIT_CODES if isinstance(e, kind)), 1)
 
 
 if __name__ == "__main__":

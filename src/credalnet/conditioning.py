@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 from . import decompose, lp
 from .errors import ConvergenceError, HypothesisError, InputError, ModelError
-from .graph import set_relations
+from .graph import closure, set_relations
 from .network import CredalNetwork, Event, Factor, sub_network
 
 #: Strict-positivity threshold of the sign tests and of the
@@ -95,11 +95,6 @@ class RhoEvaluator:
         E_p[f 1_B] / P_p(B) at its attaining model p, which is at least
         the root.  The step is ``None`` when P_p(B) is zero."""
         return self._seen[mu]
-
-
-def rho(evaluator: RhoEvaluator, mu: float) -> float:
-    """The bracketing function at one abscissa."""
-    return evaluator.rho(mu)
 
 
 def lower_prob_positive(evaluator: RhoEvaluator) -> bool:
@@ -259,7 +254,6 @@ def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
     """Smallest closed K containing the scope such that all external
     parents of K are instantiated by the conditioning assignment and no
     conditioned node is a descendant of K."""
-    from .graph import closure
     K = closure(net.dag, frozenset(scope) if scope else
                 frozenset([net.dag.nodes[0]]))
     given_nodes = set(given)

@@ -7,8 +7,10 @@ sign-split factorisation, external additivity, or the atom product).
 network: it marginalises to the ancestral closure of the query, peels
 final segments while the iterated law applies, and hands the irreducible
 core to the linear program (:func:`credalnet.lp.lower_expectation_lp`
-solves the whole program with no planning).  Each step appends a
-:class:`Reduction` record to the optional trace for auditing.
+solves the whole program with no planning).  It peels on a scope and a
+bare array (:func:`_peel`, one local contraction per node; on a chain,
+the backward composition of the transfer operators).  Each step appends
+a :class:`Reduction` record to the optional trace for auditing.
 Hypothesis failures in the explicitly invoked operations raise
 :class:`~credalnet.errors.HypothesisError`; only the planner is allowed
 to fall back silently, because falling back is its documented job.
@@ -65,37 +67,50 @@ def _require_closed(net: CredalNetwork, K) -> frozenset:
     return Kf
 
 
-def _inner_values(net: CredalNetwork, S, f: Factor,
-                  trace: list | None) -> Factor:
-    """The iterated law's inner factor: for each state of the relevant
-    outside nodes, the lower expectation of f over the S-sub-network with
-    its external parents instantiated.  A single node answers with its
-    local sets on ``net`` itself; several nodes build one sub-network
-    per state.
+def _peel(net: CredalNetwork, s: str, scope: tuple, values: np.ndarray
+          ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The iterated law's inner values for one node ``s`` and the scope
+    they lie over: a :meth:`CredalNetwork.local_lower` contraction of
+    ``values`` (an axis per ``scope`` node, a unit axis added per parent
+    outside it) with axes moved to (others..., parents..., s), skipping
+    identity permutations; a gamble on ``s`` alone needs none."""
+    parents = net.dag.parents(s)
+    new = order = parents
+    if scope != (s,):
+        order = tuple(x for x in scope if x != s and x not in parents) \
+            + parents
+        new = net.dag.sorted_nodes(order)
+        # a unit axis for each parent, and for s, outside the scope
+        axes = scope + tuple(x for x in order + (s,) if x not in scope)
+        values = values.reshape(values.shape + (1,) * (len(axes) - len(scope)))
+        if axes != order + (s,):
+            values = values.transpose([axes.index(x) for x in order + (s,)])
+        if s not in scope:
+            values = np.broadcast_to(values,
+                                     values.shape[:-1] + (net.size(s),))
+    values = net.local_lower(s, values)
+    if new != order:
+        values = values.transpose([order.index(x) for x in new])
+    return new, values
 
-    The factor is materialised only over (f.scope \\ S) union parents(S),
-    which the full inner factor factors through.
-    """
+
+def _inner_values(net: CredalNetwork, S, scope: tuple, values: np.ndarray,
+                  trace: list | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """The iterated law's inner values, as :func:`_peel` gives them, for
+    a final segment S: one peel for a single node, else the lower
+    expectation over the S-sub-network at each state of (scope \\ S)
+    union parents(S), which the full inner factor factors through."""
+    if len(S) == 1:
+        (s,) = S
+        return _peel(net, s, scope, values)
     Sf = frozenset(S)
     parents = frozenset(p for s in Sf for p in net.dag.parents(s)) - Sf
-    scope = net.dag.sorted_nodes((set(f.scope) - Sf) | parents)
-    if len(Sf) == 1:
-        # one node: the sub-network values are its local lower
-        # expectations, in one call on f with the non-parents leading,
-        # then the parents, then s
-        (s,) = Sf
-        parents = net.dag.parents(s)
-        order = [x for x in scope if x not in parents] + list(parents) + [s]
-        full = net.dag.sorted_nodes(set(scope) | Sf)
-        values = net.local_lower(s, np.transpose(
-            net.aligned(f, full), [full.index(x) for x in order]))
-        return Factor(scope, np.transpose(
-            values, [order.index(x) for x in scope]))
-
-    values = [lower_expectation(sub_network(net, Sf, ctx),
-                                restrict_factor(net, f, ctx), trace=trace)
-              for ctx in joint_states(net, scope)]
-    return net.factor_from_values(scope, values)
+    new = net.dag.sorted_nodes((set(scope) - Sf) | parents)
+    f = Factor(scope, values)
+    inner = [lower_expectation(sub_network(net, Sf, ctx),
+                               restrict_factor(net, f, ctx), trace=trace)
+             for ctx in joint_states(net, new)]
+    return new, np.reshape(inner, net.shape(new))
 
 
 def lower_expectation(net: CredalNetwork, f: Factor, *,
@@ -104,33 +119,40 @@ def lower_expectation(net: CredalNetwork, f: Factor, *,
     By marginalisation an ancestral node set keeps its own local models,
     so a sub-network is built only for the core that no peel reduces."""
     _scope_in(net, f, net.dag.nodes)
-    if not f.scope:
-        return float(f.values)
-    dag = net.dag
+    dag, scope = net.dag, f.scope
+    values = net.aligned(f, dag.sorted_nodes(scope))   # checked once
+    if not scope:
+        return float(values)
     # Step 1: drop everything outside the ancestral closure A of the scope
-    # (a closed set with no external parents; marginalisation applies).
-    # It runs once: after a peel, the new scope holds the parents of the
-    # peeled sinks, and its ancestral closure is the rest of A.
-    A = set(f.scope) | dag.ancestors_of_set(f.scope)
+    # (a closed set with no external parents; marginalisation applies),
+    # counting each node's children in A, live until peeled.  It runs
+    # once: after a peel, the rest of A is the new scope's closure.
+    live, stack = dict.fromkeys(scope, 0), list(scope)
+    while stack:
+        for p in dag.parents(stack.pop()):
+            if p not in live:
+                stack.append(p)
+            live[p] = live.get(p, 0) + 1
+    A = set(live)
     if len(A) < len(dag.nodes) and trace is not None:
         trace.append(Reduction("marginalisation",
                                {"K": tuple(sorted(A)), "parents": ()}))
     # Step 2: peel the sinks S of A by the law of iterated lower
     # expectation while the rest of A precedes each of them.  In an
     # ancestral set with a single sink, every other node is an ancestor
-    # of that sink, so it peels with no reachability test.
-    live = {s: sum(c in A for c in dag.children(s)) for s in A}
-    sinks = [s for s in A if not live[s]]
+    # of that sink, so it peels with no reachability test.  The first
+    # sinks lie in the scope: a node outside it has a child in A.
+    sinks = [s for s in scope if not live[s]]
     while len(A) > len(sinks):
-        S = frozenset(sinks)
-        if len(S) > 1 and not all(A - S <= dag.ancestors(s) for s in S):
+        if len(sinks) > 1 and not all(A.difference(sinks) <= dag.ancestors(s)
+                                      for s in sinks):
             break
         if trace is not None:
-            trace.append(Reduction("iterated", {"S": tuple(sorted(S))}))
-        f = _inner_values(net, S, f, trace)
-        A -= S
-        sinks = []
-        for s in S:
+            trace.append(Reduction("iterated", {"S": tuple(sorted(sinks))}))
+        scope, values = _inner_values(net, sinks, scope, values, trace)
+        A.difference_update(sinks)
+        peeled, sinks = sinks, []
+        for s in peeled:
             for p in dag.parents(s):
                 live[p] -= 1
                 if not live[p]:
@@ -141,15 +163,11 @@ def lower_expectation(net: CredalNetwork, f: Factor, *,
         (s,) = A
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
-        return net.local(s, ()).lower_expectation(f.values)
+        return net.local(s, ()).lower_expectation(values)
     core = net if len(A) == len(dag.nodes) else sub_network(net, A, {})
     if trace is not None:
         trace.append(Reduction("lp", {"nodes": core.dag.nodes}))
-    return lp.lower_expectation_lp(core, f)
-
-
-def upper_expectation(net: CredalNetwork, f: Factor, **kw) -> float:
-    return -lower_expectation(net, -f, **kw)
+    return lp.lower_expectation_lp(core, Factor(scope, values))
 
 
 def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
@@ -208,8 +226,10 @@ def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
         trace.append(Reduction("iterated", {"S": tuple(sorted(Sf))}))
     if not T:
         return lower_expectation(net, f, trace=trace)
-    inner = _inner_values(net, Sf, f, trace)
-    return lower_expectation(sub_network(net, T, {}), inner, trace=trace)
+    inner = _inner_values(net, Sf, f.scope, net.aligned(
+        f, net.dag.sorted_nodes(f.scope)), trace)
+    return lower_expectation(sub_network(net, T, {}), Factor(*inner),
+                             trace=trace)
 
 
 def _cofactor_on_neighbourhood(net, rel, parent_assignment, g: Factor | None):

@@ -166,9 +166,9 @@ class CredalNetwork:
         local set of every parent configuration of ``s``.
 
         ``g`` has one axis per parent of ``s``, in ``dag.parents(s)``
-        order, then one per state of ``s``; a leading parent axis may be
-        missing or of length 1, where ``g`` does not depend on that
-        parent.  Axes before the parent axes are kept in the result,
+        order, then one per state of ``s``; a parent axis may have length
+        1, and leading ones may be missing, where ``g`` does not depend on
+        that parent.  Axes before the parent axes are kept in the result,
         followed by one axis per parent.  When every local set of ``s``
         has a vertex list this is one contraction with the stacked
         vertices; otherwise each set answers on its own, by its LP.  At a
@@ -176,7 +176,8 @@ class CredalNetwork:
         last bit unlike that set's own ``lower_expectation`` (a dot)."""
         g, stack = self._checked_gamble(s, g), self.local_stack(s)
         if stack.dtype != object:
-            return (stack @ g[..., None])[..., 0].min(-1)
+            # the ufunc itself: ``ndarray.min`` adds a Python frame
+            return np.minimum.reduce((stack @ g[..., None])[..., 0], -1)
         shape, values = _per_set(stack, g, CredalSet.lower_expectation)
         return np.array(values).reshape(shape)
 
@@ -342,7 +343,7 @@ def lower_argmin(stack: np.ndarray, g: np.ndarray
         values = (stack @ g[..., None])[..., 0]
         # a one-hot row per minimum picks its vertex exactly
         pick = _one_hot(values.shape[-1])[values.argmin(-1), None]
-        return values.min(-1), (pick @ stack)[..., 0, :]
+        return np.minimum.reduce(values, -1), (pick @ stack)[..., 0, :]
     shape, pairs = _per_set(stack, g, CredalSet.lower_argmin)
     values, masses = zip(*pairs)
     return (np.array(values).reshape(shape),

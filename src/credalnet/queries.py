@@ -1,7 +1,9 @@
 """Query dispatch: route a parsed query to the LP, the reduction planner,
 or a specialised recursion, and report lower/upper values with bracket
 diagnostics.  Upper values always come from conjugacy (the negated gamble
-through the same machinery)."""
+through the same machinery).  An unconditional query goes to the global
+program (``lp``) or to the planner (``auto``, ``decompose``, and ``chain``
+on a chain with the gamble on its last node)."""
 
 from __future__ import annotations
 
@@ -45,10 +47,12 @@ def _unconditional_bound(net: CredalNetwork, q: Query,
     if q.method == "lp":
         gp = lp.GlobalPolytope(net)
         return lambda f: float(gp.minimize(lp.factor_vector(net, f))[0])
-    if q.method in ("auto", "decompose"):
-        return lambda f: decompose.lower_expectation(net, f, trace=trace)
     if q.method == "chain":
-        return lambda f: chains.chain_forward(net, f)
+        last = chains.chain_order(net)[-1]
+        if q.target.scope not in ((last,), ()):
+            raise InputError(f"factor must be scoped to node {last!r}")
+    if q.method in ("auto", "decompose", "chain"):
+        return lambda f: decompose.lower_expectation(net, f, trace=trace)
     if q.method == "hmm":
         raise HypothesisError(
             "hidden-state dispatch requires a conditional query")

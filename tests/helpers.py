@@ -194,6 +194,17 @@ def bayes_joint(net: CredalNetwork) -> np.ndarray:
     return out
 
 
+def reference_chain_lower(net: CredalNetwork, h: Factor) -> float:
+    """The lower expectation of a gamble on the last chain node, by
+    backward composition of the local lower expectations, from the last
+    node to the first."""
+    order = chain_order(net)
+    g = net.aligned(h, order[-1:])
+    for s in reversed(order):
+        g = net.local_lower(s, g)
+    return float(g)
+
+
 # -- per-mu reference sweeps -----------------------------------------------
 #
 # The chain-reverse and hidden-state rho with nothing kept between two

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from credalnet import chains, conditioning, lp, oracle, queries
-from credalnet.chains import (TransferOperator, chain_forward, chain_order,
-                              chain_reverse_rho, complete_evidence_lower,
-                              hmm_forward_rho, hmm_plan, infer_hmm_spec,
-                              reverse_plan)
+from credalnet.chains import (TransferOperator, chain_order, chain_reverse_rho,
+                              complete_evidence_lower, hmm_forward_rho,
+                              hmm_plan, infer_hmm_spec, reverse_plan)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.decompose import iterated_lower_expectation, lower_expectation
-from credalnet.errors import HypothesisError
+from credalnet.errors import HypothesisError, InputError
 from credalnet.fileio import Query
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor, sub_network
@@ -18,8 +17,8 @@ from credalnet.network import CredalNetwork, Factor, sub_network
 from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      interval_locals, kink_grid, precise_locals,
                      random_binary_net, random_chain_net, random_factor,
-                     random_hmm_net, redeclared, reference_hmm_rho,
-                     reference_reverse_rho)
+                     random_hmm_net, redeclared, reference_chain_lower,
+                     reference_hmm_rho, reference_reverse_rho)
 
 TOL = 1e-9
 
@@ -72,18 +71,21 @@ class TestTransferOperator:
 
 
 class TestChainForward:
+    """The backward composition of the local lower expectations against
+    independent values, and the planner against it, bit for bit."""
+
     def test_single_node(self, rng):
         dag = Dag(["1"], [])
         net = binary_net(dag, interval_locals(dag, rng))
         h = random_factor(rng, net, ["1"])
-        assert chain_forward(net, h) == pytest.approx(
+        assert reference_chain_lower(net, h) == pytest.approx(
             net.local("1", ()).lower_expectation(h.values), abs=TOL)
 
     def test_matches_lp(self, rng):
         for _ in range(4):
             net = random_chain_net(rng, 3)
             h = random_factor(rng, net, ["3"])
-            assert chain_forward(net, h) == pytest.approx(
+            assert reference_chain_lower(net, h) == pytest.approx(
                 lp.lower_expectation_lp(net, h), abs=1e-7)
 
     def test_precise_chain_is_matrix_product(self, rng):
@@ -92,16 +94,55 @@ class TestChainForward:
         h = random_factor(rng, net, ["4"])
         joint = bayes_joint(net)
         fv = lp.factor_vector(net, h)
-        assert chain_forward(net, h) == pytest.approx(
+        assert reference_chain_lower(net, h) == pytest.approx(
             float(joint @ fv), abs=1e-9)
 
     def test_bit_equal_to_iterated_peeling(self, rng):
         for _ in range(3):
             net = random_chain_net(rng, 5)
             h = random_factor(rng, net, ["5"])
-            assert chain_forward(net, h) == lower_expectation(net, h)
-            assert chain_forward(net, h) == \
+            assert reference_chain_lower(net, h) == lower_expectation(net, h)
+            assert reference_chain_lower(net, h) == \
                 iterated_lower_expectation(net, {"5"}, h)
+
+
+def forward_query(net, h, method="chain"):
+    return queries.run_query(net, Query(h, None, "unconditional", method,
+                                        1e-10))
+
+
+class TestForwardChainQuery:
+    """An unconditional ``method=chain`` query runs the planner once the
+    network is a chain and the gamble is on its last node."""
+
+    def test_non_chain_raises(self, rng):
+        net = random_binary_net(rng, 3, edge_p=1.0)
+        with pytest.raises(HypothesisError, match="not a simple chain"):
+            forward_query(net, random_factor(rng, net, ["3"]))
+
+    def test_target_on_first_node_raises(self, rng):
+        net = random_chain_net(rng, 4)
+        with pytest.raises(InputError, match="scoped to node '4'"):
+            forward_query(net, random_factor(rng, net, ["1"]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000])
+    def test_bounds_equal_auto(self, rng, n):
+        net = random_chain_net(rng, n)
+        h = random_factor(rng, net, [str(n)])
+        chain = forward_query(net, h)
+        auto = forward_query(net, h, "auto")
+        assert (chain["lower"], chain["upper"]) == \
+            (auto["lower"], auto["upper"])
+        assert chain["lower"] == reference_chain_lower(net, h)
+        assert chain["upper"] == -reference_chain_lower(net, -h)
+
+    def test_bounds_match_lp(self, rng):
+        for _ in range(4):
+            net = random_chain_net(rng, 4)
+            h = random_factor(rng, net, ["4"])
+            chain, exact = forward_query(net, h), forward_query(net, h, "lp")
+            assert chain["lower"] == pytest.approx(exact["lower"], abs=1e-7)
+            assert chain["upper"] == pytest.approx(exact["upper"], abs=1e-7)
 
 
 class TestChainReverseRho:
@@ -265,8 +306,9 @@ class TestShuffledAndConstraintForm:
         twin = constraint_twin(net)
         for _ in range(3):
             h = random_factor(rng, net, ["6"])
-            assert chain_forward(twin, h) == pytest.approx(
-                chain_forward(net, h), abs=1e-12)
+            assert reference_chain_lower(twin, h) == pytest.approx(
+                reference_chain_lower(net, h), abs=1e-12)
+            assert lower_expectation(twin, h) == reference_chain_lower(twin, h)
             h = random_factor(rng, net, ["1"])
             for mu in (-0.7, 0.1, 1.3):
                 assert reverse_rho(twin, h, "0")(mu)[0] == \

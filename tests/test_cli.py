@@ -3,6 +3,8 @@ codes, printed bounds, and the text form of the global program."""
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -241,6 +243,42 @@ def test_chain_query_matches_lp_in_few_steps(capsys):
                                                   abs=1e-9)
     assert int(chain["iterations"]) <= 3
     assert int(chain["upper_iterations"]) <= 3
+
+
+def test_forward_chain_query_equals_auto(capsys, tmp_path):
+    # an unconditional chain query runs the planner, as auto does
+    code, chain, _ = run(capsys, "infer", data("chain3.json"),
+                         data("chain3_forward_query.json"))
+    assert code == 0
+    with open(data("chain3_forward_query.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({**doc, "method": "auto"}), encoding="utf-8")
+    _, auto, _ = run(capsys, "infer", data("chain3.json"), str(path))
+    assert chain == {**auto, "method": "chain"}
+    assert (chain["kind"], chain["rule"]) == ("exact", "unconditional")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # the reader is gone before the first line: no error text, and not
+    # the exit code of an invalid input
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "credalnet.cli", "adsep",
+             data("chain3.json"), "a", "c", "b"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_unknown_query_key(capsys, tmp_path):

@@ -9,7 +9,7 @@ from credalnet import conditioning, lp, oracle
 from credalnet.conditioning import (BracketResult, lower_prob_positive,
                                     natural_conditional,
                                     reduce_then_condition,
-                                    regular_conditional, rho, rho_evaluator,
+                                    regular_conditional, rho_evaluator,
                                     upper_prob_positive)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
@@ -46,7 +46,7 @@ class TestRho:
         ev = rho_evaluator(net, f, B)
         base = lp.lower_expectation_lp(net, f)
         for mu in (-1.0, 0.3, 2.0):
-            assert rho(ev, mu) == pytest.approx(base - mu, abs=1e-7)
+            assert ev.rho(mu) == pytest.approx(base - mu, abs=1e-7)
 
     def test_precise_net_is_linear(self, rng):
         dag = chain_dag(3)
@@ -60,7 +60,7 @@ class TestRho:
         cond = float(joint[mask] @ fv[mask]) / pB
         ev = rho_evaluator(net, f, B)
         for mu in np.linspace(f.min(), f.max(), 5):
-            assert rho(ev, mu) == pytest.approx(pB * (cond - mu), abs=1e-7)
+            assert ev.rho(mu) == pytest.approx(pB * (cond - mu), abs=1e-7)
 
     def test_monotonicity_guard(self):
         bad = conditioning.RhoEvaluator(lambda mu: (mu, 0.0, 0.0), 0.0, 1.0,
@@ -202,7 +202,7 @@ class TestRhoShape:
             ev = rho_evaluator(net, f, B)
             p_low = lp.lower_expectation_lp(net, net.indicator(B))
             grid = np.linspace(f.min(), f.max(), 17)
-            vals = np.array([rho(ev, float(mu)) for mu in grid])
+            vals = np.array([ev.rho(float(mu)) for mu in grid])
             d = np.diff(vals)
             assert (d <= TOL).all()
             step = grid[1] - grid[0]
@@ -241,7 +241,7 @@ def bisected(bracket, ev, tol):
     lo, hi = ev.f_min, ev.f_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if left_of_root(rho(ev, mid)) else (lo, mid)
+        lo, hi = (mid, hi) if left_of_root(ev.rho(mid)) else (lo, mid)
     return BracketResult(0.5 * (lo + hi), kind, 0, hi - lo)
 
 
@@ -323,8 +323,8 @@ class TestDinkelbachSteps:
         net = random_binary_net(rng, 3, edge_p=0.5)
         f = random_factor(rng, net, ["1"])
         ev, calls = counted(rho_evaluator(net, f, net.cylinder({"3": "0"})))
-        first = rho(ev, 0.25)
-        assert rho(ev, 0.25) == first
+        first = ev.rho(0.25)
+        assert ev.rho(0.25) == first
         assert lower_prob_positive(ev) == lower_prob_positive(ev)
         assert calls == [0.25, f.min() - 1.0]
 

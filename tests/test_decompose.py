@@ -4,23 +4,25 @@ Every reduction's output is compared with the LP value of the explicitly
 assembled global gamble; hypothesis violations must raise instead of
 silently producing numbers."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from credalnet import decompose, lp
-from credalnet.chains import chain_forward
+from credalnet.credal import CredalSet
 from credalnet.decompose import (atom_bounds, combined, external_additivity,
                                  factorise, iterated_lower_expectation,
                                  lower_expectation, marginalise, trace_lines)
 from credalnet.errors import HypothesisError
 from credalnet.graph import Dag, closure, is_closed, set_relations
-from credalnet.network import (Factor, joint_states, restrict_factor,
-                               sub_network)
+from credalnet.network import (CredalNetwork, Factor, joint_states,
+                               restrict_factor, sub_network)
 
 from helpers import (binary_net, chain_dag, combined_factor, fig_dag,
                      interval_locals, precise_locals, product_factor,
                      random_binary_net, random_chain_net, random_factor,
-                     redeclared, sum_factor)
+                     redeclared, reference_chain_lower, sum_factor)
 
 TOL = 1e-9
 
@@ -69,7 +71,7 @@ class TestPlanner:
         calls = []
         monkeypatch.setattr(Dag, "_reach", lambda dag, *a:
                             calls.append(1) or reach(dag, *a))
-        assert lower_expectation(net, f) == chain_forward(net, f)
+        assert lower_expectation(net, f) == reference_chain_lower(net, f)
         assert len(calls) <= 4
 
     @pytest.mark.parametrize("L", [1000, 10000])
@@ -84,7 +86,7 @@ class TestPlanner:
                                for i, key in enumerate(keys)})
         f = random_factor(rng, net, [str(L)])
         monkeypatch.setattr(decompose, "sub_network", None)
-        assert lower_expectation(net, f) == chain_forward(net, f)
+        assert lower_expectation(net, f) == reference_chain_lower(net, f)
 
     def test_trace_records_steps(self, rng):
         net = random_chain_net(rng, 4)
@@ -189,7 +191,8 @@ class TestIterated:
         monkeypatch.setattr(Dag, "_reach", lambda dag, *a:
                             calls.append(1) or reach(dag, *a))
         S = {str(L - 1), str(L)}
-        assert iterated_lower_expectation(net, S, f) == chain_forward(net, f)
+        assert iterated_lower_expectation(net, S, f) == \
+            reference_chain_lower(net, f)
         assert len(calls) <= 10
         calls.clear()
         with pytest.raises(HypothesisError, match="node '2' does not precede"):
@@ -214,13 +217,57 @@ class TestIterated:
                                     replace=False),
                      *rng.choice(sorted(parents), size=1)}
             f = random_factor(rng, net, scope)
-            inner = decompose._inner_values(net, {s}, f, None)
-            assert set(inner.scope) == (set(f.scope) - {s}) | parents
+            inner_scope, inner = decompose._peel(net, s, f.scope, f.values)
+            assert set(inner_scope) == (set(f.scope) - {s}) | parents
             expect = [lower_expectation(sub_network(net, {s}, ctx),
                                         restrict_factor(net, f, ctx))
-                      for ctx in joint_states(net, inner.scope)]
-            assert inner.values.ravel().tolist() == expect
+                      for ctx in joint_states(net, inner_scope)]
+            assert inner.ravel().tolist() == expect
             checked += 1
+
+
+def straddling_net(rng):
+    """a -> s <- b and x -> b, declared a, x, b, s: the non-parent x of s
+    sits between its parents, and the state counts differ, so that a
+    wrong axis order shows as a wrong value or shape."""
+    dag = Dag(["a", "x", "b", "s"], [("a", "s"), ("b", "s"), ("x", "b")])
+    spaces = {"a": ("0", "1"), "x": ("p", "q", "r"), "b": ("0", "1"),
+              "s": ("u", "v", "w", "z")}
+    locals_ = {}
+    for s in dag.nodes:
+        for cfg in product(*(spaces[p] for p in dag.parents(s))):
+            locals_[(s, cfg)] = CredalSet(spaces[s], vertices=rng.dirichlet(
+                [2.0] * len(spaces[s]), size=int(rng.integers(1, 3))))
+    return CredalNetwork(dag, spaces, locals_)
+
+
+class TestPeel:
+    def test_parent_outside_scope_and_straddling_non_parent(self, rng):
+        # the peel of s adds a unit axis for its parent a, moves x ahead
+        # of the parents, and puts a back before x; the LP core {a, x, b}
+        # gets the result
+        for _ in range(6):
+            net = straddling_net(rng)
+            f = random_factor(rng, net, ["x", "b", "s"])
+            trace = []
+            value = lower_expectation(net, f, trace=trace)
+            assert [r.kind for r in trace] == ["iterated", "lp"]
+            assert trace[0].premise == {"S": ("s",)}
+            assert value == pytest.approx(lp.lower_expectation_lp(net, f),
+                                          abs=1e-7)
+            scope, inner = decompose._peel(net, "s", f.scope, f.values)
+            assert scope == ("a", "x", "b")
+            assert inner.shape == (2, 3, 2)
+
+    def test_node_outside_the_scope(self, rng):
+        # the gamble is constant along the axis of the peeled node
+        for _ in range(4):
+            net = random_chain_net(rng, 5)
+            f = random_factor(rng, net, ["3"])
+            scope, inner = decompose._peel(net, "5", f.scope, f.values)
+            assert scope == ("3", "4") and inner.shape == (2, 2)
+            assert iterated_lower_expectation(net, {"5"}, f) == \
+                lower_expectation(net, f)
 
 
 class TestFactorise:
