@@ -153,8 +153,8 @@ class GlobalPolytope:
     bound on the same program, change the objective little.  A warm
     optimum that fails the residual check is dropped, and phase 2 reruns
     from the phase-1 tableau before the exact fallback (see
-    :func:`credalnet.simplex.phase2`).  Both tableaux live as long as
-    the object, like the rows.
+    :func:`credalnet.simplex.phase2`).  Both tableaux are about as large
+    as the rows, and live as long as the object, like the rows.
     Phase 1 starts from the product model of the local sets' members:
     the surplus of every row and that model's column make up the basis
     after one pivot.  A product model that violates the rows means they
@@ -162,9 +162,10 @@ class GlobalPolytope:
     ``exact=True`` solves the same program, from artificial columns,
     with both phases in rational arithmetic.
 
-    The rows are counted before they are built: a program whose dense
-    rows alone exceed :data:`credalnet.simplex.MAX_TABLEAU_BYTES` could
-    not be solved, and is refused with :class:`CapabilityError`.
+    The rows are counted before they are built: a program whose phase-1
+    tableau, (rows + 2) x (joint states + 2) entries, would exceed
+    :data:`credalnet.simplex.MAX_TABLEAU_BYTES` is refused with
+    :class:`CapabilityError`.
     """
 
     def __init__(self, net: CredalNetwork):
@@ -174,11 +175,11 @@ class GlobalPolytope:
             raise CapabilityError("global program exceeds the variable bound")
         blocks = list(_node_rows(net))
         count = _row_count(net, blocks)
-        size = count * total * 8
+        size = (count + 2) * (total + 2) * 8
         if size > simplex.MAX_TABLEAU_BYTES:
             raise CapabilityError(
-                f"global program rows of {size / 2**20:.0f} MiB exceed the "
-                f"{simplex.MAX_TABLEAU_BYTES // 2**20} MiB tableau bound")
+                f"global program tableau of {size / 2**20:.0f} MiB exceeds "
+                f"the {simplex.MAX_TABLEAU_BYTES // 2**20} MiB bound")
         self.idx = JointIndex(net)
         self.rows = _constraint_rows(net, self.idx, blocks, count)
         self._eq = np.ones((1, self.idx.total))

@@ -1,11 +1,14 @@
 """Self-contained dense linear-programming kernel.
 
-Two-phase tableau simplex over either float64 or exact ``Fraction``
-arithmetic.  Pivoting uses Dantzig's rule and falls back to Bland's rule
-after a stall, which guarantees termination on degenerate problems; the
-float ratio test is Harris's, which prefers large pivots.  The problems
-handled here are desk scale (a few thousand rows at most), so a dense
-tableau is both the simplest and the fastest option.
+Two-phase simplex over either float64 or exact ``Fraction`` arithmetic
+on a condensed (Tucker, or Jordan-exchange) tableau: a row per
+constraint, a column per nonbasic variable, and the right-hand side; the
+basic columns, unit vectors, are not stored.  ``basis`` and ``nonbasic``
+label the rows and columns with their variables, and a pivot exchanges
+the two.  Pivoting uses Dantzig's rule and falls back to Bland's rule
+after a stall, which guarantees termination on degenerate problems; both
+enter the lowest label among their candidates.  The float ratio test is
+Harris's, which prefers large pivots.
 
 Phase 1 does not read the objective, so it is solved once per
 constraint system: :func:`phase1` returns the feasible tableau and
@@ -23,7 +26,7 @@ phase 2 from a copy of the phase-1 tableau, and only an optimum that
 fails it too is redone in exact arithmetic.
 
 Phase 1 starts every ``>=`` row with a right-hand side of at most zero
-on its surplus, and adds an artificial column only to the other rows.
+on its surplus, and adds an artificial variable only to the other rows.
 A caller that knows a feasible point hands it over as ``start``: one
 column, the constraint matrix times that point, then enters the basis
 on an artificial row in one pivot.  The global program has one such
@@ -60,17 +63,13 @@ _STALL_LIMIT = 50
 
 _MAX_ITER = 50_000
 
-#: Bound on the phase-1 tableau, (rows + 1) x (columns + artificials + 1)
-#: float64 entries, where the columns are the variables, the surpluses
-#: and the start column, and only the rows that do not start on their
-#: surplus have an artificial.  Each pivot subtracts
-#: an outer product as large as the tableau, so phase 1 holds about
-#: twice this at its peak, besides the constraint rows themselves:
-#: 256 MiB keeps a solve under 1 GiB.  A pivot then sweeps 2^25 entries
-#: (about 0.2 s on a 2-CPU VM) and a solve takes about as many pivots as
-#: there are rows, so larger programs would not finish in desk time
-#: either.
-MAX_TABLEAU_BYTES = 2 ** 28
+#: Bound on the phase-1 tableau, (rows + 1) x (nonbasic + 1) float64
+#: entries; on the global program, (rows + 2) x (joint states + 2),
+#: about as large as its rows.  On a 2-CPU VM one phase 2 takes 2-5 s on
+#: 9-node random binary networks (6-10 MiB) and 15-22 s on 10-node ones
+#: (23-29 MiB), beyond the 10 s deadline of the benchmark's conditional
+#: queries: 16 MiB lets the first through and refuses the second.
+MAX_TABLEAU_BYTES = 2 ** 24
 
 
 @dataclass
@@ -85,15 +84,18 @@ class SimplexResult:
 
 @dataclass
 class FeasibleTableau:
-    """The end of phase 1: a tableau whose basis is feasible for the
-    constraints, with the artificial columns removed and the start
-    column, if any, last."""
+    """The end of phase 1: a condensed tableau whose basis is feasible
+    for the constraints.  The labels are the caller's ``n`` variables, a
+    surplus per ``>=`` row and the start column, if any; an artificial
+    left basic on a redundant row has a label of ``ncols`` or more."""
     T: np.ndarray               # rows, then a zero cost row; rhs last
-    basis: list                 # basic column of each row
+    basis: list                 # variable of each row
+    nonbasic: np.ndarray        # variable of each column but the rhs
+    ncols: int                  # labels below it may enter the basis
     n: int                      # number of the caller's variables
     exact: bool
     constraints: tuple          # (A_eq, b_eq, A_ub, b_ub) as given
-    start: np.ndarray | None    # the start point, whose column is last
+    start: np.ndarray | None    # the start point, labelled ncols - 1
 
 
 def _to_fraction_array(a) -> np.ndarray:
@@ -105,60 +107,74 @@ def _to_fraction_array(a) -> np.ndarray:
     return out
 
 
-def _pivot(T: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: list, nonbasic: np.ndarray, ncols: int,
+           row: int, col: int) -> None:
+    """Exchange the basic variable of ``row`` with the nonbasic one of
+    ``col``, whose column then holds the leaving variable.  An artificial
+    that leaves gets a zero column instead: no pivot changes it, so its
+    reduced cost stays zero and it never re-enters."""
     piv = T[row, col]
-    T[row] = T[row] / piv
     colvals = T[:, col].copy()
     colvals[row] = 0
-    T -= np.outer(colvals, T[row])
-    # kill drift in the pivot column
     T[:, col] = 0
     T[row, col] = 1
+    T[row] /= piv
+    T -= colvals[:, None] * T[row]
+    basis[row], nonbasic[col] = int(nonbasic[col]), basis[row]
+    if nonbasic[col] >= ncols:
+        T[:, col] = 0
 
 
-def _run_simplex(T: np.ndarray, basis: list, ncols: int, tol) -> str:
-    """Minimize the cost row T[-1] in place.  Columns [0, ncols) may enter.
-    Returns "optimal" or "unbounded".
+def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
+                 ncols: int, tol) -> str:
+    """Minimize the cost row T[-1] in place.  Returns "optimal" or
+    "unbounded".
 
     Dantzig pivoting, switching to Bland's rule when the objective stalls
-    (degeneracy), which guarantees termination.  The ratio test is
-    Harris's: the longest step that keeps every basic value above
-    ``-_TOL_HARRIS``, then, among the rows that block within it, the
-    largest pivot (Bland: the lowest basic column), so that rounding
-    never forces a pivot on a tiny entry.  In exact arithmetic it is the
-    plain minimum ratio.  The cost-row rhs holds the negated objective,
-    so progress means it increases."""
+    (degeneracy), which guarantees termination; each enters the lowest
+    label among its candidates.  The ratio test is Harris's: the longest
+    step that keeps every basic value above ``-_TOL_HARRIS``, then, among
+    the rows that block within it, the largest pivot (Bland: the lowest
+    basic label), so that rounding never forces a pivot on a tiny entry.
+    In exact arithmetic it is the plain minimum ratio.  The cost-row rhs
+    holds the negated objective, so progress means it increases."""
+    if T.shape[1] == 1:
+        return "optimal"        # every variable is basic
     harris = 0 if tol == 0 else _TOL_HARRIS
     stall = 0
     best = T[-1, -1]
     bland = False
     for _ in range(_MAX_ITER):
-        cost = T[-1, :ncols]
+        cost = T[-1, :-1]
         if not bland:
             col = int(cost.argmin())
             if cost[col] >= -tol:
                 return "optimal"
+            ties = (cost == cost[col]).nonzero()[0]
+            if len(ties) > 1:
+                col = int(ties[nonbasic[ties].argmin()])
         else:
             entering = (cost < -tol).nonzero()[0]
             if not len(entering):
                 return "optimal"
-            col = int(entering[0])
+            col = int(entering[nonbasic[entering].argmin()])
 
-        rows = (T[:-1, col] > tol).nonzero()[0]
+        column = T[:-1, col]
+        rows = (column > tol).nonzero()[0]
         if not len(rows):
             return "unbounded"
-        a = T[rows, col]
+        a = column[rows]
         rhs = np.maximum(T[rows, -1], 0)
         step = ((rhs + harris) / a).min()
-        blocking = rows[rhs <= step * a]
+        within = rhs <= step * a
+        blocking = rows[within]
         if bland:
             row = int(blocking[np.argmin([basis[i] for i in blocking])])
         else:
-            row = int(blocking[T[blocking, col].argmax()])
+            row = int(blocking[a[within].argmax()])
         if T[row, -1] < 0:
             T[row, -1] = 0      # a basic value rounded below zero
-        _pivot(T, row, col)
-        basis[row] = col
+        _pivot(T, basis, nonbasic, ncols, row, col)
 
         if T[-1, -1] > best + tol:
             best = T[-1, -1]
@@ -180,7 +196,7 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
 
     A ``>=`` row whose right-hand side is at most zero is negated, so
     that its surplus starts in the basis; only the other rows get an
-    artificial column.  ``start``, a point that satisfies the
+    artificial variable.  ``start``, a point that satisfies the
     constraints (to ``TOL_FEAS`` in float arithmetic), adds one
     non-negative column, the constraint matrix times ``start``, and one
     pivot moves it into the basis on an artificial row; with a single
@@ -207,66 +223,69 @@ def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
     on_surplus[m_eq:] = b_ub <= zero
     art = (~on_surplus).nonzero()[0]
 
-    # Standard-form columns: x, the surpluses, the start column, one
-    # artificial per row of ``art``, the rhs.
+    # Labels below ncols: x, the surpluses, the start column; then an
+    # artificial per row of ``art``, which starts on it.  The other rows
+    # start on their surplus, and every other variable is nonbasic.
     col_start = n + n_surplus
     ncols = col_start + (start is not None)
-    size = (m + 1) * (ncols + len(art) + 1) * 8
+    off = art[art >= m_eq]
+    free = np.ones(ncols, dtype=bool)
+    free[n:col_start] = ~on_surplus[m_eq:]
+    nonbasic = free.nonzero()[0]
+    k = len(nonbasic)
+    size = (m + 1) * (k + 1) * 8
     if size > MAX_TABLEAU_BYTES:
         raise CapabilityError(
             f"simplex tableau of {size / 2**20:.0f} MiB exceeds the "
             f"{MAX_TABLEAU_BYTES // 2**20} MiB bound")
-    T = np.zeros((m + 1, ncols + len(art) + 1), dtype=dtype)
+    T = np.zeros((m + 1, k + 1), dtype=dtype)
     if exact:
         T[:, :] = zero
     T[:m_eq, :n] = A_eq
     T[m_eq:m, :n] = A_ub
-    T[np.arange(m_eq, m), np.arange(n, col_start)] = -one
+    T[off, n + np.arange(len(off))] = -one
     if start is not None:
-        T[:m, col_start] = T[:m, :n] @ start
+        T[:m, k - 1] = T[:m, :n] @ start
     T[:m_eq, -1] = b_eq
     T[m_eq:m, -1] = b_ub
     # Negate the surplus-basis rows, and flip the others to rhs >= 0, in
     # place: a copy would be as large as the tableau.
     T[:m] *= np.where(on_surplus | (T[:m, -1] < zero), -1, 1)[:, None]
-    T[art, ncols + np.arange(len(art))] = one
     basis = [n + i - m_eq for i in range(m)]
-    for k, i in enumerate(art):
-        basis[i] = ncols + k
+    for j, i in enumerate(art):
+        basis[i] = ncols + j
     # phase-1 cost: sum of artificials, expressed over the current basis
-    T[-1, :ncols] = -T[art, :ncols].sum(axis=0)
+    T[-1, :-1] = -T[art, :-1].sum(axis=0)
     T[-1, -1] = -T[art, -1].sum()
 
     if start is not None:
         # the ratio test over the artificial rows keeps every row
         # feasible, because start satisfies them all
-        rows = art[T[art, col_start] > tol]
+        rows = art[T[art, k - 1] > tol]
         if len(rows):
-            row = rows[np.argmin(T[rows, -1] / T[rows, col_start])]
-            _pivot(T, row, col_start)
-            basis[row] = col_start
+            row = rows[np.argmin(T[rows, -1] / T[rows, k - 1])]
+            _pivot(T, basis, nonbasic, ncols, int(row), k - 1)
 
-    status = _run_simplex(T, basis, ncols, tol)
+    status = _run_simplex(T, basis, nonbasic, ncols, tol)
     if status != "optimal" or T[-1, -1] < -(zero + (0 if exact else TOL_FEAS)):
         return None
 
-    # Drive lingering artificials out of the basis where possible.
+    # Drive lingering artificials out of the basis where possible, each
+    # for the lowest label with a nonzero entry in its row.
     for i in range(m):
         if basis[i] >= ncols:
-            for j in range(ncols):
-                if (T[i, j] > tol) or (T[i, j] < -tol):
-                    _pivot(T, i, j)
-                    basis[i] = j
-                    break
+            nz = ((T[i, :-1] > tol) | (T[i, :-1] < -tol)).nonzero()[0]
+            if len(nz):
+                _pivot(T, basis, nonbasic, ncols, i,
+                          int(nz[nonbasic[nz].argmin()]))
         # else: redundant row, harmless to keep with its artificial at zero
 
-    # Slice off the artificial columns: none may re-enter in phase 2.  An
-    # artificial left on a redundant row keeps its index, which is >= ncols.
-    F = np.empty((m + 1, ncols + 1), dtype=dtype)
-    F[:, :ncols] = T[:, :ncols]
-    F[:, -1] = T[:, -1]
+    # Drop the artificials' columns: none may re-enter in phase 2.
+    keep = nonbasic < ncols
+    F = T[:, np.append(keep, True)]
     F[-1, :] = zero
-    return FeasibleTableau(F, basis, n, exact, constraints, start)
+    return FeasibleTableau(F, basis, nonbasic[keep], ncols, n, exact,
+                           constraints, start)
 
 
 def phase2(tableau: FeasibleTableau, c,
@@ -293,7 +312,8 @@ def phase2(tableau: FeasibleTableau, c,
                                                      tableau.constraints):
             return res
     res = _optimise(replace(tableau, T=tableau.T.copy(),
-                            basis=list(tableau.basis)), c)
+                            basis=list(tableau.basis),
+                            nonbasic=tableau.nonbasic.copy()), c)
     if res.status == "optimal" and not tableau.exact and not _residuals_ok(
             res.x, tableau.constraints):
         # the float tableau degraded (tiny pivots); redo in exact arithmetic
@@ -304,23 +324,26 @@ def phase2(tableau: FeasibleTableau, c,
 def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     """Price ``c`` over the tableau's basis and run the simplex on it, in
     place."""
-    exact, n = tableau.exact, tableau.n
-    T, basis = tableau.T, tableau.basis
+    exact, n, ncols = tableau.exact, tableau.n, tableau.ncols
+    T, basis, nonbasic = tableau.T, tableau.basis, tableau.nonbasic
     m = T.shape[0] - 1
-    ncols = T.shape[1] - 1
-    # The cost row is c over the columns less c_B times the rows.  An
-    # artificial left on a redundant row has an index of ncols or more:
-    # it reads the spare last entry of ``cost``, zero, and writes the
-    # one of ``xs``, which is never read.
+    # The cost row is the price of each column's variable less c_B times
+    # the column.  The price of an artificial, which only a redundant row
+    # can hold after phase 1, and of the rhs is the spare last entry of
+    # ``cost``, zero; an artificial's value goes to the spare last entry
+    # of ``xs``, which is never read.
     zero = Fraction(0) if exact else 0.0
     cost = np.full(ncols + 1, zero, dtype=T.dtype)
     cost[:n] = c
     if tableau.start is not None:
         cost[ncols - 1] = c @ tableau.start
     slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
-    T[-1] = cost - cost[slots] @ T[:m]
+    T[-1, :-1] = cost[np.minimum(nonbasic, ncols)]
+    T[-1, -1] = zero
+    T[-1] -= cost[slots] @ T[:m]
 
-    status = _run_simplex(T, basis, ncols, zero if exact else _TOL_PIVOT)
+    status = _run_simplex(T, basis, nonbasic, ncols,
+                          zero if exact else _TOL_PIVOT)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
 

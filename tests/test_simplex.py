@@ -128,14 +128,17 @@ class TestPhases:
                 assert res.status == fresh.status == "optimal"
                 assert np.array_equal(res.x, fresh.x)
             assert np.array_equal(tableau.T, saved)
-            # no artificial column is kept
-            assert tableau.T.shape == (n + 4, n + (n + 2) + 1)
+            # the n + 3 rows hold n + 3 of the 2n + 2 variables, and no
+            # artificial is kept: a column for each of the other n - 1
+            assert sorted([*tableau.basis, *tableau.nonbasic]) == \
+                list(range(2 * n + 2))
+            assert tableau.T.shape == (n + 4, (n - 1) + 1)
 
     def test_start_point(self, rng, monkeypatch):
         pivots = []
         pivot = simplex._pivot
         monkeypatch.setattr(simplex, "_pivot",
-                            lambda T, i, j: pivots.append(j) or pivot(T, i, j))
+                            lambda *a: pivots.append(a[-1]) or pivot(*a))
         for _ in range(10):
             n = int(rng.integers(2, 6))
             p = rng.dirichlet(np.ones(n))
@@ -146,9 +149,11 @@ class TestPhases:
             pivots.clear()
             tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b, start=p)
             # every row but the equality starts on its surplus, so one
-            # pivot brings in the start column, the last column
-            assert pivots == [n + (n + 2)]
-            assert tableau.T.shape == (n + 4, n + (n + 2) + 1 + 1)
+            # pivot brings in the start column, the column after x, for
+            # the equality's artificial, which is dropped
+            assert pivots == [n]
+            assert list(tableau.nonbasic) == list(range(n))
+            assert tableau.T.shape == (n + 4, n + 1)
             for _ in range(3):
                 c = rng.normal(size=n)
                 res = simplex.phase2(tableau, c)
@@ -167,14 +172,14 @@ class TestPhases:
 
 class TestTableauBound:
     def test_raises_before_allocating(self, monkeypatch):
-        # 3 rows over 2 variables, 2 of them with a surplus column that
-        # starts in the basis, so only the equality gets an artificial
-        # column: 4 x (2 + 2 + 1 + 1) entries
+        # 3 rows over 2 variables, 2 of them with a surplus that starts
+        # in the basis and the equality on its artificial, so both
+        # variables are nonbasic: 4 x (2 + 1) entries
         args = dict(A_eq=[[1.0, 1.0]], b_eq=[1.0],
                     A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[0.0, 0.0])
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 6 * 8)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 3 * 8)
         assert simplex.solve([1.0, 2.0], **args).status == "optimal"
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 6 * 8 - 1)
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 3 * 8 - 1)
         with pytest.raises(CapabilityError, match="tableau"):
             simplex.solve([1.0, 2.0], **args)
         with pytest.raises(CapabilityError, match="tableau"):
@@ -184,7 +189,9 @@ class TestTableauBound:
         from credalnet import lp
         from credalnet.fileio import Query
         from credalnet.queries import run_query
-        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 2 ** 10)
+        # 8 rows and the normalisation, then the cost row, over 4 joint
+        # states, the start column and the rhs
+        monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 10 * 6 * 8 - 1)
         f = two_coins.factor_from_values(["1"], [1.0, 0.0])
         with pytest.raises(CapabilityError, match="tableau"):
             lp.lower_expectation_lp(two_coins, f)
