@@ -271,13 +271,16 @@ class ReducedQuery:
     every gamble on one scope: the evidence left inside it (``None``:
     none, and both rules reduce to the unconditional value), its global
     program, the regular rule's gate (see :func:`condition`) and the
-    marginalisation step, which the trace of every bound repeats."""
+    marginalisation step, which the trace of every bound repeats.
+    ``vacuous`` says that the evidence has zero upper probability, so
+    that the regular rule returns the vacuous bound."""
 
     net: CredalNetwork
     given: Event | None
     program: lp.GlobalPolytope | None = None
     rest_upper_positive: bool = False
     record: decompose.Reduction | None = None
+    vacuous: bool = False
 
 
 def reduce_query(net: CredalNetwork, scope, given: Event | None,
@@ -310,12 +313,16 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
         # trivial sub-network conditioning event: both updating rules
         # reduce to the unconditional sub-network value
         return ReducedQuery(sub, None, record=record)
-    program = lp.GlobalPolytope(sub)
     # regular rule: the sub-network case depends on the upper probability
-    # the non-descendants give to their share of the evidence
+    # the non-descendants give to their share of the evidence; where it
+    # is zero, so is that of the evidence
     gate = rule == "regular" and _rest_upper_positive(
         net, rel, pa_assignment, outside)
-    return ReducedQuery(sub, sub.cylinder(inside), program, gate, record)
+    if rule == "regular" and not gate:
+        return ReducedQuery(sub, sub.cylinder(inside), record=record,
+                            vacuous=True)
+    return ReducedQuery(sub, sub.cylinder(inside), lp.GlobalPolytope(sub),
+                        gate, record)
 
 
 def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
@@ -329,6 +336,9 @@ def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
     if reduced.given is None:
         value = decompose.lower_expectation(reduced.net, f, trace=trace)
         return BracketResult(value, "local-fallback", 0, 0.0)
+    if reduced.vacuous:
+        return BracketResult(_vacuous_bound(reduced.net, f, reduced.given),
+                             "vacuous-fallback", 0, 0.0)
     ev = rho_evaluator(reduced.net, f, reduced.given, reduced.program)
     return condition(ev, rule, tolerance,
                      rest_upper_positive=reduced.rest_upper_positive)

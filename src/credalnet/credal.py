@@ -194,9 +194,7 @@ class CredalSet:
         return G[keep] / scale[keep, None]
 
     def _feasible_point(self) -> np.ndarray:
-        n = len(self.states)
-        res = simplex.solve(np.zeros(n), A_eq=np.ones((1, n)), b_eq=[1.0],
-                            A_ub=self._H, b_ub=np.zeros(len(self._H)))
+        res = simplex.solve(np.zeros(len(self.states)), self._H)
         if res.status != "optimal":
             raise ModelError("credal set is empty")
         return res.x
@@ -285,10 +283,8 @@ class CredalSet:
         return float(res.objective), res.x
 
     def _local_lp(self, fv: np.ndarray, exact: bool = False):
-        res = simplex.solve(
-            fv if not exact else [Fraction(x) for x in fv],
-            A_eq=np.ones((1, self.n_states)), b_eq=[1.0],
-            A_ub=self._H, b_ub=np.zeros(len(self._H)), exact=exact)
+        res = simplex.solve(fv if not exact else [Fraction(x) for x in fv],
+                            self._H, exact=exact)
         if res.status != "optimal":
             raise ModelError(f"local LP ended with status {res.status}")
         return res

@@ -8,14 +8,14 @@ carries the row::
 
     sum_{z_s} sum_{z_D(s)} P(z_s, z_D(s), x) * gamma(z_s)  >=  0
 
-plus the single normalisation equality, over non-negative unknowns: the
-program ranges over joint mass functions, as the local rows range over
-local ones.  :class:`GlobalPolytope` is the one builder of these rows:
-it caches them, with the simplex phase 1 over them, for many
-objectives, solves, enumerates vertices and writes the program in text
-form.  Minimising a gamble's coefficient vector over this polytope gives
-its tight lower expectation; enumerating the polytope's vertices
-supports repeated queries and the brute-force conditional oracle.
+These rows are the program's ``H``: the kernel (:mod:`credalnet.simplex`)
+adds the normalisation and ``P >= 0``, so the program ranges over joint
+mass functions, as the local rows range over local ones.
+:class:`GlobalPolytope` is the one builder of these rows: it caches
+them, with the simplex phase 1 over them, for many objectives, solves,
+enumerates vertices and writes the program in text form.  Minimising a
+gamble's coefficient vector over this polytope gives its tight lower
+expectation; its vertices serve the brute-force conditional oracle.
 
 The Bayesian network that takes one member of every local set lies in
 the strong extension, which the program contains.  Its joint mass
@@ -159,8 +159,9 @@ class GlobalPolytope:
     the surplus of every row and that model's column make up the basis
     after one pivot.  A product model that violates the rows means they
     are not this network's program, which is reported as infeasible.
-    ``exact=True`` solves the same program, from artificial columns,
-    with both phases in rational arithmetic.
+    ``exact=True`` solves the same program, from the normalisation's
+    artificial, with both phases in rational arithmetic, up to
+    :data:`credalnet.simplex.MAX_EXACT_ENTRIES`.
 
     The rows are counted before they are built: a program whose phase-1
     tableau, (rows + 2) x (joint states + 2) entries, would exceed
@@ -182,19 +183,14 @@ class GlobalPolytope:
                 f"the {simplex.MAX_TABLEAU_BYTES // 2**20} MiB bound")
         self.idx = JointIndex(net)
         self.rows = _constraint_rows(net, self.idx, blocks, count)
-        self._eq = np.ones((1, self.idx.total))
         self._warm: simplex.FeasibleTableau | None = None
-
-    def _constraints(self) -> tuple:
-        return self._eq, [1.0], self.rows, np.zeros(len(self.rows))
 
     @cached_property
     def _feasible(self) -> simplex.FeasibleTableau | None:
         start = _product_model(self.net, self.idx)
         if len(self.rows) and (self.rows @ start).min() < -simplex.TOL_FEAS:
             return None     # the rows are not this network's program
-        return simplex.phase1(self.idx.total, *self._constraints(),
-                              start=start)
+        return simplex.phase1(self.idx.total, self.rows, start=start)
 
     def minimize(self, c: np.ndarray, *, exact: bool = False,
                  warm: bool = False):
@@ -203,7 +199,7 @@ class GlobalPolytope:
         ``warm=True`` starts phase 2 from the optimal tableau of the last
         warm call, and keeps the new one for the next."""
         if exact:
-            res = simplex.solve(c, *self._constraints(), exact=True)
+            res = simplex.solve(c, self.rows, exact=True)
         elif self._feasible is None:
             res = simplex.SimplexResult("infeasible", None, None)
         else:
@@ -226,7 +222,7 @@ class GlobalPolytope:
         lines = ["vars " + " ".join(",".join(t)
                                     for t in self.net.joint_tuples())]
         lines.append("min " + nums(factor_vector(self.net, f)))
-        lines.append("eq " + nums(self._eq[0]) + " = 1.0")
+        lines.append("eq " + nums(np.ones(self.idx.total)) + " = 1.0")
         labels = []
         for s, nd, Hs in _node_rows(self.net):
             pa_pos = [nd.index(p) for p in self.net.dag.parents(s)]

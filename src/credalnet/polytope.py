@@ -224,13 +224,14 @@ def facet_constraints(points: np.ndarray) -> list[tuple[np.ndarray, float]]:
 
 
 def in_hull(point: np.ndarray, generators: np.ndarray) -> bool:
-    """Whether ``point`` is a convex combination of ``generators``
-    (feasibility LP over the non-negative combination weights)."""
+    """Whether ``point`` is a convex combination of ``generators``, to
+    ``TOL_FEAS`` in each state: whether weights ``w >= 0``, ``sum w = 1``
+    meet the rows ``D + TOL_FEAS`` and ``TOL_FEAS - D``, where ``D`` is
+    ``(G - p)^T``, which bound each state's residual ``D w``."""
     generators = np.asarray(generators, dtype=float)
     k = generators.shape[0]
     if k == 0:
         return False
-    A_eq = np.vstack([generators.T, np.ones((1, k))])
-    b_eq = np.concatenate([np.asarray(point, dtype=float), [1.0]])
-    res = simplex.solve(np.zeros(k), A_eq=A_eq, b_eq=b_eq)
-    return res.status == "optimal"
+    D = (generators - np.asarray(point, dtype=float)).T
+    H = np.vstack([D + simplex.TOL_FEAS, simplex.TOL_FEAS - D])
+    return simplex.phase1(k, H) is not None

@@ -1,4 +1,6 @@
-"""Self-contained dense linear-programming kernel.
+"""Self-contained dense linear-programming kernel for the one program
+this library poses, over a local or a joint state space: minimise
+``c @ x`` over the mass functions ``x`` with ``H x >= 0``.
 
 Two-phase simplex over either float64 or exact ``Fraction`` arithmetic
 on a condensed (Tucker, or Jordan-exchange) tableau: a row per
@@ -10,12 +12,12 @@ after a stall, which guarantees termination on degenerate problems; both
 enter the lowest label among their candidates.  The float ratio test is
 Harris's, which prefers large pivots.
 
-Phase 1 does not read the objective, so it is solved once per
-constraint system: :func:`phase1` returns the feasible tableau and
-:func:`phase2` prices one objective over a basis of it and
-re-optimises.  :func:`solve` runs the two in turn; a caller that
-minimises many objectives over the same constraints (the global program
-of :class:`credalnet.lp.GlobalPolytope`) keeps the feasible tableau and
+Phase 1 does not read the objective, so it is solved once per set of
+rows: :func:`phase1` returns the feasible tableau and :func:`phase2`
+prices one objective over a basis of it and re-optimises.
+:func:`solve` runs the two in turn; a caller that minimises many
+objectives over the same rows (the global program of
+:class:`credalnet.lp.GlobalPolytope`) keeps the feasible tableau and
 runs only phase 2 for each.  Phase 2 starts either from a copy of the
 phase-1 tableau or, warm, from the optimal tableau of an earlier
 phase 2, which it re-prices and pivots in place: the steps of a root
@@ -25,17 +27,11 @@ optimum.  A warm optimum that fails the residual check is dropped for a
 phase 2 from a copy of the phase-1 tableau, and only an optimum that
 fails it too is redone in exact arithmetic.
 
-Phase 1 starts every ``>=`` row with a right-hand side of at most zero
-on its surplus, and adds an artificial variable only to the other rows.
-A caller that knows a feasible point hands it over as ``start``: one
-column, the constraint matrix times that point, then enters the basis
-on an artificial row in one pivot.  The global program has one such
-row, its normalisation, and a known point, the Bayesian network built
-from one member of each local set, so its phase 1 is that one pivot.
-
-Every program is posed over non-negative variables.  The programs of
-this library range over mass functions, so ``x >= 0`` belongs to each
-of them, and no caller states it as rows.
+Every row of ``H`` starts on its surplus, its right-hand side being
+zero, and the normalisation, row 0, on the one artificial variable.  A
+caller that knows a feasible point (the global program does) hands it
+over as ``start``: one column, the rows times that point, then enters
+the basis on row 0 in one pivot, and phase 1 is done.
 """
 
 from __future__ import annotations
@@ -71,6 +67,12 @@ _MAX_ITER = 50_000
 #: queries: 16 MiB lets the first through and refuses the second.
 MAX_TABLEAU_BYTES = 2 ** 24
 
+#: Bound on the entries of an exact phase-1 tableau.  On a 2-CPU VM an
+#: exact solve of the global program takes up to 1.4 s on 5-node random
+#: binary networks (2.1k-4.4k entries), 5-17 s on 6-node ones (10k-20k)
+#: and does not finish within minutes on 8-node ones (154k-379k).
+MAX_EXACT_ENTRIES = 2 ** 13
+
 
 @dataclass
 class SimplexResult:
@@ -85,26 +87,22 @@ class SimplexResult:
 @dataclass
 class FeasibleTableau:
     """The end of phase 1: a condensed tableau whose basis is feasible
-    for the constraints.  The labels are the caller's ``n`` variables, a
-    surplus per ``>=`` row and the start column, if any; an artificial
-    left basic on a redundant row has a label of ``ncols`` or more."""
+    for ``sum x = 1``, ``H x >= 0``.  The labels are the caller's ``n``
+    variables, a surplus per row of ``H`` and the start column, if any;
+    the artificial, if phase 1 left it basic on row 0, is ``ncols``."""
     T: np.ndarray               # rows, then a zero cost row; rhs last
     basis: list                 # variable of each row
     nonbasic: np.ndarray        # variable of each column but the rhs
     ncols: int                  # labels below it may enter the basis
     n: int                      # number of the caller's variables
     exact: bool
-    constraints: tuple          # (A_eq, b_eq, A_ub, b_ub) as given
+    H: np.ndarray | None        # the homogeneous rows as given
     start: np.ndarray | None    # the start point, labelled ncols - 1
 
 
 def _to_fraction_array(a) -> np.ndarray:
-    out = np.empty(np.shape(a), dtype=object)
-    flat_in = np.asarray(a).ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = v if isinstance(v, Fraction) else Fraction(float(v))
-    return out
+    return np.array([v if isinstance(v, Fraction) else Fraction(float(v))
+                     for v in np.ravel(a)], dtype=object).reshape(np.shape(a))
 
 
 def _pivot(T: np.ndarray, basis: list, nonbasic: np.ndarray, ncols: int,
@@ -186,106 +184,78 @@ def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
     raise ConvergenceError("simplex iteration limit exceeded")
 
 
-def phase1(n: int, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
-           exact: bool = False, start=None) -> FeasibleTableau | None:
-    """Phase 1 for ``A_eq x = b_eq``, ``A_ub x >= b_ub`` over ``n``
-    non-negative variables: a feasible tableau and basis, or ``None``
-    when the system is infeasible.  The objective plays no part, so one
-    phase 1 serves every objective over the same constraints (see
-    :func:`phase2`).
+def phase1(n: int, H=None, *, exact: bool = False,
+           start=None) -> FeasibleTableau | None:
+    """Phase 1 for ``x >= 0``, ``sum x = 1``, ``H x >= 0`` over ``n``
+    variables: a feasible tableau and basis, or ``None`` when the
+    program is infeasible.  The objective plays no part, so one phase 1
+    serves every objective over the same rows (see :func:`phase2`).
 
-    A ``>=`` row whose right-hand side is at most zero is negated, so
-    that its surplus starts in the basis; only the other rows get an
-    artificial variable.  ``start``, a point that satisfies the
-    constraints (to ``TOL_FEAS`` in float arithmetic), adds one
-    non-negative column, the constraint matrix times ``start``, and one
-    pivot moves it into the basis on an artificial row; with a single
-    artificial row, as on the global program, phase 1 is then done."""
-    constraints = (A_eq, b_eq, A_ub, b_ub)
+    Row 0, the normalisation, starts on the one artificial variable, and
+    every row of ``H`` on its surplus.  ``start``, a point of the program
+    (to ``TOL_FEAS`` in float arithmetic), adds one non-negative column,
+    the rows times ``start``, and one pivot moves it into the basis on
+    row 0; phase 1 is then done."""
+    zero = Fraction(0) if exact else 0.0
+    tol = Fraction(0) if exact else _TOL_PIVOT
     conv = _to_fraction_array if exact else (
         lambda a: np.asarray(a, dtype=float))
+    rows = conv(np.zeros((0, n)) if H is None else H).reshape(-1, n)
     start = None if start is None else conv(start)
-    dtype = object if exact else float
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    tol = Fraction(0) if exact else _TOL_PIVOT
 
-    def block(A, b):
-        if A is None or not len(A):
-            return np.zeros((0, n), dtype=dtype), np.zeros(0, dtype=dtype)
-        return conv(A).reshape(-1, n), conv(b).reshape(-1)
-
-    A_eq, b_eq = block(A_eq, b_eq)
-    A_ub, b_ub = block(A_ub, b_ub)
-    m_eq, n_surplus = len(b_eq), len(b_ub)
-    m = m_eq + n_surplus
-    on_surplus = np.zeros(m, dtype=bool)
-    on_surplus[m_eq:] = b_ub <= zero
-    art = (~on_surplus).nonzero()[0]
-
-    # Labels below ncols: x, the surpluses, the start column; then an
-    # artificial per row of ``art``, which starts on it.  The other rows
-    # start on their surplus, and every other variable is nonbasic.
-    col_start = n + n_surplus
-    ncols = col_start + (start is not None)
-    off = art[art >= m_eq]
-    free = np.ones(ncols, dtype=bool)
-    free[n:col_start] = ~on_surplus[m_eq:]
-    nonbasic = free.nonzero()[0]
-    k = len(nonbasic)
-    size = (m + 1) * (k + 1) * 8
-    if size > MAX_TABLEAU_BYTES:
+    # Labels below ncols: x, a surplus per row of H, the start column;
+    # the artificial is ncols.  Only x and the start column are nonbasic.
+    m = len(rows) + 1
+    ncols = n + m - 1 + (start is not None)
+    k = n + (start is not None)
+    nonbasic = np.arange(k)
+    nonbasic[n:] = ncols - 1
+    entries = (m + 1) * (k + 1)
+    if entries * 8 > MAX_TABLEAU_BYTES:
         raise CapabilityError(
-            f"simplex tableau of {size / 2**20:.0f} MiB exceeds the "
+            f"simplex tableau of {entries * 8 / 2**20:.0f} MiB exceeds the "
             f"{MAX_TABLEAU_BYTES // 2**20} MiB bound")
-    T = np.zeros((m + 1, k + 1), dtype=dtype)
+    if exact and entries > MAX_EXACT_ENTRIES:
+        raise CapabilityError(
+            f"exact simplex tableau of {entries} entries exceeds the "
+            f"{MAX_EXACT_ENTRIES} bound")
+    T = np.zeros((m + 1, k + 1), dtype=object if exact else float)
     if exact:
         T[:, :] = zero
-    T[:m_eq, :n] = A_eq
-    T[m_eq:m, :n] = A_ub
-    T[off, n + np.arange(len(off))] = -one
+    T[0, :n] = T[0, -1] = zero + 1
+    T[1:m, :n] = rows
     if start is not None:
-        T[:m, k - 1] = T[:m, :n] @ start
-    T[:m_eq, -1] = b_eq
-    T[m_eq:m, -1] = b_ub
-    # Negate the surplus-basis rows, and flip the others to rhs >= 0, in
-    # place: a copy would be as large as the tableau.
-    T[:m] *= np.where(on_surplus | (T[:m, -1] < zero), -1, 1)[:, None]
-    basis = [n + i - m_eq for i in range(m)]
-    for j, i in enumerate(art):
-        basis[i] = ncols + j
-    # phase-1 cost: sum of artificials, expressed over the current basis
-    T[-1, :-1] = -T[art, :-1].sum(axis=0)
-    T[-1, -1] = -T[art, -1].sum()
+        T[:m, n] = T[:m, :n] @ start
+    # The rows of H start on their surplus: negate them in place, as a
+    # copy would be as large as the tableau.
+    T[1:m] *= -1
+    basis = [ncols, *range(n, n + m - 1)]
+    # phase-1 cost: the artificial, expressed over the current basis
+    T[-1] = -T[0]
 
-    if start is not None:
-        # the ratio test over the artificial rows keeps every row
-        # feasible, because start satisfies them all
-        rows = art[T[art, k - 1] > tol]
-        if len(rows):
-            row = rows[np.argmin(T[rows, -1] / T[rows, k - 1])]
-            _pivot(T, basis, nonbasic, ncols, int(row), k - 1)
+    if start is not None and T[0, n] > tol:
+        # start satisfies every row, so they all stay feasible
+        _pivot(T, basis, nonbasic, ncols, 0, n)
 
     status = _run_simplex(T, basis, nonbasic, ncols, tol)
     if status != "optimal" or T[-1, -1] < -(zero + (0 if exact else TOL_FEAS)):
         return None
 
-    # Drive lingering artificials out of the basis where possible, each
-    # for the lowest label with a nonzero entry in its row.
-    for i in range(m):
-        if basis[i] >= ncols:
-            nz = ((T[i, :-1] > tol) | (T[i, :-1] < -tol)).nonzero()[0]
-            if len(nz):
-                _pivot(T, basis, nonbasic, ncols, i,
-                          int(nz[nonbasic[nz].argmin()]))
-        # else: redundant row, harmless to keep with its artificial at zero
+    # Drive a lingering artificial out of the basis where possible, for
+    # the lowest label with a nonzero entry in its row: row 0, where it
+    # starts, as it never re-enters once it has left.
+    if basis[0] >= ncols:
+        nz = ((T[0, :-1] > tol) | (T[0, :-1] < -tol)).nonzero()[0]
+        if len(nz):
+            _pivot(T, basis, nonbasic, ncols, 0,
+                   int(nz[nonbasic[nz].argmin()]))
 
-    # Drop the artificials' columns: none may re-enter in phase 2.
+    # Drop the artificial's column: it may not re-enter in phase 2.
     keep = nonbasic < ncols
     F = T[:, np.append(keep, True)]
     F[-1, :] = zero
     return FeasibleTableau(F, basis, nonbasic[keep], ncols, n, exact,
-                           constraints, start)
+                           H, start)
 
 
 def phase2(tableau: FeasibleTableau, c,
@@ -299,25 +269,26 @@ def phase2(tableau: FeasibleTableau, c,
     nearby objective is a few pivots away.  A warm solve that ends
     anywhere but at an optimum that passes the residual check is
     dropped, and phase 2 reruns from a copy of ``tableau``; only an
-    optimum that fails the check again goes to exact arithmetic.
+    optimum that fails the check again goes to exact arithmetic, which
+    refuses a program above :data:`MAX_EXACT_ENTRIES` with
+    :class:`CapabilityError`.
 
     A start column is priced at ``c @ start``, and the minimiser is
     ``x' + t * start``, where ``x'`` holds the values of the caller's
     columns and ``t`` that of the start column.  The residual check and
-    the exact fallback run against the constraints as given."""
+    the exact fallback run against ``H`` as given."""
     c = _to_fraction_array(c) if tableau.exact else np.asarray(c, dtype=float)
     if warm is not None:
         res = _optimise(warm, c)
-        if res.status == "optimal" and _residuals_ok(res.x,
-                                                     tableau.constraints):
+        if res.status == "optimal" and _residuals_ok(res.x, tableau.H):
             return res
     res = _optimise(replace(tableau, T=tableau.T.copy(),
                             basis=list(tableau.basis),
                             nonbasic=tableau.nonbasic.copy()), c)
     if res.status == "optimal" and not tableau.exact and not _residuals_ok(
-            res.x, tableau.constraints):
+            res.x, tableau.H):
         # the float tableau degraded (tiny pivots); redo in exact arithmetic
-        return _solve_exact_as_float(c, tableau.constraints)
+        return _solve_exact_as_float(c, tableau.H)
     return res
 
 
@@ -328,8 +299,8 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     T, basis, nonbasic = tableau.T, tableau.basis, tableau.nonbasic
     m = T.shape[0] - 1
     # The cost row is the price of each column's variable less c_B times
-    # the column.  The price of an artificial, which only a redundant row
-    # can hold after phase 1, and of the rhs is the spare last entry of
+    # the column.  The price of the artificial, which only row 0 can
+    # still hold after phase 1, and of the rhs is the spare last entry of
     # ``cost``, zero; an artificial's value goes to the spare last entry
     # of ``xs``, which is never read.
     zero = Fraction(0) if exact else 0.0
@@ -344,7 +315,7 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
 
     status = _run_simplex(T, basis, nonbasic, ncols,
                           zero if exact else _TOL_PIVOT)
-    if status == "unbounded":
+    if status == "unbounded":   # on a bounded program, float breakdown
         return SimplexResult("unbounded", None, None)
 
     xs = np.full(ncols + 1, zero, dtype=T.dtype)
@@ -356,38 +327,28 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     return SimplexResult("optimal", x, c @ x, tableau)
 
 
-def solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None, *,
-          exact: bool = False) -> SimplexResult:
-    """Minimize ``c @ x`` subject to ``A_eq x = b_eq``, ``A_ub x >= b_ub``
-    and ``x >= 0``.
+def solve(c, H=None, *, exact: bool = False) -> SimplexResult:
+    """Minimize ``c @ x`` over ``x >= 0``, ``sum x = 1``, ``H x >= 0``.
 
     With ``exact=True`` all data is converted to ``Fraction`` and the
     pivoting is performed in exact rational arithmetic (slow;
-    adjudication use only).
+    adjudication use only, up to :data:`MAX_EXACT_ENTRIES`).
     """
-    tableau = phase1(len(c), A_eq, b_eq, A_ub, b_ub, exact=exact)
+    tableau = phase1(len(c), H, exact=exact)
     if tableau is None:
         return SimplexResult("infeasible", None, None)
     return phase2(tableau, c)
 
 
-def _residuals_ok(x, constraints) -> bool:
-    A_eq, b_eq, A_ub, b_ub = constraints
-    if np.asarray(x, dtype=float).min() < -TOL_FEAS:
-        return False
-    if A_eq is not None and len(A_eq):
-        res = np.asarray(A_eq, dtype=float) @ x - np.asarray(b_eq, dtype=float)
-        if np.abs(res).max() > TOL_FEAS:
-            return False
-    if A_ub is not None and len(A_ub):
-        res = np.asarray(A_ub, dtype=float) @ x - np.asarray(b_ub, dtype=float)
-        if res.min() < -TOL_FEAS:
-            return False
-    return True
+def _residuals_ok(x, H) -> bool:
+    x = np.asarray(x, dtype=float)
+    return x.min() >= -TOL_FEAS and abs(x.sum() - 1.0) <= TOL_FEAS and (
+        H is None or not len(H)
+        or (np.asarray(H, dtype=float) @ x).min() >= -TOL_FEAS)
 
 
-def _solve_exact_as_float(c, constraints) -> SimplexResult:
-    res = solve(c, *constraints, exact=True)
+def _solve_exact_as_float(c, H) -> SimplexResult:
+    res = solve(c, H, exact=True)
     if res.status != "optimal":
         return res
     x = np.array([float(v) for v in res.x])

@@ -97,9 +97,9 @@ def redeclared(net: CredalNetwork, nodes) -> CredalNetwork:
 
 
 def constraint_twin(net: CredalNetwork) -> CredalNetwork:
-    """The same network with every non-singleton local set given by its
-    facet constraints instead of its vertices."""
-    locals_ = {key: m if len(m.vertices) == 1 else
+    """The same network with every non-singleton local set that has
+    vertices given by its facet constraints instead."""
+    locals_ = {key: m if m.vertices is None or len(m.vertices) == 1 else
                CredalSet(m.states, constraints=vertices_to_constraints(m))
                for key, m in net.locals.items()}
     return CredalNetwork(net.dag, net.state_spaces, locals_)

@@ -304,3 +304,23 @@ def test_hmm_query_matches_lp(capsys, tmp_path):
     assert code == 0 and exact["method"] == "lp"
     for key in ("lower", "upper"):
         assert float(hmm[key]) == pytest.approx(float(exact[key]), abs=1e-9)
+
+
+def test_adsep_shows_the_asymmetry(capsys):
+    # on the chain a -> b -> c given b, AD-separation holds from a to c
+    # and not back, where d-separation is symmetric
+    code, pairs, _ = run(capsys, "adsep", data("chain3.json"), "a", "c", "b")
+    assert code == 0
+    assert pairs == {"AD(I,S|C)": "true", "AD(S,I|C)": "false",
+                     "d(I,S|C)": "true", "d(S,I|C)": "true"}
+
+
+def test_vertices_of_two_coins(capsys):
+    code, pairs, _ = run(capsys, "vertices", data("two_coins.json"))
+    assert code == 0
+    assert pairs["states"] == "h,h h,t t,h t,t"
+    assert pairs["count"] == "6"
+    vertices = sorted(tuple(map(float, pairs[f"vertex{i}"].split()))
+                      for i in range(6))
+    assert vertices[0] == (0.0625, 0.1875, 0.1875, 0.5625)
+    assert len(pairs) == 2 + 6

@@ -447,6 +447,56 @@ class TestConditionDispatch:
         assert plain.kind == "rightmost-root"
 
 
+
+def gate_net(rng, zero: bool):
+    """e -> a -> b -> c, binary.  The state '0' of a has zero upper
+    probability when ``zero`` is set, and positive upper probability
+    otherwise; every other local set is an interval inside (0, 1)."""
+    dag = Dag(["e", "a", "b", "c"], [("e", "a"), ("a", "b"), ("b", "c")])
+    locals_ = {("e", ()): binary_interval(("0", "1"), 0.3, 0.6)}
+    for cfg in (("0",), ("1",)):
+        locals_[("a", cfg)] = (singleton(("0", "1"), (0.0, 1.0)) if zero
+                               else binary_interval(("0", "1"), 0.2, 0.7))
+        for s in ("b", "c"):
+            lo, hi = np.sort(rng.uniform(0.1, 0.9, size=2))
+            locals_[(s, cfg)] = binary_interval(("0", "1"), lo, hi)
+    return binary_net(dag, locals_)
+
+
+class TestRestGate:
+    """A regular-rule ``auto`` query on b given evidence on c and on the
+    non-descendants of K = {b, c}: the gate is the upper probability
+    that the non-descendants give their share of the evidence, from the
+    atom product when they are all instantiated, and from their global
+    program when only some are.  Where it is zero, so is the upper
+    probability of the evidence, and the bound is vacuous."""
+
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("evidence,branch", [
+        ({"e": "1", "a": "0", "c": "1"}, "atom_bounds"),
+        ({"a": "0", "c": "1"}, "upper_prob_positive")])
+    def test_auto_matches_lp(self, rng, monkeypatch, zero, evidence,
+                             branch):
+        from credalnet import decompose
+        module = decompose if branch == "atom_bounds" else conditioning
+        calls = []
+        spied = getattr(module, branch)
+        monkeypatch.setattr(module, branch, lambda *a, **kw: (
+            calls.append(a) or spied(*a, **kw)))
+        net = gate_net(rng, zero)
+        f = random_factor(rng, net, ["b"])
+        B = net.cylinder(evidence)
+        auto = run_query(net, Query(f, B, "regular", "auto", 1e-10))
+        assert calls
+        lp_ = run_query(net, Query(f, B, "regular", "lp", 1e-10))
+        for key in ("lower", "upper"):
+            assert auto[key] == pytest.approx(lp_[key], abs=1e-7)
+        kind = "vacuous-fallback" if zero else "unique-root"
+        assert auto["kind"] == lp_["kind"] == kind
+        if zero:
+            assert auto["lower"] == conditioning._vacuous_bound(net, f, B)
+
+
 class TestVacuousBound:
     def test_equals_brute_force(self, rng):
         for _ in range(6):

@@ -134,6 +134,32 @@ class TestMarginalise:
             hits += 1
         assert hits >= 5
 
+    def test_event_in_k(self, rng):
+        # the natural conditional given B_K on the sub-network equals the
+        # full-net one given B_K, the parent cylinder and B_NNK
+        from credalnet.conditioning import natural_conditional, rho_evaluator
+        hits = 0
+        for _ in range(12):
+            net = random_binary_net(rng, 4, edge_p=0.5)
+            sets = closed_sets_with_parents(net, rng, want_parents=True)
+            if not sets:
+                continue
+            K, rel = sets[0]
+            assignment = {p: str(rng.integers(0, 2)) for p in rel.parents}
+            inside = {rng.choice(sorted(K)): str(rng.integers(0, 2))}
+            outside = {u: str(rng.integers(0, 2))
+                       for u in sorted(rel.non_parent_non_descendants)[:1]}
+            f = random_factor(rng, net, list(K))
+            value = marginalise(net, K, assignment, f, net.cylinder(inside),
+                                net.cylinder(outside) if outside else None,
+                                tolerance=1e-10)
+            ev = rho_evaluator(net, f, net.cylinder(
+                {**assignment, **inside, **outside}))
+            bracketed = natural_conditional(ev, tolerance=1e-10).value
+            assert value == pytest.approx(bracketed, abs=1e-7)
+            hits += 1
+        assert hits >= 5
+
     def test_identity_when_whole_graph(self, rng):
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, net.dag.nodes)

@@ -23,9 +23,7 @@ TOL = 1e-9
 def lp_lower(m: CredalSet, f) -> float:
     """The local LP over the homogeneous constraints of ``m``, whatever
     representation it was given in."""
-    n = m.n_states
-    res = simplex.solve(np.asarray(f, dtype=float), A_eq=np.ones((1, n)),
-                        b_eq=[1.0], A_ub=m._H, b_ub=np.zeros(len(m._H)))
+    res = simplex.solve(np.asarray(f, dtype=float), m._H)
     assert res.status == "optimal"
     return float(res.objective)
 
@@ -344,3 +342,47 @@ class TestConversions:
             CredalSet(("h", "t"), vertices=[(0.1, 0.9), (0.9, 0.1)],
                       constraints=[({"h": 1.0, "t": 0.0}, 0.25),
                                    ({"h": -1.0, "t": 0.0}, -0.75)])
+
+
+#: p(a) >= 1/7 and p(b) >= 2/7, by its constraints and by its vertices
+SEVENTHS = ([((1.0, 0.0, 0.0), 1 / 7), ((0.0, 1.0, 0.0), 2 / 7)],
+            [(1 / 7, 2 / 7, 4 / 7), (5 / 7, 2 / 7, 0.0), (1 / 7, 6 / 7, 0.0)])
+
+
+class TestMutualMembership:
+    """A set given in both forms: every vertex of the constraint
+    polytope must lie in the hull of the given vertices, to ``TOL_FEAS``
+    in each state."""
+
+    @pytest.mark.parametrize("residual,inside", [
+        (1e-9, True), (-1e-9, True), (1e-6, False), (-1e-6, False)])
+    def test_in_hull_criterion(self, residual, inside):
+        # the largest residual of any weights on the segment is the one
+        # at state c
+        G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        p = np.array([0.5, 0.5 - residual, residual])
+        assert polytope.in_hull(p, G) is inside
+
+    def test_agreeing_forms(self, monkeypatch):
+        calls = []
+        in_hull = polytope.in_hull
+        monkeypatch.setattr(polytope, "in_hull", lambda p, G: (
+            calls.append(p) or in_hull(p, G)))
+        cons, verts = SEVENTHS
+        m = CredalSet(("a", "b", "c"), vertices=verts, constraints=cons)
+        # the three vertices of the constraint polytope, then the
+        # minimality check of the three given ones
+        assert len(calls) == 3 + 3
+        assert m.lower_probability({"b"}) == pytest.approx(2 / 7)
+
+    def test_vertices_rounded_to_seven_digits(self):
+        cons, verts = SEVENTHS
+        rounded = np.round(verts, 7)
+        m = CredalSet(("a", "b", "c"), vertices=rounded, constraints=cons)
+        assert np.array_equal(m._V, rounded)
+
+    def test_constraints_wider_than_the_hull(self):
+        cons, verts = SEVENTHS
+        wider = [(alpha, beta - 1e-3) for alpha, beta in cons]
+        with pytest.raises(InputError, match="not covered"):
+            CredalSet(("a", "b", "c"), vertices=verts, constraints=wider)

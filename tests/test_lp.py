@@ -2,6 +2,8 @@
 minimisers, vertex enumeration, and coherence of the resulting lower
 expectation operator."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -216,9 +218,7 @@ class TestCachedPhaseOne:
                         assert value == pytest.approx(
                             exact, abs=1e-9 * max(1.0, abs(exact)))
                     try:
-                        fresh = simplex.solve(
-                            c, A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
-                            A_ub=gp.rows, b_ub=np.zeros(len(gp.rows)))
+                        fresh = simplex.solve(c, gp.rows)
                     except ConvergenceError:
                         continue
                     if fresh.status == "optimal":
@@ -276,6 +276,24 @@ class TestLargerPrograms:
             expect = highs_minimum(gp, c)
             assert gp.minimize(c)[0] == pytest.approx(
                 expect, abs=1e-9 * max(1.0, abs(expect)))
+
+    def test_exact_fallback_refused_on_eight_nodes(self, monkeypatch):
+        # the float optimum misses its residual check here, and an exact
+        # solve of the 652 x 256 program would run for minutes: its
+        # tableau is refused before it is built
+        net = random_binary_net(np.random.default_rng(8), 8, 0.4)
+        gp = lp.GlobalPolytope(net)
+        c = np.random.default_rng(0).normal(size=gp.idx.total)
+        fallbacks = []
+        fallback = simplex._solve_exact_as_float
+        monkeypatch.setattr(simplex, "_solve_exact_as_float", lambda *a: (
+            fallbacks.append(a) or fallback(*a)))
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="exact simplex tableau "
+                                                  "of 168078 entries"):
+            gp.minimize(c)
+        assert len(fallbacks) == 1
+        assert time.perf_counter() - start < 30.0
 
     def test_five_node_net_that_stalled_phase_one(self):
         # a phase 1 from artificial columns on every row stalled here at

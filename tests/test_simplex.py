@@ -1,64 +1,78 @@
-"""The in-repo LP kernel, float and exact-rational modes."""
+"""The in-repo LP kernel, float and exact-rational modes, on its one
+program: minimise ``c @ x`` over ``x >= 0``, ``sum x = 1``, ``H x >= 0``."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from credalnet import simplex
+from credalnet import polytope, simplex
 from credalnet.errors import CapabilityError
+
+
+def random_rows(rng, n: int, m: int) -> np.ndarray:
+    """``m`` homogeneous rows that hold, with some slack, at a random
+    mass function: a nonempty program."""
+    p = rng.dirichlet(np.ones(n))
+    A = rng.normal(size=(m, n))
+    return A - (A @ p - rng.uniform(0, 1, size=m))[:, None]
+
+
+def beale_tableau():
+    """The condensed tableau of Beale's cycling instance, minimise
+    ``-3/4 x0 + 150 x1 - 1/50 x2 + 6 x3`` over ``1/4 x0 - 60 x1 - 1/25 x2
+    + 9 x3 <= 0``, ``1/2 x0 - 90 x1 - 1/50 x2 + 3 x3 <= 0``, ``x2 <= 1``,
+    priced for phase 2: every row on its surplus, labels 4-6, and the
+    variables nonbasic."""
+    T = np.array([[0.25, -60.0, -0.04, 9.0, 0.0],
+                  [0.5, -90.0, -0.02, 3.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0, 1.0],
+                  [-0.75, 150.0, -0.02, 6.0, 0.0]])
+    return T, [4, 5, 6], np.arange(4)
 
 
 class TestBasics:
     def test_bounded_minimum(self):
-        res = simplex.solve([-1.0, -1.0],
-                            A_ub=[[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
-                            b_ub=[-1.0, 0.0, 0.0])
+        # p(b) >= p(a): the minimum of -p(a) is at the uniform point
+        res = simplex.solve([-1.0, 0.0], [[-1.0, 1.0]])
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(-1.0)
-
-    def test_equality_with_free_variables(self):
-        # every variable is non-negative; a caller poses a free one, here
-        # the second, as the difference of two columns
-        res = simplex.solve([1.0, 0.0, 0.0], A_eq=[[1.0, 1.0, -1.0]],
-                            b_eq=[1.0], A_ub=[[1.0, 0.0, 0.0]], b_ub=[0.3])
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(0.3)
-        assert res.x.min() >= 0.0
-        assert res.x[0] + res.x[1] - res.x[2] == pytest.approx(1.0)
+        assert res.objective == pytest.approx(-0.5)
+        assert res.x == pytest.approx([0.5, 0.5])
 
     def test_infeasible(self):
-        res = simplex.solve([1.0], A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0])
+        res = simplex.solve([1.0], [[-1.0]])
         assert res.status == "infeasible"
 
-    def test_unbounded(self):
-        res = simplex.solve([-1.0], A_ub=[[1.0]], b_ub=[0.0])
-        assert res.status == "unbounded"
-
-    def test_degenerate_cycling_guard(self):
-        # classic cycling instance for naive most-negative pivoting
-        res = simplex.solve(
-            [-0.75, 150.0, -0.02, 6.0],
-            A_ub=[[-0.25, 60.0, 0.04, -9.0],
-                  [-0.5, 90.0, 0.02, -3.0],
-                  [0.0, 0.0, -1.0, 0.0]],
-            b_ub=[0.0, 0.0, -1.0])
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(-0.05)
+    @pytest.mark.parametrize("stall", [simplex._STALL_LIMIT, 1])
+    def test_degenerate_cycling_guard(self, monkeypatch, stall):
+        # classic cycling instance for naive most-negative pivoting; with
+        # a stall limit of 1, the first (degenerate) pivot switches to
+        # Bland's rule
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall)
+        pivots = []
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot", lambda T, b, nb, k, row, col: (
+            pivots.append((b[row], int(nb[col]))) or pivot(T, b, nb, k, row,
+                                                           col)))
+        for exact in (False, True):
+            T, basis, nonbasic = beale_tableau()
+            if exact:
+                T = simplex._to_fraction_array(T)
+            del pivots[:]
+            tol = Fraction(0) if exact else simplex._TOL_PIVOT
+            assert simplex._run_simplex(T, basis, nonbasic, 7, tol) == \
+                "optimal"
+            assert float(-T[-1, -1]) == pytest.approx(-0.05)
+            assert pivots == [(5, 0), (6, 2)]
+            assert basis == [4, 0, 2]
 
     def test_no_constraints(self):
-        res = simplex.solve([1.0, 2.0])
+        res = simplex.solve([2.0, 1.0])
         assert res.status == "optimal"
-        assert res.objective == 0.0
-        res = simplex.solve([1, 2], exact=True)
-        assert res.status == "optimal" and res.objective == 0
-        assert simplex.solve([-1.0], exact=True).status == "unbounded"
-
-    def test_redundant_rows(self):
-        res = simplex.solve([1.0, 1.0],
-                            A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0])
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(1.0)
+        assert res.objective == 1.0
+        res = simplex.solve([2, 1], exact=True)
+        assert res.status == "optimal" and res.objective == 1
+        assert simplex.solve([-1.0], exact=True).objective == -1
 
 
 class TestAgainstEnumeration:
@@ -68,32 +82,48 @@ class TestAgainstEnumeration:
         for _ in range(25):
             n = int(rng.integers(2, 7))
             c = rng.normal(size=n)
-            res = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
-                                A_ub=np.eye(n), b_ub=np.zeros(n))
+            res = simplex.solve(c, np.eye(n))
             assert res.status == "optimal"
             assert res.objective == pytest.approx(c.min(), abs=1e-9)
 
     def test_random_box_constraints(self, rng):
-        # variables in [lo, hi] boxes: optimum picks interval ends
+        # p in [lo, hi] boxes inside the simplex, as the rows p - lo and
+        # hi - p: the optimum fills the cheapest states from lo up
         for _ in range(25):
-            n = int(rng.integers(1, 5))
-            lo = rng.uniform(0, 2, size=n)
-            hi = lo + rng.uniform(0.1, 2, size=n)
+            n = int(rng.integers(1, 6))
+            lo = rng.dirichlet(np.ones(n)) * rng.uniform(0, 1)
+            hi = np.minimum(lo + rng.uniform(0.1, 1, size=n), 1.0)
+            hi[-1] = max(hi[-1], 1.0 - (hi[:-1] - lo[:-1]).sum())
             c = rng.normal(size=n)
-            A = np.vstack([np.eye(n), -np.eye(n)])
-            b = np.concatenate([lo, -hi])
-            res = simplex.solve(c, A_ub=A, b_ub=b)
-            expect = float(np.where(c >= 0, c * lo, c * hi).sum())
-            assert res.objective == pytest.approx(expect, abs=1e-9)
+            H = np.vstack([np.eye(n) - lo[:, None], hi[:, None] - np.eye(n)])
+            p, left = lo.copy(), 1.0 - lo.sum()
+            for i in np.argsort(c):
+                p[i] += min(left, hi[i] - lo[i])
+                left -= p[i] - lo[i]
+            res = simplex.solve(c, H)
+            assert res.objective == pytest.approx(c @ p, abs=1e-9)
+            V = polytope.cut_simplex(n, H)
+            assert (V @ c).min() == pytest.approx(c @ p, abs=1e-9)
+
+    def test_random_rows_against_vertices(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(2, 6))
+            H = random_rows(rng, n, int(rng.integers(1, 2 * n)))
+            V = polytope.cut_simplex(n, H)
+            for _ in range(3):
+                c = rng.normal(size=n)
+                res = simplex.solve(c, H)
+                assert res.status == "optimal"
+                assert res.objective == pytest.approx((V @ c).min(),
+                                                      abs=1e-9)
+                assert (H @ res.x).min() >= -simplex.TOL_FEAS
 
 
 class TestExactMode:
     def test_rational_optimum(self):
-        res = simplex.solve(
-            [Fraction(1), Fraction(0)],
-            A_eq=[[1, 1]], b_eq=[1],
-            A_ub=[[1, 0], [0, 1]], b_ub=[Fraction(1, 4), Fraction(0)],
-            exact=True)
+        # p(a) >= 1/4, as the homogeneous row 3/4 p(a) - 1/4 p(b) >= 0
+        res = simplex.solve([Fraction(1), Fraction(0)],
+                            [[Fraction(3, 4), Fraction(-1, 4)]], exact=True)
         assert res.status == "optimal"
         assert res.objective == Fraction(1, 4)
 
@@ -101,11 +131,9 @@ class TestExactMode:
         for _ in range(10):
             n = 4
             c = [Fraction(int(x), 16) for x in rng.integers(-16, 16, size=n)]
-            res_f = simplex.solve([float(v) for v in c],
-                                  A_eq=np.ones((1, n)), b_eq=[1.0],
-                                  A_ub=np.eye(n), b_ub=np.zeros(n))
-            res_q = simplex.solve(c, A_eq=[[1] * n], b_eq=[1],
-                                  A_ub=np.eye(n), b_ub=[0] * n, exact=True)
+            H = random_rows(rng, n, 3)
+            res_f = simplex.solve([float(v) for v in c], H)
+            res_q = simplex.solve(c, H, exact=True)
             assert res_q.status == "optimal"
             assert float(res_q.objective) == pytest.approx(res_f.objective,
                                                            abs=1e-12)
@@ -115,16 +143,13 @@ class TestPhases:
     def test_phase2_reuses_one_phase1(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 6))
-            A = rng.normal(size=(n + 2, n))
-            # rows that hold, with some slack, at a point of the simplex
-            b = A @ rng.dirichlet(np.ones(n)) - rng.uniform(0, 1, size=n + 2)
-            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b)
+            H = random_rows(rng, n, n + 2)
+            tableau = simplex.phase1(n, H)
             saved = tableau.T.copy()
             for _ in range(3):
                 c = rng.normal(size=n)
                 res = simplex.phase2(tableau, c)
-                fresh = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
-                                      A_ub=A, b_ub=b)
+                fresh = simplex.solve(c, H)
                 assert res.status == fresh.status == "optimal"
                 assert np.array_equal(res.x, fresh.x)
             assert np.array_equal(tableau.T, saved)
@@ -142,48 +167,57 @@ class TestPhases:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             p = rng.dirichlet(np.ones(n))
-            A = rng.normal(size=(n + 2, n))
-            A -= np.outer(A @ p, np.ones(n))   # homogeneous rows, A @ p = 0
-            A[0] += rng.uniform(0, 1)          # one with slack at p
-            b = np.zeros(n + 2)
+            H = rng.normal(size=(n + 2, n))
+            H -= np.outer(H @ p, np.ones(n))   # H @ p = 0
+            H[0] += rng.uniform(0, 1)          # one row with slack at p
             pivots.clear()
-            tableau = simplex.phase1(n, np.ones((1, n)), [1.0], A, b, start=p)
-            # every row but the equality starts on its surplus, so one
-            # pivot brings in the start column, the column after x, for
-            # the equality's artificial, which is dropped
+            tableau = simplex.phase1(n, H, start=p)
+            # every row but the normalisation starts on its surplus, so
+            # one pivot brings in the start column, the column after x,
+            # for the normalisation's artificial, which is dropped
             assert pivots == [n]
             assert list(tableau.nonbasic) == list(range(n))
             assert tableau.T.shape == (n + 4, n + 1)
             for _ in range(3):
                 c = rng.normal(size=n)
                 res = simplex.phase2(tableau, c)
-                fresh = simplex.solve(c, A_eq=np.ones((1, n)), b_eq=[1.0],
-                                      A_ub=A, b_ub=b)
+                fresh = simplex.solve(c, H)
                 assert res.status == fresh.status == "optimal"
                 assert res.objective == pytest.approx(fresh.objective,
                                                       abs=1e-12)
                 assert res.objective == pytest.approx(c @ res.x, abs=1e-12)
                 assert res.x.min() >= -simplex.TOL_FEAS
-                assert (A @ res.x).min() >= -simplex.TOL_FEAS
+                assert (H @ res.x).min() >= -simplex.TOL_FEAS
 
     def test_phase1_infeasible(self):
-        assert simplex.phase1(1, A_ub=[[1.0], [-1.0]], b_ub=[1.0, 0.0]) is None
+        assert simplex.phase1(1, [[-1.0]]) is None
 
 
 class TestTableauBound:
     def test_raises_before_allocating(self, monkeypatch):
-        # 3 rows over 2 variables, 2 of them with a surplus that starts
-        # in the basis and the equality on its artificial, so both
-        # variables are nonbasic: 4 x (2 + 1) entries
-        args = dict(A_eq=[[1.0, 1.0]], b_eq=[1.0],
-                    A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[0.0, 0.0])
+        # the normalisation and 2 rows over 2 variables: both rows start
+        # on their surplus and the normalisation on its artificial, so
+        # both variables are nonbasic: 4 x (2 + 1) entries
+        H = [[1.0, 0.0], [0.0, 1.0]]
         monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 3 * 8)
-        assert simplex.solve([1.0, 2.0], **args).status == "optimal"
+        assert simplex.solve([1.0, 2.0], H).status == "optimal"
         monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 3 * 8 - 1)
         with pytest.raises(CapabilityError, match="tableau"):
-            simplex.solve([1.0, 2.0], **args)
+            simplex.solve([1.0, 2.0], H)
         with pytest.raises(CapabilityError, match="tableau"):
-            simplex.solve([1.0, 2.0], exact=True, **args)
+            simplex.solve([1.0, 2.0], H, exact=True)
+
+    def test_exact_entries(self, monkeypatch):
+        # the exact bound counts the same 4 x 3 entries, and leaves the
+        # float kernel alone
+        H = [[1.0, 0.0], [0.0, 1.0]]
+        monkeypatch.setattr(simplex, "MAX_EXACT_ENTRIES", 4 * 3)
+        assert simplex.solve([1, 2], H, exact=True).objective == 1
+        monkeypatch.setattr(simplex, "MAX_EXACT_ENTRIES", 4 * 3 - 1)
+        assert simplex.solve([1.0, 2.0], H).objective == 1.0
+        with pytest.raises(CapabilityError, match="exact simplex tableau "
+                                                  "of 12 entries"):
+            simplex.solve([1, 2], H, exact=True)
 
     def test_global_program(self, monkeypatch, two_coins):
         from credalnet import lp
