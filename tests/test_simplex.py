@@ -43,28 +43,28 @@ class TestBasics:
         res = simplex.solve([1.0], [[-1.0]])
         assert res.status == "infeasible"
 
-    @pytest.mark.parametrize("stall", [simplex._STALL_LIMIT, 1])
-    def test_degenerate_cycling_guard(self, monkeypatch, stall):
+    def test_degenerate_cycling_guard(self, monkeypatch):
         # classic cycling instance for naive most-negative pivoting; with
         # a stall limit of 1, the first (degenerate) pivot switches to
         # Bland's rule
-        monkeypatch.setattr(simplex, "_STALL_LIMIT", stall)
         pivots = []
         pivot = simplex._pivot
         monkeypatch.setattr(simplex, "_pivot", lambda T, b, nb, k, row, col: (
             pivots.append((b[row], int(nb[col]))) or pivot(T, b, nb, k, row,
                                                            col)))
-        for exact in (False, True):
-            T, basis, nonbasic = beale_tableau()
-            if exact:
-                T = simplex._to_fraction_array(T)
-            del pivots[:]
-            tol = Fraction(0) if exact else simplex._TOL_PIVOT
-            assert simplex._run_simplex(T, basis, nonbasic, 7, tol) == \
-                "optimal"
-            assert float(-T[-1, -1]) == pytest.approx(-0.05)
-            assert pivots == [(5, 0), (6, 2)]
-            assert basis == [4, 0, 2]
+        for stall in (simplex._STALL_LIMIT, 1):
+            monkeypatch.setattr(simplex, "_STALL_LIMIT", stall)
+            for exact in (False, True):
+                T, basis, nonbasic = beale_tableau()
+                if exact:
+                    T = simplex._to_fraction_array(T)
+                del pivots[:]
+                tol = Fraction(0) if exact else simplex._TOL_PIVOT
+                assert simplex._run_simplex(T, basis, nonbasic, 7, tol) == \
+                    "optimal"
+                assert float(-T[-1, -1]) == pytest.approx(-0.05)
+                assert pivots == [(5, 0), (6, 2)]
+                assert basis == [4, 0, 2]
 
     def test_no_constraints(self):
         res = simplex.solve([2.0, 1.0])
