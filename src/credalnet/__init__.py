@@ -17,8 +17,7 @@ from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
                            upper_prob_positive)
 from .credal import (CredalSet, HomogeneousConstraint, LinearConstraint,
                      MassFunction, binary_interval, constraints_to_vertices,
-                     local_lower_expectation, singleton, to_homogeneous,
-                     vacuous, vertices_to_constraints)
+                     singleton, vacuous, vertices_to_constraints)
 from .decompose import (Reduction, atom_bounds, combined, external_additivity,
                         factorise, iterated_lower_expectation,
                         lower_expectation, marginalise, trace_lines)

@@ -21,8 +21,7 @@ step differs from the last only by a multiple of 1_B, so every
 evaluation, of either bound of a query, starts the simplex phase 2 from
 the optimal tableau of the evaluation before it (see
 :class:`credalnet.lp.GlobalPolytope`); a warm optimum that fails the
-residual check is recomputed from the phase-1 tableau, and then in
-exact arithmetic.
+residual check is recomputed from the phase-1 tableau.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -253,22 +252,17 @@ class CredalSet:
     def n_states(self) -> int:
         return len(self.states)
 
-    def lower_expectation(self, f, *, exact: bool = False) -> float:
+    def lower_expectation(self, f) -> float:
         """Tight lower bound on the expectation of the gamble ``f``.
 
         The minimum of finitely many dot products when the set has a
         vertex list, and an LP over the homogeneous constraints
-        otherwise; ``exact`` computes in ``Fraction`` arithmetic.
+        otherwise.
         """
         fv = _as_values(self.states, f)
         if self._V is not None:
-            if exact:
-                exps = [sum(Fraction(p) * Fraction(x) for p, x in zip(v, fv))
-                        for v in self._V]
-                return min(exps)
             return float(np.min(self._V @ fv))
-        res = self._local_lp(fv, exact)
-        return res.objective if exact else float(res.objective)
+        return float(self._local_lp(fv).objective)
 
     def lower_argmin(self, f) -> tuple[float, np.ndarray]:
         """:meth:`lower_expectation` and a mass function of the set (an
@@ -282,22 +276,21 @@ class CredalSet:
         res = self._local_lp(fv)
         return float(res.objective), res.x
 
-    def _local_lp(self, fv: np.ndarray, exact: bool = False):
-        res = simplex.solve(fv if not exact else [Fraction(x) for x in fv],
-                            self._H, exact=exact)
+    def _local_lp(self, fv: np.ndarray):
+        res = simplex.solve(fv, self._H)
         if res.status != "optimal":
             raise ModelError(f"local LP ended with status {res.status}")
         return res
 
-    def upper_expectation(self, f, **kw) -> float:
+    def upper_expectation(self, f) -> float:
         fv = _as_values(self.states, f)
-        return -self.lower_expectation(-fv, **kw)
+        return -self.lower_expectation(-fv)
 
-    def lower_probability(self, A: Iterable[State], **kw) -> float:
-        return self.lower_expectation(self._indicator(A), **kw)
+    def lower_probability(self, A: Iterable[State]) -> float:
+        return self.lower_expectation(self._indicator(A))
 
-    def upper_probability(self, A: Iterable[State], **kw) -> float:
-        return self.upper_expectation(self._indicator(A), **kw)
+    def upper_probability(self, A: Iterable[State]) -> float:
+        return self.upper_expectation(self._indicator(A))
 
     def _indicator(self, A: Iterable[State]) -> np.ndarray:
         A = set(A)
@@ -345,16 +338,6 @@ def binary_interval(states: Sequence[State], low: float, high: float) -> CredalS
 
 
 # -- module-level operations (thin wrappers with the documented names) ------
-
-def local_lower_expectation(m: CredalSet, f, **kw) -> float:
-    return m.lower_expectation(f, **kw)
-
-
-def to_homogeneous(m: CredalSet) -> list[HomogeneousConstraint]:
-    """The homogeneous-constraint representation (derived at load time),
-    read on the probability simplex."""
-    return list(m.homogeneous)
-
 
 def vertices_to_constraints(m: CredalSet) -> list[LinearConstraint]:
     """Facet enumeration of the vertex representation."""

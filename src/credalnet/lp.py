@@ -19,8 +19,8 @@ expectation; its vertices serve the brute-force conditional oracle.
 
 The Bayesian network that takes one member of every local set lies in
 the strong extension, which the program contains.  Its joint mass
-function is the known feasible point from which the float simplex
-starts, so that phase 1 is a single pivot.
+function is the known feasible point from which the simplex starts, so
+that phase 1 is a single pivot.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ class GlobalPolytope:
     """The constraint system of a network, cached so that many objectives
     (e.g. the evaluations of a bracketing run) reuse one build.
 
-    The first float :meth:`minimize` runs the simplex phase 1, which does
-    not depend on the objective, and keeps its feasible tableau on the
-    object; every float :meth:`minimize` then runs phase 2 alone.  A
+    The first :meth:`minimize` runs the simplex phase 1, which does not
+    depend on the objective, and keeps its feasible tableau on the
+    object; every :meth:`minimize` then runs phase 2 alone.  A
     plain call starts it from a copy of the phase-1 tableau.  A ``warm``
     call, as every evaluation of rho makes, starts it from the optimal
     tableau of the last warm call instead, which it re-prices and pivots
@@ -152,16 +152,15 @@ class GlobalPolytope:
     Dinkelbach steps and sign tests of one bound, and those of the other
     bound on the same program, change the objective little.  A warm
     optimum that fails the residual check is dropped, and phase 2 reruns
-    from the phase-1 tableau before the exact fallback (see
-    :func:`credalnet.simplex.phase2`).  Both tableaux are about as large
+    from the phase-1 tableau; an optimum that fails it again is refused
+    with :class:`CapabilityError` (see :func:`credalnet.simplex.phase2`),
+    and a warm call that raises leaves no tableau for the next, which
+    starts from the phase-1 tableau.  Both tableaux are about as large
     as the rows, and live as long as the object, like the rows.
     Phase 1 starts from the product model of the local sets' members:
     the surplus of every row and that model's column make up the basis
     after one pivot.  A product model that violates the rows means they
     are not this network's program, which is reported as infeasible.
-    ``exact=True`` solves the same program, from the normalisation's
-    artificial, with both phases in rational arithmetic, up to
-    :data:`credalnet.simplex.MAX_EXACT_ENTRIES`.
 
     The rows are counted before they are built: a program whose phase-1
     tableau, (rows + 2) x (joint states + 2) entries, would exceed
@@ -192,21 +191,19 @@ class GlobalPolytope:
             return None     # the rows are not this network's program
         return simplex.phase1(self.idx.total, self.rows, start=start)
 
-    def minimize(self, c: np.ndarray, *, exact: bool = False,
-                 warm: bool = False):
-        """Minimum of ``c @ p`` over the program and a minimiser ``p``;
-        ``exact=True`` solves both phases in rational arithmetic.
+    def minimize(self, c: np.ndarray, *, warm: bool = False):
+        """Minimum of ``c @ p`` over the program and a minimiser ``p``.
         ``warm=True`` starts phase 2 from the optimal tableau of the last
         warm call, and keeps the new one for the next."""
-        if exact:
-            res = simplex.solve(c, self.rows, exact=True)
-        elif self._feasible is None:
+        if self._feasible is None:
             res = simplex.SimplexResult("infeasible", None, None)
+        elif warm:
+            # taken off first: a solve that raises has pivoted it in place
+            last, self._warm = self._warm, None
+            res = simplex.phase2(self._feasible, c, last)
+            self._warm = res.tableau
         else:
-            res = simplex.phase2(self._feasible, c,
-                                 self._warm if warm else None)
-            if warm:
-                self._warm = res.tableau
+            res = simplex.phase2(self._feasible, c)
         if res.status != "optimal":
             raise ModelError(
                 f"global program ended with status {res.status}; "
@@ -243,12 +240,10 @@ class GlobalPolytope:
         return polytope.cut_simplex(self.idx.total, self.rows)
 
 
-def lower_expectation_lp(net: CredalNetwork, f: Factor, *,
-                         exact: bool = False) -> float:
+def lower_expectation_lp(net: CredalNetwork, f: Factor) -> float:
     """Tight lower expectation of ``f`` via the global program."""
-    gp = GlobalPolytope(net)
-    value, _ = gp.minimize(factor_vector(net, f), exact=exact)
-    return value if exact else float(value)
+    value, _ = GlobalPolytope(net).minimize(factor_vector(net, f))
+    return float(value)
 
 
 def enumerate_joint_extreme_points(net: CredalNetwork) -> list[MassFunction]:

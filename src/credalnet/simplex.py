@@ -2,14 +2,14 @@
 this library poses, over a local or a joint state space: minimise
 ``c @ x`` over the mass functions ``x`` with ``H x >= 0``.
 
-Two-phase simplex over either float64 or exact ``Fraction`` arithmetic
-on a condensed (Tucker, or Jordan-exchange) tableau: a row per
-constraint, a column per nonbasic variable, and the right-hand side; the
-basic columns, unit vectors, are not stored.  ``basis`` and ``nonbasic``
+Two-phase simplex in float64 arithmetic on a condensed (Tucker, or
+Jordan-exchange) tableau: a row per constraint, a column per nonbasic
+variable, and the right-hand side; the basic columns, unit vectors, are
+not stored.  ``basis`` and ``nonbasic``
 label the rows and columns with their variables, and a pivot exchanges
 the two.  Pivoting uses Dantzig's rule and falls back to Bland's rule
 after a stall, which guarantees termination on degenerate problems; both
-enter the lowest label among their candidates.  The float ratio test is
+enter the lowest label among their candidates.  The ratio test is
 Harris's, which prefers large pivots.
 
 Phase 1 does not read the objective, so it is solved once per set of
@@ -24,8 +24,8 @@ phase 2, which it re-prices and pivots in place: the steps of a root
 search change the objective a little at a time, and the last optimal
 basis, feasible for the same rows, is then a few pivots from the next
 optimum.  A warm optimum that fails the residual check is dropped for a
-phase 2 from a copy of the phase-1 tableau, and only an optimum that
-fails it too is redone in exact arithmetic.
+phase 2 from a copy of the phase-1 tableau, and an optimum that fails it
+too is refused with :class:`CapabilityError`.
 
 Every row of ``H`` starts on its surplus, its right-hand side being
 zero, and the normalisation, row 0, on the one artificial variable.  A
@@ -37,7 +37,6 @@ the basis on row 0 in one pivot, and phase 1 is done.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .errors import CapabilityError, ConvergenceError
 #: constraint slack checks).
 TOL_FEAS = 1e-7
 
-#: Pivot/reduced-cost tolerance of the float kernel.
+#: Pivot/reduced-cost tolerance.
 _TOL_PIVOT = 1e-10
 
 #: How far below zero the ratio test lets a basic value go, so that it
@@ -67,18 +66,12 @@ _MAX_ITER = 50_000
 #: queries: 16 MiB lets the first through and refuses the second.
 MAX_TABLEAU_BYTES = 2 ** 24
 
-#: Bound on the entries of an exact phase-1 tableau.  On a 2-CPU VM an
-#: exact solve of the global program takes up to 1.4 s on 5-node random
-#: binary networks (2.1k-4.4k entries), 5-17 s on 6-node ones (10k-20k)
-#: and does not finish within minutes on 8-node ones (154k-379k).
-MAX_EXACT_ENTRIES = 2 ** 13
-
 
 @dataclass
 class SimplexResult:
     status: str                 # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None        # primal solution in the caller's variables
-    objective: float | Fraction | None
+    objective: float | None
     #: the optimal tableau of a phase 2, a warm start for the next one
     #: (see :func:`phase2`)
     tableau: FeasibleTableau | None = None
@@ -95,14 +88,8 @@ class FeasibleTableau:
     nonbasic: np.ndarray        # variable of each column but the rhs
     ncols: int                  # labels below it may enter the basis
     n: int                      # number of the caller's variables
-    exact: bool
-    H: np.ndarray | None        # the homogeneous rows as given
+    H: np.ndarray               # the rows of H, (rows, n) float64
     start: np.ndarray | None    # the start point, labelled ncols - 1
-
-
-def _to_fraction_array(a) -> np.ndarray:
-    return np.array([v if isinstance(v, Fraction) else Fraction(float(v))
-                     for v in np.ravel(a)], dtype=object).reshape(np.shape(a))
 
 
 def _pivot(T: np.ndarray, basis: list, nonbasic: np.ndarray, ncols: int,
@@ -124,7 +111,7 @@ def _pivot(T: np.ndarray, basis: list, nonbasic: np.ndarray, ncols: int,
 
 
 def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
-                 ncols: int, tol) -> str:
+                 ncols: int) -> str:
     """Minimize the cost row T[-1] in place.  Returns "optimal" or
     "unbounded".
 
@@ -134,11 +121,10 @@ def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
     step that keeps every basic value above ``-_TOL_HARRIS``, then, among
     the rows that block within it, the largest pivot (Bland: the lowest
     basic label), so that rounding never forces a pivot on a tiny entry.
-    In exact arithmetic it is the plain minimum ratio.  The cost-row rhs
-    holds the negated objective, so progress means it increases."""
+    The cost-row rhs holds the negated objective, so progress means it
+    increases."""
     if T.shape[1] == 1:
         return "optimal"        # every variable is basic
-    harris = 0 if tol == 0 else _TOL_HARRIS
     stall = 0
     best = T[-1, -1]
     bland = False
@@ -146,24 +132,24 @@ def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
         cost = T[-1, :-1]
         if not bland:
             col = int(cost.argmin())
-            if cost[col] >= -tol:
+            if cost[col] >= -_TOL_PIVOT:
                 return "optimal"
             ties = (cost == cost[col]).nonzero()[0]
             if len(ties) > 1:
                 col = int(ties[nonbasic[ties].argmin()])
         else:
-            entering = (cost < -tol).nonzero()[0]
+            entering = (cost < -_TOL_PIVOT).nonzero()[0]
             if not len(entering):
                 return "optimal"
             col = int(entering[nonbasic[entering].argmin()])
 
         column = T[:-1, col]
-        rows = (column > tol).nonzero()[0]
+        rows = (column > _TOL_PIVOT).nonzero()[0]
         if not len(rows):
             return "unbounded"
         a = column[rows]
         rhs = np.maximum(T[rows, -1], 0)
-        step = ((rhs + harris) / a).min()
+        step = ((rhs + _TOL_HARRIS) / a).min()
         within = rhs <= step * a
         blocking = rows[within]
         if bland:
@@ -174,7 +160,7 @@ def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
             T[row, -1] = 0      # a basic value rounded below zero
         _pivot(T, basis, nonbasic, ncols, row, col)
 
-        if T[-1, -1] > best + tol:
+        if T[-1, -1] > best + _TOL_PIVOT:
             best = T[-1, -1]
             stall = 0
         else:
@@ -184,8 +170,7 @@ def _run_simplex(T: np.ndarray, basis: list, nonbasic: np.ndarray,
     raise ConvergenceError("simplex iteration limit exceeded")
 
 
-def phase1(n: int, H=None, *, exact: bool = False,
-           start=None) -> FeasibleTableau | None:
+def phase1(n: int, H=None, *, start=None) -> FeasibleTableau | None:
     """Phase 1 for ``x >= 0``, ``sum x = 1``, ``H x >= 0`` over ``n``
     variables: a feasible tableau and basis, or ``None`` when the
     program is infeasible.  The objective plays no part, so one phase 1
@@ -193,15 +178,12 @@ def phase1(n: int, H=None, *, exact: bool = False,
 
     Row 0, the normalisation, starts on the one artificial variable, and
     every row of ``H`` on its surplus.  ``start``, a point of the program
-    (to ``TOL_FEAS`` in float arithmetic), adds one non-negative column,
-    the rows times ``start``, and one pivot moves it into the basis on
-    row 0; phase 1 is then done."""
-    zero = Fraction(0) if exact else 0.0
-    tol = Fraction(0) if exact else _TOL_PIVOT
-    conv = _to_fraction_array if exact else (
-        lambda a: np.asarray(a, dtype=float))
-    rows = conv(np.zeros((0, n)) if H is None else H).reshape(-1, n)
-    start = None if start is None else conv(start)
+    (to ``TOL_FEAS``), adds one non-negative column, the rows times
+    ``start``, and one pivot moves it into the basis on row 0; phase 1
+    is then done."""
+    rows = np.asarray(np.zeros((0, n)) if H is None else H,
+                      dtype=float).reshape(-1, n)
+    start = None if start is None else np.asarray(start, dtype=float)
 
     # Labels below ncols: x, a surplus per row of H, the start column;
     # the artificial is ncols.  Only x and the start column are nonbasic.
@@ -215,14 +197,8 @@ def phase1(n: int, H=None, *, exact: bool = False,
         raise CapabilityError(
             f"simplex tableau of {entries * 8 / 2**20:.0f} MiB exceeds the "
             f"{MAX_TABLEAU_BYTES // 2**20} MiB bound")
-    if exact and entries > MAX_EXACT_ENTRIES:
-        raise CapabilityError(
-            f"exact simplex tableau of {entries} entries exceeds the "
-            f"{MAX_EXACT_ENTRIES} bound")
-    T = np.zeros((m + 1, k + 1), dtype=object if exact else float)
-    if exact:
-        T[:, :] = zero
-    T[0, :n] = T[0, -1] = zero + 1
+    T = np.zeros((m + 1, k + 1))
+    T[0, :n] = T[0, -1] = 1.0
     T[1:m, :n] = rows
     if start is not None:
         T[:m, n] = T[:m, :n] @ start
@@ -233,19 +209,19 @@ def phase1(n: int, H=None, *, exact: bool = False,
     # phase-1 cost: the artificial, expressed over the current basis
     T[-1] = -T[0]
 
-    if start is not None and T[0, n] > tol:
+    if start is not None and T[0, n] > _TOL_PIVOT:
         # start satisfies every row, so they all stay feasible
         _pivot(T, basis, nonbasic, ncols, 0, n)
 
-    status = _run_simplex(T, basis, nonbasic, ncols, tol)
-    if status != "optimal" or T[-1, -1] < -(zero + (0 if exact else TOL_FEAS)):
+    status = _run_simplex(T, basis, nonbasic, ncols)
+    if status != "optimal" or T[-1, -1] < -TOL_FEAS:
         return None
 
     # Drive a lingering artificial out of the basis where possible, for
     # the lowest label with a nonzero entry in its row: row 0, where it
     # starts, as it never re-enters once it has left.
     if basis[0] >= ncols:
-        nz = ((T[0, :-1] > tol) | (T[0, :-1] < -tol)).nonzero()[0]
+        nz = (abs(T[0, :-1]) > _TOL_PIVOT).nonzero()[0]
         if len(nz):
             _pivot(T, basis, nonbasic, ncols, 0,
                    int(nz[nonbasic[nz].argmin()]))
@@ -253,9 +229,8 @@ def phase1(n: int, H=None, *, exact: bool = False,
     # Drop the artificial's column: it may not re-enter in phase 2.
     keep = nonbasic < ncols
     F = T[:, np.append(keep, True)]
-    F[-1, :] = zero
-    return FeasibleTableau(F, basis, nonbasic[keep], ncols, n, exact,
-                           H, start)
+    F[-1, :] = 0.0
+    return FeasibleTableau(F, basis, nonbasic[keep], ncols, n, rows, start)
 
 
 def phase2(tableau: FeasibleTableau, c,
@@ -263,21 +238,20 @@ def phase2(tableau: FeasibleTableau, c,
     """Minimize ``c @ x`` from a feasible tableau of :func:`phase1`,
     which is left unchanged.
 
-    ``warm``, the :attr:`SimplexResult.tableau` of an earlier float
-    phase 2 from the same phase-1 tableau, is re-priced for ``c`` and
-    pivoted in place: its basis is feasible for the same rows, so a
-    nearby objective is a few pivots away.  A warm solve that ends
-    anywhere but at an optimum that passes the residual check is
-    dropped, and phase 2 reruns from a copy of ``tableau``; only an
-    optimum that fails the check again goes to exact arithmetic, which
-    refuses a program above :data:`MAX_EXACT_ENTRIES` with
+    ``warm``, the :attr:`SimplexResult.tableau` of an earlier phase 2
+    from the same phase-1 tableau, is re-priced for ``c`` and pivoted in
+    place: its basis is feasible for the same rows, so a nearby
+    objective is a few pivots away.  A warm solve that ends anywhere but
+    at an optimum that passes the residual check is dropped, and phase 2
+    reruns from a copy of ``tableau``; an optimum that fails the check
+    again, the tableau having degraded on tiny pivots, is refused with
     :class:`CapabilityError`.
 
     A start column is priced at ``c @ start``, and the minimiser is
     ``x' + t * start``, where ``x'`` holds the values of the caller's
-    columns and ``t`` that of the start column.  The residual check and
-    the exact fallback run against ``H`` as given."""
-    c = _to_fraction_array(c) if tableau.exact else np.asarray(c, dtype=float)
+    columns and ``t`` that of the start column.  The residual check runs
+    against the rows of ``H``."""
+    c = np.asarray(c, dtype=float)
     if warm is not None:
         res = _optimise(warm, c)
         if res.status == "optimal" and _residuals_ok(res.x, tableau.H):
@@ -285,17 +259,17 @@ def phase2(tableau: FeasibleTableau, c,
     res = _optimise(replace(tableau, T=tableau.T.copy(),
                             basis=list(tableau.basis),
                             nonbasic=tableau.nonbasic.copy()), c)
-    if res.status == "optimal" and not tableau.exact and not _residuals_ok(
-            res.x, tableau.H):
-        # the float tableau degraded (tiny pivots); redo in exact arithmetic
-        return _solve_exact_as_float(c, tableau.H)
+    if res.status == "optimal" and not _residuals_ok(res.x, tableau.H):
+        raise CapabilityError(
+            "simplex optimum fails the residual check (a bound or row "
+            f"violated by more than {TOL_FEAS:g})")
     return res
 
 
 def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     """Price ``c`` over the tableau's basis and run the simplex on it, in
     place."""
-    exact, n, ncols = tableau.exact, tableau.n, tableau.ncols
+    n, ncols = tableau.n, tableau.ncols
     T, basis, nonbasic = tableau.T, tableau.basis, tableau.nonbasic
     m = T.shape[0] - 1
     # The cost row is the price of each column's variable less c_B times
@@ -303,22 +277,20 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     # still hold after phase 1, and of the rhs is the spare last entry of
     # ``cost``, zero; an artificial's value goes to the spare last entry
     # of ``xs``, which is never read.
-    zero = Fraction(0) if exact else 0.0
-    cost = np.full(ncols + 1, zero, dtype=T.dtype)
+    cost = np.zeros(ncols + 1)
     cost[:n] = c
     if tableau.start is not None:
         cost[ncols - 1] = c @ tableau.start
     slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
     T[-1, :-1] = cost[np.minimum(nonbasic, ncols)]
-    T[-1, -1] = zero
+    T[-1, -1] = 0.0
     T[-1] -= cost[slots] @ T[:m]
 
-    status = _run_simplex(T, basis, nonbasic, ncols,
-                          zero if exact else _TOL_PIVOT)
+    status = _run_simplex(T, basis, nonbasic, ncols)
     if status == "unbounded":   # on a bounded program, float breakdown
         return SimplexResult("unbounded", None, None)
 
-    xs = np.full(ncols + 1, zero, dtype=T.dtype)
+    xs = np.zeros(ncols + 1)
     slots = np.minimum(np.array(basis, dtype=np.intp), ncols)
     xs[slots] = T[:m, -1]
     x = xs[:n]
@@ -327,29 +299,14 @@ def _optimise(tableau: FeasibleTableau, c) -> SimplexResult:
     return SimplexResult("optimal", x, c @ x, tableau)
 
 
-def solve(c, H=None, *, exact: bool = False) -> SimplexResult:
-    """Minimize ``c @ x`` over ``x >= 0``, ``sum x = 1``, ``H x >= 0``.
-
-    With ``exact=True`` all data is converted to ``Fraction`` and the
-    pivoting is performed in exact rational arithmetic (slow;
-    adjudication use only, up to :data:`MAX_EXACT_ENTRIES`).
-    """
-    tableau = phase1(len(c), H, exact=exact)
+def solve(c, H=None) -> SimplexResult:
+    """Minimize ``c @ x`` over ``x >= 0``, ``sum x = 1``, ``H x >= 0``."""
+    tableau = phase1(len(c), H)
     if tableau is None:
         return SimplexResult("infeasible", None, None)
     return phase2(tableau, c)
 
 
-def _residuals_ok(x, H) -> bool:
-    x = np.asarray(x, dtype=float)
+def _residuals_ok(x: np.ndarray, H: np.ndarray) -> bool:
     return x.min() >= -TOL_FEAS and abs(x.sum() - 1.0) <= TOL_FEAS and (
-        H is None or not len(H)
-        or (np.asarray(H, dtype=float) @ x).min() >= -TOL_FEAS)
-
-
-def _solve_exact_as_float(c, H) -> SimplexResult:
-    res = solve(c, H, exact=True)
-    if res.status != "optimal":
-        return res
-    x = np.array([float(v) for v in res.x])
-    return SimplexResult("optimal", x, float(res.objective))
+        not len(H) or (H @ x).min() >= -TOL_FEAS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+from scipy.optimize import linprog
 
 from credalnet.chains import HmmSpec, chain_order
 from credalnet.credal import CredalSet, vertices_to_constraints
@@ -94,6 +95,27 @@ def redeclared(net: CredalNetwork, nodes) -> CredalNetwork:
             given = dict(zip(dag.parents(s), cfg))
             locals_[(s, cfg)] = net.local(s, net.parent_config(s, given))
     return CredalNetwork(dag, net.state_spaces, locals_)
+
+
+#: The tolerances of ``bench/reference.py``, tighter than HiGHS's
+#: defaults (1e-7).
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10}
+
+
+def highs_minimum(c, H, *, free: bool = False) -> tuple[float, np.ndarray]:
+    """The minimum of ``c @ x`` over ``x >= 0``, ``sum x = 1``,
+    ``H x >= 0`` and a minimiser, by HiGHS: the adjudicator of the
+    in-repo simplex, on a path that shares no code with it.  ``free``
+    drops ``x >= 0``."""
+    c = np.asarray(c, dtype=float)
+    H = np.asarray(H, dtype=float).reshape(-1, len(c))
+    res = linprog(c, A_ub=-H, b_ub=np.zeros(len(H)),
+                  A_eq=np.ones((1, len(c))), b_eq=[1.0],
+                  bounds=(None, None) if free else (0, None),
+                  method="highs", options=HIGHS_OPTIONS)
+    assert res.status == 0
+    return float(res.fun), res.x
 
 
 def constraint_twin(net: CredalNetwork) -> CredalNetwork:

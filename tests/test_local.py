@@ -1,7 +1,5 @@
 """Local credal sets: expectations, dual representations, conversions."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,11 @@ from hypothesis import strategies as st
 
 from credalnet import polytope, simplex
 from credalnet.credal import (CredalSet, MassFunction, binary_interval,
-                              constraints_to_vertices,
-                              local_lower_expectation, singleton,
-                              to_homogeneous, vacuous,
+                              constraints_to_vertices, singleton, vacuous,
                               vertices_to_constraints)
 from credalnet.errors import InputError, ModelError
 
-from helpers import CUT_SETS, CUT_STATES
+from helpers import CUT_SETS, CUT_STATES, highs_minimum
 
 TOL = 1e-9
 
@@ -142,21 +138,10 @@ class TestLowerExpectation:
             assert m.lower_expectation(f) == pytest.approx(
                 lp_lower(m, f), abs=TOL)
 
-    def test_exact_mode(self):
-        # a constraint-form set: the exact LP path
-        m = CredalSet(("h", "t"), constraints=[({"h": 1.0, "t": 0.0}, 0.5)])
-        assert m.vertices is None
-        assert m.lower_expectation([1.0, 0.0], exact=True) == Fraction(1, 2)
-
     def test_empty_set_rejected(self):
         with pytest.raises(ModelError):
             CredalSet(("a", "b"), constraints=[({"a": 1.0, "b": 0.0}, 0.8),
                                                ({"a": -1.0, "b": 0.0}, -0.2)])
-
-    def test_module_level_wrapper(self):
-        m = binary_interval(("h", "t"), 0.25, 0.75)
-        assert local_lower_expectation(m, {"h": 1.0, "t": 0.0}) == \
-            pytest.approx(0.25, abs=TOL)
 
 
 @st.composite
@@ -208,7 +193,7 @@ class TestCoherence:
 class TestHomogeneous:
     def test_interval_rows(self):
         m = binary_interval(("h", "t"), 0.25, 0.75)
-        rows = {tuple(np.round(h.gamma, 12)) for h in to_homogeneous(m)}
+        rows = {tuple(np.round(h.gamma, 12)) for h in m.homogeneous}
         # upper(t) p(h) - lower(h) p(t) >= 0  and  the mirrored row
         assert (0.75, -0.25) in rows
         assert (-0.25, 0.75) in rows
@@ -274,8 +259,7 @@ class TestRowsReadOnTheSimplex:
             assert m.lower_expectation(f) == pytest.approx(low, abs=1e-9)
             assert m.upper_expectation(f) == pytest.approx(
                 twin.upper_expectation(f), abs=1e-9)
-            assert m.lower_expectation(f, exact=True) == pytest.approx(
-                low, abs=1e-12)
+            assert highs_minimum(f, m._H)[0] == pytest.approx(low, abs=1e-12)
             value, p = m.lower_argmin(f)
             assert value == pytest.approx(low, abs=1e-9)
             assert f @ p == pytest.approx(value, abs=1e-9)

@@ -14,9 +14,9 @@ from credalnet.errors import CapabilityError, ConvergenceError, ModelError
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork
 
-from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
-                     precise_locals, random_binary_net, random_factor,
-                     simplex_cut_net)
+from helpers import (bayes_joint, binary_net, chain_dag, highs_minimum,
+                     interval_locals, precise_locals, random_binary_net,
+                     random_factor, simplex_cut_net)
 
 TOL = 1e-9
 
@@ -34,12 +34,6 @@ class TestWorkedExample:
     def test_agreement_lower_probability(self, two_coins):
         value = lp.lower_expectation_lp(two_coins, agreement_factor(two_coins))
         assert value == pytest.approx(0.25, abs=TOL)
-
-    def test_exact_mode(self, two_coins):
-        from fractions import Fraction
-        value = lp.lower_expectation_lp(two_coins, agreement_factor(two_coins),
-                                        exact=True)
-        assert value == Fraction(1, 4)
 
     def test_six_extreme_points(self, two_coins):
         points = lp.enumerate_joint_extreme_points(two_coins)
@@ -102,7 +96,8 @@ class TestNonNegativityRedundancy:
             gp = lp.GlobalPolytope(net)
             for _ in range(3):
                 f = random_factor(rng, net, net.dag.nodes)
-                free = highs_minimum(gp, lp.factor_vector(net, f))
+                free, _ = highs_minimum(lp.factor_vector(net, f), gp.rows,
+                                        free=True)
                 assert lp.lower_expectation_lp(net, f) == \
                     pytest.approx(free, abs=TOL)
 
@@ -197,26 +192,26 @@ class TestCoherence:
 
 class TestCachedPhaseOne:
     def test_minimize_agrees_with_exact_solve(self, rng, monkeypatch):
-        # phase 1 starts at the product model of the local sets, so phase
-        # 2 may end at another minimiser than a fresh two-phase solve, of
-        # the same value.  That solve stalls on some 5-node programs; a
-        # lowered iteration limit makes it give up early there.
+        # every minimum is checked against HiGHS.  Phase 1 starts at the product model
+        # of the local sets, so phase 2 may end at another minimiser than
+        # a fresh two-phase solve, of the same value.  That solve stalls
+        # on some 5-node programs; a lowered iteration limit makes it give
+        # up early there.
         monkeypatch.setattr(simplex, "_MAX_ITER", 2000)
         fresh_checked = 0
         for n in (2, 3, 4, 5):
             for _ in range(2):
                 net = random_binary_net(rng, n, 0.5)
                 gp = lp.GlobalPolytope(net)
-                for k in range(3):
+                for _ in range(3):
                     c = rng.normal(size=gp.idx.total)
                     value, x = gp.minimize(c)
                     MassFunction(tuple(net.joint_tuples()), tuple(x))
                     assert (gp.rows @ x).min() >= -simplex.TOL_FEAS
                     assert value == pytest.approx(c @ x, abs=1e-12)
-                    if n <= 4 and k == 0:
-                        exact = float(gp.minimize(c, exact=True)[0])
-                        assert value == pytest.approx(
-                            exact, abs=1e-9 * max(1.0, abs(exact)))
+                    expect = highs_minimum(c, gp.rows)[0]
+                    assert value == pytest.approx(
+                        expect, abs=1e-9 * max(1.0, abs(expect)))
                     try:
                         fresh = simplex.solve(c, gp.rows)
                     except ConvergenceError:
@@ -227,31 +222,12 @@ class TestCachedPhaseOne:
                         fresh_checked += 1
         assert fresh_checked >= 20
 
-    def test_exact_minimize_is_a_full_solve(self, two_coins):
-        from fractions import Fraction
-        gp = lp.GlobalPolytope(two_coins)
-        c = lp.factor_vector(two_coins, agreement_factor(two_coins))
-        assert gp.minimize(c, exact=True)[0] == Fraction(1, 4)
-        assert "_feasible" not in vars(gp)
-        assert gp.minimize(c)[0] == pytest.approx(0.25, abs=TOL)
-        assert "_feasible" in vars(gp)
-
     def test_infeasible_program(self, two_coins):
         gp = lp.GlobalPolytope(two_coins)
         gp.rows = np.vstack([gp.rows, -np.ones((1, gp.idx.total))])
         for _ in range(2):
             with pytest.raises(ModelError, match="infeasible"):
                 gp.minimize(np.zeros(gp.idx.total))
-
-
-def highs_minimum(gp, c) -> float:
-    """The minimum of ``c @ p`` over the program's rows, by HiGHS, with
-    free variables as the program is posed."""
-    res = linprog(c, A_ub=-gp.rows, b_ub=np.zeros(len(gp.rows)),
-                  A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
-                  bounds=(None, None), method="highs")
-    assert res.status == 0
-    return float(res.fun)
 
 
 class TestLargerPrograms:
@@ -263,7 +239,7 @@ class TestLargerPrograms:
             rng = np.random.default_rng(seed)
             for _ in range(4):
                 c = rng.normal(size=gp.idx.total)
-                expect = highs_minimum(gp, c)
+                expect = highs_minimum(c, gp.rows)[0]
                 assert gp.minimize(c)[0] == pytest.approx(
                     expect, abs=1e-9 * max(1.0, abs(expect)))
 
@@ -273,26 +249,19 @@ class TestLargerPrograms:
                                     7, 0.4)
             gp = lp.GlobalPolytope(net)
             c = np.random.default_rng(seed).normal(size=gp.idx.total)
-            expect = highs_minimum(gp, c)
+            expect = highs_minimum(c, gp.rows)[0]
             assert gp.minimize(c)[0] == pytest.approx(
                 expect, abs=1e-9 * max(1.0, abs(expect)))
 
-    def test_exact_fallback_refused_on_eight_nodes(self, monkeypatch):
-        # the float optimum misses its residual check here, and an exact
-        # solve of the 652 x 256 program would run for minutes: its
-        # tableau is refused before it is built
+    def test_residual_miss_refused_on_eight_nodes(self):
+        # the optimum of the 652 x 256 program misses its residual check
+        # here: it is refused, not returned
         net = random_binary_net(np.random.default_rng(8), 8, 0.4)
         gp = lp.GlobalPolytope(net)
         c = np.random.default_rng(0).normal(size=gp.idx.total)
-        fallbacks = []
-        fallback = simplex._solve_exact_as_float
-        monkeypatch.setattr(simplex, "_solve_exact_as_float", lambda *a: (
-            fallbacks.append(a) or fallback(*a)))
         start = time.perf_counter()
-        with pytest.raises(CapabilityError, match="exact simplex tableau "
-                                                  "of 168078 entries"):
+        with pytest.raises(CapabilityError, match="residual check"):
             gp.minimize(c)
-        assert len(fallbacks) == 1
         assert time.perf_counter() - start < 30.0
 
     def test_five_node_net_that_stalled_phase_one(self):
@@ -303,22 +272,21 @@ class TestLargerPrograms:
         rng = np.random.default_rng(1)
         for _ in range(4):
             c = rng.normal(size=gp.idx.total)
-            expect = highs_minimum(gp, c)
+            expect = highs_minimum(c, gp.rows)[0]
             assert gp.minimize(c)[0] == pytest.approx(
                 expect, abs=1e-9 * max(1.0, abs(expect)))
 
 
 class TestRowsReadOnTheSimplex:
     """A net whose local rows do not imply p >= 0 without the simplex
-    gets the bounds of its vertex twin, from the float path, the exact
-    adjudicator, HiGHS over non-negative variables and the extreme
-    points."""
+    gets the bounds of its vertex twin, from the simplex, HiGHS over
+    non-negative variables and the extreme points."""
 
     def test_bounds_match_vertex_twin(self, rng):
         net, twin = simplex_cut_net(False), simplex_cut_net(True)
         gp, gp_twin = lp.GlobalPolytope(net), lp.GlobalPolytope(twin)
         V = np.array([p.probs for p in lp.enumerate_joint_extreme_points(net)])
-        for k in range(6):
+        for _ in range(6):
             f = random_factor(rng, net, net.dag.nodes)
             c = lp.factor_vector(net, f)
             expect = float(gp_twin.minimize(c)[0])
@@ -326,14 +294,8 @@ class TestRowsReadOnTheSimplex:
             assert value == pytest.approx(expect, abs=TOL)
             assert x.min() >= -simplex.TOL_FEAS
             assert (V @ c).min() == pytest.approx(expect, abs=1e-7)
-            res = linprog(c, A_ub=-gp.rows, b_ub=np.zeros(len(gp.rows)),
-                          A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
-                          bounds=(0, None), method="highs")
-            assert res.status == 0
-            assert res.fun == pytest.approx(expect, abs=TOL)
-            if k < 2:
-                exact = gp.minimize(c, exact=True)[0]
-                assert float(exact) == pytest.approx(expect, abs=TOL)
+            low, _ = highs_minimum(c, gp.rows)
+            assert low == pytest.approx(expect, abs=TOL)
             # the rows alone, over free variables, bound less
             free = linprog(c, A_ub=-gp.rows, b_ub=np.zeros(len(gp.rows)),
                            A_eq=np.ones((1, gp.idx.total)), b_eq=[1.0],
@@ -403,8 +365,8 @@ def rho_triple(net, g, B, mu, solve):
 class TestWarmStart:
     """rho evaluations on one program start phase 2 from the last
     optimal tableau; they must give what a phase 2 from the phase-1
-    tableau gives, and what exact arithmetic gives.  Away from a kink of
-    rho, every minimiser has the same E_p[f 1_B] and P_p(B), the slope."""
+    tableau gives, and what HiGHS gives.  Away from a kink of rho, every
+    minimiser has the same E_p[f 1_B] and P_p(B), the slope."""
 
     @pytest.mark.parametrize("seed,n", [(1, 4), (2, 5), (3, 6), (4, 6)])
     def test_warm_matches_cold(self, seed, n):
@@ -419,24 +381,13 @@ class TestWarmStart:
             assert res.status == "optimal"
             return res.objective, res.x
 
-        # exact solves take seconds from 6 nodes on: check the 4- and
-        # 5-node programs at three abscissae, in every pass that reaches
-        # them
-        mid = np.linspace(f.min() - 1.0, f.max() + 1.0, 7)[3]
-        exact_at = {(id(f), f.min() - 1.0), (id(f), mid), (id(neg), -mid)} \
-            if n <= 5 else set()
-        exact, checked = {}, 0
         for g, mu in rho_orders(f, neg):
             got = tuple(map(float, evaluators[id(g)].fn(mu)))
             assert got == pytest.approx(rho_triple(net, g, B, mu, cold),
                                         abs=1e-9)
-            if (id(g), mu) in exact_at:
-                if (id(g), mu) not in exact:
-                    exact[id(g), mu] = rho_triple(
-                        net, g, B, mu, lambda c: gp.minimize(c, exact=True))
-                assert got == pytest.approx(exact[id(g), mu], abs=1e-9)
-                checked += 1
-        assert checked == (7 if n <= 5 else 0)
+            assert got == pytest.approx(rho_triple(
+                net, g, B, mu, lambda c: highs_minimum(c, gp.rows)),
+                abs=1e-9)
         assert gp._warm is not None
 
     def test_no_more_pivots_than_cold(self, monkeypatch):
@@ -464,41 +415,42 @@ class TestWarmStart:
     @pytest.mark.parametrize("failures", [1, 2])
     def test_retry_order(self, monkeypatch, failures):
         # a warm optimum that fails the residual check is dropped for a
-        # phase 2 from the phase-1 tableau; only when that fails as well
-        # does the solve go to exact arithmetic
+        # phase 2 from the phase-1 tableau; when that fails as well, the
+        # solve is refused and leaves no warm tableau behind
         net, f, B = rho_problem(1, 4)
         gp = lp.GlobalPolytope(net)
         ib = lp.event_mask(net, B).astype(float)
         c = ib * lp.factor_vector(net, f)
-        expect = float(gp.minimize(c - 0.5 * ib, exact=True)[0])
+        expect = highs_minimum(c - 0.5 * ib, gp.rows)[0]
         gp.minimize(c, warm=True)
         dropped = gp._warm
         warm_basis = list(dropped.basis)
         assert warm_basis != gp._feasible.basis
 
-        starts, exact_calls, verdicts = [], [], [False] * failures
+        starts, verdicts = [], [False] * failures
         optimise, residuals_ok = simplex._optimise, simplex._residuals_ok
-        exact_solve = simplex._solve_exact_as_float
         monkeypatch.setattr(simplex, "_optimise", lambda t, c: (
             starts.append(list(t.basis)) or optimise(t, c)))
         monkeypatch.setattr(simplex, "_residuals_ok", lambda *a: (
             verdicts.pop(0) if verdicts else residuals_ok(*a)))
-        monkeypatch.setattr(simplex, "_solve_exact_as_float", lambda *a: (
-            exact_calls.append(a) or exact_solve(*a)))
 
-        value, _ = gp.minimize(c - 0.5 * ib, warm=True)
-        assert value == pytest.approx(expect, abs=1e-12)
-        assert starts[:2] == [warm_basis, gp._feasible.basis]
+        if failures == 1:
+            value, _ = gp.minimize(c - 0.5 * ib, warm=True)
+            assert value == pytest.approx(expect, abs=1e-12)
+        else:
+            with pytest.raises(CapabilityError, match="residual check"):
+                gp.minimize(c - 0.5 * ib, warm=True)
+        assert starts == [warm_basis, gp._feasible.basis]
         assert not verdicts
         if failures == 1:
-            assert len(starts) == 2 and not exact_calls
             # the next warm solve starts from the cold optimum
             assert gp._warm is not None and gp._warm is not dropped
         else:
-            assert len(exact_calls) == 1
-            # the exact fallback leaves no float tableau to start from
+            # the refused solve leaves no tableau, so the next warm solve
+            # starts from the phase-1 tableau
             assert gp._warm is None
             del starts[:]
-            gp.minimize(c, warm=True)
+            value, _ = gp.minimize(c - 0.5 * ib, warm=True)
+            assert value == pytest.approx(expect, abs=1e-12)
             assert starts == [gp._feasible.basis]
             assert gp._warm is not None

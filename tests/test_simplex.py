@@ -1,7 +1,5 @@
-"""The in-repo LP kernel, float and exact-rational modes, on its one
-program: minimise ``c @ x`` over ``x >= 0``, ``sum x = 1``, ``H x >= 0``."""
-
-from fractions import Fraction
+"""The in-repo LP kernel on its one program: minimise ``c @ x`` over
+``x >= 0``, ``sum x = 1``, ``H x >= 0``."""
 
 import numpy as np
 import pytest
@@ -54,25 +52,17 @@ class TestBasics:
                                                            col)))
         for stall in (simplex._STALL_LIMIT, 1):
             monkeypatch.setattr(simplex, "_STALL_LIMIT", stall)
-            for exact in (False, True):
-                T, basis, nonbasic = beale_tableau()
-                if exact:
-                    T = simplex._to_fraction_array(T)
-                del pivots[:]
-                tol = Fraction(0) if exact else simplex._TOL_PIVOT
-                assert simplex._run_simplex(T, basis, nonbasic, 7, tol) == \
-                    "optimal"
-                assert float(-T[-1, -1]) == pytest.approx(-0.05)
-                assert pivots == [(5, 0), (6, 2)]
-                assert basis == [4, 0, 2]
+            T, basis, nonbasic = beale_tableau()
+            del pivots[:]
+            assert simplex._run_simplex(T, basis, nonbasic, 7) == "optimal"
+            assert -T[-1, -1] == pytest.approx(-0.05)
+            assert pivots == [(5, 0), (6, 2)]
+            assert basis == [4, 0, 2]
 
     def test_no_constraints(self):
         res = simplex.solve([2.0, 1.0])
         assert res.status == "optimal"
         assert res.objective == 1.0
-        res = simplex.solve([2, 1], exact=True)
-        assert res.status == "optimal" and res.objective == 1
-        assert simplex.solve([-1.0], exact=True).objective == -1
 
 
 class TestAgainstEnumeration:
@@ -117,26 +107,6 @@ class TestAgainstEnumeration:
                 assert res.objective == pytest.approx((V @ c).min(),
                                                       abs=1e-9)
                 assert (H @ res.x).min() >= -simplex.TOL_FEAS
-
-
-class TestExactMode:
-    def test_rational_optimum(self):
-        # p(a) >= 1/4, as the homogeneous row 3/4 p(a) - 1/4 p(b) >= 0
-        res = simplex.solve([Fraction(1), Fraction(0)],
-                            [[Fraction(3, 4), Fraction(-1, 4)]], exact=True)
-        assert res.status == "optimal"
-        assert res.objective == Fraction(1, 4)
-
-    def test_exact_matches_float(self, rng):
-        for _ in range(10):
-            n = 4
-            c = [Fraction(int(x), 16) for x in rng.integers(-16, 16, size=n)]
-            H = random_rows(rng, n, 3)
-            res_f = simplex.solve([float(v) for v in c], H)
-            res_q = simplex.solve(c, H, exact=True)
-            assert res_q.status == "optimal"
-            assert float(res_q.objective) == pytest.approx(res_f.objective,
-                                                           abs=1e-12)
 
 
 class TestPhases:
@@ -204,20 +174,6 @@ class TestTableauBound:
         monkeypatch.setattr(simplex, "MAX_TABLEAU_BYTES", 4 * 3 * 8 - 1)
         with pytest.raises(CapabilityError, match="tableau"):
             simplex.solve([1.0, 2.0], H)
-        with pytest.raises(CapabilityError, match="tableau"):
-            simplex.solve([1.0, 2.0], H, exact=True)
-
-    def test_exact_entries(self, monkeypatch):
-        # the exact bound counts the same 4 x 3 entries, and leaves the
-        # float kernel alone
-        H = [[1.0, 0.0], [0.0, 1.0]]
-        monkeypatch.setattr(simplex, "MAX_EXACT_ENTRIES", 4 * 3)
-        assert simplex.solve([1, 2], H, exact=True).objective == 1
-        monkeypatch.setattr(simplex, "MAX_EXACT_ENTRIES", 4 * 3 - 1)
-        assert simplex.solve([1.0, 2.0], H).objective == 1.0
-        with pytest.raises(CapabilityError, match="exact simplex tableau "
-                                                  "of 12 entries"):
-            simplex.solve([1, 2], H, exact=True)
 
     def test_global_program(self, monkeypatch, two_coins):
         from credalnet import lp
