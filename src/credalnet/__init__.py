@@ -12,12 +12,11 @@ from .chains import (HmmSpec, HmmStep, ReversePlan, TransferOperator,
                      chain_reverse_rho, complete_evidence_lower,
                      hmm_forward_rho, hmm_plan, infer_hmm_spec, reverse_plan)
 from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
-                           natural_conditional, reduce_then_condition,
-                           regular_conditional, rho_evaluator,
-                           upper_prob_positive)
-from .credal import (CredalSet, HomogeneousConstraint, LinearConstraint,
-                     MassFunction, binary_interval, constraints_to_vertices,
-                     singleton, vacuous, vertices_to_constraints)
+                           natural_conditional, regular_conditional,
+                           rho_evaluator, upper_prob_positive)
+from .credal import (CredalSet, LinearConstraint, MassFunction,
+                     binary_interval, constraints_to_vertices, singleton,
+                     vacuous, vertices_to_constraints)
 from .decompose import (Reduction, atom_bounds, combined, external_additivity,
                         factorise, iterated_lower_expectation,
                         lower_expectation, marginalise, trace_lines)
@@ -26,8 +25,7 @@ from .errors import (CapabilityError, ConvergenceError, CredalError,
 from .fileio import (Query, ValidationReport, dump_network, load_network,
                      load_network_document, load_query, network_document,
                      parse_query, validate_document)
-from .graph import (Dag, ad_separated, ad_separated_closed, closure,
-                    d_separated, is_closed, path_blocked, relations,
+from .graph import (Dag, ad_separated, closure, d_separated, is_closed,
                     set_relations)
 from .lp import (GlobalPolytope, enumerate_joint_extreme_points,
                  lower_expectation_lp)

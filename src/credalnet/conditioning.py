@@ -343,15 +343,6 @@ def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
                      rest_upper_positive=reduced.rest_upper_positive)
 
 
-def reduce_then_condition(net: CredalNetwork, f: Factor,
-                          given: Event | None, rule: str = "natural", *,
-                          tolerance: float = DEFAULT_TOLERANCE,
-                          trace: list | None = None) -> BracketResult:
-    """:func:`reduce_query`, then :func:`condition_reduced`."""
-    return condition_reduced(reduce_query(net, f.scope, given, rule), f,
-                             rule, tolerance, trace)
-
-
 def _rest_upper_positive(net: CredalNetwork, rel, pa_assignment: Mapping,
                          outside: Mapping) -> bool:
     """Positivity of the upper probability that the non-descendants

@@ -10,10 +10,9 @@ them, and every consumer of the rows (the local LP, the global program,
 vertex enumeration, membership) intersects them with the simplex, so
 the rows need not imply ``p >= 0`` themselves.  The vertices are
 held as one checked float array ``_V`` and the rows as one array ``_H``;
-the ``MassFunction`` and ``HomogeneousConstraint`` tuples are built from
-them on demand.  Each set also keeps one of its members, from which the
-global program starts.  All query operations are pure, so instances are
-freely shareable.
+the ``MassFunction`` tuples are built from ``_V`` on demand.  Each set
+also keeps one of its members, from which the global program starts.
+All query operations are pure, so instances are freely shareable.
 """
 
 from __future__ import annotations
@@ -76,15 +75,6 @@ class LinearConstraint:
         if set(coeffs) != set(states):
             raise InputError("constraint coefficients must cover the state space")
         return cls(tuple(float(coeffs[s]) for s in states), float(bound))
-
-
-@dataclass(frozen=True)
-class HomogeneousConstraint:
-    """``sum_x gamma[x] * p(x) >= 0``, read on the probability simplex:
-    it constrains mass functions ``p`` only, and need not imply
-    ``p >= 0``."""
-
-    gamma: tuple[float, ...]
 
 
 def _as_values(states: Sequence[State], f) -> np.ndarray:
@@ -233,13 +223,6 @@ class CredalSet:
         """The rows of ``_V`` as mass functions (None without ``_V``)."""
         return None if self._V is None else tuple(
             MassFunction(self.states, tuple(row)) for row in self._V.tolist())
-
-    @cached_property
-    def homogeneous(self) -> tuple[HomogeneousConstraint, ...]:
-        """The rows of ``_H``, built on first use: with the probability
-        simplex, they describe the set."""
-        return tuple(HomogeneousConstraint(tuple(row))
-                     for row in self._H.tolist())
 
     @cached_property
     def member(self) -> np.ndarray:

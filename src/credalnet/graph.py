@@ -9,21 +9,24 @@ symmetric criterion.  ``ad_separated`` drops one blocking condition
 (an intermediate node of a right-to-left chain no longer blocks, even
 when it is in the conditioning set), which makes the criterion
 asymmetric and strictly harder to satisfy.
+
+Both run one breadth-first traversal over (node, entry direction)
+states, as in Bayes-ball.  A collider lets a path through when it is in
+the conditioning set C or has a descendant in it, that is, when it is an
+ancestor of C or in C; one reverse reach from C finds all of those, so a
+query is linear in the size of the graph.  The brute-force references
+the traversal is tested against (path enumeration with explicit blocking
+conditions, and the closed-subset characterisation of AD-separation)
+live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .errors import CapabilityError, InputError
-
-NodeSet = frozenset
-
-# Node count above which the exhaustive separation routines refuse to run.
-EXHAUSTIVE_NODE_LIMIT = 16
+from .errors import InputError
 
 
 class Dag:
@@ -146,30 +149,11 @@ class Dag:
         return f"Dag(nodes={len(self.nodes)}, edges={len(self.edges)})"
 
 
-class Relations(NamedTuple):
-    parents: frozenset
-    children: frozenset
-    descendants: frozenset
-    non_descendants: frozenset
-    non_parent_non_descendants: frozenset
-
-
 class SetRelations(NamedTuple):
     parents: frozenset
     descendants: frozenset
     non_descendants: frozenset
     non_parent_non_descendants: frozenset
-
-
-def relations(dag: Dag, s: str) -> Relations:
-    """Parents, children, descendants, non-descendants and
-    non-parent non-descendants of a single node."""
-    dag._check(s)
-    pa = frozenset(dag.parents(s))
-    ch = frozenset(dag.children(s))
-    de = dag.descendants(s)
-    nd = frozenset(dag.nodes) - de - {s}
-    return Relations(pa, ch, de, nd, nd - pa)
 
 
 def set_relations(dag: Dag, K: Collection[str]) -> SetRelations:
@@ -194,66 +178,22 @@ def is_closed(dag: Dag, K: Collection[str]) -> bool:
 
 def closure(dag: Dag, K: Collection[str]) -> frozenset:
     """Smallest closed superset of K: K plus every node lying on a
-    directed path between two members."""
+    directed path between two members.  That set is already closed: a
+    node between two added nodes lies between two members of K."""
     dag.check_subset(K)
     Kf = frozenset(K)
-    while True:
-        between = dag.descendants_of_set(Kf) & dag.ancestors_of_set(Kf)
-        extra = between - Kf
-        if not extra:
-            return Kf
-        Kf |= extra
+    return Kf | (dag.descendants_of_set(Kf) & dag.ancestors_of_set(Kf))
 
 
-# -- path blocking --------------------------------------------------------
-
-def _edge_kind(dag: Dag, a: str, b: str) -> str:
-    """'fwd' if a->b, 'bwd' if b->a, error otherwise."""
-    if (a, b) in dag.edges:
-        return "fwd"
-    if (b, a) in dag.edges:
-        return "bwd"
-    raise InputError(f"nodes {a!r} and {b!r} are not adjacent")
-
-
-def path_blocked(dag: Dag, path: Sequence[str], C: Collection[str],
-                 dsep: bool = False) -> bool:
-    """Whether the conditioning set C blocks a path.
-
-    A path is blocked when its first or last node is in C, when an
-    intermediate node of C is left along an edge direction, or when an
-    intermediate collider is outside C and has no descendant in C.  With
-    ``dsep=True`` the extra d-separation condition is added: an
-    intermediate node of C also blocks when the path *enters* it against
-    the edge direction it continues on (right-to-left chains).
-    """
-    if not path:
-        raise InputError("empty path")
-    dag.check_subset(path)
-    Cf = frozenset(C)
-    dag.check_subset(Cf)
-    kinds = [_edge_kind(dag, path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-    if path[0] in Cf or path[-1] in Cf:
-        return True
-    for i in range(1, len(path) - 1):
-        v = path[i]
-        into, out = kinds[i - 1], kinds[i]
-        if out == "fwd" and v in Cf:          # v -> next with v in C
-            return True
-        if dsep and into == "bwd" and v in Cf:  # prev <- v with v in C
-            return True
-        if into == "fwd" and out == "bwd":     # collider prev -> v <- next
-            if v not in Cf and not (dag.descendants(v) & Cf):
-                return True
-    return False
-
+# -- separation -----------------------------------------------------------
 
 def _unblocked_reachable(dag: Dag, I: Collection[str], S: Collection[str],
                          C: Collection[str], dsep: bool) -> bool:
     """Search for an unblocked path from I to S: BFS over (node, mode)
     states, where mode records whether the node was entered through the
     head or the tail of the connecting edge."""
+    for X in (I, S, C):
+        dag.check_subset(X)
     Cf = frozenset(C)
     If = frozenset(I)
     Sf = frozenset(S)
@@ -263,8 +203,9 @@ def _unblocked_reachable(dag: Dag, I: Collection[str], S: Collection[str],
     if not targets:
         return False
 
-    # Collider passage: node in C, or some descendant in C.
-    passes = {v: (v in Cf or bool(dag.descendants(v) & Cf)) for v in dag.nodes}
+    # Collider passage: the node is in C or has a descendant in C, that
+    # is, it is C or one of its ancestors.
+    passes = dag._reach(dag._parents, Cf)
 
     seen = set()
     queue = deque()
@@ -285,7 +226,7 @@ def _unblocked_reachable(dag: Dag, I: Collection[str], S: Collection[str],
             if v not in Cf:
                 for w in dag.children(v):
                     queue.append((w, "head"))
-            if passes[v]:
+            if v in passes:
                 for w in dag.parents(v):
                     queue.append((w, "tail"))
         else:  # entered from a child
@@ -298,81 +239,15 @@ def _unblocked_reachable(dag: Dag, I: Collection[str], S: Collection[str],
     return False
 
 
-def _all_paths_blocked(dag: Dag, I, S, C, dsep: bool) -> bool:
-    """Exhaustive oracle: enumerate every simple path from I to S and test
-    each with the blocking conditions.  Exponential; small graphs only."""
-    if len(dag.nodes) > EXHAUSTIVE_NODE_LIMIT:
-        raise CapabilityError(
-            f"path enumeration limited to {EXHAUSTIVE_NODE_LIMIT} nodes")
-    Cf = frozenset(C)
-    neighbours = {s: set(dag.parents(s)) | set(dag.children(s)) for s in dag.nodes}
-
-    def extend(path: list) -> bool:
-        # True as soon as one unblocked path to S is found.
-        if path[-1] in S and not path_blocked(dag, path, Cf, dsep=dsep):
-            return True
-        for w in neighbours[path[-1]]:
-            if w not in path:
-                path.append(w)
-                if extend(path):
-                    return True
-                path.pop()
-        return False
-
-    return not any(extend([i]) for i in I)
-
-
 def ad_separated(dag: Dag, I: Collection[str], S: Collection[str],
-                 C: Collection[str], method: str = "traversal") -> bool:
+                 C: Collection[str]) -> bool:
     """Asymmetric separation: every path from I to S is blocked by C
     under the four basic blocking conditions.  I, S and C need not be
-    disjoint.  ``method='enumerate'`` switches to the explicit
-    path-enumeration oracle (small graphs only)."""
-    for X in (I, S, C):
-        dag.check_subset(X)
-    if method == "traversal":
-        return not _unblocked_reachable(dag, I, S, C, dsep=False)
-    if method == "enumerate":
-        return _all_paths_blocked(dag, I, S, C, dsep=False)
-    raise InputError(f"unknown method {method!r}")
+    disjoint."""
+    return not _unblocked_reachable(dag, I, S, C, dsep=False)
 
 
 def d_separated(dag: Dag, I: Collection[str], S: Collection[str],
-                C: Collection[str], method: str = "traversal") -> bool:
+                C: Collection[str]) -> bool:
     """Classical d-separation (one more blocking condition, symmetric)."""
-    for X in (I, S, C):
-        dag.check_subset(X)
-    if method == "traversal":
-        return not _unblocked_reachable(dag, I, S, C, dsep=True)
-    if method == "enumerate":
-        return _all_paths_blocked(dag, I, S, C, dsep=True)
-    raise InputError(f"unknown method {method!r}")
-
-
-def ad_separated_closed(dag: Dag, I: Collection[str], S: Collection[str],
-                        C: Collection[str]) -> bool:
-    """Closed-subset characterisation of AD-separation: true iff some
-    closed K contains S, has all parents in C, keeps I among its
-    non-parent non-descendants and has no descendant inside C.  Requires
-    pairwise disjoint I, S, C and an exhaustive search; used as a mutual
-    cross-check for :func:`ad_separated`."""
-    If, Sf, Cf = frozenset(I), frozenset(S), frozenset(C)
-    for X in (If, Sf, Cf):
-        dag.check_subset(X)
-    if If & Sf or If & Cf or Sf & Cf:
-        raise InputError("I, S and C must be pairwise disjoint")
-    if len(dag.nodes) > EXHAUSTIVE_NODE_LIMIT:
-        raise CapabilityError(
-            f"closed-subset search limited to {EXHAUSTIVE_NODE_LIMIT} nodes")
-
-    pool = [s for s in dag.nodes if s not in Sf and s not in If]
-    for r in range(len(pool) + 1):
-        for extra in combinations(pool, r):
-            K = Sf | frozenset(extra)
-            if not is_closed(dag, K):
-                continue
-            rel = set_relations(dag, K)
-            if (rel.parents <= Cf and If <= rel.non_parent_non_descendants
-                    and not (rel.descendants & Cf)):
-                return True
-    return False
+    return not _unblocked_reachable(dag, I, S, C, dsep=True)

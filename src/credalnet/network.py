@@ -249,23 +249,6 @@ class CredalNetwork:
                     raise InputError(f"unknown state {x!r} of node {s!r}")
         return Event(scope, states)
 
-    def event_product(self, *events: Event) -> Event:
-        """Intersection of events with pairwise disjoint scopes."""
-        scope: list[str] = []
-        for e in events:
-            if set(e.scope) & set(scope):
-                raise InputError("event scopes overlap")
-            scope.extend(e.scope)
-        scope_t = self.dag.sorted_nodes(scope)
-        combos = []
-        for parts in product(*(e.states for e in events)):
-            joint = {}
-            for e, t in zip(events, parts):
-                joint.update(zip(e.scope, t))
-            combos.append(tuple(joint[s] for s in scope_t))
-        return Event(scope_t, frozenset(combos),
-                     cylinder=all(e.cylinder for e in events) and len(combos) <= 1)
-
     def factor(self, scope: Iterable[str], table: Mapping[tuple, float]) -> Factor:
         """Factor from a table keyed by joint-state tuples of the scope,
         in declaration order; every joint state needs an entry, and no

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
 
 from credalnet.chains import HmmSpec, chain_order
 from credalnet.credal import CredalSet, vertices_to_constraints
-from credalnet.graph import Dag
+from credalnet.errors import InputError
+from credalnet.graph import Dag, is_closed, set_relations
 from credalnet.network import CredalNetwork, Factor
 
 
@@ -33,6 +34,99 @@ def random_dag(rng: np.random.Generator, n_nodes: int, edge_p: float = 0.4) -> D
 def chain_dag(n_nodes: int) -> Dag:
     names = [str(i + 1) for i in range(n_nodes)]
     return Dag(names, list(zip(names, names[1:])))
+
+
+# -- separation oracles -----------------------------------------------------
+#
+# Two brute-force references for the traversal of ``graph.ad_separated``
+# and ``graph.d_separated``: every simple path tested against the
+# blocking conditions one by one, and the closed-subset characterisation
+# of AD-separation.  Both are exponential; small graphs only.
+
+def _edge_kind(dag: Dag, a: str, b: str) -> str:
+    """'fwd' if a->b, 'bwd' if b->a, error otherwise."""
+    if (a, b) in dag.edges:
+        return "fwd"
+    if (b, a) in dag.edges:
+        return "bwd"
+    raise InputError(f"nodes {a!r} and {b!r} are not adjacent")
+
+
+def path_blocked(dag: Dag, path, C, dsep: bool = False) -> bool:
+    """Whether the conditioning set C blocks a path.
+
+    A path is blocked when its first or last node is in C, when an
+    intermediate node of C is left along an edge direction, or when an
+    intermediate collider is outside C and has no descendant in C.  With
+    ``dsep=True`` the extra d-separation condition is added: an
+    intermediate node of C also blocks when the path *enters* it against
+    the edge direction it continues on (right-to-left chains).
+    """
+    if not path:
+        raise InputError("empty path")
+    dag.check_subset(path)
+    Cf = frozenset(C)
+    dag.check_subset(Cf)
+    kinds = [_edge_kind(dag, path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+    if path[0] in Cf or path[-1] in Cf:
+        return True
+    for i in range(1, len(path) - 1):
+        v = path[i]
+        into, out = kinds[i - 1], kinds[i]
+        if out == "fwd" and v in Cf:          # v -> next with v in C
+            return True
+        if dsep and into == "bwd" and v in Cf:  # prev <- v with v in C
+            return True
+        if into == "fwd" and out == "bwd":     # collider prev -> v <- next
+            if v not in Cf and not (dag.descendants(v) & Cf):
+                return True
+    return False
+
+
+def all_paths_blocked(dag: Dag, I, S, C, dsep: bool = False) -> bool:
+    """Enumerate every simple path from I to S and test each with
+    :func:`path_blocked`."""
+    Cf = frozenset(C)
+    neighbours = {s: set(dag.parents(s)) | set(dag.children(s)) for s in dag.nodes}
+
+    def extend(path: list) -> bool:
+        # True as soon as one unblocked path to S is found.
+        if path[-1] in S and not path_blocked(dag, path, Cf, dsep=dsep):
+            return True
+        for w in neighbours[path[-1]]:
+            if w not in path:
+                path.append(w)
+                if extend(path):
+                    return True
+                path.pop()
+        return False
+
+    return not any(extend([i]) for i in I)
+
+
+def ad_separated_closed(dag: Dag, I, S, C) -> bool:
+    """Closed-subset characterisation of AD-separation: true iff some
+    closed K contains S, has all parents in C, keeps I among its
+    non-parent non-descendants and has no descendant inside C.  Requires
+    pairwise disjoint I, S, C."""
+    If, Sf, Cf = frozenset(I), frozenset(S), frozenset(C)
+    for X in (If, Sf, Cf):
+        dag.check_subset(X)
+    if If & Sf or If & Cf or Sf & Cf:
+        raise InputError("I, S and C must be pairwise disjoint")
+
+    pool = [s for s in dag.nodes if s not in Sf and s not in If]
+    for r in range(len(pool) + 1):
+        for extra in combinations(pool, r):
+            K = Sf | frozenset(extra)
+            if not is_closed(dag, K):
+                continue
+            rel = set_relations(dag, K)
+            if (rel.parents <= Cf and If <= rel.non_parent_non_descendants
+                    and not (rel.descendants & Cf)):
+                return True
+    return False
 
 
 def interval_locals(dag: Dag, rng: np.random.Generator,

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from credalnet import conditioning, lp, oracle
-from credalnet.conditioning import (BracketResult, lower_prob_positive,
-                                    natural_conditional,
-                                    reduce_then_condition,
-                                    regular_conditional, rho_evaluator,
-                                    upper_prob_positive)
+from credalnet.conditioning import (BracketResult, condition_reduced,
+                                    lower_prob_positive, natural_conditional,
+                                    reduce_query, regular_conditional,
+                                    rho_evaluator, upper_prob_positive)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
@@ -338,8 +337,10 @@ class TestReduceThenCondition:
         net = binary_net(dag, interval_locals(dag, rng))
         f = random_factor(rng, net, ["9"])
         given = net.cylinder({"3": "0", "4": "1", "6": "0"})
-        nat = reduce_then_condition(net, f, given, "natural")
-        reg = reduce_then_condition(net, f, given, "regular")
+        nat = condition_reduced(reduce_query(net, f.scope, given, "natural"),
+                                f, "natural")
+        reg = condition_reduced(reduce_query(net, f.scope, given, "regular"),
+                                f, "regular")
         assert nat.kind == "local-fallback"
         assert reg.kind == "local-fallback"
         assert nat.value == pytest.approx(reg.value, abs=TOL)
@@ -353,7 +354,8 @@ class TestReduceThenCondition:
     def test_unconditional_dispatch(self, rng):
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, ["2"])
-        res = reduce_then_condition(net, f, None, "natural")
+        res = condition_reduced(reduce_query(net, f.scope, None, "natural"),
+                                f, "natural")
         assert res.value == pytest.approx(
             lp.lower_expectation_lp(net, f), abs=1e-7)
 
@@ -365,8 +367,9 @@ class TestReduceThenCondition:
             t = {"4": str(rng.integers(0, 2)), "3": str(rng.integers(0, 2))}
             given = net.cylinder(t)
             try:
-                red = reduce_then_condition(net, f, given, "natural",
-                                            tolerance=1e-10)
+                red = condition_reduced(
+                    reduce_query(net, f.scope, given, "natural"), f,
+                    "natural", 1e-10)
             except HypothesisError:
                 continue
             ev = rho_evaluator(net, f, given)
@@ -380,8 +383,9 @@ class TestReduceThenCondition:
             net = random_binary_net(rng, 4, edge_p=0.5)
             f = random_factor(rng, net, ["1"])
             given = net.cylinder({"4": str(rng.integers(0, 2))})
-            red = reduce_then_condition(net, f, given, "regular",
-                                        tolerance=1e-10)
+            red = condition_reduced(
+                reduce_query(net, f.scope, given, "regular"), f, "regular",
+                1e-10)
             ev = rho_evaluator(net, f, given)
             direct = regular_conditional(ev, tolerance=1e-10)
             assert red.value == pytest.approx(direct.value, abs=1e-6)
@@ -390,7 +394,8 @@ class TestReduceThenCondition:
         net = random_binary_net(rng, 3, edge_p=0.4)
         f = random_factor(rng, net, ["1"])
         B = net.event(["2", "3"], [("0", "0"), ("1", "1"), ("0", "1")])
-        res = reduce_then_condition(net, f, B, "natural", tolerance=1e-10)
+        res = condition_reduced(reduce_query(net, f.scope, B, "natural"), f,
+                                "natural", 1e-10)
         expect = oracle.irr_extreme_conditional(net, f, B, "natural")
         if expect is not None:
             assert res.value == pytest.approx(expect, abs=1e-6)
@@ -411,8 +416,9 @@ class TestLocalModelPreservation:
             f = random_factor(rng, net, [s])
             cfg = net.parent_config(s, assignment)
             expect = net.local(s, cfg).lower_expectation(f.values)
-            res = reduce_then_condition(net, f, net.cylinder(assignment),
-                                        "regular", tolerance=1e-10)
+            res = condition_reduced(
+                reduce_query(net, f.scope, net.cylinder(assignment),
+                             "regular"), f, "regular", 1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
 
 

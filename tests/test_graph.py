@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from credalnet.errors import InputError
-from credalnet.graph import (Dag, ad_separated, ad_separated_closed, closure,
-                             d_separated, is_closed, path_blocked, relations,
-                             set_relations)
+from credalnet.graph import (Dag, ad_separated, closure, d_separated,
+                             is_closed, set_relations)
 
-from helpers import chain_dag, fig_dag, random_dag
+from helpers import (ad_separated_closed, all_paths_blocked, chain_dag,
+                     path_blocked, random_dag)
 
 
 class TestDagConstruction:
@@ -51,36 +51,44 @@ class TestDagConstruction:
 
 
 class TestRelations:
+    """The relations of one node: ``set_relations`` of the singleton, and
+    its children from the graph."""
+
     def test_example_graph_node5(self, fig1):
-        rel = relations(fig1, "5")
+        rel = set_relations(fig1, {"5"})
         assert rel.parents == {"3"}
-        assert rel.children == {"7", "8"}
+        assert set(fig1.children("5")) == {"7", "8"}
         assert rel.descendants == {"7", "8", "9", "10"}
         assert rel.non_parent_non_descendants == {"1", "2", "4", "6"}
         assert rel.non_descendants == {"1", "2", "3", "4", "6"}
 
     def test_isolated_node(self):
         dag = Dag(["x"], [])
-        rel = relations(dag, "x")
+        rel = set_relations(dag, {"x"})
         assert all(not r for r in rel)
+        assert not dag.children("x")
 
     def test_three_chain_middle(self):
         dag = chain_dag(3)
-        rel = relations(dag, "2")
+        rel = set_relations(dag, {"2"})
         assert rel.parents == {"1"}
         assert rel.descendants == {"3"}
         assert rel.non_descendants == {"1"}
 
     def test_unknown_node(self, fig1):
         with pytest.raises(InputError):
-            relations(fig1, "99")
+            set_relations(fig1, {"99"})
+        with pytest.raises(InputError):
+            fig1.children("99")
 
     def test_partition_identity(self, fig1):
         for s in fig1.nodes:
-            rel = relations(fig1, s)
+            rel = set_relations(fig1, {s})
             assert rel.non_descendants == rel.parents | rel.non_parent_non_descendants
             assert rel.non_descendants == \
                 frozenset(fig1.nodes) - {s} - rel.descendants
+            assert set(fig1.children(s)) <= rel.descendants
+            assert rel.parents == set(fig1.parents(s))
 
 
 class TestSetRelations:
@@ -99,16 +107,6 @@ class TestSetRelations:
         rel = set_relations(fig1, {"1", "2"})
         assert rel.parents == frozenset()
         assert rel.descendants == {"3", "4", "5", "7", "8", "9", "10"}
-
-    def test_singleton_reduces_to_node_relations(self, fig1):
-        for s in fig1.nodes:
-            node = relations(fig1, s)
-            sub = set_relations(fig1, {s})
-            assert sub.parents == node.parents
-            assert sub.descendants == node.descendants
-            assert sub.non_descendants == node.non_descendants
-            assert sub.non_parent_non_descendants == \
-                node.non_parent_non_descendants
 
 
 class TestClosed:
@@ -137,6 +135,20 @@ class TestClosed:
                 continue
             big = K | dag.descendants_of_set(K)
             assert is_closed(dag, big)
+
+    def test_closure_is_smallest_closed_superset(self, rng):
+        # brute force over every superset of K, smallest first
+        for _ in range(60):
+            dag = random_dag(rng, int(rng.integers(1, 8)), 0.45)
+            K = frozenset(n for n in dag.nodes if rng.random() < 0.35)
+            rest = [n for n in dag.nodes if n not in K]
+            closed = [K | frozenset(extra)
+                      for r in range(len(rest) + 1)
+                      for extra in itertools.combinations(rest, r)
+                      if is_closed(dag, K | frozenset(extra))]
+            smallest = closed[0]
+            assert all(smallest <= other for other in closed)
+            assert closure(dag, K) == smallest, (dag.edges, K)
 
 
 class TestPathBlocked:
@@ -195,6 +207,46 @@ class TestSeparation:
         assert not ad_separated(fig1, {"5"}, {"5"}, set())
         assert ad_separated(fig1, {"5"}, {"5"}, {"5"})
 
+    def test_unknown_node(self, fig1):
+        for separated in (ad_separated, d_separated):
+            for X in range(3):
+                args = [{"1"}, {"9"}, {"4"}]
+                args[X] = {"99"}
+                with pytest.raises(InputError):
+                    separated(fig1, *args)
+
+
+class TestLongChain:
+    """A 10^4-node chain: the verdicts of the CLI's ``adsep`` example, found
+    without one descendant set per node."""
+
+    N = 10 ** 4
+    # (I, S, C) -> (AD(I,S|C), d(I,S|C))
+    CASES = {
+        ("1", str(N), str(N // 2)): (True, True),
+        (str(N), "1", str(N // 2)): (False, True),
+        ("1", str(N), None): (False, False),
+        (str(N), "1", None): (False, False),
+        (str(N // 2), "1", str(N)): (False, False),
+        ("1", str(N // 2), str(N)): (False, False),
+    }
+
+    def test_verdicts_without_descendant_sets(self, monkeypatch):
+        dag = chain_dag(self.N)
+        calls = []
+        original = Dag.descendants
+
+        def counted(self, s):
+            calls.append(s)
+            return original(self, s)
+
+        monkeypatch.setattr(Dag, "descendants", counted)
+        for (i, s, c), (ad, d) in self.CASES.items():
+            C = {c} if c else set()
+            assert ad_separated(dag, {i}, {s}, C) is ad, (i, s, c)
+            assert d_separated(dag, {i}, {s}, C) is d, (i, s, c)
+        assert calls == []
+
 
 class TestClosedSubsetCharacterisation:
     def test_example_witness(self, fig1):
@@ -225,16 +277,18 @@ def _disjoint_triples(nodes, rng, count):
 
 class TestSeparationCrossChecks:
     """The three routes (traversal, explicit path enumeration, closed-subset
-    search) must agree on random graphs."""
+    search) must agree on random graphs.  The two brute-force oracles,
+    ``all_paths_blocked`` and ``ad_separated_closed``, are in
+    ``tests/helpers.py``."""
 
     def test_traversal_equals_path_enumeration(self, rng):
         for _ in range(12):
             dag = random_dag(rng, 6, 0.4)
             for I, S, C in _disjoint_triples(dag.nodes, rng, 12):
                 assert ad_separated(dag, I, S, C) == \
-                    ad_separated(dag, I, S, C, method="enumerate")
+                    all_paths_blocked(dag, I, S, C)
                 assert d_separated(dag, I, S, C) == \
-                    d_separated(dag, I, S, C, method="enumerate")
+                    all_paths_blocked(dag, I, S, C, dsep=True)
 
     def test_traversal_equals_closed_subset_search(self, rng):
         for _ in range(12):

@@ -88,10 +88,9 @@ class TestVertexArray:
     def test_views_are_built_on_demand(self):
         m = binary_interval(("h", "t"), 0.25, 0.75)
         m.lower_expectation([1.0, 0.0])
-        assert "vertices" not in vars(m) and "homogeneous" not in vars(m)
+        assert "vertices" not in vars(m)
         assert m.vertices == (MassFunction(("h", "t"), (0.25, 0.75)),
                               MassFunction(("h", "t"), (0.75, 0.25)))
-        assert m.homogeneous[0].gamma == tuple(m._H[0])
 
 
 class TestLowerExpectation:
@@ -193,7 +192,7 @@ class TestCoherence:
 class TestHomogeneous:
     def test_interval_rows(self):
         m = binary_interval(("h", "t"), 0.25, 0.75)
-        rows = {tuple(np.round(h.gamma, 12)) for h in m.homogeneous}
+        rows = {tuple(np.round(h, 12)) for h in m._H}
         # upper(t) p(h) - lower(h) p(t) >= 0  and  the mirrored row
         assert (0.75, -0.25) in rows
         assert (-0.25, 0.75) in rows
@@ -201,7 +200,7 @@ class TestHomogeneous:
 
     def test_vacuous_rows_are_indicators(self):
         m = vacuous(("a", "b", "c"))
-        rows = sorted(tuple(np.round(h.gamma, 12)) for h in m.homogeneous)
+        rows = sorted(tuple(np.round(h, 12)) for h in m._H)
         assert rows == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
 
     def test_feasible_set_matches_vertices(self, rng):
@@ -212,7 +211,7 @@ class TestHomogeneous:
                 m = CredalSet(("a", "b", "c"), vertices=pts)
             except InputError:
                 continue
-            H = np.array([h.gamma for h in m.homogeneous])
+            H = m._H
             assert (pts @ H.T).min() >= -1e-7
             for _ in range(20):
                 q = rng.dirichlet([1, 1, 1])

@@ -473,13 +473,6 @@ class TestEvents:
         with pytest.raises(InputError, match="unknown node 'zz'"):
             two_coins.cylinder({"zz": "h"})
 
-    def test_event_product(self, two_coins):
-        a = two_coins.event(["1"], [("h",), ("t",)])
-        b = two_coins.cylinder({"2": "t"})
-        p = two_coins.event_product(a, b)
-        assert p.scope == ("1", "2")
-        assert p.states == {("h", "t"), ("t", "t")}
-
     def test_indicator(self, two_coins):
         e = two_coins.event(["1", "2"], [("h", "h"), ("t", "t")])
         f = two_coins.indicator(e)
