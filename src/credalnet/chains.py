@@ -280,16 +280,16 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
     """Lower expectation of a gamble on one node given the values of all
     other nodes.
 
-    A leaf node reduces to its local lower expectation under both rules.
-    Otherwise the query moves to the sub-network of the node and its
-    descendants; there the bracketing function is a product of local
-    bounds over the descendants (linear in their number), and under the
-    regular rule the relevant case is selected by the product of local
-    upper probabilities over the non-descendants.  Cases that are not
-    recoverable from the bracketing function return the vacuous bound
-    (min of f)."""
-    if rule not in ("natural", "regular"):
-        raise InputError(f"unknown rule {rule!r}")
+    :func:`~credalnet.conditioning.reduce_query` moves the query to the
+    sub-network of the node and its descendants, and decides there the
+    regular rule's vacuous case (zero upper probability of the evidence,
+    from the product of local upper probabilities over the
+    non-descendants) and the leaf case (no evidence left: the local
+    lower expectation, under both rules).  Otherwise the bracketing
+    function is a product of local bounds over the descendants (linear
+    in their number).  Under the natural rule, zero lower probability of
+    the evidence, where rho does not give the conditional, returns the
+    vacuous bound (min of f)."""
     dag = net.dag
     dag._check(q)
     missing = set(dag.nodes) - {q} - set(x_E)
@@ -301,28 +301,24 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
         if x_E[s] not in net.states(s):
             raise InputError(f"unknown state {x_E[s]!r} of node {s!r}")
     fv = _gamble_on(net, q, f)
-    local_q = net.local(q, net.parent_config(q, x_E))
-
-    if not dag.children(q):
+    f_min, f_max = float(fv.min()), float(fv.max())
+    reduced = conditioning.reduce_query(net, (q,), net.cylinder(x_E), rule)
+    if reduced.vacuous:
+        return f_min
+    local_q = reduced.net.local(q, ())
+    if reduced.given is None:
         return local_q.lower_expectation(fv)
 
     desc = dag.sorted_nodes(dag.descendants(q))
-    f_min, f_max = float(fv.min()), float(fv.max())
     atom = {s: x_E[s] for s in desc}
     prod_low, prod_high = np.array([decompose.atom_bounds(
-        sub_network(net, desc, {**x_E, q: x}), atom)
+        sub_network(reduced.net, desc, {q: x}), atom)
         for x in net.states(q)]).T
 
     ev = conditioning.RhoEvaluator(
         _sign_split(local_q.lower_argmin, fv, prod_low, prod_high),
         f_min, f_max, f_min)
-    gate = False
-    if rule == "regular":
-        # gate on the non-descendants' upper probability
-        nd = dag.sorted_nodes(set(dag.nodes) - {q} - set(desc))
-        gate = not nd or decompose.atom_bounds(
-            sub_network(net, nd, {}), {s: x_E[s] for s in nd}
-        )[1] > conditioning.TOL_SIGN
-    return conditioning.condition(ev, rule, tolerance,
-                                  rest_upper_positive=gate,
-                                  vacuous_on_zero_lower=True).value
+    try:
+        return conditioning.condition(ev, rule, tolerance).value
+    except HypothesisError:
+        return f_min

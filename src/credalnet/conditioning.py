@@ -9,7 +9,10 @@ positive its rightmost root is the regular-extension update, and when
 even the upper probability vanishes it is identically zero and carries
 no information (the vacuous bound ``min f over B`` is returned,
 flagged).  Sign tests at ``min f - 1`` and ``max f + 1`` decide which
-case applies.
+case applies.  The regular rule's vacuous case is decided in one place
+per query shape: by :func:`regular_conditional` from rho, and on a query
+reduced to a sub-network by :func:`reduce_query` first, from the upper
+probability that the rest of the network gives the evidence.
 
 Every engine (the global program and the chain, hidden-state and
 complete-evidence sweeps) also reports E_p[f 1_B] and P_p(B) at a model p
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 from . import decompose, lp
@@ -190,29 +194,16 @@ def _rightmost_root(evaluator: RhoEvaluator) -> BracketResult:
 
 
 def condition(evaluator: RhoEvaluator, rule: str,
-              tolerance: float = DEFAULT_TOLERANCE, *,
-              rest_upper_positive: bool = False,
-              vacuous_on_zero_lower: bool = False) -> BracketResult:
-    """The conditional lower expectation under ``rule``, from rho.
-
-    The natural rule takes the unique root; with zero lower probability
-    it raises :class:`HypothesisError`, or returns the vacuous bound when
-    ``vacuous_on_zero_lower`` is set.  The regular rule takes the unique
-    root, or the vacuous bound, when ``rest_upper_positive`` says that
-    the rest of the network gives the evidence positive upper
-    probability (the gate of a reduced query), and is
-    :func:`regular_conditional` otherwise."""
-    if rule not in ("natural", "regular"):
-        raise InputError(f"unknown rule {rule!r}")
-    if rule == "regular" and not rest_upper_positive:
-        return regular_conditional(evaluator, tolerance)
-    try:
+              tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
+    """The conditional lower expectation under ``rule``, from rho: the
+    :func:`natural_conditional` or the :func:`regular_conditional`.  The
+    regular rule's vacuous case is decided there, by rho's sign above
+    max f; on a reduced query :func:`reduce_query` decides it first."""
+    if rule == "natural":
         return natural_conditional(evaluator, tolerance)
-    except HypothesisError:
-        if rule == "natural" and not vacuous_on_zero_lower:
-            raise
-        return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
-                             0, 0.0)
+    if rule == "regular":
+        return regular_conditional(evaluator, tolerance)
+    raise InputError(f"unknown rule {rule!r}")
 
 
 # -- evaluator builders -----------------------------------------------------
@@ -268,27 +259,31 @@ def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
 class ReducedQuery:
     """A conditional query moved to the sub-network ``net``, shared by
     every gamble on one scope: the evidence left inside it (``None``:
-    none, and both rules reduce to the unconditional value), its global
-    program, the regular rule's gate (see :func:`condition`) and the
-    marginalisation step, which the trace of every bound repeats.
-    ``vacuous`` says that the evidence has zero upper probability, so
-    that the regular rule returns the vacuous bound."""
+    none, and both rules reduce to the unconditional value), the
+    marginalisation step, which the trace of every bound repeats, and
+    ``vacuous``: the evidence has zero upper probability, so that the
+    regular rule returns the vacuous bound."""
 
     net: CredalNetwork
     given: Event | None
-    program: lp.GlobalPolytope | None = None
-    rest_upper_positive: bool = False
     record: decompose.Reduction | None = None
     vacuous: bool = False
+
+    @cached_property
+    def program(self) -> lp.GlobalPolytope:
+        """The global program of ``net``, built on first use."""
+        return lp.GlobalPolytope(self.net)
 
 
 def reduce_query(net: CredalNetwork, scope, given: Event | None,
                  rule: str = "natural") -> ReducedQuery:
     """Move a conditional query on a gamble over ``scope`` to the
-    smallest consistent closed node set, for a cylinder conditioning
-    event; under the regular rule the sub-network case is selected by
-    the positivity of the upper probability that the rest of the network
-    gives to its share of the evidence."""
+    smallest consistent closed node set K, for a cylinder conditioning
+    event.  This is where the regular rule's vacuous case is decided on
+    a reduced query: the evidence has zero upper probability exactly
+    when the rest of the network gives its share of it zero upper
+    probability, or the sub-network gives zero upper probability to the
+    evidence inside K, which :func:`regular_conditional` detects."""
     if rule not in ("natural", "regular"):
         raise InputError(f"unknown rule {rule!r}")
     if given is None or not given.scope:
@@ -296,7 +291,7 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     if given.empty:
         raise InputError("conditioning event is empty")
     if not given.cylinder:
-        return ReducedQuery(net, given, lp.GlobalPolytope(net))
+        return ReducedQuery(net, given)
 
     assignment = given.assignment()
     K, rel = _grow_closed_for(net, scope, assignment)
@@ -308,55 +303,45 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     record = decompose.Reduction("marginalisation", {
         "K": tuple(sorted(K)), "rule": rule,
         "parents": tuple(sorted(pa_assignment.items()))})
-    if not inside:
-        # trivial sub-network conditioning event: both updating rules
-        # reduce to the unconditional sub-network value
-        return ReducedQuery(sub, None, record=record)
-    # regular rule: the sub-network case depends on the upper probability
-    # the non-descendants give to their share of the evidence; where it
-    # is zero, so is that of the evidence
-    gate = rule == "regular" and _rest_upper_positive(
-        net, rel, pa_assignment, outside)
-    if rule == "regular" and not gate:
-        return ReducedQuery(sub, sub.cylinder(inside), record=record,
-                            vacuous=True)
-    return ReducedQuery(sub, sub.cylinder(inside), lp.GlobalPolytope(sub),
-                        gate, record)
+    vacuous = rule == "regular" and not _upper_positive_outside(
+        net, rel, {**pa_assignment, **outside})
+    # no evidence inside K: both updating rules reduce to the
+    # unconditional sub-network value
+    return ReducedQuery(sub, sub.cylinder(inside) if inside else None,
+                        record, vacuous)
 
 
 def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
                       tolerance: float = DEFAULT_TOLERANCE,
                       trace: list | None = None) -> BracketResult:
     """The conditional lower expectation of ``f`` under ``rule`` on a
-    reduced query: by the planner when no evidence is left
-    (``local-fallback``), else a bracket on the query's program."""
+    reduced query: the vacuous bound where :func:`reduce_query` found
+    the evidence to have zero upper probability, the planner's value
+    when no evidence is left (``local-fallback``), else
+    :func:`condition` on the query's program."""
     if trace is not None and reduced.record is not None:
         trace.append(reduced.record)
+    if reduced.vacuous:
+        value = f.min() if reduced.given is None else \
+            _vacuous_bound(reduced.net, f, reduced.given)
+        return BracketResult(value, "vacuous-fallback", 0, 0.0)
     if reduced.given is None:
         value = decompose.lower_expectation(reduced.net, f, trace=trace)
         return BracketResult(value, "local-fallback", 0, 0.0)
-    if reduced.vacuous:
-        return BracketResult(_vacuous_bound(reduced.net, f, reduced.given),
-                             "vacuous-fallback", 0, 0.0)
     ev = rho_evaluator(reduced.net, f, reduced.given, reduced.program)
-    return condition(ev, rule, tolerance,
-                     rest_upper_positive=reduced.rest_upper_positive)
+    return condition(ev, rule, tolerance)
 
 
-def _rest_upper_positive(net: CredalNetwork, rel, pa_assignment: Mapping,
-                         outside: Mapping) -> bool:
-    """Positivity of the upper probability that the non-descendants
-    sub-network assigns to (parent assignment, outside evidence)."""
-    evidence = dict(pa_assignment)
-    evidence.update(outside)
-    if not rel.non_descendants:
-        return True
-    nsub = sub_network(net, rel.non_descendants, {})
-    if set(evidence) == set(rel.non_descendants):
-        # full instantiation: the upper probability is the atom product
-        _, high = decompose.atom_bounds(nsub, evidence)
-        return high > TOL_SIGN
+def _upper_positive_outside(net: CredalNetwork, rel,
+                            evidence: Mapping[str, str]) -> bool:
+    """Positivity of the upper probability that the non-descendants of
+    K give to ``evidence`` over them: the atom product when it
+    instantiates them all, else the planner's upper probability on
+    ``net``, equal by marginalisation, as they form an ancestral set."""
     if not evidence:
         return True
-    ev = rho_evaluator(nsub, Factor.constant(1.0), nsub.cylinder(evidence))
-    return upper_prob_positive(ev)
+    if set(evidence) == rel.non_descendants:
+        nsub = sub_network(net, rel.non_descendants, {})
+        return decompose.atom_bounds(nsub, evidence)[1] > TOL_SIGN
+    ind = net.indicator(net.cylinder(evidence))
+    return -decompose.lower_expectation(net, -ind) > TOL_SIGN

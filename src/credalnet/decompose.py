@@ -35,7 +35,7 @@ class Reduction:
     """Audit record: which equality justified a step, on what premise."""
 
     kind: str          # marginalisation | iterated | factorisation |
-                       # additivity | atom | lp | local
+                       # additivity | lp | local
     premise: dict
     sub_results: list = field(default_factory=list)
 
@@ -329,8 +329,8 @@ def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
     return lower_expectation(nsub, assembled, trace=trace)
 
 
-def atom_bounds(net: CredalNetwork, assignment: Mapping[str, str], *,
-                trace: list | None = None) -> tuple[float, float]:
+def atom_bounds(net: CredalNetwork,
+                assignment: Mapping[str, str]) -> tuple[float, float]:
     """Lower and upper probability of one joint state: both factorise
     into products of the local bounds."""
     missing = set(net.dag.nodes) - set(assignment)
@@ -342,7 +342,4 @@ def atom_bounds(net: CredalNetwork, assignment: Mapping[str, str], *,
         local = net.local(s, cfg)
         low *= local.lower_probability({assignment[s]})
         high *= local.upper_probability({assignment[s]})
-    if trace is not None:
-        trace.append(Reduction("atom", {"assignment": tuple(
-            sorted(assignment.items()))}, sub_results=[low, high]))
     return low, high

@@ -70,8 +70,7 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
         reduced = conditioning.reduce_query(net, q.target.scope, q.given,
                                             q.rule)
     elif q.method == "lp":
-        reduced = conditioning.ReducedQuery(net, q.given,
-                                            lp.GlobalPolytope(net))
+        reduced = conditioning.ReducedQuery(net, q.given)
     elif q.method in _SWEEPS:
         sweep = _SWEEPS[q.method](net, q)
         return lambda f: conditioning.condition(conditioning.RhoEvaluator(

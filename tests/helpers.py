@@ -144,6 +144,25 @@ def interval_locals(dag: Dag, rng: np.random.Generator,
     return locals_
 
 
+def zero_bound_locals(dag: Dag, rng: np.random.Generator) -> dict:
+    """Binary local sets P(0) in [a, b] with probabilities of zero: a is
+    0 with probability 0.35, b is 1 with probability 0.15, and with
+    probability 0.1 the set is the point mass on one state."""
+    locals_ = {}
+    for s in dag.nodes:
+        for cfg in product(*(("0", "1") for _ in dag.parents(s))):
+            a, b = np.sort(rng.uniform(0.05, 0.95, size=2))
+            if rng.random() < 0.35:
+                a = 0.0
+            if rng.random() < 0.15:
+                b = 1.0
+            if rng.random() < 0.1:
+                a = b = float(rng.integers(0, 2))
+            locals_[(s, cfg)] = CredalSet(("0", "1"), vertices=[
+                (a, 1 - a), (b, 1 - b)][:1 + (a < b)])
+    return locals_
+
+
 def binary_net(dag: Dag, locals_: dict) -> CredalNetwork:
     return CredalNetwork(dag, {s: ("0", "1") for s in dag.nodes}, locals_)
 

@@ -1,5 +1,7 @@
 """Linear-time recursions: chains, hidden-state models, complete evidence."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from credalnet.chains import (TransferOperator, chain_order, chain_reverse_rho,
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.decompose import iterated_lower_expectation, lower_expectation
 from credalnet.errors import HypothesisError, InputError
-from credalnet.fileio import Query
+from credalnet.fileio import Query, load_network
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor, sub_network
 
@@ -21,6 +23,7 @@ from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      reference_hmm_rho, reference_reverse_rho)
 
 TOL = 1e-9
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def reverse_rho(net, h, x_n):
@@ -502,6 +505,17 @@ class TestCompleteEvidence:
                 hits += 1
         assert hits >= 4
         assert len(points) == 4
+
+    def test_regular_vacuous_on_zero_upper_probability(self):
+        # a -> q -> d with P(a = 0) = 0: the evidence a = 0, d = 0 has
+        # zero upper probability, so the regular rule gives min f, as the
+        # global program does, not the bound of q given d = 0 on {q, d}
+        net = load_network(os.path.join(DATA, "zero_gate.json"))
+        f = net.factor_from_values(["q"], [1.0, 0.0])
+        x_E = {"a": "0", "d": "0"}
+        expect = lp_bound(net, f, net.cylinder(x_E), "regular")
+        assert (expect.value, expect.kind) == (0.0, "vacuous-fallback")
+        assert complete_evidence_lower(net, "q", x_E, f, "regular") == 0.0
 
     def test_interior_node_against_bracketing(self, rng):
         for _ in range(3):

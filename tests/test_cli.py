@@ -126,6 +126,19 @@ def test_one_global_program_per_reduced_auto_query(capsys, monkeypatch,
                                                   abs=1e-7)
 
 
+def test_regular_leaf_query_with_zero_upper_probability(capsys):
+    # a -> q -> d with P(a = 0) = 0: given a = 0 and q = 0 no evidence is
+    # left inside K = {d}, and the regular rule is vacuous, as on the
+    # global program, not the local value of d given q = 0
+    _, auto, _ = run(capsys, "infer", data("zero_gate.json"),
+                     data("zero_gate_auto_query.json"))
+    _, exact, _ = run(capsys, "infer", data("zero_gate.json"),
+                      data("zero_gate_lp_query.json"))
+    for key in ("lower", "upper", "kind"):
+        assert auto[key] == exact[key]
+    assert (auto["lower"], auto["kind"]) == ("0.0", "vacuous-fallback")
+
+
 def test_trace_matches_committed_text(capsys):
     # an auto conditional query whose reduced gamble peels one node: the
     # whole audit log of both bounds, and the bounds, are pinned

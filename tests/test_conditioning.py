@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from credalnet import conditioning, lp, oracle
+from credalnet import chains, conditioning, lp, oracle
 from credalnet.conditioning import (BracketResult, condition_reduced,
                                     lower_prob_positive, natural_conditional,
                                     reduce_query, regular_conditional,
@@ -20,7 +20,7 @@ from credalnet.queries import run_query
 
 from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
                      precise_locals, random_binary_net, random_chain_net,
-                     random_factor)
+                     random_dag, random_factor, zero_bound_locals)
 
 TOL = 1e-9
 
@@ -441,14 +441,6 @@ class TestConditionDispatch:
         B = net.cylinder({"a": "0"})
         with pytest.raises(HypothesisError):
             conditioning.condition(rho_evaluator(net, f, B), "natural")
-        res = conditioning.condition(rho_evaluator(net, f, B), "natural",
-                                     vacuous_on_zero_lower=True)
-        assert res.kind == "vacuous-fallback"
-        assert res.value == f.min()
-        # gated regular rule: the vacuous bound instead of the rightmost root
-        gated = conditioning.condition(rho_evaluator(net, f, B), "regular",
-                                       rest_upper_positive=True)
-        assert (gated.value, gated.kind) == (res.value, res.kind)
         plain = conditioning.condition(rho_evaluator(net, f, B), "regular")
         assert plain.kind == "rightmost-root"
 
@@ -473,21 +465,20 @@ class TestRestGate:
     """A regular-rule ``auto`` query on b given evidence on c and on the
     non-descendants of K = {b, c}: the gate is the upper probability
     that the non-descendants give their share of the evidence, from the
-    atom product when they are all instantiated, and from their global
-    program when only some are.  Where it is zero, so is the upper
-    probability of the evidence, and the bound is vacuous."""
+    atom product when they are all instantiated, and from the planner
+    when only some are.  Where it is zero, so is the upper probability
+    of the evidence, and the bound is vacuous."""
 
     @pytest.mark.parametrize("zero", [False, True])
     @pytest.mark.parametrize("evidence,branch", [
         ({"e": "1", "a": "0", "c": "1"}, "atom_bounds"),
-        ({"a": "0", "c": "1"}, "upper_prob_positive")])
+        ({"a": "0", "c": "1"}, "lower_expectation")])
     def test_auto_matches_lp(self, rng, monkeypatch, zero, evidence,
                              branch):
         from credalnet import decompose
-        module = decompose if branch == "atom_bounds" else conditioning
         calls = []
-        spied = getattr(module, branch)
-        monkeypatch.setattr(module, branch, lambda *a, **kw: (
+        spied = getattr(decompose, branch)
+        monkeypatch.setattr(decompose, branch, lambda *a, **kw: (
             calls.append(a) or spied(*a, **kw)))
         net = gate_net(rng, zero)
         f = random_factor(rng, net, ["b"])
@@ -501,6 +492,50 @@ class TestRestGate:
         assert auto["kind"] == lp_["kind"] == kind
         if zero:
             assert auto["lower"] == conditioning._vacuous_bound(net, f, B)
+
+
+class TestRegularZeroProbability:
+    """The regular rule where the evidence has zero lower or zero upper
+    probability: ``auto`` and complete evidence give the global
+    program's bound, on nets whose local sets put probability zero on
+    some states (:func:`helpers.zero_bound_locals`)."""
+
+    def test_auto_and_complete_evidence_match_lp(self):
+        rng = np.random.default_rng(3)
+        kinds = set()
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            dag = random_dag(rng, n, 0.5)
+            net = binary_net(dag, zero_bound_locals(dag, rng))
+            q = str(rng.integers(1, n + 1))
+            f = random_factor(rng, net, [q])
+            x_E = {s: str(rng.integers(0, 2)) for s in dag.nodes if s != q}
+            part = {s: x_E[s] for s in x_E if rng.random() < 0.6} or x_E
+            B = net.cylinder(part)
+            auto = run_query(net, Query(f, B, "regular", "auto", 1e-10))
+            lp_ = run_query(net, Query(f, B, "regular", "lp", 1e-10))
+            for key in ("lower", "upper"):
+                assert auto[key] == pytest.approx(lp_[key], abs=1e-6)
+            complete = run_query(net, Query(f, net.cylinder(x_E), "regular",
+                                            "lp", 1e-10))
+            got = chains.complete_evidence_lower(net, q, x_E, f, "regular",
+                                                 tolerance=1e-10)
+            assert got == pytest.approx(complete["lower"], abs=1e-6)
+            kinds.update((lp_["kind"], complete["kind"]))
+        assert {"rightmost-root", "vacuous-fallback"} <= kinds
+
+    def test_rest_gate_on_a_long_chain(self):
+        # the gate on the non-descendants 1..30 runs the planner, not a
+        # global program over 30 nodes; their upper probability of
+        # X_30 = 1 is positive, so the two rules agree
+        rng = np.random.default_rng(0)
+        net = random_chain_net(rng, 100)
+        f = random_factor(rng, net, ["31"])
+        B = net.cylinder({"30": "1", "32": "0"})
+        regular = run_query(net, Query(f, B, "regular", "auto", 1e-9))
+        natural = run_query(net, Query(f, B, "natural", "auto", 1e-9))
+        for key in ("lower", "upper"):
+            assert regular[key] == pytest.approx(natural[key], abs=1e-9)
 
 
 class TestVacuousBound:

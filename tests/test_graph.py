@@ -275,6 +275,19 @@ def _disjoint_triples(nodes, rng, count):
     return triples
 
 
+def _collider_triples(dag, rng, count):
+    """Random disjoint triples, each with a node of two or more parents
+    moved to C, one of its parents to I and another to S; none when the
+    graph has no such node."""
+    colliders = [v for v in dag.nodes if len(dag.parents(v)) > 1]
+    triples = []
+    for I, S, C in _disjoint_triples(dag.nodes, rng, count * bool(colliders)):
+        v = colliders[rng.integers(len(colliders))]
+        a, b = rng.choice(dag.parents(v), size=2, replace=False)
+        triples.append((I - {v, b} | {a}, S - {v, a} | {b}, C - {a, b} | {v}))
+    return triples
+
+
 class TestSeparationCrossChecks:
     """The three routes (traversal, explicit path enumeration, closed-subset
     search) must agree on random graphs.  The two brute-force oracles,
@@ -282,9 +295,14 @@ class TestSeparationCrossChecks:
     ``tests/helpers.py``."""
 
     def test_traversal_equals_path_enumeration(self, rng):
+        # besides random triples, ones whose C holds a collider with a
+        # parent in I and one in S, so that the collider rule for a
+        # member of C is tested on its own
         for _ in range(12):
             dag = random_dag(rng, 6, 0.4)
-            for I, S, C in _disjoint_triples(dag.nodes, rng, 12):
+            triples = _disjoint_triples(dag.nodes, rng, 12)
+            triples += _collider_triples(dag, rng, 6)
+            for I, S, C in triples:
                 assert ad_separated(dag, I, S, C) == \
                     all_paths_blocked(dag, I, S, C)
                 assert d_separated(dag, I, S, C) == \
