@@ -127,13 +127,17 @@ def natural_conditional(evaluator: RhoEvaluator,
 def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
     """The root of rho, given rho(min f - 1) > 0 (evaluated).
 
-    Dinkelbach steps, from the one at min f - 1.  rho falls at a rate of
-    at least the lower probability of B, which is at least ``slope`` =
-    rho(min f - 1) / (max f - min f + 1).  So a step mu with rho(mu) <= 0
-    puts the root in [mu + rho(mu) / slope, mu], and one that rounding
-    put left of the root, rho(mu) > 0, puts it in [mu, step(mu)].  The
-    steps stop once that bracket is within ``tolerance``.  Where rounding
-    keeps a step from decreasing mu, the bracket is bisected instead."""
+    Dinkelbach steps, from the one at min f - 1, each evaluated at
+    ``tolerance / 2`` left of the step.  rho falls at a rate of at least
+    the lower probability of B, which is at least ``slope`` = rho(min f
+    - 1) / (max f - min f + 1), and a step is never left of the root.
+    So a point mu with rho(mu) <= 0 puts the root in [mu + rho(mu) /
+    slope, min(mu, step(mu))], and one with rho(mu) > 0 puts it in [mu,
+    step(mu)]: once a step is within ``tolerance / 2`` of the root, the
+    point left of it closes the bracket.  The steps stop once the
+    bracket is within ``tolerance``, and its right end is returned.
+    Where rounding keeps a step from decreasing mu, the bracket is
+    bisected instead."""
     lo, hi = evaluator.f_min, evaluator.f_max
     if hi - lo <= tolerance:
         return BracketResult(lo, "unique-root", 0, hi - lo)
@@ -142,18 +146,18 @@ def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
     slope = r / (evaluator.f_max - mu)
     for it in range(1, MAX_ITERATIONS + 1):
         if step is None or (it > 1 and step >= mu):
-            step = 0.5 * (lo + hi)
-        mu = min(max(step, lo), hi)
+            mu = 0.5 * (lo + hi)
+        else:
+            mu = min(max(step - 0.5 * tolerance, lo), hi)
         evaluator.rho(mu)
         r, step = evaluator.recorded(mu)
         if r > 0.0:
-            lo = mu
-            if step is not None:
-                hi = max(mu, min(hi, step))
+            lo, right = mu, hi
         else:
-            lo, hi = max(lo, mu + r / slope), mu
+            lo, right = max(lo, mu + r / slope), mu
+        hi = max(lo, right if step is None else min(right, step))
         if hi - lo <= tolerance:
-            return BracketResult(mu, "unique-root", it, hi - lo)
+            return BracketResult(hi, "unique-root", it, hi - lo)
     raise ConvergenceError(
         f"the root was not bracketed in {MAX_ITERATIONS} iterations")
 
@@ -335,10 +339,12 @@ def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
 def _upper_positive_outside(net: CredalNetwork, rel,
                             evidence: Mapping[str, str]) -> bool:
     """Positivity of the upper probability that the non-descendants of
-    K give to ``evidence`` over them: the atom product when it
-    instantiates them all, else the planner's upper probability on
-    ``net``, equal by marginalisation, as they form an ancestral set."""
-    if not evidence:
+    K give to ``evidence`` over them: at once where every local set
+    gives every state a positive upper probability, and so every atom
+    too; else the atom product when the evidence instantiates them all,
+    else the planner's upper probability on ``net``, equal by
+    marginalisation, as they form an ancestral set."""
+    if not evidence or net.least_upper_probability > TOL_SIGN:
         return True
     if set(evidence) == rel.non_descendants:
         nsub = sub_network(net, rel.non_descendants, {})

@@ -8,9 +8,14 @@ network: it marginalises to the ancestral closure of the query, peels
 final segments while the iterated law applies, and hands the irreducible
 core to the linear program (:func:`credalnet.lp.lower_expectation_lp`
 solves the whole program with no planning).  It peels on a scope and a
-bare array (:func:`_peel`, one local contraction per node; on a chain,
-the backward composition of the transfer operators).  Each step appends
-a :class:`Reduction` record to the optional trace for auditing.
+bare array with a leading gamble axis (:func:`_peel`, one local
+contraction per node; on a chain, the backward composition of the
+transfer operators), so that one pass answers a batch of gambles on one
+scope, such as a gamble and its negation for the two bounds of a query:
+each sub-network and each LP core, with its phase 1, is built once for
+the batch, and the core runs a phase 2 per gamble.  A single gamble is
+the batch of one.  Each step appends a :class:`Reduction` record to the
+optional trace for auditing, once per pass.
 Hypothesis failures in the explicitly invoked operations raise
 :class:`~credalnet.errors.HypothesisError`; only the planner is allowed
 to fall back silently, because falling back is its documented job.
@@ -19,15 +24,14 @@ to fall back silently, because falling back is its documented job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import lp
 from .errors import HypothesisError, InputError
 from .graph import is_closed, set_relations
-from .network import (CredalNetwork, Event, Factor, joint_states,
-                      restrict_factor, sub_network)
+from .network import CredalNetwork, Event, Factor, joint_states, sub_network
 
 
 @dataclass
@@ -70,13 +74,19 @@ def _require_closed(net: CredalNetwork, K) -> frozenset:
 def _peel(net: CredalNetwork, s: str, scope: tuple, values: np.ndarray
           ) -> tuple[tuple[str, ...], np.ndarray]:
     """The iterated law's inner values for one node ``s`` and the scope
-    they lie over: a :meth:`CredalNetwork.local_lower` contraction of
-    ``values`` (an axis per ``scope`` node, a unit axis added per parent
-    outside it) with axes moved to (others..., parents..., s), skipping
-    identity permutations; a gamble on ``s`` alone needs none."""
+    they lie over, for a batch of gambles: a
+    :meth:`CredalNetwork.local_lower` contraction of ``values`` (a
+    leading gamble axis, then an axis per ``scope`` node, a unit axis
+    added per parent outside it) with axes moved to (gamble, others...,
+    parents..., s), skipping identity permutations.  A gamble on ``s``
+    alone needs no permutation, only the unit parent axes, without which
+    the gamble axis would be read as a parent axis."""
     parents = net.dag.parents(s)
     new = order = parents
-    if scope != (s,):
+    if scope == (s,):
+        values = values.reshape(values.shape[:1] + (1,) * len(parents)
+                                + values.shape[1:])
+    else:
         order = tuple(x for x in scope if x != s and x not in parents) \
             + parents
         new = net.dag.sorted_nodes(order)
@@ -84,13 +94,14 @@ def _peel(net: CredalNetwork, s: str, scope: tuple, values: np.ndarray
         axes = scope + tuple(x for x in order + (s,) if x not in scope)
         values = values.reshape(values.shape + (1,) * (len(axes) - len(scope)))
         if axes != order + (s,):
-            values = values.transpose([axes.index(x) for x in order + (s,)])
+            values = values.transpose(
+                [0] + [axes.index(x) + 1 for x in order + (s,)])
         if s not in scope:
             values = np.broadcast_to(values,
                                      values.shape[:-1] + (net.size(s),))
     values = net.local_lower(s, values)
     if new != order:
-        values = values.transpose([order.index(x) for x in new])
+        values = values.transpose([0] + [order.index(x) + 1 for x in new])
     return new, values
 
 
@@ -99,30 +110,59 @@ def _inner_values(net: CredalNetwork, S, scope: tuple, values: np.ndarray,
     """The iterated law's inner values, as :func:`_peel` gives them, for
     a final segment S: one peel for a single node, else the lower
     expectation over the S-sub-network at each state of (scope \\ S)
-    union parents(S), which the full inner factor factors through."""
+    union parents(S), which the full inner factor factors through; each
+    of those sub-networks is built once for the whole batch."""
     if len(S) == 1:
         (s,) = S
         return _peel(net, s, scope, values)
     Sf = frozenset(S)
     parents = frozenset(p for s in Sf for p in net.dag.parents(s)) - Sf
     new = net.dag.sorted_nodes((set(scope) - Sf) | parents)
-    f = Factor(scope, values)
-    inner = [lower_expectation(sub_network(net, Sf, ctx),
-                               restrict_factor(net, f, ctx), trace=trace)
-             for ctx in joint_states(net, new)]
-    return new, np.reshape(inner, net.shape(new))
+    inside = tuple(x for x in scope if x in Sf)
+    inner = np.empty((len(values), net.joint_count(new)))
+    for i, ctx in enumerate(joint_states(net, new)):
+        # every scope node outside S is in ctx: plug its state in
+        index = tuple(slice(None) if x in Sf else
+                      net.state_index(x, ctx[x]) for x in scope)
+        inner[:, i] = _plan(sub_network(net, Sf, ctx), inside,
+                            values[(slice(None),) + index], trace)
+    return new, inner.reshape(inner.shape[:1] + net.shape(new))
 
 
-def lower_expectation(net: CredalNetwork, f: Factor, *,
-                      trace: list | None = None) -> float:
+def lower_expectation(net: CredalNetwork, f: Factor | Sequence[Factor], *,
+                      trace: list | None = None) -> float | np.ndarray:
     """Unconditional tight lower expectation of ``f`` by the planner.
-    By marginalisation an ancestral node set keeps its own local models,
-    so a sub-network is built only for the core that no peel reduces."""
-    _scope_in(net, f, net.dag.nodes)
-    dag, scope = net.dag, f.scope
-    values = net.aligned(f, dag.sorted_nodes(scope))   # checked once
+
+    ``f`` may also be a sequence of factors on one scope, such as a
+    gamble and its negation, whose lower expectation is minus the upper
+    one: their lower expectations come back in an array, from one pass
+    that carries a leading gamble axis through every peel, so that each
+    sub-network and each LP core is built once for them all.  A single
+    factor is the batch of one."""
+    fs = [f] if isinstance(f, Factor) else list(f)
+    if not fs:
+        raise InputError("no gamble to take the lower expectation of")
+    scope = fs[0].scope
+    for g in fs:
+        _scope_in(net, g, net.dag.nodes)
+        if g.scope != scope:
+            raise InputError(f"factor scopes {scope} and {g.scope} differ")
+    values = np.stack([net.aligned(g, net.dag.sorted_nodes(scope))
+                       for g in fs])   # checked once
+    lower = _plan(net, scope, values, trace)
+    return float(lower[0]) if isinstance(f, Factor) else lower
+
+
+def _plan(net: CredalNetwork, scope: tuple, values: np.ndarray,
+          trace: list | None) -> np.ndarray:
+    """The planner's lower expectations of the gambles ``values`` (a
+    leading gamble axis, then an axis per ``scope`` node, in declaration
+    order).  By marginalisation an ancestral node set keeps its own local
+    models, so a sub-network is built only for the core that no peel
+    reduces."""
+    dag = net.dag
     if not scope:
-        return float(values)
+        return values
     # Step 1: drop everything outside the ancestral closure A of the scope
     # (a closed set with no external parents; marginalisation applies),
     # counting each node's children in A, live until peeled.  It runs
@@ -163,11 +203,12 @@ def lower_expectation(net: CredalNetwork, f: Factor, *,
         (s,) = A
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
-        return net.local(s, ()).lower_expectation(values)
+        local = net.local(s, ())
+        return np.array([local.lower_expectation(v) for v in values])
     core = net if len(A) == len(dag.nodes) else sub_network(net, A, {})
     if trace is not None:
         trace.append(Reduction("lp", {"nodes": core.dag.nodes}))
-    return lp.lower_expectation_lp(core, Factor(scope, values))
+    return lp.lower_expectation_lp(core, [Factor(scope, v) for v in values])
 
 
 def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
@@ -226,9 +267,9 @@ def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
         trace.append(Reduction("iterated", {"S": tuple(sorted(Sf))}))
     if not T:
         return lower_expectation(net, f, trace=trace)
-    inner = _inner_values(net, Sf, f.scope, net.aligned(
-        f, net.dag.sorted_nodes(f.scope)), trace)
-    return lower_expectation(sub_network(net, T, {}), Factor(*inner),
+    scope, inner = _inner_values(net, Sf, f.scope, net.aligned(
+        f, net.dag.sorted_nodes(f.scope))[None], trace)
+    return lower_expectation(sub_network(net, T, {}), Factor(scope, inner[0]),
                              trace=trace)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -240,10 +240,15 @@ class GlobalPolytope:
         return polytope.cut_simplex(self.idx.total, self.rows)
 
 
-def lower_expectation_lp(net: CredalNetwork, f: Factor) -> float:
-    """Tight lower expectation of ``f`` via the global program."""
-    value, _ = GlobalPolytope(net).minimize(factor_vector(net, f))
-    return float(value)
+def lower_expectation_lp(net: CredalNetwork, f: Factor | Sequence[Factor]
+                         ) -> float | np.ndarray:
+    """Tight lower expectation of ``f`` via the global program.  For a
+    sequence of factors, their lower expectations in an array, from one
+    build of the program and its phase 1 and a phase 2 for each."""
+    gp = GlobalPolytope(net)
+    if isinstance(f, Factor):
+        return float(gp.minimize(factor_vector(net, f))[0])
+    return np.array([gp.minimize(factor_vector(net, g))[0] for g in f])
 
 
 def enumerate_joint_extreme_points(net: CredalNetwork) -> list[MassFunction]:

@@ -3,7 +3,8 @@ or a specialised recursion, and report lower/upper values with bracket
 diagnostics.  Upper values always come from conjugacy (the negated gamble
 through the same machinery).  An unconditional query goes to the global
 program (``lp``) or to the planner (``auto``, ``decompose``, and ``chain``
-on a chain with the gamble on its last node)."""
+on a chain with the gamble on its last node), either of which takes the
+gamble and its negation as one batch."""
 
 from __future__ import annotations
 
@@ -41,22 +42,26 @@ def _hmm_sweep(net: CredalNetwork, q: Query):
     return lambda f: chains.hmm_forward_rho(spec, f, plan)
 
 
-def _unconditional_bound(net: CredalNetwork, q: Query,
-                         trace: list | None) -> Callable[[Factor], float]:
-    """The lower expectation of a gamble by the query's method."""
+def _unconditional_bounds(net: CredalNetwork, q: Query,
+                          trace: list | None) -> tuple[float, float]:
+    """The lower and the upper expectation of the query's gamble by the
+    query's method: the lower expectations of the gamble and of its
+    negation, in one batch."""
+    batch = [q.target, -q.target]
     if q.method == "lp":
-        gp = lp.GlobalPolytope(net)
-        return lambda f: float(gp.minimize(lp.factor_vector(net, f))[0])
-    if q.method == "chain":
-        last = chains.chain_order(net)[-1]
-        if q.target.scope not in ((last,), ()):
-            raise InputError(f"factor must be scoped to node {last!r}")
-    if q.method in ("auto", "decompose", "chain"):
-        return lambda f: decompose.lower_expectation(net, f, trace=trace)
-    if q.method == "hmm":
+        lower, neg_upper = lp.lower_expectation_lp(net, batch)
+    elif q.method in ("auto", "decompose", "chain"):
+        if q.method == "chain":
+            last = chains.chain_order(net)[-1]
+            if q.target.scope not in ((last,), ()):
+                raise InputError(f"factor must be scoped to node {last!r}")
+        lower, neg_upper = decompose.lower_expectation(net, batch, trace=trace)
+    elif q.method == "hmm":
         raise HypothesisError(
             "hidden-state dispatch requires a conditional query")
-    raise InputError(f"unknown method {q.method!r}")
+    else:
+        raise InputError(f"unknown method {q.method!r}")
+    return float(lower), -float(neg_upper)
 
 
 _SWEEPS = {"chain": _chain_sweep, "hmm": _hmm_sweep}
@@ -83,15 +88,18 @@ def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     """Evaluate one query; returns a flat result mapping for reporting.
-    The lower and the upper bound share the ``auto`` reduction, one
-    build of the global program and its phase 1, and the plan of a
+    The lower and the upper bound share one build of each global program
+    and its phase 1.  An unconditional query answers both in one batch:
+    one pass of the planner, which builds each of its sub-networks once
+    and appends one record set to ``trace``, or one global program for
+    ``lp``.  A conditional query runs a bracket, or with no evidence left
+    a planner pass, per bound, over the program of the ``auto``
+    reduction or the ``lp`` method, and the bounds share the plan of a
     chain or hidden-state sweep."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":
-        bound = _unconditional_bound(net, q, trace)
-        lower = bound(q.target)
-        upper = -bound(-q.target)
+        lower, upper = _unconditional_bounds(net, q, trace)
         out.update(lower=lower, upper=upper, kind="exact", iterations=0)
         return out
 

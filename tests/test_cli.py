@@ -101,6 +101,22 @@ def test_one_global_program_per_lp_query(capsys, monkeypatch, net, query):
     assert len(built) == 1
 
 
+def test_one_build_per_core_of_an_unconditional_auto_query(capsys,
+                                                           monkeypatch):
+    # the two unconnected coins are the planner's LP core: one pass for
+    # the gamble and its negation builds it, and traces it, once
+    built = []
+    init = lp.GlobalPolytope.__init__
+    monkeypatch.setattr(lp.GlobalPolytope, "__init__",
+                        lambda gp, *a, **kw: built.append(gp) or
+                        init(gp, *a, **kw))
+    code, pairs, _ = run(capsys, "trace", data("two_coins.json"),
+                         data("agreement_auto_query.json"))
+    assert code == 0
+    assert len(built) == 1 and built[0].net.dag.nodes == ("1", "2")
+    assert pairs["lp nodes"] == "('1', '2')"
+
+
 def test_one_global_program_per_reduced_auto_query(capsys, monkeypatch,
                                                    tmp_path):
     # the evidence on c is left inside K = {b, c}, which is smaller than
@@ -137,6 +153,9 @@ def test_regular_leaf_query_with_zero_upper_probability(capsys):
     for key in ("lower", "upper", "kind"):
         assert auto[key] == exact[key]
     assert (auto["lower"], auto["kind"]) == ("0.0", "vacuous-fallback")
+    # the gate is not settled by the local sets: a's has P(a = 0) = 0
+    net = fileio.load_network(data("zero_gate.json"))
+    assert net.least_upper_probability == 0.0
 
 
 def test_trace_matches_committed_text(capsys):
@@ -148,6 +167,18 @@ def test_trace_matches_committed_text(capsys):
     assert code == 0
     with open(data("chain3_auto_query.trace"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_one_pass_trace_matches_committed_text(capsys):
+    # an auto unconditional query on an LP core: one pass answers both
+    # bounds, so the log shows the core once
+    code = cli.main(["trace", data("two_coins.json"),
+                     data("agreement_auto_query.json")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    with open(data("agreement_auto_query.trace"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert out.count("lp nodes=('1', '2')") == 1
 
 
 @pytest.mark.parametrize("net, query, dump", CASES)

@@ -14,7 +14,7 @@ from credalnet.credal import CredalSet
 from credalnet.decompose import (atom_bounds, combined, external_additivity,
                                  factorise, iterated_lower_expectation,
                                  lower_expectation, marginalise, trace_lines)
-from credalnet.errors import HypothesisError
+from credalnet.errors import HypothesisError, InputError
 from credalnet.graph import Dag, closure, is_closed, set_relations
 from credalnet.network import (CredalNetwork, Factor, joint_states,
                                restrict_factor, sub_network)
@@ -111,6 +111,57 @@ class TestPlanner:
         sub = sub_network(net, {"1", "2", "3"}, {})
         assert value == pytest.approx(
             lp.lower_expectation_lp(sub, f), abs=1e-7)
+
+
+class TestBatch:
+    """The planner's leading gamble axis: a batch of gambles on one scope
+    gets, bit for bit, the lower expectation of each gamble alone."""
+
+    def test_random_nets(self, rng):
+        # gambles on 1-3 nodes of 4-8-node nets: multi-sink segments and
+        # LP cores built per context of one occur
+        multi_sink = per_context = 0
+        for _ in range(60):
+            net = random_binary_net(rng, int(rng.integers(4, 9)), edge_p=0.5)
+            scope = rng.choice(net.dag.nodes, size=int(rng.integers(1, 4)),
+                               replace=False)
+            fs = [random_factor(rng, net, scope) for _ in range(3)]
+            fs.append(-fs[0])
+            trace = []
+            batch = lower_expectation(net, fs, trace=trace)
+            assert batch.tolist() == [lower_expectation(net, f) for f in fs]
+            multi_sink += any(r.kind == "iterated" and len(r.premise["S"]) > 1
+                              for r in trace)
+            per_context += sum(r.kind == "lp" for r in trace) > 1
+        assert multi_sink and per_context
+
+    def test_long_chain(self, rng):
+        net = random_chain_net(rng, 10 ** 3)
+        f = random_factor(rng, net, ["1000"])
+        lower, neg_upper = lower_expectation(net, [f, -f])
+        assert (lower, neg_upper) == (lower_expectation(net, f),
+                                      lower_expectation(net, -f))
+
+    def test_gamble_on_one_non_root_node(self, rng):
+        # a batch of two gambles on a node with one binary parent: the
+        # gamble axis has the length of the parent axis, and must not be
+        # read as one
+        for _ in range(5):
+            net = random_chain_net(rng, 3)
+            f, g = (random_factor(rng, net, ["2"]) for _ in range(2))
+            assert lower_expectation(net, [f, g]).tolist() == [
+                lower_expectation(net, f), lower_expectation(net, g)]
+            _, inner = decompose._peel(net, "2", ("2",),
+                                       np.stack([f.values, g.values]))
+            assert inner.shape == (2, 2)
+
+    def test_scopes_must_agree(self, rng):
+        net = random_chain_net(rng, 3)
+        with pytest.raises(InputError):
+            lower_expectation(net, [random_factor(rng, net, ["2"]),
+                                    random_factor(rng, net, ["3"])])
+        with pytest.raises(InputError):
+            lower_expectation(net, [])
 
 
 class TestMarginalise:
@@ -243,7 +294,8 @@ class TestIterated:
                                     replace=False),
                      *rng.choice(sorted(parents), size=1)}
             f = random_factor(rng, net, scope)
-            inner_scope, inner = decompose._peel(net, s, f.scope, f.values)
+            inner_scope, inner = decompose._peel(net, s, f.scope,
+                                                 f.values[None])
             assert set(inner_scope) == (set(f.scope) - {s}) | parents
             expect = [lower_expectation(sub_network(net, {s}, ctx),
                                         restrict_factor(net, f, ctx))
@@ -281,17 +333,17 @@ class TestPeel:
             assert trace[0].premise == {"S": ("s",)}
             assert value == pytest.approx(lp.lower_expectation_lp(net, f),
                                           abs=1e-7)
-            scope, inner = decompose._peel(net, "s", f.scope, f.values)
+            scope, inner = decompose._peel(net, "s", f.scope, f.values[None])
             assert scope == ("a", "x", "b")
-            assert inner.shape == (2, 3, 2)
+            assert inner.shape == (1, 2, 3, 2)
 
     def test_node_outside_the_scope(self, rng):
         # the gamble is constant along the axis of the peeled node
         for _ in range(4):
             net = random_chain_net(rng, 5)
             f = random_factor(rng, net, ["3"])
-            scope, inner = decompose._peel(net, "5", f.scope, f.values)
-            assert scope == ("3", "4") and inner.shape == (2, 2)
+            scope, inner = decompose._peel(net, "5", f.scope, f.values[None])
+            assert scope == ("3", "4") and inner.shape == (1, 2, 2)
             assert iterated_lower_expectation(net, {"5"}, f) == \
                 lower_expectation(net, f)
 
