@@ -339,12 +339,10 @@ def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
 def _upper_positive_outside(net: CredalNetwork, rel,
                             evidence: Mapping[str, str]) -> bool:
     """Positivity of the upper probability that the non-descendants of
-    K give to ``evidence`` over them: at once where every local set
-    gives every state a positive upper probability, and so every atom
-    too; else the atom product when the evidence instantiates them all,
-    else the planner's upper probability on ``net``, equal by
-    marginalisation, as they form an ancestral set."""
-    if not evidence or net.least_upper_probability > TOL_SIGN:
+    K give to ``evidence`` over them: the atom product when it
+    instantiates them all, else the planner's upper probability on
+    ``net``, equal by marginalisation, as they form an ancestral set."""
+    if not evidence:
         return True
     if set(evidence) == rel.non_descendants:
         nsub = sub_network(net, rel.non_descendants, {})

@@ -232,15 +232,6 @@ class CredalSet:
         return self._V[0]
 
     @property
-    def least_upper_probability(self) -> float:
-        """The least upper probability the set gives one state: the least
-        column maximum of the vertices, or of the local LPs' values for a
-        set given by constraints only."""
-        if self._V is not None:
-            return min(map(max, zip(*self._V.tolist())))
-        return min(self.upper_probability({x}) for x in self.states)
-
-    @property
     def n_states(self) -> int:
         return len(self.states)
 

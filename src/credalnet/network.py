@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -160,13 +160,6 @@ class CredalNetwork:
         if key not in self.locals:
             raise InputError(f"no local model for {key}")
         return self.locals[key]
-
-    @cached_property
-    def least_upper_probability(self) -> float:
-        """The least upper probability that a local set gives a state.
-        Where it is positive, so is the upper probability of every joint
-        state, the product of local ones, and of every non-empty event."""
-        return min(m.least_upper_probability for m in self.locals.values())
 
     def local_lower(self, s: str, g) -> np.ndarray:
         """The lower expectation of the gamble ``g`` on ``s`` under the

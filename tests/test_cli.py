@@ -153,9 +153,6 @@ def test_regular_leaf_query_with_zero_upper_probability(capsys):
     for key in ("lower", "upper", "kind"):
         assert auto[key] == exact[key]
     assert (auto["lower"], auto["kind"]) == ("0.0", "vacuous-fallback")
-    # the gate is not settled by the local sets: a's has P(a = 0) = 0
-    net = fileio.load_network(data("zero_gate.json"))
-    assert net.least_upper_probability == 0.0
 
 
 def test_trace_matches_committed_text(capsys):

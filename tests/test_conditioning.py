@@ -446,13 +446,10 @@ class TestConditionDispatch:
 
 
 
-def gate_net(rng, zero: bool, point_mass: bool = True):
+def gate_net(rng, zero: bool):
     """e -> a -> b -> c, binary.  The state '0' of a has zero upper
     probability when ``zero`` is set, and positive upper probability
-    otherwise.  With ``point_mass``, c given b = 1 is the point mass on
-    c = 1, whose state 0 has zero upper probability without making any
-    evidence of the tests impossible, so that the rest-of-network gate
-    is evaluated; every other local set is an interval inside (0, 1)."""
+    otherwise; every other local set is an interval inside (0, 1)."""
     dag = Dag(["e", "a", "b", "c"], [("e", "a"), ("a", "b"), ("b", "c")])
     locals_ = {("e", ()): binary_interval(("0", "1"), 0.3, 0.6)}
     for cfg in (("0",), ("1",)):
@@ -461,8 +458,6 @@ def gate_net(rng, zero: bool, point_mass: bool = True):
         for s in ("b", "c"):
             lo, hi = np.sort(rng.uniform(0.1, 0.9, size=2))
             locals_[(s, cfg)] = binary_interval(("0", "1"), lo, hi)
-    if point_mass:
-        locals_[("c", ("1",))] = singleton(("0", "1"), (0.0, 1.0))
     return binary_net(dag, locals_)
 
 
@@ -498,25 +493,6 @@ class TestRestGate:
         if zero:
             assert auto["lower"] == conditioning._vacuous_bound(net, f, B)
 
-    @pytest.mark.parametrize("evidence", [{"e": "1", "a": "0", "c": "1"},
-                                          {"a": "0", "c": "1"}])
-    def test_positive_local_upper_probabilities_settle_it(self, rng,
-                                                          monkeypatch,
-                                                          evidence):
-        # every local set gives every state a positive upper probability,
-        # so every atom has one: the gate runs neither branch
-        from credalnet import decompose
-        for branch in ("atom_bounds", "lower_expectation"):
-            monkeypatch.setattr(decompose, branch, None)
-        net = gate_net(rng, False, point_mass=False)
-        assert net.least_upper_probability > conditioning.TOL_SIGN
-        f = random_factor(rng, net, ["b"])
-        B = net.cylinder(evidence)
-        auto = run_query(net, Query(f, B, "regular", "auto", 1e-10))
-        monkeypatch.undo()
-        natural = run_query(net, Query(f, B, "natural", "auto", 1e-10))
-        assert auto == {**natural, "rule": "regular"}
-
 
 class TestRegularZeroProbability:
     """The regular rule where the evidence has zero lower or zero upper
@@ -547,24 +523,6 @@ class TestRegularZeroProbability:
             assert got == pytest.approx(complete["lower"], abs=1e-6)
             kinds.update((lp_["kind"], complete["kind"]))
         assert {"rightmost-root", "vacuous-fallback"} <= kinds
-
-    def test_no_planner_pass_on_a_long_chain(self, monkeypatch):
-        # no local set of the chain gives a state zero upper probability:
-        # the gate on the 9999 non-descendants of K = {10000} makes no
-        # planner pass over them; the one pass left is the leaf's
-        from credalnet import decompose
-        net = random_chain_net(np.random.default_rng(0), 10 ** 4)
-        f = random_factor(np.random.default_rng(1), net, ["10000"])
-        B = net.cylinder({"9999": "0", "1": "1"})
-        planned = []
-        spied = decompose.lower_expectation
-        monkeypatch.setattr(decompose, "lower_expectation", lambda n, *a, **kw:
-                            planned.append(n) or spied(n, *a, **kw))
-        regular = run_query(net, Query(f, B, "regular", "auto", 1e-9))
-        assert [len(n.dag.nodes) for n in planned] == [1, 1]
-        assert regular["kind"] == "local-fallback"
-        natural = run_query(net, Query(f, B, "natural", "auto", 1e-9))
-        assert regular == {**natural, "rule": "regular"}
 
     def test_rest_gate_on_a_long_chain(self):
         # the gate on the non-descendants 1..30 runs the planner, not a

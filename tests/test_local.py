@@ -268,9 +268,6 @@ class TestRowsReadOnTheSimplex:
         got = sorted(tuple(np.round(v.probs, 9))
                      for v in constraints_to_vertices(m))
         assert got == sorted(tuple(np.round(v, 9)) for v in verts)
-        assert m.least_upper_probability == pytest.approx(
-            np.max(verts, axis=0).min(), abs=1e-9)
-        assert twin.least_upper_probability == np.max(verts, axis=0).min()
 
 
 class TestConversions:
