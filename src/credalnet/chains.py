@@ -15,13 +15,15 @@ neither on the gamble nor on mu, so the lower and the upper bound of a
 query share it: for a reverse chain the two indicator envelopes
 (:func:`reverse_plan`, one backward pass), for a hidden-state model the
 lower and upper probability of every observed symbol and the axis order
-and local stack of every step (:func:`hmm_plan`).  :func:`chain_reverse_rho` and
-:func:`hmm_forward_rho` build rho for one gamble from a plan; an
-evaluation is then one front contraction on a chain, and one
-weight/multiply/contract step per time step on a hidden-state model.
-Like the global program, an evaluation also gives the probability of
-the event under a model attaining rho, from the attaining local mass
-functions
+and local stack of every step (:func:`hmm_plan`), each built as a batch
+of two.  :func:`chain_reverse_rho` and :func:`hmm_forward_rho` build rho
+for a batch of gambles from a plan, with a leading gamble axis, so that
+the two bounds' brackets run in lockstep
+(:func:`~credalnet.conditioning.condition_lockstep`): one evaluation,
+one front contraction on a chain and one weight/multiply/contract step
+per time step on a hidden-state model, serves both.  Like the global
+program, an evaluation also gives the probability of the event under a
+model attaining rho, from the attaining local mass functions
 (:meth:`~credalnet.network.CredalNetwork.local_lower_argmin`).
 """
 
@@ -42,8 +44,9 @@ __all__ = [
     "chain_reverse_rho", "HmmSpec", "infer_hmm_spec", "HmmStep", "hmm_plan",
     "hmm_forward_rho", "complete_evidence_lower"]
 
-#: rho at one mu: ``(rho, E_p[f 1_B], P_p(B))`` at a model p attaining it.
-Rho = Callable[[float], tuple[float, float, float]]
+#: rho of a batch of gambles: ``rho(slots, mus)`` gives gamble ``slots[i]``
+#: at ``mus[i]``, arrays ``(rho, E_p[f 1_B], P_p(B))``, p attaining rho.
+Rho = Callable[[Sequence[int], Sequence[float]], tuple]
 
 
 def chain_order(net: CredalNetwork) -> tuple[str, ...]:
@@ -91,19 +94,20 @@ def _gamble_on(net: CredalNetwork, node: str, h) -> np.ndarray:
     return values
 
 
-def _sign_split(argmin: Callable, h: np.ndarray, low: np.ndarray,
+def _sign_split(argmin: Callable, hs: np.ndarray, low: np.ndarray,
                 high: np.ndarray) -> Rho:
-    """rho of a weighted gamble: rho(mu) is the lower expectation of
-    ``w * (h - mu)``, where ``w`` is ``low`` where ``h >= mu`` and
-    ``high`` elsewhere, by ``argmin`` (value and an attaining mass
-    function).  The weights' mean under that mass function is P(B) at a
-    model attaining rho; rho(mu) returns ``(rho, rho + mu * P, P)``."""
+    """rho of weighted gambles ``h``, the rows of ``hs``: rho(mu) is the
+    lower expectation of ``w * (h - mu)``, where ``w`` is ``low`` where
+    ``h >= mu`` and ``high`` elsewhere, by ``argmin`` (value and an
+    attaining mass function).  The weights' mean under that mass
+    function is P(B) at a model attaining rho."""
 
-    def rho(mu: float) -> tuple[float, float, float]:
-        w = np.where(h >= mu, low, high)
-        value, mass = argmin(w * (h - mu))
-        value, prob = float(value), float(mass @ w)
-        return value, value + mu * prob, prob
+    def rho(slots, mus):
+        h, mus = hs[list(slots)], np.reshape(mus, (-1, 1))
+        w = np.where(h >= mus, low, high)
+        value, mass = argmin(w * (h - mus))
+        prob = (mass[:, None] @ w[..., None])[:, 0, 0]
+        return value, value + mus.ravel() * prob, prob
 
     return rho
 
@@ -122,29 +126,29 @@ class ReversePlan:
 
 def reverse_plan(net: CredalNetwork, x_n: str) -> ReversePlan:
     """The two indicator envelopes of ``X_last = x_n``, in one backward
-    pass of the transfer operators."""
+    pass of the transfer operators over the lower and the negated upper
+    one, a batch of two with a unit parent axis."""
     order = chain_order(net)
     last = order[-1]
     if x_n not in net.states(last):
         raise InputError(f"unknown state {x_n!r} of node {last!r}")
-    lo_env = hi_env = np.array([x == x_n for x in net.states(last)], float)
+    env = np.array([[x == x_n for x in net.states(last)]], float) * [[1], [-1]]
     for k in range(len(order) - 1, 0, -1):
-        op = TransferOperator(net, order[k])
-        lo_env, hi_env = op(lo_env), op.upper(hi_env)
-    return ReversePlan(order[0], lo_env, hi_env)
+        env = TransferOperator(net, order[k])(env[:, None])
+    return ReversePlan(order[0], env[0], -env[1])
 
 
-def chain_reverse_rho(net: CredalNetwork, h, plan: ReversePlan) -> Rho:
+def chain_reverse_rho(net: CredalNetwork, hs, plan: ReversePlan) -> Rho:
     """Bracketing function for conditioning the first chain node on the
-    value of the last one: rho(mu) is the lower expectation of
-    ``1{X_last = x_n} * (h(X_first) - mu)``.
+    value of the last one, for the gambles ``hs``: rho(mu) is the lower
+    expectation of ``1{X_last = x_n} * (h(X_first) - mu)``.
 
     The plan's envelopes weight the positive and the negative part of
     ``h - mu`` (:func:`_sign_split`), so an evaluation is one
     contraction at the first node."""
     return _sign_split(partial(net.local_lower_argmin, plan.first),
-                       _gamble_on(net, plan.first, h), plan.lo_env,
-                       plan.hi_env)
+                       np.array([_gamble_on(net, plan.first, h) for h in hs]),
+                       plan.lo_env, plan.hi_env)
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,10 @@ class HmmStep:
     """One time step of :func:`hmm_forward_rho`, from the envelope over
     the parents of the next state node to one over the parents of a
     state node: ``axes`` moves the axis of the state node last,
-    ``shape`` is the reshape onto its parents (length 1 where the next
-    node does not share a parent) and its states, ``low`` and ``high``
-    are the lower and upper probability of the observed symbol given
-    each of its states, and ``stack`` is its local stack
+    ``shape`` is the reshape onto the gamble axis, its parents (length 1
+    where the next node does not share a parent) and its states, ``low``
+    and ``high`` are the lower and upper probability of the observed
+    symbol given each of its states, and ``stack`` is its local stack
     (:meth:`CredalNetwork.local_stack`)."""
 
     stack: np.ndarray
@@ -195,7 +199,7 @@ def hmm_plan(spec: HmmSpec, observations: Mapping[str, str]
              ) -> tuple[HmmStep, ...]:
     """The part of :func:`hmm_forward_rho` that depends neither on the
     gamble nor on mu: its steps, from the last observation to the first;
-    two local lower expectations per observation node."""
+    one local lower expectation of a batch of two per observation."""
     net = spec.net
     s_nodes, o_nodes = spec.state_nodes, spec.obs_nodes
     if set(observations) != set(o_nodes):
@@ -208,20 +212,19 @@ def hmm_plan(spec: HmmSpec, observations: Mapping[str, str]
         sk, ok = s_nodes[k], o_nodes[k]
         seen = np.array([x == observations[ok] for x in net.states(ok)], float)
         nxt = net.dag.parents(s_nodes[k + 1])
-        i = nxt.index(sk)
-        axes = tuple(j for j in range(len(nxt)) if j != i) + (i,)
+        i = nxt.index(sk) + 1
+        axes = (0,) + tuple(j for j in range(1, len(nxt) + 1) if j != i) + (i,)
         # the envelope depends on the parents of s_k that s_{k+1} shares
-        shape = tuple(net.size(p) if p in nxt else 1
-                      for p in net.dag.parents(sk)) + (net.size(sk),)
-        steps.append(HmmStep(net.local_stack(sk), axes, shape,
-                             net.local_lower(ok, seen),
-                             -net.local_lower(ok, -seen)))
+        shape = (-1,) + tuple(net.size(p) if p in nxt else 1
+                              for p in net.dag.parents(sk)) + (net.size(sk),)
+        low, high = net.local_lower(ok, np.array([seen, -seen])[:, None])
+        steps.append(HmmStep(net.local_stack(sk), axes, shape, low, -high))
     return tuple(steps)
 
 
-def hmm_forward_rho(spec: HmmSpec, f, plan: tuple[HmmStep, ...]) -> Rho:
-    """Bracketing function of the filtering query: rho(mu) is the lower
-    expectation of ``1{observations} * (f(X_last_state) - mu)``.
+def hmm_forward_rho(spec: HmmSpec, fs, plan: tuple[HmmStep, ...]) -> Rho:
+    """Bracketing function of the filtering query of each of ``fs``:
+    rho(mu) is the lower expectation of ``1{observations} * (f - mu)``.
 
     Backward sweep: start from the local lower expectations of ``f - mu``
     at the final state node, then alternate the sign-split observation
@@ -229,23 +232,26 @@ def hmm_forward_rho(spec: HmmSpec, f, plan: tuple[HmmStep, ...]) -> Rho:
     symbol) with the transition's local lower expectation; P, the
     probability of the later observations at the attaining model, takes
     the same weights and attaining mass functions.  Linear in the number
-    of time steps.  rho(mu) returns ``(rho, rho + mu * P, P)``."""
+    of time steps.  rho returns ``(rho, rho + mu * P, P)``."""
     net = spec.net
     last = spec.state_nodes[-1]
-    fv = _gamble_on(net, last, f)
-    ones = np.ones(net.shape(net.dag.parents(last)))
+    ones = np.ones((1,) + net.shape(net.dag.parents(last)))
+    # a unit axis per parent, so that no gamble axis is read as one
+    fv = np.array([_gamble_on(net, last, f) for f in fs])
+    fv = fv.reshape(len(fs), *(1,) * (ones.ndim - 1), -1)
 
-    def rho(mu: float) -> tuple[float, float, float]:
-        # h is an array over the parents of the next state node, in
-        # declaration order
-        h, prob = net.local_lower(last, fv - mu), ones
+    def rho(slots, mus):
+        mus = np.reshape(mus, (-1,) + (1,) * (fv.ndim - 1))
+        # h is an array over the gambles and the parents of the next
+        # state node, in declaration order
+        h, prob = net.local_lower(last, fv[list(slots)] - mus), ones
         for step in plan:
             g = h.transpose(step.axes)
             w = np.where(g >= 0, step.low, step.high)
             prob = (prob.transpose(step.axes) * w).reshape(step.shape)
             h, mass = lower_argmin(step.stack, (g * w).reshape(step.shape))
             prob = (mass * prob).sum(-1)
-        return float(h), float(h + mu * prob), float(prob)
+        return h, h + mus.ravel() * prob, prob
 
     return rho
 
@@ -301,13 +307,12 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
         if x_E[s] not in net.states(s):
             raise InputError(f"unknown state {x_E[s]!r} of node {s!r}")
     fv = _gamble_on(net, q, f)
-    f_min, f_max = float(fv.min()), float(fv.max())
+    f_min = float(fv.min())
     reduced = conditioning.reduce_query(net, (q,), net.cylinder(x_E), rule)
     if reduced.vacuous:
         return f_min
-    local_q = reduced.net.local(q, ())
     if reduced.given is None:
-        return local_q.lower_expectation(fv)
+        return reduced.net.local(q, ()).lower_expectation(fv)
 
     desc = dag.sorted_nodes(dag.descendants(q))
     atom = {s: x_E[s] for s in desc}
@@ -315,10 +320,10 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
         sub_network(reduced.net, desc, {q: x}), atom)
         for x in net.states(q)]).T
 
-    ev = conditioning.RhoEvaluator(
-        _sign_split(local_q.lower_argmin, fv, prod_low, prod_high),
-        f_min, f_max, f_min)
+    rho = _sign_split(partial(reduced.net.local_lower_argmin, q), fv[None],
+                      prod_low, prod_high)
     try:
-        return conditioning.condition(ev, rule, tolerance).value
+        return conditioning.condition_lockstep(rho, [fv], rule,
+                                               tolerance)[0].value
     except HypothesisError:
         return f_min

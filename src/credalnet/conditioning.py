@@ -6,25 +6,25 @@ non-increasing; when the conditioning event has positive lower
 probability it is strictly decreasing and its unique root is the
 conditional lower expectation, when only the upper probability is
 positive its rightmost root is the regular-extension update, and when
-even the upper probability vanishes it is identically zero and carries
-no information (the vacuous bound ``min f over B`` is returned,
-flagged).  Sign tests at ``min f - 1`` and ``max f + 1`` decide which
-case applies.  The regular rule's vacuous case is decided in one place
-per query shape: by :func:`regular_conditional` from rho, and on a query
-reduced to a sub-network by :func:`reduce_query` first, from the upper
-probability that the rest of the network gives the evidence.
+even the upper probability vanishes it is identically zero (the vacuous
+bound ``min f over B`` is returned, flagged).  Sign tests below min f
+and above max f decide the case; the regular rule's vacuous case is
+decided by :func:`regular_conditional` from rho, and on a query reduced
+to a sub-network first by :func:`reduce_query`.
 
 Every engine (the global program and the chain, hidden-state and
-complete-evidence sweeps) also reports E_p[f 1_B] and P_p(B) at a model p
-attaining rho(mu), so the roots are found by Dinkelbach steps, mu <-
+complete-evidence sweeps) also reports E_p[f 1_B] and P_p(B) at a model
+p attaining rho(mu), so the roots are found by Dinkelbach steps, mu <-
 E_p[f 1_B] / P_p(B): Newton's method on the piecewise-linear rho, whose
-slope at mu is -P_p(B).  Bisection remains only for a step that rounding
-keeps from decreasing mu.  On the global program the objective of one
-step differs from the last only by a multiple of 1_B, so every
-evaluation, of either bound of a query, starts the simplex phase 2 from
-the optimal tableau of the evaluation before it (see
-:class:`credalnet.lp.GlobalPolytope`); a warm optimum that fails the
-residual check is recomputed from the phase-1 tableau.
+slope at mu is -P_p(B); bisection remains for a step that rounding keeps
+from decreasing mu.  The brackets are generator steps that yield the mu
+they need: :func:`condition` evaluates them one by one, and
+:func:`condition_lockstep` runs both bounds of a sweep query together,
+one batched evaluation per round.  On the global program one step's
+objective differs from the last by a multiple of 1_B, so every
+evaluation, of either bound, starts phase 2 from the optimal tableau
+before it (:class:`credalnet.lp.GlobalPolytope`), or from phase 1 where
+that optimum fails the residual check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Generator, Mapping, Sequence
 
 from . import decompose, lp
 from .errors import ConvergenceError, HypothesisError, InputError, ModelError
@@ -62,7 +62,8 @@ class RhoEvaluator:
     ``1_B * (f - mu)``, together with the cached range of f and the
     vacuous fallback value (min of f over B).  ``fn`` returns ``(rho,
     E_p[f 1_B], P_p(B))`` at a model ``p`` that attains rho, from which
-    the brackets take Dinkelbach steps.
+    the brackets take Dinkelbach steps; it is ``None`` where
+    :func:`condition_lockstep` evaluates and records in batches.
 
     Evaluations are recorded, and an abscissa seen before is not
     evaluated again.  They are opportunistically checked for
@@ -70,7 +71,7 @@ class RhoEvaluator:
     violation beyond tolerance exposes a broken engine.
     """
 
-    fn: Callable[[float], tuple[float, float, float]]
+    fn: Callable[[float], tuple[float, float, float]] | None
     f_min: float
     f_max: float
     vacuous_value: float
@@ -79,9 +80,13 @@ class RhoEvaluator:
     _seen: dict = field(default_factory=dict, repr=False)
 
     def rho(self, mu: float) -> float:
-        if mu in self._seen:
-            return self._seen[mu][0]
-        value, fb, pb = map(float, self.fn(mu))
+        if mu not in self._seen:
+            self.record(mu, *self.fn(mu))
+        return self._seen[mu][0]
+
+    def record(self, mu: float, value, fb, pb) -> None:
+        """Check and record rho(mu) = value, E_p[f 1_B] and P_p(B)."""
+        value, fb, pb = float(value), float(fb), float(pb)
         step = fb / pb if pb > 0.0 else None
         i = bisect.bisect_left(self._mus, mu)
         if i > 0 and value > self._vals[i - 1] + 1e-7:
@@ -91,7 +96,6 @@ class RhoEvaluator:
         self._mus.insert(i, mu)
         self._vals.insert(i, value)
         self._seen[mu] = (value, step)
-        return value
 
     def recorded(self, mu: float) -> tuple[float, float | None]:
         """rho at an evaluated ``mu``, and the Dinkelbach step from it:
@@ -100,31 +104,67 @@ class RhoEvaluator:
         return self._seen[mu]
 
 
+def _drive(evaluator: RhoEvaluator, steps: Generator):
+    """Evaluate each mu that ``steps`` yield; return what they return."""
+    try:
+        while True:
+            evaluator.rho(next(steps))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _sign(evaluator: RhoEvaluator, lower: bool) -> Generator:
+    mu = evaluator.f_min - 1.0 if lower else evaluator.f_max + 1.0
+    yield mu
+    return (1.0 if lower else -1.0) * evaluator.recorded(mu)[0] > TOL_SIGN
+
+
 def lower_prob_positive(evaluator: RhoEvaluator) -> bool:
     """Positive lower probability of B  <=>  rho positive below min f."""
-    return evaluator.rho(evaluator.f_min - 1.0) > TOL_SIGN
+    return _drive(evaluator, _sign(evaluator, True))
 
 
 def upper_prob_positive(evaluator: RhoEvaluator) -> bool:
     """Positive upper probability of B  <=>  rho negative above max f."""
-    return evaluator.rho(evaluator.f_max + 1.0) < -TOL_SIGN
+    return _drive(evaluator, _sign(evaluator, False))
 
 
 def natural_conditional(evaluator: RhoEvaluator,
                         tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
-    """Unique root of rho: the conditional lower expectation.
+    """Unique root of rho: the conditional lower expectation, defined
+    when the conditioning event has positive lower probability; otherwise
+    the natural extension cannot be recovered from rho."""
+    return _drive(evaluator, _bracket(evaluator, "natural", tolerance))
 
-    Only defined when the conditioning event has positive lower
-    probability; otherwise the root is not unique and the natural
-    extension cannot be recovered from rho."""
-    if not lower_prob_positive(evaluator):
+
+def regular_conditional(evaluator: RhoEvaluator,
+                        tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
+    """Updated lower expectation under the regular extension: at positive
+    lower probability the natural conditional, at zero lower but positive
+    upper probability the rightmost root of rho, and else, every model
+    being discarded by the update, the vacuous bound, flagged."""
+    return _drive(evaluator, _bracket(evaluator, "regular", tolerance))
+
+
+def _bracket(evaluator: RhoEvaluator, rule: str,
+             tolerance: float) -> Generator:
+    """The bracket of ``rule`` as generator steps: each yields the mu it
+    needs, which its driver evaluates through ``evaluator`` first."""
+    if rule not in ("natural", "regular"):
+        raise InputError(f"unknown rule {rule!r}")
+    if (yield from _sign(evaluator, True)):
+        return (yield from _unique_root(evaluator, tolerance))
+    if rule == "natural":
         raise HypothesisError(
             "conditioning event has zero lower probability; the "
             "natural-extension conditional is not computable from rho")
-    return _unique_root(evaluator, tolerance)
+    if not (yield from _sign(evaluator, False)):
+        return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
+                             0, 0.0)
+    return (yield from _rightmost_root(evaluator))
 
 
-def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
+def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> Generator:
     """The root of rho, given rho(min f - 1) > 0 (evaluated).
 
     Dinkelbach steps, from the one at min f - 1, each evaluated at
@@ -149,7 +189,7 @@ def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
             mu = 0.5 * (lo + hi)
         else:
             mu = min(max(step - 0.5 * tolerance, lo), hi)
-        evaluator.rho(mu)
+        yield mu
         r, step = evaluator.recorded(mu)
         if r > 0.0:
             lo, right = mu, hi
@@ -162,24 +202,7 @@ def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> BracketResult:
         f"the root was not bracketed in {MAX_ITERATIONS} iterations")
 
 
-def regular_conditional(evaluator: RhoEvaluator,
-                        tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
-    """Updated lower expectation under the regular extension.
-
-    Positive lower probability: same unique root as the natural
-    conditional.  Zero lower but positive upper probability: the
-    rightmost root of rho (see :func:`_rightmost_root`).  Zero upper
-    probability: every model is discarded by the update; the value falls
-    back to the vacuous bound and is flagged."""
-    if lower_prob_positive(evaluator):
-        return _unique_root(evaluator, tolerance)
-    if not upper_prob_positive(evaluator):
-        return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
-                             0, 0.0)
-    return _rightmost_root(evaluator)
-
-
-def _rightmost_root(evaluator: RhoEvaluator) -> BracketResult:
+def _rightmost_root(evaluator: RhoEvaluator) -> Generator:
     """The rightmost root of rho, given rho(max f + 1) < -TOL_SIGN
     (evaluated): Dinkelbach steps from there down to the first mu with
     rho(mu) >= -TOL_SIGN, as rho(min f) is; the reported width is the
@@ -188,7 +211,7 @@ def _rightmost_root(evaluator: RhoEvaluator) -> BracketResult:
     hi, step = evaluator.f_max, evaluator.recorded(evaluator.f_max + 1.0)[1]
     for it in range(1, MAX_ITERATIONS + 1):
         mu = hi = min(max(step, evaluator.f_min), hi)
-        evaluator.rho(mu)
+        yield mu
         r, step = evaluator.recorded(mu)
         if r >= -TOL_SIGN:
             width = 0.0 if step is None else max(0.0, mu - step)
@@ -210,6 +233,32 @@ def condition(evaluator: RhoEvaluator, rule: str,
     raise InputError(f"unknown rule {rule!r}")
 
 
+def condition_lockstep(fn: Callable, gambles: Sequence, rule: str,
+                       tolerance: float = DEFAULT_TOLERANCE
+                       ) -> list[BracketResult]:
+    """:func:`condition` of each gamble in lockstep: each round
+    evaluates the new mus that the open brackets ask for in one call of
+    the batched engine ``fn`` (:data:`credalnet.chains.Rho`; vacuous
+    value min f, as a sweep's event leaves the gamble's node free)."""
+    evs = [RhoEvaluator(None, float(f.min()), float(f.max()), float(f.min()))
+           for f in gambles]
+    steps = [_bracket(ev, rule, tolerance) for ev in evs]
+    asked, results = dict(enumerate(map(next, steps))), {}
+    while asked:
+        new = [(i, mu) for i, mu in asked.items() if mu not in evs[i]._seen]
+        if new:
+            slots, mus = zip(*new)
+            for (i, mu), *row in zip(new, *fn(slots, mus)):
+                evs[i].record(mu, *row)
+        for i in list(asked):
+            try:
+                asked[i] = next(steps[i])
+            except StopIteration as stop:
+                del asked[i]
+                results[i] = stop.value
+    return [results[i] for i in range(len(steps))]
+
+
 # -- evaluator builders -----------------------------------------------------
 
 def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
@@ -228,7 +277,6 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
     network's program, when the caller has built it already."""
     if B.empty:
         raise InputError("conditioning event is empty")
-    vac = _vacuous_bound(net, f, B)
     if gp is None:
         gp = lp.GlobalPolytope(net)
     fb = lp.factor_vector(net, f)
@@ -239,7 +287,7 @@ def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
         value, x = gp.minimize(ibf - mu * ib, warm=True)
         return value, ibf @ x, ib @ x
 
-    return RhoEvaluator(fn, f.min(), f.max(), vac)
+    return RhoEvaluator(fn, f.min(), f.max(), float(fb[ib > 0].min()))
 
 
 # -- structural reduction before bracketing ---------------------------------

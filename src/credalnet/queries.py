@@ -3,34 +3,32 @@ or a specialised recursion, and report lower/upper values with bracket
 diagnostics.  Upper values always come from conjugacy (the negated gamble
 through the same machinery).  An unconditional query goes to the global
 program (``lp``) or to the planner (``auto``, ``decompose``, and ``chain``
-on a chain with the gamble on its last node), either of which takes the
-gamble and its negation as one batch."""
+on a chain with the gamble on its last node): the gamble and its negation
+as one batch, as in the conditional chain and hidden-state sweeps."""
 
 from __future__ import annotations
-
-from typing import Callable
 
 from . import chains, conditioning, decompose, lp
 from .errors import HypothesisError, InputError
 from .fileio import Query
-from .network import CredalNetwork, Factor
+from .network import CredalNetwork
 
 
-def _chain_sweep(net: CredalNetwork, q: Query):
-    """rho for a gamble of the query, from one plan for both bounds."""
+def _chain_sweep(net: CredalNetwork, q: Query, gambles):
+    """rho of the gambles, in one batch, from one plan."""
     order = chains.chain_order(net)
     if q.given.cylinder and q.given.scope == (order[-1],) and \
             q.target.scope in ((order[0],), ()):
         (x_n,) = next(iter(q.given.states))
-        plan = chains.reverse_plan(net, x_n)
-        return lambda f: chains.chain_reverse_rho(net, f, plan)
+        return chains.chain_reverse_rho(net, gambles,
+                                        chains.reverse_plan(net, x_n))
     raise HypothesisError(
         "chain dispatch needs a gamble on the first node conditioned on "
         "the value of the last one")
 
 
-def _hmm_sweep(net: CredalNetwork, q: Query):
-    """rho for a gamble of the query, from one plan for both bounds."""
+def _hmm_sweep(net: CredalNetwork, q: Query, gambles):
+    """rho of the gambles, in one batch, from one plan."""
     if not q.given.cylinder:
         raise HypothesisError(
             "hidden-state dispatch needs an instantiated observation event")
@@ -38,8 +36,8 @@ def _hmm_sweep(net: CredalNetwork, q: Query):
     if q.target.scope not in ((spec.state_nodes[-1],), ()):
         raise HypothesisError(
             "hidden-state dispatch needs a gamble on the final state node")
-    plan = chains.hmm_plan(spec, q.given.assignment())
-    return lambda f: chains.hmm_forward_rho(spec, f, plan)
+    return chains.hmm_forward_rho(spec, gambles,
+                                  chains.hmm_plan(spec, q.given.assignment()))
 
 
 def _unconditional_bounds(net: CredalNetwork, q: Query,
@@ -67,23 +65,23 @@ def _unconditional_bounds(net: CredalNetwork, q: Query,
 _SWEEPS = {"chain": _chain_sweep, "hmm": _hmm_sweep}
 
 
-def _conditional_bound(net: CredalNetwork, q: Query, trace: list | None
-                       ) -> Callable[[Factor], conditioning.BracketResult]:
-    """The conditional lower expectation of a gamble given the query's
-    event, by the query's method and rule."""
+def _conditional_bounds(net: CredalNetwork, q: Query, trace: list | None
+                        ) -> list[conditioning.BracketResult]:
+    """The conditional lower expectations of the query's gamble and of its
+    negation, by the query's method and rule; a sweep's in lockstep."""
+    gambles = [q.target, -q.target]
+    if q.method in _SWEEPS:
+        return conditioning.condition_lockstep(
+            _SWEEPS[q.method](net, q, gambles), gambles, q.rule, q.tolerance)
     if q.method in ("auto", "decompose"):
         reduced = conditioning.reduce_query(net, q.target.scope, q.given,
                                             q.rule)
     elif q.method == "lp":
         reduced = conditioning.ReducedQuery(net, q.given)
-    elif q.method in _SWEEPS:
-        sweep = _SWEEPS[q.method](net, q)
-        return lambda f: conditioning.condition(conditioning.RhoEvaluator(
-            sweep(f), f.min(), f.max(), f.min()), q.rule, q.tolerance)
     else:
         raise InputError(f"unknown method {q.method!r}")
-    return lambda f: conditioning.condition_reduced(reduced, f, q.rule,
-                                                    q.tolerance, trace)
+    return [conditioning.condition_reduced(reduced, f, q.rule, q.tolerance,
+                                           trace) for f in gambles]
 
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
@@ -94,8 +92,9 @@ def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     and appends one record set to ``trace``, or one global program for
     ``lp``.  A conditional query runs a bracket, or with no evidence left
     a planner pass, per bound, over the program of the ``auto``
-    reduction or the ``lp`` method, and the bounds share the plan of a
-    chain or hidden-state sweep."""
+    reduction or the ``lp`` method.  On a chain or hidden-state sweep
+    the bounds share its plan, and their brackets run in lockstep: each
+    round evaluates the abscissae both ask for in one batched sweep."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":
@@ -103,9 +102,7 @@ def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
         out.update(lower=lower, upper=upper, kind="exact", iterations=0)
         return out
 
-    bound = _conditional_bound(net, q, trace)
-    res_low = bound(q.target)
-    res_up = bound(-q.target)
+    res_low, res_up = _conditional_bounds(net, q, trace)
     out.update(lower=res_low.value, upper=-res_up.value,
                kind=res_low.kind, iterations=res_low.iterations,
                bracket_width=res_low.width, upper_kind=res_up.kind,

@@ -17,23 +17,30 @@ from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor, sub_network
 
 from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
-                     interval_locals, kink_grid, precise_locals,
+                     hmm_dag, interval_locals, kink_grid, precise_locals,
                      random_binary_net, random_chain_net, random_factor,
                      random_hmm_net, redeclared, reference_chain_lower,
-                     reference_hmm_rho, reference_reverse_rho)
+                     reference_hmm_rho, reference_reverse_rho,
+                     zero_bound_locals)
 
 TOL = 1e-9
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def one_gamble(fn):
+    """A batched sweep at its first gamble, as a function of mu that
+    returns the floats (rho, E, P)."""
+    return lambda mu: tuple(float(a[0]) for a in fn([0], [mu]))
+
+
 def reverse_rho(net, h, x_n):
     """rho of conditioning the first chain node on ``X_last = x_n``."""
-    return chain_reverse_rho(net, h, reverse_plan(net, x_n))
+    return one_gamble(chain_reverse_rho(net, [h], reverse_plan(net, x_n)))
 
 
 def filtering_rho(spec, f, observations):
     """rho of the filtering query of ``f`` given ``observations``."""
-    return hmm_forward_rho(spec, f, hmm_plan(spec, observations))
+    return one_gamble(hmm_forward_rho(spec, [f], hmm_plan(spec, observations)))
 
 
 class TestChainShape:
@@ -397,23 +404,23 @@ def counted_local_lower(monkeypatch) -> list:
 
 
 def counted_rho(monkeypatch) -> list:
-    """The abscissa of every new evaluation of rho from now on."""
+    """The abscissa of every new evaluation of rho from now on, as the
+    evaluators record them, one by one or in lockstep."""
     mus = []
-    rho = conditioning.RhoEvaluator.rho
+    record = conditioning.RhoEvaluator.record
 
-    def counted(self, mu):
-        if mu not in self._seen:
-            mus.append(mu)
-        return rho(self, mu)
+    def counted(self, mu, *result):
+        mus.append(mu)
+        return record(self, mu, *result)
 
-    monkeypatch.setattr(conditioning.RhoEvaluator, "rho", counted)
+    monkeypatch.setattr(conditioning.RhoEvaluator, "record", counted)
     return mus
 
 
 class TestOnePlanPerQuery:
-    """The lower and the upper bound of a query share one plan, so the
-    work that does not depend on mu is done once per query, however many
-    evaluations of rho the brackets take."""
+    """The lower and the upper bound of a query share one plan, built in
+    one batch for both, so the work that does not depend on mu is done
+    once per query, however many evaluations of rho the brackets take."""
 
     @pytest.mark.parametrize("rule", ["natural", "regular"])
     @pytest.mark.parametrize("n", [2, 5, 12])
@@ -424,8 +431,8 @@ class TestOnePlanPerQuery:
         queries.run_query(net, Query(h, net.cylinder({str(n): "0"}), rule,
                                      "chain", 1e-10))
         assert len(mus) >= 4
-        # a lower and an upper transfer into every node but the first
-        assert sorted(nodes) == sorted(net.dag.nodes[1:] * 2)
+        # one transfer of both envelopes into every node but the first
+        assert sorted(nodes) == sorted(net.dag.nodes[1:])
 
     @pytest.mark.parametrize("rule", ["natural", "regular"])
     @pytest.mark.parametrize("order, n", [(1, 1), (1, 4), (1, 9), (2, 2),
@@ -437,7 +444,161 @@ class TestOnePlanPerQuery:
         nodes, mus = counted_local_lower(monkeypatch), counted_rho(monkeypatch)
         queries.run_query(net, Query(f, net.cylinder(x), rule, "hmm", 1e-10))
         assert len(mus) >= 4
-        assert len([s for s in nodes if s in obs]) == 2 * n
+        # both observation bounds in one call per observation node
+        assert sorted(s for s in nodes if s in obs) == sorted(obs)
+
+
+def hmm_sweep(rng, n, order, locals_of=interval_locals):
+    """A random binary hidden-state model's gamble and its batched
+    filtering sweep, as a map from a gamble sequence to a batched rho."""
+    dag, states, obs = hmm_dag(n, order)
+    net = binary_net(dag, locals_of(dag, rng))
+    spec = infer_hmm_spec(net, obs)
+    plan = hmm_plan(spec, {o: str(rng.integers(0, 2)) for o in obs})
+    return (random_factor(rng, net, [states[-1]]),
+            lambda gs: hmm_forward_rho(spec, gs, plan))
+
+
+def reverse_sweep(rng, n, locals_of=interval_locals):
+    """The same for conditioning the first node of a random binary chain
+    on its last one."""
+    dag = chain_dag(n)
+    net = binary_net(dag, locals_of(dag, rng))
+    plan = reverse_plan(net, str(rng.integers(0, 2)))
+    return (random_factor(rng, net, ["1"]),
+            lambda hs: chain_reverse_rho(net, hs, plan))
+
+
+def lockstep_as_one_by_one(f, sweep, rule) -> set:
+    """Asserts that the bounds of ``f`` and ``-f`` in lockstep over one
+    batched sweep equal, field for field, those of ``condition`` on each
+    gamble's own sweep, and that each new abscissa is evaluated once, in
+    fewer engine calls than one by one.  Returns the kinds (``None`` for
+    the natural rule's ``HypothesisError``)."""
+    gambles, expect, counts = [f, -f], [], []
+    for g in gambles:
+        calls = []
+        one = one_gamble(sweep([g]))
+        ev = conditioning.RhoEvaluator(lambda mu: calls.append(mu) or one(mu),
+                                       g.min(), g.max(), g.min())
+        try:
+            expect.append(conditioning.condition(ev, rule, 1e-10))
+        except HypothesisError:
+            expect.append(None)
+        counts.append(len(calls))
+    fn, slots = sweep(gambles), []
+
+    def counted(s, mus):
+        slots.append(len(s))
+        return fn(s, mus)
+
+    if None in expect:
+        with pytest.raises(HypothesisError):
+            conditioning.condition_lockstep(counted, gambles, rule, 1e-10)
+        return {None}
+    got = conditioning.condition_lockstep(counted, gambles, rule, 1e-10)
+    assert got == expect
+    assert sum(slots) == sum(counts)
+    assert max(counts) <= len(slots) < sum(counts)
+    return {r.kind for r in got}
+
+
+class TestLockstep:
+    """Both bounds of a sweep query in lockstep over one batched sweep
+    give, field for field, what each gives one after the other."""
+
+    @pytest.mark.parametrize("rule", ["natural", "regular"])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_hmm(self, rng, rule, order, n):
+        for locals_of in (interval_locals, zero_bound_locals) * 2:
+            lockstep_as_one_by_one(*hmm_sweep(rng, n, order, locals_of),
+                                   rule)
+
+    @pytest.mark.parametrize("rule", ["natural", "regular"])
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_reverse_chain(self, rng, rule, n):
+        for locals_of in (interval_locals, zero_bound_locals) * 2:
+            lockstep_as_one_by_one(*reverse_sweep(rng, n, locals_of), rule)
+
+    def test_kinds_covered(self, rng):
+        kinds = set()
+        for rule in ("natural", "regular"):
+            for _ in range(12):
+                for f, sweep in (hmm_sweep(rng, 4, 1, zero_bound_locals),
+                                 reverse_sweep(rng, 5, zero_bound_locals)):
+                    kinds |= lockstep_as_one_by_one(f, sweep, rule)
+        assert kinds >= {"unique-root", "rightmost-root", None}
+
+    def test_run_query_is_lockstep(self, rng, monkeypatch):
+        net, states, obs = random_hmm_net(rng, 4)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        mus = counted_rho(monkeypatch)
+        got = queries.run_query(net, Query(f, net.cylinder(x), "regular",
+                                           "hmm", 1e-10))
+        evaluations = len(mus)
+        spec = infer_hmm_spec(net, obs)
+        low, up = (conditioning.condition(conditioning.RhoEvaluator(
+            filtering_rho(spec, g, x), g.min(), g.max(), g.min()),
+            "regular", 1e-10) for g in (f, -f))
+        assert (got["lower"], got["kind"], got["iterations"],
+                got["bracket_width"]) == (low.value, low.kind,
+                                          low.iterations, low.width)
+        assert (got["upper"], got["upper_kind"], got["upper_iterations"]) \
+            == (-up.value, up.kind, up.iterations)
+        # the sign test and one evaluation per step, for each bound
+        assert evaluations == low.iterations + up.iterations + 2
+
+
+class TestBatchedSweep:
+    """A batched sweep at ``(slots, mus)`` equals the one-gamble sweep
+    of each slot, bit for bit."""
+
+    @staticmethod
+    def assert_per_slot(f, sweep, rng):
+        gambles = [f, -f, Factor.constant(0.5)]
+        mus = kink_grid(np.concatenate([f.values, -f.values, [0.5]]))
+        # every slot at once, and the two bounds of a lockstep round
+        asks = [(rng.integers(0, len(gambles), size=len(mus)), mus)]
+        asks += [([0, 1], mus[k:k + 2]) for k in range(0, len(mus) - 1, 2)]
+        fn = sweep(gambles)
+        for slots, at in asks:
+            got = fn(slots, at)
+            for j, (i, mu) in enumerate(zip(slots, at)):
+                one = sweep([gambles[i]])([0], [mu])
+                assert [a[j] for a in got] == [a[0] for a in one]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_hmm(self, rng, order, n):
+        # at n = 1 and order 1 the final state is a binary node with one
+        # binary parent: a batch of two must not be read as its parent axis
+        for locals_of in (interval_locals, zero_bound_locals):
+            self.assert_per_slot(*hmm_sweep(rng, n, order, locals_of), rng)
+
+    def test_hmm_on_constraint_form_twin(self, rng):
+        net, states, obs = random_hmm_net(rng, 2)
+        spec = infer_hmm_spec(constraint_twin(net), obs)
+        plan = hmm_plan(spec, {o: "0" for o in obs})
+        self.assert_per_slot(random_factor(rng, net, [states[-1]]),
+                             lambda gs: hmm_forward_rho(spec, gs, plan), rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_reverse_chain(self, rng, n):
+        for locals_of in (interval_locals, zero_bound_locals):
+            self.assert_per_slot(*reverse_sweep(rng, n, locals_of), rng)
+
+    def test_transfer_of_two_gambles(self, rng):
+        # node 2 is binary with one binary parent, so the batch needs its
+        # unit parent axis
+        net = random_chain_net(rng, 2)
+        op = TransferOperator(net, "2")
+        g, h = rng.uniform(-2, 2, size=(2, 2))
+        both = op(np.array([g, h])[:, None])
+        assert both.shape == (2, 2)
+        assert both[0].tolist() == op(g).tolist()
+        assert both[1].tolist() == op(h).tolist()
 
 
 def diamond_net(rng):

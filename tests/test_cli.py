@@ -178,6 +178,18 @@ def test_one_pass_trace_matches_committed_text(capsys):
     assert out.count("lp nodes=('1', '2')") == 1
 
 
+@pytest.mark.parametrize("net, query", [
+    ("chain3.json", "chain3_chain_query.json"),
+    ("hmm3.json", "hmm3_query.json")])
+def test_sweep_output_matches_committed_text(capsys, net, query):
+    # the bounds, kinds and iteration counts of both brackets of a sweep
+    code = cli.main(["infer", data(net), data(query)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    with open(data(query.replace(".json", ".out")), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("net, query, dump", CASES)
 def test_lp_dump_matches_committed_text(capsys, tmp_path, net, query, dump):
     out = tmp_path / "program.lp"

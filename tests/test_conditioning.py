@@ -328,6 +328,89 @@ class TestDinkelbachSteps:
         assert calls == [0.25, f.min() - 1.0]
 
 
+def envelope(*models):
+    """A synthetic rho engine: the least of ``E - mu * P`` over models
+    given by their pair (E_p[f 1_B], P_p(B)), with the attaining pair."""
+    def fn(mu):
+        e, p = min(models, key=lambda m: m[0] - mu * m[1])
+        return e - mu * p, e, p
+    return fn
+
+
+#: Synthetic engines for a gamble with values in [0, 1], by the kind of
+#: bound the regular rule gives: P(B) positive on every model, zero on
+#: one, zero on all.
+ENGINES = {"unique-root": envelope((0.3, 0.5), (0.4, 0.9), (0.1, 0.2)),
+           "rightmost-root": envelope((0.0, 0.0), (0.3, 0.5), (0.5, 0.6)),
+           "vacuous-fallback": envelope((0.0, 0.0))}
+UNIT = np.array([0.0, 1.0])
+
+
+def batched(*fns):
+    """The batched engine of one scalar engine per slot, and the list of
+    the number of slots of each of its calls."""
+    calls = []
+
+    def fn(slots, mus):
+        calls.append(len(slots))
+        rows = [fns[i](mu) for i, mu in zip(slots, mus)]
+        return tuple(np.array(col) for col in zip(*rows))
+
+    return fn, calls
+
+
+def one_by_one(fns, rule):
+    """:func:`condition` on each engine's own evaluator, and the number of
+    evaluations each took."""
+    results, counts = [], []
+    for fn in fns:
+        ev, calls = counted(conditioning.RhoEvaluator(fn, 0.0, 1.0, 0.0))
+        results.append(conditioning.condition(ev, rule, 1e-10))
+        counts.append(len(calls))
+    return results, counts
+
+
+class TestLockstep:
+    """Brackets in lockstep give, field for field, what each gives on its
+    own, and evaluate the same abscissae in one engine call per round."""
+
+    @pytest.mark.parametrize("kinds", [
+        ("unique-root", "rightmost-root"), ("rightmost-root", "unique-root"),
+        ("unique-root", "vacuous-fallback"),
+        ("vacuous-fallback", "rightmost-root"),
+        ("unique-root", "unique-root", "rightmost-root")])
+    def test_mixed_kinds(self, kinds):
+        fns = [ENGINES[k] for k in kinds]
+        expect, counts = one_by_one(fns, "regular")
+        assert [r.kind for r in expect] == list(kinds)
+        fn, calls = batched(*fns)
+        got = conditioning.condition_lockstep(fn, [UNIT] * len(fns),
+                                              "regular", 1e-10)
+        assert got == expect
+        assert sum(calls) == sum(counts)
+        assert len(calls) == max(counts)
+
+    def test_natural_rule(self):
+        fns = [ENGINES["unique-root"]] * 2
+        expect, _ = one_by_one(fns, "natural")
+        fn, _ = batched(*fns)
+        assert conditioning.condition_lockstep(fn, [UNIT, UNIT], "natural",
+                                               1e-10) == expect
+        for other in ("rightmost-root", "vacuous-fallback"):
+            for fns in ([ENGINES["unique-root"], ENGINES[other]],
+                        [ENGINES[other], ENGINES["unique-root"]]):
+                with pytest.raises(HypothesisError):
+                    one_by_one(fns, "natural")
+                with pytest.raises(HypothesisError):
+                    conditioning.condition_lockstep(
+                        batched(*fns)[0], [UNIT, UNIT], "natural", 1e-10)
+
+    def test_unknown_rule(self):
+        with pytest.raises(InputError):
+            conditioning.condition_lockstep(batched(ENGINES["unique-root"])[0],
+                                            [UNIT], "unconditional")
+
+
 class TestReduceThenCondition:
     def test_parent_cylinder_reduces_without_bracketing(self, rng):
         dag = Dag(["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"],
@@ -549,6 +632,16 @@ class TestVacuousBound:
             assert conditioning._vacuous_bound(net, f, B) == expect
             constant = Factor.constant(0.5)
             assert conditioning._vacuous_bound(net, constant, B) == 0.5
+
+    def test_evaluator_reads_it_off_the_joint_vectors(self, rng):
+        for _ in range(6):
+            net = random_binary_net(rng, 4, edge_p=0.5)
+            f = random_factor(rng, net, ["2", "4"])
+            B = net.event(["1", "4"], [("0", "1"), ("1", "0")])
+            assert rho_evaluator(net, f, B).vacuous_value == \
+                conditioning._vacuous_bound(net, f, B)
+        with pytest.raises(InputError):
+            rho_evaluator(net, f, net.event(["1"], []))
 
     def test_long_chain_stops_at_the_lp_bound(self, rng):
         # the vacuous bound is taken over the query's two nodes, so the
