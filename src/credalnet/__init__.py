@@ -11,9 +11,9 @@ oracles for verification.
 from .chains import (HmmSpec, HmmStep, ReversePlan, TransferOperator,
                      chain_reverse_rho, complete_evidence_lower,
                      hmm_forward_rho, hmm_plan, infer_hmm_spec, reverse_plan)
-from .conditioning import (BracketResult, RhoEvaluator, lower_prob_positive,
-                           natural_conditional, regular_conditional,
-                           rho_evaluator, upper_prob_positive)
+from .conditioning import (BracketResult, Rho, RhoEvaluator, condition,
+                           natural_conditional, program_rho,
+                           regular_conditional)
 from .credal import (CredalSet, LinearConstraint, MassFunction,
                      binary_interval, constraints_to_vertices, singleton,
                      vacuous, vertices_to_constraints)
@@ -29,8 +29,7 @@ from .graph import (Dag, ad_separated, closure, d_separated, is_closed,
                     set_relations)
 from .lp import (GlobalPolytope, enumerate_joint_extreme_points,
                  lower_expectation_lp)
-from .network import (CredalNetwork, Event, Factor, joint_states,
-                      restrict_factor, sub_network)
+from .network import CredalNetwork, Event, Factor, joint_states, sub_network
 from .oracle import (complete_extension_lower, complete_extension_upper,
                      irr_extreme_conditional)
 from .queries import run_query

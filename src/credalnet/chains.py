@@ -16,14 +16,16 @@ query share it: for a reverse chain the two indicator envelopes
 (:func:`reverse_plan`, one backward pass), for a hidden-state model the
 lower and upper probability of every observed symbol and the axis order
 and local stack of every step (:func:`hmm_plan`), each built as a batch
-of two.  :func:`chain_reverse_rho` and :func:`hmm_forward_rho` build rho
-for a batch of gambles from a plan, with a leading gamble axis, so that
-the two bounds' brackets run in lockstep
-(:func:`~credalnet.conditioning.condition_lockstep`): one evaluation,
-one front contraction on a chain and one weight/multiply/contract step
-per time step on a hidden-state model, serves both.  Like the global
-program, an evaluation also gives the probability of the event under a
-model attaining rho, from the attaining local mass functions
+of two.  :func:`chain_reverse_rho`, :func:`hmm_forward_rho` and
+:func:`complete_evidence_lower` build the batched rho engine
+(:data:`~credalnet.conditioning.Rho`) of a batch of gambles, with a
+leading gamble axis, so that the bracket driver
+(:func:`~credalnet.conditioning.condition`) runs the two bounds'
+brackets in lockstep: one evaluation, one front contraction on a chain
+and one weight/multiply/contract step per time step on a hidden-state
+model, serves both.  Like the global program, an evaluation also gives
+the probability of the event under a model attaining rho, from the
+attaining local mass functions
 (:meth:`~credalnet.network.CredalNetwork.local_lower_argmin`).
 """
 
@@ -43,10 +45,6 @@ __all__ = [
     "TransferOperator", "chain_order", "ReversePlan", "reverse_plan",
     "chain_reverse_rho", "HmmSpec", "infer_hmm_spec", "HmmStep", "hmm_plan",
     "hmm_forward_rho", "complete_evidence_lower"]
-
-#: rho of a batch of gambles: ``rho(slots, mus)`` gives gamble ``slots[i]``
-#: at ``mus[i]``, arrays ``(rho, E_p[f 1_B], P_p(B))``, p attaining rho.
-Rho = Callable[[Sequence[int], Sequence[float]], tuple]
 
 
 def chain_order(net: CredalNetwork) -> tuple[str, ...]:
@@ -95,7 +93,7 @@ def _gamble_on(net: CredalNetwork, node: str, h) -> np.ndarray:
 
 
 def _sign_split(argmin: Callable, hs: np.ndarray, low: np.ndarray,
-                high: np.ndarray) -> Rho:
+                high: np.ndarray) -> conditioning.Rho:
     """rho of weighted gambles ``h``, the rows of ``hs``: rho(mu) is the
     lower expectation of ``w * (h - mu)``, where ``w`` is ``low`` where
     ``h >= mu`` and ``high`` elsewhere, by ``argmin`` (value and an
@@ -138,7 +136,8 @@ def reverse_plan(net: CredalNetwork, x_n: str) -> ReversePlan:
     return ReversePlan(order[0], env[0], -env[1])
 
 
-def chain_reverse_rho(net: CredalNetwork, hs, plan: ReversePlan) -> Rho:
+def chain_reverse_rho(net: CredalNetwork, hs,
+                      plan: ReversePlan) -> conditioning.Rho:
     """Bracketing function for conditioning the first chain node on the
     value of the last one, for the gambles ``hs``: rho(mu) is the lower
     expectation of ``1{X_last = x_n} * (h(X_first) - mu)``.
@@ -222,7 +221,8 @@ def hmm_plan(spec: HmmSpec, observations: Mapping[str, str]
     return tuple(steps)
 
 
-def hmm_forward_rho(spec: HmmSpec, fs, plan: tuple[HmmStep, ...]) -> Rho:
+def hmm_forward_rho(spec: HmmSpec, fs,
+                    plan: tuple[HmmStep, ...]) -> conditioning.Rho:
     """Bracketing function of the filtering query of each of ``fs``:
     rho(mu) is the lower expectation of ``1{observations} * (f - mu)``.
 
@@ -322,8 +322,8 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
 
     rho = _sign_split(partial(reduced.net.local_lower_argmin, q), fv[None],
                       prod_low, prod_high)
+    ev = conditioning.RhoEvaluator(0, f_min, float(fv.max()), f_min)
     try:
-        return conditioning.condition_lockstep(rho, [fv], rule,
-                                               tolerance)[0].value
+        return conditioning.condition(rho, [ev], rule, tolerance)[0].value
     except HypothesisError:
         return f_min

@@ -1,7 +1,7 @@
 """Conditional and updated lower expectations via root finding.
 
-Everything is driven by one scalar function of mu: the unconditional
-lower expectation of ``1_B * (f - mu)``.  It is concave and
+Everything is driven by one function of mu: the unconditional lower
+expectation rho(mu) of ``1_B * (f - mu)``.  It is concave and
 non-increasing; when the conditioning event has positive lower
 probability it is strictly decreasing and its unique root is the
 conditional lower expectation, when only the upper probability is
@@ -12,26 +12,30 @@ and above max f decide the case; the regular rule's vacuous case is
 decided by :func:`regular_conditional` from rho, and on a query reduced
 to a sub-network first by :func:`reduce_query`.
 
-Every engine (the global program and the chain, hidden-state and
-complete-evidence sweeps) also reports E_p[f 1_B] and P_p(B) at a model
-p attaining rho(mu), so the roots are found by Dinkelbach steps, mu <-
-E_p[f 1_B] / P_p(B): Newton's method on the piecewise-linear rho, whose
-slope at mu is -P_p(B); bisection remains for a step that rounding keeps
-from decreasing mu.  The brackets are generator steps that yield the mu
-they need: :func:`condition` evaluates them one by one, and
-:func:`condition_lockstep` runs both bounds of a sweep query together,
-one batched evaluation per round.  On the global program one step's
-objective differs from the last by a multiple of 1_B, so every
-evaluation, of either bound, starts phase 2 from the optimal tableau
-before it (:class:`credalnet.lp.GlobalPolytope`), or from phase 1 where
-that optimum fails the residual check.
+Every engine is batched (:data:`Rho`): it evaluates rho for a batch of
+gambles, each at its own mu, and also reports E_p[f 1_B] and P_p(B) at
+a model p attaining rho(mu).  The engines are the global program
+(:func:`program_rho`) and the chain, hidden-state and complete-evidence
+sweeps (:mod:`credalnet.chains`).  So the roots are found by Dinkelbach
+steps, mu <- E_p[f 1_B] / P_p(B): Newton's method on the
+piecewise-linear rho, whose slope at mu is -P_p(B); bisection remains
+for a step that rounding keeps from decreasing mu.  The brackets are
+generator steps that yield the mu they need (:func:`natural_conditional`
+and :func:`regular_conditional`), and :func:`condition` is their one
+driver: each round evaluates the new mus that its open brackets ask for
+in one engine call, so a sweep's two bounds run in lockstep.  On the
+global program one step's objective differs from the last by a
+multiple of 1_B, so every evaluation, of either bound, starts phase 2
+from the optimal tableau before it (:class:`credalnet.lp.GlobalPolytope`),
+or from phase 1 where that optimum fails the residual check; there the
+two brackets run one after the other, as interleaving them costs more
+pivots.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Generator, Mapping, Sequence
 
 from . import decompose, lp
@@ -46,6 +50,10 @@ TOL_SIGN = 1e-10
 DEFAULT_TOLERANCE = 1e-9
 MAX_ITERATIONS = 200
 
+#: rho of a batch of gambles: ``rho(slots, mus)`` gives gamble ``slots[i]``
+#: at ``mus[i]``, sequences ``(rho, E_p[f 1_B], P_p(B))``, p attaining rho.
+Rho = Callable[[Sequence[int], Sequence[float]], tuple]
+
 
 @dataclass
 class BracketResult:
@@ -58,20 +66,17 @@ class BracketResult:
 
 @dataclass
 class RhoEvaluator:
-    """Handle to any engine that evaluates mu -> lower expectation of
-    ``1_B * (f - mu)``, together with the cached range of f and the
-    vacuous fallback value (min of f over B).  ``fn`` returns ``(rho,
-    E_p[f 1_B], P_p(B))`` at a model ``p`` that attains rho, from which
-    the brackets take Dinkelbach steps; it is ``None`` where
-    :func:`condition_lockstep` evaluates and records in batches.
+    """What one bracket knows of rho: the slot of its gamble in the
+    batched engine, the range of f, the vacuous fallback value (min of f
+    over B), and the evaluations so far.
 
-    Evaluations are recorded, and an abscissa seen before is not
-    evaluated again.  They are opportunistically checked for
-    monotonicity: the function must be non-increasing in mu, so a
-    violation beyond tolerance exposes a broken engine.
+    An abscissa seen before is not evaluated again.  Evaluations are
+    opportunistically checked for monotonicity: the function must be
+    non-increasing in mu, so a violation beyond tolerance exposes a
+    broken engine.
     """
 
-    fn: Callable[[float], tuple[float, float, float]] | None
+    slot: int
     f_min: float
     f_max: float
     vacuous_value: float
@@ -79,12 +84,7 @@ class RhoEvaluator:
     _vals: list = field(default_factory=list, repr=False)
     _seen: dict = field(default_factory=dict, repr=False)
 
-    def rho(self, mu: float) -> float:
-        if mu not in self._seen:
-            self.record(mu, *self.fn(mu))
-        return self._seen[mu][0]
-
-    def record(self, mu: float, value, fb, pb) -> None:
+    def rho(self, mu: float, value, fb, pb) -> None:
         """Check and record rho(mu) = value, E_p[f 1_B] and P_p(B)."""
         value, fb, pb = float(value), float(fb), float(pb)
         step = fb / pb if pb > 0.0 else None
@@ -104,60 +104,37 @@ class RhoEvaluator:
         return self._seen[mu]
 
 
-def _drive(evaluator: RhoEvaluator, steps: Generator):
-    """Evaluate each mu that ``steps`` yield; return what they return."""
-    try:
-        while True:
-            evaluator.rho(next(steps))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _sign(evaluator: RhoEvaluator, lower: bool) -> Generator:
+    """Positive lower probability of B  <=>  rho positive below min f;
+    positive upper probability  <=>  rho negative above max f."""
     mu = evaluator.f_min - 1.0 if lower else evaluator.f_max + 1.0
     yield mu
     return (1.0 if lower else -1.0) * evaluator.recorded(mu)[0] > TOL_SIGN
 
 
-def lower_prob_positive(evaluator: RhoEvaluator) -> bool:
-    """Positive lower probability of B  <=>  rho positive below min f."""
-    return _drive(evaluator, _sign(evaluator, True))
-
-
-def upper_prob_positive(evaluator: RhoEvaluator) -> bool:
-    """Positive upper probability of B  <=>  rho negative above max f."""
-    return _drive(evaluator, _sign(evaluator, False))
-
-
 def natural_conditional(evaluator: RhoEvaluator,
-                        tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
-    """Unique root of rho: the conditional lower expectation, defined
-    when the conditioning event has positive lower probability; otherwise
-    the natural extension cannot be recovered from rho."""
-    return _drive(evaluator, _bracket(evaluator, "natural", tolerance))
+                        tolerance: float) -> Generator:
+    """The natural rule's bracket: the unique root of rho, the
+    conditional lower expectation, defined when the conditioning event
+    has positive lower probability; otherwise the natural extension
+    cannot be recovered from rho.  Each step yields the mu it needs,
+    which :func:`condition` evaluates first."""
+    if (yield from _sign(evaluator, True)):
+        return (yield from _unique_root(evaluator, tolerance))
+    raise HypothesisError(
+        "conditioning event has zero lower probability; the "
+        "natural-extension conditional is not computable from rho")
 
 
 def regular_conditional(evaluator: RhoEvaluator,
-                        tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
-    """Updated lower expectation under the regular extension: at positive
-    lower probability the natural conditional, at zero lower but positive
-    upper probability the rightmost root of rho, and else, every model
-    being discarded by the update, the vacuous bound, flagged."""
-    return _drive(evaluator, _bracket(evaluator, "regular", tolerance))
-
-
-def _bracket(evaluator: RhoEvaluator, rule: str,
-             tolerance: float) -> Generator:
-    """The bracket of ``rule`` as generator steps: each yields the mu it
-    needs, which its driver evaluates through ``evaluator`` first."""
-    if rule not in ("natural", "regular"):
-        raise InputError(f"unknown rule {rule!r}")
+                        tolerance: float) -> Generator:
+    """The regular rule's bracket: the updated lower expectation under
+    the regular extension, at positive lower probability the natural
+    conditional, at zero lower but positive upper probability the
+    rightmost root of rho, and else, every model being discarded by the
+    update, the vacuous bound, flagged."""
     if (yield from _sign(evaluator, True)):
         return (yield from _unique_root(evaluator, tolerance))
-    if rule == "natural":
-        raise HypothesisError(
-            "conditioning event has zero lower probability; the "
-            "natural-extension conditional is not computable from rho")
     if not (yield from _sign(evaluator, False)):
         return BracketResult(evaluator.vacuous_value, "vacuous-fallback",
                              0, 0.0)
@@ -220,36 +197,31 @@ def _rightmost_root(evaluator: RhoEvaluator) -> Generator:
         f"Dinkelbach steps did not converge in {MAX_ITERATIONS} iterations")
 
 
-def condition(evaluator: RhoEvaluator, rule: str,
-              tolerance: float = DEFAULT_TOLERANCE) -> BracketResult:
-    """The conditional lower expectation under ``rule``, from rho: the
-    :func:`natural_conditional` or the :func:`regular_conditional`.  The
-    regular rule's vacuous case is decided there, by rho's sign above
-    max f; on a reduced query :func:`reduce_query` decides it first."""
+def condition(rho: Rho, evaluators: Sequence[RhoEvaluator], rule: str,
+              tolerance: float = DEFAULT_TOLERANCE) -> list[BracketResult]:
+    """The conditional lower expectation under ``rule`` of the gamble of
+    each evaluator, from the batched engine ``rho``: its brackets run in
+    lockstep, each round evaluating the new mus that the open ones ask
+    for in one call ``rho(slots, mus)`` at their evaluators' slots.  An
+    engine whose evaluations share state, as the global program's warm
+    tableau does, is driven one bracket per call.  The regular rule's
+    vacuous case is decided there, by rho's sign above max f; on a
+    reduced query :func:`reduce_query` decides it first."""
     if rule == "natural":
-        return natural_conditional(evaluator, tolerance)
-    if rule == "regular":
-        return regular_conditional(evaluator, tolerance)
-    raise InputError(f"unknown rule {rule!r}")
-
-
-def condition_lockstep(fn: Callable, gambles: Sequence, rule: str,
-                       tolerance: float = DEFAULT_TOLERANCE
-                       ) -> list[BracketResult]:
-    """:func:`condition` of each gamble in lockstep: each round
-    evaluates the new mus that the open brackets ask for in one call of
-    the batched engine ``fn`` (:data:`credalnet.chains.Rho`; vacuous
-    value min f, as a sweep's event leaves the gamble's node free)."""
-    evs = [RhoEvaluator(None, float(f.min()), float(f.max()), float(f.min()))
-           for f in gambles]
-    steps = [_bracket(ev, rule, tolerance) for ev in evs]
+        bracket = natural_conditional
+    elif rule == "regular":
+        bracket = regular_conditional
+    else:
+        raise InputError(f"unknown rule {rule!r}")
+    steps = [bracket(ev, tolerance) for ev in evaluators]
     asked, results = dict(enumerate(map(next, steps))), {}
     while asked:
-        new = [(i, mu) for i, mu in asked.items() if mu not in evs[i]._seen]
+        new = [(evaluators[i], mu) for i, mu in asked.items()
+               if mu not in evaluators[i]._seen]
         if new:
-            slots, mus = zip(*new)
-            for (i, mu), *row in zip(new, *fn(slots, mus)):
-                evs[i].record(mu, *row)
+            rows = rho([ev.slot for ev, _ in new], [mu for _, mu in new])
+            for (ev, mu), *row in zip(new, *rows):
+                ev.rho(mu, *row)
         for i in list(asked):
             try:
                 asked[i] = next(steps[i])
@@ -259,7 +231,7 @@ def condition_lockstep(fn: Callable, gambles: Sequence, rule: str,
     return [results[i] for i in range(len(steps))]
 
 
-# -- evaluator builders -----------------------------------------------------
+# -- the global program's engine --------------------------------------------
 
 def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
     """min of f over B, over the joint states of the two scopes only."""
@@ -270,24 +242,27 @@ def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
     return float(values.min())
 
 
-def rho_evaluator(net: CredalNetwork, f: Factor, B: Event,
-                  gp: lp.GlobalPolytope | None = None) -> RhoEvaluator:
-    """Evaluator backed by the global program, its constraints cached
-    across evaluations, each of which starts phase 2 warm; ``gp`` is the
-    network's program, when the caller has built it already."""
+def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
+                gp: lp.GlobalPolytope) -> tuple[Rho, list[RhoEvaluator]]:
+    """rho of each of ``gambles`` given ``B`` on the network's global
+    program ``gp``, and the evaluators of their brackets, which read the
+    vacuous value off the joint vectors.  Every evaluation, of any of the
+    gambles, starts phase 2 from the last optimal tableau of ``gp``, so
+    their brackets run one after the other."""
     if B.empty:
         raise InputError("conditioning event is empty")
-    if gp is None:
-        gp = lp.GlobalPolytope(net)
-    fb = lp.factor_vector(net, f)
     ib = lp.event_mask(net, B).astype(float)
-    ibf = ib * fb
+    ibfs = [ib * lp.factor_vector(net, f) for f in gambles]
 
-    def fn(mu: float) -> tuple[float, float, float]:
-        value, x = gp.minimize(ibf - mu * ib, warm=True)
-        return value, ibf @ x, ib @ x
+    def rho(slots, mus):
+        rows = []
+        for i, mu in zip(slots, mus):
+            value, x = gp.minimize(ibfs[i] - mu * ib, warm=True)
+            rows.append((value, ibfs[i] @ x, ib @ x))
+        return tuple(zip(*rows))
 
-    return RhoEvaluator(fn, f.min(), f.max(), float(fb[ib > 0].min()))
+    return rho, [RhoEvaluator(i, f.min(), f.max(), float(ibf[ib > 0].min()))
+                 for i, (f, ibf) in enumerate(zip(gambles, ibfs))]
 
 
 # -- structural reduction before bracketing ---------------------------------
@@ -312,19 +287,13 @@ class ReducedQuery:
     """A conditional query moved to the sub-network ``net``, shared by
     every gamble on one scope: the evidence left inside it (``None``:
     none, and both rules reduce to the unconditional value), the
-    marginalisation step, which the trace of every bound repeats, and
-    ``vacuous``: the evidence has zero upper probability, so that the
-    regular rule returns the vacuous bound."""
+    marginalisation step, and ``vacuous``: the evidence has zero upper
+    probability, so that the regular rule returns the vacuous bound."""
 
     net: CredalNetwork
     given: Event | None
     record: decompose.Reduction | None = None
     vacuous: bool = False
-
-    @cached_property
-    def program(self) -> lp.GlobalPolytope:
-        """The global program of ``net``, built on first use."""
-        return lp.GlobalPolytope(self.net)
 
 
 def reduce_query(net: CredalNetwork, scope, given: Event | None,
@@ -363,25 +332,30 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
                         record, vacuous)
 
 
-def condition_reduced(reduced: ReducedQuery, f: Factor, rule: str,
-                      tolerance: float = DEFAULT_TOLERANCE,
-                      trace: list | None = None) -> BracketResult:
-    """The conditional lower expectation of ``f`` under ``rule`` on a
-    reduced query: the vacuous bound where :func:`reduce_query` found
-    the evidence to have zero upper probability, the planner's value
-    when no evidence is left (``local-fallback``), else
-    :func:`condition` on the query's program."""
+def condition_reduced(reduced: ReducedQuery, gambles: Sequence[Factor],
+                      rule: str, tolerance: float = DEFAULT_TOLERANCE,
+                      trace: list | None = None) -> list[BracketResult]:
+    """The conditional lower expectations of ``gambles`` (on one scope)
+    under ``rule`` on a reduced query: the vacuous bounds where
+    :func:`reduce_query` found the evidence to have zero upper
+    probability, the planner's values in one pass when no evidence is
+    left (``local-fallback``), else :func:`condition` on the query's
+    global program, one bracket after the other over its warm tableau.
+    The marginalisation step goes to ``trace`` once."""
     if trace is not None and reduced.record is not None:
         trace.append(reduced.record)
     if reduced.vacuous:
-        value = f.min() if reduced.given is None else \
-            _vacuous_bound(reduced.net, f, reduced.given)
-        return BracketResult(value, "vacuous-fallback", 0, 0.0)
+        return [BracketResult(f.min() if reduced.given is None else
+                              _vacuous_bound(reduced.net, f, reduced.given),
+                              "vacuous-fallback", 0, 0.0) for f in gambles]
     if reduced.given is None:
-        value = decompose.lower_expectation(reduced.net, f, trace=trace)
-        return BracketResult(value, "local-fallback", 0, 0.0)
-    ev = rho_evaluator(reduced.net, f, reduced.given, reduced.program)
-    return condition(ev, rule, tolerance)
+        values = decompose.lower_expectation(reduced.net, gambles,
+                                             trace=trace)
+        return [BracketResult(float(v), "local-fallback", 0, 0.0)
+                for v in values]
+    rho, evaluators = program_rho(reduced.net, reduced.given, gambles,
+                                  lp.GlobalPolytope(reduced.net))
+    return [condition(rho, [ev], rule, tolerance)[0] for ev in evaluators]
 
 
 def _upper_positive_outside(net: CredalNetwork, rel,

@@ -243,8 +243,10 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
     if B_K is None or not B_K.scope:
         return lower_expectation(sub, f, trace=trace)
     from . import conditioning
-    ev = conditioning.rho_evaluator(sub, f, B_K)
-    return conditioning.natural_conditional(ev, tolerance=tolerance).value
+    rho, evaluators = conditioning.program_rho(sub, B_K, [f],
+                                               lp.GlobalPolytope(sub))
+    return conditioning.condition(rho, evaluators, "natural",
+                                  tolerance)[0].value
 
 
 def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,

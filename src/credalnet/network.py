@@ -5,10 +5,9 @@ Assignments of states to nodes are plain ``dict[str, str]`` mappings.
 Factors and events carry an explicit scope, kept in node-declaration
 order.  A factor's values are one array with an axis per scope node;
 :meth:`CredalNetwork.aligned` broadcasts it to any wider scope, so
-multiplying by an indicator, adding co-factors and plugging in values
-(:func:`restrict_factor`) are array operations.  The local lower
-expectations of a gamble on a node, one per parent configuration, come
-from :meth:`CredalNetwork.local_lower` in one call.
+multiplying by an indicator and adding co-factors are array operations.
+The local lower expectations of a gamble on a node, one per parent
+configuration, come from :meth:`CredalNetwork.local_lower` in one call.
 """
 
 from __future__ import annotations
@@ -348,22 +347,6 @@ def _per_set(stack: np.ndarray, g: np.ndarray, query) -> tuple:
     rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
     return shape, [query(m, row) for m, row in zip(
         np.broadcast_to(stack, shape).flat, rows)]
-
-
-def restrict_factor(net: CredalNetwork, f: Factor,
-                    assignment: Mapping[str, str]) -> Factor:
-    """Plug fixed values into a factor: the scope shrinks by the assigned
-    nodes, and the values are a view of ``f.values`` at the assigned
-    states.  Nodes in the assignment that are outside the scope are
-    ignored; a state outside its node's space raises
-    :class:`InputError`."""
-    if not any(s in assignment for s in f.scope):
-        return f
-    index = tuple(net.state_index(s, assignment[s]) if s in assignment
-                  else slice(None) for s in f.scope)
-    # the trailing Ellipsis keeps a full plug-in a 0-d view, not a scalar
-    return Factor(tuple(s for s in f.scope if s not in assignment),
-                  f.values[index + (Ellipsis,)])
 
 
 def joint_states(net: CredalNetwork, S: Iterable[str]) -> list[dict]:

@@ -1,10 +1,15 @@
 """Query dispatch: route a parsed query to the LP, the reduction planner,
 or a specialised recursion, and report lower/upper values with bracket
-diagnostics.  Upper values always come from conjugacy (the negated gamble
-through the same machinery).  An unconditional query goes to the global
-program (``lp``) or to the planner (``auto``, ``decompose``, and ``chain``
-on a chain with the gamble on its last node): the gamble and its negation
-as one batch, as in the conditional chain and hidden-state sweeps."""
+diagnostics.  Upper values always come from conjugacy: the gamble and
+its negation go through the same machinery as one batch.  An
+unconditional query goes to the global program (``lp``) or to the
+planner (``auto``, ``decompose``, and ``chain`` on a chain with the
+gamble on its last node).  A conditional query builds one batched rho
+engine for both gambles, a chain or hidden-state sweep or the global
+program of the ``lp`` method or of the ``auto`` reduction, and the one
+bracket driver, :func:`credalnet.conditioning.condition`, finds both
+roots; where the reduction leaves no evidence, one planner pass answers
+both instead."""
 
 from __future__ import annotations
 
@@ -68,11 +73,14 @@ _SWEEPS = {"chain": _chain_sweep, "hmm": _hmm_sweep}
 def _conditional_bounds(net: CredalNetwork, q: Query, trace: list | None
                         ) -> list[conditioning.BracketResult]:
     """The conditional lower expectations of the query's gamble and of its
-    negation, by the query's method and rule; a sweep's in lockstep."""
+    negation, by the query's method and rule."""
     gambles = [q.target, -q.target]
     if q.method in _SWEEPS:
-        return conditioning.condition_lockstep(
-            _SWEEPS[q.method](net, q, gambles), gambles, q.rule, q.tolerance)
+        # a sweep's event leaves the gamble's node free: vacuous value min f
+        evaluators = [conditioning.RhoEvaluator(i, f.min(), f.max(), f.min())
+                      for i, f in enumerate(gambles)]
+        return conditioning.condition(_SWEEPS[q.method](net, q, gambles),
+                                      evaluators, q.rule, q.tolerance)
     if q.method in ("auto", "decompose"):
         reduced = conditioning.reduce_query(net, q.target.scope, q.given,
                                             q.rule)
@@ -80,21 +88,23 @@ def _conditional_bounds(net: CredalNetwork, q: Query, trace: list | None
         reduced = conditioning.ReducedQuery(net, q.given)
     else:
         raise InputError(f"unknown method {q.method!r}")
-    return [conditioning.condition_reduced(reduced, f, q.rule, q.tolerance,
-                                           trace) for f in gambles]
+    return conditioning.condition_reduced(reduced, gambles, q.rule,
+                                          q.tolerance, trace)
 
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     """Evaluate one query; returns a flat result mapping for reporting.
     The lower and the upper bound share one build of each global program
-    and its phase 1.  An unconditional query answers both in one batch:
-    one pass of the planner, which builds each of its sub-networks once
-    and appends one record set to ``trace``, or one global program for
-    ``lp``.  A conditional query runs a bracket, or with no evidence left
-    a planner pass, per bound, over the program of the ``auto``
-    reduction or the ``lp`` method.  On a chain or hidden-state sweep
-    the bounds share its plan, and their brackets run in lockstep: each
-    round evaluates the abscissae both ask for in one batched sweep."""
+    and its phase 1, and ``trace`` gets one record set per query.  An
+    unconditional query answers both in one batch: one pass of the
+    planner, which builds each of its sub-networks once, or one global
+    program for ``lp``.  A conditional query reduced to no evidence
+    (``auto``, ``decompose``) is one such planner pass.  Otherwise the
+    bounds share one batched rho engine, and the bracket driver runs
+    their brackets: in lockstep on a chain or hidden-state sweep, each
+    round evaluating the abscissae both ask for in one batched sweep,
+    and one after the other over the warm tableau of the global program
+    (``lp``, and ``auto`` or ``decompose`` with evidence left)."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations, product
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -288,6 +289,22 @@ def random_factor(rng: np.random.Generator, net: CredalNetwork, scope,
     return net.factor_from_values(scope, values)
 
 
+def restrict_factor(net: CredalNetwork, f: Factor,
+                    assignment: Mapping[str, str]) -> Factor:
+    """Plug fixed values into a factor: the scope shrinks by the assigned
+    nodes, and the values are a view of ``f.values`` at the assigned
+    states.  Nodes in the assignment that are outside the scope are
+    ignored; a state outside its node's space raises
+    :class:`InputError`."""
+    if not any(s in assignment for s in f.scope):
+        return f
+    index = tuple(net.state_index(s, assignment[s]) if s in assignment
+                  else slice(None) for s in f.scope)
+    # the trailing Ellipsis keeps a full plug-in a 0-d view, not a scalar
+    return Factor(tuple(s for s in f.scope if s not in assignment),
+                  f.values[index + (Ellipsis,)])
+
+
 def product_factor(net: CredalNetwork, parent_assignment: dict,
                    f: Factor, g: Factor | None = None) -> Factor:
     """The global gamble  g(X_NN) * 1{X_P = parent assignment} * f(X_K)
@@ -413,3 +430,20 @@ def kink_grid(values, count: int = 20) -> list[float]:
     values = np.unique(np.asarray(values, dtype=float))
     grid = np.linspace(values[0] - 1.0, values[-1] + 1.0, count)
     return sorted({float(x) for x in grid} | {float(x) for x in values})
+
+
+# -- rho engines ------------------------------------------------------------
+
+def lifted(*fns):
+    """The batched rho engine (:data:`credalnet.conditioning.Rho`) of
+    scalar test engines ``mu -> (rho, E_p[f 1_B], P_p(B))``, one per
+    slot."""
+    def rho(slots, mus):
+        return tuple(zip(*(fns[i](mu) for i, mu in zip(slots, mus))))
+    return rho
+
+
+def one_gamble(rho, slot: int = 0):
+    """A batched rho engine at one slot, as a function of mu that returns
+    the floats (rho, E, P)."""
+    return lambda mu: tuple(float(a[0]) for a in rho([slot], [mu]))

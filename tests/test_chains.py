@@ -17,20 +17,14 @@ from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor, sub_network
 
 from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
-                     hmm_dag, interval_locals, kink_grid, precise_locals,
-                     random_binary_net, random_chain_net, random_factor,
-                     random_hmm_net, redeclared, reference_chain_lower,
-                     reference_hmm_rho, reference_reverse_rho,
-                     zero_bound_locals)
+                     hmm_dag, interval_locals, kink_grid, one_gamble,
+                     precise_locals, random_binary_net, random_chain_net,
+                     random_factor, random_hmm_net, redeclared,
+                     reference_chain_lower, reference_hmm_rho,
+                     reference_reverse_rho, zero_bound_locals)
 
 TOL = 1e-9
 DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def one_gamble(fn):
-    """A batched sweep at its first gamble, as a function of mu that
-    returns the floats (rho, E, P)."""
-    return lambda mu: tuple(float(a[0]) for a in fn([0], [mu]))
 
 
 def reverse_rho(net, h, x_n):
@@ -188,9 +182,8 @@ class TestChainReverseRho:
         mask = lp.event_mask(net, B)
         fv = lp.factor_vector(net, h)
         bayes = float(joint[mask] @ fv[mask]) / float(joint[mask].sum())
-        fn = reverse_rho(net, h, "0")
-        ev = conditioning.RhoEvaluator(fn, h.min(), h.max(), h.min())
-        res = conditioning.natural_conditional(ev, tolerance=1e-10)
+        res = sweep_bound(chain_reverse_rho(net, [h], reverse_plan(net, "0")),
+                          h, "natural")[0]
         assert res.value == pytest.approx(bayes, abs=1e-8)
 
     def test_conditioning_against_oracle(self, rng):
@@ -203,9 +196,8 @@ class TestChainReverseRho:
                 net, h, net.cylinder({"3": x_n}), "regular")
             if expect is None:
                 continue
-            fn = reverse_rho(net, h, x_n)
-            ev = conditioning.RhoEvaluator(fn, h.min(), h.max(), h.min())
-            res = conditioning.regular_conditional(ev, tolerance=1e-10)
+            res = sweep_bound(chain_reverse_rho(
+                net, [h], reverse_plan(net, x_n)), h, "regular")[0]
             assert res.value == pytest.approx(expect, abs=1e-6)
             hits += 1
         assert hits >= 3
@@ -253,12 +245,9 @@ class TestHmm:
         spec = infer_hmm_spec(net, obs)
         f = random_factor(rng, net, [states[-1]])
         x = {o: "0" for o in obs}
-        fn = filtering_rho(spec, f, x)
-        ev = conditioning.RhoEvaluator(fn, f.min(), f.max(), f.min())
-        res = conditioning.natural_conditional(ev, tolerance=1e-10)
-        direct = conditioning.natural_conditional(
-            conditioning.rho_evaluator(net, f, net.cylinder(x)),
-            tolerance=1e-10)
+        res = sweep_bound(hmm_forward_rho(spec, [f], hmm_plan(spec, x)), f,
+                          "natural")[0]
+        direct = lp_bound(net, f, net.cylinder(x), "natural")
         assert res.value == pytest.approx(direct.value, abs=1e-6)
 
 
@@ -405,15 +394,15 @@ def counted_local_lower(monkeypatch) -> list:
 
 def counted_rho(monkeypatch) -> list:
     """The abscissa of every new evaluation of rho from now on, as the
-    evaluators record them, one by one or in lockstep."""
+    evaluators record them."""
     mus = []
-    record = conditioning.RhoEvaluator.record
+    record = conditioning.RhoEvaluator.rho
 
     def counted(self, mu, *result):
         mus.append(mu)
         return record(self, mu, *result)
 
-    monkeypatch.setattr(conditioning.RhoEvaluator, "record", counted)
+    monkeypatch.setattr(conditioning.RhoEvaluator, "rho", counted)
     return mus
 
 
@@ -469,23 +458,20 @@ def reverse_sweep(rng, n, locals_of=interval_locals):
             lambda hs: chain_reverse_rho(net, hs, plan))
 
 
+def evaluators(gambles):
+    """The evaluators of a sweep's gambles: vacuous value min f."""
+    return [conditioning.RhoEvaluator(i, g.min(), g.max(), g.min())
+            for i, g in enumerate(gambles)]
+
+
 def lockstep_as_one_by_one(f, sweep, rule) -> set:
     """Asserts that the bounds of ``f`` and ``-f`` in lockstep over one
-    batched sweep equal, field for field, those of ``condition`` on each
-    gamble's own sweep, and that each new abscissa is evaluated once, in
+    batched sweep equal, field for field, those of each gamble's bracket
+    on its own sweep, and that each new abscissa is evaluated once, in
     fewer engine calls than one by one.  Returns the kinds (``None`` for
     the natural rule's ``HypothesisError``)."""
-    gambles, expect, counts = [f, -f], [], []
-    for g in gambles:
-        calls = []
-        one = one_gamble(sweep([g]))
-        ev = conditioning.RhoEvaluator(lambda mu: calls.append(mu) or one(mu),
-                                       g.min(), g.max(), g.min())
-        try:
-            expect.append(conditioning.condition(ev, rule, 1e-10))
-        except HypothesisError:
-            expect.append(None)
-        counts.append(len(calls))
+    gambles = [f, -f]
+    expect, counts = zip(*(sweep_bound(sweep([g]), g, rule) for g in gambles))
     fn, slots = sweep(gambles), []
 
     def counted(s, mus):
@@ -494,10 +480,10 @@ def lockstep_as_one_by_one(f, sweep, rule) -> set:
 
     if None in expect:
         with pytest.raises(HypothesisError):
-            conditioning.condition_lockstep(counted, gambles, rule, 1e-10)
+            conditioning.condition(counted, evaluators(gambles), rule, 1e-10)
         return {None}
-    got = conditioning.condition_lockstep(counted, gambles, rule, 1e-10)
-    assert got == expect
+    got = conditioning.condition(counted, evaluators(gambles), rule, 1e-10)
+    assert got == list(expect)
     assert sum(slots) == sum(counts)
     assert max(counts) <= len(slots) < sum(counts)
     return {r.kind for r in got}
@@ -539,9 +525,8 @@ class TestLockstep:
                                            "hmm", 1e-10))
         evaluations = len(mus)
         spec = infer_hmm_spec(net, obs)
-        low, up = (conditioning.condition(conditioning.RhoEvaluator(
-            filtering_rho(spec, g, x), g.min(), g.max(), g.min()),
-            "regular", 1e-10) for g in (f, -f))
+        low, up = (sweep_bound(hmm_forward_rho(spec, [g], hmm_plan(spec, x)),
+                               g, "regular")[0] for g in (f, -f))
         assert (got["lower"], got["kind"], got["iterations"],
                 got["bracket_width"]) == (low.value, low.kind,
                                           low.iterations, low.width)
@@ -685,8 +670,7 @@ class TestCompleteEvidence:
             x_E = {"1": "0", "3": "1"}
             got = complete_evidence_lower(net, "2", x_E, f, "natural",
                                           tolerance=1e-10)
-            ev = conditioning.rho_evaluator(net, f, net.cylinder(x_E))
-            expect = conditioning.natural_conditional(ev, tolerance=1e-10)
+            expect = lp_bound(net, f, net.cylinder(x_E), "natural")
             assert got == pytest.approx(expect.value, abs=1e-6)
 
 
@@ -694,26 +678,28 @@ class TestCompleteEvidence:
 MAX_ENGINE_CALLS = 10
 
 
-def sweep_bound(fn, g, rule):
-    """The conditional lower expectation of ``g`` from the sweep ``fn``
-    (None when the natural rule raises), and the number of sweeps."""
+def sweep_bound(rho, g, rule):
+    """The conditional lower expectation of ``g`` from the batched sweep
+    ``rho`` of it alone (None when the natural rule raises), and the
+    number of sweeps."""
     calls = []
 
-    def counted(mu):
-        calls.append(mu)
-        return fn(mu)
+    def counted(slots, mus):
+        calls.extend(mus)
+        return rho(slots, mus)
 
-    ev = conditioning.RhoEvaluator(counted, g.min(), g.max(), g.min())
     try:
-        return conditioning.condition(ev, rule, 1e-10), len(calls)
+        return conditioning.condition(counted, evaluators([g]), rule,
+                                      1e-10)[0], len(calls)
     except HypothesisError:
         return None, len(calls)
 
 
 def lp_bound(net, g, B, rule):
     try:
-        return conditioning.condition(conditioning.rho_evaluator(net, g, B),
-                                      rule, 1e-10)
+        rho, evs = conditioning.program_rho(net, B, [g],
+                                            lp.GlobalPolytope(net))
+        return conditioning.condition(rho, evs, rule, 1e-10)[0]
     except HypothesisError:
         return None
 
@@ -747,11 +733,11 @@ class TestDinkelbachSweeps:
             B = net.cylinder({str(n): "0"})
             for g in (h, -h):
                 for rule in ("natural", "regular"):
-                    got, calls = sweep_bound(reverse_rho(net, g, "0"), g,
-                                             rule)
+                    got, calls = sweep_bound(chain_reverse_rho(
+                        net, [g], reverse_plan(net, "0")), g, rule)
                     assert calls <= MAX_ENGINE_CALLS
-                    on_twin, calls = sweep_bound(reverse_rho(twin, g, "0"),
-                                                 g, rule)
+                    on_twin, calls = sweep_bound(chain_reverse_rho(
+                        twin, [g], reverse_plan(twin, "0")), g, rule)
                     assert calls <= MAX_ENGINE_CALLS
                     assert_same_bound(on_twin, got)
                     if n <= 5:
@@ -772,8 +758,8 @@ class TestDinkelbachSweeps:
                     results = []
                     for model in (net, twin):
                         spec = infer_hmm_spec(model, obs)
-                        got, calls = sweep_bound(filtering_rho(spec, g, x),
-                                                 g, rule)
+                        got, calls = sweep_bound(hmm_forward_rho(
+                            spec, [g], hmm_plan(spec, x)), g, rule)
                         assert calls <= MAX_ENGINE_CALLS
                         results.append(got)
                     assert_same_bound(results[1], results[0])

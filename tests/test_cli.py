@@ -180,9 +180,13 @@ def test_one_pass_trace_matches_committed_text(capsys):
 
 @pytest.mark.parametrize("net, query", [
     ("chain3.json", "chain3_chain_query.json"),
-    ("hmm3.json", "hmm3_query.json")])
+    ("hmm3.json", "hmm3_query.json"),
+    ("chain3.json", "chain3_query.json"),
+    ("zero_gate.json", "zero_gate_lp_query.json")])
 def test_sweep_output_matches_committed_text(capsys, net, query):
-    # the bounds, kinds and iteration counts of both brackets of a sweep
+    # the bounds, kinds and iteration counts of both brackets of a sweep,
+    # and of an lp query, whose brackets run one after the other over the
+    # global program: a unique root and a vacuous fallback
     code = cli.main(["infer", data(net), data(query)])
     out, _ = capsys.readouterr()
     assert code == 0

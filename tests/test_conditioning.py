@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from credalnet import chains, conditioning, lp, oracle
-from credalnet.conditioning import (BracketResult, condition_reduced,
-                                    lower_prob_positive, natural_conditional,
-                                    reduce_query, regular_conditional,
-                                    rho_evaluator, upper_prob_positive)
+from credalnet.conditioning import (BracketResult, RhoEvaluator, condition,
+                                    condition_reduced, program_rho,
+                                    reduce_query)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
@@ -19,8 +18,9 @@ from credalnet.network import Factor
 from credalnet.queries import run_query
 
 from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
-                     precise_locals, random_binary_net, random_chain_net,
-                     random_dag, random_factor, zero_bound_locals)
+                     lifted, one_gamble, precise_locals, random_binary_net,
+                     random_chain_net, random_dag, random_factor,
+                     zero_bound_locals)
 
 TOL = 1e-9
 
@@ -37,15 +37,29 @@ def make_net_with_zero_lower(rng):
     return binary_net(dag, locals_)
 
 
+def program(net, f, B):
+    """The global program's rho engine of ``f`` given ``B``, and the
+    evaluator of its bracket."""
+    rho, (ev,) = program_rho(net, B, [f], lp.GlobalPolytope(net))
+    return rho, ev
+
+
+def lp_bracket(net, f, B, rule, tolerance=conditioning.DEFAULT_TOLERANCE):
+    """The bracket of ``rule`` of ``f`` given ``B`` on the global
+    program."""
+    rho, ev = program(net, f, B)
+    return condition(rho, [ev], rule, tolerance)[0]
+
+
 class TestRho:
     def test_full_space_event(self, rng):
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, net.dag.nodes)
         B = net.event(net.dag.nodes, net.joint_tuples())
-        ev = rho_evaluator(net, f, B)
+        rho = one_gamble(program(net, f, B)[0])
         base = lp.lower_expectation_lp(net, f)
         for mu in (-1.0, 0.3, 2.0):
-            assert ev.rho(mu) == pytest.approx(base - mu, abs=1e-7)
+            assert rho(mu)[0] == pytest.approx(base - mu, abs=1e-7)
 
     def test_precise_net_is_linear(self, rng):
         dag = chain_dag(3)
@@ -57,49 +71,67 @@ class TestRho:
         fv = lp.factor_vector(net, f)
         pB = float(joint[mask].sum())
         cond = float(joint[mask] @ fv[mask]) / pB
-        ev = rho_evaluator(net, f, B)
+        rho = one_gamble(program(net, f, B)[0])
         for mu in np.linspace(f.min(), f.max(), 5):
-            assert ev.rho(mu) == pytest.approx(pB * (cond - mu), abs=1e-7)
+            assert rho(mu)[0] == pytest.approx(pB * (cond - mu), abs=1e-7)
 
     def test_monotonicity_guard(self):
-        bad = conditioning.RhoEvaluator(lambda mu: (mu, 0.0, 0.0), 0.0, 1.0,
-                                        0.0)
-        bad.rho(0.0)
+        # the sign tests evaluate rho(mu) = mu at -1 and then at 2
+        bad = lifted(lambda mu: (mu, 0.0, 0.0))
         with pytest.raises(ModelError):
-            bad.rho(1.0)
+            condition(bad, [RhoEvaluator(0, 0.0, 1.0, 0.0)], "regular")
+        ev = RhoEvaluator(0, 0.0, 1.0, 0.0)
+        ev.rho(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ModelError):
+            ev.rho(1.0, 1.0, 0.0, 0.0)
 
 
 class TestSignTests:
+    """rho's sign below min f (positive lower probability of B) and
+    above max f (positive upper probability) decide the bracket kind."""
+
+    @staticmethod
+    def signs(net, f, B, rule):
+        """The kind of ``rule``'s bracket (``None`` where it raises), and
+        the sign tests it made: lower and upper probability positive."""
+        rho, ev = program(net, f, B)
+        try:
+            kind = condition(rho, [ev], rule, 1e-10)[0].kind
+        except HypothesisError:
+            kind = None
+        tests = {ev.f_min - 1.0: 1.0, ev.f_max + 1.0: -1.0}
+        return kind, [sign * ev.recorded(mu)[0] > conditioning.TOL_SIGN
+                      for mu, sign in tests.items() if mu in ev._seen]
+
     def test_full_space(self, rng):
         net = random_binary_net(rng, 2)
         f = random_factor(rng, net, net.dag.nodes)
         B = net.event(net.dag.nodes, net.joint_tuples())
-        ev = rho_evaluator(net, f, B)
-        assert lower_prob_positive(ev)
-        assert upper_prob_positive(ev)
+        for rule in ("natural", "regular"):
+            assert self.signs(net, f, B, rule) == ("unique-root", [True])
 
     def test_zero_lower_positive_upper(self, rng):
         net = make_net_with_zero_lower(rng)
         f = random_factor(rng, net, ["b"])
-        ev = rho_evaluator(net, f, net.cylinder({"a": "0"}))
-        assert not lower_prob_positive(ev)
-        assert upper_prob_positive(ev)
+        B = net.cylinder({"a": "0"})
+        assert self.signs(net, f, B, "natural") == (None, [False])
+        assert self.signs(net, f, B, "regular") == \
+            ("rightmost-root", [False, True])
 
     def test_precise_event(self, rng):
         dag = chain_dag(2)
         net = binary_net(dag, precise_locals(dag, rng))
         f = random_factor(rng, net, ["2"])
-        ev = rho_evaluator(net, f, net.cylinder({"1": "0"}))
-        assert lower_prob_positive(ev)
-        assert upper_prob_positive(ev)
+        B = net.cylinder({"1": "0"})
+        for rule in ("natural", "regular"):
+            assert self.signs(net, f, B, rule) == ("unique-root", [True])
 
 
 class TestNaturalConditional:
     def test_constant_gamble(self, rng):
         net = random_binary_net(rng, 2)
         f = net.factor_from_values(["1"], [1.7, 1.7])
-        ev = rho_evaluator(net, f, net.cylinder({"2": "0"}))
-        res = natural_conditional(ev)
+        res = lp_bracket(net, f, net.cylinder({"2": "0"}), "natural")
         assert res.value == pytest.approx(1.7, abs=1e-8)
 
     def test_precise_net_is_bayes(self, rng):
@@ -112,8 +144,7 @@ class TestNaturalConditional:
             mask = lp.event_mask(net, B)
             fv = lp.factor_vector(net, f)
             bayes = float(joint[mask] @ fv[mask]) / float(joint[mask].sum())
-            ev = rho_evaluator(net, f, B)
-            res = natural_conditional(ev)
+            res = lp_bracket(net, f, B, "natural")
             assert res.value == pytest.approx(bayes, abs=1e-7)
 
     def test_matches_extreme_point_oracle(self, rng):
@@ -125,8 +156,7 @@ class TestNaturalConditional:
             expect = oracle.irr_extreme_conditional(net, f, B, "natural")
             if expect is None:
                 continue
-            ev = rho_evaluator(net, f, B)
-            res = natural_conditional(ev, tolerance=1e-10)
+            res = lp_bracket(net, f, B, "natural", 1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
             hits += 1
         assert hits >= 4
@@ -134,16 +164,14 @@ class TestNaturalConditional:
     def test_raises_on_zero_lower(self, rng):
         net = make_net_with_zero_lower(rng)
         f = random_factor(rng, net, ["b"])
-        ev = rho_evaluator(net, f, net.cylinder({"a": "0"}))
         with pytest.raises(HypothesisError):
-            natural_conditional(ev)
+            lp_bracket(net, f, net.cylinder({"a": "0"}), "natural")
 
     def test_iteration_bound(self, rng):
         net = random_binary_net(rng, 2)
         f = random_factor(rng, net, net.dag.nodes)
-        ev = rho_evaluator(net, f, net.cylinder({"1": "0"}))
         tol = 1e-9
-        res = natural_conditional(ev, tolerance=tol)
+        res = lp_bracket(net, f, net.cylinder({"1": "0"}), "natural", tol)
         bound = math.ceil(math.log2((f.max() - f.min()) / tol)) + 1
         assert res.iterations <= bound
         assert res.width <= tol
@@ -155,10 +183,8 @@ class TestRegularConditional:
             net = random_binary_net(rng, 3, edge_p=0.4)
             f = random_factor(rng, net, ["2"])
             B = net.cylinder({"3": "1"})
-            ev1 = rho_evaluator(net, f, B)
-            ev2 = rho_evaluator(net, f, B)
-            nat = natural_conditional(ev1)
-            reg = regular_conditional(ev2)
+            nat = lp_bracket(net, f, B, "natural")
+            reg = lp_bracket(net, f, B, "regular")
             assert reg.kind == "unique-root"
             assert reg.value == pytest.approx(nat.value, abs=1e-8)
 
@@ -170,8 +196,7 @@ class TestRegularConditional:
             B = net.cylinder({"a": "0"})
             expect = oracle.irr_extreme_conditional(net, f, B, "regular")
             assert expect is not None
-            ev = rho_evaluator(net, f, B)
-            res = regular_conditional(ev, tolerance=1e-10)
+            res = lp_bracket(net, f, B, "regular", 1e-10)
             assert res.kind == "rightmost-root"
             assert res.value == pytest.approx(expect, abs=1e-6)
             # tighter than (hypothetical) natural: at least the vacuous bound
@@ -180,14 +205,10 @@ class TestRegularConditional:
         assert hits == 8
 
     def test_vacuous_fallback(self, rng):
-        dag = Dag(["a", "b"], [("a", "b")])
-        locals_ = {("a", ()): singleton(("0", "1"), (1.0, 0.0))}
-        for cfg in (("0",), ("1",)):
-            locals_[("b", cfg)] = binary_interval(("0", "1"), 0.3, 0.7)
-        net = binary_net(dag, locals_)
+        net = vacuous_net()
         f = random_factor(rng, net, ["b"])
-        ev = rho_evaluator(net, f, net.cylinder({"a": "1"}))  # impossible
-        res = regular_conditional(ev)
+        # impossible
+        res = lp_bracket(net, f, net.cylinder({"a": "1"}), "regular")
         assert res.kind == "vacuous-fallback"
         assert res.value == pytest.approx(f.min(), abs=TOL)
 
@@ -198,10 +219,10 @@ class TestRhoShape:
             net = random_binary_net(rng, 3, edge_p=0.5)
             f = random_factor(rng, net, ["2", "3"])
             B = net.cylinder({"1": "0"})
-            ev = rho_evaluator(net, f, B)
+            rho = one_gamble(program(net, f, B)[0])
             p_low = lp.lower_expectation_lp(net, net.indicator(B))
             grid = np.linspace(f.min(), f.max(), 17)
-            vals = np.array([ev.rho(float(mu)) for mu in grid])
+            vals = np.array([rho(float(mu))[0] for mu in grid])
             d = np.diff(vals)
             assert (d <= TOL).all()
             step = grid[1] - grid[0]
@@ -210,29 +231,29 @@ class TestRhoShape:
             assert (vals[1:-1] >= mid - TOL).all()
 
 
-def counted(ev):
-    """``ev`` with its engine wrapped: the abscissas it is called at are
-    appended to the returned list."""
-    calls = []
-    fn = ev.fn
+def counted(rho):
+    """``rho`` and the list that each of its calls appends its slot count
+    to, and the list of abscissae it is called at."""
+    sizes, calls = [], []
 
-    def wrapped(mu):
-        calls.append(mu)
-        return fn(mu)
+    def wrapped(slots, mus):
+        sizes.append(len(slots))
+        calls.extend(mus)
+        return rho(slots, mus)
 
-    ev.fn = wrapped
-    return ev, calls
+    return wrapped, sizes, calls
 
 
-def bisected(bracket, ev, tol):
-    """What ``bracket`` (natural_conditional or regular_conditional)
-    answers on ``ev``, by plain bisection on rho: the unique root, or the
+def bisected(rule, rho, ev, tol):
+    """What the bracket of ``rule`` answers on the engine ``rho`` at the
+    slot of ``ev``, by plain bisection on rho: the unique root, or the
     rightmost mu where rho is not below -TOL_SIGN."""
-    if lower_prob_positive(ev):
+    at = one_gamble(rho, ev.slot)
+    if at(ev.f_min - 1.0)[0] > conditioning.TOL_SIGN:
         kind, left_of_root = "unique-root", lambda r: r > 0.0
-    elif bracket is natural_conditional:
+    elif rule == "natural":
         raise HypothesisError("zero lower probability")
-    elif not upper_prob_positive(ev):
+    elif not -at(ev.f_max + 1.0)[0] > conditioning.TOL_SIGN:
         return BracketResult(ev.vacuous_value, "vacuous-fallback", 0, 0.0)
     else:
         kind = "rightmost-root"
@@ -240,7 +261,7 @@ def bisected(bracket, ev, tol):
     lo, hi = ev.f_min, ev.f_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if left_of_root(ev.rho(mid)) else (lo, mid)
+        lo, hi = (mid, hi) if left_of_root(at(mid)[0]) else (lo, mid)
     return BracketResult(0.5 * (lo + hi), kind, 0, hi - lo)
 
 
@@ -274,16 +295,16 @@ class TestDinkelbachSteps:
     def test_equal_bisection_on_the_same_lp(self, rng):
         kinds = set()
         for net, f, B in conditional_cases(rng):
-            for bracket in (natural_conditional, regular_conditional):
-                ev, calls = counted(rho_evaluator(net, f, B))
+            for rule in ("natural", "regular"):
+                rho, ev = program(net, f, B)
+                rho, _, calls = counted(rho)
                 try:
-                    expect = bisected(bracket, rho_evaluator(net, f, B),
-                                      self.TOL)
+                    expect = bisected(rule, *program(net, f, B), self.TOL)
                 except HypothesisError:
                     with pytest.raises(HypothesisError):
-                        bracket(ev, self.TOL)
+                        condition(rho, [ev], rule, self.TOL)
                     continue
-                got = bracket(ev, self.TOL)
+                (got,) = condition(rho, [ev], rule, self.TOL)
                 kinds.add(got.kind)
                 assert got.kind == expect.kind
                 assert got.value == pytest.approx(expect.value, abs=1e-9)
@@ -302,8 +323,8 @@ class TestDinkelbachSteps:
                 return 0.3 - mu, 0.8 * prob, prob
             return 0.3 - mu, 0.0, 0.0
 
-        res = natural_conditional(conditioning.RhoEvaluator(fn, 0.0, 1.0,
-                                                            0.0), 1e-10)
+        (res,) = condition(lifted(fn), [RhoEvaluator(0, 0.0, 1.0, 0.0)],
+                           "natural", 1e-10)
         assert res.kind == "unique-root"
         assert res.value == pytest.approx(0.3, abs=1e-9)
         assert res.iterations > 5
@@ -314,18 +335,22 @@ class TestDinkelbachSteps:
         def fn(mu):
             return (0.0, 0.0, 0.0) if mu <= 0.5 else (-1.0, mu, 1.0)
 
-        ev = conditioning.RhoEvaluator(fn, 0.0, 1.0, 0.0)
         with pytest.raises(ConvergenceError):
-            regular_conditional(ev)
+            condition(lifted(fn), [RhoEvaluator(0, 0.0, 1.0, 0.0)],
+                      "regular")
 
     def test_each_abscissa_evaluated_once(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.5)
         f = random_factor(rng, net, ["1"])
-        ev, calls = counted(rho_evaluator(net, f, net.cylinder({"3": "0"})))
-        first = ev.rho(0.25)
-        assert ev.rho(0.25) == first
-        assert lower_prob_positive(ev) == lower_prob_positive(ev)
-        assert calls == [0.25, f.min() - 1.0]
+        rho, ev = program(net, f, net.cylinder({"3": "0"}))
+        rho, sizes, calls = counted(rho)
+        first = condition(rho, [ev], "natural", self.TOL)
+        assert calls[0] == f.min() - 1.0
+        assert len(calls) == len(set(calls)) == len(sizes)
+        # a second run on the same evaluator evaluates nothing new
+        evaluated = list(calls)
+        assert condition(rho, [ev], "natural", self.TOL) == first
+        assert calls == evaluated
 
 
 def envelope(*models):
@@ -343,36 +368,29 @@ def envelope(*models):
 ENGINES = {"unique-root": envelope((0.3, 0.5), (0.4, 0.9), (0.1, 0.2)),
            "rightmost-root": envelope((0.0, 0.0), (0.3, 0.5), (0.5, 0.6)),
            "vacuous-fallback": envelope((0.0, 0.0))}
-UNIT = np.array([0.0, 1.0])
 
 
-def batched(*fns):
-    """The batched engine of one scalar engine per slot, and the list of
-    the number of slots of each of its calls."""
-    calls = []
-
-    def fn(slots, mus):
-        calls.append(len(slots))
-        rows = [fns[i](mu) for i, mu in zip(slots, mus)]
-        return tuple(np.array(col) for col in zip(*rows))
-
-    return fn, calls
+def unit_evaluators(k):
+    """Evaluators of ``k`` gambles with values in [0, 1], at slots 0..k-1."""
+    return [RhoEvaluator(i, 0.0, 1.0, 0.0) for i in range(k)]
 
 
-def one_by_one(fns, rule):
-    """:func:`condition` on each engine's own evaluator, and the number of
-    evaluations each took."""
+def alone(fns, rule):
+    """Each bracket run alone, by its own driver call on one batched
+    engine, and the number of evaluations each took."""
     results, counts = [], []
-    for fn in fns:
-        ev, calls = counted(conditioning.RhoEvaluator(fn, 0.0, 1.0, 0.0))
-        results.append(conditioning.condition(ev, rule, 1e-10))
-        counts.append(len(calls))
+    rho, _, calls = counted(lifted(*fns))
+    for ev in unit_evaluators(len(fns)):
+        before = len(calls)
+        results.extend(condition(rho, [ev], rule, 1e-10))
+        counts.append(len(calls) - before)
     return results, counts
 
 
 class TestLockstep:
-    """Brackets in lockstep give, field for field, what each gives on its
-    own, and evaluate the same abscissae in one engine call per round."""
+    """k brackets in one driver call give, field for field, what each
+    gives run alone, and evaluate the same abscissae in one engine call
+    per round."""
 
     @pytest.mark.parametrize("kinds", [
         ("unique-root", "rightmost-root"), ("rightmost-root", "unique-root"),
@@ -381,34 +399,74 @@ class TestLockstep:
         ("unique-root", "unique-root", "rightmost-root")])
     def test_mixed_kinds(self, kinds):
         fns = [ENGINES[k] for k in kinds]
-        expect, counts = one_by_one(fns, "regular")
+        expect, counts = alone(fns, "regular")
         assert [r.kind for r in expect] == list(kinds)
-        fn, calls = batched(*fns)
-        got = conditioning.condition_lockstep(fn, [UNIT] * len(fns),
-                                              "regular", 1e-10)
+        rho, sizes, _ = counted(lifted(*fns))
+        got = condition(rho, unit_evaluators(len(fns)), "regular", 1e-10)
         assert got == expect
-        assert sum(calls) == sum(counts)
-        assert len(calls) == max(counts)
+        assert sum(sizes) == sum(counts)
+        assert len(sizes) == max(counts)
 
     def test_natural_rule(self):
         fns = [ENGINES["unique-root"]] * 2
-        expect, _ = one_by_one(fns, "natural")
-        fn, _ = batched(*fns)
-        assert conditioning.condition_lockstep(fn, [UNIT, UNIT], "natural",
-                                               1e-10) == expect
+        expect, _ = alone(fns, "natural")
+        assert condition(lifted(*fns), unit_evaluators(2), "natural",
+                         1e-10) == expect
         for other in ("rightmost-root", "vacuous-fallback"):
             for fns in ([ENGINES["unique-root"], ENGINES[other]],
                         [ENGINES[other], ENGINES["unique-root"]]):
                 with pytest.raises(HypothesisError):
-                    one_by_one(fns, "natural")
+                    alone(fns, "natural")
                 with pytest.raises(HypothesisError):
-                    conditioning.condition_lockstep(
-                        batched(*fns)[0], [UNIT, UNIT], "natural", 1e-10)
+                    condition(lifted(*fns), unit_evaluators(2), "natural",
+                              1e-10)
 
     def test_unknown_rule(self):
         with pytest.raises(InputError):
-            conditioning.condition_lockstep(batched(ENGINES["unique-root"])[0],
-                                            [UNIT], "unconditional")
+            condition(lifted(ENGINES["unique-root"]), unit_evaluators(1),
+                      "unconditional")
+
+
+class TestProgramBrackets:
+    """On the global program the two brackets of a query share one
+    engine and its warm tableau, and run one after the other: every
+    abscissa of the lower bound is solved before any of the upper one,
+    by one phase 2 per new evaluation."""
+
+    @pytest.mark.parametrize("seed,n", [(3, 5), (5, 6)])
+    def test_lower_bracket_first(self, monkeypatch, seed, n):
+        net = random_binary_net(np.random.default_rng(seed), n, 0.4)
+        nodes = net.dag.nodes
+        f = random_factor(np.random.default_rng(seed + 1), net, [nodes[0]])
+        B = net.cylinder({nodes[-1]: "0"})
+        log = []
+        minimize, record = lp.GlobalPolytope.minimize, RhoEvaluator.rho
+
+        def spied_minimize(gp, c, **kw):
+            log.append(("minimize", np.array(c)))
+            return minimize(gp, c, **kw)
+
+        def spied_rho(ev, mu, *row):
+            log.append(("rho", ev.slot, mu))
+            return record(ev, mu, *row)
+
+        monkeypatch.setattr(lp.GlobalPolytope, "minimize", spied_minimize)
+        monkeypatch.setattr(RhoEvaluator, "rho", spied_rho)
+        got = run_query(net, Query(f, B, "natural", "lp", 1e-10))
+        assert got["kind"] == got["upper_kind"] == "unique-root"
+        # each evaluation is one phase 2, at the objective of its slot
+        assert [e[0] for e in log] == ["minimize", "rho"] * (len(log) // 2)
+        ib = lp.event_mask(net, B).astype(float)
+        ibf = ib * lp.factor_vector(net, f)
+        slots = []
+        for (_, c), (_, slot, mu) in zip(log[::2], log[1::2]):
+            assert np.array_equal(c, (ibf if slot == 0 else -ibf) - mu * ib)
+            slots.append(slot)
+        assert len(set(log[1::2])) == len(slots)
+        lower = slots.count(0)
+        assert slots == [0] * lower + [1] * (len(slots) - lower)
+        assert lower == got["iterations"] + 1
+        assert len(slots) - lower == got["upper_iterations"] + 1
 
 
 class TestReduceThenCondition:
@@ -420,10 +478,10 @@ class TestReduceThenCondition:
         net = binary_net(dag, interval_locals(dag, rng))
         f = random_factor(rng, net, ["9"])
         given = net.cylinder({"3": "0", "4": "1", "6": "0"})
-        nat = condition_reduced(reduce_query(net, f.scope, given, "natural"),
-                                f, "natural")
-        reg = condition_reduced(reduce_query(net, f.scope, given, "regular"),
-                                f, "regular")
+        (nat,) = condition_reduced(
+            reduce_query(net, f.scope, given, "natural"), [f], "natural")
+        (reg,) = condition_reduced(
+            reduce_query(net, f.scope, given, "regular"), [f], "regular")
         assert nat.kind == "local-fallback"
         assert reg.kind == "local-fallback"
         assert nat.value == pytest.approx(reg.value, abs=TOL)
@@ -437,8 +495,8 @@ class TestReduceThenCondition:
     def test_unconditional_dispatch(self, rng):
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, ["2"])
-        res = condition_reduced(reduce_query(net, f.scope, None, "natural"),
-                                f, "natural")
+        (res,) = condition_reduced(
+            reduce_query(net, f.scope, None, "natural"), [f], "natural")
         assert res.value == pytest.approx(
             lp.lower_expectation_lp(net, f), abs=1e-7)
 
@@ -450,13 +508,12 @@ class TestReduceThenCondition:
             t = {"4": str(rng.integers(0, 2)), "3": str(rng.integers(0, 2))}
             given = net.cylinder(t)
             try:
-                red = condition_reduced(
-                    reduce_query(net, f.scope, given, "natural"), f,
+                (red,) = condition_reduced(
+                    reduce_query(net, f.scope, given, "natural"), [f],
                     "natural", 1e-10)
             except HypothesisError:
                 continue
-            ev = rho_evaluator(net, f, given)
-            direct = natural_conditional(ev, tolerance=1e-10)
+            direct = lp_bracket(net, f, given, "natural", 1e-10)
             assert red.value == pytest.approx(direct.value, abs=1e-6)
             hits += 1
         assert hits >= 5
@@ -466,19 +523,18 @@ class TestReduceThenCondition:
             net = random_binary_net(rng, 4, edge_p=0.5)
             f = random_factor(rng, net, ["1"])
             given = net.cylinder({"4": str(rng.integers(0, 2))})
-            red = condition_reduced(
-                reduce_query(net, f.scope, given, "regular"), f, "regular",
+            (red,) = condition_reduced(
+                reduce_query(net, f.scope, given, "regular"), [f], "regular",
                 1e-10)
-            ev = rho_evaluator(net, f, given)
-            direct = regular_conditional(ev, tolerance=1e-10)
+            direct = lp_bracket(net, f, given, "regular", 1e-10)
             assert red.value == pytest.approx(direct.value, abs=1e-6)
 
     def test_general_event_direct(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.4)
         f = random_factor(rng, net, ["1"])
         B = net.event(["2", "3"], [("0", "0"), ("1", "1"), ("0", "1")])
-        res = condition_reduced(reduce_query(net, f.scope, B, "natural"), f,
-                                "natural", 1e-10)
+        (res,) = condition_reduced(reduce_query(net, f.scope, B, "natural"),
+                                   [f], "natural", 1e-10)
         expect = oracle.irr_extreme_conditional(net, f, B, "natural")
         if expect is not None:
             assert res.value == pytest.approx(expect, abs=1e-6)
@@ -499,34 +555,39 @@ class TestLocalModelPreservation:
             f = random_factor(rng, net, [s])
             cfg = net.parent_config(s, assignment)
             expect = net.local(s, cfg).lower_expectation(f.values)
-            res = condition_reduced(
+            (res,) = condition_reduced(
                 reduce_query(net, f.scope, net.cylinder(assignment),
-                             "regular"), f, "regular", 1e-10)
+                             "regular"), [f], "regular", 1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
 
 
 class TestConditionDispatch:
-    def test_rules(self, rng):
+    def test_rules(self, rng, monkeypatch):
+        # the driver looks the rule's bracket up by its module name at
+        # call time, so that a wrapper put there sees every bracket
         net = random_binary_net(rng, 3, edge_p=0.5)
         f = random_factor(rng, net, ["1"])
         B = net.cylinder({"3": "1"})
-        for rule, bracket in (("natural", natural_conditional),
-                              ("regular", regular_conditional)):
-            got = conditioning.condition(rho_evaluator(net, f, B), rule, 1e-10)
-            expect = bracket(rho_evaluator(net, f, B), 1e-10)
-            assert (got.value, got.kind) == (expect.value, expect.kind)
+        for rule in ("natural", "regular"):
+            name = f"{rule}_conditional"
+            bracket, calls = getattr(conditioning, name), []
+            monkeypatch.setattr(conditioning, name, lambda ev, tol: (
+                calls.append(ev) or bracket(ev, tol)))
+            rho, ev = program(net, f, B)
+            got = condition(rho, [ev], rule, 1e-10)
+            assert calls == [ev]
+            assert got == [lp_bracket(net, f, B, rule, 1e-10)]
         with pytest.raises(InputError):
-            conditioning.condition(rho_evaluator(net, f, B), "unconditional")
+            lp_bracket(net, f, B, "unconditional")
 
     def test_zero_lower_probability(self, rng):
         net = make_net_with_zero_lower(rng)
         f = random_factor(rng, net, ["b"])
         B = net.cylinder({"a": "0"})
         with pytest.raises(HypothesisError):
-            conditioning.condition(rho_evaluator(net, f, B), "natural")
-        plain = conditioning.condition(rho_evaluator(net, f, B), "regular")
+            lp_bracket(net, f, B, "natural")
+        plain = lp_bracket(net, f, B, "regular")
         assert plain.kind == "rightmost-root"
-
 
 
 def gate_net(rng, zero: bool):
@@ -638,10 +699,10 @@ class TestVacuousBound:
             net = random_binary_net(rng, 4, edge_p=0.5)
             f = random_factor(rng, net, ["2", "4"])
             B = net.event(["1", "4"], [("0", "1"), ("1", "0")])
-            assert rho_evaluator(net, f, B).vacuous_value == \
+            assert program(net, f, B)[1].vacuous_value == \
                 conditioning._vacuous_bound(net, f, B)
         with pytest.raises(InputError):
-            rho_evaluator(net, f, net.event(["1"], []))
+            program(net, f, net.event(["1"], []))
 
     def test_long_chain_stops_at_the_lp_bound(self, rng):
         # the vacuous bound is taken over the query's two nodes, so the

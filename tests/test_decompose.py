@@ -9,22 +9,30 @@ from itertools import product
 import numpy as np
 import pytest
 
-from credalnet import decompose, lp
+from credalnet import conditioning, decompose, lp
 from credalnet.credal import CredalSet
 from credalnet.decompose import (atom_bounds, combined, external_additivity,
                                  factorise, iterated_lower_expectation,
                                  lower_expectation, marginalise, trace_lines)
 from credalnet.errors import HypothesisError, InputError
 from credalnet.graph import Dag, closure, is_closed, set_relations
-from credalnet.network import (CredalNetwork, Factor, joint_states,
-                               restrict_factor, sub_network)
+from credalnet.network import CredalNetwork, Factor, joint_states, sub_network
 
 from helpers import (binary_net, chain_dag, combined_factor, fig_dag,
                      interval_locals, precise_locals, product_factor,
                      random_binary_net, random_chain_net, random_factor,
-                     redeclared, reference_chain_lower, sum_factor)
+                     redeclared, reference_chain_lower, restrict_factor,
+                     sum_factor)
 
 TOL = 1e-9
+
+
+def lp_conditional(net, f, B):
+    """The natural conditional of ``f`` given ``B`` on the whole
+    network's global program."""
+    rho, evaluators = conditioning.program_rho(net, B, [f],
+                                               lp.GlobalPolytope(net))
+    return conditioning.condition(rho, evaluators, "natural", 1e-10)[0].value
 
 
 def closed_sets_with_parents(net, rng, want_parents=None, tries=60):
@@ -168,7 +176,6 @@ class TestMarginalise:
     def test_equals_conditional_on_full_net(self, rng):
         # unconditional sub-network value == full-net conditional via LP
         # bracketing on the parent cylinder
-        from credalnet.conditioning import natural_conditional, rho_evaluator
         hits = 0
         for _ in range(12):
             net = random_binary_net(rng, 4, edge_p=0.5)
@@ -179,8 +186,7 @@ class TestMarginalise:
             assignment = {p: str(rng.integers(0, 2)) for p in rel.parents}
             f = random_factor(rng, net, list(K))
             value = marginalise(net, K, assignment, f)
-            ev = rho_evaluator(net, f, net.cylinder(assignment))
-            bracketed = natural_conditional(ev, tolerance=1e-10).value
+            bracketed = lp_conditional(net, f, net.cylinder(assignment))
             assert value == pytest.approx(bracketed, abs=1e-7)
             hits += 1
         assert hits >= 5
@@ -188,7 +194,6 @@ class TestMarginalise:
     def test_event_in_k(self, rng):
         # the natural conditional given B_K on the sub-network equals the
         # full-net one given B_K, the parent cylinder and B_NNK
-        from credalnet.conditioning import natural_conditional, rho_evaluator
         hits = 0
         for _ in range(12):
             net = random_binary_net(rng, 4, edge_p=0.5)
@@ -204,9 +209,8 @@ class TestMarginalise:
             value = marginalise(net, K, assignment, f, net.cylinder(inside),
                                 net.cylinder(outside) if outside else None,
                                 tolerance=1e-10)
-            ev = rho_evaluator(net, f, net.cylinder(
+            bracketed = lp_conditional(net, f, net.cylinder(
                 {**assignment, **inside, **outside}))
-            bracketed = natural_conditional(ev, tolerance=1e-10).value
             assert value == pytest.approx(bracketed, abs=1e-7)
             hits += 1
         assert hits >= 5

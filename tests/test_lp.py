@@ -15,8 +15,8 @@ from credalnet.graph import Dag
 from credalnet.network import CredalNetwork
 
 from helpers import (bayes_joint, binary_net, chain_dag, highs_minimum,
-                     interval_locals, precise_locals, random_binary_net,
-                     random_factor, simplex_cut_net)
+                     interval_locals, one_gamble, precise_locals,
+                     random_binary_net, random_factor, simplex_cut_net)
 
 TOL = 1e-9
 
@@ -373,8 +373,7 @@ class TestWarmStart:
         net, f, B = rho_problem(seed, n)
         neg = -f
         gp = lp.GlobalPolytope(net)
-        evaluators = {id(g): conditioning.rho_evaluator(net, g, B, gp)
-                      for g in (f, neg)}
+        rho, _ = conditioning.program_rho(net, B, [f, neg], gp)
 
         def cold(c):
             res = simplex.phase2(gp._feasible, c)
@@ -382,7 +381,7 @@ class TestWarmStart:
             return res.objective, res.x
 
         for g, mu in rho_orders(f, neg):
-            got = tuple(map(float, evaluators[id(g)].fn(mu)))
+            got = one_gamble(rho, 0 if g is f else 1)(mu)
             assert got == pytest.approx(rho_triple(net, g, B, mu, cold),
                                         abs=1e-9)
             assert got == pytest.approx(rho_triple(

@@ -10,11 +10,10 @@ from credalnet.credal import (CredalSet, binary_interval, singleton, vacuous,
                               vertices_to_constraints)
 from credalnet.errors import CapabilityError, InputError
 from credalnet.graph import Dag
-from credalnet.network import (CredalNetwork, Factor, joint_states,
-                               restrict_factor, sub_network)
+from credalnet.network import CredalNetwork, Factor, joint_states, sub_network
 
 from helpers import (binary_net, fig_dag, interval_locals, random_binary_net,
-                     random_factor)
+                     random_factor, restrict_factor)
 
 
 @pytest.fixture(scope="module")
