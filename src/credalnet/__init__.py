@@ -8,18 +8,18 @@ hidden-state models, root bracketing for conditioning, and brute-force
 oracles for verification.
 """
 
-from .chains import (HmmSpec, HmmStep, ReversePlan, TransferOperator,
-                     chain_reverse_rho, complete_evidence_lower,
-                     hmm_forward_rho, hmm_plan, infer_hmm_spec, reverse_plan)
+from .chains import (HmmSpec, HmmStep, TransferOperator,
+                     complete_evidence_lower, hmm_forward_rho, hmm_plan,
+                     infer_hmm_spec)
 from .conditioning import (BracketResult, Rho, RhoEvaluator, condition,
                            natural_conditional, program_rho,
-                           regular_conditional)
+                           regular_conditional, root_rho)
 from .credal import (CredalSet, LinearConstraint, MassFunction,
                      binary_interval, constraints_to_vertices, singleton,
                      vacuous, vertices_to_constraints)
-from .decompose import (Reduction, atom_bounds, combined, external_additivity,
-                        factorise, iterated_lower_expectation,
-                        lower_expectation, marginalise, trace_lines)
+from .decompose import (Reduction, combined, external_additivity, factorise,
+                        iterated_lower_expectation, lower_expectation,
+                        marginalise, trace_lines)
 from .errors import (CapabilityError, ConvergenceError, CredalError,
                      HypothesisError, InputError, ModelError)
 from .fileio import (Query, ValidationReport, dump_network, load_network,

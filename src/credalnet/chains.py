@@ -1,50 +1,40 @@
-"""Linear-time recursions for conditional queries on chains,
-hidden-state models and complete evidence.
+"""Chains and hidden-state models.
 
 An unconditional chain query is the planner's
 (:func:`credalnet.decompose.lower_expectation`): its peels compose the
 transfer operators backwards.  The operator of node k
 (:class:`TransferOperator`) maps a gamble on X_k to the gamble on X_{k-1}
-of local lower expectations, one per predecessor state.
+of local lower expectations, one per predecessor state.  A chain's first
+node given its last one, and a node given complete evidence
+(:func:`complete_evidence_lower`), take the bracketing function of
+evidence below a root, :func:`credalnet.conditioning.root_rho`.
 
-Reverse conditioning and observation-weighted recursions evaluate the
-bracketing function rho of the conditioning module in one backward sweep
-instead of solving a global program per abscissa.  Each splits into a
-per-query *plan* and a per-mu *evaluation*.  The plan holds what depends
-neither on the gamble nor on mu, so the lower and the upper bound of a
-query share it: for a reverse chain the two indicator envelopes
-(:func:`reverse_plan`, one backward pass), for a hidden-state model the
-lower and upper probability of every observed symbol and the axis order
-and local stack of every step (:func:`hmm_plan`), each built as a batch
-of two.  :func:`chain_reverse_rho`, :func:`hmm_forward_rho` and
-:func:`complete_evidence_lower` build the batched rho engine
-(:data:`~credalnet.conditioning.Rho`) of a batch of gambles, with a
-leading gamble axis, so that the bracket driver
-(:func:`~credalnet.conditioning.condition`) runs the two bounds'
-brackets in lockstep: one evaluation, one front contraction on a chain
-and one weight/multiply/contract step per time step on a hidden-state
-model, serves both.  Like the global program, an evaluation also gives
-the probability of the event under a model attaining rho, from the
-attaining local mass functions
+Filtering on a hidden-state model evaluates rho in one backward sweep
+per abscissa: :func:`hmm_plan` holds what depends neither on the gamble
+nor on mu (the lower and upper probability of every observed symbol, and
+the axis order and local stack of every step, built as a batch of two),
+and :func:`hmm_forward_rho` builds the batched rho engine
+(:data:`~credalnet.conditioning.Rho`), so that the two bounds' brackets
+run in lockstep (:func:`~credalnet.conditioning.condition`).  Like the
+global program, an evaluation also gives the probability of the event
+under a model attaining rho, from the attaining local mass functions
 (:meth:`~credalnet.network.CredalNetwork.local_lower_argmin`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import conditioning, decompose
+from . import conditioning
 from .errors import HypothesisError, InputError
-from .network import CredalNetwork, Factor, lower_argmin, sub_network
+from .network import CredalNetwork, Factor, lower_argmin
 
 __all__ = [
-    "TransferOperator", "chain_order", "ReversePlan", "reverse_plan",
-    "chain_reverse_rho", "HmmSpec", "infer_hmm_spec", "HmmStep", "hmm_plan",
-    "hmm_forward_rho", "complete_evidence_lower"]
+    "TransferOperator", "chain_order", "HmmSpec", "infer_hmm_spec", "HmmStep",
+    "hmm_plan", "hmm_forward_rho", "complete_evidence_lower"]
 
 
 def chain_order(net: CredalNetwork) -> tuple[str, ...]:
@@ -90,64 +80,6 @@ def _gamble_on(net: CredalNetwork, node: str, h) -> np.ndarray:
     if values.shape != (net.size(node),):
         raise InputError("gamble has the wrong number of values")
     return values
-
-
-def _sign_split(argmin: Callable, hs: np.ndarray, low: np.ndarray,
-                high: np.ndarray) -> conditioning.Rho:
-    """rho of weighted gambles ``h``, the rows of ``hs``: rho(mu) is the
-    lower expectation of ``w * (h - mu)``, where ``w`` is ``low`` where
-    ``h >= mu`` and ``high`` elsewhere, by ``argmin`` (value and an
-    attaining mass function).  The weights' mean under that mass
-    function is P(B) at a model attaining rho."""
-
-    def rho(slots, mus):
-        h, mus = hs[list(slots)], np.reshape(mus, (-1, 1))
-        w = np.where(h >= mus, low, high)
-        value, mass = argmin(w * (h - mus))
-        prob = (mass[:, None] @ w[..., None])[:, 0, 0]
-        return value, value + mus.ravel() * prob, prob
-
-    return rho
-
-
-@dataclass(frozen=True, eq=False)
-class ReversePlan:
-    """The part of :func:`chain_reverse_rho` that depends neither on the
-    gamble nor on mu: the first chain node, and the lower and upper
-    probability of ``X_last = x_n`` given each of its states, under the
-    lower (``lo_env``) and the upper (``hi_env``) transfer."""
-
-    first: str
-    lo_env: np.ndarray
-    hi_env: np.ndarray
-
-
-def reverse_plan(net: CredalNetwork, x_n: str) -> ReversePlan:
-    """The two indicator envelopes of ``X_last = x_n``, in one backward
-    pass of the transfer operators over the lower and the negated upper
-    one, a batch of two with a unit parent axis."""
-    order = chain_order(net)
-    last = order[-1]
-    if x_n not in net.states(last):
-        raise InputError(f"unknown state {x_n!r} of node {last!r}")
-    env = np.array([[x == x_n for x in net.states(last)]], float) * [[1], [-1]]
-    for k in range(len(order) - 1, 0, -1):
-        env = TransferOperator(net, order[k])(env[:, None])
-    return ReversePlan(order[0], env[0], -env[1])
-
-
-def chain_reverse_rho(net: CredalNetwork, hs,
-                      plan: ReversePlan) -> conditioning.Rho:
-    """Bracketing function for conditioning the first chain node on the
-    value of the last one, for the gambles ``hs``: rho(mu) is the lower
-    expectation of ``1{X_last = x_n} * (h(X_first) - mu)``.
-
-    The plan's envelopes weight the positive and the negative part of
-    ``h - mu`` (:func:`_sign_split`), so an evaluation is one
-    contraction at the first node."""
-    return _sign_split(partial(net.local_lower_argmin, plan.first),
-                       np.array([_gamble_on(net, plan.first, h) for h in hs]),
-                       plan.lo_env, plan.hi_env)
 
 
 @dataclass(frozen=True)
@@ -287,43 +219,24 @@ def complete_evidence_lower(net: CredalNetwork, q: str,
     other nodes.
 
     :func:`~credalnet.conditioning.reduce_query` moves the query to the
-    sub-network of the node and its descendants, and decides there the
-    regular rule's vacuous case (zero upper probability of the evidence,
-    from the product of local upper probabilities over the
-    non-descendants) and the leaf case (no evidence left: the local
-    lower expectation, under both rules).  Otherwise the bracketing
-    function is a product of local bounds over the descendants (linear
-    in their number).  Under the natural rule, zero lower probability of
-    the evidence, where rho does not give the conditional, returns the
-    vacuous bound (min of f)."""
+    sub-network of q and its descendants, with the regular rule's vacuous
+    case and the leaf case, and q is its root:
+    :func:`~credalnet.conditioning.root_rho` is the bracketing function,
+    from one planner pass over the descendants.  Under the natural rule,
+    zero lower probability of the evidence, where rho does not give the
+    conditional, returns the vacuous bound (min of f)."""
     dag = net.dag
     dag._check(q)
     missing = set(dag.nodes) - {q} - set(x_E)
     if missing:
         raise InputError(f"evidence misses nodes {sorted(missing)}")
-    for s in x_E:
-        if s == q:
-            raise InputError("evidence must not cover the queried node")
-        if x_E[s] not in net.states(s):
-            raise InputError(f"unknown state {x_E[s]!r} of node {s!r}")
-    fv = _gamble_on(net, q, f)
-    f_min = float(fv.min())
+    if q in x_E:
+        raise InputError("evidence must not cover the queried node")
+    f = Factor((q,), _gamble_on(net, q, f))
+    # the cylinder checks the states
     reduced = conditioning.reduce_query(net, (q,), net.cylinder(x_E), rule)
-    if reduced.vacuous:
-        return f_min
-    if reduced.given is None:
-        return reduced.net.local(q, ()).lower_expectation(fv)
-
-    desc = dag.sorted_nodes(dag.descendants(q))
-    atom = {s: x_E[s] for s in desc}
-    prod_low, prod_high = np.array([decompose.atom_bounds(
-        sub_network(reduced.net, desc, {q: x}), atom)
-        for x in net.states(q)]).T
-
-    rho = _sign_split(partial(reduced.net.local_lower_argmin, q), fv[None],
-                      prod_low, prod_high)
-    ev = conditioning.RhoEvaluator(0, f_min, float(fv.max()), f_min)
     try:
-        return conditioning.condition(rho, [ev], rule, tolerance)[0].value
+        return conditioning.condition_reduced(reduced, [f], rule,
+                                              tolerance)[0].value
     except HypothesisError:
-        return f_min
+        return f.min()

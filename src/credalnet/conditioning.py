@@ -15,8 +15,10 @@ to a sub-network first by :func:`reduce_query`.
 Every engine is batched (:data:`Rho`): it evaluates rho for a batch of
 gambles, each at its own mu, and also reports E_p[f 1_B] and P_p(B) at
 a model p attaining rho(mu).  The engines are the global program
-(:func:`program_rho`) and the chain, hidden-state and complete-evidence
-sweeps (:mod:`credalnet.chains`).  So the roots are found by Dinkelbach
+(:func:`program_rho`), the sign split at a root q that all the evidence
+descends from (:func:`root_rho`: chains conditioned backwards, complete
+evidence, and ``auto`` queries on a root), and the hidden-state sweep
+(:mod:`credalnet.chains`).  So the roots are found by Dinkelbach
 steps, mu <- E_p[f 1_B] / P_p(B): Newton's method on the
 piecewise-linear rho, whose slope at mu is -P_p(B); bisection remains
 for a step that rounding keeps from decreasing mu.  The brackets are
@@ -36,7 +38,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Generator, Mapping, Sequence
+
+import numpy as np
 
 from . import decompose, lp
 from .errors import ConvergenceError, HypothesisError, InputError, ModelError
@@ -265,6 +270,60 @@ def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
                  for i, (f, ibf) in enumerate(zip(gambles, ibfs))]
 
 
+# -- the engine of evidence below a root -------------------------------------
+
+def _sign_split(argmin: Callable, hs: np.ndarray, low: np.ndarray,
+                high: np.ndarray) -> Rho:
+    """rho of weighted gambles ``h``, the rows of ``hs``: rho(mu) is the
+    lower expectation of ``w * (h - mu)``, where ``w`` is ``low`` where
+    ``h >= mu`` and ``high`` elsewhere, by ``argmin`` (value and an
+    attaining mass function).  The weights' mean under that mass
+    function is P(B) at a model attaining rho."""
+
+    def rho(slots, mus):
+        h, mus = hs[list(slots)], np.reshape(mus, (-1, 1))
+        w = np.where(h >= mus, low, high)
+        value, mass = argmin(w * (h - mus))
+        prob = (mass[:, None] @ w[..., None])[:, 0, 0]
+        return value, value + mus.ravel() * prob, prob
+
+    return rho
+
+
+def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
+             gambles: Sequence[Factor]
+             ) -> tuple[Rho, list[RhoEvaluator]] | None:
+    """rho of each of ``gambles`` (on q, or constant) given ``evidence``
+    on the root q and below it, and their evaluators; ``None`` unless the
+    ancestral set of the evidence below q peels down to {q}.
+
+    By the iterated law at q, rho(mu) is then one contraction at q's
+    local set of ``f - mu`` weighted by the lower probability P̲(B | q)
+    of the evidence below q where ``f >= mu`` and by the upper one
+    elsewhere (:func:`_sign_split`), both from one planner pass over the
+    batch [1, -1] (:func:`credalnet.decompose._peels`).  Evidence on q
+    multiplies both by its indicator, and fixes the vacuous value."""
+    dag, below = net.dag, dict(evidence)
+    seen = below.pop(q, None)
+    # once the peels leave {q}, every unobserved node they took descends
+    # from q; so does all the evidence, unless some of it is on a root
+    if dag.parents(q) or any(not dag.parents(s) for s in below):
+        return None
+    A, _, env = decompose._peels(net, (), np.array([1.0, -1.0]), below, None)
+    if A - {q}:
+        return None
+    env = env.reshape(2, -1)    # one column where nothing lies below q
+    hs = np.array([net.aligned(f, (q,)) for f in gambles])
+    vacuous = hs.min(1)
+    if seen is not None:
+        x = net.state_index(q, seen)
+        env, vacuous = env * (np.arange(net.size(q)) == x), hs[:, x]
+    return (_sign_split(partial(net.local_lower_argmin, q), hs, env[0],
+                        -env[1]),
+            [RhoEvaluator(i, f.min(), f.max(), float(v))
+             for i, (f, v) in enumerate(zip(gambles, vacuous))])
+
+
 # -- structural reduction before bracketing ---------------------------------
 
 def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
@@ -320,12 +379,13 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     inside = {s: assignment[s] for s in assignment if s in K}
     outside = {s: assignment[s] for s in assignment
                if s in rel.non_parent_non_descendants}
-    sub = sub_network(net, K, pa_assignment)
+    sub = net if len(K) == len(net.dag.nodes) else \
+        sub_network(net, K, pa_assignment)
     record = decompose.Reduction("marginalisation", {
         "K": tuple(sorted(K)), "rule": rule,
         "parents": tuple(sorted(pa_assignment.items()))})
     vacuous = rule == "regular" and not _upper_positive_outside(
-        net, rel, {**pa_assignment, **outside})
+        net, {**pa_assignment, **outside})
     # no evidence inside K: both updating rules reduce to the
     # unconditional sub-network value
     return ReducedQuery(sub, sub.cylinder(inside) if inside else None,
@@ -339,35 +399,34 @@ def condition_reduced(reduced: ReducedQuery, gambles: Sequence[Factor],
     under ``rule`` on a reduced query: the vacuous bounds where
     :func:`reduce_query` found the evidence to have zero upper
     probability, the planner's values in one pass when no evidence is
-    left (``local-fallback``), else :func:`condition` on the query's
-    global program, one bracket after the other over its warm tableau.
-    The marginalisation step goes to ``trace`` once."""
+    left (``local-fallback``), :func:`condition` on :func:`root_rho` in
+    lockstep where it applies, else on the query's global program, one
+    bracket after the other over its warm tableau.  The marginalisation
+    step goes to ``trace`` once."""
     if trace is not None and reduced.record is not None:
         trace.append(reduced.record)
+    net, given = reduced.net, reduced.given
     if reduced.vacuous:
-        return [BracketResult(f.min() if reduced.given is None else
-                              _vacuous_bound(reduced.net, f, reduced.given),
+        return [BracketResult(f.min() if given is None else
+                              _vacuous_bound(net, f, given),
                               "vacuous-fallback", 0, 0.0) for f in gambles]
-    if reduced.given is None:
-        values = decompose.lower_expectation(reduced.net, gambles,
-                                             trace=trace)
+    if given is None:
+        values = decompose.lower_expectation(net, gambles, trace=trace)
         return [BracketResult(float(v), "local-fallback", 0, 0.0)
                 for v in values]
-    rho, evaluators = program_rho(reduced.net, reduced.given, gambles,
-                                  lp.GlobalPolytope(reduced.net))
+    scope = gambles[0].scope
+    engine = root_rho(net, scope[0], given.assignment(), gambles) \
+        if len(scope) == 1 and given.cylinder else None
+    if engine is not None:
+        return condition(*engine, rule, tolerance)
+    rho, evaluators = program_rho(net, given, gambles, lp.GlobalPolytope(net))
     return [condition(rho, [ev], rule, tolerance)[0] for ev in evaluators]
 
 
-def _upper_positive_outside(net: CredalNetwork, rel,
+def _upper_positive_outside(net: CredalNetwork,
                             evidence: Mapping[str, str]) -> bool:
     """Positivity of the upper probability that the non-descendants of
-    K give to ``evidence`` over them: the atom product when it
-    instantiates them all, else the planner's upper probability on
-    ``net``, equal by marginalisation, as they form an ancestral set."""
-    if not evidence:
-        return True
-    if set(evidence) == rel.non_descendants:
-        nsub = sub_network(net, rel.non_descendants, {})
-        return decompose.atom_bounds(nsub, evidence)[1] > TOL_SIGN
-    ind = net.indicator(net.cylinder(evidence))
-    return -decompose.lower_expectation(net, -ind) > TOL_SIGN
+    K give to ``evidence`` over them, from the planner on ``net``, equal
+    by marginalisation, as they form an ancestral set."""
+    return not evidence or -decompose._plan(
+        net, (), np.array([-1.0]), evidence, None)[0] > TOL_SIGN

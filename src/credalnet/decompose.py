@@ -1,7 +1,7 @@
 """Reduction toolkit: every operation here replaces one global lower
 expectation by smaller ones, each step certified by an exact equality
 (marginalisation to a sub-network, the law of iterated lower expectation,
-sign-split factorisation, external additivity, or the atom product).
+sign-split factorisation, or external additivity).
 
 ``lower_expectation`` is the greedy planner, one loop over the given
 network: it marginalises to the ancestral closure of the query, peels
@@ -14,8 +14,9 @@ transfer operators), so that one pass answers a batch of gambles on one
 scope, such as a gamble and its negation for the two bounds of a query:
 each sub-network and each LP core, with its phase 1, is built once for
 the batch, and the core runs a phase 2 per gamble.  A single gamble is
-the batch of one.  Each step appends a :class:`Reduction` record to the
-optional trace for auditing, once per pass.
+the batch of one.  Evidence rides along as one indicator per observed
+node (:func:`_plan`).  Each step appends a :class:`Reduction` record to
+the optional trace for auditing, once per pass.
 Hypothesis failures in the explicitly invoked operations raise
 :class:`~credalnet.errors.HypothesisError`; only the planner is allowed
 to fall back silently, because falling back is its documented job.
@@ -82,23 +83,19 @@ def _peel(net: CredalNetwork, s: str, scope: tuple, values: np.ndarray
     alone needs no permutation, only the unit parent axes, without which
     the gamble axis would be read as a parent axis."""
     parents = net.dag.parents(s)
-    new = order = parents
     if scope == (s,):
-        values = values.reshape(values.shape[:1] + (1,) * len(parents)
-                                + values.shape[1:])
-    else:
-        order = tuple(x for x in scope if x != s and x not in parents) \
-            + parents
-        new = net.dag.sorted_nodes(order)
-        # a unit axis for each parent, and for s, outside the scope
-        axes = scope + tuple(x for x in order + (s,) if x not in scope)
-        values = values.reshape(values.shape + (1,) * (len(axes) - len(scope)))
-        if axes != order + (s,):
-            values = values.transpose(
-                [0] + [axes.index(x) + 1 for x in order + (s,)])
-        if s not in scope:
-            values = np.broadcast_to(values,
-                                     values.shape[:-1] + (net.size(s),))
+        return parents, net.local_lower(
+            s, values[(slice(None),) + (None,) * len(parents)])
+    order = tuple(x for x in scope if x != s and x not in parents) + parents
+    new = net.dag.sorted_nodes(order)
+    # a unit axis for each parent, and for s, outside the scope
+    axes = scope + tuple(x for x in order + (s,) if x not in scope)
+    values = values.reshape(values.shape + (1,) * (len(axes) - len(scope)))
+    if axes != order + (s,):
+        values = values.transpose(
+            [0] + [axes.index(x) + 1 for x in order + (s,)])
+    if s not in scope:
+        values = np.broadcast_to(values, values.shape[:-1] + (net.size(s),))
     values = net.local_lower(s, values)
     if new != order:
         values = values.transpose([0] + [order.index(x) + 1 for x in new])
@@ -125,7 +122,7 @@ def _inner_values(net: CredalNetwork, S, scope: tuple, values: np.ndarray,
         index = tuple(slice(None) if x in Sf else
                       net.state_index(x, ctx[x]) for x in scope)
         inner[:, i] = _plan(sub_network(net, Sf, ctx), inside,
-                            values[(slice(None),) + index], trace)
+                            values[(slice(None),) + index], {}, trace)
     return new, inner.reshape(inner.shape[:1] + net.shape(new))
 
 
@@ -149,66 +146,117 @@ def lower_expectation(net: CredalNetwork, f: Factor | Sequence[Factor], *,
             raise InputError(f"factor scopes {scope} and {g.scope} differ")
     values = np.stack([net.aligned(g, net.dag.sorted_nodes(scope))
                        for g in fs])   # checked once
-    lower = _plan(net, scope, values, trace)
+    lower = _plan(net, scope, values, {}, trace)
     return float(lower[0]) if isinstance(f, Factor) else lower
 
 
 def _plan(net: CredalNetwork, scope: tuple, values: np.ndarray,
-          trace: list | None) -> np.ndarray:
+          evidence: Mapping[str, str], trace: list | None) -> np.ndarray:
     """The planner's lower expectations of the gambles ``values`` (a
     leading gamble axis, then an axis per ``scope`` node, in declaration
-    order).  By marginalisation an ancestral node set keeps its own local
-    models, so a sub-network is built only for the core that no peel
-    reduces."""
-    dag = net.dag
-    if not scope:
+    order) times the indicator of ``evidence`` outside the scope: the
+    peels, then the root left or the core that no peel reduces, whose
+    program alone spells out an indicator.  By marginalisation an
+    ancestral node set keeps its own local models, so a sub-network is
+    built only for that core."""
+    if not scope and not evidence:
         return values
-    # Step 1: drop everything outside the ancestral closure A of the scope
-    # (a closed set with no external parents; marginalisation applies),
-    # counting each node's children in A, live until peeled.  It runs
-    # once: after a peel, the rest of A is the new scope's closure.
-    live, stack = dict.fromkeys(scope, 0), list(scope)
-    while stack:
-        for p in dag.parents(stack.pop()):
-            if p not in live:
-                stack.append(p)
-            live[p] = live.get(p, 0) + 1
-    A = set(live)
-    if len(A) < len(dag.nodes) and trace is not None:
-        trace.append(Reduction("marginalisation",
-                               {"K": tuple(sorted(A)), "parents": ()}))
-    # Step 2: peel the sinks S of A by the law of iterated lower
-    # expectation while the rest of A precedes each of them.  In an
-    # ancestral set with a single sink, every other node is an ancestor
-    # of that sink, so it peels with no reachability test.  The first
-    # sinks lie in the scope: a node outside it has a child in A.
-    sinks = [s for s in scope if not live[s]]
-    while len(A) > len(sinks):
-        if len(sinks) > 1 and not all(A.difference(sinks) <= dag.ancestors(s)
-                                      for s in sinks):
-            break
-        if trace is not None:
-            trace.append(Reduction("iterated", {"S": tuple(sorted(sinks))}))
-        scope, values = _inner_values(net, sinks, scope, values, trace)
-        A.difference_update(sinks)
-        peeled, sinks = sinks, []
-        for s in peeled:
-            for p in dag.parents(s):
-                live[p] -= 1
-                if not live[p]:
-                    sinks.append(p)
-
+    A, scope, values = _peels(net, scope, values, evidence, trace)
     if len(A) == 1:
-        # a single node of an ancestral set is a root
+        # a single node of an ancestral set is a root, and unobserved
         (s,) = A
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
         local = net.local(s, ())
         return np.array([local.lower_expectation(v) for v in values])
-    core = net if len(A) == len(dag.nodes) else sub_network(net, A, {})
+    if not A:
+        return values
+    core = net if len(A) == len(net.dag.nodes) else sub_network(net, A, {})
     if trace is not None:
         trace.append(Reduction("lp", {"nodes": core.dag.nodes}))
+    if seen := {s: x for s, x in evidence.items() if s in A}:
+        wide = net.dag.sorted_nodes({*scope, *seen})
+        values = net.aligned(net.indicator(net.cylinder(seen)), wide) * \
+            np.stack([net.aligned(Factor(scope, v), wide) for v in values])
+        scope = wide
     return lp.lower_expectation_lp(core, [Factor(scope, v) for v in values])
+
+
+def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
+           evidence: Mapping[str, str], trace: list | None
+           ) -> tuple[set, tuple[str, ...], np.ndarray]:
+    """The peels of :func:`_plan`: the rest of the ancestral set A of the
+    scope and the evidence, and the inner values over the scope left.
+    An observed node never joins the scope: an observed sink is peeled
+    on its own, on a temporary axis holding its indicator, and a peel
+    that brings in an observed parent slices that axis at its state.
+    For h >= 0 (h <= 0) on the other nodes, the lower expectation of
+    ``h * 1{o = e}`` is that of h times the lower (upper) probability of
+    o = e given its parents, in any DAG, but for h of both signs only
+    where the rest of A precedes o: so each row must be of one sign."""
+    dag = net.dag
+    if evidence:
+        rows = values.reshape(len(values), -1)
+        if ((rows > 0).any(1) & (rows < 0).any(1)).any():
+            raise InputError("the planner takes evidence only on gambles "
+                             "of one sign")
+    # Step 1: drop everything outside the ancestral closure A of the scope
+    # and the evidence (a closed set with no external parents;
+    # marginalisation applies), counting each node's children in A, live
+    # until peeled.  It runs once: the rest of A stays ancestral.
+    start = (*scope, *evidence)
+    live, stack = dict.fromkeys(start, 0), list(start)
+    while stack:
+        for p in dag.parents(stack.pop()):
+            if p in live:
+                live[p] += 1
+            else:
+                live[p] = 1
+                stack.append(p)
+    if len(live) < len(dag.nodes) and trace is not None:
+        trace.append(Reduction("marginalisation",
+                               {"K": tuple(sorted(live)), "parents": ()}))
+    # Step 2: peel each observed sink, and the sinks S of A while the rest
+    # of A precedes each of them (the law of iterated lower expectation);
+    # a peeled node leaves ``live``.  A single sink peels with no
+    # reachability test: every other node of A is its ancestor.  The
+    # first sinks lie in ``start``: a node outside it has a child in A.
+    observed, sinks = [], []
+    for s in start:
+        if not live[s]:
+            (observed if s in evidence else sinks).append(s)
+    while live:
+        if observed:
+            s = observed.pop()
+            peeled = (s,)
+            ind = np.arange(net.size(s)) == net.state_index(s, evidence[s])
+            scope, values = _peel(net, s, scope + peeled,
+                                  values[..., None] * ind)
+        elif len(sinks) == 1 < len(live):
+            peeled, sinks = sinks, []
+            if trace is not None:
+                trace.append(Reduction("iterated", {"S": tuple(peeled)}))
+            scope, values = _peel(net, peeled[0], scope, values)
+        elif len(live) == len(sinks) or not all(
+                live.keys() - sinks <= dag.ancestors(s) for s in sinks):
+            break
+        else:
+            if trace is not None:
+                trace.append(Reduction("iterated", {"S": tuple(sorted(sinks))}))
+            peeled, sinks = sinks, []
+            scope, values = _inner_values(net, peeled, scope, values, trace)
+        for s in peeled:
+            del live[s]
+            for p in dag.parents(s):
+                if p in evidence and p in scope:
+                    i = scope.index(p)
+                    values = values[(slice(None),) * (i + 1)
+                                    + (net.state_index(p, evidence[p]),)]
+                    scope = scope[:i] + scope[i + 1:]
+                live[p] -= 1
+                if not live[p]:
+                    (observed if p in evidence else sinks).append(p)
+    return set(live), scope, values
 
 
 def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
@@ -240,13 +288,10 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
             "K": tuple(sorted(Kf)),
             "parents": tuple(sorted((p, parent_assignment[p])
                                     for p in rel.parents))}))
-    if B_K is None or not B_K.scope:
-        return lower_expectation(sub, f, trace=trace)
     from . import conditioning
-    rho, evaluators = conditioning.program_rho(sub, B_K, [f],
-                                               lp.GlobalPolytope(sub))
-    return conditioning.condition(rho, evaluators, "natural",
-                                  tolerance)[0].value
+    given = B_K if B_K is not None and B_K.scope else None
+    return conditioning.condition_reduced(conditioning.ReducedQuery(
+        sub, given), [f], "natural", tolerance, trace)[0].value
 
 
 def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
@@ -371,18 +416,3 @@ def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
             "K": tuple(sorted(Kf)), "combined": True}, sub_results=[a]))
     return lower_expectation(nsub, assembled, trace=trace)
 
-
-def atom_bounds(net: CredalNetwork,
-                assignment: Mapping[str, str]) -> tuple[float, float]:
-    """Lower and upper probability of one joint state: both factorise
-    into products of the local bounds."""
-    missing = set(net.dag.nodes) - set(assignment)
-    if missing:
-        raise InputError(f"assignment misses nodes {sorted(missing)}")
-    low, high = 1.0, 1.0
-    for s in net.dag.nodes:
-        cfg = net.parent_config(s, assignment)
-        local = net.local(s, cfg)
-        low *= local.lower_probability({assignment[s]})
-        high *= local.upper_probability({assignment[s]})
-    return low, high

@@ -88,13 +88,18 @@ class Dag:
         self._check(s)
         return self._index[s]
 
+    # a dict lookup, and no _check call: peels ask for these per node
     def parents(self, s: str) -> tuple[str, ...]:
-        self._check(s)
-        return self._parents[s]
+        try:
+            return self._parents[s]
+        except KeyError:
+            raise InputError(f"unknown node {s!r}") from None
 
     def children(self, s: str) -> tuple[str, ...]:
-        self._check(s)
-        return self._children[s]
+        try:
+            return self._children[s]
+        except KeyError:
+            raise InputError(f"unknown node {s!r}") from None
 
     def topological_order(self) -> tuple[str, ...]:
         return self._topo

@@ -1,15 +1,17 @@
 """Query dispatch: route a parsed query to the LP, the reduction planner,
-or a specialised recursion, and report lower/upper values with bracket
+or a specialised engine, and report lower/upper values with bracket
 diagnostics.  Upper values always come from conjugacy: the gamble and
 its negation go through the same machinery as one batch.  An
 unconditional query goes to the global program (``lp``) or to the
 planner (``auto``, ``decompose``, and ``chain`` on a chain with the
 gamble on its last node).  A conditional query builds one batched rho
-engine for both gambles, a chain or hidden-state sweep or the global
-program of the ``lp`` method or of the ``auto`` reduction, and the one
-bracket driver, :func:`credalnet.conditioning.condition`, finds both
-roots; where the reduction leaves no evidence, one planner pass answers
-both instead."""
+engine for both gambles, and the one bracket driver,
+:func:`credalnet.conditioning.condition`, finds both roots: ``lp`` on
+the global program; ``chain`` by the sign split at the chain's root
+(:func:`credalnet.conditioning.root_rho`); ``hmm`` by the hidden-state
+sweep; ``auto`` and ``decompose`` after the reduction, by one planner
+pass where it leaves no evidence, else by ``root_rho`` where it
+applies, else on the sub-network's global program."""
 
 from __future__ import annotations
 
@@ -20,20 +22,21 @@ from .network import CredalNetwork
 
 
 def _chain_sweep(net: CredalNetwork, q: Query, gambles):
-    """rho of the gambles, in one batch, from one plan."""
+    """rho of the gambles, in one batch, and their evaluators, from one
+    planner pass."""
     order = chains.chain_order(net)
     if q.given.cylinder and q.given.scope == (order[-1],) and \
             q.target.scope in ((order[0],), ()):
-        (x_n,) = next(iter(q.given.states))
-        return chains.chain_reverse_rho(net, gambles,
-                                        chains.reverse_plan(net, x_n))
+        return conditioning.root_rho(net, order[0], q.given.assignment(),
+                                     gambles)
     raise HypothesisError(
         "chain dispatch needs a gamble on the first node conditioned on "
         "the value of the last one")
 
 
 def _hmm_sweep(net: CredalNetwork, q: Query, gambles):
-    """rho of the gambles, in one batch, from one plan."""
+    """rho of the gambles, in one batch, from one plan, and their
+    evaluators."""
     if not q.given.cylinder:
         raise HypothesisError(
             "hidden-state dispatch needs an instantiated observation event")
@@ -41,8 +44,11 @@ def _hmm_sweep(net: CredalNetwork, q: Query, gambles):
     if q.target.scope not in ((spec.state_nodes[-1],), ()):
         raise HypothesisError(
             "hidden-state dispatch needs a gamble on the final state node")
-    return chains.hmm_forward_rho(spec, gambles,
-                                  chains.hmm_plan(spec, q.given.assignment()))
+    rho = chains.hmm_forward_rho(spec, gambles,
+                                 chains.hmm_plan(spec, q.given.assignment()))
+    # the observations leave the final state free: vacuous value min f
+    return rho, [conditioning.RhoEvaluator(i, f.min(), f.max(), f.min())
+                 for i, f in enumerate(gambles)]
 
 
 def _unconditional_bounds(net: CredalNetwork, q: Query,
@@ -76,18 +82,16 @@ def _conditional_bounds(net: CredalNetwork, q: Query, trace: list | None
     negation, by the query's method and rule."""
     gambles = [q.target, -q.target]
     if q.method in _SWEEPS:
-        # a sweep's event leaves the gamble's node free: vacuous value min f
-        evaluators = [conditioning.RhoEvaluator(i, f.min(), f.max(), f.min())
-                      for i, f in enumerate(gambles)]
-        return conditioning.condition(_SWEEPS[q.method](net, q, gambles),
-                                      evaluators, q.rule, q.tolerance)
-    if q.method in ("auto", "decompose"):
-        reduced = conditioning.reduce_query(net, q.target.scope, q.given,
-                                            q.rule)
-    elif q.method == "lp":
-        reduced = conditioning.ReducedQuery(net, q.given)
-    else:
+        return conditioning.condition(*_SWEEPS[q.method](net, q, gambles),
+                                      q.rule, q.tolerance)
+    if q.method == "lp":
+        rho, evaluators = conditioning.program_rho(
+            net, q.given, gambles, lp.GlobalPolytope(net))
+        return [conditioning.condition(rho, [ev], q.rule, q.tolerance)[0]
+                for ev in evaluators]
+    if q.method not in ("auto", "decompose"):
         raise InputError(f"unknown method {q.method!r}")
+    reduced = conditioning.reduce_query(net, q.target.scope, q.given, q.rule)
     return conditioning.condition_reduced(reduced, gambles, q.rule,
                                           q.tolerance, trace)
 
@@ -101,10 +105,12 @@ def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     program for ``lp``.  A conditional query reduced to no evidence
     (``auto``, ``decompose``) is one such planner pass.  Otherwise the
     bounds share one batched rho engine, and the bracket driver runs
-    their brackets: in lockstep on a chain or hidden-state sweep, each
-    round evaluating the abscissae both ask for in one batched sweep,
-    and one after the other over the warm tableau of the global program
-    (``lp``, and ``auto`` or ``decompose`` with evidence left)."""
+    their brackets: in lockstep on the sign split at a root (``chain``,
+    and ``auto`` or ``decompose`` on a root above all the evidence) or
+    on a hidden-state sweep, each round evaluating the abscissae both
+    ask for in one batched call, and one after the other over the warm
+    tableau of the global program (``lp``, and ``auto`` or ``decompose``
+    otherwise)."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

@@ -305,6 +305,21 @@ def restrict_factor(net: CredalNetwork, f: Factor,
                   f.values[index + (Ellipsis,)])
 
 
+def atom_bounds(net: CredalNetwork,
+                assignment: Mapping[str, str]) -> tuple[float, float]:
+    """Lower and upper probability of one joint state: both factorise
+    into products of the local bounds."""
+    missing = set(net.dag.nodes) - set(assignment)
+    if missing:
+        raise InputError(f"assignment misses nodes {sorted(missing)}")
+    low, high = 1.0, 1.0
+    for s in net.dag.nodes:
+        local = net.local(s, net.parent_config(s, assignment))
+        low *= local.lower_probability({assignment[s]})
+        high *= local.upper_probability({assignment[s]})
+    return low, high
+
+
 def product_factor(net: CredalNetwork, parent_assignment: dict,
                    f: Factor, g: Factor | None = None) -> Factor:
     """The global gamble  g(X_NN) * 1{X_P = parent assignment} * f(X_K)
@@ -383,7 +398,8 @@ def reference_argmin(net: CredalNetwork, s: str, g) -> np.ndarray:
 
 def reference_reverse_rho(net: CredalNetwork, h: Factor, x_n: str,
                           mu: float) -> tuple[float, float, float]:
-    """``chain_reverse_rho`` at one mu, both envelopes recomputed."""
+    """``conditioning.root_rho`` of the first chain node given the last
+    one, at one mu, both envelopes recomputed."""
     order = chain_order(net)
     first, last = order[0], order[-1]
     hv = net.aligned(h, (first,))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from credalnet import chains, conditioning, lp, oracle, queries
-from credalnet.chains import (TransferOperator, chain_order, chain_reverse_rho,
+from credalnet.chains import (TransferOperator, chain_order,
                               complete_evidence_lower, hmm_forward_rho,
-                              hmm_plan, infer_hmm_spec, reverse_plan)
+                              hmm_plan, infer_hmm_spec)
+from credalnet.conditioning import root_rho
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.decompose import iterated_lower_expectation, lower_expectation
 from credalnet.errors import HypothesisError, InputError
@@ -19,7 +20,7 @@ from credalnet.network import CredalNetwork, Factor, sub_network
 from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      hmm_dag, interval_locals, kink_grid, one_gamble,
                      precise_locals, random_binary_net, random_chain_net,
-                     random_factor, random_hmm_net, redeclared,
+                     random_dag, random_factor, random_hmm_net, redeclared,
                      reference_chain_lower, reference_hmm_rho,
                      reference_reverse_rho, zero_bound_locals)
 
@@ -27,9 +28,17 @@ TOL = 1e-9
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def chain_rho(net, hs, x_n):
+    """The batched rho of conditioning the first chain node on
+    ``X_last = x_n``, for the gambles ``hs``: the engine of evidence
+    below a root."""
+    order = chain_order(net)
+    return root_rho(net, order[0], {order[-1]: x_n}, hs)[0]
+
+
 def reverse_rho(net, h, x_n):
     """rho of conditioning the first chain node on ``X_last = x_n``."""
-    return one_gamble(chain_reverse_rho(net, [h], reverse_plan(net, x_n)))
+    return one_gamble(chain_rho(net, [h], x_n))
 
 
 def filtering_rho(spec, f, observations):
@@ -182,8 +191,7 @@ class TestChainReverseRho:
         mask = lp.event_mask(net, B)
         fv = lp.factor_vector(net, h)
         bayes = float(joint[mask] @ fv[mask]) / float(joint[mask].sum())
-        res = sweep_bound(chain_reverse_rho(net, [h], reverse_plan(net, "0")),
-                          h, "natural")[0]
+        res = sweep_bound(chain_rho(net, [h], "0"), h, "natural")[0]
         assert res.value == pytest.approx(bayes, abs=1e-8)
 
     def test_conditioning_against_oracle(self, rng):
@@ -196,8 +204,7 @@ class TestChainReverseRho:
                 net, h, net.cylinder({"3": x_n}), "regular")
             if expect is None:
                 continue
-            res = sweep_bound(chain_reverse_rho(
-                net, [h], reverse_plan(net, x_n)), h, "regular")[0]
+            res = sweep_bound(chain_rho(net, [h], x_n), h, "regular")[0]
             assert res.value == pytest.approx(expect, abs=1e-6)
             hits += 1
         assert hits >= 3
@@ -453,9 +460,9 @@ def reverse_sweep(rng, n, locals_of=interval_locals):
     on its last one."""
     dag = chain_dag(n)
     net = binary_net(dag, locals_of(dag, rng))
-    plan = reverse_plan(net, str(rng.integers(0, 2)))
+    x_n = str(rng.integers(0, 2))
     return (random_factor(rng, net, ["1"]),
-            lambda hs: chain_reverse_rho(net, hs, plan))
+            lambda hs: chain_rho(net, hs, x_n))
 
 
 def evaluators(gambles):
@@ -663,6 +670,32 @@ class TestCompleteEvidence:
         assert (expect.value, expect.kind) == (0.0, "vacuous-fallback")
         assert complete_evidence_lower(net, "q", x_E, f, "regular") == 0.0
 
+    def test_run_query_auto_agrees(self, rng):
+        # an auto query on complete evidence reaches the same engine;
+        # where the evidence has zero lower probability the natural rule
+        # raises there, and complete evidence catches it: min f, max f
+        kinds = set()
+        for _ in range(12):
+            dag = random_dag(rng, 5, 0.5)
+            net = binary_net(dag, zero_bound_locals(dag, rng))
+            q = str(rng.integers(1, 6))
+            x_E = {s: str(rng.integers(0, 2)) for s in net.dag.nodes if s != q}
+            f = random_factor(rng, net, [q])
+            for rule in ("natural", "regular"):
+                lower = complete_evidence_lower(net, q, x_E, f, rule)
+                upper = -complete_evidence_lower(net, q, x_E, -f, rule)
+                try:
+                    got = queries.run_query(net, Query(
+                        f, net.cylinder(x_E), rule, "auto", 1e-9))
+                except HypothesisError:
+                    assert rule == "natural"
+                    assert (lower, upper) == (f.min(), f.max())
+                    kinds.add(None)
+                    continue
+                assert (got["lower"], got["upper"]) == (lower, upper)
+                kinds.add(got["kind"])
+        assert {None, "unique-root"} <= kinds
+
     def test_interior_node_against_bracketing(self, rng):
         for _ in range(3):
             net = random_chain_net(rng, 3, lo=0.2, hi=0.8)
@@ -733,11 +766,11 @@ class TestDinkelbachSweeps:
             B = net.cylinder({str(n): "0"})
             for g in (h, -h):
                 for rule in ("natural", "regular"):
-                    got, calls = sweep_bound(chain_reverse_rho(
-                        net, [g], reverse_plan(net, "0")), g, rule)
+                    got, calls = sweep_bound(chain_rho(net, [g], "0"), g,
+                                             rule)
                     assert calls <= MAX_ENGINE_CALLS
-                    on_twin, calls = sweep_bound(chain_reverse_rho(
-                        twin, [g], reverse_plan(twin, "0")), g, rule)
+                    on_twin, calls = sweep_bound(chain_rho(twin, [g], "0"),
+                                                 g, rule)
                     assert calls <= MAX_ENGINE_CALLS
                     assert_same_bound(on_twin, got)
                     if n <= 5:

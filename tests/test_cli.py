@@ -120,9 +120,14 @@ def test_one_build_per_core_of_an_unconditional_auto_query(capsys,
 def test_one_global_program_per_reduced_auto_query(capsys, monkeypatch,
                                                    tmp_path):
     # the evidence on c is left inside K = {b, c}, which is smaller than
-    # the network: the lower and the upper bound share its one program
+    # the network, and the gamble on (b, c) lies on no root of K: the
+    # lower and the upper bound share its one program
     path = tmp_path / "query.json"
-    query = {"target": {"scope": ["b"], "table": {"0": 2, "1": "-1/2"}},
+    query = {"target": {"scope": ["b", "c"], "table": [
+                 {"states": ["0", "0"], "value": 2},
+                 {"states": ["0", "1"], "value": "-1/2"},
+                 {"states": ["1", "0"], "value": 1},
+                 {"states": ["1", "1"], "value": "3/4"}]},
              "given": {"assignment": {"a": "0", "c": "1"}},
              "rule": "natural", "method": "auto"}
     path.write_text(json.dumps(query), encoding="utf-8")
@@ -140,6 +145,31 @@ def test_one_global_program_per_reduced_auto_query(capsys, monkeypatch,
     for key in ("lower", "upper"):
         assert float(pairs[key]) == pytest.approx(float(direct[key]),
                                                   abs=1e-7)
+
+
+def test_root_gamble_auto_query_builds_no_program(capsys, monkeypatch,
+                                                  tmp_path):
+    # b is the root of K = {b, c}, and the evidence on c descends from
+    # it: both bounds come from the sign split of the planner's
+    # envelopes at b, in lockstep, and no program is built
+    path = tmp_path / "query.json"
+    query = {"target": {"scope": ["b"], "table": {"0": 2, "1": "-1/2"}},
+             "given": {"assignment": {"a": "0", "c": "1"}},
+             "rule": "natural", "method": "auto"}
+    path.write_text(json.dumps(query), encoding="utf-8")
+    built = []
+    init = lp.GlobalPolytope.__init__
+    monkeypatch.setattr(lp.GlobalPolytope, "__init__",
+                        lambda gp, *a, **kw: built.append(gp) or
+                        init(gp, *a, **kw))
+    code, pairs, _ = run(capsys, "infer", data("chain3.json"), str(path))
+    assert code == 0 and not built
+    assert pairs["kind"] == pairs["upper_kind"] == "unique-root"
+    path.write_text(json.dumps({**query, "method": "lp"}), encoding="utf-8")
+    _, direct, _ = run(capsys, "infer", data("chain3.json"), str(path))
+    for key in ("lower", "upper"):
+        assert float(pairs[key]) == pytest.approx(float(direct[key]),
+                                                  abs=1e-12)
 
 
 def test_regular_leaf_query_with_zero_upper_probability(capsys):
@@ -192,6 +222,19 @@ def test_sweep_output_matches_committed_text(capsys, net, query):
     assert code == 0
     with open(data(query.replace(".json", ".out")), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def test_auto_reverse_chain_query_matches_chain_output(capsys):
+    # auto reduces the reverse chain query to the whole chain, whose
+    # first node is a root above the evidence: the same engine as
+    # method=chain, and the same text but for the method line
+    code = cli.main(["infer", data("chain3.json"),
+                     data("chain3_auto_rev_query.json")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    with open(data("chain3_chain_query.out"), encoding="utf-8") as fh:
+        expect = fh.read()
+    assert out.replace("method=auto", "method=chain") == expect
 
 
 @pytest.mark.parametrize("net, query, dump", CASES)

@@ -17,10 +17,10 @@ from credalnet.graph import Dag
 from credalnet.network import Factor
 from credalnet.queries import run_query
 
-from helpers import (bayes_joint, binary_net, chain_dag, interval_locals,
-                     lifted, one_gamble, precise_locals, random_binary_net,
-                     random_chain_net, random_dag, random_factor,
-                     zero_bound_locals)
+from helpers import (atom_bounds, bayes_joint, binary_net, chain_dag,
+                     interval_locals, lifted, one_gamble, precise_locals,
+                     random_binary_net, random_chain_net, random_dag,
+                     random_factor, zero_bound_locals)
 
 TOL = 1e-9
 
@@ -608,27 +608,39 @@ def gate_net(rng, zero: bool):
 class TestRestGate:
     """A regular-rule ``auto`` query on b given evidence on c and on the
     non-descendants of K = {b, c}: the gate is the upper probability
-    that the non-descendants give their share of the evidence, from the
-    atom product when they are all instantiated, and from the planner
-    when only some are.  Where it is zero, so is the upper probability
-    of the evidence, and the bound is vacuous."""
+    that the non-descendants give their share of the evidence, from one
+    planner pass with that evidence, equal to the atom product when they
+    are all instantiated, and to the planner's upper probability of the
+    dense indicator otherwise.  Where it is zero, so is the upper
+    probability of the evidence, and the bound is vacuous."""
 
     @pytest.mark.parametrize("zero", [False, True])
-    @pytest.mark.parametrize("evidence,branch", [
+    @pytest.mark.parametrize("evidence,oracle", [
         ({"e": "1", "a": "0", "c": "1"}, "atom_bounds"),
         ({"a": "0", "c": "1"}, "lower_expectation")])
     def test_auto_matches_lp(self, rng, monkeypatch, zero, evidence,
-                             branch):
+                             oracle):
         from credalnet import decompose
-        calls = []
-        spied = getattr(decompose, branch)
-        monkeypatch.setattr(decompose, branch, lambda *a, **kw: (
-            calls.append(a) or spied(*a, **kw)))
+        from credalnet.network import sub_network
+        calls, plan = [], decompose._plan
+        monkeypatch.setattr(decompose, "_plan", lambda *a: (
+            calls.append(a) or plan(*a)))
         net = gate_net(rng, zero)
         f = random_factor(rng, net, ["b"])
         B = net.cylinder(evidence)
         auto = run_query(net, Query(f, B, "regular", "auto", 1e-10))
-        assert calls
+        # one planner call with evidence: the gate's, on the rest
+        (gate,) = [a for a in calls if a[3]]
+        rest = {s: x for s, x in evidence.items() if s != "c"}
+        assert gate[3] == rest
+        upper = -plan(*gate)[0]
+        if oracle == "atom_bounds":
+            expect = atom_bounds(sub_network(net, rest, {}), rest)[1]
+        else:
+            expect = -decompose.lower_expectation(
+                net, -net.indicator(net.cylinder(rest)))
+        assert upper == pytest.approx(expect, abs=1e-12)
+        assert (upper > conditioning.TOL_SIGN) != zero
         lp_ = run_query(net, Query(f, B, "regular", "lp", 1e-10))
         for key in ("lower", "upper"):
             assert auto[key] == pytest.approx(lp_[key], abs=1e-7)
@@ -706,7 +718,7 @@ class TestVacuousBound:
 
     def test_long_chain_stops_at_the_lp_bound(self, rng):
         # the vacuous bound is taken over the query's two nodes, so the
-        # query fails on the global program's variable bound, not by
+        # global program's query fails on its variable bound, not by
         # asking for memory over all 2^n joint states; at 100 nodes that
         # count does not fit in an int64
         for n in (50, 100):
@@ -714,6 +726,161 @@ class TestVacuousBound:
             f = random_factor(rng, net, ["1"])
             B = net.cylinder({str(n): "1"})
             assert conditioning._vacuous_bound(net, f, B) == f.min()
-            query = Query(f, B, "natural", "auto", 1e-9)
+            query = Query(f, B, "natural", "lp", 1e-9)
             with pytest.raises(CapabilityError, match="variable bound"):
                 run_query(net, query)
+
+
+def root_query(rng, locals_of):
+    """A binary DAG of 4-7 nodes with a gamble on a root that has
+    descendants, and evidence on 1-3 of them."""
+    while True:
+        dag = random_dag(rng, int(rng.integers(4, 8)), 0.5)
+        roots = [s for s in dag.nodes
+                 if not dag.parents(s) and dag.descendants(s)]
+        if roots:
+            break
+    net = binary_net(dag, locals_of(dag, rng))
+    q = roots[int(rng.integers(0, len(roots)))]
+    below = list(dag.sorted_nodes(dag.descendants(q)))
+    rng.shuffle(below)
+    k = int(rng.integers(1, min(3, len(below)) + 1))
+    given = net.cylinder({s: str(rng.integers(0, 2)) for s in below[:k]})
+    return net, random_factor(rng, net, [q]), given
+
+
+def outcome(net, query):
+    try:
+        return run_query(net, query)
+    except (HypothesisError, CapabilityError) as e:
+        return type(e)
+
+
+class TestRootRho:
+    """``auto`` conditionals on a root gamble with evidence below it take
+    the sign split of the planner's envelopes at the root
+    (:func:`conditioning.root_rho`); where another root of the reduced
+    network is an ancestor of the evidence, they take the program."""
+
+    @pytest.mark.parametrize("locals_of", [interval_locals,
+                                           zero_bound_locals])
+    def test_auto_matches_lp(self, monkeypatch, locals_of):
+        rng = np.random.default_rng(7)
+        engines, programs = [], []
+        root_rho, program_rho = conditioning.root_rho, conditioning.program_rho
+        monkeypatch.setattr(conditioning, "root_rho", lambda *a: (
+            lambda r: engines.append(r is not None) or r)(root_rho(*a)))
+        monkeypatch.setattr(conditioning, "program_rho", lambda *a: (
+            programs.append(a[0]) or program_rho(*a)))
+        moved = fell_back = 0
+        for _ in range(12):
+            net, f, given = root_query(rng, locals_of)
+            (q,) = f.scope
+            for rule in ("natural", "regular"):
+                del engines[:], programs[:]
+                auto = outcome(net, Query(f, given, rule, "auto", 1e-10))
+                on_program = len(programs)
+                reduced = conditioning.reduce_query(net, f.scope, given,
+                                                    rule)
+                exact = outcome(net, Query(f, given, rule, "lp", 1e-10))
+                if isinstance(auto, type) or isinstance(exact, type):
+                    assert auto is exact
+                    continue
+                assert auto["kind"] == exact["kind"]
+                assert auto["upper_kind"] == exact["upper_kind"]
+                for key in ("lower", "upper"):
+                    assert auto[key] == pytest.approx(exact[key], abs=1e-9)
+                if engines == [True]:
+                    moved += 1
+                    assert on_program == 0
+                elif reduced.given is not None and not reduced.vacuous:
+                    # another root of K is an ancestor of the evidence
+                    dag = reduced.net.dag
+                    assert engines == [False] and on_program == 1
+                    assert any(not dag.parents(r) and r != q and any(
+                        r in dag.ancestors(s) for s in reduced.given.scope)
+                        for r in dag.nodes)
+                    fell_back += 1
+        assert moved >= 6 and fell_back >= 2
+
+    def test_evidence_on_the_root_too(self, monkeypatch):
+        # the evidence on q multiplies both envelopes by its indicator,
+        # and the vacuous value is f at the observed state
+        rng = np.random.default_rng(12)
+        served, kinds = [], set()
+        root_rho = conditioning.root_rho
+        monkeypatch.setattr(conditioning, "root_rho", lambda *a: (
+            lambda r: served.append(r is not None) or r)(root_rho(*a)))
+        for _ in range(12):
+            net, f, given = root_query(rng, zero_bound_locals)
+            (q,) = f.scope
+            x = str(rng.integers(0, 2))
+            B = net.cylinder({**given.assignment(), q: x})
+            engine = root_rho(net, q, B.assignment(), [f])
+            if engine is not None:
+                assert engine[1][0].vacuous_value == \
+                    f.values[net.state_index(q, x)]
+            for rule in ("natural", "regular"):
+                auto = outcome(net, Query(f, B, rule, "auto", 1e-10))
+                exact = outcome(net, Query(f, B, rule, "lp", 1e-10))
+                if isinstance(auto, type) or isinstance(exact, type):
+                    assert auto is exact
+                    continue
+                for key in ("kind", "upper_kind"):
+                    assert auto[key] == exact[key]
+                for key in ("lower", "upper"):
+                    assert auto[key] == pytest.approx(exact[key], abs=1e-9)
+                kinds.add(auto["kind"])
+        assert any(served) and "vacuous-fallback" in kinds
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_auto_reverse_chain_equals_chain(self, seed):
+        # the census's auto-rev/L50 shape: K is the whole chain
+        net = random_chain_net(np.random.default_rng(seed), 50)
+        f = random_factor(np.random.default_rng(seed + 1), net, ["1"])
+        B = net.cylinder({"50": str(seed % 2)})
+        for rule in ("natural", "regular"):
+            auto = run_query(net, Query(f, B, rule, "auto", 1e-9))
+            chain = run_query(net, Query(f, B, rule, "chain", 1e-9))
+            assert {**auto, "method": "chain"} == chain
+
+    def test_reduce_query_keeps_the_whole_network(self, rng):
+        net = random_chain_net(rng, 6)
+        for rule in ("natural", "regular"):
+            reduced = conditioning.reduce_query(
+                net, ("1",), net.cylinder({"6": "1"}), rule)
+            assert reduced.net is net
+
+    def test_scattered_evidence_on_a_long_chain(self):
+        # the gate's evidence on nodes 1-30 and 39 stays per-node
+        # indicators: a dense one would take 2^31 floats.  Its upper
+        # probability, about 1.4e-6, is far above TOL_SIGN, so both
+        # rules give the local value of node 40 given node 39
+        rng = np.random.default_rng(0)
+        net = random_chain_net(rng, 40)
+        f = random_factor(rng, net, ["40"])
+        evidence = {str(i): "0" for i in range(1, 31)}
+        evidence["39"] = "1"
+        from credalnet import decompose
+        upper = -decompose._plan(net, (), np.array([-1.0]), evidence,
+                                 None)[0]
+        assert 1e-6 < upper < 2e-6
+        B = net.cylinder(evidence)
+        regular = run_query(net, Query(f, B, "regular", "auto", 1e-9))
+        natural = run_query(net, Query(f, B, "natural", "auto", 1e-9))
+        assert {**regular, "rule": "natural"} == natural
+        assert natural["kind"] == natural["upper_kind"] == "local-fallback"
+        assert natural["lower"] == net.local("40", ("1",)).lower_expectation(
+            f.values)
+
+    def test_declines_what_it_cannot_split(self, rng):
+        dag = Dag(["q", "r", "a", "b"], [("q", "a"), ("a", "b"), ("r", "b")])
+        net = binary_net(dag, interval_locals(dag, rng))
+        f = random_factor(rng, net, ["q"])
+        # another root above the evidence, evidence off q's descendants,
+        # a gamble node with a parent
+        assert conditioning.root_rho(net, "q", {"b": "0"}, [f]) is None
+        assert conditioning.root_rho(net, "q", {"r": "0"}, [f]) is None
+        g = random_factor(rng, net, ["a"])
+        assert conditioning.root_rho(net, "a", {"b": "0"}, [g]) is None
+        assert conditioning.root_rho(net, "q", {"a": "0"}, [f]) is not None

@@ -11,18 +11,18 @@ import pytest
 
 from credalnet import conditioning, decompose, lp
 from credalnet.credal import CredalSet
-from credalnet.decompose import (atom_bounds, combined, external_additivity,
-                                 factorise, iterated_lower_expectation,
-                                 lower_expectation, marginalise, trace_lines)
+from credalnet.decompose import (combined, external_additivity, factorise,
+                                 iterated_lower_expectation, lower_expectation,
+                                 marginalise, trace_lines)
 from credalnet.errors import HypothesisError, InputError
 from credalnet.graph import Dag, closure, is_closed, set_relations
 from credalnet.network import CredalNetwork, Factor, joint_states, sub_network
 
-from helpers import (binary_net, chain_dag, combined_factor, fig_dag,
-                     interval_locals, precise_locals, product_factor,
-                     random_binary_net, random_chain_net, random_factor,
-                     redeclared, reference_chain_lower, restrict_factor,
-                     sum_factor)
+from helpers import (atom_bounds, binary_net, chain_dag, combined_factor,
+                     fig_dag, interval_locals, precise_locals, product_factor,
+                     random_binary_net, random_chain_net, random_dag,
+                     random_factor, redeclared, reference_chain_lower,
+                     restrict_factor, sum_factor, zero_bound_locals)
 
 TOL = 1e-9
 
@@ -321,6 +321,75 @@ def straddling_net(rng):
             locals_[(s, cfg)] = CredalSet(spaces[s], vertices=rng.dirichlet(
                 [2.0] * len(spaces[s]), size=int(rng.integers(1, 3))))
     return CredalNetwork(dag, spaces, locals_)
+
+
+def evidence_lp(net, values, scope, evidence):
+    """The global program's lower expectation of each row of ``values``
+    (over ``scope``) times the indicator of ``evidence``."""
+    wide = net.dag.sorted_nodes({*scope, *evidence})
+    ind = net.aligned(net.indicator(net.cylinder(evidence)), wide)
+    return lp.lower_expectation_lp(net, [
+        Factor(wide, ind * net.aligned(Factor(scope, v), wide))
+        for v in values])
+
+
+class TestPlannerEvidence:
+    """The planner with evidence kept as per-node indicators, peeled on
+    their own at observed sinks, on rows of one sign."""
+
+    @pytest.mark.parametrize("locals_of", [interval_locals,
+                                           zero_bound_locals])
+    def test_one_sign_rows_match_lp(self, locals_of):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            dag = random_dag(rng, int(rng.integers(3, 6)), 0.5)
+            net = binary_net(dag, locals_of(dag, rng))
+            nodes = list(dag.nodes)
+            rng.shuffle(nodes)
+            k = int(rng.integers(1, len(nodes)))
+            evidence = {s: str(rng.integers(0, 2)) for s in nodes[:k]}
+            scope = dag.sorted_nodes(nodes[k:k + int(rng.integers(0, 3))])
+            g = np.abs(random_factor(rng, net, scope).values)
+            values = np.stack([g, -g])
+            got = decompose._plan(net, scope, values, evidence, None)
+            assert got == pytest.approx(
+                evidence_lp(net, values, scope, evidence), abs=1e-9)
+
+    def test_complete_assignment_is_the_atom_product(self, rng):
+        for _ in range(5):
+            net = random_binary_net(rng, 4, edge_p=0.5)
+            evidence = {s: str(rng.integers(0, 2)) for s in net.dag.nodes}
+            low, neg_high = decompose._plan(net, (), np.array([1.0, -1.0]),
+                                            evidence, None)
+            assert (low, -neg_high) == pytest.approx(
+                atom_bounds(net, evidence), abs=1e-12)
+
+    def test_mixed_sign_row_raises(self):
+        # the net of default_rng(190): edge 1 -> 2 and an isolated node 3.
+        # Peeling the observed sink 3 on its own weights the positive part
+        # of a signed gamble on (1, 2) by P_(3 = x) and its negative part
+        # by P^(3 = x), which is 0.058 below the global program here: the
+        # lower expectation of f * 1{3 = x} is that of f times one of the
+        # two, by the sign of the lower expectation of f.
+        rng = np.random.default_rng(190)
+        dag = random_dag(rng, int(rng.integers(3, 6)), 0.5)
+        net = binary_net(dag, interval_locals(dag, rng))
+        assert sorted(dag.edges) == [("1", "2")] and len(dag.nodes) == 3
+        f = random_factor(rng, net, ["1", "2"])
+        evidence = {"3": "1"}
+        ind = net.indicator(net.cylinder(evidence)).values
+        low, high = net.local_lower("3", np.array([ind, -ind]))
+        own = lower_expectation(net, Factor(f.scope, f.values * np.where(
+            f.values >= 0, low, -high)))
+        exact = evidence_lp(net, f.values[None], f.scope, evidence)[0]
+        assert own < exact - 0.05
+        with pytest.raises(InputError, match="one sign"):
+            decompose._plan(net, f.scope, f.values[None], evidence, None)
+        # a row of one sign is taken
+        assert decompose._plan(net, f.scope, np.abs(f.values)[None],
+                               evidence, None) == pytest.approx(evidence_lp(
+                                   net, np.abs(f.values)[None], f.scope,
+                                   evidence), abs=1e-12)
 
 
 class TestPeel:
