@@ -8,11 +8,9 @@ hidden-state models, root bracketing for conditioning, and brute-force
 oracles for verification.
 """
 
-from .chains import (HmmSpec, HmmStep, TransferOperator,
-                     complete_evidence_lower, hmm_forward_rho, hmm_plan,
-                     infer_hmm_spec)
+from .chains import TransferOperator, complete_evidence_lower
 from .conditioning import (BracketResult, Rho, RhoEvaluator, condition,
-                           natural_conditional, program_rho,
+                           hmm_rho, natural_conditional, program_rho,
                            regular_conditional, root_rho)
 from .credal import (CredalSet, LinearConstraint, MassFunction,
                      binary_interval, constraints_to_vertices, singleton,

@@ -17,8 +17,12 @@ gambles, each at its own mu, and also reports E_p[f 1_B] and P_p(B) at
 a model p attaining rho(mu).  The engines are the global program
 (:func:`program_rho`), the sign split at a root q that all the evidence
 descends from (:func:`root_rho`: chains conditioned backwards, complete
-evidence, and ``auto`` queries on a root), and the hidden-state sweep
-(:mod:`credalnet.chains`).  So the roots are found by Dinkelbach
+evidence, and ``auto`` queries on a root), and the filtering sweep of a
+hidden-state model (:func:`hmm_rho`).  The two structural engines
+return ``None`` where the network's shape does not fit, and
+:func:`condition_reduced` is the one dispatcher: on a reduced query it
+tries :func:`root_rho`, then :func:`hmm_rho`, then the program
+(:func:`condition_program`).  So the roots are found by Dinkelbach
 steps, mu <- E_p[f 1_B] / P_p(B): Newton's method on the
 piecewise-linear rho, whose slope at mu is -P_p(B); bisection remains
 for a step that rounding keeps from decreasing mu.  The brackets are
@@ -46,7 +50,7 @@ import numpy as np
 from . import decompose, lp
 from .errors import ConvergenceError, HypothesisError, InputError, ModelError
 from .graph import closure, set_relations
-from .network import CredalNetwork, Event, Factor, sub_network
+from .network import CredalNetwork, Event, Factor, lower_argmin, sub_network
 
 #: Strict-positivity threshold of the sign tests and of the
 #: rightmost-root safeguard.
@@ -324,20 +328,100 @@ def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
              for i, (f, v) in enumerate(zip(gambles, vacuous))])
 
 
+# -- the hidden-state sweep ---------------------------------------------------
+
+def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
+            gambles: Sequence[Factor]
+            ) -> tuple[Rho, list[RhoEvaluator]] | None:
+    """rho of each of ``gambles`` given ``evidence`` by filtering, and
+    their evaluators; ``None`` unless the network is a hidden-state model
+    of order 1 or 2 (a chain of state nodes, each but the last emitting
+    one observation node, plus the grandparent transitions at order 2),
+    the evidence is on exactly its observation nodes, and the gambles are
+    on the final state node, or constant.
+
+    rho(mu) is one backward sweep: the local lower expectations of
+    ``f - mu`` at the final state node, then per time step the sign-split
+    weight of the observation's lower or upper probability given each
+    state, and the transition's local lower expectation; P, the
+    probability of the later observations at the attaining model, takes
+    the same weights and attaining mass functions.  What depends neither
+    on the gamble nor on mu (the observation bounds, one local lower
+    expectation of a batch of two per observation, and each step's axes
+    and local stack) is computed here, once.  Linear in the number of
+    time steps."""
+    dag, n = net.dag, len(evidence)
+    if not n or len(dag.nodes) != 2 * n + 1:
+        return None
+    states = [s for s in dag.topological_order() if s not in evidence]
+    last = states[-1]
+    if any(f.scope not in ((last,), ()) for f in gambles):
+        return None
+    obs = [[c for c in dag.children(s) if c in evidence] for s in states[:-1]]
+    if any(len(o) != 1 for o in obs):
+        return None
+    obs = [o for o, in obs]
+    edges = set(zip(states, obs)) | set(zip(states, states[1:]))
+    if dag.edges not in (edges, edges | set(zip(states, states[2:]))):
+        return None
+    plan = []
+    for k in range(n - 1, -1, -1):
+        sk, ok = states[k], obs[k]
+        seen = (np.arange(net.size(ok)) ==
+                net.state_index(ok, evidence[ok])).astype(float)
+        nxt = dag.parents(states[k + 1])
+        i = nxt.index(sk) + 1
+        # moves the axis of s_k last
+        axes = (0,) + tuple(j for j in range(1, len(nxt) + 1) if j != i) + (i,)
+        # the envelope depends on the parents of s_k that s_{k+1} shares
+        shape = (-1,) + tuple(net.size(p) if p in nxt else 1
+                              for p in dag.parents(sk)) + (net.size(sk),)
+        low, high = net.local_lower(ok, np.array([seen, -seen])[:, None])
+        plan.append((net.local_stack(sk), axes, shape, low, -high))
+    ones = np.ones((1,) + net.shape(dag.parents(last)))
+    # a unit axis per parent, so that no gamble axis is read as one
+    fv = np.array([net.aligned(f, (last,)) for f in gambles])
+    fv = fv.reshape(len(gambles), *(1,) * (ones.ndim - 1), -1)
+
+    def rho(slots, mus):
+        mus = np.reshape(mus, (-1,) + (1,) * (fv.ndim - 1))
+        # h is an array over the gambles and the parents of the next
+        # state node, in declaration order
+        h, prob = net.local_lower(last, fv[list(slots)] - mus), ones
+        for stack, axes, shape, low, high in plan:
+            g = h.transpose(axes)
+            w = np.where(g >= 0, low, high)
+            prob = (prob.transpose(axes) * w).reshape(shape)
+            h, mass = lower_argmin(stack, (g * w).reshape(shape))
+            prob = (mass * prob).sum(-1)
+        return h, h + mus.ravel() * prob, prob
+
+    # the observations leave the final state free: vacuous value min f
+    return rho, [RhoEvaluator(i, f.min(), f.max(), f.min())
+                 for i, f in enumerate(gambles)]
+
+
 # -- structural reduction before bracketing ---------------------------------
 
 def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
     """Smallest closed K containing the scope such that all external
     parents of K are instantiated by the conditioning assignment and no
-    conditioned node is a descendant of K."""
+    conditioned node is a descendant of K.  A needed node brings its
+    ungiven ancestors, up to the given ones, in the same round, so that
+    a chain of them costs one reach, not one round per node."""
     K = closure(net.dag, frozenset(scope) if scope else
                 frozenset([net.dag.nodes[0]]))
     given_nodes = set(given)
     while True:
         rel = set_relations(net.dag, K)
-        need = (rel.parents - given_nodes) | (rel.descendants & given_nodes)
+        need = set(rel.parents - given_nodes) | (rel.descendants & given_nodes)
         if not need:
             return K, rel
+        stack = list(need)
+        while stack:
+            new = set(net.dag.parents(stack.pop())) - given_nodes - K - need
+            need |= new
+            stack.extend(new)
         K = closure(net.dag, K | need)
 
 
@@ -396,12 +480,12 @@ def condition_reduced(reduced: ReducedQuery, gambles: Sequence[Factor],
                       rule: str, tolerance: float = DEFAULT_TOLERANCE,
                       trace: list | None = None) -> list[BracketResult]:
     """The conditional lower expectations of ``gambles`` (on one scope)
-    under ``rule`` on a reduced query: the vacuous bounds where
-    :func:`reduce_query` found the evidence to have zero upper
-    probability, the planner's values in one pass when no evidence is
-    left (``local-fallback``), :func:`condition` on :func:`root_rho` in
-    lockstep where it applies, else on the query's global program, one
-    bracket after the other over its warm tableau.  The marginalisation
+    under ``rule`` on a reduced query, by the first engine that fits its
+    structure: the vacuous bounds where :func:`reduce_query` found the
+    evidence to have zero upper probability, the planner's values in one
+    pass when no evidence is left (``local-fallback``), :func:`condition`
+    in lockstep on :func:`root_rho` or else on :func:`hmm_rho` where one
+    applies, and else :func:`condition_program`.  The marginalisation
     step goes to ``trace`` once."""
     if trace is not None and reduced.record is not None:
         trace.append(reduced.record)
@@ -414,11 +498,24 @@ def condition_reduced(reduced: ReducedQuery, gambles: Sequence[Factor],
         values = decompose.lower_expectation(net, gambles, trace=trace)
         return [BracketResult(float(v), "local-fallback", 0, 0.0)
                 for v in values]
-    scope = gambles[0].scope
-    engine = root_rho(net, scope[0], given.assignment(), gambles) \
-        if len(scope) == 1 and given.cylinder else None
-    if engine is not None:
-        return condition(*engine, rule, tolerance)
+    if given.cylinder:
+        scope, evidence = gambles[0].scope, given.assignment()
+        engine = root_rho(net, scope[0], evidence, gambles) \
+            if len(scope) == 1 else None
+        if engine is None:
+            engine = hmm_rho(net, evidence, gambles)
+        if engine is not None:
+            return condition(*engine, rule, tolerance)
+    return condition_program(net, given, gambles, rule, tolerance)
+
+
+def condition_program(net: CredalNetwork, given: Event,
+                      gambles: Sequence[Factor], rule: str,
+                      tolerance: float = DEFAULT_TOLERANCE
+                      ) -> list[BracketResult]:
+    """The conditional lower expectations of ``gambles`` given ``given``
+    under ``rule`` on the network's global program, one bracket after
+    the other over its warm tableau (:func:`program_rho`)."""
     rho, evaluators = program_rho(net, given, gambles, lp.GlobalPolytope(net))
     return [condition(rho, [ev], rule, tolerance)[0] for ev in evaluators]
 

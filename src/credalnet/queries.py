@@ -4,14 +4,16 @@ diagnostics.  Upper values always come from conjugacy: the gamble and
 its negation go through the same machinery as one batch.  An
 unconditional query goes to the global program (``lp``) or to the
 planner (``auto``, ``decompose``, and ``chain`` on a chain with the
-gamble on its last node).  A conditional query builds one batched rho
-engine for both gambles, and the one bracket driver,
-:func:`credalnet.conditioning.condition`, finds both roots: ``lp`` on
-the global program; ``chain`` by the sign split at the chain's root
-(:func:`credalnet.conditioning.root_rho`); ``hmm`` by the hidden-state
-sweep; ``auto`` and ``decompose`` after the reduction, by one planner
-pass where it leaves no evidence, else by ``root_rho`` where it
-applies, else on the sub-network's global program."""
+gamble on its last node).  A conditional query under ``auto`` or
+``decompose`` is reduced (:func:`credalnet.conditioning.reduce_query`),
+and the structural dispatcher,
+:func:`credalnet.conditioning.condition_reduced`, picks its engine.  The
+other methods only force one: ``lp`` the global program, ``chain`` the
+sign split at the chain's root (:func:`credalnet.conditioning.root_rho`)
+and ``hmm`` the filtering sweep (:func:`credalnet.conditioning.hmm_rho`);
+the last two raise :class:`~credalnet.errors.HypothesisError` where the
+network's shape does not fit, and reduce nothing, as their shape puts
+every node in the reduced set."""
 
 from __future__ import annotations
 
@@ -19,36 +21,6 @@ from . import chains, conditioning, decompose, lp
 from .errors import HypothesisError, InputError
 from .fileio import Query
 from .network import CredalNetwork
-
-
-def _chain_sweep(net: CredalNetwork, q: Query, gambles):
-    """rho of the gambles, in one batch, and their evaluators, from one
-    planner pass."""
-    order = chains.chain_order(net)
-    if q.given.cylinder and q.given.scope == (order[-1],) and \
-            q.target.scope in ((order[0],), ()):
-        return conditioning.root_rho(net, order[0], q.given.assignment(),
-                                     gambles)
-    raise HypothesisError(
-        "chain dispatch needs a gamble on the first node conditioned on "
-        "the value of the last one")
-
-
-def _hmm_sweep(net: CredalNetwork, q: Query, gambles):
-    """rho of the gambles, in one batch, from one plan, and their
-    evaluators."""
-    if not q.given.cylinder:
-        raise HypothesisError(
-            "hidden-state dispatch needs an instantiated observation event")
-    spec = chains.infer_hmm_spec(net, q.given.scope)
-    if q.target.scope not in ((spec.state_nodes[-1],), ()):
-        raise HypothesisError(
-            "hidden-state dispatch needs a gamble on the final state node")
-    rho = chains.hmm_forward_rho(spec, gambles,
-                                 chains.hmm_plan(spec, q.given.assignment()))
-    # the observations leave the final state free: vacuous value min f
-    return rho, [conditioning.RhoEvaluator(i, f.min(), f.max(), f.min())
-                 for i, f in enumerate(gambles)]
 
 
 def _unconditional_bounds(net: CredalNetwork, q: Query,
@@ -73,27 +45,39 @@ def _unconditional_bounds(net: CredalNetwork, q: Query,
     return float(lower), -float(neg_upper)
 
 
-_SWEEPS = {"chain": _chain_sweep, "hmm": _hmm_sweep}
-
-
 def _conditional_bounds(net: CredalNetwork, q: Query, trace: list | None
                         ) -> list[conditioning.BracketResult]:
     """The conditional lower expectations of the query's gamble and of its
     negation, by the query's method and rule."""
     gambles = [q.target, -q.target]
-    if q.method in _SWEEPS:
-        return conditioning.condition(*_SWEEPS[q.method](net, q, gambles),
-                                      q.rule, q.tolerance)
+    if q.method in ("auto", "decompose"):
+        reduced = conditioning.reduce_query(net, q.target.scope, q.given,
+                                            q.rule)
+        return conditioning.condition_reduced(reduced, gambles, q.rule,
+                                              q.tolerance, trace)
     if q.method == "lp":
-        rho, evaluators = conditioning.program_rho(
-            net, q.given, gambles, lp.GlobalPolytope(net))
-        return [conditioning.condition(rho, [ev], q.rule, q.tolerance)[0]
-                for ev in evaluators]
-    if q.method not in ("auto", "decompose"):
+        return conditioning.condition_program(net, q.given, gambles, q.rule,
+                                              q.tolerance)
+    if q.method == "chain":
+        # the chain's shape, not the reduction, puts every node in K
+        order = chains.chain_order(net)
+        engine = q.given.cylinder and q.given.scope == (order[-1],) and \
+            q.target.scope in ((order[0],), ()) and conditioning.root_rho(
+                net, order[0], q.given.assignment(), gambles)
+        if not engine:
+            raise HypothesisError(
+                "chain dispatch needs a gamble on the first node "
+                "conditioned on the value of the last one")
+    elif q.method == "hmm":
+        engine = q.given.cylinder and conditioning.hmm_rho(
+            net, q.given.assignment(), gambles)
+        if not engine:
+            raise HypothesisError(
+                "hidden-state dispatch needs a gamble on the final state "
+                "node given the value of every observation node")
+    else:
         raise InputError(f"unknown method {q.method!r}")
-    reduced = conditioning.reduce_query(net, q.target.scope, q.given, q.rule)
-    return conditioning.condition_reduced(reduced, gambles, q.rule,
-                                          q.tolerance, trace)
+    return conditioning.condition(*engine, q.rule, q.tolerance)
 
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
@@ -105,12 +89,12 @@ def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     program for ``lp``.  A conditional query reduced to no evidence
     (``auto``, ``decompose``) is one such planner pass.  Otherwise the
     bounds share one batched rho engine, and the bracket driver runs
-    their brackets: in lockstep on the sign split at a root (``chain``,
-    and ``auto`` or ``decompose`` on a root above all the evidence) or
-    on a hidden-state sweep, each round evaluating the abscissae both
-    ask for in one batched call, and one after the other over the warm
-    tableau of the global program (``lp``, and ``auto`` or ``decompose``
-    otherwise)."""
+    their brackets: in lockstep on the sign split at a root or on the
+    filtering sweep of a hidden-state model, each round evaluating the
+    abscissae both ask for in one batched call, and one after the other
+    over the warm tableau of the global program.  ``auto`` and
+    ``decompose`` take the first of these engines that fits the reduced
+    query's structure; ``lp``, ``chain`` and ``hmm`` force one."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

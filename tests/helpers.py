@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import linprog
 
-from credalnet.chains import HmmSpec, chain_order
+from credalnet.chains import chain_order
 from credalnet.credal import CredalSet, vertices_to_constraints
 from credalnet.errors import InputError
 from credalnet.graph import Dag, is_closed, set_relations
@@ -414,12 +414,15 @@ def reference_reverse_rho(net: CredalNetwork, h: Factor, x_n: str,
     return value, value + mu * prob, prob
 
 
-def reference_hmm_rho(spec: HmmSpec, f: Factor, observations: dict,
+def reference_hmm_rho(net: CredalNetwork, f: Factor, observations: dict,
                       mu: float) -> tuple[float, float, float]:
-    """``hmm_forward_rho`` at one mu, the observation bounds
-    recomputed at every step."""
-    net = spec.net
-    s_nodes, o_nodes = spec.state_nodes, spec.obs_nodes
+    """``conditioning.hmm_rho`` at one mu, the observation bounds
+    recomputed at every step.  The state nodes are the unobserved ones,
+    in topological order, and o_k is the observation of s_k."""
+    dag = net.dag
+    s_nodes = [s for s in dag.topological_order() if s not in observations]
+    o_nodes = [o for s in s_nodes[:-1] for o in dag.children(s)
+               if o in observations]
     last = s_nodes[-1]
     h = net.local_lower(last, net.aligned(f, (last,)) - mu)
     prob = np.ones(h.shape)

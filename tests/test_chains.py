@@ -1,15 +1,15 @@
 """Linear-time recursions: chains, hidden-state models, complete evidence."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from credalnet import chains, conditioning, lp, oracle, queries
+from credalnet import chains, cli, conditioning, lp, oracle, queries
 from credalnet.chains import (TransferOperator, chain_order,
-                              complete_evidence_lower, hmm_forward_rho,
-                              hmm_plan, infer_hmm_spec)
-from credalnet.conditioning import root_rho
+                              complete_evidence_lower)
+from credalnet.conditioning import hmm_rho, root_rho
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.decompose import iterated_lower_expectation, lower_expectation
 from credalnet.errors import HypothesisError, InputError
@@ -41,9 +41,9 @@ def reverse_rho(net, h, x_n):
     return one_gamble(chain_rho(net, [h], x_n))
 
 
-def filtering_rho(spec, f, observations):
+def filtering_rho(net, f, observations):
     """rho of the filtering query of ``f`` given ``observations``."""
-    return one_gamble(hmm_forward_rho(spec, [f], hmm_plan(spec, observations)))
+    return one_gamble(hmm_rho(net, observations, [f])[0])
 
 
 class TestChainShape:
@@ -212,20 +212,24 @@ class TestChainReverseRho:
 
 class TestHmm:
     def test_spec_inference(self, rng):
-        net, states, obs = random_hmm_net(rng, 3)
-        spec = infer_hmm_spec(net, obs)
-        assert spec.state_nodes == states
-        assert spec.obs_nodes == obs
-        assert spec.order == 1
-        net2, states2, obs2 = random_hmm_net(rng, 3, order=2)
-        assert infer_hmm_spec(net2, obs2).order == 2
+        # the sweep runs along the state chain from the observations
+        # alone, at either order
+        for order in (1, 2):
+            net, states, obs = random_hmm_net(rng, 3, order=order)
+            f = random_factor(rng, net, [states[-1]])
+            x = {o: str(rng.integers(0, 2)) for o in obs}
+            rho, (ev,) = hmm_rho(net, x, [f])
+            assert (ev.f_min, ev.f_max, ev.vacuous_value) == \
+                (f.min(), f.max(), f.min())
+            for mu in (-0.5, 0.3):
+                assert one_gamble(rho)(mu) == \
+                    reference_hmm_rho(net, f, x, mu)
 
     def test_lower_and_upper_observation_probability(self, rng):
         net, states, obs = random_hmm_net(rng, 2)
-        spec = infer_hmm_spec(net, obs)
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        low = filtering_rho(spec, Factor.constant(1.0), x)(0.0)[0]
-        high = -filtering_rho(spec, Factor.constant(-1.0), x)(0.0)[0]
+        low = filtering_rho(net, Factor.constant(1.0), x)(0.0)[0]
+        high = -filtering_rho(net, Factor.constant(-1.0), x)(0.0)[0]
         ind = net.indicator(net.cylinder(x))
         assert low == pytest.approx(
             lp.lower_expectation_lp(net, ind), abs=1e-7)
@@ -235,7 +239,6 @@ class TestHmm:
     @pytest.mark.parametrize("order", [1, 2])
     def test_rho_matches_lp(self, rng, order):
         net, states, obs = random_hmm_net(rng, 2, order=order)
-        spec = infer_hmm_spec(net, obs)
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
         ind = net.indicator(net.cylinder(x))
@@ -243,17 +246,15 @@ class TestHmm:
             scope = net.dag.sorted_nodes(set(obs) | {states[-1]})
             assembled = Factor(scope, net.aligned(ind, scope) * (
                 net.aligned(f, scope) - mu))
-            assert filtering_rho(spec, f, x)(mu)[0] == pytest.approx(
+            assert filtering_rho(net, f, x)(mu)[0] == pytest.approx(
                 lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
     def test_filtering_query(self, rng):
         # natural-rule filtering against direct LP bracketing
         net, states, obs = random_hmm_net(rng, 2, lo=0.2, hi=0.8)
-        spec = infer_hmm_spec(net, obs)
         f = random_factor(rng, net, [states[-1]])
         x = {o: "0" for o in obs}
-        res = sweep_bound(hmm_forward_rho(spec, [f], hmm_plan(spec, x)), f,
-                          "natural")[0]
+        res = sweep_bound(hmm_rho(net, x, [f])[0], f, "natural")[0]
         direct = lp_bound(net, f, net.cylinder(x), "natural")
         assert res.value == pytest.approx(direct.value, abs=1e-6)
 
@@ -284,16 +285,14 @@ class TestShuffledAndConstraintForm:
         net, states, obs = random_hmm_net(rng, 4, order=order)
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        spec = infer_hmm_spec(net, obs)
         for _ in range(4):
             nodes = list(net.dag.nodes)
             rng.shuffle(nodes)
             shuffled = redeclared(net, nodes)
-            twin = infer_hmm_spec(shuffled, obs)
-            assert twin.state_nodes == states
+            assert hmm_rho(shuffled, x, [f]) is not None
             for mu in (-0.6, 0.0, 0.4):
-                assert filtering_rho(twin, f, x)(mu)[0] == \
-                    filtering_rho(spec, f, x)(mu)[0]
+                assert filtering_rho(shuffled, f, x)(mu)[0] == \
+                    filtering_rho(net, f, x)(mu)[0]
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_hmm_on_constraint_form_twin(self, rng, order):
@@ -303,9 +302,8 @@ class TestShuffledAndConstraintForm:
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
         for mu in (-0.6, 0.0, 0.4):
-            assert filtering_rho(infer_hmm_spec(twin, obs), f, x)(mu)[0] \
-                == pytest.approx(filtering_rho(infer_hmm_spec(net, obs),
-                                               f, x)(mu)[0], abs=1e-12)
+            assert filtering_rho(twin, f, x)(mu)[0] == pytest.approx(
+                filtering_rho(net, f, x)(mu)[0], abs=1e-12)
 
     def test_chains_on_constraint_form_twin(self, rng):
         net = ragged_chain(rng)
@@ -330,12 +328,12 @@ def assert_reverse_matches_reference(net, h, x_n):
         assert rho(mu) == reference_reverse_rho(net, h, x_n, mu)
 
 
-def assert_hmm_matches_reference(spec, f, x):
-    rho = filtering_rho(spec, f, x)
+def assert_hmm_matches_reference(net, f, x):
+    rho = filtering_rho(net, f, x)
     mus = kink_grid(f.values)
     assert len(mus) >= 20
     for mu in mus:
-        assert rho(mu) == reference_hmm_rho(spec, f, x, mu)
+        assert rho(mu) == reference_hmm_rho(net, f, x, mu)
 
 
 #: At mu = 0.5 every envelope of the filtering sweep is exactly zero, the
@@ -364,9 +362,9 @@ class TestPlanMatchesPerMuSweep:
         for _ in range(3):
             nodes = list(net.dag.nodes)
             rng.shuffle(nodes)
-            spec = infer_hmm_spec(redeclared(net, nodes), obs)
+            shuffled = redeclared(net, nodes)
             for g in (f, -f, CONSTANT):
-                assert_hmm_matches_reference(spec, g, x)
+                assert_hmm_matches_reference(shuffled, g, x)
 
     def test_chain_twins(self, rng):
         net = ragged_chain(rng)
@@ -384,9 +382,8 @@ class TestPlanMatchesPerMuSweep:
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
         for model in (net, twin):
-            spec = infer_hmm_spec(model, obs)
             for g in (f, -f, CONSTANT):
-                assert_hmm_matches_reference(spec, g, x)
+                assert_hmm_matches_reference(model, g, x)
 
 
 def counted_local_lower(monkeypatch) -> list:
@@ -449,10 +446,9 @@ def hmm_sweep(rng, n, order, locals_of=interval_locals):
     filtering sweep, as a map from a gamble sequence to a batched rho."""
     dag, states, obs = hmm_dag(n, order)
     net = binary_net(dag, locals_of(dag, rng))
-    spec = infer_hmm_spec(net, obs)
-    plan = hmm_plan(spec, {o: str(rng.integers(0, 2)) for o in obs})
+    x = {o: str(rng.integers(0, 2)) for o in obs}
     return (random_factor(rng, net, [states[-1]]),
-            lambda gs: hmm_forward_rho(spec, gs, plan))
+            lambda gs: hmm_rho(net, x, gs)[0])
 
 
 def reverse_sweep(rng, n, locals_of=interval_locals):
@@ -531,9 +527,8 @@ class TestLockstep:
         got = queries.run_query(net, Query(f, net.cylinder(x), "regular",
                                            "hmm", 1e-10))
         evaluations = len(mus)
-        spec = infer_hmm_spec(net, obs)
-        low, up = (sweep_bound(hmm_forward_rho(spec, [g], hmm_plan(spec, x)),
-                               g, "regular")[0] for g in (f, -f))
+        low, up = (sweep_bound(hmm_rho(net, x, [g])[0], g, "regular")[0]
+                   for g in (f, -f))
         assert (got["lower"], got["kind"], got["iterations"],
                 got["bracket_width"]) == (low.value, low.kind,
                                           low.iterations, low.width)
@@ -571,10 +566,9 @@ class TestBatchedSweep:
 
     def test_hmm_on_constraint_form_twin(self, rng):
         net, states, obs = random_hmm_net(rng, 2)
-        spec = infer_hmm_spec(constraint_twin(net), obs)
-        plan = hmm_plan(spec, {o: "0" for o in obs})
+        twin, x = constraint_twin(net), {o: "0" for o in obs}
         self.assert_per_slot(random_factor(rng, net, [states[-1]]),
-                             lambda gs: hmm_forward_rho(spec, gs, plan), rng)
+                             lambda gs: hmm_rho(twin, x, gs)[0], rng)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_reverse_chain(self, rng, n):
@@ -790,9 +784,8 @@ class TestDinkelbachSweeps:
                 for rule in ("natural", "regular"):
                     results = []
                     for model in (net, twin):
-                        spec = infer_hmm_spec(model, obs)
-                        got, calls = sweep_bound(hmm_forward_rho(
-                            spec, [g], hmm_plan(spec, x)), g, rule)
+                        got, calls = sweep_bound(hmm_rho(model, x, [g])[0],
+                                                 g, rule)
                         assert calls <= MAX_ENGINE_CALLS
                         results.append(got)
                     assert_same_bound(results[1], results[0])
@@ -823,3 +816,90 @@ class TestDinkelbachSweeps:
                         assert got == pytest.approx(expect.value, abs=1e-6)
             hits += 1
         assert hits >= 4
+
+
+def hmm_outcome(net, query):
+    """``run_query``'s record without its method field, or the type of
+    the error it raised."""
+    try:
+        out = queries.run_query(net, query)
+    except (HypothesisError, InputError) as e:
+        return type(e)
+    del out["method"]
+    return out
+
+
+class TestHmmDispatch:
+    """``auto`` and ``decompose`` reach the filtering sweep through the
+    structural dispatcher, with the answers of ``method=hmm``; the sweep
+    declines every other shape."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_auto_and_decompose_equal_hmm(self, monkeypatch, order, n):
+        built = []
+        init = lp.GlobalPolytope.__init__
+        monkeypatch.setattr(lp.GlobalPolytope, "__init__", lambda self, *a: (
+            built.append(a) or init(self, *a)))
+        rng = np.random.default_rng([n, order])
+        kinds = set()
+        for locals_of in (interval_locals, zero_bound_locals):
+            dag, states, obs = hmm_dag(n, order)
+            net = binary_net(dag, locals_of(dag, rng))
+            nodes = list(dag.nodes)
+            rng.shuffle(nodes)
+            f = random_factor(rng, net, [states[-1]])
+            x = {o: str(rng.integers(0, 2)) for o in obs}
+            for model in (net, redeclared(net, nodes), constraint_twin(net)):
+                B = model.cylinder(x)
+                for rule in ("natural", "regular"):
+                    hmm = hmm_outcome(model, Query(f, B, rule, "hmm", 1e-10))
+                    for method in ("auto", "decompose"):
+                        assert hmm_outcome(model, Query(
+                            f, B, rule, method, 1e-10)) == hmm
+                    kinds.add(hmm if hmm is HypothesisError else hmm["kind"])
+        assert not built
+        if (n, order) == (1, 1):
+            # this draw's zero-bound model gives the observations zero
+            # lower and positive upper probability
+            assert {HypothesisError, "rightmost-root"} <= kinds
+
+    def test_declined_shapes(self, rng, capsys, tmp_path):
+        chain = random_chain_net(rng, 5)
+        # a chain of three looks like a one-step model by its node count
+        short = random_chain_net(rng, 3)
+        dag_net = random_binary_net(rng, 5, edge_p=0.5)
+        hmm, states, obs = random_hmm_net(rng, 4)
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        cases = [(chain, ["1"], {"5": "0"}), (short, ["3"], {"2": "1"}),
+                 (dag_net, ["5"], {"1": "0", "2": "1"}),
+                 (hmm, [states[-2]], x),
+                 (hmm, [states[-1]], {o: x[o] for o in obs[1:]})]
+        for net, scope, given in cases:
+            f = random_factor(rng, net, scope)
+            assert conditioning.hmm_rho(net, given, [f, -f]) is None
+            for rule in ("natural", "regular"):
+                with pytest.raises(HypothesisError):
+                    queries.run_query(net, Query(f, net.cylinder(given),
+                                                 rule, "hmm", 1e-10))
+        # the command line exits with the hypothesis code
+        query = {"target": {"scope": ["a"], "table": {"0": 1, "1": 0}},
+                 "given": {"assignment": {"c": "1"}}, "rule": "natural",
+                 "method": "hmm"}
+        path = tmp_path / "query.json"
+        path.write_text(json.dumps(query), encoding="utf-8")
+        assert cli.main(["infer", os.path.join(DATA, "chain3.json"),
+                         str(path)]) == cli.EXIT_HYPOTHESIS
+        capsys.readouterr()
+
+    def test_dag_cond_shapes_declined_by_node_count(self, rng, monkeypatch):
+        # a 4-8 node DAG with evidence on one node has more than the
+        # 2 * 1 + 1 nodes of a one-step model: no walk of the graph
+        nets = [random_binary_net(rng, n) for n in range(4, 9)]
+        gambles = [random_factor(rng, net, ["1"]) for net in nets]
+        for name in ("parents", "children", "topological_order"):
+            monkeypatch.setattr(Dag, name, lambda *a: pytest.fail(
+                "hmm_rho walked the graph"))
+        for net, f in zip(nets, gambles):
+            last = net.dag.nodes[-1]
+            assert conditioning.hmm_rho(net, {last: "0"}, [f, -f]) is None

@@ -237,6 +237,19 @@ def test_auto_reverse_chain_query_matches_chain_output(capsys):
     assert out.replace("method=auto", "method=chain") == expect
 
 
+def test_auto_hmm_query_matches_hmm_output(capsys):
+    # auto reduces the filtering query to the whole model, whose shape
+    # the dispatcher recognises: the filtering sweep of method=hmm, and
+    # the same text but for the method line
+    code = cli.main(["infer", data("hmm3.json"),
+                     data("hmm3_auto_query.json")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    with open(data("hmm3_query.out"), encoding="utf-8") as fh:
+        expect = fh.read()
+    assert out.replace("method=auto", "method=hmm") == expect
+
+
 @pytest.mark.parametrize("net, query, dump", CASES)
 def test_lp_dump_matches_committed_text(capsys, tmp_path, net, query, dump):
     out = tmp_path / "program.lp"

@@ -13,14 +13,14 @@ from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
 from credalnet.fileio import Query
-from credalnet.graph import Dag
+from credalnet.graph import Dag, is_closed, set_relations
 from credalnet.network import Factor
 from credalnet.queries import run_query
 
 from helpers import (atom_bounds, bayes_joint, binary_net, chain_dag,
                      interval_locals, lifted, one_gamble, precise_locals,
                      random_binary_net, random_chain_net, random_dag,
-                     random_factor, zero_bound_locals)
+                     random_factor, random_hmm_net, zero_bound_locals)
 
 TOL = 1e-9
 
@@ -538,6 +538,52 @@ class TestReduceThenCondition:
         expect = oracle.irr_extreme_conditional(net, f, B, "natural")
         if expect is not None:
             assert res.value == pytest.approx(expect, abs=1e-6)
+
+
+def smallest_closed_for(dag, scope, given):
+    """By brute force over every node set: the valid K of
+    ``conditioning._grow_closed_for``, which holds the scope (or the
+    first node), is closed, has only given external parents and no
+    given node below it, and is the one of them every other contains."""
+    start = set(scope) or {dag.nodes[0]}
+    valid = []
+    for bits in range(1 << len(dag.nodes)):
+        K = frozenset(s for i, s in enumerate(dag.nodes) if bits >> i & 1)
+        if start <= K and is_closed(dag, K):
+            rel = set_relations(dag, K)
+            if rel.parents <= set(given) and not rel.descendants & set(given):
+                valid.append(K)
+    least = min(valid, key=len)
+    assert all(least <= K for K in valid)
+    return least
+
+
+class TestGrowClosed:
+    """The reduction's K grows a reach of ungiven ancestors at a time."""
+
+    def test_smallest_closed_superset(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            dag = random_dag(rng, int(rng.integers(3, 9)),
+                             float(rng.uniform(0.2, 0.7)))
+            nodes = list(dag.nodes)
+            scope = [nodes[i] for i in rng.choice(
+                len(nodes), int(rng.integers(0, 3)), replace=False)]
+            given = [s for s in nodes if rng.random() < 0.4]
+            K, _ = conditioning._grow_closed_for(
+                binary_net(dag, interval_locals(dag, rng)), scope,
+                {s: "0" for s in given})
+            assert K == smallest_closed_for(dag, scope, given)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_long_hmm_keeps_the_whole_network(self, order):
+        # one reach takes every state node, the next round every
+        # observation: no round per time step
+        rng = np.random.default_rng(1000)
+        net, states, obs = random_hmm_net(rng, 1000, order=order)
+        B = net.cylinder({o: str(rng.integers(0, 2)) for o in obs})
+        for rule in ("natural", "regular"):
+            assert reduce_query(net, (states[-1],), B, rule).net is net
 
 
 class TestLocalModelPreservation:
