@@ -41,6 +41,7 @@ pivots.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Generator, Mapping, Sequence
@@ -60,7 +61,8 @@ DEFAULT_TOLERANCE = 1e-9
 MAX_ITERATIONS = 200
 
 #: rho of a batch of gambles: ``rho(slots, mus)`` gives gamble ``slots[i]``
-#: at ``mus[i]``, sequences ``(rho, E_p[f 1_B], P_p(B))``, p attaining rho.
+#: at ``mus[i]``, sequences ``(rho, E_p[f 1_B], P_p(B))``, p attaining rho,
+#: and optionally a fourth of exponents e: then each row is 2 ** -e times.
 Rho = Callable[[Sequence[int], Sequence[float]], tuple]
 
 
@@ -79,10 +81,10 @@ class RhoEvaluator:
     batched engine, the range of f, the vacuous fallback value (min of f
     over B), and the evaluations so far.
 
-    An abscissa seen before is not evaluated again.  Evaluations are
-    opportunistically checked for monotonicity: the function must be
-    non-increasing in mu, so a violation beyond tolerance exposes a
-    broken engine.
+    The sign tests read values as scaled.  An abscissa seen before is
+    not evaluated again.  Evaluations are opportunistically checked for
+    monotonicity: rho must be non-increasing in mu, so a violation beyond
+    tolerance exposes a broken engine.
     """
 
     slot: int
@@ -93,23 +95,23 @@ class RhoEvaluator:
     _vals: list = field(default_factory=list, repr=False)
     _seen: dict = field(default_factory=dict, repr=False)
 
-    def rho(self, mu: float, value, fb, pb) -> None:
-        """Check and record rho(mu) = value, E_p[f 1_B] and P_p(B)."""
-        value, fb, pb = float(value), float(fb), float(pb)
+    def rho(self, mu: float, value, fb, pb, scale=0) -> None:
+        """Check and record 2 ** -scale times rho(mu), E_p[f 1_B], P_p(B)."""
+        value, fb, pb, scale = float(value), float(fb), float(pb), int(scale)
         step = fb / pb if pb > 0.0 else None
-        i = bisect.bisect_left(self._mus, mu)
-        if i > 0 and value > self._vals[i - 1] + 1e-7:
+        i, true = bisect.bisect_left(self._mus, mu), math.ldexp(value, scale)
+        if i > 0 and true > self._vals[i - 1] + 1e-7:
             raise ModelError("rho engine is not non-increasing in mu")
-        if i < len(self._mus) and value < self._vals[i] - 1e-7:
+        if i < len(self._mus) and true < self._vals[i] - 1e-7:
             raise ModelError("rho engine is not non-increasing in mu")
         self._mus.insert(i, mu)
-        self._vals.insert(i, value)
-        self._seen[mu] = (value, step)
+        self._vals.insert(i, true)
+        self._seen[mu] = (value, step, scale)
 
-    def recorded(self, mu: float) -> tuple[float, float | None]:
-        """rho at an evaluated ``mu``, and the Dinkelbach step from it:
-        E_p[f 1_B] / P_p(B) at its attaining model p, which is at least
-        the root.  The step is ``None`` when P_p(B) is zero."""
+    def recorded(self, mu: float) -> tuple[float, float | None, int]:
+        """At an evaluated ``mu``: rho as scaled, the Dinkelbach step
+        E_p[f 1_B] / P_p(B), which is at least the root (``None`` when
+        P_p(B) is zero), and the scale."""
         return self._seen[mu]
 
 
@@ -168,7 +170,7 @@ def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> Generator:
     if hi - lo <= tolerance:
         return BracketResult(lo, "unique-root", 0, hi - lo)
     mu = evaluator.f_min - 1.0
-    r, step = evaluator.recorded(mu)
+    r, step, scale = evaluator.recorded(mu)
     slope = r / (evaluator.f_max - mu)
     for it in range(1, MAX_ITERATIONS + 1):
         if step is None or (it > 1 and step >= mu):
@@ -176,11 +178,15 @@ def _unique_root(evaluator: RhoEvaluator, tolerance: float) -> Generator:
         else:
             mu = min(max(step - 0.5 * tolerance, lo), hi)
         yield mu
-        r, step = evaluator.recorded(mu)
+        r, step, s = evaluator.recorded(mu)
         if r > 0.0:
             lo, right = mu, hi
         else:
-            lo, right = max(lo, mu + r / slope), mu
+            try:
+                shift = math.ldexp(r / slope, s - scale)
+            except OverflowError:   # no bound: the slope is that small
+                shift = -math.inf
+            lo, right = max(lo, mu + shift), mu
         hi = max(lo, right if step is None else min(right, step))
         if hi - lo <= tolerance:
             return BracketResult(hi, "unique-root", it, hi - lo)
@@ -198,7 +204,7 @@ def _rightmost_root(evaluator: RhoEvaluator) -> Generator:
     for it in range(1, MAX_ITERATIONS + 1):
         mu = hi = min(max(step, evaluator.f_min), hi)
         yield mu
-        r, step = evaluator.recorded(mu)
+        r, step, _ = evaluator.recorded(mu)
         if r >= -TOL_SIGN:
             width = 0.0 if step is None else max(0.0, mu - step)
             return BracketResult(mu, "rightmost-root", it, width)
@@ -340,16 +346,17 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
     the evidence is on exactly its observation nodes, and the gambles are
     on the final state node, or constant.
 
-    rho(mu) is one backward sweep: the local lower expectations of
-    ``f - mu`` at the final state node, then per time step the sign-split
-    weight of the observation's lower or upper probability given each
-    state, and the transition's local lower expectation; P, the
-    probability of the later observations at the attaining model, takes
-    the same weights and attaining mass functions.  What depends neither
-    on the gamble nor on mu (the observation bounds, one local lower
-    expectation of a batch of two per observation, and each step's axes
-    and local stack) is computed here, once.  Linear in the number of
-    time steps."""
+    rho(mu) is one backward sweep, linear in the time steps: the local
+    lower expectations of ``f - mu`` at the final state node, then per
+    step the sign-split weight of the observation's lower or upper
+    probability given each state, and the transition's local lower
+    expectation; P, of the later observations at the attaining model,
+    takes the same weights and mass functions.  What depends on neither
+    the gamble nor mu (the observation bounds, each step's axes and local
+    stack) is computed here, once.  As P shrinks geometrically, each row
+    is scaled by a power of two every 16 steps, to stay in the float
+    range, and at the end, to put P in [1/2, 1): no sign or bit moves,
+    and the sign tests read rho relative to P."""
     dag, n = net.dag, len(evidence)
     if not n or len(dag.nodes) != 2 * n + 1:
         return None
@@ -357,10 +364,9 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
     last = states[-1]
     if any(f.scope not in ((last,), ()) for f in gambles):
         return None
-    obs = [[c for c in dag.children(s) if c in evidence] for s in states[:-1]]
-    if any(len(o) != 1 for o in obs):
+    obs = [c for s in states[:-1] for c in dag.children(s) if c in evidence]
+    if len(obs) != n or len(set(obs)) != n:
         return None
-    obs = [o for o, in obs]
     edges = set(zip(states, obs)) | set(zip(states, states[1:]))
     if dag.edges not in (edges, edges | set(zip(states, states[2:]))):
         return None
@@ -377,7 +383,7 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
         shape = (-1,) + tuple(net.size(p) if p in nxt else 1
                               for p in dag.parents(sk)) + (net.size(sk),)
         low, high = net.local_lower(ok, np.array([seen, -seen])[:, None])
-        plan.append((net.local_stack(sk), axes, shape, low, -high))
+        plan.append((k, net.local_stack(sk), axes, shape, low, -high))
     ones = np.ones((1,) + net.shape(dag.parents(last)))
     # a unit axis per parent, so that no gamble axis is read as one
     fv = np.array([net.aligned(f, (last,)) for f in gambles])
@@ -388,13 +394,21 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
         # h is an array over the gambles and the parents of the next
         # state node, in declaration order
         h, prob = net.local_lower(last, fv[list(slots)] - mus), ones
-        for stack, axes, shape, low, high in plan:
+        scale = 0
+        for k, stack, axes, shape, low, high in plan:
             g = h.transpose(axes)
             w = np.where(g >= 0, low, high)
             prob = (prob.transpose(axes) * w).reshape(shape)
-            h, mass = lower_argmin(stack, (g * w).reshape(shape))
+            g = (g * w).reshape(shape)
+            if k and k % 16 == 0:
+                _, e = np.frexp(prob.reshape(len(prob), -1).max(1))
+                unit = np.ldexp(1.0, -e).reshape(-1, *(1,) * (g.ndim - 1))
+                g, prob, scale = g * unit, prob * unit, scale + e
+            h, mass = lower_argmin(stack, g)
             prob = (mass * prob).sum(-1)
-        return h, h + mus.ravel() * prob, prob
+        prob, e = np.frexp(prob)
+        h = np.ldexp(h, -e)
+        return h, h + mus.ravel() * prob, prob, scale + e
 
     # the observations leave the final state free: vacuous value min f
     return rho, [RhoEvaluator(i, f.min(), f.max(), f.min())

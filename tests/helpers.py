@@ -415,10 +415,13 @@ def reference_reverse_rho(net: CredalNetwork, h: Factor, x_n: str,
 
 
 def reference_hmm_rho(net: CredalNetwork, f: Factor, observations: dict,
-                      mu: float) -> tuple[float, float, float]:
+                      mu: float, rescale: bool = False
+                      ) -> tuple[float, float, float]:
     """``conditioning.hmm_rho`` at one mu, the observation bounds
     recomputed at every step.  The state nodes are the unobserved ones,
-    in topological order, and o_k is the observation of s_k."""
+    in topological order, and o_k is the observation of s_k.  ``rescale``
+    divides the values and P by the largest value's magnitude after
+    every step, which keeps their signs at any number of steps."""
     dag = net.dag
     s_nodes = [s for s in dag.topological_order() if s not in observations]
     o_nodes = [o for s in s_nodes[:-1] for o in dag.children(s)
@@ -439,7 +442,26 @@ def reference_hmm_rho(net: CredalNetwork, f: Factor, observations: dict,
         prob = (np.moveaxis(prob, nxt.index(sk), -1) * w).reshape(shape)
         h = net.local_lower(sk, g)
         prob = (reference_argmin(net, sk, g) * prob).sum(-1)
+        scale = np.abs(h).max() if rescale else 0.0
+        if scale > 0.0:
+            h, prob = h / scale, prob / scale
     return float(h), float(h + mu * prob), float(prob)
+
+
+def reference_filtering(net: CredalNetwork, f: Factor,
+                        observations: dict) -> float:
+    """The filtering conditional of ``f`` given ``observations`` of
+    positive lower probability: the root of the sign of the rescaled
+    :func:`reference_hmm_rho`, by bisection to machine precision."""
+    def positive(mu):
+        return reference_hmm_rho(net, f, observations, mu, True)[0] > 0.0
+
+    lo, hi = f.min(), f.max()
+    assert positive(lo - 1.0)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def kink_grid(values, count: int = 20) -> list[float]:
@@ -464,5 +486,9 @@ def lifted(*fns):
 
 def one_gamble(rho, slot: int = 0):
     """A batched rho engine at one slot, as a function of mu that returns
-    the floats (rho, E, P)."""
-    return lambda mu: tuple(float(a[0]) for a in rho([slot], [mu]))
+    the floats (rho, E, P), unscaled where the engine scales its rows."""
+    def at(mu):
+        value, fb, pb, *scale = rho([slot], [mu])
+        e = int(scale[0][0]) if scale else 0
+        return tuple(float(np.ldexp(a[0], e)) for a in (value, fb, pb))
+    return at

@@ -21,8 +21,9 @@ from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      hmm_dag, interval_locals, kink_grid, one_gamble,
                      precise_locals, random_binary_net, random_chain_net,
                      random_dag, random_factor, random_hmm_net, redeclared,
-                     reference_chain_lower, reference_hmm_rho,
-                     reference_reverse_rho, zero_bound_locals)
+                     reference_chain_lower, reference_filtering,
+                     reference_hmm_rho, reference_reverse_rho,
+                     zero_bound_locals)
 
 TOL = 1e-9
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -829,6 +830,48 @@ def hmm_outcome(net, query):
     return out
 
 
+class TestFilteringAtScale:
+    """The sweep scales its rows by powers of two, so that the sign
+    tests see rho relative to the probability of the observations, which
+    falls below their absolute tolerance within 20 steps."""
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_matches_rescaled_reference(self, n):
+        net, states, obs = random_hmm_net(np.random.default_rng(n), n)
+        rng = np.random.default_rng(n + 1)
+        f = Factor((states[-1],), rng.normal(size=2))
+        x = {o: str(rng.integers(2)) for o in obs}
+        lower = reference_filtering(net, f, x)
+        upper = -reference_filtering(net, -f, x)
+        for rule in ("natural", "regular"):
+            for method in ("auto", "hmm"):
+                out = queries.run_query(net, Query(f, net.cylinder(x), rule,
+                                                   method, 1e-10))
+                assert (out["kind"], out["upper_kind"]) == \
+                    ("unique-root", "unique-root")
+                assert out["lower"] == pytest.approx(lower, abs=1e-9)
+                assert out["upper"] == pytest.approx(upper, abs=1e-9)
+
+    def test_scaling_is_exact(self, rng):
+        # powers of two move no bit: the unscaled oracle, to the bit
+        net, states, obs = random_hmm_net(rng, 12, order=2)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        rho = hmm_rho(net, x, [f])[0]
+        assert rho([0], [0.0])[3][0] < 0
+        assert_hmm_matches_reference(net, f, x)
+
+    def test_below_the_float_range(self, rng):
+        # P of 1200 observations is below the least float; scaled, P is
+        # in [1/2, 1) and rho(min f - 1) at least P
+        net, states, obs = random_hmm_net(rng, 1200)
+        f = random_factor(rng, net, [states[-1]])
+        x = {o: str(rng.integers(0, 2)) for o in obs}
+        (value,), _, (prob,), (scale,) = hmm_rho(net, x, [f])[0](
+            [0], [f.min() - 1.0])
+        assert 0.5 <= prob < 1.0 and value >= prob and scale < -1074
+
+
 class TestHmmDispatch:
     """``auto`` and ``decompose`` reach the filtering sweep through the
     structural dispatcher, with the answers of ``method=hmm``; the sweep
@@ -871,10 +914,16 @@ class TestHmmDispatch:
         dag_net = random_binary_net(rng, 5, edge_p=0.5)
         hmm, states, obs = random_hmm_net(rng, 4)
         x = {o: str(rng.integers(0, 2)) for o in obs}
+        # o1 is the observation of both s1 and s2, and o2 of none: the
+        # node count and the edges fit a two-step model
+        shared = Dag(["s1", "s2", "s3", "o1", "o2"], [
+            ("s1", "o1"), ("s2", "o1"), ("s1", "s2"), ("s2", "s3")])
+        shared = binary_net(shared, interval_locals(shared, rng))
         cases = [(chain, ["1"], {"5": "0"}), (short, ["3"], {"2": "1"}),
                  (dag_net, ["5"], {"1": "0", "2": "1"}),
                  (hmm, [states[-2]], x),
-                 (hmm, [states[-1]], {o: x[o] for o in obs[1:]})]
+                 (hmm, [states[-1]], {o: x[o] for o in obs[1:]}),
+                 (shared, ["s3"], {"o1": "0", "o2": "1"})]
         for net, scope, given in cases:
             f = random_factor(rng, net, scope)
             assert conditioning.hmm_rho(net, given, [f, -f]) is None

@@ -329,6 +329,21 @@ class TestDinkelbachSteps:
         assert res.value == pytest.approx(0.3, abs=1e-9)
         assert res.iterations > 5
 
+    def test_slope_bound_across_scales(self):
+        # rho(mu) = min(2 ** -1100 (1 - mu), 0.5 - mu), each value scaled
+        # by its exponent: the first step, from the slope 2 ** -1100 at
+        # mu = -1, lands on 1, where rho(mu) / slope leaves the float
+        # range and bounds nothing
+        def fn(mu):
+            if mu < 0.5:
+                return 1.0 - mu, 1.0, 1.0, -1100
+            return 0.5 - mu, 0.5, 1.0, 0
+
+        (res,) = condition(lifted(fn), [RhoEvaluator(0, 0.0, 1.0, 0.0)],
+                           "natural", 1e-10)
+        assert res.kind == "unique-root"
+        assert res.value == pytest.approx(0.5, abs=1e-10)
+
     def test_rightmost_root_raises_where_steps_stall(self):
         # rho stays clearly negative right of 0.5 while the engine's steps
         # do not move left: an explicit error, not a wrong bound
