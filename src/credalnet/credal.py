@@ -3,14 +3,16 @@
 A credal set is a nonempty closed convex set of mass functions over one
 node's finite state space.  It can be handed over as a list of extreme
 points, as a list of linear constraints ``alpha @ p >= beta``, or both.
-On construction the set is normalised to a list of *homogeneous*
-constraints ``gamma @ p >= 0`` with ``gamma = alpha - beta``, read on
-the probability simplex: the set is the mass functions that satisfy
-them, and every consumer of the rows (the local LP, the global program,
+Either form normalises to one array ``_H`` of *homogeneous* constraints
+``gamma @ p >= 0`` with ``gamma = alpha - beta``, read on the
+probability simplex: the set is the mass functions that satisfy them,
+and every consumer of the rows (the local LP, the global program,
 vertex enumeration, membership) intersects them with the simplex, so
-the rows need not imply ``p >= 0`` themselves.  The vertices are
-held as one checked float array ``_V`` and the rows as one array ``_H``;
-the ``MassFunction`` tuples are built from ``_V`` on demand.  Each set
+the rows need not imply ``p >= 0`` themselves.  The vertices are held
+as one float array ``_V``, checked in one pass on construction.  ``_H``
+is derived on first read: on construction for a set with constraints,
+whose checks read it, and never for a vertex list that no LP reads.
+The ``MassFunction`` tuples are built from ``_V`` on demand.  Each set
 also keeps one of its members, from which the global program starts.
 All query operations are pure, so instances are freely shareable.
 """
@@ -109,23 +111,23 @@ class CredalSet:
         if constraints is not None:
             self.constraints = tuple(self._coerce_constraint(c) for c in constraints)
 
-        self._H: np.ndarray = self._derive_homogeneous()
-
+        # both checks read _H, so a set with constraints derives it here
         if self._V is None:
             self.member = self._feasible_point()
-        if self._V is not None and self.constraints is not None:
+        elif self.constraints is not None:
             self._check_mutual_membership()
-        if self._V is not None:
+        if self._V is not None and len(self._V) > 2:
             self._check_minimal()
 
     # -- construction helpers ---------------------------------------------
 
     def _vertex_array(self, vertices) -> np.ndarray:
         """The vertices as one (k, n) float array, each row checked to be a
-        mass function; on Python floats, as numpy reductions cost several
-        times more on the few rows of a local set."""
+        mass function and two rows to be apart; on Python floats, as numpy
+        reductions cost several times more on the few rows of a local set."""
         if not isinstance(vertices, np.ndarray):
-            vertices = [self._vertex_row(v) for v in vertices]
+            vertices = [v if type(v) is list else self._vertex_row(v)
+                        for v in vertices]
         try:
             V = np.array(vertices, dtype=float)
         except (TypeError, ValueError):
@@ -135,7 +137,8 @@ class CredalSet:
             raise ModelError("empty vertex list")
         if V.ndim != 2 or V.shape[1] != len(self.states):
             raise InputError("each vertex must give one number per state")
-        for row in V.tolist():
+        rows = V.tolist()
+        for row in rows:
             # false for a NaN or an infinity too
             if not (min(row) >= -TOL_FEAS and abs(sum(row) - 1.0) <= TOL_FEAS):
                 if not all(map(math.isfinite, row)):
@@ -143,6 +146,9 @@ class CredalSet:
                 if min(row) < -TOL_FEAS:
                     raise InputError(f"negative probability in {tuple(row)}")
                 raise InputError(f"probabilities sum to {sum(row)}, not 1")
+        if len(rows) == 2 and \
+                max(abs(a - b) for a, b in zip(*rows)) <= TOL_FEAS:
+            raise InputError("duplicate vertices in credal set")
         return V
 
     def _vertex_row(self, v):
@@ -164,7 +170,10 @@ class CredalSet:
             raise InputError("constraint width mismatch")
         return c
 
-    def _derive_homogeneous(self) -> np.ndarray:
+    @cached_property
+    def _H(self) -> np.ndarray:
+        """The homogeneous rows (see the module docstring), derived on
+        first read."""
         n = len(self.states)
         if self.constraints is not None:
             G = np.array([np.array(c.coeffs) - c.bound
@@ -201,13 +210,6 @@ class CredalSet:
 
     def _check_minimal(self):
         k = len(self._V)
-        if k <= 1:
-            return
-        if k == 2:
-            first, second = self._V.tolist()
-            if max(abs(a - b) for a, b in zip(first, second)) <= TOL_FEAS:
-                raise InputError("duplicate vertices in credal set")
-            return
         if k > MAX_CONVERSION_VERTICES:
             raise CapabilityError("vertex minimality check exceeds desk scale")
         for i in range(k):

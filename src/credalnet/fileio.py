@@ -31,9 +31,10 @@ other; a list-style table names each one once.
 Network documents are read in a single pass that both records every
 defect (:func:`validate_document`) and collects the parsed local sets
 that :func:`load_network_document` hands to :class:`CredalNetwork`.
-A local entry's vertices reach :class:`CredalSet` as one list of rows,
-which it checks and holds as one array; its ``MassFunction`` tuple is
-built only on demand.
+A local entry's vertices reach :class:`CredalSet` as one list of rows of
+floats, each read against the entry's one set of state names; the set
+checks them in one pass and holds them as one array, and builds its
+constraint rows and ``MassFunction`` tuple only on demand.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ from .network import CredalNetwork, Event, Factor
 def parse_number(v) -> float:
     """JSON number, decimal string, or exact fraction 'a/b'; it must be
     finite."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+    if not isinstance(v, (str, float, int)) or v is True or v is False:
         raise InputError(f"not a number: {v!r}")
     try:
         x = float(Fraction(v)) if isinstance(v, str) and "/" in v else float(v)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise InputError(f"cannot parse number {v!r}: {e}") from None
-    if not math.isfinite(x):
-        raise InputError(f"not a finite number: {v!r}")
-    return x
+    if math.isfinite(x):
+        return x
+    raise InputError(f"not a finite number: {v!r}")
 
 
 #: Up to this many missing local models of a node are listed one a line.
@@ -223,18 +224,20 @@ def validate_document(doc) -> ValidationReport:
 
 
 def _objects(entry: Mapping, key: str):
-    """``entry[key]`` checked to be a list of JSON objects, or None."""
+    """``entry[key]`` checked to be a list of JSON objects, or None; a
+    dict passes without the slower abstract-class check."""
     value = entry.get(key)
-    if value is not None and not (isinstance(value, (list, tuple)) and
-                                  all(isinstance(v, Mapping) for v in value)):
+    if value is not None and not (
+            isinstance(value, (list, tuple)) and
+            all(isinstance(v, (dict, Mapping)) for v in value)):
         raise InputError(f"{key!r} must be a list of objects")
     return value
 
 
-def _row(obj: Mapping, states: tuple, what: str) -> list[float]:
-    """The numbers of ``obj``, which names exactly ``states``, in state
-    order."""
-    if obj.keys() != set(states):
+def _row(obj: Mapping, states: tuple, names: set, what: str) -> list[float]:
+    """The numbers of ``obj``, which names exactly ``states`` (the set
+    ``names``), in state order."""
+    if obj.keys() != names:
         raise InputError(f"{what} {obj!r} does not name exactly the states "
                          f"{states}")
     return [parse_number(obj[s]) for s in states]
@@ -243,14 +246,15 @@ def _row(obj: Mapping, states: tuple, what: str) -> list[float]:
 def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
     vertices = _objects(entry, "vertices")
     constraints = _objects(entry, "constraints")
+    names = set(states)
     if vertices is not None:
-        vertices = [_row(v, states, "vertex") for v in vertices]
+        vertices = [_row(v, states, names, "vertex") for v in vertices]
     if constraints is not None:
         for c in constraints:
             if not isinstance(c.get("alpha"), Mapping) or "beta" not in c:
                 raise InputError(f"constraint needs alpha and beta: {c!r}")
             _check_keys(c, ("alpha", "beta"), "a constraint")
-        constraints = [(_row(c["alpha"], states, "constraint alpha"),
+        constraints = [(_row(c["alpha"], states, names, "constraint alpha"),
                         parse_number(c["beta"])) for c in constraints]
     return CredalSet(states, vertices=vertices, constraints=constraints)
 

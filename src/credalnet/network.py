@@ -122,11 +122,13 @@ class CredalNetwork:
             raise InputError(f"the network needs {expected} local models, "
                              f"not {len(self.locals)}")
         for key, m in self.locals.items():
-            s, cfg = key
+            pair = type(key) is tuple and len(key) == 2
+            s, cfg = key if pair else (None, None)
             pas = parents.get(s)
             if pas is None or type(cfg) is not tuple or len(cfg) != len(pas) \
                     or not all(x in self.state_spaces[p]
-                               for p, x in zip(pas, cfg)):
+                               for p, x in zip(pas, cfg)) \
+                    or not isinstance(m, CredalSet):
                 raise InputError(f"spurious local-model entry {key}")
             if m.states != self.state_spaces[s]:
                 raise InputError(f"local model state mismatch at {key}")

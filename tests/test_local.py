@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalnet import polytope, simplex
+from credalnet import fileio, polytope, simplex
 from credalnet.credal import (CredalSet, MassFunction, binary_interval,
                               constraints_to_vertices, singleton, vacuous,
                               vertices_to_constraints)
@@ -60,6 +60,17 @@ class TestVertexArray:
     def test_defect(self, vertices, error, message):
         with pytest.raises(error, match=message):
             CredalSet(("h", "t"), vertices=vertices)
+        if isinstance(vertices, np.ndarray) or \
+                any(isinstance(v, dict) for v in vertices):
+            return
+        # the loader hands the rows over as lists
+        with pytest.raises(error, match=message):
+            CredalSet(("h", "t"), vertices=[list(v) for v in vertices])
+        if all(len(v) == 2 for v in vertices):
+            # a row of another width is no JSON object naming the states
+            entry = {"vertices": [dict(zip(("h", "t"), v)) for v in vertices]}
+            with pytest.raises(error, match=message):
+                fileio._parse_local(entry, ("h", "t"))
 
     def test_vertex_inside_the_hull(self):
         with pytest.raises(InputError, match="vertex 2 lies in the convex "
@@ -138,7 +149,8 @@ class TestLowerExpectation:
                 lp_lower(m, f), abs=TOL)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ModelError):
+        # at construction, by the feasibility LP over the rows
+        with pytest.raises(ModelError, match="credal set is empty"):
             CredalSet(("a", "b"), constraints=[({"a": 1.0, "b": 0.0}, 0.8),
                                                ({"a": -1.0, "b": 0.0}, -0.2)])
 
@@ -189,7 +201,54 @@ class TestCoherence:
         assert joint >= m.lower_expectation(f) + m.lower_expectation(g) - 1e-9
 
 
+def eager_rows(m: CredalSet) -> np.ndarray:
+    """The homogeneous rows of ``m`` by the formula that construction
+    once applied to every set."""
+    n = len(m.states)
+    if m.constraints is not None:
+        G = np.array([np.array(c.coeffs) - c.bound
+                      for c in m.constraints]).reshape(-1, n)
+    elif n == 2:
+        column = m._V[:, 0].tolist()
+        lo, hi = min(column), max(column)
+        return np.array([[1.0 - lo, -lo], [hi - 1.0, hi]])
+    else:
+        G = np.array([alpha - beta for alpha, beta in
+                      polytope.facet_constraints(m._V)]).reshape(-1, n)
+    scale = np.abs(G).max(axis=1)
+    keep = scale > 1e-14
+    return G[keep] / scale[keep, None]
+
+
 class TestHomogeneous:
+    @pytest.mark.parametrize("make", [
+        lambda: binary_interval(("h", "t"), 0.25, 0.75),
+        lambda: binary_interval(("h", "t"), 0.1, 0.1),
+        lambda: vacuous(("a", "b", "c")),
+        lambda: CredalSet(("a", "b", "c"), vertices=[
+            (0.2, 0.3, 0.5), (0.6, 0.1, 0.3), (0.1, 0.8, 0.1)]),
+        lambda: CredalSet(("a", "b", "c"), vertices=[
+            (0.2, 0.3, 0.5), (0.6, 0.1, 0.3)]),
+        lambda: CredalSet(CUT_STATES, constraints=CUT_SETS[0][0]),
+        lambda: CredalSet(("h", "t"), constraints=[((1.0, 0.0), 0.25),
+                                                   ((0.0, 1.0), 0.25)]),
+        lambda: CredalSet(CUT_STATES, vertices=CUT_SETS[0][1],
+                          constraints=CUT_SETS[0][0]),
+    ], ids=["interval", "binary-point", "vacuous", "ternary-triangle",
+            "ternary-segment", "constraints", "binary-constraints",
+            "dual-form"])
+    def test_rows_are_derived_on_first_read(self, make):
+        m = make()
+        # the checks of a set with constraints read the rows; nothing in
+        # the construction of a vertex list does
+        assert ("_H" in vars(m)) == (m.constraints is not None)
+        m.lower_expectation(np.arange(m.n_states, dtype=float))
+        assert ("_H" in vars(m)) == (m.constraints is not None)
+        H, expected = m._H, eager_rows(m)
+        assert H.dtype == expected.dtype and H.shape == expected.shape
+        assert H.tobytes() == expected.tobytes()
+        assert vars(m)["_H"] is H
+
     def test_interval_rows(self):
         m = binary_interval(("h", "t"), 0.25, 0.75)
         rows = {tuple(np.round(h, 12)) for h in m._H}

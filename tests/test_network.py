@@ -216,6 +216,12 @@ class TestConstruction:
         with pytest.raises(InputError):
             CredalNetwork(dag, {"a": ("0", "1")},
                           {("a", ()): m, ("a", ("0",)): m})
+        # as many entries as configurations, but a key that is no
+        # (node, configuration) pair or a value that is no local set
+        for locals_ in ({("a",): m}, {("a", (), ()): m}, {"a": m}, {5: m},
+                        {("a", ()): "m"}, {("a", ()): m.vertices}):
+            with pytest.raises(InputError, match="spurious local-model entry"):
+                CredalNetwork(dag, {"a": ("0", "1")}, locals_)
 
     @pytest.mark.parametrize("key", [("b", ("7",)), ("b", "0"), ("z", ())])
     def test_key_outside_the_configurations(self, key):
