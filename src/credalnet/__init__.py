@@ -4,11 +4,12 @@ Tight lower and upper bounds on (conditional) expectations over the joint
 model induced by local credal sets and graph-derived irrelevance
 assessments: a global linear program for small networks, theorem-backed
 reductions to sub-networks, linear-time recursions for chains and
-hidden-state models, root bracketing for conditioning, and brute-force
+hidden-state models, root bracketing for conditioning (a node given
+complete evidence is one more conditional query), and brute-force
 oracles for verification.
 """
 
-from .chains import TransferOperator, complete_evidence_lower
+from .chains import TransferOperator
 from .conditioning import (BracketResult, Rho, RhoEvaluator, condition,
                            hmm_rho, natural_conditional, program_rho,
                            regular_conditional, root_rho)

@@ -238,34 +238,25 @@ class CredalSet:
         return len(self.states)
 
     def lower_expectation(self, f) -> float:
-        """Tight lower bound on the expectation of the gamble ``f``.
-
-        The minimum of finitely many dot products when the set has a
-        vertex list, and an LP over the homogeneous constraints
-        otherwise.
-        """
-        fv = _as_values(self.states, f)
-        if self._V is not None:
-            return float(np.min(self._V @ fv))
-        return float(self._local_lp(fv).objective)
+        """Tight lower bound on the expectation of the gamble ``f``, the
+        value of :meth:`lower_argmin`."""
+        return self.lower_argmin(f)[0]
 
     def lower_argmin(self, f) -> tuple[float, np.ndarray]:
-        """:meth:`lower_expectation` and a mass function of the set (an
-        array over the states) attaining it, from one computation: a
-        vertex, or the local LP's solution."""
+        """The tight lower expectation of the gamble ``f`` and a mass
+        function of the set (an array over the states) attaining it: the
+        least of finitely many dot products and its vertex when the set
+        has a vertex list, and otherwise the value and the solution of an
+        LP over the homogeneous constraints."""
         fv = _as_values(self.states, f)
         if self._V is not None:
             values = self._V @ fv
             best = np.argmin(values)
             return float(values[best]), self._V[best]
-        res = self._local_lp(fv)
-        return float(res.objective), res.x
-
-    def _local_lp(self, fv: np.ndarray):
         res = simplex.solve(fv, self._H)
         if res.status != "optimal":
             raise ModelError(f"local LP ended with status {res.status}")
-        return res
+        return float(res.objective), res.x
 
     def upper_expectation(self, f) -> float:
         fv = _as_values(self.states, f)

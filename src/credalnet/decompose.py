@@ -1,7 +1,8 @@
 """Reduction toolkit: every operation here replaces one global lower
 expectation by smaller ones, each step certified by an exact equality
 (marginalisation to a sub-network, the law of iterated lower expectation,
-sign-split factorisation, or external additivity).
+or the combined split of :func:`combined`, whose special cases are
+sign-split factorisation and external additivity).
 
 ``lower_expectation`` is the greedy planner, one loop over the given
 network: it marginalises to the ancestral closure of the query, peels
@@ -40,7 +41,7 @@ class Reduction:
     """Audit record: which equality justified a step, on what premise."""
 
     kind: str          # marginalisation | iterated | factorisation |
-                       # additivity | lp | local
+                       # lp | local
     premise: dict
     sub_results: list = field(default_factory=list)
 
@@ -167,8 +168,7 @@ def _plan(net: CredalNetwork, scope: tuple, values: np.ndarray,
         (s,) = A
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
-        local = net.local(s, ())
-        return np.array([local.lower_expectation(v) for v in values])
+        return net.local_lower(s, values)
     if not A:
         return values
     core = net if len(A) == len(net.dag.nodes) else sub_network(net, A, {})
@@ -320,71 +320,30 @@ def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
                              trace=trace)
 
 
-def _cofactor_on_neighbourhood(net, rel, parent_assignment, g: Factor | None):
-    """The factor  g(X_NN(K)) * 1{X_P(K) = parent assignment}  over the
-    sub-network induced on the non-descendants of K."""
-    pa_nodes = net.dag.sorted_nodes(rel.parents)
-    scope = net.dag.sorted_nodes(
-        set(g.scope if g is not None else ()) | set(pa_nodes))
-    ind = net.aligned(net.indicator(net.cylinder(
-        {p: parent_assignment[p] for p in pa_nodes})), scope)
-    gv = 1.0 if g is None else net.aligned(g, scope)
-    return Factor(scope, gv * ind)
-
-
 def factorise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
               f: Factor, g: Factor | None = None, *,
               trace: list | None = None) -> float:
     """Sign-split product rule:  the lower expectation of
     ``g * 1{parents of K} * f``  equals the sub-network value of f times
     the lower (or, when that value is negative, upper) expectation of the
-    co-factor over the non-descendants of K.  Requires closed K and a
+    co-factor over the non-descendants of K, by positive homogeneity: the
+    split of :func:`combined` with no h.  Requires closed K and a
     non-negative g."""
-    Kf = _require_closed(net, K)
-    _scope_in(net, f, Kf)
-    rel = set_relations(net.dag, Kf)
-    if g is not None:
-        _scope_in(net, g, rel.non_parent_non_descendants)
-        if g.min() < 0:
-            raise HypothesisError("co-factor g must be non-negative")
-
-    sub = sub_network(net, Kf, parent_assignment)
-    a = lower_expectation(sub, f, trace=trace)
-    nsub = sub_network(net, rel.non_descendants, {})
-    co = _cofactor_on_neighbourhood(net, rel, parent_assignment, g)
-    if a >= 0:
-        b = lower_expectation(nsub, co, trace=trace)
-        case = "lower"
-    else:
-        b = -lower_expectation(nsub, -co, trace=trace)
-        case = "upper"
-    if trace is not None:
-        trace.append(Reduction("factorisation", {
-            "K": tuple(sorted(Kf)), "sign_case": case},
-            sub_results=[a, b]))
-    return a * b
+    return combined(net, K, parent_assignment, f, None, g, trace=trace)
 
 
 def external_additivity(net: CredalNetwork, K, f: Factor, h: Factor, *,
                         trace: list | None = None) -> float:
     """Additive split for a closed, parentless K:  the lower expectation
-    of ``h + f`` is the sum of the two sub-network lower expectations."""
+    of ``h + f``, for h on the non-parent non-descendants of K, is the
+    sum of the two sub-network lower expectations: the split of
+    :func:`combined` with no g."""
     Kf = _require_closed(net, K)
     rel = set_relations(net.dag, Kf)
     if rel.parents:
         raise HypothesisError(f"K has external parents {sorted(rel.parents)}")
-    _scope_in(net, f, Kf)
-    _scope_in(net, h, rel.non_parent_non_descendants)
-    a = lower_expectation(sub_network(net, Kf, {}), f, trace=trace)
-    if h.scope:
-        b = lower_expectation(sub_network(net, rel.non_parent_non_descendants,
-                                          {}), h, trace=trace)
-    else:
-        b = float(h.values)
-    if trace is not None:
-        trace.append(Reduction("additivity", {"K": tuple(sorted(Kf))},
-                               sub_results=[a, b]))
-    return a + b
+    # with no parents, combined's check of h is on the same node set
+    return combined(net, Kf, {}, f, h, None, trace=trace)
 
 
 def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
@@ -403,16 +362,18 @@ def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
         if g.min() < 0:
             raise HypothesisError("co-factor g must be non-negative")
 
-    sub = sub_network(net, Kf, parent_assignment)
-    a = lower_expectation(sub, f, trace=trace)
-    co = _cofactor_on_neighbourhood(net, rel, parent_assignment, g)
-    scope = net.dag.sorted_nodes(
-        set(h.scope if h is not None else ()) | set(co.scope))
+    a = lower_expectation(sub_network(net, Kf, parent_assignment), f,
+                          trace=trace)
+    # the co-factor  g(X_NN(K)) * 1{X_P(K) = parent assignment}
+    pa = {p: parent_assignment[p] for p in rel.parents}
+    scope = net.dag.sorted_nodes({*pa, *(() if h is None else h.scope),
+                                  *(() if g is None else g.scope)})
+    co = net.aligned(net.indicator(net.cylinder(pa)), scope)
+    if g is not None:
+        co = co * net.aligned(g, scope)
     hv = 0.0 if h is None else net.aligned(h, scope)
-    assembled = Factor(scope, hv + net.aligned(co, scope) * a)
     nsub = sub_network(net, rel.non_descendants, {})
     if trace is not None:
         trace.append(Reduction("factorisation", {
             "K": tuple(sorted(Kf)), "combined": True}, sub_results=[a]))
-    return lower_expectation(nsub, assembled, trace=trace)
-
+    return lower_expectation(nsub, Factor(scope, hv + co * a), trace=trace)

@@ -106,13 +106,11 @@ class Dag:
 
     def descendants(self, s: str) -> frozenset:
         """Strict descendants: every v with a directed path s -> ... -> v."""
-        self._check(s)
-        return self._reach(self._children, [s]) - {s}
+        return self.descendants_of_set((s,))
 
     def ancestors(self, s: str) -> frozenset:
         """Strict ancestors of s."""
-        self._check(s)
-        return self._reach(self._parents, [s]) - {s}
+        return self.ancestors_of_set((s,))
 
     def _reach(self, adj: dict, starts: Iterable[str]) -> frozenset:
         seen = set(starts)
@@ -175,10 +173,7 @@ def set_relations(dag: Dag, K: Collection[str]) -> SetRelations:
 def is_closed(dag: Dag, K: Collection[str]) -> bool:
     """True iff no node outside K lies on a directed path between two
     members of K."""
-    dag.check_subset(K)
-    Kf = frozenset(K)
-    between = dag.descendants_of_set(Kf) & dag.ancestors_of_set(Kf)
-    return not (between - Kf)
+    return closure(dag, K) == frozenset(K)
 
 
 def closure(dag: Dag, K: Collection[str]) -> frozenset:

@@ -48,6 +48,8 @@ class Factor:
         if values.ndim != len(self.scope):
             raise InputError(f"factor values have {values.ndim} axes for a "
                              f"scope of {len(self.scope)} nodes")
+        if not np.isfinite(values).all():
+            raise InputError("factor values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -67,15 +69,10 @@ class Factor:
 
 @dataclass(frozen=True)
 class Event:
-    """A subset of the joint states of its scope.
-
-    ``cylinder`` marks events of the form "these nodes take exactly these
-    values", the common conditioning case.
-    """
+    """A subset of the joint states of its scope."""
 
     scope: tuple[str, ...]
     states: frozenset
-    cylinder: bool = False
 
     def __post_init__(self):
         for t in self.states:
@@ -86,9 +83,16 @@ class Event:
     def empty(self) -> bool:
         return len(self.states) == 0 and len(self.scope) > 0
 
+    @property
+    def cylinder(self) -> bool:
+        """Whether the event is "these nodes take exactly these values",
+        the common conditioning case: one joint state, however the event
+        was written."""
+        return len(self.states) == 1
+
     def assignment(self) -> dict:
         """The single assignment of a cylinder event."""
-        if not self.cylinder or len(self.states) != 1:
+        if not self.cylinder:
             raise InputError("not a cylinder event")
         (t,) = self.states
         return dict(zip(self.scope, t))
@@ -238,8 +242,7 @@ class CredalNetwork:
         for s in scope:
             if assignment[s] not in self.state_spaces[s]:
                 raise InputError(f"unknown state {assignment[s]!r} of node {s!r}")
-        return Event(scope, frozenset({tuple(assignment[s] for s in scope)}),
-                     cylinder=True)
+        return Event(scope, frozenset({tuple(assignment[s] for s in scope)}))
 
     def event(self, scope: Iterable[str], states: Iterable[tuple]) -> Event:
         scope = self.dag.sorted_nodes(scope)

@@ -2,13 +2,13 @@
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from credalnet import chains, cli, conditioning, lp, oracle, queries
-from credalnet.chains import (TransferOperator, chain_order,
-                              complete_evidence_lower)
+from credalnet.chains import TransferOperator, chain_order
 from credalnet.conditioning import hmm_rho, root_rho
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.decompose import iterated_lower_expectation, lower_expectation
@@ -20,7 +20,7 @@ from credalnet.network import CredalNetwork, Factor, sub_network
 from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      hmm_dag, interval_locals, kink_grid, one_gamble,
                      precise_locals, random_binary_net, random_chain_net,
-                     random_dag, random_factor, random_hmm_net, redeclared,
+                     random_factor, random_hmm_net, redeclared,
                      reference_chain_lower, reference_filtering,
                      reference_hmm_rho, reference_reverse_rho,
                      zero_bound_locals)
@@ -398,13 +398,13 @@ def counted_local_lower(monkeypatch) -> list:
 
 
 def counted_rho(monkeypatch) -> list:
-    """The abscissa of every new evaluation of rho from now on, as the
-    evaluators record them."""
+    """The evaluator and the abscissa of every new evaluation of rho from
+    now on, as the evaluators record them."""
     mus = []
     record = conditioning.RhoEvaluator.rho
 
     def counted(self, mu, *result):
-        mus.append(mu)
+        mus.append((self, mu))
         return record(self, mu, *result)
 
     monkeypatch.setattr(conditioning.RhoEvaluator, "rho", counted)
@@ -604,6 +604,15 @@ def diamond_net(rng):
     return binary_net(dag, locals_)
 
 
+def complete_evidence(net, q, x_E, f, rule,
+                      tolerance=conditioning.DEFAULT_TOLERANCE):
+    """The ``auto`` query of the gamble ``f`` on the node ``q`` given the
+    value ``x_E`` of every other node."""
+    assert set(x_E) == set(net.dag.nodes) - {q} and f.scope == (q,)
+    return queries.run_query(net, Query(f, net.cylinder(x_E), rule, "auto",
+                                        tolerance))
+
+
 class TestCompleteEvidence:
     def test_leaf_is_local(self, rng):
         net = random_binary_net(rng, 4, edge_p=0.6)
@@ -614,7 +623,7 @@ class TestCompleteEvidence:
         expect = net.local(q, net.parent_config(q, x_E)).lower_expectation(
             f.values)
         for rule in ("natural", "regular"):
-            assert complete_evidence_lower(net, q, x_E, f, rule) == \
+            assert complete_evidence(net, q, x_E, f, rule)["lower"] == \
                 pytest.approx(expect, abs=TOL)
 
     def test_constant_gamble(self, rng):
@@ -622,7 +631,7 @@ class TestCompleteEvidence:
         x_E = {"2": "0", "3": "1"}
         f = net.factor_from_values(["1"], [0.8, 0.8])
         for rule in ("natural", "regular"):
-            assert complete_evidence_lower(net, "1", x_E, f, rule) == \
+            assert complete_evidence(net, "1", x_E, f, rule)["lower"] == \
                 pytest.approx(0.8, abs=1e-8)
 
     def test_diamond_against_oracle(self, rng, monkeypatch):
@@ -647,8 +656,8 @@ class TestCompleteEvidence:
                 expect = oracle.irr_extreme_conditional(net, f, B, rule)
                 if expect is None:
                     continue
-                got = complete_evidence_lower(net, "1", x_E, f, rule,
-                                              tolerance=1e-10)
+                got = complete_evidence(net, "1", x_E, f, rule,
+                                        tolerance=1e-10)["lower"]
                 assert got == pytest.approx(expect, abs=1e-6)
                 hits += 1
         assert hits >= 4
@@ -663,41 +672,33 @@ class TestCompleteEvidence:
         x_E = {"a": "0", "d": "0"}
         expect = lp_bound(net, f, net.cylinder(x_E), "regular")
         assert (expect.value, expect.kind) == (0.0, "vacuous-fallback")
-        assert complete_evidence_lower(net, "q", x_E, f, "regular") == 0.0
+        assert complete_evidence(net, "q", x_E, f, "regular")["lower"] == 0.0
 
-    def test_run_query_auto_agrees(self, rng):
-        # an auto query on complete evidence reaches the same engine;
-        # where the evidence has zero lower probability the natural rule
-        # raises there, and complete evidence catches it: min f, max f
-        kinds = set()
-        for _ in range(12):
-            dag = random_dag(rng, 5, 0.5)
-            net = binary_net(dag, zero_bound_locals(dag, rng))
-            q = str(rng.integers(1, 6))
-            x_E = {s: str(rng.integers(0, 2)) for s in net.dag.nodes if s != q}
-            f = random_factor(rng, net, [q])
-            for rule in ("natural", "regular"):
-                lower = complete_evidence_lower(net, q, x_E, f, rule)
-                upper = -complete_evidence_lower(net, q, x_E, -f, rule)
-                try:
-                    got = queries.run_query(net, Query(
-                        f, net.cylinder(x_E), rule, "auto", 1e-9))
-                except HypothesisError:
-                    assert rule == "natural"
-                    assert (lower, upper) == (f.min(), f.max())
-                    kinds.add(None)
-                    continue
-                assert (got["lower"], got["upper"]) == (lower, upper)
-                kinds.add(got["kind"])
-        assert {None, "unique-root"} <= kinds
+    def test_natural_zero_lower_probability_raises(self):
+        # 1 -> 2 with P(2 = 0 | 1) down to 0 at both states of 1: the
+        # natural rule has no value to give, the regular rule, with the
+        # evidence's upper probability positive, gives the program's
+        dag = chain_dag(2)
+        locals_ = {("1", ()): binary_interval(("0", "1"), 0.3, 0.6),
+                   ("2", ("0",)): binary_interval(("0", "1"), 0.0, 0.5),
+                   ("2", ("1",)): binary_interval(("0", "1"), 0.0, 0.8)}
+        net = binary_net(dag, locals_)
+        f = net.factor_from_values(["1"], [1.0, -2.0])
+        with pytest.raises(HypothesisError):
+            complete_evidence(net, "1", {"2": "0"}, f, "natural")
+        got = complete_evidence(net, "1", {"2": "0"}, f, "regular",
+                                tolerance=1e-10)
+        expect = lp_bound(net, f, net.cylinder({"2": "0"}), "regular")
+        assert got["lower"] == pytest.approx(expect.value, abs=1e-6)
+        assert got["kind"] == expect.kind
 
     def test_interior_node_against_bracketing(self, rng):
         for _ in range(3):
             net = random_chain_net(rng, 3, lo=0.2, hi=0.8)
             f = random_factor(rng, net, ["2"])
             x_E = {"1": "0", "3": "1"}
-            got = complete_evidence_lower(net, "2", x_E, f, "natural",
-                                          tolerance=1e-10)
+            got = complete_evidence(net, "2", x_E, f, "natural",
+                                    tolerance=1e-10)["lower"]
             expect = lp_bound(net, f, net.cylinder(x_E), "natural")
             assert got == pytest.approx(expect.value, abs=1e-6)
 
@@ -811,9 +812,11 @@ class TestDinkelbachSweeps:
                 for rule in ("natural", "regular"):
                     for model in (net, twin):
                         del calls[:]
-                        got = complete_evidence_lower(model, q, x_E, g, rule,
-                                                      tolerance=1e-10)
-                        assert len(calls) <= MAX_ENGINE_CALLS
+                        got = complete_evidence(model, q, x_E, g, rule,
+                                                tolerance=1e-10)["lower"]
+                        # the query's two bounds each count their own
+                        per_bound = Counter(id(ev) for ev, _ in calls)
+                        assert max(per_bound.values()) <= MAX_ENGINE_CALLS
                         assert got == pytest.approx(expect.value, abs=1e-6)
             hits += 1
         assert hits >= 4

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from credalnet import chains, conditioning, lp, oracle
+from credalnet import conditioning, lp, oracle
 from credalnet.conditioning import (BracketResult, RhoEvaluator, condition,
                                     condition_reduced, program_rho,
                                     reduce_query)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
-from credalnet.fileio import Query
+from credalnet.fileio import Query, parse_query
 from credalnet.graph import Dag, is_closed, set_relations
 from credalnet.network import Factor
 from credalnet.queries import run_query
@@ -573,6 +573,22 @@ def smallest_closed_for(dag, scope, given):
     return least
 
 
+class TestOneTupleEvidence:
+    def test_same_record_as_the_assignment(self):
+        # a one-tuple state list names the event of an assignment, so it
+        # takes the same reduction, not the global program over 40 nodes
+        net = random_chain_net(np.random.default_rng(3), 40)
+        target = {"scope": ["1"], "table": {"0": 1, "1": 0}}
+        for rule in ("natural", "regular"):
+            records = [run_query(net, parse_query(net, {
+                "target": target, "given": given, "rule": rule,
+                "method": "auto"})) for given in (
+                    {"assignment": {"40": "0"}},
+                    {"scope": ["40"], "states": [["0"]]})]
+            assert records[0] == records[1]
+            assert records[0]["kind"] == "unique-root"
+
+
 class TestGrowClosed:
     """The reduction's K grows a reach of ungiven ancestors at a time."""
 
@@ -735,9 +751,9 @@ class TestRegularZeroProbability:
                 assert auto[key] == pytest.approx(lp_[key], abs=1e-6)
             complete = run_query(net, Query(f, net.cylinder(x_E), "regular",
                                             "lp", 1e-10))
-            got = chains.complete_evidence_lower(net, q, x_E, f, "regular",
-                                                 tolerance=1e-10)
-            assert got == pytest.approx(complete["lower"], abs=1e-6)
+            got = run_query(net, Query(f, net.cylinder(x_E), "regular",
+                                       "auto", 1e-10))
+            assert got["lower"] == pytest.approx(complete["lower"], abs=1e-6)
             kinds.update((lp_["kind"], complete["kind"]))
         assert {"rightmost-root", "vacuous-fallback"} <= kinds
 

@@ -510,29 +510,6 @@ class TestExternalAdditivity:
 
 
 class TestCombined:
-    def test_specialises_to_factorise(self, rng):
-        for _ in range(8):
-            net = random_binary_net(rng, 3, edge_p=0.5)
-            sets = closed_sets_with_parents(net, rng)
-            if not sets:
-                continue
-            K, rel = sets[0]
-            assignment = {p: str(rng.integers(0, 2)) for p in rel.parents}
-            f = random_factor(rng, net, list(K))
-            g = (random_factor(rng, net, list(rel.non_parent_non_descendants),
-                               low=0.0, high=2.0)
-                 if rel.non_parent_non_descendants else None)
-            assert combined(net, K, assignment, f, None, g) == pytest.approx(
-                factorise(net, K, assignment, f, g), abs=1e-7)
-
-    def test_specialises_to_additivity(self, rng):
-        net = random_binary_net(rng, 3, edge_p=0.0)
-        f = random_factor(rng, net, ["2"])
-        h = random_factor(rng, net, ["1", "3"])
-        value = combined(net, {"2"}, {}, f, h, None)
-        assert value == pytest.approx(
-            external_additivity(net, {"2"}, f, h), abs=1e-7)
-
     def test_against_lp(self, rng):
         hits = 0
         for _ in range(15):

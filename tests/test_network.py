@@ -9,8 +9,10 @@ from credalnet import lp
 from credalnet.credal import (CredalSet, binary_interval, singleton, vacuous,
                               vertices_to_constraints)
 from credalnet.errors import CapabilityError, InputError
+from credalnet.fileio import Query
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork, Factor, joint_states, sub_network
+from credalnet.queries import run_query
 
 from helpers import (binary_net, fig_dag, interval_locals, random_binary_net,
                      random_factor, restrict_factor)
@@ -357,6 +359,15 @@ class TestAligned:
         with pytest.raises(InputError):
             Factor((), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    def test_values_must_be_finite(self, two_coins, bad, method):
+        # query files reject such numbers; a factor made in code would
+        # otherwise come back as a NaN bound
+        with pytest.raises(InputError, match="factor values must be finite"):
+            run_query(two_coins, Query(Factor(("1",), [bad, 0.0]), None,
+                                       "unconditional", method, 1e-9))
+
     def test_values_are_read_only(self, two_coins):
         source = np.array([1.0, 2.0])
         f = two_coins.factor_from_values(["1"], source)
@@ -473,6 +484,15 @@ class TestEvents:
         e = two_coins.cylinder({"2": "h"})
         assert e.cylinder and e.scope == ("2",)
         assert e.assignment() == {"2": "h"}
+
+    def test_one_tuple_event_is_a_cylinder(self, two_coins):
+        e = two_coins.event(["2"], [("h",)])
+        assert e.cylinder and e == two_coins.cylinder({"2": "h"})
+        assert e.assignment() == {"2": "h"}
+        wide = two_coins.event(["2"], [("h",), ("t",)])
+        assert not wide.cylinder
+        with pytest.raises(InputError, match="not a cylinder"):
+            wide.assignment()
 
     def test_cylinder_on_unknown_node(self, two_coins):
         with pytest.raises(InputError, match="unknown node 'zz'"):
