@@ -3,12 +3,15 @@
 An unconditional chain query is the planner's
 (:func:`credalnet.decompose.lower_expectation`): its peels compose the
 local lower expectations of each node backwards.  A chain's first node
-given its last one takes the bracketing function of evidence below a
-root, :func:`credalnet.conditioning.root_rho`, and filtering on a
-hidden-state model takes the sweep of
-:func:`credalnet.conditioning.hmm_rho`; a node given complete evidence
-is an ``auto`` query (:func:`credalnet.queries.run_query`) like any
-other.  :func:`chain_order` is the shape check of ``method=chain``.
+given its last one (:func:`credalnet.conditioning.root_rho`) and
+filtering (:func:`credalnet.conditioning.hmm_rho`) are one backward
+sweep with one sign rule: the evidence below a node weighs the values
+above it by its lower probability where they are >= 0 and by its upper
+one elsewhere, and powers of two keep the rows in the float range, so
+that the sign tests read rho relative to the probability of the
+evidence at any length.  A node given complete evidence is an ``auto``
+query (:func:`credalnet.queries.run_query`) like any other.
+:func:`chain_order` is the shape check of ``method=chain``.
 
 :class:`TransferOperator`, the backward map of one chain step, is no
 engine's: it is kept only because the benchmark's tracer

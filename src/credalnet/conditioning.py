@@ -14,28 +14,26 @@ to a sub-network first by :func:`reduce_query`.
 
 Every engine is batched (:data:`Rho`): it evaluates rho for a batch of
 gambles, each at its own mu, and also reports E_p[f 1_B] and P_p(B) at
-a model p attaining rho(mu).  The engines are the global program
-(:func:`program_rho`), the sign split at a root q that all the evidence
-descends from (:func:`root_rho`: chains conditioned backwards, complete
-evidence, and ``auto`` queries on a root), and the filtering sweep of a
-hidden-state model (:func:`hmm_rho`).  The two structural engines
-return ``None`` where the network's shape does not fit, and
-:func:`condition_reduced` is the one dispatcher: on a reduced query it
-tries :func:`root_rho`, then :func:`hmm_rho`, then the program
-(:func:`condition_program`).  So the roots are found by Dinkelbach
-steps, mu <- E_p[f 1_B] / P_p(B): Newton's method on the
-piecewise-linear rho, whose slope at mu is -P_p(B); bisection remains
-for a step that rounding keeps from decreasing mu.  The brackets are
-generator steps that yield the mu they need (:func:`natural_conditional`
-and :func:`regular_conditional`), and :func:`condition` is their one
-driver: each round evaluates the new mus that its open brackets ask for
-in one engine call, so a sweep's two bounds run in lockstep.  On the
-global program one step's objective differs from the last by a
-multiple of 1_B, so every evaluation, of either bound, starts phase 2
-from the optimal tableau before it (:class:`credalnet.lp.GlobalPolytope`),
-or from phase 1 where that optimum fails the residual check; there the
-two brackets run one after the other, as interleaving them costs more
-pivots.
+a model p attaining rho(mu).  :func:`condition_reduced` is the one
+dispatcher: it tries :func:`root_rho` (evidence below a root: chains
+conditioned backwards, complete evidence, ``auto`` queries on a root),
+then :func:`hmm_rho` (filtering), which decline shapes they do not fit,
+then the global program (:func:`program_rho`).  The first two are one
+backward sweep (:func:`_sweep`) with one sign rule: the evidence below
+a node weighs the values above it by its lower probability where they
+are >= 0 and by its upper one elsewhere, and each row is scaled by a
+power of two that puts P_p(B) in [1/2, 1).  The sign tests compare the
+rows as scaled with :data:`TOL_SIGN`: relative to P_p(B) there, and
+absolute on the program, whose values at most 13 nodes stay far from
+underflow.  The roots are found by Dinkelbach steps, mu <- E_p[f 1_B] /
+P_p(B): Newton's method on the piecewise-linear rho, whose slope at mu
+is -P_p(B); bisection remains for a step that rounding keeps from
+decreasing mu.  The brackets are generator steps that yield the mu they
+need (:func:`natural_conditional` and :func:`regular_conditional`), and
+:func:`condition` is their one driver: each round evaluates the new mus
+that its open brackets ask for in one engine call, so a sweep's two
+bounds run in lockstep, and one after the other on the global program's
+warm tableau (:func:`program_rho`), as interleaving costs more pivots.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Generator, Mapping, Sequence
 
 import numpy as np
@@ -53,16 +50,15 @@ from .errors import ConvergenceError, HypothesisError, InputError, ModelError
 from .graph import closure, set_relations
 from .network import CredalNetwork, Event, Factor, lower_argmin, sub_network
 
-#: Strict-positivity threshold of the sign tests and of the
-#: rightmost-root safeguard.
+#: Strict-positivity threshold of the sign tests, on the rows as scaled.
 TOL_SIGN = 1e-10
 
 DEFAULT_TOLERANCE = 1e-9
 MAX_ITERATIONS = 200
 
 #: rho of a batch of gambles: ``rho(slots, mus)`` gives gamble ``slots[i]``
-#: at ``mus[i]``, sequences ``(rho, E_p[f 1_B], P_p(B))``, p attaining rho,
-#: and optionally a fourth of exponents e: then each row is 2 ** -e times.
+#: at ``mus[i]``, sequences ``(rho, E_p[f 1_B], P_p(B), e)``, p attaining
+#: rho, where each row is 2 ** -e times its values.
 Rho = Callable[[Sequence[int], Sequence[float]], tuple]
 
 
@@ -95,14 +91,13 @@ class RhoEvaluator:
     _vals: list = field(default_factory=list, repr=False)
     _seen: dict = field(default_factory=dict, repr=False)
 
-    def rho(self, mu: float, value, fb, pb, scale=0) -> None:
+    def rho(self, mu: float, value, fb, pb, scale) -> None:
         """Check and record 2 ** -scale times rho(mu), E_p[f 1_B], P_p(B)."""
         value, fb, pb, scale = float(value), float(fb), float(pb), int(scale)
         step = fb / pb if pb > 0.0 else None
         i, true = bisect.bisect_left(self._mus, mu), math.ldexp(value, scale)
-        if i > 0 and true > self._vals[i - 1] + 1e-7:
-            raise ModelError("rho engine is not non-increasing in mu")
-        if i < len(self._mus) and true < self._vals[i] - 1e-7:
+        if (i > 0 and true > self._vals[i - 1] + 1e-7) or (
+                i < len(self._mus) and true < self._vals[i] - 1e-7):
             raise ModelError("rho engine is not non-increasing in mu")
         self._mus.insert(i, mu)
         self._vals.insert(i, true)
@@ -199,7 +194,8 @@ def _rightmost_root(evaluator: RhoEvaluator) -> Generator:
     (evaluated): Dinkelbach steps from there down to the first mu with
     rho(mu) >= -TOL_SIGN, as rho(min f) is; the reported width is the
     step left from there.  While rho(mu) < -TOL_SIGN, P_p(B) > 0 and the
-    step is left of mu."""
+    step is left of mu.  By the sign rule, rho is read as scaled:
+    relative to P_p(B) on the structural engines."""
     hi, step = evaluator.f_max, evaluator.recorded(evaluator.f_max + 1.0)[1]
     for it in range(1, MAX_ITERATIONS + 1):
         mu = hi = min(max(step, evaluator.f_min), hi)
@@ -262,8 +258,9 @@ def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
     """rho of each of ``gambles`` given ``B`` on the network's global
     program ``gp``, and the evaluators of their brackets, which read the
     vacuous value off the joint vectors.  Every evaluation, of any of the
-    gambles, starts phase 2 from the last optimal tableau of ``gp``, so
-    their brackets run one after the other."""
+    gambles, starts phase 2 from the last optimal tableau of ``gp`` (the
+    objective moves by a multiple of 1_B), or from phase 1 where that
+    fails the residual check, so their brackets run one after the other."""
     if B.empty:
         raise InputError("conditioning event is empty")
     ib = lp.event_mask(net, B).astype(float)
@@ -273,31 +270,43 @@ def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
         rows = []
         for i, mu in zip(slots, mus):
             value, x = gp.minimize(ibfs[i] - mu * ib, warm=True)
-            rows.append((value, ibfs[i] @ x, ib @ x))
+            rows.append((value, ibfs[i] @ x, ib @ x, 0))
         return tuple(zip(*rows))
 
     return rho, [RhoEvaluator(i, f.min(), f.max(), float(ibf[ib > 0].min()))
                  for i, (f, ibf) in enumerate(zip(gambles, ibfs))]
 
 
-# -- the engine of evidence below a root -------------------------------------
+# -- the structural engines: evidence below a root, and filtering -----------
 
-def _sign_split(argmin: Callable, hs: np.ndarray, low: np.ndarray,
-                high: np.ndarray) -> Rho:
-    """rho of weighted gambles ``h``, the rows of ``hs``: rho(mu) is the
-    lower expectation of ``w * (h - mu)``, where ``w`` is ``low`` where
-    ``h >= mu`` and ``high`` elsewhere, by ``argmin`` (value and an
-    attaining mass function).  The weights' mean under that mass
-    function is P(B) at a model attaining rho."""
-
-    def rho(slots, mus):
-        h, mus = hs[list(slots)], np.reshape(mus, (-1, 1))
-        w = np.where(h >= mus, low, high)
-        value, mass = argmin(w * (h - mus))
-        prob = (mass[:, None] @ w[..., None])[:, 0, 0]
-        return value, value + mus.ravel() * prob, prob
-
-    return rho
+def _sweep(plan: list, h: np.ndarray, mus: np.ndarray) -> tuple:
+    """The backward sweep of both structural engines: the :data:`Rho`
+    rows of the gambles on the leading axis of the values ``h`` at
+    ``mus``, and of P, which is 1 until the first weight.  Each step
+    ``(k, stack, axes, shape, low, high, exps)`` of ``plan`` (k down to 0)
+    moves the axes, weighs values and P by the sign rule (``low`` where
+    the values are >= 0, ``high`` elsewhere) and contracts both at
+    ``stack``, P by the attaining mass functions.  At one node, ``low``
+    may be two rows, the lower weights times 2 ** -e for e in ``exps`` =
+    (e_high, e_low): a row takes e_low where all its states take the lower
+    weight, else e_high.  Rows are rescaled every 16 steps, P at the end."""
+    scale, prob = 0, None
+    for k, stack, axes, shape, low, high, exps in plan:
+        g = h.transpose(axes)
+        lower = g >= 0
+        if exps is not None:
+            pick = np.logical_and.reduce(lower, 1).view(np.int8)
+            low, scale = low.take(pick, 0), scale + exps.take(pick)
+        w = np.where(lower, low, high)
+        prob = (w if prob is None else prob.transpose(axes) * w).reshape(shape)
+        g = (g * w).reshape(shape)
+        if k and k % 16 == 0:
+            scale, g, prob = decompose._renormalise(scale, prob, g, prob)
+        h, mass = lower_argmin(stack, g)
+        prob = (mass * prob).sum(-1)
+    prob, e = np.frexp(prob)
+    h = np.ldexp(h, -e)
+    return h, h + mus.ravel() * prob, prob, scale + e
 
 
 def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
@@ -307,10 +316,10 @@ def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
     on the root q and below it, and their evaluators; ``None`` unless the
     ancestral set of the evidence below q peels down to {q}.
 
-    By the iterated law at q, rho(mu) is then one contraction at q's
-    local set of ``f - mu`` weighted by the lower probability P̲(B | q)
-    of the evidence below q where ``f >= mu`` and by the upper one
-    elsewhere (:func:`_sign_split`), both from one planner pass over the
+    By the iterated law at q, rho(mu) is then one step of the sweep
+    (:func:`_sweep`) at q: ``f - mu`` weighted by the lower probability
+    P̲(B | q) of the evidence below q where ``f >= mu`` and by the upper
+    one elsewhere, each with its exponent from one planner pass over the
     batch [1, -1] (:func:`credalnet.decompose._peels`).  Evidence on q
     multiplies both by its indicator, and fixes the vacuous value."""
     dag, below = net.dag, dict(evidence)
@@ -319,7 +328,8 @@ def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
     # from q; so does all the evidence, unless some of it is on a root
     if dag.parents(q) or any(not dag.parents(s) for s in below):
         return None
-    A, _, env = decompose._peels(net, (), np.array([1.0, -1.0]), below, None)
+    A, _, env, exps = decompose._peels(net, (), np.array([1.0, -1.0]),
+                                       below, None)
     if A - {q}:
         return None
     env = env.reshape(2, -1)    # one column where nothing lies below q
@@ -328,13 +338,17 @@ def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
     if seen is not None:
         x = net.state_index(q, seen)
         env, vacuous = env * (np.arange(net.size(q)) == x), hs[:, x]
-    return (_sign_split(partial(net.local_lower_argmin, q), hs, env[0],
-                        -env[1]),
-            [RhoEvaluator(i, f.min(), f.max(), float(v))
-             for i, (f, v) in enumerate(zip(gambles, vacuous))])
+    e = np.zeros(2, int) + exps     # 0 where nothing lies below q
+    plan = [(0, net.local_stack(q), (0, 1), (-1, net.size(q)),
+             np.ldexp(env[0], (e - e[1])[:, None]), -env[1], e[::-1])]
 
+    def rho(slots, mus):
+        mus = np.array(mus)[:, None]
+        return _sweep(plan, hs.take(slots, 0) - mus, mus)
 
-# -- the hidden-state sweep ---------------------------------------------------
+    return rho, [RhoEvaluator(i, f.min(), f.max(), float(v))
+                 for i, (f, v) in enumerate(zip(gambles, vacuous))]
+
 
 def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
             gambles: Sequence[Factor]
@@ -346,17 +360,13 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
     the evidence is on exactly its observation nodes, and the gambles are
     on the final state node, or constant.
 
-    rho(mu) is one backward sweep, linear in the time steps: the local
-    lower expectations of ``f - mu`` at the final state node, then per
-    step the sign-split weight of the observation's lower or upper
-    probability given each state, and the transition's local lower
-    expectation; P, of the later observations at the attaining model,
-    takes the same weights and mass functions.  What depends on neither
-    the gamble nor mu (the observation bounds, each step's axes and local
-    stack) is computed here, once.  As P shrinks geometrically, each row
-    is scaled by a power of two every 16 steps, to stay in the float
-    range, and at the end, to put P in [1/2, 1): no sign or bit moves,
-    and the sign tests read rho relative to P."""
+    rho(mu) is the local lower expectations of ``f - mu`` at the final
+    state node, then one step of the sweep (:func:`_sweep`) per time
+    step: the values weighted by the observation's lower probability
+    given each state where they are >= 0 and by its upper one elsewhere,
+    then the transition's contraction.  What depends on neither the
+    gamble nor mu (the observation bounds, each step's axes and local
+    stack) is computed here, once."""
     dag, n = net.dag, len(evidence)
     if not n or len(dag.nodes) != 2 * n + 1:
         return None
@@ -383,32 +393,16 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
         shape = (-1,) + tuple(net.size(p) if p in nxt else 1
                               for p in dag.parents(sk)) + (net.size(sk),)
         low, high = net.local_lower(ok, np.array([seen, -seen])[:, None])
-        plan.append((k, net.local_stack(sk), axes, shape, low, -high))
-    ones = np.ones((1,) + net.shape(dag.parents(last)))
+        plan.append((k, net.local_stack(sk), axes, shape, low, -high, None))
     # a unit axis per parent, so that no gamble axis is read as one
     fv = np.array([net.aligned(f, (last,)) for f in gambles])
-    fv = fv.reshape(len(gambles), *(1,) * (ones.ndim - 1), -1)
+    fv = fv.reshape(len(gambles), *(1,) * len(dag.parents(last)), -1)
 
     def rho(slots, mus):
-        mus = np.reshape(mus, (-1,) + (1,) * (fv.ndim - 1))
-        # h is an array over the gambles and the parents of the next
-        # state node, in declaration order
-        h, prob = net.local_lower(last, fv[list(slots)] - mus), ones
-        scale = 0
-        for k, stack, axes, shape, low, high in plan:
-            g = h.transpose(axes)
-            w = np.where(g >= 0, low, high)
-            prob = (prob.transpose(axes) * w).reshape(shape)
-            g = (g * w).reshape(shape)
-            if k and k % 16 == 0:
-                _, e = np.frexp(prob.reshape(len(prob), -1).max(1))
-                unit = np.ldexp(1.0, -e).reshape(-1, *(1,) * (g.ndim - 1))
-                g, prob, scale = g * unit, prob * unit, scale + e
-            h, mass = lower_argmin(stack, g)
-            prob = (mass * prob).sum(-1)
-        prob, e = np.frexp(prob)
-        h = np.ldexp(h, -e)
-        return h, h + mus.ravel() * prob, prob, scale + e
+        mus = np.array(mus).reshape((-1,) + (1,) * (fv.ndim - 1))
+        # values over the gambles and the next state node's parents
+        h = net.local_lower(last, fv.take(slots, 0) - mus)
+        return _sweep(plan, h, mus)
 
     # the observations leave the final state free: vacuous value min f
     return rho, [RhoEvaluator(i, f.min(), f.max(), f.min())
@@ -513,11 +507,9 @@ def condition_reduced(reduced: ReducedQuery, gambles: Sequence[Factor],
         return [BracketResult(float(v), "local-fallback", 0, 0.0)
                 for v in values]
     if given.cylinder:
-        scope, evidence = gambles[0].scope, given.assignment()
-        engine = root_rho(net, scope[0], evidence, gambles) \
-            if len(scope) == 1 else None
-        if engine is None:
-            engine = hmm_rho(net, evidence, gambles)
+        scope, seen = gambles[0].scope, given.assignment()
+        engine = (len(scope) == 1 and root_rho(net, scope[0], seen, gambles)
+                  or hmm_rho(net, seen, gambles))
         if engine is not None:
             return condition(*engine, rule, tolerance)
     return condition_program(net, given, gambles, rule, tolerance)
@@ -538,6 +530,6 @@ def _upper_positive_outside(net: CredalNetwork,
                             evidence: Mapping[str, str]) -> bool:
     """Positivity of the upper probability that the non-descendants of
     K give to ``evidence`` over them, from the planner on ``net``, equal
-    by marginalisation, as they form an ancestral set."""
+    by marginalisation, as they form an ancestral set, read as scaled."""
     return not evidence or -decompose._plan(
-        net, (), np.array([-1.0]), evidence, None)[0] > TOL_SIGN
+        net, (), np.array([-1.0]), evidence, None)[0][0] > TOL_SIGN

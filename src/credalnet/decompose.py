@@ -14,10 +14,10 @@ contraction per node; on a chain, the backward composition of the
 transfer operators), so that one pass answers a batch of gambles on one
 scope, such as a gamble and its negation for the two bounds of a query:
 each sub-network and each LP core, with its phase 1, is built once for
-the batch, and the core runs a phase 2 per gamble.  A single gamble is
-the batch of one.  Evidence rides along as one indicator per observed
-node (:func:`_plan`).  Each step appends a :class:`Reduction` record to
-the optional trace for auditing, once per pass.
+the batch, and the core runs a phase 2 per gamble.  Evidence rides along
+as one indicator per observed node, and a power-of-two exponent per row
+(:func:`_plan`).  Each step appends a :class:`Reduction` record to the
+optional trace for auditing, once per pass.
 Hypothesis failures in the explicitly invoked operations raise
 :class:`~credalnet.errors.HypothesisError`; only the planner is allowed
 to fall back silently, because falling back is its documented job.
@@ -123,7 +123,7 @@ def _inner_values(net: CredalNetwork, S, scope: tuple, values: np.ndarray,
         index = tuple(slice(None) if x in Sf else
                       net.state_index(x, ctx[x]) for x in scope)
         inner[:, i] = _plan(sub_network(net, Sf, ctx), inside,
-                            values[(slice(None),) + index], {}, trace)
+                            values[(slice(None),) + index], {}, trace)[0]
     return new, inner.reshape(inner.shape[:1] + net.shape(new))
 
 
@@ -147,30 +147,32 @@ def lower_expectation(net: CredalNetwork, f: Factor | Sequence[Factor], *,
             raise InputError(f"factor scopes {scope} and {g.scope} differ")
     values = np.stack([net.aligned(g, net.dag.sorted_nodes(scope))
                        for g in fs])   # checked once
-    lower = _plan(net, scope, values, {}, trace)
+    lower = _plan(net, scope, values, {}, trace)[0]   # unscaled
     return float(lower[0]) if isinstance(f, Factor) else lower
 
 
 def _plan(net: CredalNetwork, scope: tuple, values: np.ndarray,
-          evidence: Mapping[str, str], trace: list | None) -> np.ndarray:
+          evidence: Mapping[str, str], trace: list | None
+          ) -> tuple[np.ndarray, np.ndarray]:
     """The planner's lower expectations of the gambles ``values`` (a
     leading gamble axis, then an axis per ``scope`` node, in declaration
-    order) times the indicator of ``evidence`` outside the scope: the
-    peels, then the root left or the core that no peel reduces, whose
-    program alone spells out an indicator.  By marginalisation an
-    ancestral node set keeps its own local models, so a sub-network is
-    built only for that core."""
+    order) times the indicator of ``evidence`` outside the scope, each
+    row 2 ** -e times, and the exponents e (:func:`_peels`): the peels,
+    then the root left or the core that no peel reduces, whose program
+    alone spells out an indicator.  By marginalisation an ancestral node
+    set keeps its own local models, so a sub-network is built only for
+    that core."""
     if not scope and not evidence:
-        return values
-    A, scope, values = _peels(net, scope, values, evidence, trace)
+        return values, 0
+    A, scope, values, exps = _peels(net, scope, values, evidence, trace)
     if len(A) == 1:
         # a single node of an ancestral set is a root, and unobserved
         (s,) = A
         if trace is not None:
             trace.append(Reduction("local", {"node": s}))
-        return net.local_lower(s, values)
+        return net.local_lower(s, values), exps
     if not A:
-        return values
+        return values, exps
     core = net if len(A) == len(net.dag.nodes) else sub_network(net, A, {})
     if trace is not None:
         trace.append(Reduction("lp", {"nodes": core.dag.nodes}))
@@ -179,14 +181,29 @@ def _plan(net: CredalNetwork, scope: tuple, values: np.ndarray,
         values = net.aligned(net.indicator(net.cylinder(seen)), wide) * \
             np.stack([net.aligned(Factor(scope, v), wide) for v in values])
         scope = wide
-    return lp.lower_expectation_lp(core, [Factor(scope, v) for v in values])
+    values = lp.lower_expectation_lp(core, [Factor(scope, v) for v in values])
+    return values, exps
+
+
+def _renormalise(exps, ref: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """Per row of the leading axis, ``exps`` plus the exponent e that puts
+    the largest magnitude of ``ref`` in [1/2, 1), and ``arrays`` times
+    2 ** -e: powers of two move no bit, short of the subnormal range."""
+    _, e = np.frexp(np.maximum.reduce(np.abs(ref).reshape(len(ref), -1), 1))
+    return (exps + e, *[np.ldexp(a, -e.reshape(-1, *(1,) * (a.ndim - 1)))
+                        for a in arrays])
 
 
 def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
            evidence: Mapping[str, str], trace: list | None
-           ) -> tuple[set, tuple[str, ...], np.ndarray]:
+           ) -> tuple[set, tuple[str, ...], np.ndarray, np.ndarray]:
     """The peels of :func:`_plan`: the rest of the ancestral set A of the
-    scope and the evidence, and the inner values over the scope left.
+    scope and the evidence, the inner values over the scope left, each
+    row 2 ** -e times, and the exponents e.  Each value an unobserved
+    peel gives lies between values it averages, so the rows shrink with
+    the local probability of each observed node: they are rescaled every
+    16 observed peels, and after the last (:func:`_renormalise`); e is 0
+    until then.
     An observed node never joins the scope: an observed sink is peeled
     on its own, on a temporary axis holding its indicator, and a peel
     that brings in an observed parent slices that axis at its state.
@@ -221,7 +238,7 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
     # a peeled node leaves ``live``.  A single sink peels with no
     # reachability test: every other node of A is its ancestor.  The
     # first sinks lie in ``start``: a node outside it has a child in A.
-    observed, sinks = [], []
+    observed, sinks, exps, count = [], [], 0, 0
     for s in start:
         if not live[s]:
             (observed if s in evidence else sinks).append(s)
@@ -232,6 +249,9 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
             ind = np.arange(net.size(s)) == net.state_index(s, evidence[s])
             scope, values = _peel(net, s, scope + peeled,
                                   values[..., None] * ind)
+            count += 1
+            if count % 16 == 0:
+                exps, values = _renormalise(exps, values, values)
         elif len(sinks) == 1 < len(live):
             peeled, sinks = sinks, []
             if trace is not None:
@@ -256,7 +276,9 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
                 live[p] -= 1
                 if not live[p]:
                     (observed if p in evidence else sinks).append(p)
-    return set(live), scope, values
+    if count % 16:
+        exps, values = _renormalise(exps, values, values)
+    return set(live), scope, values, exps
 
 
 def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],

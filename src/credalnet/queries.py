@@ -82,19 +82,13 @@ def _conditional_bounds(net: CredalNetwork, q: Query, trace: list | None
 
 def run_query(net: CredalNetwork, q: Query, trace: list | None = None) -> dict:
     """Evaluate one query; returns a flat result mapping for reporting.
-    The lower and the upper bound share one build of each global program
-    and its phase 1, and ``trace`` gets one record set per query.  An
-    unconditional query answers both in one batch: one pass of the
-    planner, which builds each of its sub-networks once, or one global
-    program for ``lp``.  A conditional query reduced to no evidence
-    (``auto``, ``decompose``) is one such planner pass.  Otherwise the
-    bounds share one batched rho engine, and the bracket driver runs
-    their brackets: in lockstep on the sign split at a root or on the
-    filtering sweep of a hidden-state model, each round evaluating the
-    abscissae both ask for in one batched call, and one after the other
-    over the warm tableau of the global program.  ``auto`` and
-    ``decompose`` take the first of these engines that fits the reduced
-    query's structure; ``lp``, ``chain`` and ``hmm`` force one."""
+    The lower and the upper bound are one batch, the gamble and its
+    negation.  An unconditional query, or a conditional one reduced to no
+    evidence (``auto``, ``decompose``), is one planner pass, or one
+    global program for ``lp``.  Otherwise the bounds share one batched
+    rho engine: their brackets run in lockstep on a structural sweep, and
+    one after the other over the warm tableau of the global program.
+    ``trace`` gets one record set per query."""
     out: dict = {"rule": q.rule, "method": q.method}
 
     if q.rule == "unconditional":

@@ -8,6 +8,7 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import linprog
 
+from credalnet import decompose
 from credalnet.chains import chain_order
 from credalnet.credal import CredalSet, vertices_to_constraints
 from credalnet.errors import InputError
@@ -410,8 +411,43 @@ def reference_reverse_rho(net: CredalNetwork, h: Factor, x_n: str,
     w = np.where(hv >= mu, lo_env, hi_env)
     g = w * (hv - mu)
     value = float(net.local_lower(first, g))
-    prob = float(reference_argmin(net, first, g) @ w)
+    prob = float((reference_argmin(net, first, g) * w).sum())
     return value, value + mu * prob, prob
+
+
+def reference_root_conditional(net: CredalNetwork, f: Factor,
+                               evidence: dict) -> float:
+    """The conditional of ``f`` on the first chain node given
+    ``evidence`` on every other node, of positive lower probability: the
+    root of the sign of rho(mu), the lower expectation at the first node
+    of ``f - mu`` weighted by the lower probability of the evidence
+    where ``f >= mu`` and by the upper one elsewhere, by bisection to
+    machine precision.  The two envelopes are swept backward from the
+    last node, each divided by its greatest value after every step,
+    whose logarithm is kept, which keeps their signs and their ratio at
+    any length."""
+    order = chain_order(net)
+    first, fv = order[0], net.aligned(f, order[:1])
+    lo = hi = np.ones(net.size(order[-1]))
+    log_lo = log_hi = 0.0
+    for s in reversed(order[1:]):
+        seen = np.array([x == evidence[s] for x in net.states(s)], float)
+        lo, hi = net.local_lower(s, seen * lo), -net.local_lower(s, -seen * hi)
+        lo, log_lo = lo / lo.max(), log_lo + np.log(lo.max())
+        hi, log_hi = hi / hi.max(), log_hi + np.log(hi.max())
+
+    def positive(mu):
+        low = fv >= mu
+        w = lo if low.all() else np.where(low, lo * np.exp(log_lo - log_hi),
+                                          hi)
+        return net.local_lower(first, w * (fv - mu)) > 0.0
+
+    lo_mu, hi_mu = f.min(), f.max()
+    assert positive(lo_mu - 1.0)
+    while lo_mu < 0.5 * (lo_mu + hi_mu) < hi_mu:
+        mid = 0.5 * (lo_mu + hi_mu)
+        lo_mu, hi_mu = (mid, hi_mu) if positive(mid) else (lo_mu, mid)
+    return 0.5 * (lo_mu + hi_mu)
 
 
 def reference_hmm_rho(net: CredalNetwork, f: Factor, observations: dict,
@@ -464,6 +500,13 @@ def reference_filtering(net: CredalNetwork, f: Factor,
     return 0.5 * (lo + hi)
 
 
+def planned(net: CredalNetwork, scope: tuple, values: np.ndarray,
+            evidence: dict) -> np.ndarray:
+    """The planner's lower expectations with ``evidence``
+    (``decompose._plan``), read through the exponents of its rows."""
+    return np.ldexp(*decompose._plan(net, scope, values, evidence, None))
+
+
 def kink_grid(values, count: int = 20) -> list[float]:
     """``count`` evenly spaced values of mu from one below the least to
     one above the greatest of ``values``, and ``values`` themselves,
@@ -478,17 +521,18 @@ def kink_grid(values, count: int = 20) -> list[float]:
 def lifted(*fns):
     """The batched rho engine (:data:`credalnet.conditioning.Rho`) of
     scalar test engines ``mu -> (rho, E_p[f 1_B], P_p(B))``, one per
-    slot."""
+    slot; a fourth item is the exponent of a scaled row, 0 if missing."""
     def rho(slots, mus):
-        return tuple(zip(*(fns[i](mu) for i, mu in zip(slots, mus))))
+        return tuple(zip(*((*fns[i](mu), 0)[:4]
+                           for i, mu in zip(slots, mus))))
     return rho
 
 
 def one_gamble(rho, slot: int = 0):
     """A batched rho engine at one slot, as a function of mu that returns
-    the floats (rho, E, P), unscaled where the engine scales its rows."""
+    the floats (rho, E, P), unscaled."""
     def at(mu):
-        value, fb, pb, *scale = rho([slot], [mu])
-        e = int(scale[0][0]) if scale else 0
-        return tuple(float(np.ldexp(a[0], e)) for a in (value, fb, pb))
+        value, fb, pb, scale = rho([slot], [mu])
+        return tuple(float(np.ldexp(a[0], int(scale[0])))
+                     for a in (value, fb, pb))
     return at

@@ -23,7 +23,7 @@ from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      random_factor, random_hmm_net, redeclared,
                      reference_chain_lower, reference_filtering,
                      reference_hmm_rho, reference_reverse_rho,
-                     zero_bound_locals)
+                     reference_root_conditional, zero_bound_locals)
 
 TOL = 1e-9
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -873,6 +873,46 @@ class TestFilteringAtScale:
         (value,), _, (prob,), (scale,) = hmm_rho(net, x, [f])[0](
             [0], [f.min() - 1.0])
         assert 0.5 <= prob < 1.0 and value >= prob and scale < -1074
+
+
+class TestChainEvidenceAtScale:
+    """The evidence engine and the regular rule's gate read the planner's
+    envelopes through their exponents, so that the sign tests see rho
+    relative to the probability of the evidence, a product of one local
+    probability per evidence node, however long the chain.  Every lower
+    probability of this draw is at least 0.2, so both rules must agree."""
+
+    @staticmethod
+    def answers(net, f, evidence):
+        out = {}
+        for rule in ("natural", "regular"):
+            out[rule] = queries.run_query(net, Query(
+                f, net.cylinder(evidence), rule, "auto", TOL))
+        assert {**out["regular"], "rule": "natural"} == out["natural"]
+        return out["natural"]
+
+    @pytest.mark.parametrize("n", [30, 36, 40, 60, 200, 1000])
+    def test_first_node_given_the_rest(self, n):
+        net = random_chain_net(np.random.default_rng(n), n, lo=0.2, hi=0.6)
+        f = Factor(("1",), np.array([1.0, 0.0]))
+        evidence = {str(i): "0" for i in range(2, n + 1)}
+        out = self.answers(net, f, evidence)
+        assert (out["kind"], out["upper_kind"]) == \
+            ("unique-root", "unique-root")
+        assert out["lower"] == pytest.approx(
+            reference_root_conditional(net, f, evidence), abs=TOL)
+        assert out["upper"] == pytest.approx(
+            -reference_root_conditional(net, -f, evidence), abs=TOL)
+
+    @pytest.mark.parametrize("n", [30, 36, 40, 60, 200, 1000])
+    def test_last_node_given_all_but_its_parent(self, n):
+        # the evidence lies outside K = {n - 1, n}, on the parent of K and
+        # on non-descendants: the regular rule's gate decides
+        net = random_chain_net(np.random.default_rng(n), n, lo=0.2, hi=0.6)
+        f = Factor((str(n),), np.array([1.0, 0.0]))
+        out = self.answers(net, f, {str(i): "0" for i in range(1, n - 1)})
+        assert (out["kind"], out["upper_kind"]) == \
+            ("local-fallback", "local-fallback")
 
 
 class TestHmmDispatch:

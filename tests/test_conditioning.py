@@ -18,9 +18,10 @@ from credalnet.network import Factor
 from credalnet.queries import run_query
 
 from helpers import (atom_bounds, bayes_joint, binary_net, chain_dag,
-                     interval_locals, lifted, one_gamble, precise_locals,
-                     random_binary_net, random_chain_net, random_dag,
-                     random_factor, random_hmm_net, zero_bound_locals)
+                     interval_locals, lifted, one_gamble, planned,
+                     precise_locals, random_binary_net, random_chain_net,
+                     random_dag, random_factor, random_hmm_net,
+                     zero_bound_locals)
 
 TOL = 1e-9
 
@@ -81,9 +82,9 @@ class TestRho:
         with pytest.raises(ModelError):
             condition(bad, [RhoEvaluator(0, 0.0, 1.0, 0.0)], "regular")
         ev = RhoEvaluator(0, 0.0, 1.0, 0.0)
-        ev.rho(0.0, 0.0, 0.0, 0.0)
+        ev.rho(0.0, 0.0, 0.0, 0.0, 0)
         with pytest.raises(ModelError):
-            ev.rho(1.0, 1.0, 0.0, 0.0)
+            ev.rho(1.0, 1.0, 0.0, 0.0, 0)
 
 
 class TestSignTests:
@@ -710,14 +711,15 @@ class TestRestGate:
         (gate,) = [a for a in calls if a[3]]
         rest = {s: x for s, x in evidence.items() if s != "c"}
         assert gate[3] == rest
-        upper = -plan(*gate)[0]
+        mantissa, e = plan(*gate)
+        upper = -float(np.ldexp(mantissa, e)[0])
         if oracle == "atom_bounds":
             expect = atom_bounds(sub_network(net, rest, {}), rest)[1]
         else:
             expect = -decompose.lower_expectation(
                 net, -net.indicator(net.cylinder(rest)))
         assert upper == pytest.approx(expect, abs=1e-12)
-        assert (upper > conditioning.TOL_SIGN) != zero
+        assert (-mantissa[0] > conditioning.TOL_SIGN) != zero
         lp_ = run_query(net, Query(f, B, "regular", "lp", 1e-10))
         for key in ("lower", "upper"):
             assert auto[key] == pytest.approx(lp_[key], abs=1e-7)
@@ -931,16 +933,14 @@ class TestRootRho:
     def test_scattered_evidence_on_a_long_chain(self):
         # the gate's evidence on nodes 1-30 and 39 stays per-node
         # indicators: a dense one would take 2^31 floats.  Its upper
-        # probability, about 1.4e-6, is far above TOL_SIGN, so both
-        # rules give the local value of node 40 given node 39
+        # probability is about 1.4e-6, and positive, so both rules give
+        # the local value of node 40 given node 39
         rng = np.random.default_rng(0)
         net = random_chain_net(rng, 40)
         f = random_factor(rng, net, ["40"])
         evidence = {str(i): "0" for i in range(1, 31)}
         evidence["39"] = "1"
-        from credalnet import decompose
-        upper = -decompose._plan(net, (), np.array([-1.0]), evidence,
-                                 None)[0]
+        upper = -planned(net, (), np.array([-1.0]), evidence)[0]
         assert 1e-6 < upper < 2e-6
         B = net.cylinder(evidence)
         regular = run_query(net, Query(f, B, "regular", "auto", 1e-9))

@@ -19,10 +19,11 @@ from credalnet.graph import Dag, closure, is_closed, set_relations
 from credalnet.network import CredalNetwork, Factor, joint_states, sub_network
 
 from helpers import (atom_bounds, binary_net, chain_dag, combined_factor,
-                     fig_dag, interval_locals, precise_locals, product_factor,
-                     random_binary_net, random_chain_net, random_dag,
-                     random_factor, redeclared, reference_chain_lower,
-                     restrict_factor, sum_factor, zero_bound_locals)
+                     fig_dag, interval_locals, planned, precise_locals,
+                     product_factor, random_binary_net, random_chain_net,
+                     random_dag, random_factor, redeclared,
+                     reference_chain_lower, restrict_factor, sum_factor,
+                     zero_bound_locals)
 
 TOL = 1e-9
 
@@ -351,7 +352,7 @@ class TestPlannerEvidence:
             scope = dag.sorted_nodes(nodes[k:k + int(rng.integers(0, 3))])
             g = np.abs(random_factor(rng, net, scope).values)
             values = np.stack([g, -g])
-            got = decompose._plan(net, scope, values, evidence, None)
+            got = planned(net, scope, values, evidence)
             assert got == pytest.approx(
                 evidence_lp(net, values, scope, evidence), abs=1e-9)
 
@@ -359,8 +360,8 @@ class TestPlannerEvidence:
         for _ in range(5):
             net = random_binary_net(rng, 4, edge_p=0.5)
             evidence = {s: str(rng.integers(0, 2)) for s in net.dag.nodes}
-            low, neg_high = decompose._plan(net, (), np.array([1.0, -1.0]),
-                                            evidence, None)
+            low, neg_high = planned(net, (), np.array([1.0, -1.0]),
+                                    evidence)
             assert (low, -neg_high) == pytest.approx(
                 atom_bounds(net, evidence), abs=1e-12)
 
@@ -386,10 +387,10 @@ class TestPlannerEvidence:
         with pytest.raises(InputError, match="one sign"):
             decompose._plan(net, f.scope, f.values[None], evidence, None)
         # a row of one sign is taken
-        assert decompose._plan(net, f.scope, np.abs(f.values)[None],
-                               evidence, None) == pytest.approx(evidence_lp(
-                                   net, np.abs(f.values)[None], f.scope,
-                                   evidence), abs=1e-12)
+        assert planned(net, f.scope, np.abs(f.values)[None],
+                       evidence) == pytest.approx(evidence_lp(
+                           net, np.abs(f.values)[None], f.scope, evidence),
+                           abs=1e-12)
 
 
 class TestPeel:
