@@ -14,24 +14,26 @@ to a sub-network first by :func:`reduce_query`.
 
 Every engine is batched (:data:`Rho`): it evaluates rho for a batch of
 gambles, each at its own mu, and also reports E_p[f 1_B] and P_p(B) at
-a model p attaining rho(mu).  :func:`condition_reduced` is the one
-dispatcher: it tries :func:`root_rho` (evidence below a root: chains
-conditioned backwards, complete evidence, ``auto`` queries on a root),
-then :func:`hmm_rho` (filtering), which decline shapes they do not fit,
-then the global program (:func:`program_rho`).  The first two are one
-backward sweep (:func:`_sweep`) with one sign rule: the evidence below
-a node weighs the values above it by its lower probability where they
-are >= 0 and by its upper one elsewhere, and each row is scaled by a
-power of two that puts P_p(B) in [1/2, 1).  The sign tests compare the
-rows as scaled with :data:`TOL_SIGN`: relative to P_p(B) there, and
-absolute on the program, whose values at most 13 nodes stay far from
-underflow.  The roots are found by Dinkelbach steps, mu <- E_p[f 1_B] /
-P_p(B): Newton's method on the piecewise-linear rho, whose slope at mu
-is -P_p(B); bisection remains for a step that rounding keeps from
-decreasing mu.  The brackets are generator steps that yield the mu they
-need (:func:`natural_conditional` and :func:`regular_conditional`), and
-:func:`condition` is their one driver: each round evaluates the new mus
-that its open brackets ask for in one engine call, so a sweep's two
+a model p attaining rho(mu).  An engine returns its :data:`Rho` alone,
+or ``None`` where the query's shape does not fit it; the one query
+dispatcher, :func:`credalnet.queries.bounds`, builds the evaluators,
+with the vacuous value of :func:`vacuous_value`, and picks the engine:
+:func:`root_rho` (evidence below a root: chains conditioned backwards,
+complete evidence, ``auto`` queries on a root), then :func:`hmm_rho`
+(filtering), then the global program (:func:`program_rho`).  The first
+two are one backward sweep (:func:`_sweep`) with one sign rule: the
+evidence below a node weighs the values above it by its lower
+probability where they are >= 0 and by its upper one elsewhere, and
+each row is scaled by a power of two that puts P_p(B) in [1/2, 1).  The
+sign tests compare the rows as scaled with :data:`TOL_SIGN`: relative to
+P_p(B) there, and absolute on the program, whose values at most 13 nodes
+stay far from underflow.  The roots are found by Dinkelbach steps, mu <-
+E_p[f 1_B] / P_p(B): Newton's method on the piecewise-linear rho, whose
+slope at mu is -P_p(B); bisection remains for a step that rounding keeps
+from decreasing mu.  The brackets are generator steps that yield the mu
+they need (:func:`natural_conditional` and :func:`regular_conditional`),
+and :func:`condition` is their one driver: each round evaluates the new
+mus that its open brackets ask for in one engine call, so a sweep's two
 bounds run in lockstep, and one after the other on the global program's
 warm tableau (:func:`program_rho`), as interleaving costs more pivots.
 """
@@ -242,27 +244,30 @@ def condition(rho: Rho, evaluators: Sequence[RhoEvaluator], rule: str,
     return [results[i] for i in range(len(steps))]
 
 
-# -- the global program's engine --------------------------------------------
-
-def _vacuous_bound(net: CredalNetwork, f: Factor, B: Event) -> float:
-    """min of f over B, over the joint states of the two scopes only."""
-    scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
-    values = net.aligned(f, scope)[net.aligned(net.indicator(B), scope) > 0.0]
-    if not values.size:
-        raise InputError("conditioning event is empty")
-    return float(values.min())
-
-
-def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
-                gp: lp.GlobalPolytope) -> tuple[Rho, list[RhoEvaluator]]:
-    """rho of each of ``gambles`` given ``B`` on the network's global
-    program ``gp``, and the evaluators of their brackets, which read the
-    vacuous value off the joint vectors.  Every evaluation, of any of the
-    gambles, starts phase 2 from the last optimal tableau of ``gp`` (the
-    objective moves by a multiple of 1_B), or from phase 1 where that
-    fails the residual check, so their brackets run one after the other."""
+def vacuous_value(net: CredalNetwork, f: Factor, B: Event) -> float:
+    """min of f over B: f at the assignment of a cylinder B on the scope
+    of f, and else over the joint states of the two scopes only."""
     if B.empty:
         raise InputError("conditioning event is empty")
+    if B.cylinder:
+        seen = B.assignment()
+        return float(f.values[tuple(
+            net.state_index(s, seen[s]) if s in seen else slice(None)
+            for s in f.scope)].min())
+    scope = net.dag.sorted_nodes(set(f.scope) | set(B.scope))
+    return float(net.aligned(f, scope)[
+        net.aligned(net.indicator(B), scope) > 0.0].min())
+
+
+# -- the global program's engine --------------------------------------------
+
+def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
+                gp: lp.GlobalPolytope) -> Rho:
+    """rho of each of ``gambles`` given ``B`` on the network's global
+    program ``gp``.  Every evaluation, of any of the gambles, starts
+    phase 2 from the last optimal tableau of ``gp`` (the objective moves
+    by a multiple of 1_B), or from phase 1 where that fails the residual
+    check, so their brackets run one after the other."""
     ib = lp.event_mask(net, B).astype(float)
     ibfs = [ib * lp.factor_vector(net, f) for f in gambles]
 
@@ -273,8 +278,7 @@ def program_rho(net: CredalNetwork, B: Event, gambles: Sequence[Factor],
             rows.append((value, ibfs[i] @ x, ib @ x, 0))
         return tuple(zip(*rows))
 
-    return rho, [RhoEvaluator(i, f.min(), f.max(), float(ibf[ib > 0].min()))
-                 for i, (f, ibf) in enumerate(zip(gambles, ibfs))]
+    return rho
 
 
 # -- the structural engines: evidence below a root, and filtering -----------
@@ -310,18 +314,17 @@ def _sweep(plan: list, h: np.ndarray, mus: np.ndarray) -> tuple:
 
 
 def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
-             gambles: Sequence[Factor]
-             ) -> tuple[Rho, list[RhoEvaluator]] | None:
+             gambles: Sequence[Factor]) -> Rho | None:
     """rho of each of ``gambles`` (on q, or constant) given ``evidence``
-    on the root q and below it, and their evaluators; ``None`` unless the
-    ancestral set of the evidence below q peels down to {q}.
+    on the root q and below it; ``None`` unless the ancestral set of the
+    evidence below q peels down to {q}.
 
     By the iterated law at q, rho(mu) is then one step of the sweep
     (:func:`_sweep`) at q: ``f - mu`` weighted by the lower probability
     P̲(B | q) of the evidence below q where ``f >= mu`` and by the upper
     one elsewhere, each with its exponent from one planner pass over the
     batch [1, -1] (:func:`credalnet.decompose._peels`).  Evidence on q
-    multiplies both by its indicator, and fixes the vacuous value."""
+    multiplies both by its indicator."""
     dag, below = net.dag, dict(evidence)
     seen = below.pop(q, None)
     # once the peels leave {q}, every unobserved node they took descends
@@ -333,11 +336,9 @@ def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
     if A - {q}:
         return None
     env = env.reshape(2, -1)    # one column where nothing lies below q
-    hs = np.array([net.aligned(f, (q,)) for f in gambles])
-    vacuous = hs.min(1)
     if seen is not None:
-        x = net.state_index(q, seen)
-        env, vacuous = env * (np.arange(net.size(q)) == x), hs[:, x]
+        env = env * (np.arange(net.size(q)) == net.state_index(q, seen))
+    hs = np.array([net.aligned(f, (q,)) for f in gambles])
     e = np.zeros(2, int) + exps     # 0 where nothing lies below q
     plan = [(0, net.local_stack(q), (0, 1), (-1, net.size(q)),
              np.ldexp(env[0], (e - e[1])[:, None]), -env[1], e[::-1])]
@@ -346,19 +347,17 @@ def root_rho(net: CredalNetwork, q: str, evidence: Mapping[str, str],
         mus = np.array(mus)[:, None]
         return _sweep(plan, hs.take(slots, 0) - mus, mus)
 
-    return rho, [RhoEvaluator(i, f.min(), f.max(), float(v))
-                 for i, (f, v) in enumerate(zip(gambles, vacuous))]
+    return rho
 
 
 def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
-            gambles: Sequence[Factor]
-            ) -> tuple[Rho, list[RhoEvaluator]] | None:
-    """rho of each of ``gambles`` given ``evidence`` by filtering, and
-    their evaluators; ``None`` unless the network is a hidden-state model
-    of order 1 or 2 (a chain of state nodes, each but the last emitting
-    one observation node, plus the grandparent transitions at order 2),
-    the evidence is on exactly its observation nodes, and the gambles are
-    on the final state node, or constant.
+            gambles: Sequence[Factor]) -> Rho | None:
+    """rho of each of ``gambles`` given ``evidence`` by filtering;
+    ``None`` unless the network is a hidden-state model of order 1 or 2
+    (a chain of state nodes, each but the last emitting one observation
+    node, plus the grandparent transitions at order 2), the evidence is
+    on exactly its observation nodes, and the gambles are on the final
+    state node, or constant.
 
     rho(mu) is the local lower expectations of ``f - mu`` at the final
     state node, then one step of the sweep (:func:`_sweep`) per time
@@ -404,9 +403,7 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
         h = net.local_lower(last, fv.take(slots, 0) - mus)
         return _sweep(plan, h, mus)
 
-    # the observations leave the final state free: vacuous value min f
-    return rho, [RhoEvaluator(i, f.min(), f.max(), f.min())
-                 for i, f in enumerate(gambles)]
+    return rho
 
 
 # -- structural reduction before bracketing ---------------------------------
@@ -433,37 +430,27 @@ def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
         K = closure(net.dag, K | need)
 
 
-@dataclass(frozen=True)
-class ReducedQuery:
-    """A conditional query moved to the sub-network ``net``, shared by
-    every gamble on one scope: the evidence left inside it (``None``:
-    none, and both rules reduce to the unconditional value), the
-    marginalisation step, and ``vacuous``: the evidence has zero upper
-    probability, so that the regular rule returns the vacuous bound."""
-
-    net: CredalNetwork
-    given: Event | None
-    record: decompose.Reduction | None = None
-    vacuous: bool = False
-
-
 def reduce_query(net: CredalNetwork, scope, given: Event | None,
-                 rule: str = "natural") -> ReducedQuery:
+                 rule: str = "natural", trace: list | None = None
+                 ) -> tuple[CredalNetwork, Event | None, bool]:
     """Move a conditional query on a gamble over ``scope`` to the
     smallest consistent closed node set K, for a cylinder conditioning
-    event.  This is where the regular rule's vacuous case is decided on
-    a reduced query: the evidence has zero upper probability exactly
-    when the rest of the network gives its share of it zero upper
-    probability, or the sub-network gives zero upper probability to the
-    evidence inside K, which :func:`regular_conditional` detects."""
+    event: the sub-network, the evidence left inside it (``None``: none,
+    and both rules reduce to the unconditional value), and whether the
+    regular rule returns the vacuous bound.  This is where that case is
+    decided on a reduced query: the evidence has zero upper probability
+    exactly when the rest of the network gives its share of it zero
+    upper probability, or the sub-network gives zero upper probability
+    to the evidence inside K, which :func:`regular_conditional` detects.
+    The marginalisation step goes to ``trace``."""
     if rule not in ("natural", "regular"):
         raise InputError(f"unknown rule {rule!r}")
     if given is None or not given.scope:
-        return ReducedQuery(net, None)
+        return net, None, False
     if given.empty:
         raise InputError("conditioning event is empty")
     if not given.cylinder:
-        return ReducedQuery(net, given)
+        return net, given, False
 
     assignment = given.assignment()
     K, rel = _grow_closed_for(net, scope, assignment)
@@ -473,63 +460,16 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
                if s in rel.non_parent_non_descendants}
     sub = net if len(K) == len(net.dag.nodes) else \
         sub_network(net, K, pa_assignment)
-    record = decompose.Reduction("marginalisation", {
-        "K": tuple(sorted(K)), "rule": rule,
-        "parents": tuple(sorted(pa_assignment.items()))})
-    vacuous = rule == "regular" and not _upper_positive_outside(
-        net, {**pa_assignment, **outside})
+    if trace is not None:
+        trace.append(decompose.Reduction("marginalisation", {
+            "K": tuple(sorted(K)), "rule": rule,
+            "parents": tuple(sorted(pa_assignment.items()))}))
+    # the upper probability that the non-descendants of K give to their
+    # share of the evidence, from the planner on ``net``, equal by
+    # marginalisation, as they form an ancestral set, read as scaled
+    rest = {**pa_assignment, **outside}
+    vacuous = rule == "regular" and bool(rest) and not -decompose._plan(
+        net, (), np.array([-1.0]), rest, None)[0][0] > TOL_SIGN
     # no evidence inside K: both updating rules reduce to the
     # unconditional sub-network value
-    return ReducedQuery(sub, sub.cylinder(inside) if inside else None,
-                        record, vacuous)
-
-
-def condition_reduced(reduced: ReducedQuery, gambles: Sequence[Factor],
-                      rule: str, tolerance: float = DEFAULT_TOLERANCE,
-                      trace: list | None = None) -> list[BracketResult]:
-    """The conditional lower expectations of ``gambles`` (on one scope)
-    under ``rule`` on a reduced query, by the first engine that fits its
-    structure: the vacuous bounds where :func:`reduce_query` found the
-    evidence to have zero upper probability, the planner's values in one
-    pass when no evidence is left (``local-fallback``), :func:`condition`
-    in lockstep on :func:`root_rho` or else on :func:`hmm_rho` where one
-    applies, and else :func:`condition_program`.  The marginalisation
-    step goes to ``trace`` once."""
-    if trace is not None and reduced.record is not None:
-        trace.append(reduced.record)
-    net, given = reduced.net, reduced.given
-    if reduced.vacuous:
-        return [BracketResult(f.min() if given is None else
-                              _vacuous_bound(net, f, given),
-                              "vacuous-fallback", 0, 0.0) for f in gambles]
-    if given is None:
-        values = decompose.lower_expectation(net, gambles, trace=trace)
-        return [BracketResult(float(v), "local-fallback", 0, 0.0)
-                for v in values]
-    if given.cylinder:
-        scope, seen = gambles[0].scope, given.assignment()
-        engine = (len(scope) == 1 and root_rho(net, scope[0], seen, gambles)
-                  or hmm_rho(net, seen, gambles))
-        if engine is not None:
-            return condition(*engine, rule, tolerance)
-    return condition_program(net, given, gambles, rule, tolerance)
-
-
-def condition_program(net: CredalNetwork, given: Event,
-                      gambles: Sequence[Factor], rule: str,
-                      tolerance: float = DEFAULT_TOLERANCE
-                      ) -> list[BracketResult]:
-    """The conditional lower expectations of ``gambles`` given ``given``
-    under ``rule`` on the network's global program, one bracket after
-    the other over its warm tableau (:func:`program_rho`)."""
-    rho, evaluators = program_rho(net, given, gambles, lp.GlobalPolytope(net))
-    return [condition(rho, [ev], rule, tolerance)[0] for ev in evaluators]
-
-
-def _upper_positive_outside(net: CredalNetwork,
-                            evidence: Mapping[str, str]) -> bool:
-    """Positivity of the upper probability that the non-descendants of
-    K give to ``evidence`` over them, from the planner on ``net``, equal
-    by marginalisation, as they form an ancestral set, read as scaled."""
-    return not evidence or -decompose._plan(
-        net, (), np.array([-1.0]), evidence, None)[0][0] > TOL_SIGN
+    return sub, sub.cylinder(inside) if inside else None, vacuous

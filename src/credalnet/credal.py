@@ -34,9 +34,6 @@ State = Hashable
 #: Feasibility tolerance (mass-function validity, constraint slack).
 TOL_FEAS = simplex.TOL_FEAS
 
-#: Value-agreement tolerance used by the numerical invariants.
-TOL_NUM = 1e-9
-
 #: Desk-scale bounds for the representation conversions.
 MAX_CONVERSION_STATES = 12
 MAX_CONVERSION_VERTICES = 64

@@ -210,7 +210,14 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
     For h >= 0 (h <= 0) on the other nodes, the lower expectation of
     ``h * 1{o = e}`` is that of h times the lower (upper) probability of
     o = e given its parents, in any DAG, but for h of both signs only
-    where the rest of A precedes o: so each row must be of one sign."""
+    where the rest of A precedes o: so each row must be of one sign.
+    When A less its pending observed sinks has a single sink t, and t is
+    unobserved, t peels right after its own pending observed children:
+    the envelopes still pending are non-negative functions of nodes
+    other than t, which positive homogeneity takes out of its local
+    lower expectation.  The scope then gains no more than the parents of
+    t, where peeling every observed sink first would gather all of
+    theirs (smoothing in a hidden-state model)."""
     dag = net.dag
     if evidence:
         rows = values.reshape(len(values), -1)
@@ -238,13 +245,39 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
     # a peeled node leaves ``live``.  A single sink peels with no
     # reachability test: every other node of A is its ancestor.  The
     # first sinks lie in ``start``: a node outside it has a child in A.
-    observed, sinks, exps, count = [], [], 0, 0
+    # While observed nodes are left, ``tops`` holds the sinks of A less
+    # its pending observed sinks, and ``rest`` counts each node's live
+    # children there.
+    observed, sinks, due, lone, exps, count = {}, [], [], False, 0, 0
+    if evidence:
+        rest, tops = dict(live), {s for s in start if not live[s]}
+
+    def aside(s):   # s leaves A less its pending observed sinks
+        tops.discard(s)
+        for p in dag.parents(s):
+            rest[p] -= 1
+            if not rest[p]:
+                tops.add(p)
+
+    def pend(s):    # observed s has no live child left
+        observed[s] = None
+        aside(s)
+
     for s in start:
-        if not live[s]:
-            (observed if s in evidence else sinks).append(s)
+        if not live[s] and s in evidence:
+            pend(s)
+        elif not live[s]:
+            sinks.append(s)
     while live:
         if observed:
-            s = observed.pop()
+            (t,) = tops if len(tops) == 1 else (None,)
+            lone = t is not None and t not in evidence
+            if lone and live[t] and not due:
+                due = [c for c in dag.children(t) if c in live]
+                for c in due:
+                    del observed[c]
+        if due or observed and not lone:
+            s = due.pop() if due else observed.popitem()[0]
             peeled = (s,)
             ind = np.arange(net.size(s)) == net.state_index(s, evidence[s])
             scope, values = _peel(net, s, scope + peeled,
@@ -267,6 +300,8 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
             scope, values = _inner_values(net, peeled, scope, values, trace)
         for s in peeled:
             del live[s]
+            if count < len(evidence) and s not in evidence:
+                aside(s)
             for p in dag.parents(s):
                 if p in evidence and p in scope:
                     i = scope.index(p)
@@ -274,8 +309,10 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
                                     + (net.state_index(p, evidence[p]),)]
                     scope = scope[:i] + scope[i + 1:]
                 live[p] -= 1
-                if not live[p]:
-                    (observed if p in evidence else sinks).append(p)
+                if not live[p] and p in evidence:
+                    pend(p)
+                elif not live[p]:
+                    sinks.append(p)
     if count % 16:
         exps, values = _renormalise(exps, values, values)
     return set(live), scope, values, exps
@@ -310,10 +347,9 @@ def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
             "K": tuple(sorted(Kf)),
             "parents": tuple(sorted((p, parent_assignment[p])
                                     for p in rel.parents))}))
-    from . import conditioning
-    given = B_K if B_K is not None and B_K.scope else None
-    return conditioning.condition_reduced(conditioning.ReducedQuery(
-        sub, given), [f], "natural", tolerance, trace)[0].value
+    from . import queries
+    return queries.bounds(sub, [f], B_K, "natural", "auto", tolerance,
+                          trace)[0].value
 
 
 def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,

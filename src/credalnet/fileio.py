@@ -24,7 +24,8 @@ Query document::
 
 The target may also be {"indicator": {"scope": [...], "states": [[...]]}}
 and the conditioning event an explicit joint-state list with the same
-shape.  ``rule`` is natural, regular or unconditional, and the tolerance
+shape.  ``rule`` is natural, regular or unconditional; ``method`` is
+auto, lp, chain, hmm or decompose, an alias of auto; and the tolerance
 must be positive.  A table names every joint state of its scope and no
 other; a list-style table names each one once.
 

@@ -179,24 +179,15 @@ class CredalNetwork:
         vertices; otherwise each set answers on its own, by its LP.  At a
         one-vertex set among larger ones, the padded rows may round the
         last bit unlike that set's own ``lower_expectation`` (a dot)."""
-        g, stack = self._checked_gamble(s, g), self.local_stack(s)
+        g, stack = np.asarray(g, dtype=float), self.local_stack(s)
+        if g.ndim == 0 or g.shape[-1] != self.size(s):
+            raise InputError(f"a gamble on {s!r} needs a last axis of "
+                             f"{self.size(s)} values, not shape {g.shape}")
         if stack.dtype != object:
             # the ufunc itself: ``ndarray.min`` adds a Python frame
             return np.minimum.reduce((stack @ g[..., None])[..., 0], -1)
         shape, values = _per_set(stack, g, CredalSet.lower_expectation)
         return np.array(values).reshape(shape)
-
-    def local_lower_argmin(self, s: str, g) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`local_lower` and a mass function attaining each of its
-        values, from one contraction (:func:`lower_argmin`)."""
-        return lower_argmin(self.local_stack(s), self._checked_gamble(s, g))
-
-    def _checked_gamble(self, s: str, g) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        if g.ndim == 0 or g.shape[-1] != self.size(s):
-            raise InputError(f"a gamble on {s!r} needs a last axis of "
-                             f"{self.size(s)} values, not shape {g.shape}")
-        return g
 
     def local_stack(self, s: str) -> np.ndarray:
         """The local sets of ``s`` in an object array over its parent

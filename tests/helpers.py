@@ -422,24 +422,56 @@ def reference_root_conditional(net: CredalNetwork, f: Factor,
     root of the sign of rho(mu), the lower expectation at the first node
     of ``f - mu`` weighted by the lower probability of the evidence
     where ``f >= mu`` and by the upper one elsewhere, by bisection to
-    machine precision.  The two envelopes are swept backward from the
-    last node, each divided by its greatest value after every step,
-    whose logarithm is kept, which keeps their signs and their ratio at
-    any length."""
+    machine precision (:func:`_split_root`).  The two envelopes are swept
+    backward from the last node."""
     order = chain_order(net)
-    first, fv = order[0], net.aligned(f, order[:1])
-    lo = hi = np.ones(net.size(order[-1]))
-    log_lo = log_hi = 0.0
+    lo = hi = (np.ones(net.size(order[-1])), 0.0)
     for s in reversed(order[1:]):
         seen = np.array([x == evidence[s] for x in net.states(s)], float)
-        lo, hi = net.local_lower(s, seen * lo), -net.local_lower(s, -seen * hi)
-        lo, log_lo = lo / lo.max(), log_lo + np.log(lo.max())
-        hi, log_hi = hi / hi.max(), log_hi + np.log(hi.max())
+        lo = _rescaled(net.local_lower(s, seen * lo[0]), lo[1])
+        hi = _rescaled(-net.local_lower(s, -seen * hi[0]), hi[1])
+    return _split_root(net, order[0], f, lo, hi)
+
+
+def reference_smoothing(net: CredalNetwork, f: Factor,
+                        observations: dict) -> float:
+    """The conditional of ``f`` on the first state node of a hidden-state
+    model of order 1 given ``observations`` on every observation node, of
+    positive lower probability, as :func:`reference_root_conditional`
+    finds it.  The envelopes are swept backward along the state nodes:
+    at s_k, the lower (upper) probability of o_k given s_k times the
+    transition's lower (upper) expectation of the envelope at s_(k+1)."""
+    states = [s for s in net.dag.topological_order() if s not in observations]
+    lo = hi = (np.ones(net.size(states[-1])), 0.0)
+    for s, nxt in zip(states[-2::-1], states[:0:-1]):
+        (o,) = (c for c in net.dag.children(s) if c in observations)
+        seen = np.array([x == observations[o] for x in net.states(o)], float)
+        lo = _rescaled(net.local_lower(o, seen) * net.local_lower(nxt, lo[0]),
+                       lo[1])
+        hi = _rescaled(-net.local_lower(o, -seen)
+                       * -net.local_lower(nxt, -hi[0]), hi[1])
+    return _split_root(net, states[0], f, lo, hi)
+
+
+def _rescaled(env: np.ndarray, log: float) -> tuple[np.ndarray, float]:
+    """An envelope divided by its greatest value, whose logarithm is
+    added to ``log``: that keeps the signs and the ratio of two
+    envelopes at any length."""
+    return env / env.max(), log + np.log(env.max())
+
+
+def _split_root(net: CredalNetwork, first: str, f: Factor, lo: tuple,
+                hi: tuple) -> float:
+    """The root of the sign of the lower expectation at ``first`` of
+    ``f - mu`` weighted by the envelope ``lo`` where ``f >= mu`` and by
+    ``hi`` elsewhere, each an envelope and its logarithmic scale, by
+    bisection to machine precision."""
+    fv = net.aligned(f, (first,))
 
     def positive(mu):
         low = fv >= mu
-        w = lo if low.all() else np.where(low, lo * np.exp(log_lo - log_hi),
-                                          hi)
+        w = lo[0] if low.all() else np.where(
+            low, lo[0] * np.exp(lo[1] - hi[1]), hi[0])
         return net.local_lower(first, w * (fv - mu)) > 0.0
 
     lo_mu, hi_mu = f.min(), f.max()

@@ -23,7 +23,8 @@ from helpers import (bayes_joint, binary_net, chain_dag, constraint_twin,
                      random_factor, random_hmm_net, redeclared,
                      reference_chain_lower, reference_filtering,
                      reference_hmm_rho, reference_reverse_rho,
-                     reference_root_conditional, zero_bound_locals)
+                     reference_root_conditional, reference_smoothing,
+                     zero_bound_locals)
 
 TOL = 1e-9
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -34,7 +35,7 @@ def chain_rho(net, hs, x_n):
     ``X_last = x_n``, for the gambles ``hs``: the engine of evidence
     below a root."""
     order = chain_order(net)
-    return root_rho(net, order[0], {order[-1]: x_n}, hs)[0]
+    return root_rho(net, order[0], {order[-1]: x_n}, hs)
 
 
 def reverse_rho(net, h, x_n):
@@ -44,7 +45,7 @@ def reverse_rho(net, h, x_n):
 
 def filtering_rho(net, f, observations):
     """rho of the filtering query of ``f`` given ``observations``."""
-    return one_gamble(hmm_rho(net, observations, [f])[0])
+    return one_gamble(hmm_rho(net, observations, [f]))
 
 
 class TestChainShape:
@@ -219,9 +220,10 @@ class TestHmm:
             net, states, obs = random_hmm_net(rng, 3, order=order)
             f = random_factor(rng, net, [states[-1]])
             x = {o: str(rng.integers(0, 2)) for o in obs}
-            rho, (ev,) = hmm_rho(net, x, [f])
-            assert (ev.f_min, ev.f_max, ev.vacuous_value) == \
-                (f.min(), f.max(), f.min())
+            rho = hmm_rho(net, x, [f])
+            # the observations leave the final state free
+            assert conditioning.vacuous_value(net, f, net.cylinder(x)) == \
+                f.min()
             for mu in (-0.5, 0.3):
                 assert one_gamble(rho)(mu) == \
                     reference_hmm_rho(net, f, x, mu)
@@ -255,7 +257,7 @@ class TestHmm:
         net, states, obs = random_hmm_net(rng, 2, lo=0.2, hi=0.8)
         f = random_factor(rng, net, [states[-1]])
         x = {o: "0" for o in obs}
-        res = sweep_bound(hmm_rho(net, x, [f])[0], f, "natural")[0]
+        res = sweep_bound(hmm_rho(net, x, [f]), f, "natural")[0]
         direct = lp_bound(net, f, net.cylinder(x), "natural")
         assert res.value == pytest.approx(direct.value, abs=1e-6)
 
@@ -449,7 +451,7 @@ def hmm_sweep(rng, n, order, locals_of=interval_locals):
     net = binary_net(dag, locals_of(dag, rng))
     x = {o: str(rng.integers(0, 2)) for o in obs}
     return (random_factor(rng, net, [states[-1]]),
-            lambda gs: hmm_rho(net, x, gs)[0])
+            lambda gs: hmm_rho(net, x, gs))
 
 
 def reverse_sweep(rng, n, locals_of=interval_locals):
@@ -528,7 +530,7 @@ class TestLockstep:
         got = queries.run_query(net, Query(f, net.cylinder(x), "regular",
                                            "hmm", 1e-10))
         evaluations = len(mus)
-        low, up = (sweep_bound(hmm_rho(net, x, [g])[0], g, "regular")[0]
+        low, up = (sweep_bound(hmm_rho(net, x, [g]), g, "regular")[0]
                    for g in (f, -f))
         assert (got["lower"], got["kind"], got["iterations"],
                 got["bracket_width"]) == (low.value, low.kind,
@@ -569,7 +571,7 @@ class TestBatchedSweep:
         net, states, obs = random_hmm_net(rng, 2)
         twin, x = constraint_twin(net), {o: "0" for o in obs}
         self.assert_per_slot(random_factor(rng, net, [states[-1]]),
-                             lambda gs: hmm_rho(twin, x, gs)[0], rng)
+                             lambda gs: hmm_rho(twin, x, gs), rng)
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_reverse_chain(self, rng, n):
@@ -726,9 +728,7 @@ def sweep_bound(rho, g, rule):
 
 def lp_bound(net, g, B, rule):
     try:
-        rho, evs = conditioning.program_rho(net, B, [g],
-                                            lp.GlobalPolytope(net))
-        return conditioning.condition(rho, evs, rule, 1e-10)[0]
+        return queries.bounds(net, [g], B, rule, "lp", 1e-10)[0]
     except HypothesisError:
         return None
 
@@ -786,7 +786,7 @@ class TestDinkelbachSweeps:
                 for rule in ("natural", "regular"):
                     results = []
                     for model in (net, twin):
-                        got, calls = sweep_bound(hmm_rho(model, x, [g])[0],
+                        got, calls = sweep_bound(hmm_rho(model, x, [g]),
                                                  g, rule)
                         assert calls <= MAX_ENGINE_CALLS
                         results.append(got)
@@ -860,7 +860,7 @@ class TestFilteringAtScale:
         net, states, obs = random_hmm_net(rng, 12, order=2)
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        rho = hmm_rho(net, x, [f])[0]
+        rho = hmm_rho(net, x, [f])
         assert rho([0], [0.0])[3][0] < 0
         assert_hmm_matches_reference(net, f, x)
 
@@ -870,7 +870,7 @@ class TestFilteringAtScale:
         net, states, obs = random_hmm_net(rng, 1200)
         f = random_factor(rng, net, [states[-1]])
         x = {o: str(rng.integers(0, 2)) for o in obs}
-        (value,), _, (prob,), (scale,) = hmm_rho(net, x, [f])[0](
+        (value,), _, (prob,), (scale,) = hmm_rho(net, x, [f])(
             [0], [f.min() - 1.0])
         assert 0.5 <= prob < 1.0 and value >= prob and scale < -1074
 
@@ -913,6 +913,47 @@ class TestChainEvidenceAtScale:
         out = self.answers(net, f, {str(i): "0" for i in range(1, n - 1)})
         assert (out["kind"], out["upper_kind"]) == \
             ("local-fallback", "local-fallback")
+
+
+def smoothing_query(H):
+    """(1, 0) on the first state node of ``random_hmm_net(default_rng(H),
+    H)`` given "0" at every observation node: the network, the gamble and
+    the evidence."""
+    net, states, obs = random_hmm_net(np.random.default_rng(H), H)
+    f = Factor((states[0],), np.array([1.0, 0.0]))
+    return net, f, {o: "0" for o in obs}
+
+
+class TestSmoothing:
+    """``auto`` on the first state node given every observation takes
+    the sign split at the root, whose envelopes the planner peels state
+    node by state node, each after its observation: the scope never
+    holds more than one node, where peeling every observation first
+    would hold them all."""
+
+    @pytest.mark.parametrize("H", [10, 30, 200, 1000])
+    def test_long_models_match_the_reference(self, H):
+        net, f, evidence = smoothing_query(H)
+        out = queries.run_query(net, Query(f, net.cylinder(evidence),
+                                           "natural", "auto", 1e-12))
+        assert (out["kind"], out["upper_kind"]) == \
+            ("unique-root", "unique-root")
+        assert out["lower"] == pytest.approx(
+            reference_smoothing(net, f, evidence), abs=1e-12)
+        assert out["upper"] == pytest.approx(
+            -reference_smoothing(net, -f, evidence), abs=1e-12)
+
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    def test_small_models_match_the_lp(self, H):
+        net, f, evidence = smoothing_query(H)
+        for rule in ("natural", "regular"):
+            auto, exact = (queries.run_query(net, Query(
+                f, net.cylinder(evidence), rule, method, 1e-10))
+                for method in ("auto", "lp"))
+            assert (auto["kind"], auto["upper_kind"]) == \
+                (exact["kind"], exact["upper_kind"])
+            for key in ("lower", "upper"):
+                assert auto[key] == pytest.approx(exact[key], abs=1e-9)
 
 
 class TestHmmDispatch:

@@ -7,15 +7,14 @@ import pytest
 
 from credalnet import conditioning, lp, oracle
 from credalnet.conditioning import (BracketResult, RhoEvaluator, condition,
-                                    condition_reduced, program_rho,
-                                    reduce_query)
+                                    program_rho, reduce_query, vacuous_value)
 from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
 from credalnet.fileio import Query, parse_query
 from credalnet.graph import Dag, is_closed, set_relations
 from credalnet.network import Factor
-from credalnet.queries import run_query
+from credalnet.queries import bounds, run_query
 
 from helpers import (atom_bounds, bayes_joint, binary_net, chain_dag,
                      interval_locals, lifted, one_gamble, planned,
@@ -41,8 +40,8 @@ def make_net_with_zero_lower(rng):
 def program(net, f, B):
     """The global program's rho engine of ``f`` given ``B``, and the
     evaluator of its bracket."""
-    rho, (ev,) = program_rho(net, B, [f], lp.GlobalPolytope(net))
-    return rho, ev
+    rho = program_rho(net, B, [f], lp.GlobalPolytope(net))
+    return rho, RhoEvaluator(0, f.min(), f.max(), vacuous_value(net, f, B))
 
 
 def lp_bracket(net, f, B, rule, tolerance=conditioning.DEFAULT_TOLERANCE):
@@ -494,10 +493,8 @@ class TestReduceThenCondition:
         net = binary_net(dag, interval_locals(dag, rng))
         f = random_factor(rng, net, ["9"])
         given = net.cylinder({"3": "0", "4": "1", "6": "0"})
-        (nat,) = condition_reduced(
-            reduce_query(net, f.scope, given, "natural"), [f], "natural")
-        (reg,) = condition_reduced(
-            reduce_query(net, f.scope, given, "regular"), [f], "regular")
+        (nat,) = bounds(net, [f], given, "natural")
+        (reg,) = bounds(net, [f], given, "regular")
         assert nat.kind == "local-fallback"
         assert reg.kind == "local-fallback"
         assert nat.value == pytest.approx(reg.value, abs=TOL)
@@ -511,8 +508,7 @@ class TestReduceThenCondition:
     def test_unconditional_dispatch(self, rng):
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, ["2"])
-        (res,) = condition_reduced(
-            reduce_query(net, f.scope, None, "natural"), [f], "natural")
+        (res,) = bounds(net, [f], None, "natural")
         assert res.value == pytest.approx(
             lp.lower_expectation_lp(net, f), abs=1e-7)
 
@@ -524,9 +520,7 @@ class TestReduceThenCondition:
             t = {"4": str(rng.integers(0, 2)), "3": str(rng.integers(0, 2))}
             given = net.cylinder(t)
             try:
-                (red,) = condition_reduced(
-                    reduce_query(net, f.scope, given, "natural"), [f],
-                    "natural", 1e-10)
+                (red,) = bounds(net, [f], given, "natural", "auto", 1e-10)
             except HypothesisError:
                 continue
             direct = lp_bracket(net, f, given, "natural", 1e-10)
@@ -539,9 +533,7 @@ class TestReduceThenCondition:
             net = random_binary_net(rng, 4, edge_p=0.5)
             f = random_factor(rng, net, ["1"])
             given = net.cylinder({"4": str(rng.integers(0, 2))})
-            (red,) = condition_reduced(
-                reduce_query(net, f.scope, given, "regular"), [f], "regular",
-                1e-10)
+            (red,) = bounds(net, [f], given, "regular", "auto", 1e-10)
             direct = lp_bracket(net, f, given, "regular", 1e-10)
             assert red.value == pytest.approx(direct.value, abs=1e-6)
 
@@ -549,8 +541,7 @@ class TestReduceThenCondition:
         net = random_binary_net(rng, 3, edge_p=0.4)
         f = random_factor(rng, net, ["1"])
         B = net.event(["2", "3"], [("0", "0"), ("1", "1"), ("0", "1")])
-        (res,) = condition_reduced(reduce_query(net, f.scope, B, "natural"),
-                                   [f], "natural", 1e-10)
+        (res,) = bounds(net, [f], B, "natural", "auto", 1e-10)
         expect = oracle.irr_extreme_conditional(net, f, B, "natural")
         if expect is not None:
             assert res.value == pytest.approx(expect, abs=1e-6)
@@ -615,7 +606,7 @@ class TestGrowClosed:
         net, states, obs = random_hmm_net(rng, 1000, order=order)
         B = net.cylinder({o: str(rng.integers(0, 2)) for o in obs})
         for rule in ("natural", "regular"):
-            assert reduce_query(net, (states[-1],), B, rule).net is net
+            assert reduce_query(net, (states[-1],), B, rule)[0] is net
 
 
 class TestLocalModelPreservation:
@@ -633,9 +624,8 @@ class TestLocalModelPreservation:
             f = random_factor(rng, net, [s])
             cfg = net.parent_config(s, assignment)
             expect = net.local(s, cfg).lower_expectation(f.values)
-            (res,) = condition_reduced(
-                reduce_query(net, f.scope, net.cylinder(assignment),
-                             "regular"), [f], "regular", 1e-10)
+            (res,) = bounds(net, [f], net.cylinder(assignment), "regular",
+                            "auto", 1e-10)
             assert res.value == pytest.approx(expect, abs=1e-6)
 
 
@@ -726,7 +716,7 @@ class TestRestGate:
         kind = "vacuous-fallback" if zero else "unique-root"
         assert auto["kind"] == lp_["kind"] == kind
         if zero:
-            assert auto["lower"] == conditioning._vacuous_bound(net, f, B)
+            assert auto["lower"] == vacuous_value(net, f, B)
 
 
 class TestRegularZeroProbability:
@@ -778,22 +768,36 @@ class TestVacuousBound:
         for _ in range(6):
             net = random_binary_net(rng, 4, edge_p=0.5)
             f = random_factor(rng, net, ["2", "4"])
-            B = net.event(["1", "4"], [("0", "1"), ("1", "0"), ("1", "1")])
-            mask = lp.event_mask(net, B)
-            expect = float(lp.factor_vector(net, f)[mask].min())
-            assert conditioning._vacuous_bound(net, f, B) == expect
-            constant = Factor.constant(0.5)
-            assert conditioning._vacuous_bound(net, constant, B) == 0.5
+            x = [str(v) for v in rng.integers(0, 2, size=2)]
+            for B in (net.event(["1", "4"], [("0", "1"), ("1", "0"),
+                                             ("1", "1")]),
+                      net.cylinder({"1": x[0], "4": x[1]}),
+                      net.cylinder({"1": x[0]})):
+                mask = lp.event_mask(net, B)
+                expect = float(lp.factor_vector(net, f)[mask].min())
+                assert vacuous_value(net, f, B) == expect
+                assert vacuous_value(net, Factor.constant(0.5), B) == 0.5
 
-    def test_evaluator_reads_it_off_the_joint_vectors(self, rng):
+    def test_evaluator_reads_it_off_the_joint_vectors(self, rng,
+                                                      monkeypatch):
+        # the evaluators that the dispatcher builds for the global
+        # program hold min f over B as its joint vectors give it
+        seen, condition_ = [], conditioning.condition
+        monkeypatch.setattr(conditioning, "condition", lambda rho, evs, *a: (
+            seen.extend(evs) or condition_(rho, evs, *a)))
         for _ in range(6):
             net = random_binary_net(rng, 4, edge_p=0.5)
             f = random_factor(rng, net, ["2", "4"])
-            B = net.event(["1", "4"], [("0", "1"), ("1", "0")])
-            assert program(net, f, B)[1].vacuous_value == \
-                conditioning._vacuous_bound(net, f, B)
+            for B in (net.event(["1", "4"], [("0", "1"), ("1", "0")]),
+                      net.cylinder({"1": "0", "4": "1"})):
+                del seen[:]
+                bounds(net, [f, -f], B, "regular", "lp")
+                mask = lp.event_mask(net, B)
+                assert [ev.vacuous_value for ev in seen] == [
+                    float(lp.factor_vector(net, g)[mask].min())
+                    for g in (f, -f)]
         with pytest.raises(InputError):
-            program(net, f, net.event(["1"], []))
+            bounds(net, [f], net.event(["1"], []), "natural", "lp")
 
     def test_long_chain_stops_at_the_lp_bound(self, rng):
         # the vacuous bound is taken over the query's two nodes, so the
@@ -804,10 +808,27 @@ class TestVacuousBound:
             net = random_chain_net(rng, n)
             f = random_factor(rng, net, ["1"])
             B = net.cylinder({str(n): "1"})
-            assert conditioning._vacuous_bound(net, f, B) == f.min()
+            assert vacuous_value(net, f, B) == f.min()
             query = Query(f, B, "natural", "lp", 1e-9)
             with pytest.raises(CapabilityError, match="variable bound"):
                 run_query(net, query)
+
+    @pytest.mark.parametrize("L", [40, 1000])
+    def test_many_evidence_nodes(self, L):
+        # z has P(z = 0) = 0, so the regular rule's gate finds the
+        # evidence z = 0, nodes 2..L = 0 to have zero upper probability;
+        # the vacuous bound indexes the gamble on node 1 at the
+        # assignment, instead of densifying the event over 2^(L-1) states
+        chain = chain_dag(L)
+        dag = Dag(["z", *chain.nodes], list(chain.edges))
+        locals_ = interval_locals(chain, np.random.default_rng(L))
+        locals_[("z", ())] = binary_interval(("0", "1"), 0, 0)
+        net = binary_net(dag, locals_)
+        f = net.factor(["1"], {("0",): 1.0, ("1",): 0.0})
+        B = net.cylinder({"z": "0", **{str(i): "0" for i in range(2, L + 1)}})
+        got = run_query(net, Query(f, B, "regular", "auto", 1e-9))
+        assert (got["lower"], got["upper"]) == (0.0, 1.0)
+        assert got["kind"] == got["upper_kind"] == "vacuous-fallback"
 
 
 def root_query(rng, locals_of):
@@ -859,7 +880,7 @@ class TestRootRho:
                 del engines[:], programs[:]
                 auto = outcome(net, Query(f, given, rule, "auto", 1e-10))
                 on_program = len(programs)
-                reduced = conditioning.reduce_query(net, f.scope, given,
+                sub, inside, vacuous = reduce_query(net, f.scope, given,
                                                     rule)
                 exact = outcome(net, Query(f, given, rule, "lp", 1e-10))
                 if isinstance(auto, type) or isinstance(exact, type):
@@ -872,12 +893,12 @@ class TestRootRho:
                 if engines == [True]:
                     moved += 1
                     assert on_program == 0
-                elif reduced.given is not None and not reduced.vacuous:
+                elif inside is not None and not vacuous:
                     # another root of K is an ancestor of the evidence
-                    dag = reduced.net.dag
+                    dag = sub.dag
                     assert engines == [False] and on_program == 1
                     assert any(not dag.parents(r) and r != q and any(
-                        r in dag.ancestors(s) for s in reduced.given.scope)
+                        r in dag.ancestors(s) for s in inside.scope)
                         for r in dag.nodes)
                     fell_back += 1
         assert moved >= 6 and fell_back >= 2
@@ -895,10 +916,7 @@ class TestRootRho:
             (q,) = f.scope
             x = str(rng.integers(0, 2))
             B = net.cylinder({**given.assignment(), q: x})
-            engine = root_rho(net, q, B.assignment(), [f])
-            if engine is not None:
-                assert engine[1][0].vacuous_value == \
-                    f.values[net.state_index(q, x)]
+            assert vacuous_value(net, f, B) == f.values[net.state_index(q, x)]
             for rule in ("natural", "regular"):
                 auto = outcome(net, Query(f, B, rule, "auto", 1e-10))
                 exact = outcome(net, Query(f, B, rule, "lp", 1e-10))
@@ -926,9 +944,9 @@ class TestRootRho:
     def test_reduce_query_keeps_the_whole_network(self, rng):
         net = random_chain_net(rng, 6)
         for rule in ("natural", "regular"):
-            reduced = conditioning.reduce_query(
-                net, ("1",), net.cylinder({"6": "1"}), rule)
-            assert reduced.net is net
+            sub, _, _ = reduce_query(net, ("1",), net.cylinder({"6": "1"}),
+                                     rule)
+            assert sub is net
 
     def test_scattered_evidence_on_a_long_chain(self):
         # the gate's evidence on nodes 1-30 and 39 stays per-node

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from credalnet import conditioning, decompose, lp
+from credalnet import decompose, lp, queries
 from credalnet.credal import CredalSet
 from credalnet.decompose import (combined, external_additivity, factorise,
                                  iterated_lower_expectation, lower_expectation,
@@ -31,9 +31,7 @@ TOL = 1e-9
 def lp_conditional(net, f, B):
     """The natural conditional of ``f`` given ``B`` on the whole
     network's global program."""
-    rho, evaluators = conditioning.program_rho(net, B, [f],
-                                               lp.GlobalPolytope(net))
-    return conditioning.condition(rho, evaluators, "natural", 1e-10)[0].value
+    return queries.bounds(net, [f], B, "natural", "lp", 1e-10)[0].value
 
 
 def closed_sets_with_parents(net, rng, want_parents=None, tries=60):

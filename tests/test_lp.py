@@ -373,7 +373,7 @@ class TestWarmStart:
         net, f, B = rho_problem(seed, n)
         neg = -f
         gp = lp.GlobalPolytope(net)
-        rho, _ = conditioning.program_rho(net, B, [f, neg], gp)
+        rho = conditioning.program_rho(net, B, [f, neg], gp)
 
         def cold(c):
             res = simplex.phase2(gp._feasible, c)
