@@ -438,11 +438,13 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     event: the sub-network, the evidence left inside it (``None``: none,
     and both rules reduce to the unconditional value), and whether the
     regular rule returns the vacuous bound.  This is where that case is
-    decided on a reduced query: the evidence has zero upper probability
-    exactly when the rest of the network gives its share of it zero
-    upper probability, or the sub-network gives zero upper probability
-    to the evidence inside K, which :func:`regular_conditional` detects.
-    The marginalisation step goes to ``trace``."""
+    decided on a reduced query, before any sub-network is built: the
+    evidence has zero upper probability exactly when the rest of the
+    network gives its share of it zero upper probability (then the
+    network and the event come back as they are), or the sub-network
+    gives zero upper probability to the evidence inside K, which
+    :func:`regular_conditional` detects.  The marginalisation step goes
+    to ``trace``."""
     if rule not in ("natural", "regular"):
         raise InputError(f"unknown rule {rule!r}")
     if given is None or not given.scope:
@@ -458,18 +460,21 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     inside = {s: assignment[s] for s in assignment if s in K}
     outside = {s: assignment[s] for s in assignment
                if s in rel.non_parent_non_descendants}
-    sub = net if len(K) == len(net.dag.nodes) else \
-        sub_network(net, K, pa_assignment)
     if trace is not None:
         trace.append(decompose.Reduction("marginalisation", {
             "K": tuple(sorted(K)), "rule": rule,
             "parents": tuple(sorted(pa_assignment.items()))}))
     # the upper probability that the non-descendants of K give to their
-    # share of the evidence, from the planner on ``net``, equal by
+    # share of the evidence: positive where every local set gives every
+    # state some, and else from the planner on ``net``, equal by
     # marginalisation, as they form an ancestral set, read as scaled
     rest = {**pa_assignment, **outside}
-    vacuous = rule == "regular" and bool(rest) and not -decompose._plan(
-        net, (), np.array([-1.0]), rest, None)[0][0] > TOL_SIGN
+    if rule == "regular" and rest and not net.upper_positive and \
+            not -decompose._plan(net, (), np.array([-1.0]), rest,
+                                 None)[0][0] > TOL_SIGN:
+        return net, given, True
+    sub = net if len(K) == len(net.dag.nodes) else \
+        sub_network(net, K, pa_assignment)
     # no evidence inside K: both updating rules reduce to the
     # unconditional sub-network value
-    return sub, sub.cylinder(inside) if inside else None, vacuous
+    return sub, sub.cylinder(inside) if inside else None, False

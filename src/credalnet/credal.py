@@ -9,12 +9,19 @@ probability simplex: the set is the mass functions that satisfy them,
 and every consumer of the rows (the local LP, the global program,
 vertex enumeration, membership) intersects them with the simplex, so
 the rows need not imply ``p >= 0`` themselves.  The vertices are held
-as one float array ``_V``, checked in one pass on construction.  ``_H``
-is derived on first read: on construction for a set with constraints,
-whose checks read it, and never for a vertex list that no LP reads.
-The ``MassFunction`` tuples are built from ``_V`` on demand.  Each set
-also keeps one of its members, from which the global program starts.
-All query operations are pure, so instances are freely shareable.
+as one float array ``_V``.  ``_H`` is derived on first read: on
+construction for a set with constraints, whose checks read it, and never
+for a vertex list that no LP reads.  The ``MassFunction`` tuples are
+built from ``_V`` on demand.  Each set also keeps one of its members,
+from which the global program starts.  All query operations are pure,
+so instances are freely shareable.
+
+The vertex lists of a whole network are checked together: a network
+holds the local models of its nodes as arrays
+(:class:`credalnet.network.CredalNetwork`), and checks their rows with
+:func:`vertex_defects`, the one row checker, which a set given on its
+own calls as a batch of one.  The sets a network hands out are views of
+its arrays, built without a second check.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import polytope, simplex
-from .errors import CapabilityError, InputError, ModelError
+from .errors import CapabilityError, CredalError, InputError, ModelError
 
 State = Hashable
 
@@ -118,10 +125,17 @@ class CredalSet:
 
     # -- construction helpers ---------------------------------------------
 
+    @classmethod
+    def _view(cls, states: tuple[State, ...], V: np.ndarray) -> "CredalSet":
+        """The set of the checked vertex rows ``V``, built without checks:
+        a network's view of its arrays."""
+        m = cls.__new__(cls)
+        m.states, m._V, m.constraints = states, V, None
+        return m
+
     def _vertex_array(self, vertices) -> np.ndarray:
-        """The vertices as one (k, n) float array, each row checked to be a
-        mass function and two rows to be apart; on Python floats, as numpy
-        reductions cost several times more on the few rows of a local set."""
+        """The vertices as one (k, n) float array, checked by
+        :func:`vertex_defects` as a batch of one."""
         if not isinstance(vertices, np.ndarray):
             vertices = [v if type(v) is list else self._vertex_row(v)
                         for v in vertices]
@@ -134,18 +148,8 @@ class CredalSet:
             raise ModelError("empty vertex list")
         if V.ndim != 2 or V.shape[1] != len(self.states):
             raise InputError("each vertex must give one number per state")
-        rows = V.tolist()
-        for row in rows:
-            # false for a NaN or an infinity too
-            if not (min(row) >= -TOL_FEAS and abs(sum(row) - 1.0) <= TOL_FEAS):
-                if not all(map(math.isfinite, row)):
-                    raise InputError(f"not a finite number in {tuple(row)}")
-                if min(row) < -TOL_FEAS:
-                    raise InputError(f"negative probability in {tuple(row)}")
-                raise InputError(f"probabilities sum to {sum(row)}, not 1")
-        if len(rows) == 2 and \
-                max(abs(a - b) for a, b in zip(*rows)) <= TOL_FEAS:
-            raise InputError("duplicate vertices in credal set")
+        for _, error in vertex_defects(V, [len(V)], hull=False):
+            raise error
         return V
 
     def _vertex_row(self, v):
@@ -176,10 +180,7 @@ class CredalSet:
             G = np.array([np.array(c.coeffs) - c.bound
                           for c in self.constraints]).reshape(-1, n)
         elif n == 2:
-            # Binary sets are intervals on p(first state).
-            column = self._V[:, 0].tolist()
-            lo, hi = min(column), max(column)
-            return np.array([[1.0 - lo, -lo], [hi - 1.0, hi]])
+            return interval_rows(self._V)
         else:
             G = np.array([alpha - beta for alpha, beta in
                           polytope.facet_constraints(self._V)]).reshape(-1, n)
@@ -206,14 +207,9 @@ class CredalSet:
                     "constraint polytope is not covered by the given vertices")
 
     def _check_minimal(self):
-        k = len(self._V)
-        if k > MAX_CONVERSION_VERTICES:
-            raise CapabilityError("vertex minimality check exceeds desk scale")
-        for i in range(k):
-            rest = np.delete(self._V, i, axis=0)
-            if polytope.in_hull(self._V[i], rest):
-                raise InputError(
-                    f"vertex {i} lies in the convex hull of the others")
+        error = _hull_defect(self._V)
+        if error is not None:
+            raise error
 
     # -- queries ------------------------------------------------------------
 
@@ -284,6 +280,84 @@ class CredalSet:
         nv = len(self._V) if self._V is not None else None
         return (f"CredalSet(states={self.states!r}, vertices={nv}, "
                 f"homogeneous={len(self._H)})")
+
+
+def interval_rows(V: np.ndarray) -> np.ndarray:
+    """The homogeneous rows of binary vertex lists, which are intervals on
+    p(first state): ``V`` has axes (..., vertex, state), and the result
+    (..., 2, 2) holds ``p(0) >= lo`` and ``p(0) <= hi`` of each list.  A
+    list padded by repeating one of its vertices gives the same rows."""
+    column = V[..., 0]
+    lo, hi = column.min(-1), column.max(-1)
+    return np.stack([np.stack([1.0 - lo, -lo], -1),
+                     np.stack([hi - 1.0, hi], -1)], -2)
+
+
+def vertex_defects(V: np.ndarray, counts: Sequence[int], hull=True
+                   ) -> list[tuple[int, CredalError]]:
+    """The first defect of each vertex list whose rows lie one after
+    another in the (rows, states) float array ``V``, list ``i`` taking the
+    next ``counts[i]`` rows: pairs ``(i, error)`` in list order.  A list
+    may be empty; a row may be no mass function (the first such row of a
+    list is named, its sum on Python floats); two rows may coincide; and,
+    where ``hull`` is true (one flag per list, or one for all), a list of
+    more than two rows that passes the rest may hold a row inside the hull
+    of the others (:func:`_hull_defect`).  The rows are read in one pass
+    of array operations, and only the defects on Python floats."""
+    counts = np.asarray(counts, dtype=np.intp)
+    total = V[:, 0].copy()
+    for j in range(1, V.shape[1]):      # left to right, as sum() adds
+        total += V[:, j]
+    # false for a NaN or an infinity too; the ufuncs themselves, as the
+    # methods add a Python frame to each of these small reductions
+    good = (np.minimum.reduce(V, 1) >= -TOL_FEAS) & \
+        (np.abs(total - 1.0) <= TOL_FEAS)
+    # each row against the next
+    close = np.maximum.reduce(np.abs(V[1:] - V[:-1]), 1) <= TOL_FEAS
+    defects, ends = {}, np.add.accumulate(counts)
+    if not np.logical_and.reduce(counts):
+        defects = {i: ModelError("empty vertex list")
+                   for i in np.flatnonzero(counts == 0).tolist()}
+    if not np.logical_and.reduce(good):
+        bad_rows = np.flatnonzero(~good)
+        lists, first = np.unique(np.searchsorted(ends, bad_rows, "right"),
+                                 return_index=True)
+        for i, k in zip(lists.tolist(), first.tolist()):
+            row = V[bad_rows[k]].tolist()
+            if not all(map(math.isfinite, row)):
+                defects[i] = InputError(
+                    f"not a finite number in {tuple(row)}")
+            elif min(row) < -TOL_FEAS:
+                defects[i] = InputError(
+                    f"negative probability in {tuple(row)}")
+            else:
+                defects[i] = InputError(
+                    f"probabilities sum to {sum(row)}, not 1")
+    if np.logical_or.reduce(close):
+        pairs = np.flatnonzero(counts == 2)
+        for i in pairs[close[ends[pairs] - 2]].tolist():
+            defects.setdefault(i, InputError(
+                "duplicate vertices in credal set"))
+    if len(counts) and np.maximum.reduce(counts) > 2:
+        for i in np.flatnonzero((counts > 2) & hull).tolist():
+            if i not in defects:
+                error = _hull_defect(V[ends[i] - counts[i]:ends[i]])
+                if error is not None:
+                    defects[i] = error
+    return sorted(defects.items())
+
+
+def _hull_defect(V: np.ndarray) -> CredalError | None:
+    """The error of a vertex list with a row in the convex hull of the
+    others, or None; desk scale only."""
+    k = len(V)
+    if k > MAX_CONVERSION_VERTICES:
+        return CapabilityError("vertex minimality check exceeds desk scale")
+    for i in range(k):
+        if polytope.in_hull(V[i], np.delete(V, i, axis=0)):
+            return InputError(f"vertex {i} lies in the convex hull of the "
+                              f"others")
+    return None
 
 
 def vacuous(states: Sequence[State]) -> CredalSet:

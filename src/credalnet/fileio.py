@@ -30,12 +30,14 @@ must be positive.  A table names every joint state of its scope and no
 other; a list-style table names each one once.
 
 Network documents are read in a single pass that both records every
-defect (:func:`validate_document`) and collects the parsed local sets
-that :func:`load_network_document` hands to :class:`CredalNetwork`.
-A local entry's vertices reach :class:`CredalSet` as one list of rows of
-floats, each read against the entry's one set of state names; the set
-checks them in one pass and holds them as one array, and builds its
-constraint rows and ``MassFunction`` tuple only on demand.
+defect (:func:`validate_document`) and builds the network that
+:func:`load_network_document` returns.  A local entry's vertices are
+read against the entry's one set of state names into one flat tuple of
+floats (:func:`_parse_local`); an entry with constraints gives a
+:class:`CredalSet`.  :class:`CredalNetwork` checks the rows of every
+tuple in one array per state count and keeps the local models in one
+array per node, from which it hands out ``CredalSet`` views on demand.
+A defect of the rows is listed at its entry's place among the others.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .credal import CredalSet
 from .errors import InputError, ModelError
 from .graph import Dag
-from .network import CredalNetwork, Event, Factor
+from .network import CredalNetwork, Event, Factor, vertex_lists
 
 
 def parse_number(v) -> float:
@@ -105,8 +107,7 @@ def _check_keys(obj: Mapping, allowed: tuple, what: str,
 def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
     """One pass over a raw network document.  Returns every violation
     found (instead of stopping at the first) and, when there is none,
-    the DAG, the state spaces and the parsed local sets of the network;
-    each local set is parsed once."""
+    the network; each local entry is parsed once."""
     report = ValidationReport()
     if not isinstance(doc, Mapping):
         report.add("document is not a JSON object")
@@ -169,6 +170,7 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
     seen = set()
     given_count = dict.fromkeys(dag.nodes, 0)
     locals_ = {}
+    tuples = []     # (place in the report, key) of each vertex tuple
     for entry in local_entries:
         if not isinstance(entry, Mapping) or "node" not in entry \
                 or not isinstance(entry.get("given", {}), Mapping):
@@ -202,6 +204,9 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
             locals_[key] = _parse_local(entry, spaces[s])
         except (InputError, ModelError) as e:
             report.add(f"invalid local model for {key!r}: {e}")
+            continue
+        if type(locals_[key]) is tuple:
+            tuples.append((len(report.issues), key))
     # count the missing local models before listing any, so that a node
     # with many parents costs no more than the entries the document gives
     for s in sorted(dag.nodes):
@@ -215,7 +220,22 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
                 if (s, cfg) not in seen:
                     report.add(f"missing local model for node {s!r} given "
                                f"{cfg!r}")
-    return report, ((dag, spaces, locals_) if report.ok else None)
+    if report.ok:
+        try:
+            return report, CredalNetwork(dag, spaces, locals_)
+        except (InputError, ModelError):
+            pass        # a defect of the rows, listed below
+    # the defects of the vertex rows, each at its entry's place
+    keys = [key for _, key in tuples]
+    for i, error in reversed(vertex_lists(
+            [locals_[key] for key in keys],
+            [len(spaces[s]) for s, _ in keys], keys)[1]):
+        place, key = tuples[i]
+        if not isinstance(error, (InputError, ModelError)):
+            raise error
+        report.issues.insert(place, f"invalid local model for {key!r}: "
+                                    f"{error}")
+    return report, None
 
 
 def validate_document(doc) -> ValidationReport:
@@ -244,12 +264,31 @@ def _row(obj: Mapping, states: tuple, names: set, what: str) -> list[float]:
     return [parse_number(obj[s]) for s in states]
 
 
-def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
+def _parse_local(entry: Mapping, states: tuple) -> tuple | CredalSet:
+    """A local entry's vertex list as one flat tuple of floats, a row
+    per vertex in state order, left for :class:`CredalNetwork` to check;
+    an entry with constraints, or with neither form, as a
+    :class:`CredalSet`."""
+    vertices = entry.get("vertices")
+    if type(vertices) is list and "constraints" not in entry:
+        # at speed: objects that name exactly the states, and finite
+        # floats, as their sum then is; else the first defect, vertex by
+        # vertex
+        try:
+            numbers = [v[s] for v in vertices for s in states]
+        except (KeyError, TypeError):
+            numbers = None
+        if numbers is not None and sum(map(len, vertices)) == len(numbers) \
+                and set(map(type, numbers)) <= {float} \
+                and math.isfinite(sum(numbers)):
+            return tuple(numbers)
     vertices = _objects(entry, "vertices")
     constraints = _objects(entry, "constraints")
     names = set(states)
     if vertices is not None:
         vertices = [_row(v, states, names, "vertex") for v in vertices]
+        if constraints is None:
+            return tuple(chain.from_iterable(vertices))
     if constraints is not None:
         for c in constraints:
             if not isinstance(c.get("alpha"), Mapping) or "beta" not in c:
@@ -262,10 +301,10 @@ def _parse_local(entry: Mapping, states: tuple) -> CredalSet:
 
 def load_network_document(doc) -> CredalNetwork:
     """The network of a raw document, validated and built in one pass."""
-    report, parts = _read_network(doc)
-    if parts is None:
+    report, net = _read_network(doc)
+    if net is None:
         raise InputError("invalid network document:\n" + str(report))
-    return CredalNetwork(*parts)
+    return net
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -302,17 +341,24 @@ def network_document(net: CredalNetwork) -> dict:
         "locals": [],
     }
     for s in net.dag.nodes:
-        for cfg in net.parent_configs(s):
-            m = net.local(s, cfg)
+        stack, counts = net._node(s)
+        if counts is None:
+            forms = [m._V if m._V is not None else m.constraints
+                     for m in stack.flat]
+        else:
+            forms = [V[:k] for V, k in zip(stack.reshape(-1, *stack.shape[-2:]),
+                                           counts.flat)]
+        for cfg, form in zip(net.parent_configs(s), forms):
             entry = {"node": s,
                      "given": {p: x for p, x in zip(net.dag.parents(s), cfg)}}
-            if m._V is not None:
-                entry["vertices"] = [
-                    dict(zip(m.states, map(_fmt, v))) for v in m._V.tolist()]
-            else:
+            if isinstance(form, tuple):
                 entry["constraints"] = [
-                    {"alpha": {x: _fmt(a) for x, a in zip(m.states, c.coeffs)},
-                     "beta": _fmt(c.bound)} for c in m.constraints]
+                    {"alpha": {x: _fmt(a) for x, a in zip(net.states(s),
+                                                          c.coeffs)},
+                     "beta": _fmt(c.bound)} for c in form]
+            else:
+                entry["vertices"] = [dict(zip(net.states(s), map(_fmt, v)))
+                                     for v in form.tolist()]
             doc["locals"].append(entry)
     return doc
 

@@ -84,13 +84,21 @@ def event_mask(net: CredalNetwork, event: Event) -> np.ndarray:
 
 
 def _node_rows(net: CredalNetwork):
-    """Per node ``s``: its non-descendants in declaration order, and the
-    rows ``_H`` of its local set at each parent configuration, in
-    :meth:`CredalNetwork.parent_configs` order."""
+    """Per node ``s``: its non-descendants in declaration order, the rows
+    ``_H`` of its local sets one after another, in
+    :meth:`CredalNetwork.parent_configs` order
+    (:meth:`CredalNetwork.local_rows`), and their number at each
+    configuration."""
     for s in net.dag.nodes:
         nd = set(net.dag.nodes) - {s} - net.dag.descendants(s)
-        yield s, net.dag.sorted_nodes(nd), [
-            net.local(s, cfg)._H for cfg in net.parent_configs(s)]
+        R = net.local_rows(s)
+        if R.dtype != object:
+            H = R.reshape(-1, net.size(s))
+            h = np.full(len(H) // R.shape[-2], R.shape[-2])
+        else:
+            H = np.concatenate(list(R.flat)).reshape(-1, net.size(s))
+            h = np.array([len(G) for G in R.flat])
+        yield s, net.dag.sorted_nodes(nd), H, h
 
 
 def _row_count(net: CredalNetwork, blocks: list) -> int:
@@ -98,8 +106,8 @@ def _row_count(net: CredalNetwork, blocks: list) -> int:
     ``blocks`` (of :func:`_node_rows`), counted from the local sets:
     every parent configuration of ``s`` recurs once per state of the
     other non-descendants of ``s``."""
-    return sum(net.joint_count(nd) // len(Hs) * sum(map(len, Hs))
-               for _, nd, Hs in blocks)
+    return sum(net.joint_count(nd) // len(h) * int(h.sum())
+               for _, nd, _, h in blocks)
 
 
 def _constraint_rows(net: CredalNetwork, idx: JointIndex, blocks: list,
@@ -108,33 +116,37 @@ def _constraint_rows(net: CredalNetwork, idx: JointIndex, blocks: list,
     Node by node, every state of the non-descendants of ``s``, in
     lexicographic order, has one row per row ``gamma`` of the local set
     at its parent configuration, holding ``gamma(z_s)`` at each joint
-    state that extends it; filled in one pass per parent configuration."""
+    state that extends it; filled in one step per node."""
     rows, top = np.zeros((count, idx.total)), 0
-    for s, nd, Hs in blocks:
+    for s, nd, H, h in blocks:
         cfg, n_cfg = idx.config_index(nd)
         pa, _ = idx.config_index(net.dag.parents(s))
-        zs, h = idx.digits(s), np.zeros(n_cfg, dtype=np.int64)
-        h[cfg] = np.array([len(H) for H in Hs])[pa]
-        first = top + np.cumsum(h) - h
-        top += int(h.sum())
-        for k, H in enumerate(Hs):
-            on = np.flatnonzero(pa == k)
-            rows[first[cfg[on]] + np.arange(len(H))[:, None], on] = \
-                H[:, zs[on]]
+        zs, per = idx.digits(s), h[pa]
+        first_of = np.zeros(n_cfg, dtype=np.int64)
+        first_of[cfg] = per
+        first = top + np.cumsum(first_of) - first_of
+        top += int(first_of.sum())
+        # one entry per joint state and row of its local set
+        at = np.repeat(np.arange(idx.total), per)
+        r = np.arange(len(at)) - np.repeat(np.cumsum(per) - per, per)
+        rows[first[cfg[at]] + r, at] = \
+            H[np.repeat((np.cumsum(h) - h)[pa], per) + r, zs[at]]
     assert top == count
     return rows
 
 
 def _product_model(net: CredalNetwork, idx: JointIndex) -> np.ndarray:
     """The joint mass function of the Bayesian network that takes the
-    kept member of every local set (:attr:`CredalSet.member`): a point of
-    the strong extension, and so of the global program."""
+    kept member of every local set (:attr:`CredalSet.member`, the first
+    vertex of a vertex list): a point of the strong extension, and so of
+    the global program."""
     x = np.ones(idx.total)
     for s in net.dag.nodes:
-        members = np.array([net.local(s, cfg).member
-                            for cfg in net.parent_configs(s)])
+        stack = net.local_stack(s)
+        members = stack[..., 0, :] if stack.dtype != object else \
+            np.array([m.member for m in stack.flat])
         cfg, _ = idx.config_index(net.dag.parents(s))
-        x *= members[cfg, idx.digits(s)]
+        x *= members.reshape(-1, net.size(s))[cfg, idx.digits(s)]
     return x
 
 
@@ -221,9 +233,9 @@ class GlobalPolytope:
         lines.append("min " + nums(factor_vector(self.net, f)))
         lines.append("eq " + nums(np.ones(self.idx.total)) + " = 1.0")
         labels = []
-        for s, nd, Hs in _node_rows(self.net):
+        for s, nd, _, h in _node_rows(self.net):
             pa_pos = [nd.index(p) for p in self.net.dag.parents(s)]
-            h = dict(zip(self.net.parent_configs(s), map(len, Hs)))
+            h = dict(zip(self.net.parent_configs(s), h.tolist()))
             for nd_t in product(*(self.net.states(u) for u in nd)):
                 name = f"{s}|{','.join(nd_t) if nd_t else '-'}"
                 labels += [f"{name}|g{gi}" for gi in

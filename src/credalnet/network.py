@@ -1,6 +1,16 @@
 """Credal networks: a DAG, per-node state spaces, and one local credal set
 per node and parent configuration.
 
+The local models live in arrays, not in one object per configuration: a
+network reads the vertex lists of all its entries into one float array
+per state count, checks their rows there in one pass, and lays them out
+node by node, so that each node's models are one view of that array,
+with axes (parent configurations..., vertex, state) and the vertex count
+of each configuration (:meth:`CredalNetwork.local_stack`).  A node with
+a set given by constraints holds its :class:`CredalSet` objects instead.
+The sets that :meth:`CredalNetwork.local` hands out are views of the
+arrays, built on first use, and a sub-network slices them.
+
 Assignments of states to nodes are plain ``dict[str, str]`` mappings.
 Factors and events carry an explicit scope, kept in node-declaration
 order.  A factor's values are one array with an axis per scope node;
@@ -14,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
+from functools import cache, cached_property
+from itertools import chain, count, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .credal import CredalSet
+from .credal import CredalSet, interval_rows, vertex_defects
 from .errors import CapabilityError, InputError
 from .graph import Dag, set_relations
 
@@ -99,10 +110,22 @@ class Event:
 
 
 class CredalNetwork:
-    """Immutable credal network; all queries are pure."""
+    """Immutable credal network; all queries are pure.
+
+    ``locals_`` maps each pair (node, parent configuration) to its local
+    set: a :class:`CredalSet`, or the numbers of its vertex list, one row
+    per vertex in state order, as one flat tuple of floats (what
+    :func:`credalnet.fileio._parse_local` gives a vertex entry).  The
+    rows of every vertex list are checked in one array per state count
+    (:func:`credalnet.credal.vertex_defects`), the first defect in entry
+    order raised.  The lists are then laid out node by node in one array
+    per state count, whose slices are the node arrays
+    (:meth:`local_stack`), with the vertex count of each configuration;
+    :meth:`local` hands out views of them, built on first use (or the
+    sets handed over as such)."""
 
     def __init__(self, dag: Dag, state_spaces: Mapping[str, Sequence[str]],
-                 locals_: Mapping[tuple, CredalSet]):
+                 locals_: Mapping[tuple, CredalSet | tuple]):
         self.dag = dag
         self.state_spaces: dict[str, tuple[str, ...]] = {}
         for s in dag.nodes:
@@ -117,26 +140,117 @@ class CredalNetwork:
             raise InputError(f"state spaces for undeclared nodes {sorted(extra)}")
 
         # as many keys as configurations, each one of them: none is
-        # missing, and none is enumerated
-        self.locals: dict[tuple, CredalSet] = dict(locals_)
-        parents = {s: dag.parents(s) for s in dag.nodes}
-        expected = sum(math.prod(len(self.state_spaces[p]) for p in pas)
-                       for pas in parents.values())
-        if len(self.locals) != expected:
-            raise InputError(f"the network needs {expected} local models, "
-                             f"not {len(self.locals)}")
-        for key, m in self.locals.items():
-            pair = type(key) is tuple and len(key) == 2
-            s, cfg = key if pair else (None, None)
-            pas = parents.get(s)
-            if pas is None or type(cfg) is not tuple or len(cfg) != len(pas) \
-                    or not all(x in self.state_spaces[p]
-                               for p, x in zip(pas, cfg)) \
-                    or not isinstance(m, CredalSet):
-                raise InputError(f"spurious local-model entry {key}")
-            if m.states != self.state_spaces[s]:
-                raise InputError(f"local model state mismatch at {key}")
-        self._stacks: dict[str, np.ndarray] = {}   # see local_stack
+        # missing, and the configurations are enumerated only then
+        parents = list(map(dag.parents, dag.nodes))
+        spaces = [tuple(map(self.state_spaces.get, pas)) for pas in parents]
+        shapes = [tuple(map(len, space)) for space in spaces]
+        configs = list(map(math.prod, shapes))
+        if len(locals_) != sum(configs):
+            raise InputError(f"the network needs {sum(configs)} local "
+                             f"models, not {len(locals_)}")
+        # the place of each configuration of a node's parents in
+        # lexicographic order, once per tuple of parent state spaces
+        places = {space: dict(zip(product(*space), count()))
+                  for space in set(spaces)}
+        places = dict(zip(dag.nodes, map(places.get, spaces)))
+        keys, values = list(locals_), list(locals_.values())
+        try:
+            pos = [places[s].get(cfg) for s, cfg in keys]
+        except (KeyError, TypeError, ValueError):
+            pos = [None]
+        self._views: dict[tuple, CredalSet] = {}   # see local
+        set_nodes = []      # with a set given by constraints, or by none
+        if None in pos or not set(map(type, values)) <= {tuple}:
+            # one entry at a time, the first spurious one raised
+            pos = []
+            for i, (key, m) in enumerate(zip(keys, values)):
+                pair = type(key) is tuple and len(key) == 2
+                pos.append(places.get(key[0], {}).get(key[1]) if pair
+                           else None)
+                if pos[-1] is None or not (type(m) is tuple or
+                                           isinstance(m, CredalSet)):
+                    raise InputError(f"spurious local-model entry {key}")
+                if type(m) is tuple:
+                    continue
+                if m.states != self.state_spaces[key[0]]:
+                    raise InputError(f"local model state mismatch at {key}")
+                self._views[key] = m
+                if m._V is None or m.constraints is not None:
+                    values[i] = None
+                    set_nodes.append(dag.index(key[0]))
+                else:
+                    values[i] = m._V.ravel()
+        ids = dict(zip(dag.nodes, count()))
+        node = np.fromiter(map(ids.__getitem__, map(itemgetter(0), keys)),
+                           np.intp, len(keys))
+        pos = np.array(pos, dtype=np.intp)
+        sizes = {s: len(space) for s, space in self.state_spaces.items()}
+        groups, defects = vertex_lists(
+            values, list(map(sizes.__getitem__, map(itemgetter(0), keys))),
+            keys)
+        if defects:
+            raise defects[0][1]
+
+        # each node's arrays, made on first use (see _node) from one
+        # array per state count; those with a set given by constraints,
+        # or by none, hold their sets
+        self._stacks: dict[str, np.ndarray] = {}
+        self._counts: dict[str, np.ndarray | None] = {}
+        self._rows: dict[str, np.ndarray] = {}     # see local_rows
+        self._arrays, self._origin = [], None
+        # per node: its part of _arrays, and its place in that part
+        self._place = np.zeros((len(configs), 2), dtype=np.intp)
+        for at, V, counts in groups:
+            starts = np.add.accumulate(counts) - counts
+            on = slice(None) if not set_nodes else \
+                ~np.isin(node[at], set_nodes)
+            if len(counts[on]):
+                G, k, ids, *place = _gather(V, starts[on], counts[on],
+                                            node[at][on], pos[at][on])
+                self._place[ids, 0] = len(self._arrays)
+                self._place[ids, 1] = np.arange(len(ids))
+                self._arrays.append((G, k, *(x.tolist() for x in place)))
+            if set_nodes:
+                for j in np.flatnonzero(~on).tolist():
+                    key = keys[at[j]]
+                    self._views[key] = CredalSet._view(
+                        self.state_spaces[key[0]],
+                        V[starts[j]:starts[j] + counts[j]])
+        for i in set(set_nodes):
+            s = dag.nodes[i]
+            stack = np.empty(configs[i], dtype=object)
+            stack[:] = [self._views[(s, cfg)]
+                        for cfg in self.parent_configs(s)]
+            self._stacks[s] = stack.reshape(shapes[i])
+            self._counts[s] = None
+
+    @classmethod
+    def _of_stacks(cls, dag: Dag, state_spaces: dict, stacks: dict,
+                   counts: dict, origin: tuple) -> "CredalNetwork":
+        """The network of the node arrays of an existing one, unchecked;
+        ``origin`` = (network, index of each node's arrays in its)."""
+        net = cls.__new__(cls)
+        net.dag, net.state_spaces = dag, state_spaces
+        net._stacks, net._counts, net._views, net._arrays = \
+            stacks, counts, {}, []
+        net._rows, net._origin = {}, origin
+        return net
+
+    def _node(self, s: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """The stack of ``s`` (see :meth:`local_stack`) and its vertex
+        count per configuration (None for an object stack); a node's
+        arrays are views of one of the network's, made on first use."""
+        stack = self._stacks.get(s)
+        if stack is None:
+            g, j = self._place[self.dag.index(s)].tolist()
+            G, k, first, K, rows = self._arrays[g]
+            c, w, a = first[j], K[j], rows[j]
+            shape = self.shape(self.dag.parents(s))
+            C = math.prod(shape)
+            stack = self._stacks[s] = \
+                G[a:a + C * w].reshape(shape + (w, G.shape[1]))
+            self._counts[s] = k[c:c + C].reshape(shape)
+        return stack, self._counts[s]
 
     # -- lookup -------------------------------------------------------------
 
@@ -161,10 +275,41 @@ class CredalNetwork:
             raise InputError(f"assignment misses parent {e} of {s!r}") from None
 
     def local(self, s: str, parent_config: tuple = ()) -> CredalSet:
+        """The local set of ``s`` at a parent configuration: a view of the
+        rows of :meth:`local_stack` there, built on first use and kept."""
         key = (s, tuple(parent_config))
-        if key not in self.locals:
-            raise InputError(f"no local model for {key}")
-        return self.locals[key]
+        m = self._views.get(key)
+        if m is None:
+            try:
+                pas = self.dag.parents(s)
+                if len(key[1]) != len(pas):
+                    raise InputError
+                at = tuple(map(self.state_index, pas, key[1]))
+            except InputError:
+                raise InputError(f"no local model for {key}") from None
+            stack, counts = self._node(s)
+            m = stack[at] if counts is None else CredalSet._view(
+                self.state_spaces[s], stack[at][:counts[at]])
+            self._views[key] = m
+        return m
+
+    @cached_property
+    def locals(self) -> dict[tuple, CredalSet]:
+        """Every local set, by (node, parent configuration), as by
+        :meth:`local`."""
+        return {(s, cfg): self.local(s, cfg) for s in self.dag.nodes
+                for cfg in self.parent_configs(s)}
+
+    @cached_property
+    def upper_positive(self) -> bool:
+        """Whether every local set gives every state positive upper
+        probability: at each configuration, some vertex puts positive mass
+        on it; false on a node with a set given by constraints.  Then
+        every joint state, and so every nonempty event, has positive upper
+        probability in the strong extension, and so in the irrelevant
+        natural extension, which contains it."""
+        return all(counts is not None and bool((stack.max(-2) > 0.0).all())
+                   for stack, counts in map(self._node, self.dag.nodes))
 
     def local_lower(self, s: str, g) -> np.ndarray:
         """The lower expectation of the gamble ``g`` on ``s`` under the
@@ -190,25 +335,36 @@ class CredalNetwork:
         return np.array(values).reshape(shape)
 
     def local_stack(self, s: str) -> np.ndarray:
-        """The local sets of ``s`` in an object array over its parent
-        configurations; or, when all have a vertex list, their vertices
-        in a float array with axes (parents..., vertex, state), where a
-        set with fewer vertices repeats its first one, which leaves every
-        minimum unchanged.  Built on first use and kept."""
-        if s not in self._stacks:
-            sets = [self.local(s, cfg) for cfg in self.parent_configs(s)]
-            shape = self.shape(self.dag.parents(s))
-            if all(m._V is not None for m in sets):
-                k = max(len(m._V) for m in sets)
-                stack = np.array([m._V if len(m._V) == k else
-                                  np.vstack([m._V, m._V[[0] * (k - len(m._V))]])
-                                  for m in sets])
-                shape += stack.shape[1:]
+        """The local models of ``s``: when each is given by its vertices
+        alone, their vertices in one read-only float array with axes
+        (parents..., vertex, state), where a list with fewer vertices
+        repeats its first one, which leaves every minimum unchanged;
+        otherwise the local sets in an object array over the parent
+        configurations."""
+        stack = self._stacks.get(s)
+        return self._node(s)[0] if stack is None else stack
+
+    def local_rows(self, s: str) -> np.ndarray:
+        """The homogeneous rows of the local sets of ``s``
+        (``CredalSet._H``): for binary vertex lists, one float array with
+        axes (parents..., row, state), from the node's array in one step
+        (:func:`credalnet.credal.interval_rows`); else the rows of each
+        set in an object array over the parent configurations.  Built on
+        first use and kept; a sub-network slices its network's."""
+        R = self._rows.get(s)
+        if R is None and self._origin is not None:
+            net, at = self._origin
+            R = net.local_rows(s)[at[s]]
+        elif R is None:
+            stack, counts = self._node(s)
+            if counts is not None and stack.shape[-1] == 2:
+                R = interval_rows(stack)
             else:
-                stack = np.empty(len(sets), dtype=object)
-                stack[:] = sets
-            self._stacks[s] = stack.reshape(shape)
-        return self._stacks[s]
+                R = np.empty(self.shape(self.dag.parents(s)), dtype=object)
+                for i, cfg in enumerate(self.parent_configs(s)):
+                    R.flat[i] = self.local(s, cfg)._H
+        self._rows[s] = R
+        return R
 
     def joint_count(self, S: Iterable[str] | None = None) -> int:
         nodes = self.dag.nodes if S is None else self.dag.sorted_nodes(S)
@@ -307,6 +463,76 @@ class CredalNetwork:
             np.broadcast_to(values, shape)
 
 
+def _gather(V: np.ndarray, start: np.ndarray, counts: np.ndarray,
+            node: np.ndarray, pos: np.ndarray) -> tuple:
+    """The vertex lists among the rows of ``V`` (list ``j`` being the
+    ``counts[j]`` rows from ``start[j]``, of node ``node[j]`` at its
+    configuration ``pos[j]``; every list of such a node is given) in one
+    read-only array, node by node in configuration order, each padded to
+    its node's longest by repeating its first row; their vertex counts,
+    in the same order; and per node, by ascending id: the id, the place
+    of its first list, the length of its padded lists and its first row
+    in the array."""
+    order = np.lexsort((pos, node))
+    start, counts, node = start[order], counts[order], node[order]
+    # the first list of each node, and how many it has
+    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    C = np.concatenate((first[1:], [len(node)])) - first
+    K = np.maximum.reduceat(counts, first)
+    # the K slots of each configuration: its rows, then its first again
+    rep = np.repeat(K, C)
+    ends = np.add.accumulate(rep)
+    if ends[-1] == len(V) and (rep == counts).all() and \
+            (order == np.arange(len(order))).all():
+        G = V       # every row of V, in order, and none padded
+    else:
+        j = np.arange(ends[-1]) - np.repeat(ends - rep, rep)
+        G = V[np.repeat(start, rep) +
+              np.where(j < np.repeat(counts, rep), j, 0)]
+    G.flags.writeable = counts.flags.writeable = False
+    return G, counts, node[first], first, K, ends[first] - K
+
+
+def vertex_lists(lists: list, sizes: list, keys: list
+                 ) -> tuple[list, list]:
+    """The vertex lists ``lists[i]`` on ``sizes[i]`` states, flat (a
+    tuple, checked up to the hull here, or the rows of a set, checked when
+    it was built; None for none), read into one float array per state
+    count and checked there (:func:`credalnet.credal.vertex_defects`):
+    per state count ``(at, V, counts)``, the places of its lists, their
+    rows and vertex counts; and the first defect of each list, as ``(i,
+    error)`` in list order.  A list that is not numbers, as many a vertex
+    as there are states, raises, naming its key."""
+    groups, defects = [], []
+    for n in sorted(set(sizes)):
+        at = [i for i, (size, t) in enumerate(zip(sizes, lists))
+              if size == n and t is not None]
+        if not at:
+            continue
+        numbers = [lists[i] for i in at]
+        lengths = np.fromiter(map(len, numbers), np.intp, len(at))
+        if (lengths % n).any():
+            raise InputError(f"each vertex must give one number per state "
+                             f"at {keys[at[(lengths % n).argmax()]]}")
+        try:
+            V = np.fromiter(chain.from_iterable(numbers), float,
+                            lengths.sum()).reshape(-1, n)
+        except (TypeError, ValueError):
+            for i in at:
+                try:
+                    np.fromiter(lists[i], float)
+                except (TypeError, ValueError):
+                    raise InputError(f"spurious local-model entry "
+                                     f"{keys[i]}") from None
+            raise
+        counts = lengths // n
+        hull = [type(lists[i]) is tuple for i in at]
+        defects += [(at[j], error)
+                    for j, error in vertex_defects(V, counts, hull)]
+        groups.append((at, V, counts))
+    return groups, sorted(defects, key=lambda d: d[0])
+
+
 def lower_argmin(stack: np.ndarray, g: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The local lower expectations of the gamble ``g`` under a
@@ -356,9 +582,10 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
     """The credal network induced on K once the states of K's external
     parents are fixed.
 
-    The sub-DAG keeps the edges inside K; each local set is re-indexed by
-    the K-internal parents, with the out-of-K parent values instantiated
-    from ``parent_assignment``.  K is not required to be closed here;
+    The sub-DAG keeps the edges inside K; each node array is sliced to
+    the K-internal parent axes, with the out-of-K parent values
+    instantiated from ``parent_assignment``, and to the longest vertex
+    list left.  K is not required to be closed here;
     closedness is a hypothesis of the reduction theorems, not of the
     construction.
     """
@@ -374,15 +601,18 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
 
     sub_dag = Dag(Kt, [(a, b) for (a, b) in net.dag.edges
                        if a in Kset and b in Kset])
-    spaces = {s: net.states(s) for s in Kt}
-    locals_: dict[tuple, CredalSet] = {}
+    stacks, counts, ats = {}, {}, {}
     for s in Kt:
-        outer_parents = net.dag.parents(s)
-        inner_parents = sub_dag.parents(s)
-        for cfg in product(*(spaces[p] for p in inner_parents)):
-            inner = dict(zip(inner_parents, cfg))
-            full_cfg = tuple(
-                inner[p] if p in inner else parent_assignment[p]
-                for p in outer_parents)
-            locals_[(s, cfg)] = net.local(s, full_cfg)
-    return CredalNetwork(sub_dag, spaces, locals_)
+        # the axes of the K-internal parents, the others at their states
+        at = ats[s] = tuple(slice(None) if p in Kset else
+                            net.state_index(p, parent_assignment[p])
+                            for p in net.dag.parents(s)) + (...,)
+        stack, count = net._node(s)
+        stack = stack[at]
+        if count is not None:
+            count = count[at]
+            stack = stack[..., :count.max(), :]
+        stacks[s], counts[s] = stack, count
+    return CredalNetwork._of_stacks(
+        sub_dag, {s: net.state_spaces[s] for s in Kt}, stacks, counts,
+        (net, ats))

@@ -273,6 +273,17 @@ def simplex_cut_net(as_vertices: bool) -> CredalNetwork:
     return CredalNetwork(dag, spaces, locals_)
 
 
+def three_state_locals(dag: Dag, rng: np.random.Generator,
+                       sizes=(3,)) -> dict:
+    """Local sets over :data:`CUT_STATES`, each of a vertex count drawn
+    from ``sizes``, its vertices drawn in the simplex (three of them are
+    the vertices of their triangle)."""
+    return {(s, cfg): CredalSet(CUT_STATES, vertices=rng.dirichlet(
+                [1.0] * 3, size=int(rng.choice(sizes))))
+            for s in dag.nodes
+            for cfg in product(*(CUT_STATES for _ in dag.parents(s)))}
+
+
 def precise_locals(dag: Dag, rng: np.random.Generator) -> dict:
     """Singleton local sets: an ordinary Bayesian network."""
     locals_ = {}

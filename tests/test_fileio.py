@@ -5,10 +5,20 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from credalnet import fileio
+from credalnet.credal import (CredalSet, binary_interval,
+                              vertices_to_constraints)
 from credalnet.errors import InputError
+from credalnet.graph import Dag
+from credalnet.lp import GlobalPolytope
+from credalnet.network import CredalNetwork, lower_argmin
+
+from helpers import (CUT_STATES, binary_net, constraint_twin,
+                     interval_locals, random_dag, random_factor,
+                     three_state_locals)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -289,14 +299,21 @@ class TestLoadNetworkDocument:
         parse = fileio._parse_local
 
         def counting(entry, states):
-            parsed.append(parse(entry, states))
-            return parsed[-1]
+            parsed.append((entry, parse(entry, states)))
+            return parsed[-1][1]
 
         monkeypatch.setattr(fileio, "_parse_local", counting)
         net = fileio.load_network_document(chain3)
         assert len(parsed) == len(chain3["locals"]) == len(net.locals)
-        # the network holds the very sets that were parsed
-        assert {id(m) for m in parsed} == {id(m) for m in net.locals.values()}
+        # the network holds the very sets that were parsed, and the very
+        # numbers of each vertex list
+        assert {type(m) for _, m in parsed} == {tuple, CredalSet}
+        for entry, m in parsed:
+            local = net.local(entry["node"], tuple(entry["given"].values()))
+            if type(m) is tuple:
+                assert local._V.ravel().tolist() == list(m)
+            else:
+                assert local is m
 
     def test_network(self, chain3):
         net = fileio.load_network_document(chain3)
@@ -310,6 +327,124 @@ class TestLoadNetworkDocument:
         text = fileio.dump_network(net)
         again = fileio.load_network_document(json.loads(text))
         assert fileio.dump_network(again) == text
+
+
+def per_set_network(doc):
+    """The network of a valid document built from one :class:`CredalSet`
+    per entry, each checked on its own."""
+    spaces = {e["name"]: tuple(e["states"]) for e in doc["nodes"]}
+    dag = Dag(list(spaces), [tuple(e) for e in doc["edges"]])
+    locals_ = {}
+    for entry in doc["locals"]:
+        s, states = entry["node"], spaces[entry["node"]]
+        m = fileio._parse_local(entry, states)
+        if type(m) is tuple:
+            m = CredalSet(states, vertices=np.reshape(m, (-1, len(states))))
+        locals_[(s, tuple(entry["given"][p] for p in dag.parents(s)))] = m
+    return CredalNetwork(dag, spaces, locals_)
+
+
+def benchmark_route(doc):
+    """The network as the benchmark loads a long chain: ``_parse_local``
+    per entry, then :class:`CredalNetwork`, with no validation report."""
+    spaces = {e["name"]: tuple(e["states"]) for e in doc["nodes"]}
+    dag = Dag(list(spaces), [tuple(e) for e in doc["edges"]])
+    return CredalNetwork(dag, spaces, {
+        (e["node"], tuple(e["given"][p] for p in dag.parents(e["node"]))):
+        fileio._parse_local(e, spaces[e["node"]]) for e in doc["locals"]})
+
+
+def assert_same_models(net, twin, rng):
+    """``twin`` answers as ``net`` does, bit for bit: the same local sets
+    and node arrays, local lower expectations with their minimisers, and
+    global program."""
+    for s in net.dag.nodes:
+        for cfg in net.parent_configs(s):
+            m, t = net.local(s, cfg), twin.local(s, cfg)
+            assert m.states == t.states and m.constraints == t.constraints
+            assert (m._V is None) == (t._V is None)
+            if m._V is not None:
+                assert m._V.shape == t._V.shape
+                assert m._V.tobytes() == t._V.tobytes()
+            assert m._H.tobytes() == t._H.tobytes()
+        stack, other = net.local_stack(s), twin.local_stack(s)
+        assert stack.dtype == other.dtype and stack.shape == other.shape
+        if stack.dtype != object:
+            assert stack.tobytes() == other.tobytes()
+        parents = net.shape(net.dag.parents(s))
+        g = rng.normal(size=(3, *parents, net.size(s)))
+        assert np.array_equal(net.local_lower(s, g), twin.local_lower(s, g))
+        for a, b in zip(lower_argmin(stack, g), lower_argmin(other, g)):
+            assert np.array_equal(a, b)
+    if net.joint_count() <= 2 ** 9:
+        f = random_factor(rng, net, net.dag.nodes[-2:])
+        assert GlobalPolytope(net).dump(f) == GlobalPolytope(twin).dump(f)
+
+
+def random_set_network(rng, kind):
+    """A seeded network built from :class:`CredalSet` objects: binary
+    intervals, some collapsed to one vertex (``collapsed``); three-state
+    three-vertex sets (``three``); every set of more than one vertex by
+    its constraints (``constraints``); or each set in either form, so
+    that some nodes mix them (``mixed``)."""
+    dag = random_dag(rng, int(rng.integers(3, 6)), 0.5)
+    if kind == "three":
+        return CredalNetwork(dag, dict.fromkeys(dag.nodes, CUT_STATES),
+                             three_state_locals(dag, rng))
+    locals_ = interval_locals(dag, rng)
+    for key in locals_:
+        if kind == "collapsed" and rng.random() < 0.4:
+            locals_[key] = binary_interval(("0", "1"), *[rng.random()] * 2)
+        elif kind == "mixed" and rng.random() < 0.5:
+            m = locals_[key]
+            locals_[key] = CredalSet(m.states,
+                                     constraints=vertices_to_constraints(m))
+    net = binary_net(dag, locals_)
+    return constraint_twin(net) if kind == "constraints" else net
+
+
+class TestNodeArrays:
+    """A loaded network keeps its local models in node arrays, and
+    answers as the network built from one checked set per entry."""
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(DATA) if n.endswith(".json") and
+        "nodes" in read(n)))
+    def test_data_networks(self, name, rng):
+        doc = read(name)
+        net = per_set_network(doc)
+        assert_same_models(net, fileio.load_network_document(doc), rng)
+        assert_same_models(net, benchmark_route(doc), rng)
+
+    @pytest.mark.parametrize("kind", ["collapsed", "three", "constraints",
+                                      "mixed"])
+    def test_random_networks(self, kind):
+        rng = np.random.default_rng(["collapsed", "three", "constraints",
+                                     "mixed"].index(kind))
+        for _ in range(4):
+            net = random_set_network(rng, kind)
+            doc = json.loads(fileio.dump_network(net))
+            assert_same_models(net, fileio.load_network_document(doc), rng)
+            assert_same_models(net, benchmark_route(doc), rng)
+            assert fileio.dump_network(benchmark_route(doc)) == \
+                fileio.dump_network(net)
+
+    def test_row_defects_in_entry_order(self, chain3):
+        # a defect of the rows is listed at its entry's place among the
+        # structural ones, which the document's one pass finds first
+        chain3["locals"][0]["vertices"][0]["0"] = "1/4"
+        chain3["locals"][1]["state"] = "0"
+        chain3["locals"][2]["vertices"][1]["0"] = "-1/10"
+        chain3["locals"][4]["given"]["a"] = "0"
+        assert issues(chain3) == [
+            "invalid local model for ('a', ()): probabilities sum to 1.05, "
+            "not 1",
+            "unknown keys ['state'] in a local entry of node 'b'",
+            "invalid local model for ('b', ('1',)): negative probability in "
+            "(-0.1, 0.1)",
+            "local model for 'c' is given non-parents ['a']"]
+        with pytest.raises(InputError, match="probabilities sum to 1.05"):
+            benchmark_route(chain3)
 
 
 #: a well-formed conditional query on two_coins.json

@@ -10,6 +10,8 @@ from credalnet.credal import (CredalSet, MassFunction, binary_interval,
                               constraints_to_vertices, singleton, vacuous,
                               vertices_to_constraints)
 from credalnet.errors import InputError, ModelError
+from credalnet.graph import Dag
+from credalnet.network import CredalNetwork
 
 from helpers import CUT_SETS, CUT_STATES, highs_minimum
 
@@ -67,10 +69,15 @@ class TestVertexArray:
         with pytest.raises(error, match=message):
             CredalSet(("h", "t"), vertices=[list(v) for v in vertices])
         if all(len(v) == 2 for v in vertices):
-            # a row of another width is no JSON object naming the states
+            # a row of another width is no JSON object naming the states;
+            # the loader leaves the rows to the network's one check
             entry = {"vertices": [dict(zip(("h", "t"), v)) for v in vertices]}
             with pytest.raises(error, match=message):
-                fileio._parse_local(entry, ("h", "t"))
+                numbers = fileio._parse_local(entry, ("h", "t"))
+                # finite numbers reach the network as they are
+                assert numbers == tuple(x for v in vertices for x in v)
+                CredalNetwork(Dag(["x"], []), {"x": ("h", "t")},
+                              {("x", ()): numbers})
 
     def test_vertex_inside_the_hull(self):
         with pytest.raises(InputError, match="vertex 2 lies in the convex "
