@@ -465,13 +465,11 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
             "K": tuple(sorted(K)), "rule": rule,
             "parents": tuple(sorted(pa_assignment.items()))}))
     # the upper probability that the non-descendants of K give to their
-    # share of the evidence: positive where every local set gives every
-    # state some, and else from the planner on ``net``, equal by
+    # share of the evidence, from the planner on ``net``, equal by
     # marginalisation, as they form an ancestral set, read as scaled
     rest = {**pa_assignment, **outside}
-    if rule == "regular" and rest and not net.upper_positive and \
-            not -decompose._plan(net, (), np.array([-1.0]), rest,
-                                 None)[0][0] > TOL_SIGN:
+    if rule == "regular" and rest and not -decompose._plan(
+            net, (), np.array([-1.0]), rest, None)[0][0] > TOL_SIGN:
         return net, given, True
     sub = net if len(K) == len(net.dag.nodes) else \
         sub_network(net, K, pa_assignment)

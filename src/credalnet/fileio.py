@@ -34,10 +34,12 @@ defect (:func:`validate_document`) and builds the network that
 :func:`load_network_document` returns.  A local entry's vertices are
 read against the entry's one set of state names into one flat tuple of
 floats (:func:`_parse_local`); an entry with constraints gives a
-:class:`CredalSet`.  :class:`CredalNetwork` checks the rows of every
-tuple in one array per state count and keeps the local models in one
-array per node, from which it hands out ``CredalSet`` views on demand.
-A defect of the rows is listed at its entry's place among the others.
+:class:`CredalSet`.  The rows of every tuple are then read into one
+array per state count and checked there, once
+(:func:`credalnet.network.vertex_lists`); a defect of the rows is
+listed at its entry's place among the others.  :class:`CredalNetwork`
+takes the checked arrays and keeps the local models in one array per
+node, from which it hands out ``CredalSet`` views on demand.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _check_keys(obj: Mapping, allowed: tuple, what: str,
         report.add(f"unknown keys {sorted(extra)} in {what}")
 
 
-def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
+def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
     """One pass over a raw network document.  Returns every violation
     found (instead of stopping at the first) and, when there is none,
     the network; each local entry is parsed once."""
@@ -170,7 +172,7 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
     seen = set()
     given_count = dict.fromkeys(dag.nodes, 0)
     locals_ = {}
-    tuples = []     # (place in the report, key) of each vertex tuple
+    places = {}     # the place in the report of each vertex tuple
     for entry in local_entries:
         if not isinstance(entry, Mapping) or "node" not in entry \
                 or not isinstance(entry.get("given", {}), Mapping):
@@ -206,7 +208,7 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
             report.add(f"invalid local model for {key!r}: {e}")
             continue
         if type(locals_[key]) is tuple:
-            tuples.append((len(report.issues), key))
+            places[key] = len(report.issues)
     # count the missing local models before listing any, so that a node
     # with many parents costs no more than the entries the document gives
     for s in sorted(dag.nodes):
@@ -220,22 +222,20 @@ def _read_network(doc) -> tuple[ValidationReport, tuple | None]:
                 if (s, cfg) not in seen:
                     report.add(f"missing local model for node {s!r} given "
                                f"{cfg!r}")
-    if report.ok:
-        try:
-            return report, CredalNetwork(dag, spaces, locals_)
-        except (InputError, ModelError):
-            pass        # a defect of the rows, listed below
-    # the defects of the vertex rows, each at its entry's place
-    keys = [key for _, key in tuples]
-    for i, error in reversed(vertex_lists(
-            [locals_[key] for key in keys],
-            [len(spaces[s]) for s, _ in keys], keys)[1]):
-        place, key = tuples[i]
+    # the vertex rows of every tuple, read and checked once; a defect is
+    # listed at its entry's place
+    keys = list(locals_)
+    checked = vertex_lists(
+        [m if type(m) is tuple else None for m in locals_.values()],
+        [len(spaces[s]) for s, _ in keys], keys)
+    for i, error in reversed(checked[1]):
         if not isinstance(error, (InputError, ModelError)):
             raise error
-        report.issues.insert(place, f"invalid local model for {key!r}: "
-                                    f"{error}")
-    return report, None
+        report.issues.insert(places[keys[i]], f"invalid local model for "
+                                              f"{keys[i]!r}: {error}")
+    if not report.ok:
+        return report, None
+    return report, CredalNetwork(dag, spaces, locals_, checked=checked)
 
 
 def validate_document(doc) -> ValidationReport:
@@ -341,14 +341,7 @@ def network_document(net: CredalNetwork) -> dict:
         "locals": [],
     }
     for s in net.dag.nodes:
-        stack, counts = net._node(s)
-        if counts is None:
-            forms = [m._V if m._V is not None else m.constraints
-                     for m in stack.flat]
-        else:
-            forms = [V[:k] for V, k in zip(stack.reshape(-1, *stack.shape[-2:]),
-                                           counts.flat)]
-        for cfg, form in zip(net.parent_configs(s), forms):
+        for cfg, form in zip(net.parent_configs(s), net.local_forms(s)):
             entry = {"node": s,
                      "given": {p: x for p, x in zip(net.dag.parents(s), cfg)}}
             if isinstance(form, tuple):

@@ -86,19 +86,11 @@ def event_mask(net: CredalNetwork, event: Event) -> np.ndarray:
 def _node_rows(net: CredalNetwork):
     """Per node ``s``: its non-descendants in declaration order, the rows
     ``_H`` of its local sets one after another, in
-    :meth:`CredalNetwork.parent_configs` order
-    (:meth:`CredalNetwork.local_rows`), and their number at each
-    configuration."""
+    :meth:`CredalNetwork.parent_configs` order, and their number at each
+    configuration (:meth:`CredalNetwork.local_rows`)."""
     for s in net.dag.nodes:
         nd = set(net.dag.nodes) - {s} - net.dag.descendants(s)
-        R = net.local_rows(s)
-        if R.dtype != object:
-            H = R.reshape(-1, net.size(s))
-            h = np.full(len(H) // R.shape[-2], R.shape[-2])
-        else:
-            H = np.concatenate(list(R.flat)).reshape(-1, net.size(s))
-            h = np.array([len(G) for G in R.flat])
-        yield s, net.dag.sorted_nodes(nd), H, h
+        yield s, net.dag.sorted_nodes(nd), *net.local_rows(s)
 
 
 def _row_count(net: CredalNetwork, blocks: list) -> int:
@@ -142,11 +134,8 @@ def _product_model(net: CredalNetwork, idx: JointIndex) -> np.ndarray:
     the global program."""
     x = np.ones(idx.total)
     for s in net.dag.nodes:
-        stack = net.local_stack(s)
-        members = stack[..., 0, :] if stack.dtype != object else \
-            np.array([m.member for m in stack.flat])
         cfg, _ = idx.config_index(net.dag.parents(s))
-        x *= members.reshape(-1, net.size(s))[cfg, idx.digits(s)]
+        x *= net.members(s)[cfg, idx.digits(s)]
     return x
 
 

@@ -122,10 +122,16 @@ class CredalNetwork:
     per state count, whose slices are the node arrays
     (:meth:`local_stack`), with the vertex count of each configuration;
     :meth:`local` hands out views of them, built on first use (or the
-    sets handed over as such)."""
+    sets handed over as such).
+
+    ``checked`` is what :func:`vertex_lists` gave for the same entries,
+    with None in the place of each set, from a caller that has read them
+    already and gives no set without constraints; the rows are then not
+    read again."""
 
     def __init__(self, dag: Dag, state_spaces: Mapping[str, Sequence[str]],
-                 locals_: Mapping[tuple, CredalSet | tuple]):
+                 locals_: Mapping[tuple, CredalSet | tuple], *,
+                 checked: tuple | None = None):
         self.dag = dag
         self.state_spaces: dict[str, tuple[str, ...]] = {}
         for s in dag.nodes:
@@ -185,15 +191,16 @@ class CredalNetwork:
                            np.intp, len(keys))
         pos = np.array(pos, dtype=np.intp)
         sizes = {s: len(space) for s, space in self.state_spaces.items()}
-        groups, defects = vertex_lists(
+        groups, defects = checked or vertex_lists(
             values, list(map(sizes.__getitem__, map(itemgetter(0), keys))),
             keys)
         if defects:
             raise defects[0][1]
 
         # each node's arrays, made on first use (see _node) from one
-        # array per state count; those with a set given by constraints,
-        # or by none, hold their sets
+        # array per state count, as two views per node made up front cost
+        # the recursions load 5% of its time and 4 MiB; those with a set
+        # given by constraints, or by none, hold their sets
         self._stacks: dict[str, np.ndarray] = {}
         self._counts: dict[str, np.ndarray | None] = {}
         self._rows: dict[str, np.ndarray] = {}     # see local_rows
@@ -300,17 +307,6 @@ class CredalNetwork:
         return {(s, cfg): self.local(s, cfg) for s in self.dag.nodes
                 for cfg in self.parent_configs(s)}
 
-    @cached_property
-    def upper_positive(self) -> bool:
-        """Whether every local set gives every state positive upper
-        probability: at each configuration, some vertex puts positive mass
-        on it; false on a node with a set given by constraints.  Then
-        every joint state, and so every nonempty event, has positive upper
-        probability in the strong extension, and so in the irrelevant
-        natural extension, which contains it."""
-        return all(counts is not None and bool((stack.max(-2) > 0.0).all())
-                   for stack, counts in map(self._node, self.dag.nodes))
-
     def local_lower(self, s: str, g) -> np.ndarray:
         """The lower expectation of the gamble ``g`` on ``s`` under the
         local set of every parent configuration of ``s``.
@@ -341,20 +337,31 @@ class CredalNetwork:
         repeats its first one, which leaves every minimum unchanged;
         otherwise the local sets in an object array over the parent
         configurations."""
-        stack = self._stacks.get(s)
-        return self._node(s)[0] if stack is None else stack
+        return self._node(s)[0]
 
-    def local_rows(self, s: str) -> np.ndarray:
+    def local_rows(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """The homogeneous rows of the local sets of ``s``
-        (``CredalSet._H``): for binary vertex lists, one float array with
-        axes (parents..., row, state), from the node's array in one step
+        (``CredalSet._H``), one set after another in
+        :meth:`parent_configs` order, in one (row, state) float array, and
+        the number of rows of each set."""
+        R = self._node_rows(s)
+        if R.dtype != object:
+            return R.reshape(-1, R.shape[-1]), np.full(R[..., 0, 0].size,
+                                                      R.shape[-2])
+        return (np.concatenate(list(R.flat)),
+                np.fromiter(map(len, R.flat), np.intp, R.size))
+
+    def _node_rows(self, s: str) -> np.ndarray:
+        """The rows of :meth:`local_rows` over the parent axes: for binary
+        vertex lists, one float array with axes (parents..., row, state),
+        from the node's array in one step
         (:func:`credalnet.credal.interval_rows`); else the rows of each
-        set in an object array over the parent configurations.  Built on
-        first use and kept; a sub-network slices its network's."""
+        set in an object array.  Built on first use and kept; a
+        sub-network slices its network's."""
         R = self._rows.get(s)
         if R is None and self._origin is not None:
             net, at = self._origin
-            R = net.local_rows(s)[at[s]]
+            R = net._node_rows(s)[at[s]]
         elif R is None:
             stack, counts = self._node(s)
             if counts is not None and stack.shape[-1] == 2:
@@ -365,6 +372,27 @@ class CredalNetwork:
                     R.flat[i] = self.local(s, cfg)._H
         self._rows[s] = R
         return R
+
+    def members(self, s: str) -> np.ndarray:
+        """The kept member of each local set of ``s``
+        (:attr:`CredalSet.member`, the first vertex of a vertex list), in
+        :meth:`parent_configs` order: one (configuration, state) array."""
+        stack, counts = self._node(s)
+        if counts is not None:
+            return stack[..., 0, :].reshape(-1, stack.shape[-1])
+        return np.array([m.member for m in stack.flat])
+
+    def local_forms(self, s: str) -> list:
+        """Each local set of ``s`` in the form it was given, in
+        :meth:`parent_configs` order: its vertex rows, a (vertex, state)
+        float array, or, for a set given by constraints alone, the tuple
+        of its constraints."""
+        stack, counts = self._node(s)
+        if counts is None:
+            return [m._V if m._V is not None else m.constraints
+                    for m in stack.flat]
+        return [V[:k] for V, k in zip(
+            stack.reshape(-1, *stack.shape[-2:]), counts.flat)]
 
     def joint_count(self, S: Iterable[str] | None = None) -> int:
         nodes = self.dag.nodes if S is None else self.dag.sorted_nodes(S)

@@ -17,7 +17,7 @@ from credalnet.network import Factor
 from credalnet.queries import bounds, run_query
 
 from helpers import (atom_bounds, bayes_joint, binary_net, chain_dag,
-                     constraint_twin, interval_locals, lifted, one_gamble, planned,
+                     interval_locals, lifted, one_gamble, planned,
                      precise_locals, random_binary_net, random_chain_net,
                      random_dag, random_factor, random_hmm_net,
                      zero_bound_locals)
@@ -689,15 +689,11 @@ class TestRestGate:
     def test_auto_matches_lp(self, rng, monkeypatch, zero, evidence,
                              oracle):
         from credalnet import decompose
-        from credalnet.network import CredalNetwork, sub_network
+        from credalnet.network import sub_network
         calls, plan = [], decompose._plan
         monkeypatch.setattr(decompose, "_plan", lambda *a: (
             calls.append(a) or plan(*a)))
         net = gate_net(rng, zero)
-        assert net.upper_positive != zero
-        # the planner's gate, which the flag skips where it is set
-        monkeypatch.setattr(CredalNetwork, "upper_positive",
-                            property(lambda self: False))
         f = random_factor(rng, net, ["b"])
         B = net.cylinder(evidence)
         auto = run_query(net, Query(f, B, "regular", "auto", 1e-10))
@@ -721,60 +717,6 @@ class TestRestGate:
         assert auto["kind"] == lp_["kind"] == kind
         if zero:
             assert auto["lower"] == vacuous_value(net, f, B)
-
-
-class TestPositiveUpperFlag:
-    """Where every local set gives every state positive upper
-    probability (:attr:`CredalNetwork.upper_positive`), the regular
-    rule's gate knows the rest of the evidence to have positive upper
-    probability without a planner pass; its answers are the planner's."""
-
-    @pytest.mark.parametrize("locals_of", [interval_locals,
-                                           zero_bound_locals])
-    def test_answers_equal_the_planners(self, monkeypatch, locals_of):
-        from credalnet import decompose
-        from credalnet.network import CredalNetwork
-        rng = np.random.default_rng(11)
-        flags, runs = [], []
-        plan = decompose._plan
-        monkeypatch.setattr(decompose, "_plan", lambda *a: (
-            runs.append(bool(a[3])) or plan(*a)))
-        for _ in range(16):
-            dag = random_dag(rng, int(rng.integers(4, 8)), 0.5)
-            net = binary_net(dag, locals_of(dag, rng))
-            q = dag.nodes[int(rng.integers(0, len(dag.nodes)))]
-            f = random_factor(rng, net, [q])
-            given = {s: str(rng.integers(0, 2)) for s in dag.nodes
-                     if s != q and rng.random() < 0.6}
-            if not given:
-                continue
-            query = Query(f, net.cylinder(given), "regular", "auto", 1e-10)
-            flags.append(net.upper_positive)
-            del runs[:]
-            got = outcome(net, query)
-            gated = any(runs)
-            with monkeypatch.context() as m:
-                m.setattr(CredalNetwork, "upper_positive",
-                          property(lambda self: False))
-                assert outcome(net, query) == got
-            if flags[-1]:
-                assert not gated
-        # zero_bound_locals gives some states zero upper probability
-        assert set(flags) == ({True} if locals_of is interval_locals
-                              else {True, False})
-
-    def test_flag_reads_the_arrays(self, rng):
-        dag = random_dag(rng, 5, 0.5)
-        net = binary_net(dag, interval_locals(dag, rng))
-        assert net.upper_positive
-        assert not constraint_twin(net).upper_positive
-        locals_ = dict(net.locals)
-        key = next(iter(locals_))
-        locals_[key] = singleton(("0", "1"), (1.0, 0.0))
-        assert not binary_net(dag, locals_).upper_positive
-        # a state with positive mass at one vertex only is enough
-        locals_[key] = binary_interval(("0", "1"), 0.0, 1.0)
-        assert binary_net(dag, locals_).upper_positive
 
 
 class TestRegularZeroProbability:

@@ -367,6 +367,12 @@ def assert_same_models(net, twin, rng):
                 assert m._V.shape == t._V.shape
                 assert m._V.tobytes() == t._V.tobytes()
             assert m._H.tobytes() == t._H.tobytes()
+        for a, b in zip(net.local_forms(s), twin.local_forms(s)):
+            assert type(a) is type(b)
+            assert a == b if type(a) is tuple else a.tobytes() == b.tobytes()
+        for a, b in ((net.members(s), twin.members(s)),
+                     *zip(net.local_rows(s), twin.local_rows(s))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
         stack, other = net.local_stack(s), twin.local_stack(s)
         assert stack.dtype == other.dtype and stack.shape == other.shape
         if stack.dtype != object:
@@ -445,6 +451,27 @@ class TestNodeArrays:
             "local model for 'c' is given non-parents ['a']"]
         with pytest.raises(InputError, match="probabilities sum to 1.05"):
             benchmark_route(chain3)
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_rows_are_checked_once(self, chain3, monkeypatch, bad):
+        # one batch check of the binary rows per load, whether the
+        # document is valid, or fails on its rows alone
+        from credalnet import network
+        checks, check = [], network.vertex_defects
+        monkeypatch.setattr(network, "vertex_defects", lambda *a: (
+            checks.append(len(a[1])) or check(*a)))
+        lists = [e for e in chain3["locals"] if "constraints" not in e]
+        if bad:
+            lists[0]["vertices"][0]["0"] = "1/4"
+        assert fileio.validate_document(chain3).ok != bad
+        assert checks == [len(lists)]
+        del checks[:]
+        if bad:
+            with pytest.raises(InputError, match="sum to 1.05"):
+                fileio.load_network_document(chain3)
+        else:
+            fileio.load_network_document(chain3)
+        assert checks == [len(lists)]
 
 
 #: a well-formed conditional query on two_coins.json
