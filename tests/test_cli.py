@@ -328,6 +328,18 @@ def test_unknown_conditioning_node(capsys, tmp_path):
     assert err.startswith("error=") and "'zz'" in err
 
 
+def test_repeated_conditioning_node(capsys, tmp_path):
+    # c = 0 and c = 1 at once: an event that no cylinder can stand for
+    path = tmp_path / "query.json"
+    path.write_text(json.dumps({
+        "target": {"scope": ["a"], "table": {"0": 1.0, "1": 0.0}},
+        "given": {"scope": ["c", "c"], "states": [["0", "1"]]},
+        "rule": "natural", "method": "lp"}), encoding="utf-8")
+    code, pairs, err = run(capsys, "infer", data("chain3.json"), str(path))
+    assert code == cli.EXIT_VALIDATION and not pairs
+    assert "event scope contains duplicates" in err
+
+
 def test_unknown_state_in_a_vertex(capsys, tmp_path):
     with open(data("two_coins.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -426,6 +438,13 @@ def test_adsep_shows_the_asymmetry(capsys):
     assert code == 0
     assert pairs == {"AD(I,S|C)": "true", "AD(S,I|C)": "false",
                      "d(I,S|C)": "true", "d(S,I|C)": "true"}
+
+
+@pytest.mark.parametrize("nodes", [("zz", "c", "b"), ("a", "c", "b,zz")])
+def test_adsep_unknown_node(capsys, nodes):
+    code, pairs, err = run(capsys, "adsep", data("chain3.json"), *nodes)
+    assert code == cli.EXIT_VALIDATION and not pairs
+    assert "unknown node 'zz'" in err
 
 
 def test_vertices_of_two_coins(capsys):

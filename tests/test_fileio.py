@@ -175,6 +175,15 @@ class TestValidateDocument:
         change(doc)
         only_issue(doc, text)
 
+    def test_braces_in_a_node_name(self):
+        # the name fills the message; it is not read as a format
+        doc = {"nodes": [{"name": "{0}", "states": ["h", "t"], "x": 1}],
+               "edges": [], "locals": [{"node": "{0}", "y": 1, "vertices": [
+                   {"h": "1", "t": "0"}]}]}
+        assert issues(doc) == [
+            "unknown keys ['x'] in node '{0}'",
+            "unknown keys ['y'] in a local entry of node '{0}'"]
+
     def test_missing_local_model(self, chain3):
         del chain3["locals"][3]
         only_issue(chain3, "missing local model for node 'c' given ('0',)")

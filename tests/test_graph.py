@@ -34,6 +34,21 @@ class TestDagConstruction:
         dag = Dag(["c", "a", "b"], [("b", "c"), ("a", "c")])
         assert dag.parents("c") == ("a", "b")
 
+    def test_adjacency_order_follows_declaration(self):
+        dag = Dag(["d", "a", "c", "b"], [("b", "c"), ("a", "c"), ("d", "b"),
+                                         ("d", "c"), ("a", "b")])
+        assert dag.parents("c") == ("d", "a", "b")
+        assert dag.parents("b") == ("d", "a")
+        assert dag.children("d") == ("c", "b")
+        assert dag.children("a") == ("c", "b")
+
+    def test_sorted_nodes_checks_names(self):
+        dag = Dag(["c", "a", "b"], [])
+        assert dag.sorted_nodes(["b", "c"]) == ("c", "b")
+        # the first unknown node in the given order
+        with pytest.raises(InputError, match="unknown node 'zz'"):
+            dag.sorted_nodes(["a", "zz", "yy"])
+
     def test_adjacency_is_stored_once_and_read_only(self):
         dag = Dag(["a", "b", "c"], [("a", "b"), ("a", "c")])
         assert dag.parents("b") is dag.parents("b")
@@ -107,6 +122,25 @@ class TestSetRelations:
         rel = set_relations(fig1, {"1", "2"})
         assert rel.parents == frozenset()
         assert rel.descendants == {"3", "4", "5", "7", "8", "9", "10"}
+
+
+class TestOneCheck:
+    """``closure`` and ``set_relations`` check each node of their set
+    once, and an unknown one raises."""
+
+    @pytest.mark.parametrize("relation", [closure, is_closed, set_relations])
+    def test_each_node_once(self, fig1, monkeypatch, relation):
+        checked = []
+        check = Dag._check
+        monkeypatch.setattr(Dag, "_check", lambda dag, s: (
+            checked.append(s), check(dag, s))[1])
+        relation(fig1, ["5", "9", "1"])
+        assert sorted(checked) == ["1", "5", "9"]
+
+    @pytest.mark.parametrize("relation", [closure, is_closed, set_relations])
+    def test_unknown_node(self, fig1, relation):
+        with pytest.raises(InputError, match="unknown node 'zz'"):
+            relation(fig1, ["5", "zz"])
 
 
 class TestClosed:

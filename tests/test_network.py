@@ -1,5 +1,6 @@
 """Network assembly, sub-networks, factors and events."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -241,6 +242,54 @@ class TestConstruction:
         with pytest.raises(InputError, match=f"needs {expected} local models"):
             CredalNetwork(dag, {s: ("0", "1") for s in dag.nodes},
                           {(p, ()): m for p in parents})
+
+
+#: three unlinked binary nodes, which need three local models
+UNLINKED = Dag(["a", "b", "c"], [])
+ROW = (0.5, 0.5)
+OTHER_STATES = binary_interval(("x", "y"), 0.2, 0.8)
+
+
+def construct(entries):
+    CredalNetwork(UNLINKED, dict.fromkeys(UNLINKED.nodes, ("0", "1")),
+                  dict(entries))
+
+
+class TestFirstBadEntry:
+    """The constructor names the first bad entry in entry order, however
+    the entries are bad."""
+
+    @pytest.mark.parametrize("entries, named", [
+        # a spurious key after a bad value, and the other way round
+        ([(("a", ()), "m"), (("z", ()), ROW), (("c", ()), ROW)], ("a", ())),
+        ([(("z", ()), ROW), (("a", ()), "m"), (("c", ()), ROW)], ("z", ())),
+        ([(("a", ()), ROW), (("b", ("0",)), ROW), (("c", ()), [0.5, 0.5])],
+         ("b", ("0",))),
+    ], ids=["value-then-key", "key-then-value", "configuration-then-value"])
+    def test_spurious_entry(self, entries, named):
+        with pytest.raises(InputError, match="spurious local-model entry "
+                                             f"{re.escape(str(named))}$"):
+            construct(entries)
+
+    def test_state_mismatch_before_either(self):
+        with pytest.raises(InputError,
+                           match=r"state mismatch at \('b', \(\)\)$"):
+            construct([(("b", ()), OTHER_STATES), (("z", ()), ROW),
+                       (("c", ()), "m")])
+
+    # an int, a 3-tuple, and two characters that read as the pair
+    # ("b", "c") when unpacked, though "c" is no configuration of b
+    @pytest.mark.parametrize("key", [5, ("b", (), ()), "bc"],
+                             ids=["int", "3-tuple", "string"])
+    def test_key_that_is_no_pair(self, key):
+        named = re.escape(str(key))
+        with pytest.raises(InputError, match=f"entry {named}$"):
+            construct([(("a", ()), ROW), (key, ROW), (("c", ()), "m")])
+        with pytest.raises(InputError, match=r"entry \('a', \(\)\)$"):
+            construct([(("a", ()), "m"), (key, ROW), (("c", ()), ROW)])
+        with pytest.raises(InputError, match=r"mismatch at \('a', \(\)\)$"):
+            construct([(("a", ()), OTHER_STATES), (key, ROW),
+                       (("c", ()), ROW)])
 
 
 class TestJointStates:
@@ -505,6 +554,32 @@ class TestEvents:
     def test_cylinder_on_unknown_node(self, two_coins):
         with pytest.raises(InputError, match="unknown node 'zz'"):
             two_coins.cylinder({"zz": "h"})
+
+    @pytest.mark.parametrize("call", [
+        lambda net: net.event(["zz"], [("h",)]),
+        lambda net: net.factor(["zz"], {("h",): 1.0, ("t",): 0.0}),
+        lambda net: net.factor_from_values(["zz"], [1.0, 0.0]),
+        lambda net: net.joint_count(["zz"]),
+        lambda net: net.joint_tuples(["zz"]),
+        lambda net: sub_network(net, ["zz"], {}),
+    ], ids=["event", "factor", "factor_from_values",
+            "joint_count", "joint_tuples", "sub_network"])
+    def test_unknown_node(self, two_coins, call):
+        with pytest.raises(InputError, match="unknown node 'zz'"):
+            call(two_coins)
+
+    def test_first_unknown_node_is_named(self, two_coins):
+        with pytest.raises(InputError, match="unknown node 'zz'"):
+            two_coins.event(["1", "zz", "yy"], [("h", "h", "h")])
+        with pytest.raises(InputError, match="unknown node 'yy'"):
+            two_coins.cylinder({"yy": "h", "1": "h", "zz": "h"})
+
+    def test_repeated_scope_node(self, two_coins):
+        # one node with two states at once is no cylinder of that node
+        with pytest.raises(InputError, match="event scope contains dupl"):
+            two_coins.event(["2", "2"], [("h", "t")])
+        with pytest.raises(InputError, match="event scope contains dupl"):
+            two_coins.event(["2", "1", "2"], [])
 
     def test_indicator(self, two_coins):
         e = two_coins.event(["1", "2"], [("h", "h"), ("t", "t")])
