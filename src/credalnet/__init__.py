@@ -2,11 +2,12 @@
 
 Tight lower and upper bounds on (conditional) expectations over the joint
 model induced by local credal sets and graph-derived irrelevance
-assessments: a global linear program for small networks, theorem-backed
-reductions to sub-networks, linear-time recursions for chains and
-hidden-state models, root bracketing for conditioning (a node given
-complete evidence is one more conditional query), and brute-force
-oracles for verification.
+assessments: a global linear program for small networks, a reduction
+planner that applies the paper's theorems (marginalisation to a closed
+sub-network, the law of iterated lower expectation) to every query,
+linear-time recursions for chains and hidden-state models, root
+bracketing for conditioning (a node given complete evidence is one more
+conditional query), and brute-force oracles for verification.
 """
 
 from .chains import TransferOperator
@@ -16,9 +17,7 @@ from .conditioning import (BracketResult, Rho, RhoEvaluator, condition,
 from .credal import (CredalSet, LinearConstraint, MassFunction,
                      binary_interval, constraints_to_vertices, singleton,
                      vacuous, vertices_to_constraints)
-from .decompose import (Reduction, combined, external_additivity, factorise,
-                        iterated_lower_expectation, lower_expectation,
-                        marginalise, trace_lines)
+from .decompose import Reduction, lower_expectation, trace_lines
 from .errors import (CapabilityError, ConvergenceError, CredalError,
                      HypothesisError, InputError, ModelError)
 from .fileio import (Query, ValidationReport, dump_network, load_network,

@@ -445,12 +445,12 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     gives zero upper probability to the evidence inside K, which
     :func:`regular_conditional` detects.  The marginalisation step goes
     to ``trace``."""
-    if rule not in ("natural", "regular"):
-        raise InputError(f"unknown rule {rule!r}")
-    if given is None or not given.scope:
+    if given is None:
         return net, None, False
     if given.empty:
         raise InputError("conditioning event is empty")
+    if not given.scope:
+        return net, None, False
     if not given.cylinder:
         return net, given, False
 

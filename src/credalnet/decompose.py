@@ -1,75 +1,55 @@
-"""Reduction toolkit: every operation here replaces one global lower
-expectation by smaller ones, each step certified by an exact equality
-(marginalisation to a sub-network, the law of iterated lower expectation,
-or the combined split of :func:`combined`, whose special cases are
-sign-split factorisation and external additivity).
+"""The reduction planner: :func:`lower_expectation` replaces one global
+lower expectation by smaller ones, each step certified by an exact
+equality of the paper (marginalisation to a closed sub-network, the law
+of iterated lower expectation, and, for evidence, the sign split of an
+observed node's indicator).  No standalone theorem operation remains:
+the planner applies them to every query.
 
-``lower_expectation`` is the greedy planner, one loop over the given
-network: it marginalises to the ancestral closure of the query, peels
-final segments while the iterated law applies, and hands the irreducible
-core to the linear program (:func:`credalnet.lp.lower_expectation_lp`
-solves the whole program with no planning).  It peels on a scope and a
-bare array with a leading gamble axis (:func:`_peel`, one local
-contraction per node; on a chain, the backward composition of the
-transfer operators), so that one pass answers a batch of gambles on one
-scope, such as a gamble and its negation for the two bounds of a query:
-each sub-network and each LP core, with its phase 1, is built once for
-the batch, and the core runs a phase 2 per gamble.  Evidence rides along
-as one indicator per observed node, and a power-of-two exponent per row
-(:func:`_plan`).  Each step appends a :class:`Reduction` record to the
-optional trace for auditing, once per pass.
-Hypothesis failures in the explicitly invoked operations raise
-:class:`~credalnet.errors.HypothesisError`; only the planner is allowed
-to fall back silently, because falling back is its documented job.
+It is one loop over the given network: it marginalises to the ancestral
+closure of the query, peels final segments while the iterated law
+applies, and hands the irreducible core to the linear program
+(:func:`credalnet.lp.lower_expectation_lp` solves the whole program with
+no planning).  It peels on a scope and a bare array with a leading
+gamble axis (:func:`_peel`, one local contraction per node; on a chain,
+the backward composition of the transfer operators), so that one pass
+answers a batch of gambles on one scope, such as a gamble and its
+negation for the two bounds of a query: each sub-network and each LP
+core, with its phase 1, is built once for the batch, and the core runs a
+phase 2 per gamble.  Evidence rides along as one indicator per observed
+node, and a power-of-two exponent per row (:func:`_plan`).  Each step
+appends a :class:`Reduction` record to the optional trace for auditing,
+once per pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import lp
-from .errors import HypothesisError, InputError
-from .graph import is_closed, set_relations
-from .network import CredalNetwork, Event, Factor, joint_states, sub_network
+from .errors import InputError
+from .network import CredalNetwork, Factor, joint_states, sub_network
 
 
 @dataclass
 class Reduction:
     """Audit record: which equality justified a step, on what premise."""
 
-    kind: str          # marginalisation | iterated | factorisation |
-                       # lp | local
+    kind: str          # marginalisation | iterated | lp | local
     premise: dict
-    sub_results: list = field(default_factory=list)
 
     def line(self) -> str:
         parts = [self.kind]
         for k in sorted(self.premise):
             parts.append(f"{k}={self.premise[k]!r}")
-        if self.sub_results:
-            parts.append(f"sub={self.sub_results!r}")
         return " ".join(parts)
 
 
 def trace_lines(trace: list[Reduction]) -> str:
     """Line-oriented serialization of a reduction trace."""
     return "\n".join(r.line() for r in trace) + ("\n" if trace else "")
-
-
-def _scope_in(net: CredalNetwork, f: Factor, allowed) -> None:
-    extra = set(f.scope) - set(allowed)
-    if extra:
-        raise InputError(f"factor scope {sorted(extra)} outside {sorted(allowed)}")
-
-
-def _require_closed(net: CredalNetwork, K) -> frozenset:
-    Kf = frozenset(K)
-    if not is_closed(net.dag, K):     # K's first unknown node raises
-        raise HypothesisError(f"node set {sorted(Kf)} is not closed")
-    return Kf
 
 
 def _peel(net: CredalNetwork, s: str, scope: tuple, values: np.ndarray
@@ -141,11 +121,10 @@ def lower_expectation(net: CredalNetwork, f: Factor | Sequence[Factor], *,
         raise InputError("no gamble to take the lower expectation of")
     scope = fs[0].scope
     for g in fs:
-        _scope_in(net, g, net.dag.nodes)
         if g.scope != scope:
             raise InputError(f"factor scopes {scope} and {g.scope} differ")
-    values = np.stack([net.aligned(g, net.dag.sorted_nodes(scope))
-                       for g in fs])   # checked once
+    order = net.dag.sorted_nodes(scope)   # the one check of the names
+    values = np.stack([net.aligned(g, order) for g in fs])
     lower = _plan(net, scope, values, {}, trace)[0]   # unscaled
     return float(lower[0]) if isinstance(f, Factor) else lower
 
@@ -316,120 +295,3 @@ def _peels(net: CredalNetwork, scope: tuple, values: np.ndarray,
         exps, values = _renormalise(exps, values, values)
     return set(live), scope, values, exps
 
-
-def marginalise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
-                f: Factor, B_K: Event | None = None,
-                B_NNK: Event | None = None, *, tolerance: float = 1e-9,
-                trace: list | None = None) -> float:
-    """Conditional-to-sub-network reduction for a closed K.
-
-    Returns the lower expectation of ``f`` given ``B_K`` in the
-    sub-network obtained by fixing K's external parents; by the
-    marginalisation equality this equals the full-network conditional
-    given (B_K, the parent assignment, B_NNK).  The extra event B_NNK
-    does not influence the value; it is only validated."""
-    Kf = _require_closed(net, K)
-    _scope_in(net, f, Kf)
-    rel = set_relations(net.dag, Kf)
-    for ev, name in ((B_K, "B_K"), (B_NNK, "B_NNK")):
-        if ev is not None and ev.empty:
-            raise InputError(f"conditioning event {name} is empty")
-    if B_K is not None and not set(B_K.scope) <= Kf:
-        raise InputError("B_K must be an event over K")
-    if B_NNK is not None and not set(B_NNK.scope) <= rel.non_parent_non_descendants:
-        raise InputError("B_NNK must be an event over the non-parent "
-                         "non-descendants of K")
-
-    sub = sub_network(net, Kf, parent_assignment)
-    if trace is not None:
-        trace.append(Reduction("marginalisation", {
-            "K": tuple(sorted(Kf)),
-            "parents": tuple(sorted((p, parent_assignment[p])
-                                    for p in rel.parents))}))
-    from . import queries
-    return queries.bounds(sub, [f], B_K, "natural", "auto", tolerance,
-                          trace)[0].value
-
-
-def iterated_lower_expectation(net: CredalNetwork, S, f: Factor, *,
-                               trace: list | None = None) -> float:
-    """Law of iterated lower expectation for a final segment S: every node
-    outside S must strictly precede every node of S."""
-    Sf = frozenset(net.dag.sorted_nodes(S))
-    _scope_in(net, f, net.dag.nodes)
-    T = frozenset(net.dag.nodes) - Sf
-    if not Sf:
-        return lower_expectation(net, f, trace=trace)
-    for s in net.dag.sorted_nodes(Sf):
-        late = T - net.dag.ancestors(s)
-        if late:
-            raise HypothesisError(
-                f"node {net.dag.sorted_nodes(late)[0]!r} does not precede "
-                f"all of {sorted(Sf)}")
-    if trace is not None:
-        trace.append(Reduction("iterated", {"S": tuple(sorted(Sf))}))
-    if not T:
-        return lower_expectation(net, f, trace=trace)
-    scope, inner = _inner_values(net, Sf, f.scope, net.aligned(
-        f, net.dag.sorted_nodes(f.scope))[None], trace)
-    return lower_expectation(sub_network(net, T, {}), Factor(scope, inner[0]),
-                             trace=trace)
-
-
-def factorise(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
-              f: Factor, g: Factor | None = None, *,
-              trace: list | None = None) -> float:
-    """Sign-split product rule:  the lower expectation of
-    ``g * 1{parents of K} * f``  equals the sub-network value of f times
-    the lower (or, when that value is negative, upper) expectation of the
-    co-factor over the non-descendants of K, by positive homogeneity: the
-    split of :func:`combined` with no h.  Requires closed K and a
-    non-negative g."""
-    return combined(net, K, parent_assignment, f, None, g, trace=trace)
-
-
-def external_additivity(net: CredalNetwork, K, f: Factor, h: Factor, *,
-                        trace: list | None = None) -> float:
-    """Additive split for a closed, parentless K:  the lower expectation
-    of ``h + f``, for h on the non-parent non-descendants of K, is the
-    sum of the two sub-network lower expectations: the split of
-    :func:`combined` with no g."""
-    Kf = _require_closed(net, K)
-    rel = set_relations(net.dag, Kf)
-    if rel.parents:
-        raise HypothesisError(f"K has external parents {sorted(rel.parents)}")
-    # with no parents, combined's check of h is on the same node set
-    return combined(net, Kf, {}, f, h, None, trace=trace)
-
-
-def combined(net: CredalNetwork, K, parent_assignment: Mapping[str, str],
-             f: Factor, h: Factor | None = None, g: Factor | None = None, *,
-             trace: list | None = None) -> float:
-    """The general split:  in  ``h(X_N(K)) + g(X_NN(K)) * 1{parents} * f(X_K)``
-    the inner factor f may be replaced by the scalar sub-network value,
-    leaving a lower expectation over the non-descendants of K."""
-    Kf = _require_closed(net, K)
-    _scope_in(net, f, Kf)
-    rel = set_relations(net.dag, Kf)
-    if h is not None:
-        _scope_in(net, h, rel.non_descendants)
-    if g is not None:
-        _scope_in(net, g, rel.non_parent_non_descendants)
-        if g.min() < 0:
-            raise HypothesisError("co-factor g must be non-negative")
-
-    a = lower_expectation(sub_network(net, Kf, parent_assignment), f,
-                          trace=trace)
-    # the co-factor  g(X_NN(K)) * 1{X_P(K) = parent assignment}
-    pa = {p: parent_assignment[p] for p in rel.parents}
-    scope = net.dag.sorted_nodes({*pa, *(() if h is None else h.scope),
-                                  *(() if g is None else g.scope)})
-    co = net.aligned(net.indicator(net.cylinder(pa)), scope)
-    if g is not None:
-        co = co * net.aligned(g, scope)
-    hv = 0.0 if h is None else net.aligned(h, scope)
-    nsub = sub_network(net, rel.non_descendants, {})
-    if trace is not None:
-        trace.append(Reduction("factorisation", {
-            "K": tuple(sorted(Kf)), "combined": True}, sub_results=[a]))
-    return lower_expectation(nsub, Factor(scope, hv + co * a), trace=trace)

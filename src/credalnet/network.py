@@ -99,7 +99,7 @@ class Event:
 
     @property
     def empty(self) -> bool:
-        return len(self.states) == 0 and len(self.scope) > 0
+        return not self.states
 
     @property
     def cylinder(self) -> bool:
@@ -613,9 +613,9 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
     The sub-DAG keeps the edges inside K; each node array is sliced to
     the K-internal parent axes, with the out-of-K parent values
     instantiated from ``parent_assignment``, and to the longest vertex
-    list left.  K is not required to be closed here;
-    closedness is a hypothesis of the reduction theorems, not of the
-    construction.
+    list left.  K is not required to be closed.  An unknown parent
+    state raises from the slicing, for the first such parent of the
+    first node of K in declaration order.
     """
     Kt = net.dag.sorted_nodes(K)
     Kset = set(Kt)
@@ -624,9 +624,6 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
     missing = outside - set(parent_assignment)
     if missing:
         raise InputError(f"parent assignment misses {sorted(missing)}")
-    for p in outside:
-        if parent_assignment[p] not in net.states(p):
-            raise InputError(f"unknown state for parent {p!r}")
 
     sub_dag = Dag(Kt, [(p, s) for p, s in edges if p in Kset])
     stacks, counts, ats = {}, {}, {}

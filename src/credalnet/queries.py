@@ -16,7 +16,7 @@ from typing import Sequence
 from . import chains, conditioning, decompose, lp
 from .conditioning import BracketResult, RhoEvaluator
 from .errors import HypothesisError, InputError
-from .fileio import METHODS, Query
+from .fileio import METHODS, RULES, Query
 from .network import CredalNetwork, Event, Factor
 
 
@@ -39,6 +39,11 @@ def bounds(net: CredalNetwork, gambles: Sequence[Factor], given: Event | None,
     4. else they run one after the other over the warm tableau of the
        global program (``program_rho``)."""
     scope, rho = gambles[0].scope, None
+    if rule not in RULES:
+        raise InputError(f"unknown rule {rule!r}")
+    if rule == "unconditional" and given is not None:
+        raise InputError("unconditional queries cannot carry a conditioning "
+                         "event")
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
     if method in ("auto", "decompose") and given is not None:

@@ -1,14 +1,18 @@
 """The command-line interface end to end on the files in tests/data: exit
 codes, printed bounds, and the text form of the global program."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
+import credalnet
 from credalnet import cli, fileio, lp, queries
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -456,3 +460,67 @@ def test_vertices_of_two_coins(capsys):
                       for i in range(6))
     assert vertices[0] == (0.0625, 0.1875, 0.1875, 0.5625)
     assert len(pairs) == 2 + 6
+
+
+def test_public_names():
+    # the package's exports, modules aside: a removal shows up here
+    names = sorted(name for name, value in vars(credalnet).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == [
+        "BracketResult", "CapabilityError", "ConvergenceError",
+        "CredalError", "CredalNetwork", "CredalSet", "Dag", "Event",
+        "Factor", "GlobalPolytope", "HypothesisError", "InputError",
+        "LinearConstraint", "MassFunction", "ModelError", "Query",
+        "Reduction", "Rho", "RhoEvaluator", "TransferOperator",
+        "ValidationReport", "ad_separated", "binary_interval", "closure",
+        "complete_extension_lower", "complete_extension_upper",
+        "condition", "constraints_to_vertices", "d_separated",
+        "dump_network", "enumerate_joint_extreme_points", "hmm_rho",
+        "irr_extreme_conditional", "is_closed", "joint_states",
+        "load_network", "load_network_document", "load_query",
+        "lower_expectation", "lower_expectation_lp", "natural_conditional",
+        "network_document", "parse_query", "program_rho",
+        "regular_conditional", "root_rho", "run_query", "set_relations",
+        "singleton", "sub_network", "trace_lines", "vacuous",
+        "validate_document", "vertices_to_constraints"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads: no ``Name`` node and
+    no ``__all__`` entry mentions them."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported.keys() - used)
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports only to export, as pinned above
+    src = os.path.dirname(credalnet.__file__)
+    found = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) != "__init__.py":
+            with open(path, encoding="utf-8") as fh:
+                if names := unused_imports(fh.read()):
+                    found[os.path.basename(path)] = names
+    assert found == {}
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from .errors import InputError, ModelError\n"
+              "__all__ = ['ModelError']\nnp.zeros(os.sep)\n")
+    assert unused_imports(source) == ["InputError"]

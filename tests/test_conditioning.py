@@ -658,6 +658,26 @@ class TestConditionDispatch:
         assert plain.kind == "rightmost-root"
 
 
+class TestBoundsInputs:
+    def test_unknown_rule_without_evidence(self):
+        net = random_binary_net(np.random.default_rng(0), 3)
+        f = random_factor(np.random.default_rng(1), net, ["1"])
+        for method in ("auto", "lp"):
+            with pytest.raises(InputError, match="unknown rule 'bogus'"):
+                bounds(net, [f], None, "bogus", method)
+        with pytest.raises(InputError, match="cannot carry"):
+            bounds(net, [f], net.cylinder({"3": "1"}), "unconditional")
+
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    def test_impossible_event_over_no_nodes(self, method):
+        net = random_binary_net(np.random.default_rng(0), 3)
+        f = random_factor(np.random.default_rng(1), net, ["1"])
+        given = net.event((), [])
+        assert given.empty
+        with pytest.raises(InputError, match="conditioning event is empty"):
+            bounds(net, [f], given, "natural", method)
+
+
 def gate_net(rng, zero: bool):
     """e -> a -> b -> c, binary.  The state '0' of a has zero upper
     probability when ``zero`` is set, and positive upper probability

@@ -1,8 +1,13 @@
-"""Theorem-level reductions versus the global program.
+"""The paper's reduction theorems, and the planner that applies them,
+versus the global program.
 
-Every reduction's output is compared with the LP value of the explicitly
-assembled global gamble; hypothesis violations must raise instead of
-silently producing numbers."""
+Each theorem test states its equality from library primitives alone
+(:func:`~credalnet.network.sub_network`, the linear program of
+:func:`~credalnet.lp.lower_expectation_lp` and the ``lp`` method of
+:func:`~credalnet.queries.bounds`), with the global gamble assembled
+explicitly, so that it checks the paper and not the planner: each side
+is a global program of its own network.  The planner tests compare its
+value with the program of the whole network."""
 
 from itertools import product
 
@@ -11,11 +16,9 @@ import pytest
 
 from credalnet import decompose, lp, queries
 from credalnet.credal import CredalSet
-from credalnet.decompose import (combined, external_additivity, factorise,
-                                 iterated_lower_expectation, lower_expectation,
-                                 marginalise, trace_lines)
-from credalnet.errors import HypothesisError, InputError
-from credalnet.graph import Dag, closure, is_closed, set_relations
+from credalnet.decompose import lower_expectation, trace_lines
+from credalnet.errors import InputError
+from credalnet.graph import Dag, closure, set_relations
 from credalnet.network import CredalNetwork, Factor, joint_states, sub_network
 
 from helpers import (atom_bounds, binary_net, chain_dag, combined_factor,
@@ -29,9 +32,34 @@ TOL = 1e-9
 
 
 def lp_conditional(net, f, B):
-    """The natural conditional of ``f`` given ``B`` on the whole
-    network's global program."""
+    """The natural conditional of ``f`` given ``B`` on the network's
+    global program."""
     return queries.bounds(net, [f], B, "natural", "lp", 1e-10)[0].value
+
+
+def iterated_lp(net, S, f):
+    """The right-hand side of the law of iterated lower expectation for a
+    final segment S: at each joint state of the other nodes T, the
+    program of the S-sub-network given that state, on f at that state;
+    then the program of the T-sub-network on those inner values."""
+    T = net.dag.sorted_nodes(set(net.dag.nodes) - set(S))
+    inner = [lp.lower_expectation_lp(sub_network(net, S, ctx),
+                                     restrict_factor(net, f, ctx))
+             for ctx in joint_states(net, T)]
+    return lp.lower_expectation_lp(sub_network(net, T, {}), Factor(
+        T, np.reshape(inner, net.shape(T))))
+
+
+def split_lp(net, K, assignment, f, h=None, g=None):
+    """The right-hand side of the combined split for a closed K: the
+    lower expectation of  h + g * 1{parents of K} * f  over the whole
+    network is that of the same gamble with f replaced by its scalar
+    program on the sub-network of K given the parents, a program on the
+    non-descendants of K."""
+    a = lp.lower_expectation_lp(sub_network(net, K, assignment), f)
+    return lp.lower_expectation_lp(
+        sub_network(net, set_relations(net.dag, K).non_descendants, {}),
+        combined_factor(net, assignment, Factor.constant(a), h, g))
 
 
 def closed_sets_with_parents(net, rng, want_parents=None, tries=60):
@@ -172,9 +200,12 @@ class TestBatch:
 
 
 class TestMarginalise:
+    """The program of the sub-network of a closed K given its external
+    parents equals the natural conditional of the whole network given
+    those parents, and evidence in K and among K's non-parent
+    non-descendants."""
+
     def test_equals_conditional_on_full_net(self, rng):
-        # unconditional sub-network value == full-net conditional via LP
-        # bracketing on the parent cylinder
         hits = 0
         for _ in range(12):
             net = random_binary_net(rng, 4, edge_p=0.5)
@@ -184,7 +215,8 @@ class TestMarginalise:
             K, rel = sets[0]
             assignment = {p: str(rng.integers(0, 2)) for p in rel.parents}
             f = random_factor(rng, net, list(K))
-            value = marginalise(net, K, assignment, f)
+            value = lp.lower_expectation_lp(sub_network(net, K, assignment),
+                                            f)
             bracketed = lp_conditional(net, f, net.cylinder(assignment))
             assert value == pytest.approx(bracketed, abs=1e-7)
             hits += 1
@@ -205,9 +237,8 @@ class TestMarginalise:
             outside = {u: str(rng.integers(0, 2))
                        for u in sorted(rel.non_parent_non_descendants)[:1]}
             f = random_factor(rng, net, list(K))
-            value = marginalise(net, K, assignment, f, net.cylinder(inside),
-                                net.cylinder(outside) if outside else None,
-                                tolerance=1e-10)
+            sub = sub_network(net, K, assignment)
+            value = lp_conditional(sub, f, sub.cylinder(inside))
             bracketed = lp_conditional(net, f, net.cylinder(
                 {**assignment, **inside, **outside}))
             assert value == pytest.approx(bracketed, abs=1e-7)
@@ -217,33 +248,29 @@ class TestMarginalise:
     def test_identity_when_whole_graph(self, rng):
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, net.dag.nodes)
-        assert marginalise(net, net.dag.nodes, {}, f) == pytest.approx(
-            lower_expectation(net, f), abs=TOL)
-
-    def test_rejects_open_set(self, rng):
-        dag = chain_dag(3)
-        net = binary_net(dag, interval_locals(dag, rng))
-        f = random_factor(rng, net, ["1", "3"])
-        with pytest.raises(HypothesisError):
-            marginalise(net, {"1", "3"}, {}, f)
+        assert lp.lower_expectation_lp(sub_network(net, net.dag.nodes, {}),
+                                       f) == pytest.approx(
+            lp.lower_expectation_lp(net, f), abs=TOL)
 
 
 class TestIterated:
+    """The program of the whole network equals the iterated one of
+    :func:`iterated_lp` for a final segment S."""
+
     def test_reverse_tree_example(self, rng):
-        # two roots with a common child: peel the child, check against LP
-        from credalnet.graph import Dag
+        # two roots with a common child: peel the child
         dag = Dag(["1", "2", "3"], [("1", "3"), ("2", "3")])
         net = binary_net(dag, interval_locals(dag, rng))
         f = random_factor(rng, net, net.dag.nodes)
-        value = iterated_lower_expectation(net, {"3"}, f)
-        assert value == pytest.approx(
+        assert iterated_lp(net, {"3"}, f) == pytest.approx(
             lp.lower_expectation_lp(net, f), abs=1e-7)
 
     def test_empty_segment_is_identity(self, rng):
+        # each inner value is f at one joint state, on the empty network
         net = random_binary_net(rng, 3)
         f = random_factor(rng, net, net.dag.nodes)
-        assert iterated_lower_expectation(net, set(), f) == pytest.approx(
-            lower_expectation(net, f), abs=TOL)
+        assert iterated_lp(net, set(), f) == pytest.approx(
+            lp.lower_expectation_lp(net, f), abs=TOL)
 
     def test_chain_suffixes(self, rng):
         for _ in range(4):
@@ -251,33 +278,8 @@ class TestIterated:
             f = random_factor(rng, net, net.dag.nodes)
             direct = lp.lower_expectation_lp(net, f)
             for S in ({"4"}, {"3", "4"}):
-                assert iterated_lower_expectation(net, S, f) == \
-                    pytest.approx(direct, abs=1e-7)
-
-    def test_rejects_non_final_segment(self, rng):
-        net = random_chain_net(rng, 4)
-        f = random_factor(rng, net, net.dag.nodes)
-        with pytest.raises(HypothesisError):
-            iterated_lower_expectation(net, {"2"}, f)
-
-    def test_long_chain_suffix_in_bounded_graph_work(self, rng, monkeypatch):
-        # the precondition reaches from the members of S, not from every
-        # node outside it
-        L = 2000
-        net = random_chain_net(rng, L)
-        f = random_factor(rng, net, [str(L)])
-        reach = Dag._reach
-        calls = []
-        monkeypatch.setattr(Dag, "_reach", lambda dag, *a:
-                            calls.append(1) or reach(dag, *a))
-        S = {str(L - 1), str(L)}
-        assert iterated_lower_expectation(net, S, f) == \
-            reference_chain_lower(net, f)
-        assert len(calls) <= 10
-        calls.clear()
-        with pytest.raises(HypothesisError, match="node '2' does not precede"):
-            iterated_lower_expectation(net, {"1", str(L)}, f)
-        assert len(calls) <= 2
+                assert iterated_lp(net, S, f) == pytest.approx(direct,
+                                                               abs=1e-7)
 
     def test_one_node_inner_values_equal_sub_network_path(self, rng):
         # local lower expectations in one call, against one sub-network
@@ -416,16 +418,24 @@ class TestPeel:
             f = random_factor(rng, net, ["3"])
             scope, inner = decompose._peel(net, "5", f.scope, f.values[None])
             assert scope == ("3", "4") and inner.shape == (1, 2, 2)
-            assert iterated_lower_expectation(net, {"5"}, f) == \
+            rest = sub_network(net, ("1", "2", "3", "4"), {})
+            assert lower_expectation(rest, Factor(scope, inner[0])) == \
                 lower_expectation(net, f)
 
 
 class TestFactorise:
+    """Sign-split factorisation for a closed K and g >= 0: the lower
+    expectation of  g * 1{parents of K} * f  is the sub-network value a
+    of f times the lower expectation of the co-factor  g * 1{parents}
+    over the non-descendants of K, or its upper one where a < 0."""
+
     def test_zero_inner_value_annihilates(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.0)  # disconnected
         f = net.factor_from_values(["1"], [0.0, 0.0])
         g = random_factor(rng, net, ["2", "3"], low=0.0, high=2.0)
-        assert factorise(net, {"1"}, {}, f, g) == pytest.approx(0.0, abs=TOL)
+        assert lp.lower_expectation_lp(sub_network(net, {"1"}, {}), f) == 0.0
+        assert lp.lower_expectation_lp(net, product_factor(
+            net, {}, f, g)) == pytest.approx(0.0, abs=TOL)
 
     def test_against_lp_both_signs(self, rng):
         checked_pos = checked_neg = 0
@@ -445,7 +455,11 @@ class TestFactorise:
                 g = random_factor(rng, net,
                                   list(rel.non_parent_non_descendants),
                                   low=0.0, high=2.0)
-            value = factorise(net, K, assignment, f, g)
+            a = lp.lower_expectation_lp(sub_network(net, K, assignment), f)
+            co = product_factor(net, assignment, Factor.constant(1.0), g)
+            lower, neg_upper = lp.lower_expectation_lp(
+                sub_network(net, rel.non_descendants, {}), [co, -co])
+            value = a * lower if a >= 0 else -a * neg_upper
             assembled = product_factor(net, assignment, f, g)
             assert value == pytest.approx(
                 lp.lower_expectation_lp(net, assembled), abs=1e-7)
@@ -455,26 +469,21 @@ class TestFactorise:
                 checked_neg += 1
         assert checked_pos >= 3 and checked_neg >= 3
 
-    def test_rejects_negative_cofactor(self, rng):
-        net = random_binary_net(rng, 2, edge_p=0.0)
-        f = random_factor(rng, net, ["1"])
-        g = net.factor_from_values(["2"], [-0.5, 1.0])
-        with pytest.raises(HypothesisError):
-            factorise(net, {"1"}, {}, f, g)
-
 
 class TestExternalAdditivity:
+    """For a closed K with no parents, the lower expectation of  h + f,
+    h on the non-descendants of K, is the sum of the sub-network
+    values of f and of h."""
+
     def test_two_disconnected_nodes(self, rng):
         net = random_binary_net(rng, 2, edge_p=0.0)
         f = random_factor(rng, net, ["1"])
         h = random_factor(rng, net, ["2"])
-        value = external_additivity(net, {"1"}, f, h)
         local1 = net.local("1", ()).lower_expectation(f.values)
         local2 = net.local("2", ()).lower_expectation(h.values)
-        assert value == pytest.approx(local1 + local2, abs=TOL)
         assembled = sum_factor(net, f, h)
-        assert value == pytest.approx(
-            lp.lower_expectation_lp(net, assembled), abs=1e-7)
+        assert lp.lower_expectation_lp(net, assembled) == pytest.approx(
+            local1 + local2, abs=1e-7)
 
     def test_zero_factor(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.3)
@@ -485,31 +494,29 @@ class TestExternalAdditivity:
         f = Factor.constant(0.0)
         h = (random_factor(rng, net, list(rel.non_parent_non_descendants))
              if rel.non_parent_non_descendants else Factor.constant(1.5))
-        value = external_additivity(net, K, f, h)
-        expect = (lower_expectation(
+        expect = (lp.lower_expectation_lp(
             sub_network(net, rel.non_parent_non_descendants, {}), h)
             if rel.non_parent_non_descendants else float(h.values))
-        assert value == pytest.approx(expect, abs=TOL)
+        assert lp.lower_expectation_lp(sub_network(net, K, {}), f) == 0.0
+        assert lp.lower_expectation_lp(net, sum_factor(net, f, h)) == \
+            pytest.approx(expect, abs=1e-7)
 
     def test_three_disconnected_vs_lp(self, rng):
         net = random_binary_net(rng, 3, edge_p=0.0)
         f = random_factor(rng, net, ["1"])
         h = random_factor(rng, net, ["2", "3"])
-        value = external_additivity(net, {"1"}, f, h)
+        value = (lp.lower_expectation_lp(sub_network(net, {"1"}, {}), f)
+                 + lp.lower_expectation_lp(sub_network(net, {"2", "3"}, {}),
+                                           h))
         assembled = sum_factor(net, f, h)
         assert value == pytest.approx(
             lp.lower_expectation_lp(net, assembled), abs=1e-7)
 
-    def test_rejects_parents(self, rng):
-        net = random_chain_net(rng, 3)
-        f = random_factor(rng, net, ["3"])
-        h = random_factor(rng, net, ["1"])
-        with pytest.raises(HypothesisError):
-            external_additivity(net, {"3"}, f, h)
-
 
 class TestCombined:
     def test_against_lp(self, rng):
+        # the general split of :func:`split_lp`, of which factorisation
+        # (no h) and external additivity (no g, no parents) are cases
         hits = 0
         for _ in range(15):
             net = random_binary_net(rng, 4, edge_p=0.5)
@@ -524,7 +531,7 @@ class TestCombined:
             g = (random_factor(rng, net, list(rel.non_parent_non_descendants),
                                low=0.0, high=2.0)
                  if rel.non_parent_non_descendants else None)
-            value = combined(net, K, assignment, f, h, g)
+            value = split_lp(net, K, assignment, f, h, g)
             assembled = combined_factor(net, assignment, f, h, g)
             assert value == pytest.approx(
                 lp.lower_expectation_lp(net, assembled), abs=1e-7)

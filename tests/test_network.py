@@ -1,11 +1,15 @@
 """Network assembly, sub-networks, factors and events."""
 
+import os
 import re
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
+import credalnet
 from credalnet import lp
 from credalnet.credal import (CredalSet, binary_interval, singleton, vacuous,
                               vertices_to_constraints)
@@ -517,6 +521,30 @@ class TestSubNetwork:
     def test_incomplete_parent_assignment(self, fig_net):
         with pytest.raises(InputError):
             sub_network(fig_net, {"5", "7", "9"}, {"3": "0"})
+
+    def test_unknown_parent_states_name_the_first_parent(self):
+        # a, b, c -> d: the first outside parent in declaration order is
+        # named under any string hashing
+        code = (
+            "from credalnet import CredalNetwork, Dag, sub_network, vacuous\n"
+            "from credalnet.errors import InputError\n"
+            "dag = Dag(['a', 'b', 'c', 'd'], [(p, 'd') for p in 'abc'])\n"
+            "m = vacuous(('0', '1'))\n"
+            "locals_ = {(s, ()): m for s in 'abc'}\n"
+            "locals_.update({('d', (x, y, z)): m for x in '01' "
+            "for y in '01' for z in '01'})\n"
+            "net = CredalNetwork(dag, dict.fromkeys('abcd', ('0', '1')), "
+            "locals_)\n"
+            "try:\n"
+            "    sub_network(net, {'d'}, {'a': 'x', 'b': 'y', 'c': 'z'})\n"
+            "except InputError as e:\n"
+            "    print(e)\n")
+        src = os.path.dirname(os.path.dirname(credalnet.__file__))
+        for seed in ("0", "1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout == "unknown state 'x' of node 'a'\n"
 
     def test_relations_consistent_with_full_graph(self, fig_net):
         from credalnet.graph import set_relations
