@@ -221,9 +221,9 @@ class CredalSet:
 
     @cached_property
     def member(self) -> np.ndarray:
-        """One mass function of the set, as an array over the states: the
-        first vertex, or, for a set given by constraints only, the point
-        of the feasibility LP solved at construction."""
+        """One vertex of the set, as an array over the states: the first
+        listed, or, for a set given by constraints only, the basic
+        solution of the feasibility LP solved at construction."""
         return self._V[0]
 
     @property
@@ -400,9 +400,14 @@ def constraints_to_vertices(m: CredalSet) -> list[MassFunction]:
     """Vertex enumeration of the constraint polytope."""
     if m.n_states > MAX_CONVERSION_STATES:
         raise CapabilityError("vertex enumeration exceeds desk scale")
-    V = polytope.cut_simplex(m.n_states, m._H)
+    V = _cut_vertices(m)
     if len(V) == 0:
         raise ModelError("credal set is empty")
-    V = np.clip(V, 0.0, None)
-    return [MassFunction(m.states, tuple(float(x) for x in v / v.sum()))
-            for v in V]
+    return [MassFunction(m.states, tuple(v)) for v in V.tolist()]
+
+
+def _cut_vertices(m: CredalSet) -> np.ndarray:
+    """The vertices of the polytope of ``m._H`` (none if the cut finds it
+    empty), clipped to ``p >= 0`` and normalised, one a row."""
+    V = np.clip(polytope.cut_simplex(m.n_states, m._H), 0.0, None)
+    return V / V.sum(1, keepdims=True)

@@ -34,8 +34,8 @@ defect (:func:`validate_document`) and builds the network that
 :func:`load_network_document` returns.  A local entry's vertices are
 read against the entry's one set of state names into one flat tuple of
 floats (:func:`_parse_local`); an entry with constraints gives a
-:class:`CredalSet`.  The rows of every tuple are then read into one
-array per state count and checked there, once
+:class:`CredalSet`.  The vertex rows of every entry are then read into
+one array per state count, and those of every tuple checked there, once
 (:func:`credalnet.network.vertex_lists`); a defect of the rows is
 listed at its entry's place among the others.  :class:`CredalNetwork`
 takes the checked arrays and keeps the local models in one array per
@@ -224,12 +224,11 @@ def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
                 if (s, cfg) not in seen:
                     report.add(f"missing local model for node {s!r} given "
                                f"{cfg!r}")
-    # the vertex rows of every tuple, read and checked once; a defect is
-    # listed at its entry's place
+    # the vertex rows of every entry, read once, and those of every tuple
+    # checked; a defect is listed at its entry's place
     keys = list(locals_)
-    checked = vertex_lists(
-        [m if type(m) is tuple else None for m in locals_.values()],
-        [len(spaces[s]) for s, _ in keys], keys)
+    checked = vertex_lists(list(locals_.values()),
+                           [len(spaces[s]) for s, _ in keys], keys)
     for i, error in reversed(checked[1]):
         if not isinstance(error, (InputError, ModelError)):
             raise error

@@ -85,7 +85,7 @@ def event_mask(net: CredalNetwork, event: Event) -> np.ndarray:
 
 def _node_rows(net: CredalNetwork):
     """Per node ``s``: its non-descendants in declaration order, the rows
-    ``_H`` of its local sets one after another, in
+    ``_H`` of its local sets, each padded to as many as the longest, in
     :meth:`CredalNetwork.parent_configs` order, and their number at each
     configuration (:meth:`CredalNetwork.local_rows`)."""
     for s in net.dag.nodes:
@@ -122,7 +122,7 @@ def _constraint_rows(net: CredalNetwork, idx: JointIndex, blocks: list,
         at = np.repeat(np.arange(idx.total), per)
         r = np.arange(len(at)) - np.repeat(np.cumsum(per) - per, per)
         rows[first[cfg[at]] + r, at] = \
-            H[np.repeat((np.cumsum(h) - h)[pa], per) + r, zs[at]]
+            H[np.repeat(pa * (len(H) // len(h)), per) + r, zs[at]]
     assert top == count
     return rows
 

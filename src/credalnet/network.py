@@ -3,13 +3,15 @@ per node and parent configuration.
 
 The local models live in arrays, not in one object per configuration: a
 network reads the vertex lists of all its entries into one float array
-per state count, checks their rows there in one pass, and lays them out
-node by node, so that each node's models are one view of that array,
-with axes (parent configurations..., vertex, state) and the vertex count
-of each configuration (:meth:`CredalNetwork.local_stack`).  A node with
-a set given by constraints holds its :class:`CredalSet` objects instead.
-The sets that :meth:`CredalNetwork.local` hands out are views of the
-arrays, built on first use, and a sub-network slices them.
+per state count, checks the rows it was given there in one pass, and
+lays them out node by node, so that each node's models are one view of
+that array, with axes (parent configurations..., vertex, state) and the
+vertex count of each configuration (:meth:`CredalNetwork.local_stack`).
+A set given by constraints alone is laid out as the vertices enumerated
+from them on construction, so every local step is one contraction with a
+node's array.  :meth:`CredalNetwork.local` hands out the sets handed
+over, or views of the arrays built on first use; a sub-network slices
+the arrays.
 
 Assignments of states to nodes are plain ``dict[str, str]`` mappings.
 Factors and events carry an explicit scope, kept in node-declaration
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .credal import CredalSet, interval_rows, vertex_defects
+from .credal import CredalSet, _cut_vertices, interval_rows, vertex_defects
 from .errors import CapabilityError, InputError
 from .graph import Dag
 
@@ -125,19 +127,18 @@ class CredalNetwork:
     :func:`credalnet.fileio._parse_local` gives a vertex entry).  Each
     key is mapped once to its configuration's place; only the entries
     with no place, or with a set, are visited again, in entry order, and
-    the first spurious key or value, or set of other states, raises.  The
-    rows of every vertex list are checked in one array per state count
-    (:func:`credalnet.credal.vertex_defects`), the first defect in entry
-    order raised.  The lists are then laid out node by node in one array
-    per state count, whose slices are the node arrays
-    (:meth:`local_stack`), with the vertex count of each configuration;
-    :meth:`local` hands out views of them, built on first use (or the
-    sets handed over as such).
+    the first spurious key or value, or set of other states, raises.
+    :func:`vertex_lists` reads every entry's vertex rows (enumerated for
+    a set given by constraints alone) into one array per state count and
+    checks those of the tuples, the first defect in entry order raised.
+    The lists are then laid out node by node in one array per state
+    count, whose slices are the node arrays (:meth:`local_stack`), with
+    the vertex count of each configuration; :meth:`local` hands out the
+    sets handed over, or views of the arrays built on first use.
 
     ``checked`` is what :func:`vertex_lists` gave for the same entries,
-    with None in the place of each set, from a caller that has read them
-    already and gives no set without constraints; the rows are then not
-    read again."""
+    from a caller that has read them already; the rows are then not read
+    again."""
 
     def __init__(self, dag: Dag, state_spaces: Mapping[str, Sequence[str]],
                  locals_: Mapping[tuple, CredalSet | tuple], *,
@@ -159,8 +160,7 @@ class CredalNetwork:
         # missing, and the configurations are enumerated only then
         parents = list(map(dag.parents, dag.nodes))
         spaces = [tuple(map(self.state_spaces.get, pas)) for pas in parents]
-        shapes = [tuple(map(len, space)) for space in spaces]
-        configs = list(map(math.prod, shapes))
+        configs = [math.prod(map(len, space)) for space in spaces]
         if len(locals_) != sum(configs):
             raise InputError(f"the network needs {sum(configs)} local "
                              f"models, not {len(locals_)}")
@@ -177,7 +177,6 @@ class CredalNetwork:
             pos = [places.get(k[0], {}).get(k[1]) if type(k) is tuple and
                    len(k) == 2 else None for k in keys]
         self._views: dict[tuple, CredalSet] = {}   # see local
-        set_nodes = []      # with a set given by constraints, or by none
         if None in pos or not set(map(type, values)) <= {tuple}:
             # the entries with no place, or with a set, in entry order:
             # the first spurious one, or set of other states, is raised
@@ -189,11 +188,9 @@ class CredalNetwork:
                 if m.states != self.state_spaces[key[0]]:
                     raise InputError(f"local model state mismatch at {key}")
                 self._views[key] = m
-                if m._V is None or m.constraints is not None:
-                    values[i] = None
-                    set_nodes.append(dag.index(key[0]))
-                else:
-                    values[i] = m._V.ravel()
+        # the nodes with a set given by constraints (see _node_rows)
+        self._given = {s for (s, _), m in self._views.items()
+                       if m.constraints is not None}
         ids = dict(zip(dag.nodes, count()))
         node = np.fromiter(map(ids.__getitem__, map(itemgetter(0), keys)),
                            np.intp, len(keys))
@@ -207,54 +204,38 @@ class CredalNetwork:
 
         # each node's arrays, made on first use (see _node) from one
         # array per state count, as two views per node made up front cost
-        # the recursions load 5% of its time and 4 MiB; those with a set
-        # given by constraints, or by none, hold their sets
+        # the recursions load 5% of its time and 4 MiB
         self._stacks: dict[str, np.ndarray] = {}
-        self._counts: dict[str, np.ndarray | None] = {}
-        self._rows: dict[str, np.ndarray] = {}     # see local_rows
+        self._counts: dict[str, np.ndarray] = {}
+        self._rows: dict[str, tuple] = {}      # see _node_rows
         self._arrays, self._origin = [], None     # (G, k) per state count
         # per node: its array in _arrays, and its record there
         self._place = np.zeros((len(configs), 4), dtype=np.intp)
         for at, V, counts in groups:
-            starts = np.add.accumulate(counts) - counts
-            on = slice(None) if not set_nodes else \
-                ~np.isin(node[at], set_nodes)
-            if len(counts[on]):
-                G, k, ids, record = _gather(V, starts[on], counts[on],
-                                            node[at][on], pos[at][on])
-                self._place[ids, 0] = len(self._arrays)
-                self._place[ids, 1:] = record
-                self._arrays.append((G, k))
-            if set_nodes:
-                for j in np.flatnonzero(~on).tolist():
-                    key = keys[at[j]]
-                    self._views[key] = CredalSet._view(
-                        self.state_spaces[key[0]],
-                        V[starts[j]:starts[j] + counts[j]])
-        for i in set(set_nodes):
-            s = dag.nodes[i]
-            stack = np.empty(configs[i], dtype=object)
-            stack[:] = [self._views[(s, cfg)]
-                        for cfg in self.parent_configs(s)]
-            self._stacks[s] = stack.reshape(shapes[i])
-            self._counts[s] = None
+            G, k, ids, record = _gather(V, np.add.accumulate(counts) - counts,
+                                        counts, node[at], pos[at])
+            self._place[ids, 0] = len(self._arrays)
+            self._place[ids, 1:] = record
+            self._arrays.append((G, k))
 
     @classmethod
     def _of_stacks(cls, dag: Dag, state_spaces: dict, stacks: dict,
-                   counts: dict, origin: tuple) -> "CredalNetwork":
-        """The network of the node arrays of an existing one, unchecked;
-        ``origin`` = (network, index of each node's arrays in its)."""
+                   counts: dict, views: dict, origin: tuple
+                   ) -> "CredalNetwork":
+        """The network of the node arrays of an existing one and its sets
+        given by constraints (``views``), unchecked; ``origin`` =
+        (network, index of each node's arrays in its)."""
         net = cls.__new__(cls)
         net.dag, net.state_spaces = dag, state_spaces
         net._stacks, net._counts, net._views, net._arrays = \
-            stacks, counts, {}, []
-        net._rows, net._origin = {}, origin
+            stacks, counts, views, []
+        net._rows, net._origin, net._given = {}, origin, {s for s, _ in views}
         return net
 
-    def _node(self, s: str) -> tuple[np.ndarray, np.ndarray | None]:
+    def _node(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """The stack of ``s`` (see :meth:`local_stack`) and its vertex
-        count per configuration (None for an object stack); a node's
-        arrays are views of one of the network's, made on first use."""
+        count per configuration; a node's arrays are views of one of the
+        network's, made on first use."""
         stack = self._stacks.get(s)
         if stack is None:
             g, c, w, a = self._place[self.dag.index(s)].tolist()
@@ -289,8 +270,9 @@ class CredalNetwork:
             raise InputError(f"assignment misses parent {e} of {s!r}") from None
 
     def local(self, s: str, parent_config: tuple = ()) -> CredalSet:
-        """The local set of ``s`` at a parent configuration: a view of the
-        rows of :meth:`local_stack` there, built on first use and kept."""
+        """The local set of ``s`` at a parent configuration: the set
+        handed over, if any, or else a view of the rows of
+        :meth:`local_stack` there, built on first use and kept."""
         key = (s, tuple(parent_config))
         m = self._views.get(key)
         if m is None:
@@ -302,9 +284,8 @@ class CredalNetwork:
             except InputError:
                 raise InputError(f"no local model for {key}") from None
             stack, counts = self._node(s)
-            m = stack[at] if counts is None else CredalSet._view(
+            m = self._views[key] = CredalSet._view(
                 self.state_spaces[s], stack[at][:counts[at]])
-            self._views[key] = m
         return m
 
     @cached_property
@@ -322,72 +303,62 @@ class CredalNetwork:
         order, then one per state of ``s``; a parent axis may have length
         1, and leading ones may be missing, where ``g`` does not depend on
         that parent.  Axes before the parent axes are kept in the result,
-        followed by one axis per parent.  When every local set of ``s``
-        has a vertex list this is one contraction with the stacked
-        vertices; otherwise each set answers on its own, by its LP.  At a
+        followed by one axis per parent.  This is one contraction with
+        the stacked vertices, for a set given by constraints too.  At a
         one-vertex set among larger ones, the padded rows may round the
         last bit unlike that set's own ``lower_expectation`` (a dot)."""
         g, stack = np.asarray(g, dtype=float), self.local_stack(s)
         if g.ndim == 0 or g.shape[-1] != self.size(s):
             raise InputError(f"a gamble on {s!r} needs a last axis of "
                              f"{self.size(s)} values, not shape {g.shape}")
-        if stack.dtype != object:
-            # the ufunc itself: ``ndarray.min`` adds a Python frame
-            return np.minimum.reduce((stack @ g[..., None])[..., 0], -1)
-        shape, values = _per_set(stack, g, CredalSet.lower_expectation)
-        return np.array(values).reshape(shape)
+        # the ufunc itself: ``ndarray.min`` adds a Python frame
+        return np.minimum.reduce((stack @ g[..., None])[..., 0], -1)
 
     def local_stack(self, s: str) -> np.ndarray:
-        """The local models of ``s``: when each is given by its vertices
-        alone, their vertices in one read-only float array with axes
-        (parents..., vertex, state), where a list with fewer vertices
-        repeats its first one, which leaves every minimum unchanged;
-        otherwise the local sets in an object array over the parent
-        configurations."""
+        """The vertices of the local sets of ``s`` (for a set given by
+        constraints alone, those enumerated on construction, its member
+        first) in one read-only float array with axes (parents...,
+        vertex, state), where a list with fewer vertices repeats its first
+        one, which leaves every minimum unchanged."""
         return self._node(s)[0]
 
     def local_rows(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """The homogeneous rows of the local sets of ``s``
-        (``CredalSet._H``), one set after another in
-        :meth:`parent_configs` order, in one (row, state) float array, and
-        the number of rows of each set."""
-        R = self._node_rows(s)
-        if R.dtype != object:
-            return R.reshape(-1, R.shape[-1]), np.full(R[..., 0, 0].size,
-                                                      R.shape[-2])
-        return (np.concatenate(list(R.flat)),
-                np.fromiter(map(len, R.flat), np.intp, R.size))
+        (``CredalSet._H``), in :meth:`parent_configs` order, each padded
+        with zero rows to as many as the longest, in one (row, state) float
+        array, and the number of rows of each set."""
+        R, h = self._node_rows(s)
+        return R.reshape(-1, R.shape[-1]), h.ravel()
 
-    def _node_rows(self, s: str) -> np.ndarray:
-        """The rows of :meth:`local_rows` over the parent axes: for binary
-        vertex lists, one float array with axes (parents..., row, state),
-        from the node's array in one step
-        (:func:`credalnet.credal.interval_rows`); else the rows of each
-        set in an object array.  Built on first use and kept; a
-        sub-network slices its network's."""
+    def _node_rows(self, s: str) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of :meth:`local_rows` over the parent axes, in one
+        (parents..., row, state) float array, and their numbers: for binary
+        vertex lists, from the node's array in one step
+        (:func:`credalnet.credal.interval_rows`); else each set's own.
+        Built on first use and kept; a sub-network slices its network's."""
         R = self._rows.get(s)
         if R is None and self._origin is not None:
             net, at = self._origin
-            R = net._node_rows(s)[at[s]]
+            R = tuple(a[at[s]] for a in net._node_rows(s))
         elif R is None:
-            stack, counts = self._node(s)
-            if counts is not None and stack.shape[-1] == 2:
-                R = interval_rows(stack)
+            shape, n = self.shape(self.dag.parents(s)), self.size(s)
+            if s not in self._given and n == 2:
+                R = interval_rows(self.local_stack(s)), np.full(shape, 2)
             else:
-                R = np.empty(self.shape(self.dag.parents(s)), dtype=object)
-                for i, cfg in enumerate(self.parent_configs(s)):
-                    R.flat[i] = self.local(s, cfg)._H
+                H = [self.local(s, cfg)._H for cfg in self.parent_configs(s)]
+                h = np.fromiter(map(len, H), np.intp, len(H))
+                rows = np.zeros((len(H), h.max(), n))
+                rows[np.arange(h.max()) < h[:, None]] = np.concatenate(H)
+                R = rows.reshape(shape + rows.shape[1:]), h.reshape(shape)
         self._rows[s] = R
         return R
 
     def members(self, s: str) -> np.ndarray:
         """The kept member of each local set of ``s``
-        (:attr:`CredalSet.member`, the first vertex of a vertex list), in
-        :meth:`parent_configs` order: one (configuration, state) array."""
-        stack, counts = self._node(s)
-        if counts is not None:
-            return stack[..., 0, :].reshape(-1, stack.shape[-1])
-        return np.array([m.member for m in stack.flat])
+        (:attr:`CredalSet.member`, its first row in :meth:`local_stack`),
+        in :meth:`parent_configs` order: one (configuration, state) array."""
+        stack = self.local_stack(s)
+        return stack[..., 0, :].reshape(-1, stack.shape[-1])
 
     def local_forms(self, s: str) -> list:
         """Each local set of ``s`` in the form it was given, in
@@ -395,11 +366,10 @@ class CredalNetwork:
         float array, or, for a set given by constraints alone, the tuple
         of its constraints."""
         stack, counts = self._node(s)
-        if counts is None:
-            return [m._V if m._V is not None else m.constraints
-                    for m in stack.flat]
-        return [V[:k] for V, k in zip(
-            stack.reshape(-1, *stack.shape[-2:]), counts.flat)]
+        given = map(self._views.get, product([s], self.parent_configs(s)))
+        return [m.constraints if m is not None and m._V is None else V[:k]
+                for m, V, k in zip(given, stack.reshape(-1, *stack.shape[-2:]),
+                                   counts.flat)]
 
     def joint_count(self, S: Iterable[str] | None = None) -> int:
         nodes = self.dag.nodes if S is None else self.dag.sorted_nodes(S)
@@ -523,20 +493,22 @@ def _gather(V: np.ndarray, start: np.ndarray, counts: np.ndarray,
 
 def vertex_lists(lists: list, sizes: list, keys: list
                  ) -> tuple[list, list]:
-    """The vertex lists ``lists[i]`` on ``sizes[i]`` states, flat (a
-    tuple, checked up to the hull here, or the rows of a set, checked when
-    it was built; None for none), read into one float array per state
-    count and checked there (:func:`credalnet.credal.vertex_defects`):
-    per state count ``(at, V, counts)``, the places of its lists, their
-    rows and vertex counts; and the first defect of each list, as ``(i,
-    error)`` in list order.  A list that is not numbers, as many a vertex
-    as there are states, raises, naming its key."""
+    """The vertex lists of the local models ``lists[i]`` on ``sizes[i]``
+    states in one float array per state count: per state count ``(at, V,
+    counts)``, the places of its lists, their rows and vertex counts; and
+    the first defect of each flat tuple of numbers, as ``(i, error)`` in
+    list order, as checked here (:func:`credalnet.credal.vertex_defects`).
+    A :class:`CredalSet` gives its vertices, or, given by constraints
+    alone, its member and then the vertices enumerated from them
+    (:func:`credalnet.credal._cut_vertices`), which are not checked: an
+    interval narrower than the checks' tolerance would read as duplicate
+    vertices.  A tuple that is not numbers, as many a vertex as there are
+    states, raises, naming its key."""
+    lists = [m if type(m) is tuple else (m._V if m._V is not None else
+             np.vstack([m.member, _cut_vertices(m)])).ravel() for m in lists]
     groups, defects = [], []
     for n in sorted(set(sizes)):
-        at = [i for i, (size, t) in enumerate(zip(sizes, lists))
-              if size == n and t is not None]
-        if not at:
-            continue
+        at = [i for i, size in enumerate(sizes) if size == n]
         numbers = [lists[i] for i in at]
         lengths = np.fromiter(map(len, numbers), np.intp, len(at))
         if (lengths % n).any():
@@ -554,10 +526,14 @@ def vertex_lists(lists: list, sizes: list, keys: list
                                      f"{keys[i]}") from None
             raise
         counts = lengths // n
-        hull = [type(lists[i]) is tuple for i in at]
-        defects += [(at[j], error)
-                    for j, error in vertex_defects(V, counts, hull)]
         groups.append((at, V, counts))
+        # the rows of the tuples alone are checked
+        mine = [j for j, i in enumerate(at) if type(lists[i]) is tuple]
+        if len(mine) < len(at):
+            V, counts = V[np.repeat(np.isin(range(len(at)), mine), counts)], \
+                counts[mine]
+        defects += [(at[mine[j]], error)
+                    for j, error in vertex_defects(V, counts)]
     return groups, sorted(defects, key=lambda d: d[0])
 
 
@@ -568,18 +544,11 @@ def lower_argmin(stack: np.ndarray, g: np.ndarray
     :meth:`CredalNetwork.local_lower` (whose checks of ``g`` it leaves
     out), and a mass function attaining each of them, with a last axis
     over the states: the minimising row of the stacked vertices, from
-    the one contraction that gives the values, or, for a set with
-    constraints only, its local LP's solution
-    (:meth:`CredalSet.lower_argmin`)."""
-    if stack.dtype != object:
-        values = (stack @ g[..., None])[..., 0]
-        # a one-hot row per minimum picks its vertex exactly
-        pick = _one_hot(values.shape[-1])[values.argmin(-1), None]
-        return np.minimum.reduce(values, -1), (pick @ stack)[..., 0, :]
-    shape, pairs = _per_set(stack, g, CredalSet.lower_argmin)
-    values, masses = zip(*pairs)
-    return (np.array(values).reshape(shape),
-            np.array(masses).reshape(*shape, -1))
+    the one contraction that gives the values."""
+    values = (stack @ g[..., None])[..., 0]
+    # a one-hot row per minimum picks its vertex exactly
+    pick = _one_hot(values.shape[-1])[values.argmin(-1), None]
+    return np.minimum.reduce(values, -1), (pick @ stack)[..., 0, :]
 
 
 @cache
@@ -587,16 +556,6 @@ def _one_hot(k: int) -> np.ndarray:
     eye = np.eye(k)
     eye.flags.writeable = False
     return eye
-
-
-def _per_set(stack: np.ndarray, g: np.ndarray, query) -> tuple:
-    """The broadcast shape of the gamble's leading axes and an object
-    stack, and ``query(set, row)`` for the local set and gamble row at
-    each of its indices, in a flat list."""
-    shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
-    rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
-    return shape, [query(m, row) for m, row in zip(
-        np.broadcast_to(stack, shape).flat, rows)]
 
 
 def joint_states(net: CredalNetwork, S: Iterable[str]) -> list[dict]:
@@ -613,7 +572,8 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
     The sub-DAG keeps the edges inside K; each node array is sliced to
     the K-internal parent axes, with the out-of-K parent values
     instantiated from ``parent_assignment``, and to the longest vertex
-    list left.  K is not required to be closed.  An unknown parent
+    list left; the sets given by constraints at the configurations left
+    are kept.  K is not required to be closed.  An unknown parent
     state raises from the slicing, for the first such parent of the
     first node of K in declaration order.
     """
@@ -626,18 +586,21 @@ def sub_network(net: CredalNetwork, K: Iterable[str],
         raise InputError(f"parent assignment misses {sorted(missing)}")
 
     sub_dag = Dag(Kt, [(p, s) for p, s in edges if p in Kset])
-    stacks, counts, ats = {}, {}, {}
+    stacks, counts, views, ats = {}, {}, {}, {}
     for s in Kt:
         # the axes of the K-internal parents, the others at their states
         at = ats[s] = tuple(slice(None) if p in Kset else
                             net.state_index(p, parent_assignment[p])
                             for p in net.dag.parents(s)) + (...,)
         stack, count = net._node(s)
-        stack = stack[at]
-        if count is not None:
-            count = count[at]
-            stack = stack[..., :count.max(), :]
-        stacks[s], counts[s] = stack, count
+        count = counts[s] = count[at]
+        stacks[s] = stack[at][..., :count.max(), :]
+        inner = sub_dag.parents(s)
+        for cfg in product(*map(net.states, inner)) if s in net._given else ():
+            m = net.local(s, net.parent_config(s, {**parent_assignment,
+                                                   **dict(zip(inner, cfg))}))
+            if m.constraints is not None:
+                views[(s, cfg)] = m
     return CredalNetwork._of_stacks(
         sub_dag, {s: net.state_spaces[s] for s in Kt}, stacks, counts,
-        (net, ats))
+        views, (net, ats))

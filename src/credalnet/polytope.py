@@ -19,8 +19,9 @@ import numpy as np
 from . import simplex
 from .errors import CapabilityError, ModelError
 
-#: Vertices closer than this (max-norm) are considered identical.
-DEDUP_RADIUS = 1e-6
+#: Vertices closer than this (max-norm) are considered identical.  A
+#: radius of 1e-6 merged the two ends of a valid interval 5e-7 wide.
+DEDUP_RADIUS = 1e-12
 
 #: Classification tolerance: |g @ v| below this counts as "on the plane".
 _ZTOL = 1e-9

@@ -394,18 +394,12 @@ def reference_chain_lower(net: CredalNetwork, h: Factor) -> float:
 def reference_argmin(net: CredalNetwork, s: str, g) -> np.ndarray:
     """A mass function on ``s`` attaining each value of
     ``net.local_lower(s, g)``: the minimising row of the stacked
-    vertices, or the local LP's solution for a set with constraints
-    only."""
+    vertices."""
     g = np.asarray(g, dtype=float)
     stack = net.local_stack(s)
-    if stack.dtype != object:
-        best = (stack @ g[..., None])[..., 0].argmin(-1)[..., None, None]
-        stack = np.broadcast_to(stack, best.shape[:-2] + stack.shape[-2:])
-        return np.take_along_axis(stack, best, -2)[..., 0, :]
-    shape = np.broadcast_shapes(g.shape[:-1], stack.shape)
-    rows = np.broadcast_to(g, shape + g.shape[-1:]).reshape(-1, g.shape[-1])
-    return np.array([m.lower_argmin(row)[1] for m, row in zip(
-        np.broadcast_to(stack, shape).flat, rows)]).reshape(*shape, -1)
+    best = (stack @ g[..., None])[..., 0].argmin(-1)[..., None, None]
+    stack = np.broadcast_to(stack, best.shape[:-2] + stack.shape[-2:])
+    return np.take_along_axis(stack, best, -2)[..., 0, :]
 
 
 def reference_reverse_rho(net: CredalNetwork, h: Factor, x_n: str,

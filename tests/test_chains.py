@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from credalnet import chains, cli, conditioning, decompose, lp, oracle, queries
+from credalnet import cli, conditioning, decompose, lp, oracle, queries
 from credalnet.chains import TransferOperator, chain_order
 from credalnet.conditioning import hmm_rho, root_rho
 from credalnet.credal import CredalSet, binary_interval, singleton

@@ -510,7 +510,9 @@ def test_no_unused_imports():
     # the package's __init__ imports only to export, as pinned above
     src = os.path.dirname(credalnet.__file__)
     found = {}
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+    for path in sorted(glob.glob(os.path.join(src, "*.py")) +
+                       glob.glob(os.path.join(os.path.dirname(__file__),
+                                              "*.py"))):
         if os.path.basename(path) != "__init__.py":
             with open(path, encoding="utf-8") as fh:
                 if names := unused_imports(fh.read()):

@@ -71,13 +71,18 @@ RECORDED = {
 def fingerprint(net: CredalNetwork) -> str:
     h = hashlib.sha256(fileio.dump_network(net).encode())
     for s in net.dag.nodes:
+        given = False
         for cfg in net.parent_configs(s):
             m = net.local(s, cfg)
+            given |= m.constraints is not None
             for a in (m._V, m._H, m.member):
                 h.update(b"none" if a is None else
                          repr(a.shape).encode() + a.astype(float).tobytes())
-        stack = net.local_stack(s)
-        if stack.dtype != object:
+        # a node with a set given by constraints held its sets, not a
+        # stack, when the digests were recorded; its stack is checked by
+        # test_enumerated_rows_are_vertices
+        if not given:
+            stack = net.local_stack(s)
             h.update(repr(stack.shape).encode() + stack.tobytes())
     return h.hexdigest()[:16]
 
@@ -88,6 +93,36 @@ def test_same_bits_as_recorded(name):
     reloaded = fileio.load_network_document(
         json.loads(fileio.dump_network(net)))
     assert fingerprint(net) == fingerprint(reloaded) == RECORDED[name]
+
+
+def is_vertex(m: CredalSet, v: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether ``v`` is a vertex of ``m``: a member at which the tight
+    rows of ``m``, the tight bounds ``p >= 0`` and ``sum p = 1`` have full
+    rank."""
+    tight = np.vstack([m._H[np.abs(m._H @ v) <= tol],
+                       np.eye(len(v))[v <= tol], np.ones(len(v))])
+    return m.contains(v) and np.linalg.matrix_rank(tight, tol) == len(v)
+
+
+@pytest.mark.parametrize("name", ["chain3", "hmm3", "twin-n4-s5"])
+def test_enumerated_rows_are_vertices(name, rng):
+    # a set given by constraints has the rows of its vertices in its
+    # node's stack, its kept member first, and they span the set
+    net, given = NETWORKS[name](), 0
+    for s in net.dag.nodes:
+        stack = net.local_stack(s)
+        for cfg, V in zip(net.parent_configs(s),
+                          stack.reshape(-1, *stack.shape[-2:])):
+            m = net.local(s, cfg)
+            if m.constraints is None:
+                continue
+            given += 1
+            assert V[0].tobytes() == m.member.tobytes()
+            assert all(is_vertex(m, v) for v in V)
+            for f in rng.normal(size=(8, net.size(s))):
+                assert (V @ f).min() == pytest.approx(
+                    m.lower_expectation(f), abs=1e-12)
+    assert given
 
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))

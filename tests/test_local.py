@@ -435,3 +435,56 @@ class TestMutualMembership:
         wider = [(alpha, beta - 1e-3) for alpha, beta in cons]
         with pytest.raises(InputError, match="not covered"):
             CredalSet(("a", "b", "c"), vertices=verts, constraints=wider)
+
+
+def one_node_net(m: CredalSet) -> CredalNetwork:
+    """The network of one node whose local set is ``m``."""
+    return CredalNetwork(Dag(["x"], []), {"x": m.states}, {("x", ()): m})
+
+
+def narrow_interval(low: float, width: float) -> CredalSet:
+    """p(h) in [low, low + width], by its constraints."""
+    return CredalSet(("h", "t"), constraints=[((1.0, 0.0), low),
+                                              ((-1.0, 0.0), -(low + width))])
+
+
+class TestEnumeratedSets:
+    """A network enumerates the vertices of a set given by constraints
+    alone on construction, and every local step reads them."""
+
+    @pytest.mark.parametrize("width", [5e-7, 5e-8])
+    def test_narrow_interval_keeps_both_ends(self, width):
+        # vertices closer than the dedup radius are merged into one
+        m = narrow_interval(0.3, width)
+        net = one_node_net(m)
+        for f in np.array([[1.0, 0.0], [-1.0, 0.0]]):
+            expect = lp_lower(m, f)
+            assert min(f @ v.probs for v in constraints_to_vertices(m)) \
+                == pytest.approx(expect, abs=1e-15)
+            assert float(net.local_lower("x", f)) == \
+                pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("width", [1e-10, 5e-8])
+    def test_thin_interval_loads(self, width):
+        # narrower than the tolerance of the checks of given vertex rows
+        # (and, at 1e-10, of the cut's classification): no false error
+        m = narrow_interval(0.3, width)
+        net = one_node_net(m)
+        doc = fileio.network_document(net)
+        assert "constraints" in doc["locals"][0]
+        for model in (net, fileio.load_network_document(doc)):
+            for f in np.array([[1.0, 0.0], [-1.0, 0.0], [0.3, -0.7]]):
+                assert float(model.local_lower("x", f)) == \
+                    pytest.approx(lp_lower(m, f), abs=1e-9)
+
+    def test_thirteen_states_load(self, rng):
+        # past the desk scale of constraints_to_vertices, which the
+        # network does not apply
+        states = tuple("abcdefghijklm")
+        first, second = np.eye(13)[0], np.eye(13)[1] + np.eye(13)[2]
+        m = CredalSet(states, constraints=[(first, 0.1), (-second, -0.5)])
+        net = one_node_net(m)
+        assert net.local("x", ()) is m
+        for f in rng.normal(size=(10, 13)):
+            assert float(net.local_lower("x", f)) == \
+                pytest.approx(m.lower_expectation(f), abs=1e-12)

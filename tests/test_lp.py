@@ -9,14 +9,14 @@ import pytest
 from scipy.optimize import linprog
 
 from credalnet import conditioning, lp, polytope, simplex
-from credalnet.credal import MassFunction, singleton, vacuous
+from credalnet.credal import MassFunction, vacuous
 from credalnet.errors import CapabilityError, ConvergenceError, ModelError
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork
 
 from helpers import (bayes_joint, binary_net, chain_dag, highs_minimum,
-                     interval_locals, one_gamble, precise_locals,
-                     random_binary_net, random_factor, simplex_cut_net)
+                     one_gamble, precise_locals, random_binary_net,
+                     random_factor, simplex_cut_net)
 
 TOL = 1e-9
 
@@ -153,8 +153,9 @@ class TestVertexDedup:
         for _ in range(20):
             centres = rng.uniform(0, 1, size=(6, 4))
             W = centres[rng.integers(0, 6, size=40)] + \
-                rng.uniform(-1.5e-6, 1.5e-6, size=(40, 4))
-            kept = W[[0, 9]] + rng.uniform(-3e-7, 3e-7, size=(2, 4))
+                rng.uniform(-1.5, 1.5, size=(40, 4)) * polytope.DEDUP_RADIUS
+            kept = W[[0, 9]] + \
+                rng.uniform(-0.3, 0.3, size=(2, 4)) * polytope.DEDUP_RADIUS
             for k in (kept, kept[:0]):
                 expect = greedy_dedup(W, k)
                 got = polytope._fresh_vertices(W, k)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import credalnet
-from credalnet import lp
-from credalnet.credal import (CredalSet, binary_interval, singleton, vacuous,
+from credalnet import fileio, lp
+from credalnet.credal import (CredalSet, binary_interval, vacuous,
                               vertices_to_constraints)
 from credalnet.errors import CapabilityError, InputError
 from credalnet.fileio import Query
@@ -20,8 +20,8 @@ from credalnet.network import (CredalNetwork, Factor, joint_states,
                                lower_argmin, sub_network)
 from credalnet.queries import run_query
 
-from helpers import (binary_net, fig_dag, interval_locals, random_binary_net,
-                     random_factor, restrict_factor)
+from helpers import (binary_net, constraint_twin, fig_dag, interval_locals,
+                     random_binary_net, random_factor, restrict_factor)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,8 @@ class TestLocalLower:
             net.local("a", ()).lower_expectation(g)
 
     def test_constraint_form_sets(self, rng):
+        # sets given by constraints have their vertices in the float
+        # stack, and answer as their vertex lists and their own LPs do
         net = ragged_net(rng)
         locals_ = dict(net.locals)
         for key in [("c", ("0", "y")), ("c", ("1", "z"))]:
@@ -118,13 +120,12 @@ class TestLocalLower:
             locals_[key] = CredalSet(m.states,
                                      constraints=vertices_to_constraints(m))
         twin = CredalNetwork(net.dag, net.state_spaces, locals_)
-        assert twin.local_stack("c").dtype == object
+        assert twin.local_stack("c").dtype == float
         for shape in [(2, 3, 3), (3,), (1, 3, 3), (4, 2, 1, 3)]:
             g = rng.normal(size=shape)
             got = twin.local_lower("c", g)
-            assert np.array_equal(got, local_loop(twin, "c", g))
-            assert np.allclose(got, net.local_lower("c", g), atol=1e-12,
-                               rtol=0)
+            for expect in (net.local_lower("c", g), local_loop(twin, "c", g)):
+                assert np.allclose(got, expect, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 3, 4), ()])
     def test_wrong_last_axis(self, rng, shape):
@@ -195,9 +196,12 @@ class TestLocalArgmin:
                    if key[0] == "c" and len(m.vertices) > 1 else m
                    for key, m in net.locals.items()}
         twin = CredalNetwork(net.dag, net.state_spaces, locals_)
-        assert twin.local_stack("c").dtype == object
+        assert twin.local_stack("c").dtype == float
         for shape in self.SHAPES:
-            assert_attains(twin, "c", rng.normal(size=shape))
+            g = rng.normal(size=shape)
+            assert_attains(twin, "c", g)
+            assert np.allclose(lower_argmin(twin.local_stack("c"), g)[0],
+                               net.local_lower("c", g), atol=1e-12, rtol=0)
 
 
 class TestConstruction:
@@ -518,6 +522,18 @@ class TestSubNetwork:
         assert sub.dag.nodes == ("9",)
         assert same_set(sub.local("9", ()), fig_net.local("9", ("0",)))
 
+    def test_keeps_sets_given_by_constraints(self, fig_net):
+        # the sets themselves, not views of their enumerated vertices: a
+        # dump writes their constraints and reloads to the same document
+        twin = constraint_twin(fig_net)
+        sub = sub_network(twin, {"5", "7", "9"}, {"3": "0", "4": "1"})
+        for z5 in ("0", "1"):
+            assert sub.local("7", (z5,)) is twin.local("7", ("1", z5))
+        doc = fileio.network_document(sub)
+        assert any("constraints" in entry for entry in doc["locals"])
+        assert fileio.dump_network(fileio.load_network_document(doc)) == \
+            fileio.dump_network(sub)
+
     def test_incomplete_parent_assignment(self, fig_net):
         with pytest.raises(InputError):
             sub_network(fig_net, {"5", "7", "9"}, {"3": "0"})
@@ -547,7 +563,6 @@ class TestSubNetwork:
             assert out.stdout == "unknown state 'x' of node 'a'\n"
 
     def test_relations_consistent_with_full_graph(self, fig_net):
-        from credalnet.graph import set_relations
         K = {"5", "7", "9"}
         sub = sub_network(fig_net, K, {"3": "0", "4": "0"})
         # inside a closed K, the internal parent sets agree with the
