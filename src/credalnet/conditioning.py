@@ -49,7 +49,7 @@ import numpy as np
 
 from . import decompose, lp
 from .errors import ConvergenceError, HypothesisError, InputError, ModelError
-from .graph import closure, set_relations
+from .graph import SetRelations, set_relations
 from .network import CredalNetwork, Event, Factor, lower_argmin, sub_network
 
 #: Strict-positivity threshold of the sign tests, on the rows as scaled.
@@ -411,23 +411,31 @@ def hmm_rho(net: CredalNetwork, evidence: Mapping[str, str],
 def _grow_closed_for(net: CredalNetwork, scope, given: Mapping[str, str]):
     """Smallest closed K containing the scope such that all external
     parents of K are instantiated by the conditioning assignment and no
-    conditioned node is a descendant of K.  A needed node brings its
+    conditioned node is a descendant of K, and K's relations
+    (:func:`credalnet.graph.set_relations`).  A needed node brings its
     ungiven ancestors, up to the given ones, in the same round, so that
-    a chain of them costs one reach, not one round per node."""
-    K = closure(net.dag, frozenset(scope) if scope else
-                frozenset([net.dag.nodes[0]]))
-    given_nodes = set(given)
+    a chain of them costs one reach, not one round per node.  Only the
+    scope's names are checked; each round closes K, unchecked, to the
+    nodes of K and below it that lie above a member."""
+    dag, given_nodes = net.dag, set(given)
+    K = frozenset(scope) if scope else frozenset([dag.nodes[0]])
+    below = set_relations(dag, K).descendants
     while True:
-        rel = set_relations(net.dag, K)
-        need = set(rel.parents - given_nodes) | (rel.descendants & given_nodes)
+        reach = K | below
+        K = reach & dag._reach(dag._parents, K)
+        below = reach - K
+        parents = frozenset(p for s in K for p in dag.parents(s)) - K
+        need = set(parents - given_nodes) | (below & given_nodes)
         if not need:
-            return K, rel
+            rest = frozenset(dag.nodes) - reach
+            return K, SetRelations(parents, below, rest, rest - parents)
         stack = list(need)
         while stack:
-            new = set(net.dag.parents(stack.pop())) - given_nodes - K - need
+            new = set(dag.parents(stack.pop())) - given_nodes - K - need
             need |= new
             stack.extend(new)
-        K = closure(net.dag, K | need)
+        K |= need
+        below = dag._reach(dag._children, K) - K
 
 
 def reduce_query(net: CredalNetwork, scope, given: Event | None,

@@ -6,15 +6,18 @@ points, as a list of linear constraints ``alpha @ p >= beta``, or both.
 Either form normalises to one array ``_H`` of *homogeneous* constraints
 ``gamma @ p >= 0`` with ``gamma = alpha - beta``, read on the
 probability simplex: the set is the mass functions that satisfy them,
-and every consumer of the rows (the local LP, the global program,
-vertex enumeration, membership) intersects them with the simplex, so
-the rows need not imply ``p >= 0`` themselves.  The vertices are held
-as one float array ``_V``.  ``_H`` is derived on first read: on
-construction for a set with constraints, whose checks read it, and never
-for a vertex list that no LP reads.  The ``MassFunction`` tuples are
-built from ``_V`` on demand.  Each set also keeps one of its members,
-from which the global program starts.  All query operations are pure,
-so instances are freely shareable.
+and every consumer of the rows (the global program, vertex enumeration,
+membership) intersects them with the simplex, so the rows need not
+imply ``p >= 0`` themselves.  The given vertices are held as one float
+array ``_V``.  ``_H`` is derived on first read: on construction for a
+set with constraints, whose checks read it, and never for a vertex list
+that no program reads.  The ``MassFunction`` tuples are built from
+``_V`` on demand.  Each set also keeps one of its members, from which
+the global program starts.  A set given by constraints alone has its
+vertices enumerated once, on construction, after that member; every
+lower expectation, of a set alone or in a network, is the least of the
+dot products with these rows.  All query operations are pure, so
+instances are freely shareable.
 
 The vertex lists of a whole network are checked together: a network
 holds the local models of its nodes as arrays
@@ -115,13 +118,14 @@ class CredalSet:
         if constraints is not None:
             self.constraints = tuple(self._coerce_constraint(c) for c in constraints)
 
-        # both checks read _H, so a set with constraints derives it here
+        # each branch reads _H, so a set with constraints derives it here
         if self._V is None:
             self.member = self._feasible_point()
+            V = _cut_vertices(self)
+            self._points = np.vstack([self.member, V[np.abs(
+                V - self.member).max(1) >= polytope.DEDUP_RADIUS]])
         elif self.constraints is not None:
             self._check_mutual_membership()
-        if self._V is not None and len(self._V) > 2:
-            self._check_minimal()
 
     # -- construction helpers ---------------------------------------------
 
@@ -148,7 +152,7 @@ class CredalSet:
             raise ModelError("empty vertex list")
         if V.ndim != 2 or V.shape[1] != len(self.states):
             raise InputError("each vertex must give one number per state")
-        for _, error in vertex_defects(V, [len(V)], hull=False):
+        for _, error in vertex_defects(V, [len(V)]):
             raise error
         return V
 
@@ -206,11 +210,6 @@ class CredalSet:
                 raise InputError(
                     "constraint polytope is not covered by the given vertices")
 
-    def _check_minimal(self):
-        error = _hull_defect(self._V)
-        if error is not None:
-            raise error
-
     # -- queries ------------------------------------------------------------
 
     @cached_property
@@ -226,6 +225,14 @@ class CredalSet:
         solution of the feasibility LP solved at construction."""
         return self._V[0]
 
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """The vertices every query reads, one a row, ``member`` first:
+        ``_V``, or, for a set given by constraints alone, the member and
+        then the other vertices enumerated from the constraints on
+        construction."""
+        return self._V
+
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -236,20 +243,12 @@ class CredalSet:
         return self.lower_argmin(f)[0]
 
     def lower_argmin(self, f) -> tuple[float, np.ndarray]:
-        """The tight lower expectation of the gamble ``f`` and a mass
-        function of the set (an array over the states) attaining it: the
-        least of finitely many dot products and its vertex when the set
-        has a vertex list, and otherwise the value and the solution of an
-        LP over the homogeneous constraints."""
-        fv = _as_values(self.states, f)
-        if self._V is not None:
-            values = self._V @ fv
-            best = np.argmin(values)
-            return float(values[best]), self._V[best]
-        res = simplex.solve(fv, self._H)
-        if res.status != "optimal":
-            raise ModelError(f"local LP ended with status {res.status}")
-        return float(res.objective), res.x
+        """The tight lower expectation of the gamble ``f`` and a vertex of
+        the set (an array over the states) attaining it: the least of the
+        dot products with the rows of ``_points``, and its row."""
+        values = self._points @ _as_values(self.states, f)
+        best = np.argmin(values)
+        return float(values[best]), self._points[best]
 
     def upper_expectation(self, f) -> float:
         fv = _as_values(self.states, f)
@@ -293,17 +292,17 @@ def interval_rows(V: np.ndarray) -> np.ndarray:
                      np.stack([hi - 1.0, hi], -1)], -2)
 
 
-def vertex_defects(V: np.ndarray, counts: Sequence[int], hull=True
+def vertex_defects(V: np.ndarray, counts: Sequence[int]
                    ) -> list[tuple[int, CredalError]]:
     """The first defect of each vertex list whose rows lie one after
     another in the (rows, states) float array ``V``, list ``i`` taking the
     next ``counts[i]`` rows: pairs ``(i, error)`` in list order.  A list
     may be empty; a row may be no mass function (the first such row of a
-    list is named, its sum on Python floats); two rows may coincide; and,
-    where ``hull`` is true (one flag per list, or one for all), a list of
-    more than two rows that passes the rest may hold a row inside the hull
-    of the others (:func:`_hull_defect`).  The rows are read in one pass
-    of array operations, and only the defects on Python floats."""
+    list is named, its sum on Python floats); two rows may coincide; and
+    a list of more than two rows that passes the rest may hold a row
+    inside the hull of the others (:func:`_hull_defect`).  The rows are
+    read in one pass of array operations, and only the defects on Python
+    floats."""
     counts = np.asarray(counts, dtype=np.intp)
     total = V[:, 0].copy()
     for j in range(1, V.shape[1]):      # left to right, as sum() adds
@@ -339,7 +338,7 @@ def vertex_defects(V: np.ndarray, counts: Sequence[int], hull=True
             defects.setdefault(i, InputError(
                 "duplicate vertices in credal set"))
     if len(counts) and np.maximum.reduce(counts) > 2:
-        for i in np.flatnonzero((counts > 2) & hull).tolist():
+        for i in np.flatnonzero(counts > 2).tolist():
             if i not in defects:
                 error = _hull_defect(V[ends[i] - counts[i]:ends[i]])
                 if error is not None:

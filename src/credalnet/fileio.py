@@ -34,12 +34,15 @@ defect (:func:`validate_document`) and builds the network that
 :func:`load_network_document` returns.  A local entry's vertices are
 read against the entry's one set of state names into one flat tuple of
 floats (:func:`_parse_local`); an entry with constraints gives a
-:class:`CredalSet`.  The vertex rows of every entry are then read into
-one array per state count, and those of every tuple checked there, once
-(:func:`credalnet.network.vertex_lists`); a defect of the rows is
-listed at its entry's place among the others.  :class:`CredalNetwork`
-takes the checked arrays and keeps the local models in one array per
-node, from which it hands out ``CredalSet`` views on demand.
+:class:`CredalSet`, which checks itself and enumerates the vertices of
+a set given by constraints alone.  The vertex rows of every entry are
+then read into one array per state count, and those of every tuple
+checked there, once (:func:`credalnet.network.vertex_lists`).  Every
+error of an entry, a desk-scale limit of the enumeration or of the
+checks among them, is listed at the entry's place among the others.
+:class:`CredalNetwork` takes the checked arrays and keeps the local
+models in one array per node, from which it hands out ``CredalSet``
+views on demand.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .credal import CredalSet
-from .errors import InputError, ModelError
+from .errors import CredalError, InputError
 from .graph import Dag
 from .network import CredalNetwork, Event, Factor, vertex_lists
 
@@ -206,7 +209,7 @@ def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
         given_count[s] += 1
         try:
             locals_[key] = _parse_local(entry, spaces[s])
-        except (InputError, ModelError) as e:
+        except CredalError as e:
             report.add(f"invalid local model for {key!r}: {e}")
             continue
         if type(locals_[key]) is tuple:
@@ -230,8 +233,6 @@ def _read_network(doc) -> tuple[ValidationReport, CredalNetwork | None]:
     checked = vertex_lists(list(locals_.values()),
                            [len(spaces[s]) for s, _ in keys], keys)
     for i, error in reversed(checked[1]):
-        if not isinstance(error, (InputError, ModelError)):
-            raise error
         report.issues.insert(places[keys[i]], f"invalid local model for "
                                               f"{keys[i]!r}: {error}")
     if not report.ok:

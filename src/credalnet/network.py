@@ -7,9 +7,9 @@ per state count, checks the rows it was given there in one pass, and
 lays them out node by node, so that each node's models are one view of
 that array, with axes (parent configurations..., vertex, state) and the
 vertex count of each configuration (:meth:`CredalNetwork.local_stack`).
-A set given by constraints alone is laid out as the vertices enumerated
-from them on construction, so every local step is one contraction with a
-node's array.  :meth:`CredalNetwork.local` hands out the sets handed
+A set given by constraints alone is laid out as the vertices it
+enumerated from them when it was built, so every local step is one
+contraction with a node's array.  :meth:`CredalNetwork.local` hands out the sets handed
 over, or views of the arrays built on first use; a sub-network slices
 the arrays.
 
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .credal import CredalSet, _cut_vertices, interval_rows, vertex_defects
+from .credal import CredalSet, interval_rows, vertex_defects
 from .errors import CapabilityError, InputError
 from .graph import Dag
 
@@ -316,8 +316,8 @@ class CredalNetwork:
 
     def local_stack(self, s: str) -> np.ndarray:
         """The vertices of the local sets of ``s`` (for a set given by
-        constraints alone, those enumerated on construction, its member
-        first) in one read-only float array with axes (parents...,
+        constraints alone, those it enumerated when it was built, its
+        member first) in one read-only float array with axes (parents...,
         vertex, state), where a list with fewer vertices repeats its first
         one, which leaves every minimum unchanged."""
         return self._node(s)[0]
@@ -498,14 +498,13 @@ def vertex_lists(lists: list, sizes: list, keys: list
     counts)``, the places of its lists, their rows and vertex counts; and
     the first defect of each flat tuple of numbers, as ``(i, error)`` in
     list order, as checked here (:func:`credalnet.credal.vertex_defects`).
-    A :class:`CredalSet` gives its vertices, or, given by constraints
-    alone, its member and then the vertices enumerated from them
-    (:func:`credalnet.credal._cut_vertices`), which are not checked: an
-    interval narrower than the checks' tolerance would read as duplicate
-    vertices.  A tuple that is not numbers, as many a vertex as there are
-    states, raises, naming its key."""
-    lists = [m if type(m) is tuple else (m._V if m._V is not None else
-             np.vstack([m.member, _cut_vertices(m)])).ravel() for m in lists]
+    A :class:`CredalSet` gives the rows its own queries read
+    (``CredalSet._points``: its vertices, or, given by constraints alone,
+    those enumerated on its construction), which are not checked here:
+    an enumerated interval narrower than the checks' tolerance would
+    read as duplicate vertices.  A tuple that is not numbers, as many a
+    vertex as there are states, raises, naming its key."""
+    lists = [m if type(m) is tuple else m._points.ravel() for m in lists]
     groups, defects = [], []
     for n in sorted(set(sizes)):
         at = [i for i, size in enumerate(sizes) if size == n]

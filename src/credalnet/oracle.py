@@ -16,11 +16,11 @@ extreme point).
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
-from .credal import constraints_to_vertices
 from .errors import CapabilityError, InputError
 from .lp import JointIndex, enumerate_joint_extreme_points, event_mask, factor_vector
 from .network import CredalNetwork, Event, Factor
@@ -33,34 +33,23 @@ POSITIVE_MASS = 1e-9
 
 
 def _vertex_tables(net: CredalNetwork):
-    """Per node: parent-config index arrays over the joint states and the
-    per-config vertex probability tensors."""
+    """The joint index; per node, its padded vertex stack over the
+    flattened configurations and the vertex count of each, and its
+    configuration and state at every joint state; and the number of
+    selections."""
     idx = JointIndex(net)
     tables = []
     n_selections = 1
     for s in net.dag.nodes:
-        pa = net.dag.parents(s)
-        cfg_idx, _ = idx.config_index(pa)
-        st_idx = idx.digits(s)
-        cfgs = list(product(*(net.states(p) for p in pa)))
-        per_cfg = []
-        for cfg in cfgs:
-            local = net.local(s, cfg)
-            if local._V is not None:
-                V = local._V
-            else:
-                V = np.array([m.probs for m in constraints_to_vertices(local)])
-            per_cfg.append(V)
-            n_selections *= len(V)
-            if n_selections > MAX_SELECTIONS:
-                raise CapabilityError(
-                    f"complete extension exceeds {MAX_SELECTIONS} selections")
-        width = max(len(V) for V in per_cfg)
-        dense = np.zeros((len(cfgs), width, net.size(s)))
-        for ci, V in enumerate(per_cfg):
-            dense[ci, :len(V)] = V
-        tables.append((s, cfgs, [len(V) for V in per_cfg], dense,
-                       cfg_idx, st_idx))
+        stack, counts = net._node(s)
+        counts = counts.ravel().tolist()
+        n_selections *= math.prod(counts)
+        if n_selections > MAX_SELECTIONS:
+            raise CapabilityError(
+                f"complete extension exceeds {MAX_SELECTIONS} selections")
+        tables.append((stack.reshape(-1, *stack.shape[-2:]), counts,
+                       idx.config_index(net.dag.parents(s))[0],
+                       idx.digits(s)))
     return idx, tables, n_selections
 
 
@@ -69,16 +58,15 @@ def complete_extension_lower(net: CredalNetwork, f: Factor) -> float:
     enumerating every combination of local extreme points."""
     idx, tables, _ = _vertex_tables(net)
     fv = factor_vector(net, f)
-    ranges = [range(k) for (_, _, counts, *_rest) in tables for k in counts]
-    key_list = [(s, cfg) for (s, cfgs, *_rest) in tables for cfg in cfgs]
+    ranges = [range(k) for _, counts, *_rest in tables for k in counts]
 
     best = None
     for combo in product(*ranges):
-        pick = dict(zip(key_list, combo))
+        picks = iter(combo)
         prob = np.ones(idx.total)
-        for (s, cfgs, _counts, dense, cfg_idx, st_idx) in tables:
-            choice_per_cfg = np.array([pick[(s, cfg)] for cfg in cfgs])
-            prob *= dense[cfg_idx, choice_per_cfg[cfg_idx], st_idx]
+        for stack, counts, cfg_idx, st_idx in tables:
+            choice_per_cfg = np.fromiter(picks, np.intp, len(counts))
+            prob *= stack[cfg_idx, choice_per_cfg[cfg_idx], st_idx]
         value = float(fv @ prob)
         if best is None or value < best:
             best = value

@@ -526,3 +526,65 @@ def test_unused_imports_are_found():
               "from .errors import InputError, ModelError\n"
               "__all__ = ['ModelError']\nnp.zeros(os.sep)\n")
     assert unused_imports(source) == ["InputError"]
+
+
+def unreferenced_private_names(sources: dict) -> list[str]:
+    """The private names (one leading underscore) that the modules of
+    ``sources`` (name -> source) define at module or class level and
+    none of them reads: no loaded ``Name``, no attribute and no import
+    mentions them.  Each is given as ``module.name``."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [tree] + [node for node in tree.body
+                           if isinstance(node, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [getattr(node.target, "id", "")]
+                else:
+                    continue
+                defined += [(module, name) for name in names
+                            if name.startswith("_")
+                            and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [f"{module}.{name}" for module, name in defined
+            if name not in read]
+
+
+def test_no_unreferenced_private_names():
+    # a private name is there for the package itself: one that nothing
+    # in src/ reads is a leftover of a removed path
+    src = os.path.dirname(credalnet.__file__)
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {
+        "a": ("_LIMIT = 3\n_kept = 1\n"
+              "def _dead():\n    return _LIMIT\n"
+              "class C:\n    _slot = 0\n"
+              "    def _used(self):\n        return self._gone\n"
+              "    def _unused(self):\n        self._slot = _kept\n"),
+        "b": "from .a import C\n\n\ndef f(c):\n    return c._used()\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a._dead", "a._slot", "a._unused"]

@@ -12,7 +12,7 @@ from credalnet.credal import CredalSet, binary_interval, singleton
 from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
 from credalnet.fileio import Query, parse_query
-from credalnet.graph import Dag, is_closed, set_relations
+from credalnet.graph import Dag, closure, is_closed, set_relations
 from credalnet.network import Factor
 from credalnet.queries import bounds, run_query
 
@@ -597,6 +597,34 @@ class TestGrowClosed:
                 binary_net(dag, interval_locals(dag, rng)), scope,
                 {s: "0" for s in given})
             assert K == smallest_closed_for(dag, scope, given)
+
+    def test_relations_are_those_of_k(self):
+        # each round reaches from K unchecked: K is closed and its
+        # relations are those the checked functions give
+        rng = np.random.default_rng(6)
+        for _ in range(150):
+            dag = random_dag(rng, int(rng.integers(2, 12)),
+                             float(rng.uniform(0.1, 0.7)))
+            nodes = list(dag.nodes)
+            scope = [nodes[i] for i in rng.choice(
+                len(nodes), int(rng.integers(0, 3)), replace=False)]
+            given = {s: "0" for s in nodes if rng.random() < 0.4}
+            K, rel = conditioning._grow_closed_for(
+                binary_net(dag, interval_locals(dag, rng)), scope, given)
+            assert closure(dag, K) == K
+            assert rel == set_relations(dag, K)
+
+    def test_scope_names_checked_once(self, monkeypatch):
+        # the scope's names are checked once; no round checks K again
+        net, states, obs = random_hmm_net(np.random.default_rng(3), 1000)
+        checked = []
+        check = Dag._check
+        monkeypatch.setattr(Dag, "_check", lambda dag, s: (
+            checked.append(s), check(dag, s))[1])
+        K, _ = conditioning._grow_closed_for(net, (states[-1],),
+                                             dict.fromkeys(obs, "0"))
+        assert len(K) == len(net.dag.nodes)
+        assert checked == [states[-1]]
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_long_hmm_keeps_the_whole_network(self, order):

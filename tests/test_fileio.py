@@ -3,12 +3,13 @@
 import copy
 import json
 import os
+import re
 import time
 
 import numpy as np
 import pytest
 
-from credalnet import fileio
+from credalnet import cli, fileio, polytope
 from credalnet.credal import (CredalSet, binary_interval,
                               vertices_to_constraints)
 from credalnet.errors import InputError
@@ -300,6 +301,44 @@ class TestInvalidLocalSet:
             "invalid local model for ('1', ()): negative probability in "
             "(-0.25, 0.75)",
             "invalid local model for ('2', ()): empty vertex list"]
+
+    def test_enumeration_limit_is_an_issue(self, monkeypatch, tmp_path):
+        # a limit of the vertex enumeration, met where the entry's set is
+        # built, is listed at the entry, and a load refuses the set
+        monkeypatch.setattr(polytope, "MAX_VERTICES", 2)
+        doc = {"nodes": [{"name": "x", "states": ["a", "b", "c"]}],
+               "edges": [], "locals": [{"node": "x", "given": {},
+                                        "constraints": [{
+                                            "alpha": {"a": 1, "b": 0, "c": 0},
+                                            "beta": "1/4"}]}]}
+        issue = "invalid local model for ('x', ()): vertex enumeration " \
+                "exceeded 2 "
+        only_issue(doc, issue)
+        with pytest.raises(InputError, match=re.escape(issue)):
+            fileio.load_network_document(doc)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        # at its place among the defects of the other entries
+        doc["nodes"].append({"name": "y", "states": ["h", "t"]})
+        doc["locals"].insert(0, {"node": "y", "given": {}, "vertices": []})
+        doc["locals"].append({"node": "y", "given": {}, "vertices": []})
+        assert issues(doc) == [
+            "invalid local model for ('y', ()): empty vertex list",
+            issue + "intermediate vertices; the polytope is too complex to "
+                    "enumerate",
+            "duplicate local model for ('y', ())"]
+
+    def test_minimality_limit_is_an_issue(self):
+        # 65 points on a circle in the simplex, each a vertex: more than
+        # the minimality check takes
+        angles = np.linspace(0.0, 2 * np.pi, 65, endpoint=False)
+        rows = 1 / 3 + 0.2 * (np.outer(np.cos(angles), [1, -0.5, -0.5]) +
+                              np.outer(np.sin(angles), [0, 0.75, -0.75]))
+        only_issue(three_state_document(
+            [dict(zip("abc", map(float, row))) for row in rows]),
+            "invalid local model for ('x', ()): vertex minimality check "
+            "exceeds desk scale")
 
 
 class TestLoadNetworkDocument:

@@ -9,7 +9,7 @@ from credalnet import fileio, polytope, simplex
 from credalnet.credal import (CredalSet, MassFunction, binary_interval,
                               constraints_to_vertices, singleton, vacuous,
                               vertices_to_constraints)
-from credalnet.errors import InputError, ModelError
+from credalnet.errors import CapabilityError, InputError, ModelError
 from credalnet.graph import Dag
 from credalnet.network import CredalNetwork
 
@@ -419,8 +419,8 @@ class TestMutualMembership:
             calls.append(p) or in_hull(p, G)))
         cons, verts = SEVENTHS
         m = CredalSet(("a", "b", "c"), vertices=verts, constraints=cons)
-        # the three vertices of the constraint polytope, then the
-        # minimality check of the three given ones
+        # the minimality check of the three given vertices, then the
+        # three vertices of the constraint polytope
         assert len(calls) == 3 + 3
         assert m.lower_probability({"b"}) == pytest.approx(2 / 7)
 
@@ -429,6 +429,14 @@ class TestMutualMembership:
         rounded = np.round(verts, 7)
         m = CredalSet(("a", "b", "c"), vertices=rounded, constraints=cons)
         assert np.array_equal(m._V, rounded)
+
+    def test_hull_defect_before_mismatch(self):
+        # the given rows are checked first, as a network checks them
+        with pytest.raises(InputError, match="vertex 2 lies in the convex"):
+            CredalSet(("a", "b", "c"),
+                      vertices=[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                (0.5, 0.5, 0.0)],
+                      constraints=[((0.0, 0.0, 1.0), 0.5)])
 
     def test_constraints_wider_than_the_hull(self):
         cons, verts = SEVENTHS
@@ -446,6 +454,13 @@ def narrow_interval(low: float, width: float) -> CredalSet:
     """p(h) in [low, low + width], by its constraints."""
     return CredalSet(("h", "t"), constraints=[((1.0, 0.0), low),
                                               ((-1.0, 0.0), -(low + width))])
+
+
+def thirteen_states() -> CredalSet:
+    """p(a) >= 0.1 and p(b) + p(c) <= 0.5 on 13 states."""
+    first, second = np.eye(13)[0], np.eye(13)[1] + np.eye(13)[2]
+    return CredalSet(tuple("abcdefghijklm"),
+                     constraints=[(first, 0.1), (-second, -0.5)])
 
 
 class TestEnumeratedSets:
@@ -480,11 +495,35 @@ class TestEnumeratedSets:
     def test_thirteen_states_load(self, rng):
         # past the desk scale of constraints_to_vertices, which the
         # network does not apply
-        states = tuple("abcdefghijklm")
-        first, second = np.eye(13)[0], np.eye(13)[1] + np.eye(13)[2]
-        m = CredalSet(states, constraints=[(first, 0.1), (-second, -0.5)])
+        m = thirteen_states()
         net = one_node_net(m)
         assert net.local("x", ()) is m
         for f in rng.normal(size=(10, 13)):
             assert float(net.local_lower("x", f)) == \
                 pytest.approx(m.lower_expectation(f), abs=1e-12)
+
+    def test_alone_as_the_local_lp(self, rng):
+        # a set given by constraints alone answers from the vertices it
+        # enumerated, its member first, as the LP over its rows does
+        sets = [narrow_interval(0.3, 1e-10), thirteen_states()]
+        for _ in range(12):
+            n = int(rng.integers(3, 6))
+            q = rng.dirichlet(np.ones(n))
+            alphas = rng.normal(size=(int(rng.integers(1, 2 * n)), n))
+            sets.append(CredalSet(tuple("abcde")[:n], constraints=[
+                (a, a @ q - rng.uniform(0.0, 0.3)) for a in alphas]))
+        for m in sets:
+            assert np.array_equal(m._points[0], m.member)
+            for f in rng.normal(size=(10, m.n_states)):
+                value, p = m.lower_argmin(f)
+                assert value == pytest.approx(lp_lower(m, f), abs=1e-12)
+                assert any(np.array_equal(p, row) for row in m._points)
+
+    @pytest.mark.parametrize("limit, value", [("MAX_VERTICES", 2),
+                                              ("_MAX_PAIR_WORK", 0)])
+    def test_enumeration_limits_raise_on_construction(self, monkeypatch,
+                                                      limit, value):
+        # as a network load of the set does
+        monkeypatch.setattr(polytope, limit, value)
+        with pytest.raises(CapabilityError, match="vertex enumeration"):
+            CredalSet(CUT_STATES, constraints=[((1.0, 0.0, 0.0), 0.25)])
