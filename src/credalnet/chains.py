@@ -32,15 +32,12 @@ __all__ = ["TransferOperator", "chain_order"]
 
 def chain_order(net: CredalNetwork) -> tuple[str, ...]:
     """The nodes from root to leaf; raises when the DAG is not a simple
-    chain."""
-    dag = net.dag
-    order = [s for s in dag.nodes if not dag.parents(s)]
-    if len(order) == 1 and len(dag.edges) == len(dag.nodes) - 1:
-        # every other node has one parent: walk down while nothing forks
-        while len(ch := dag.children(order[-1])) == 1:
-            order.append(ch[0])
-        if len(order) == len(dag.nodes):
-            return tuple(order)
+    chain, that is, unless its n - 1 edges join each node to the next in
+    topological order."""
+    dag, order = net.dag, net.dag.topological_order()
+    if len(dag.edges) == len(order) - 1 and all(
+            e in dag.edges for e in zip(order, order[1:])):
+        return order
     raise HypothesisError("network is not a simple chain")
 
 

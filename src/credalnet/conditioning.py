@@ -247,8 +247,6 @@ def condition(rho: Rho, evaluators: Sequence[RhoEvaluator], rule: str,
 def vacuous_value(net: CredalNetwork, f: Factor, B: Event) -> float:
     """min of f over B: f at the assignment of a cylinder B on the scope
     of f, and else over the joint states of the two scopes only."""
-    if B.empty:
-        raise InputError("conditioning event is empty")
     if B.cylinder:
         seen = B.assignment()
         return float(f.values[tuple(
@@ -455,8 +453,6 @@ def reduce_query(net: CredalNetwork, scope, given: Event | None,
     to ``trace``."""
     if given is None:
         return net, None, False
-    if given.empty:
-        raise InputError("conditioning event is empty")
     if not given.scope:
         return net, None, False
     if not given.cylinder:

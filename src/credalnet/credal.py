@@ -12,12 +12,15 @@ imply ``p >= 0`` themselves.  The given vertices are held as one float
 array ``_V``.  ``_H`` is derived on first read: on construction for a
 set with constraints, whose checks read it, and never for a vertex list
 that no program reads.  The ``MassFunction`` tuples are built from
-``_V`` on demand.  Each set also keeps one of its members, from which
-the global program starts.  A set given by constraints alone has its
-vertices enumerated once, on construction, after that member; every
-lower expectation, of a set alone or in a network, is the least of the
-dot products with these rows.  All query operations are pure, so
-instances are freely shareable.
+``_V`` on demand.  Each set holds its vertices, fixed at construction,
+as one array ``_points``, one a row: ``_V``, or, for a set given by
+constraints alone, the basic solution of its feasibility LP and then
+the other vertices enumerated from the constraints.  Every lower
+expectation, of a set alone or in a network, is the least of the dot
+products with these rows; :func:`constraints_to_vertices` returns them,
+and the first is the set's ``member``, from which the global program
+starts.  All query operations are pure, so instances are freely
+shareable.
 
 The vertex lists of a whole network are checked together: a network
 holds the local models of its nodes as arrays
@@ -44,8 +47,7 @@ State = Hashable
 #: Feasibility tolerance (mass-function validity, constraint slack).
 TOL_FEAS = simplex.TOL_FEAS
 
-#: Desk-scale bounds for the representation conversions.
-MAX_CONVERSION_STATES = 12
+#: Desk-scale bound of the minimality check of a vertex list.
 MAX_CONVERSION_VERTICES = 64
 
 
@@ -120,12 +122,16 @@ class CredalSet:
 
         # each branch reads _H, so a set with constraints derives it here
         if self._V is None:
-            self.member = self._feasible_point()
-            V = _cut_vertices(self)
-            self._points = np.vstack([self.member, V[np.abs(
-                V - self.member).max(1) >= polytope.DEDUP_RADIUS]])
-        elif self.constraints is not None:
-            self._check_mutual_membership()
+            member = self._feasible_point()
+            V = np.clip(polytope.cut_simplex(len(self.states), self._H),
+                        0.0, None)
+            V /= V.sum(1, keepdims=True)
+            self._points = np.vstack([member, V[np.abs(
+                V - member).max(1) >= polytope.DEDUP_RADIUS]])
+        else:
+            if self.constraints is not None:
+                self._check_mutual_membership()
+            self._points = self._V
 
     # -- construction helpers ---------------------------------------------
 
@@ -134,7 +140,7 @@ class CredalSet:
         """The set of the checked vertex rows ``V``, built without checks:
         a network's view of its arrays."""
         m = cls.__new__(cls)
-        m.states, m._V, m.constraints = states, V, None
+        m.states, m._V, m.constraints, m._points = states, V, None, V
         return m
 
     def _vertex_array(self, vertices) -> np.ndarray:
@@ -203,8 +209,6 @@ class CredalSet:
         slack = self._V @ self._H.T
         if slack.size and slack.min() < -TOL_FEAS:
             raise InputError("a vertex violates the given constraints")
-        if len(self.states) > MAX_CONVERSION_STATES:
-            raise CapabilityError("dual-representation check exceeds desk scale")
         for w in polytope.cut_simplex(len(self.states), self._H):
             if not polytope.in_hull(w, self._V):
                 raise InputError(
@@ -218,20 +222,11 @@ class CredalSet:
         return None if self._V is None else tuple(
             MassFunction(self.states, tuple(row)) for row in self._V.tolist())
 
-    @cached_property
+    @property
     def member(self) -> np.ndarray:
         """One vertex of the set, as an array over the states: the first
-        listed, or, for a set given by constraints only, the basic
-        solution of the feasibility LP solved at construction."""
-        return self._V[0]
-
-    @cached_property
-    def _points(self) -> np.ndarray:
-        """The vertices every query reads, one a row, ``member`` first:
-        ``_V``, or, for a set given by constraints alone, the member and
-        then the other vertices enumerated from the constraints on
-        construction."""
-        return self._V
+        row of ``_points``."""
+        return self._points[0]
 
     @property
     def n_states(self) -> int:
@@ -389,24 +384,11 @@ def vertices_to_constraints(m: CredalSet) -> list[LinearConstraint]:
     """Facet enumeration of the vertex representation."""
     if m._V is None:
         raise InputError("credal set has no vertex representation")
-    if m.n_states > MAX_CONVERSION_STATES or len(m._V) > MAX_CONVERSION_VERTICES:
-        raise CapabilityError("facet enumeration exceeds desk scale")
     return [LinearConstraint(tuple(float(a) for a in alpha), float(beta))
             for alpha, beta in polytope.facet_constraints(m._V)]
 
 
 def constraints_to_vertices(m: CredalSet) -> list[MassFunction]:
-    """Vertex enumeration of the constraint polytope."""
-    if m.n_states > MAX_CONVERSION_STATES:
-        raise CapabilityError("vertex enumeration exceeds desk scale")
-    V = _cut_vertices(m)
-    if len(V) == 0:
-        raise ModelError("credal set is empty")
-    return [MassFunction(m.states, tuple(v)) for v in V.tolist()]
-
-
-def _cut_vertices(m: CredalSet) -> np.ndarray:
-    """The vertices of the polytope of ``m._H`` (none if the cut finds it
-    empty), clipped to ``p >= 0`` and normalised, one a row."""
-    V = np.clip(polytope.cut_simplex(m.n_states, m._H), 0.0, None)
-    return V / V.sum(1, keepdims=True)
+    """The vertices of the set as mass functions: the rows of
+    ``_points``, fixed at construction, ``member`` first."""
+    return [MassFunction(m.states, tuple(v)) for v in m._points.tolist()]

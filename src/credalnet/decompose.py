@@ -85,13 +85,10 @@ def _peel(net: CredalNetwork, s: str, scope: tuple, values: np.ndarray
 def _inner_values(net: CredalNetwork, S, scope: tuple, values: np.ndarray,
                   trace: list | None) -> tuple[tuple[str, ...], np.ndarray]:
     """The iterated law's inner values, as :func:`_peel` gives them, for
-    a final segment S: one peel for a single node, else the lower
-    expectation over the S-sub-network at each state of (scope \\ S)
-    union parents(S), which the full inner factor factors through; each
-    of those sub-networks is built once for the whole batch."""
-    if len(S) == 1:
-        (s,) = S
-        return _peel(net, s, scope, values)
+    a final segment S of two or more sinks: the lower expectation over
+    the S-sub-network at each state of (scope \\ S) union parents(S),
+    which the full inner factor factors through; each of those
+    sub-networks is built once for the whole batch."""
     Sf = frozenset(S)
     parents = frozenset(p for s in Sf for p in net.dag.parents(s)) - Sf
     new = net.dag.sorted_nodes((set(scope) - Sf) | parents)

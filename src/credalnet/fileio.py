@@ -49,11 +49,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 
+from .conditioning import DEFAULT_TOLERANCE
 from .credal import CredalSet
 from .errors import CredalError, InputError
 from .graph import Dag
@@ -368,6 +369,37 @@ RULES = ("natural", "regular", "unconditional")
 METHODS = ("auto", "lp", "decompose", "chain", "hmm")
 
 
+def _check_query(net: CredalNetwork, gambles: Sequence[Factor],
+                given: Event | None, rule: str, method: str,
+                tolerance: float) -> None:
+    """The first check of every query, from a document or a library
+    call: a known rule and method, 0 < tolerance < inf, a nonempty batch
+    of gambles on one scope, scopes of network nodes in declaration
+    order, and a nonempty event, none under ``unconditional``.  Private:
+    the benchmark's tracer times every public ``fileio`` call as a load."""
+    if rule not in RULES:
+        raise InputError(f"unknown rule {rule!r}")
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise InputError(f"tolerance must be positive and finite, not "
+                         f"{tolerance!r}")
+    if not gambles:
+        raise InputError("no gamble to take the lower expectation of")
+    scope = gambles[0].scope
+    for g in gambles:
+        if g.scope != scope:
+            raise InputError(f"factor scopes {scope} and {g.scope} differ")
+    if given is not None and rule == "unconditional":
+        raise InputError("unconditional queries cannot carry a conditioning "
+                         "event")
+    for x in (scope,) if given is None else (scope, given.scope):
+        if net.dag.sorted_nodes(x) != x:
+            raise InputError(f"scope {x} is not in declaration order")
+    if given is not None and given.empty:
+        raise InputError("conditioning event is empty")
+
+
 @dataclass
 class Query:
     target: Factor
@@ -445,15 +477,8 @@ def parse_query(net: CredalNetwork, doc) -> Query:
         raise InputError("target needs 'table' or 'indicator'")
 
     rule = doc.get("rule", "unconditional")
-    if rule not in RULES:
-        raise InputError(f"unknown rule {rule!r}")
     method = doc.get("method", "auto")
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}")
-    tolerance = parse_number(doc.get("tolerance", 1e-9))
-    if tolerance <= 0.0:
-        raise InputError(f"tolerance must be positive, not {tolerance!r}")
-
+    tolerance = parse_number(doc.get("tolerance", DEFAULT_TOLERANCE))
     given_doc = doc.get("given")
     given = None
     if given_doc is not None:
@@ -469,11 +494,7 @@ def parse_query(net: CredalNetwork, doc) -> Query:
             scope_t, tuples = _parse_scoped_states(net, given_doc,
                                                    "conditioning event")
             given = net.event(scope_t, tuples)
-            if given.empty:
-                raise InputError("conditioning event is empty")
-    if rule == "unconditional" and given is not None:
-        raise InputError("unconditional queries cannot carry a conditioning "
-                         "event")
+    _check_query(net, [factor], given, rule, method, tolerance)
     if rule != "unconditional" and given is None:
         raise InputError(f"rule {rule!r} needs a conditioning event")
     return Query(factor, given, rule, method, tolerance)

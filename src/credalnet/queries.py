@@ -16,7 +16,7 @@ from typing import Sequence
 from . import chains, conditioning, decompose, lp
 from .conditioning import BracketResult, RhoEvaluator
 from .errors import HypothesisError, InputError
-from .fileio import METHODS, RULES, Query
+from .fileio import Query, _check_query
 from .network import CredalNetwork, Event, Factor
 
 
@@ -25,7 +25,8 @@ def bounds(net: CredalNetwork, gambles: Sequence[Factor], given: Event | None,
            tolerance: float = conditioning.DEFAULT_TOLERANCE,
            trace: list | None = None) -> list[BracketResult]:
     """The lower expectations of ``gambles`` (on one scope) given
-    ``given`` (``None``: unconditional) under ``rule`` by ``method``:
+    ``given`` (``None``: unconditional) under ``rule`` by ``method``,
+    once :func:`credalnet.fileio._check_query` has passed them:
 
     1. ``auto`` and ``decompose`` reduce the query (``reduce_query``),
        and return the vacuous bounds where the regular rule's gate finds
@@ -38,14 +39,8 @@ def bounds(net: CredalNetwork, gambles: Sequence[Factor], given: Event | None,
        :class:`~credalnet.errors.HypothesisError` where it does not fit;
     4. else they run one after the other over the warm tableau of the
        global program (``program_rho``)."""
+    _check_query(net, gambles, given, rule, method, tolerance)
     scope, rho = gambles[0].scope, None
-    if rule not in RULES:
-        raise InputError(f"unknown rule {rule!r}")
-    if rule == "unconditional" and given is not None:
-        raise InputError("unconditional queries cannot carry a conditioning "
-                         "event")
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}")
     if method in ("auto", "decompose") and given is not None:
         sub, B, vacuous = conditioning.reduce_query(net, scope, given, rule,
                                                     trace)

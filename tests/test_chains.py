@@ -62,6 +62,25 @@ class TestChainShape:
         with pytest.raises(HypothesisError):
             chain_order(net2)
 
+    def test_path_declared_shuffled(self, rng):
+        path = [str(i) for i in range(8)]
+        nodes = list(path)
+        rng.shuffle(nodes)
+        dag = Dag(nodes, list(zip(path, path[1:])))
+        assert chain_order(binary_net(dag, interval_locals(dag, rng))) == \
+            tuple(path)
+
+    @pytest.mark.parametrize("edges", [
+        [("a", "b"), ("a", "c")],                   # fork
+        [("a", "c"), ("b", "c")],                   # collider
+        [("a", "b"), ("b", "c"), ("a", "c")],       # path plus a chord
+        [("a", "b"), ("c", "d")],                   # two disjoint paths
+    ], ids=["fork", "collider", "chord", "two-paths"])
+    def test_not_a_chain(self, rng, edges):
+        dag = Dag(sorted({s for e in edges for s in e}), edges)
+        with pytest.raises(HypothesisError):
+            chain_order(binary_net(dag, interval_locals(dag, rng)))
+
 
 class TestTransferOperator:
     def test_properties(self, rng):

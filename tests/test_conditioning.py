@@ -13,7 +13,7 @@ from credalnet.errors import (CapabilityError, ConvergenceError,
                               HypothesisError, InputError, ModelError)
 from credalnet.fileio import Query, parse_query
 from credalnet.graph import Dag, closure, is_closed, set_relations
-from credalnet.network import Factor
+from credalnet.network import Event, Factor
 from credalnet.queries import bounds, run_query
 
 from helpers import (atom_bounds, bayes_joint, binary_net, chain_dag,
@@ -704,6 +704,66 @@ class TestBoundsInputs:
         assert given.empty
         with pytest.raises(InputError, match="conditioning event is empty"):
             bounds(net, [f], given, "natural", method)
+
+
+def checked_query():
+    """A four-node network, f = (1, 0) on node 1, and node 4 at its first
+    state: natural lower bound 0.7445 under ``lp`` and ``auto``."""
+    net = random_binary_net(np.random.default_rng(0), 4)
+    f = Factor(("1",), np.array([1.0, 0.0]))
+    return net, f, net.event(("4",), [(net.states("4")[0],)])
+
+
+class TestBoundsChecksAsParseQuery:
+    """``bounds`` checks a library call as ``parse_query`` checks a
+    document, before any engine runs."""
+
+    def test_the_query_answers(self):
+        net, f, B = checked_query()
+        for method in ("auto", "lp"):
+            (low,) = bounds(net, [f], B, "natural", method)
+            assert low.value == pytest.approx(0.7445056470116335, abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+    def test_tolerance_not_positive(self, method, tolerance):
+        net, f, B = checked_query()
+        with pytest.raises(InputError, match="tolerance must be positive"):
+            bounds(net, [f], B, "natural", method, tolerance)
+
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    def test_infinite_tolerance(self, method):
+        net, f, B = checked_query()
+        with pytest.raises(InputError, match="finite, not inf"):
+            bounds(net, [f], B, "natural", method, math.inf)
+
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    def test_empty_batch(self, method):
+        net, _, B = checked_query()
+        with pytest.raises(InputError, match="no gamble"):
+            bounds(net, [], B, "natural", method)
+
+    def test_unknown_event_node(self):
+        # auto dropped the node and answered the unconditional bounds
+        net, f, _ = checked_query()
+        for method in ("auto", "lp"):
+            with pytest.raises(InputError, match="unknown node 'zz'"):
+                bounds(net, [f], Event(("zz",), frozenset({("0",)})),
+                       "natural", method)
+
+    @pytest.mark.parametrize("method", ["auto", "lp"])
+    def test_two_scopes(self, method):
+        net, f, B = checked_query()
+        g = Factor(("2",), np.array([1.0, 0.0]))
+        with pytest.raises(InputError, match="differ"):
+            bounds(net, [f, g], B, "natural", method)
+
+    def test_event_scope_out_of_order(self):
+        net, f, _ = checked_query()
+        B = Event(("4", "3"), frozenset({("0", "0")}))
+        for method in ("auto", "lp"):
+            with pytest.raises(InputError, match="declaration order"):
+                bounds(net, [f], B, "natural", method)
 
 
 def gate_net(rng, zero: bool):

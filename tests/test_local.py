@@ -493,8 +493,7 @@ class TestEnumeratedSets:
                     pytest.approx(lp_lower(m, f), abs=1e-9)
 
     def test_thirteen_states_load(self, rng):
-        # past the desk scale of constraints_to_vertices, which the
-        # network does not apply
+        # 13 states and 33 vertices: no state count caps an enumeration
         m = thirteen_states()
         net = one_node_net(m)
         assert net.local("x", ()) is m
@@ -518,6 +517,48 @@ class TestEnumeratedSets:
                 value, p = m.lower_argmin(f)
                 assert value == pytest.approx(lp_lower(m, f), abs=1e-12)
                 assert any(np.array_equal(p, row) for row in m._points)
+
+    def test_thirteen_states_convert(self):
+        m = thirteen_states()
+        got = np.array([v.probs for v in constraints_to_vertices(m)])
+        assert len(got) == len(m._points) == 33
+        assert np.array_equal(got, m._points)
+        assert np.array_equal(got[0], m.member)
+
+    def test_thirteen_states_in_both_forms(self, rng):
+        m = thirteen_states()
+        both = CredalSet(m.states, vertices=m._points,
+                         constraints=m.constraints)
+        assert both._points is both._V
+        for f in rng.normal(size=(10, 13)):
+            assert both.lower_expectation(f) == \
+                pytest.approx(m.lower_expectation(f), abs=1e-12)
+
+    def test_thirteen_states_facets_round_trip(self, rng):
+        given = thirteen_states()
+        m = CredalSet(given.states, vertices=given._points)
+        back = CredalSet(m.states, constraints=vertices_to_constraints(m))
+        for f in rng.normal(size=(20, 13)):
+            assert back.lower_expectation(f) == \
+                pytest.approx(m.lower_expectation(f), abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["vertices", "constraints", "both",
+                                      "view"])
+    def test_member_is_the_first_point(self, kind):
+        cons, verts = SEVENTHS
+        states = ("a", "b", "c")
+        if kind == "view":
+            net = CredalNetwork(Dag(["x"], []), {"x": states},
+                                {("x", ()): tuple(np.ravel(verts))})
+            m = net.local("x", ())
+        else:
+            m = CredalSet(states,
+                          vertices=None if kind == "constraints" else verts,
+                          constraints=None if kind == "vertices" else cons)
+        assert np.array_equal(m.member, m._points[0])
+        assert "_points" in vars(m)
+        if kind != "constraints":
+            assert m._points is m._V
 
     @pytest.mark.parametrize("limit, value", [("MAX_VERTICES", 2),
                                               ("_MAX_PAIR_WORK", 0)])
